@@ -26,6 +26,7 @@ const char* counter_name(CounterId id) {
     case CounterId::kQueriesSubmitted: return "queries_submitted";
     case CounterId::kQueriesServed: return "queries_served";
     case CounterId::kQueriesServedStale: return "queries_served_stale";
+    case CounterId::kQueriesServedCached: return "queries_served_cached";
     case CounterId::kQueriesCancelled: return "queries_cancelled";
     case CounterId::kQueriesDeadlineExpired: return "queries_deadline_expired";
     case CounterId::kQueriesShed: return "queries_shed";

@@ -47,6 +47,7 @@ enum class CounterId : std::uint8_t {
   kQueriesSubmitted,       ///< submit() calls accepted into the queue
   kQueriesServed,          ///< queries completed with fresh distances
   kQueriesServedStale,     ///< queries degraded to a cached same-source result
+  kQueriesServedCached,    ///< kQueriesServed answers taken from the cache
   kQueriesCancelled,       ///< queries cancelled by explicit request
   kQueriesDeadlineExpired, ///< queries cancelled/expired by their deadline
   kQueriesShed,            ///< queued queries evicted by admission control
@@ -71,7 +72,7 @@ enum class CounterId : std::uint8_t {
   kLocalSteals,        ///< successful steals from a same-NUMA-node victim
   kRemoteSteals,       ///< successful steals from a cross-node victim
 };
-inline constexpr std::size_t kNumCounters = 36;
+inline constexpr std::size_t kNumCounters = 37;
 
 enum class GaugeId : std::uint8_t {
   kMaxFrontier,  ///< largest synchronous-round frontier seen

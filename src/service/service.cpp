@@ -60,6 +60,9 @@ struct QueryService::Pending {
   /// from it at pickup (safe: reads race with nothing — update() drains
   /// running queries and blocks pickups before mutating).
   const VersionedGraph* versioned = nullptr;
+  /// Cache slot of (graph, source), fixed at submit: coalescing, the
+  /// answer cache and the fresh check at pickup all key on it.
+  CacheKey key;
   QueryRequest req;
   Clock::time_point submitted;
   Clock::time_point deadline;  // Clock::time_point::max() when unbounded
@@ -96,27 +99,62 @@ std::shared_future<QueryResult> QueryService::submit_impl(
     const Graph* graph, const VersionedGraph* vg, QueryRequest req) {
   req.validate();
 
-  MutexLock lock(mu_);
-  if (stopping_)
-    throw std::logic_error("QueryService::submit: service is shut down");
-  // Resolve the graph under mu_ and never earlier: update() phase 1 mutates
-  // the VersionedGraph (apply + compact) with mu_ held, so an unlocked
-  // flat()/num_vertices() read would race it. flat() (not graph()) on
-  // purpose: submit never mutates, and the service contract routes all
-  // mutation through update(), which always leaves vg compacted.
-  const Graph& g = vg != nullptr ? vg->flat() : *graph;
-  if (req.source >= g.num_vertices()) {
-    std::ostringstream os;
-    os << "QueryService::submit: source " << req.source
-       << " out of range for graph with " << g.num_vertices() << " vertices";
-    throw InvalidSourceError(os.str());
+  std::shared_ptr<const std::vector<Distance>> cached;
+  QueryResult r;
+  {
+    MutexLock lock(mu_);
+    if (stopping_)
+      throw std::logic_error("QueryService::submit: service is shut down");
+    // Resolve the graph under mu_ and never earlier: update() phase 1 mutates
+    // the VersionedGraph (apply + compact) with mu_ held, so an unlocked
+    // flat()/num_vertices() read would race it. flat() (not graph()) on
+    // purpose: submit never mutates, and the service contract routes all
+    // mutation through update(), which always leaves vg compacted.
+    const Graph& g = vg != nullptr ? vg->flat() : *graph;
+    if (req.source >= g.num_vertices()) {
+      std::ostringstream os;
+      os << "QueryService::submit: source " << req.source
+         << " out of range for graph with " << g.num_vertices() << " vertices";
+      throw InvalidSourceError(os.str());
+    }
+    if (vg != nullptr && vg->version() < req.min_graph_version) {
+      std::ostringstream os;
+      os << "QueryService::submit: min_graph_version " << req.min_graph_version
+         << " not yet reached (graph is at version " << vg->version() << ")";
+      throw InvalidOptionsError(os.str());
+    }
+    // Fresh path: an exactly current answer (republished by update() or
+    // stored by a run at this version) is the answer; no solve, no queue.
+    // Plain Graphs have no version, so they never take it; a request
+    // already past its absolute deadline queues and expires as before.
+    if (vg != nullptr && req.deadline > Clock::now()) {
+      if (const CachedAnswer* hit = fresh_find_locked(*vg, req.source))
+        cached = hit->dist;
+    }
+    if (cached == nullptr) {
+      const CacheKey key = vg != nullptr
+                               ? CacheKey{nullptr, vg->uid(), req.source}
+                               : CacheKey{&g, 0, req.source};
+      return enqueue_locked(g, vg, key, std::move(req));
+    }
+    r.query_id = next_id_++;
+    r.graph_version = vg->version();
+    registry_.shard(0).inc(CId::kQueriesSubmitted);
+    tenants_[req.tenant].submitted += 1;
+    account_cached_locked(req.tenant);
   }
-  if (vg != nullptr && vg->version() < req.min_graph_version) {
-    std::ostringstream os;
-    os << "QueryService::submit: min_graph_version " << req.min_graph_version
-       << " not yet reached (graph is at version " << vg->version() << ")";
-    throw InvalidOptionsError(os.str());
-  }
+  // The O(V) copy happens outside mu_; the shared_ptr keeps the answer
+  // alive even if an update() replaces the entry meanwhile.
+  r.outcome = Outcome::kServed;
+  r.dist = *cached;
+  std::promise<QueryResult> done;
+  done.set_value(std::move(r));
+  return done.get_future().share();
+}
+
+std::shared_future<QueryResult> QueryService::enqueue_locked(
+    const Graph& g, const VersionedGraph* vg, const CacheKey& key,
+    QueryRequest req) {
   obs::MetricsShard& adm = registry_.shard(0);
 
   const auto now = Clock::now();
@@ -133,7 +171,7 @@ std::shared_future<QueryResult> QueryService::submit_impl(
   // only grow, so a check passed at submit holds for the shared answer.)
   if (config_.coalesce) {
     for (const Entry& e : queue_) {
-      if (e->graph == &g && e->req.source == req.source) {
+      if (e->key == key) {
         adm.inc(CId::kQueriesCoalesced);
         tenants_[req.tenant].coalesced += 1;
         e->deadline = std::max(e->deadline, deadline);
@@ -181,6 +219,7 @@ std::shared_future<QueryResult> QueryService::submit_impl(
   Entry e = std::make_shared<Pending>();
   e->graph = &g;
   e->versioned = vg;
+  e->key = key;
   e->req = std::move(req);
   e->submitted = now;
   e->deadline = deadline;
@@ -269,10 +308,9 @@ std::uint64_t QueryService::update(VersionedGraph& vg,
     registry_.shard(0).inc(CId::kGraphCompactions,
                            vg.compactions() - compactions_before);
 
-    const Graph* key = &vg.flat();
     for (const auto& [k, cached] : stale_) {
       (void)cached;
-      if (k.first == key) repair_sources.push_back(k.second);
+      if (k.uid == vg.uid()) repair_sources.push_back(k.source);
     }
   }
 
@@ -310,12 +348,14 @@ std::uint64_t QueryService::update(VersionedGraph& vg,
   }
 
   // Phase 3 (under mu_): publish the repaired answers and release the gate.
+  // Only now, with every repair done, do the entries carry the new version
+  // and become fresh hits (fresh_find_locked); a failed phase 2 published
+  // nothing and left them at their old version.
   {
     MutexLock lock(mu_);
     obs::MetricsShard& adm = registry_.shard(0);
-    const Graph* key = &vg.flat();
     for (Repaired& r : repaired) {
-      auto it = stale_.find({key, r.source});
+      auto it = stale_.find(CacheKey{nullptr, vg.uid(), r.source});
       if (it != stale_.end())  // still cached (no eviction races the gate)
         it->second = CachedAnswer{std::move(r.dist), version};
       if (!r.stats.full_solve) {
@@ -349,11 +389,25 @@ bool QueryService::any_running_locked() const {
 
 const QueryService::CachedAnswer* QueryService::cache_find_locked(
     const Pending& q) const {
-  auto hit = stale_.find({q.graph, q.req.source});
+  auto hit = stale_.find(q.key);
   if (hit == stale_.end()) return nullptr;
   // A cached answer older than the query's floor is not an answer at all.
   if (hit->second.version < q.req.min_graph_version) return nullptr;
   return &hit->second;
+}
+
+const QueryService::CachedAnswer* QueryService::fresh_find_locked(
+    const VersionedGraph& vg, VertexId source) const {
+  auto hit = stale_.find(CacheKey{nullptr, vg.uid(), source});
+  // Exactly this version: an entry one batch behind is a stale answer.
+  if (hit != stale_.end() && vg.version() == hit->second.version)
+    return &hit->second;
+  return nullptr;
+}
+
+void QueryService::account_cached_locked(const std::string& tenant) {
+  registry_.shard(0).inc(CId::kQueriesServedCached);
+  account_locked(tenant, Outcome::kServed);
 }
 
 void QueryService::finish_unrun_locked(const Entry& e, Outcome outcome) {
@@ -405,11 +459,10 @@ void QueryService::account_locked(const std::string& tenant, Outcome outcome) {
   }
 }
 
-void QueryService::cache_store_locked(const Graph* g, VertexId source,
+void QueryService::cache_store_locked(const CacheKey& key,
                                       const std::vector<Distance>& dist,
                                       std::uint64_t version) {
   if (config_.stale_cache_entries == 0) return;
-  const std::pair<const Graph*, VertexId> key{g, source};
   auto it = stale_.find(key);
   if (it == stale_.end() && stale_.size() >= config_.stale_cache_entries) {
     stale_.erase(stale_order_.front());
@@ -503,6 +556,7 @@ void QueryService::worker_main(int wid) {
                            static_cast<std::uint64_t>(wid + 1))));
   for (;;) {
     Entry e;
+    std::shared_ptr<const std::vector<Distance>> cached;
     {
       MutexLock lock(mu_);
       // Explicit predicate loop (not the lambda overload): TSA analyzes a
@@ -514,8 +568,29 @@ void QueryService::worker_main(int wid) {
         work_cv_.wait(lock);
       if (queue_.empty()) return;  // stopping_ and drained
       e = pop_next_locked();
-      running_[static_cast<std::size_t>(wid)] = e;
-      if (e->versioned != nullptr) e->run_version = e->versioned->version();
+      if (e->versioned != nullptr) {
+        e->run_version = e->versioned->version();
+        // Queued behind an update() that republished this source's answer
+        // at the version we would run against: serve it, skip the solve.
+        const CachedAnswer* hit =
+            e->token->poll() ? nullptr
+                             : fresh_find_locked(*e->versioned, e->req.source);
+        if (hit != nullptr) {
+          cached = hit->dist;
+          account_cached_locked(e->req.tenant);
+        }
+      }
+      if (cached == nullptr) running_[static_cast<std::size_t>(wid)] = e;
+    }
+    if (cached != nullptr) {
+      QueryResult r;
+      r.query_id = e->id;
+      r.queue_ms = ms_between(e->submitted, Clock::now());
+      r.outcome = Outcome::kServed;
+      r.dist = *cached;
+      r.graph_version = e->run_version;
+      e->promise.set_value(std::move(r));
+      continue;
     }
 
     QueryResult r;
@@ -536,7 +611,7 @@ void QueryService::worker_main(int wid) {
       MutexLock lock(mu_);
       running_[static_cast<std::size_t>(wid)] = nullptr;
       if (r.outcome == Outcome::kServed)
-        cache_store_locked(e->graph, e->req.source, r.dist, e->run_version);
+        cache_store_locked(e->key, r.dist, e->run_version);
       account_locked(e->req.tenant, r.outcome);
       // An update() may be waiting for the running set to drain.
       if (update_active_ && !any_running_locked()) update_cv_.notify_all();

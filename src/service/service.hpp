@@ -21,6 +21,11 @@
 //  * Graceful degradation — a shed or queue-expired query marked
 //    allow_stale is answered from a small same-source cache of previously
 //    served distances (Outcome::kServedStale) instead of failing dry.
+//    The same cache answers a VersionedGraph query outright when its entry
+//    is exactly current (same graph uid, same version): the query resolves
+//    kServed at submit, or at pickup if it queued behind an update(),
+//    without a solve (QueryResult::attempts == 0). Plain-Graph entries
+//    carry no version and serve only the stale degradation.
 //  * Fault containment — a Solver whose run was deadline-cancelled or
 //    threw a transient error is quarantined and rebuilt off the hot path;
 //    transient failures retry with seeded, jittered exponential backoff,
@@ -28,8 +33,10 @@
 //  * Live graph updates — update() applies a GraphDelta batch to a
 //    VersionedGraph through an exclusive gate (new pickups pause, running
 //    queries drain first, so no run ever observes a half-applied batch),
-//    then repairs the cached stale answers to the new version instead of
-//    dropping them (sssp/incremental.hpp). QueryRequest::min_graph_version
+//    then repairs the cached answers to the new version instead of
+//    dropping them (sssp/incremental.hpp). Those repaired answers are
+//    exactly current, so the next query for a repaired source is served
+//    from the cache instead of re-solving. QueryRequest::min_graph_version
 //    lets a client demand at-least-this-fresh answers.
 //
 // Accounting flows through an obs::MetricsRegistry (the kQueries* /
@@ -39,6 +46,7 @@
 #pragma once
 
 #include <chrono>
+#include <compare>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -132,7 +140,9 @@ struct QueryResult {
   std::string error;           ///< what() of the terminal failure (kFailed)
   double queue_ms = 0.0;       ///< submit -> worker pickup (or terminal)
   double solve_ms = 0.0;       ///< worker pickup -> completion, all attempts
-  int attempts = 0;            ///< solve attempts (retries = attempts - 1)
+  /// Solve attempts (retries = attempts - 1). 0 for a kServed answer taken
+  /// from an exactly current cache entry (and for unrun outcomes).
+  int attempts = 0;
   /// Backoff slept before each retry, in submit order — exposed so tests
   /// can pin the seeded jitter sequence byte-for-byte.
   std::vector<std::uint64_t> backoff_ns;
@@ -164,7 +174,8 @@ struct ServiceConfig {
   std::chrono::nanoseconds retry_backoff{std::chrono::microseconds(200)};
   std::uint64_t seed = 0x5EEDULL;
   bool coalesce = true;  ///< merge same-(graph, source) queued submits
-  /// Same-source stale-answer cache entries (FIFO eviction; 0 disables).
+  /// Same-source answer cache entries (FIFO eviction; 0 disables both the
+  /// stale degradation and fresh cache hits).
   std::size_t stale_cache_entries = 16;
   /// Test hook: invoked before solve attempt `attempt` (0-based) on the
   /// worker thread; a throw is treated as that attempt's transient failure.
@@ -246,10 +257,14 @@ class QueryService {
   /// Applies `batch` to `vg` through the exclusive update gate: new pickups
   /// pause, running queries drain, the batch is applied and any structural
   /// overlay compacted, and then — instead of dropping them — every cached
-  /// stale answer for this graph is repaired to the new version through a
+  /// answer for this graph is repaired to the new version through a
   /// service-owned IncrementalSolver (off the query hot path; the common
   /// hot (graph, source) pair repairs incrementally, the rest re-solve).
-  /// Queued queries survive an update untouched; they run against the new
+  /// The repaired answers are republished at the new version only after
+  /// every repair succeeded; from then on a query for one of those sources
+  /// is served from the cache without a solve. Queued queries survive an
+  /// update untouched: a queued query for a repaired source is served from
+  /// the republished answer at pickup, the rest run against the new
   /// version. Returns the new vg.version(). Throws whatever
   /// VersionedGraph::apply throws (validation errors leave the graph
   /// unchanged; see apply()'s contract for mid-batch resource failures)
@@ -270,8 +285,20 @@ class QueryService {
   struct Pending;
   using Entry = std::shared_ptr<Pending>;
 
-  /// One stale-cache value: the distances plus the graph version they were
-  /// computed at (0 for plain Graphs), so min_graph_version can filter.
+  /// Answer-cache key. Versioned entries are keyed by VersionedGraph::uid()
+  /// (graph == nullptr), so a graph rebuilt at a recycled address never
+  /// inherits them; plain-Graph entries by address (uid 0, which no
+  /// VersionedGraph has).
+  struct CacheKey {
+    const Graph* graph = nullptr;
+    std::uint64_t uid = 0;
+    VertexId source = 0;
+    auto operator<=>(const CacheKey&) const = default;
+  };
+
+  /// One cache value: the distances plus the graph version they were
+  /// computed at (0 for plain Graphs), so min_graph_version can filter and
+  /// fresh_find_locked can tell an exactly current entry.
   struct CachedAnswer {
     std::shared_ptr<const std::vector<Distance>> dist;
     std::uint64_t version = 0;
@@ -288,6 +315,13 @@ class QueryService {
   std::shared_future<QueryResult> submit_impl(const Graph* g,
                                               const VersionedGraph* vg,
                                               QueryRequest req);
+  /// submit_impl's queue path for a validated request that missed the
+  /// cache: coalescing, admission control, enqueue. mu_ held.
+  std::shared_future<QueryResult> enqueue_locked(const Graph& g,
+                                                 const VersionedGraph* vg,
+                                                 const CacheKey& key,
+                                                 QueryRequest req)
+      WASP_REQUIRES(mu_);
   /// Picks the best queued entry (highest priority, FIFO within). mu_ held
   /// (TSA-enforced via REQUIRES, like all *_locked helpers below).
   Entry pop_next_locked() WASP_REQUIRES(mu_);
@@ -298,12 +332,20 @@ class QueryService {
   /// Tenant + counter accounting for a terminal outcome. mu_ held.
   void account_locked(const std::string& tenant, Outcome outcome)
       WASP_REQUIRES(mu_);
-  void cache_store_locked(const Graph* g, VertexId source,
+  void cache_store_locked(const CacheKey& key,
                           const std::vector<Distance>& dist,
                           std::uint64_t version) WASP_REQUIRES(mu_);
   /// A stale-cache hit for `q` satisfying its min_graph_version, or nullptr.
   [[nodiscard]] const CachedAnswer* cache_find_locked(const Pending& q) const
       WASP_REQUIRES(mu_);
+  /// The cached answer for (vg, source) if it is exactly current — same
+  /// uid, same version as vg now — or nullptr. Such an entry is the exact
+  /// answer at vg.version(): entries are stamped with the version they were
+  /// solved or repaired at, and update() publishes only successful repairs.
+  [[nodiscard]] const CachedAnswer* fresh_find_locked(
+      const VersionedGraph& vg, VertexId source) const WASP_REQUIRES(mu_);
+  /// Accounts a fresh cache hit for `tenant`: served, and served_cached.
+  void account_cached_locked(const std::string& tenant) WASP_REQUIRES(mu_);
   [[nodiscard]] bool any_running_locked() const WASP_REQUIRES(mu_);
 
   ServiceConfig config_;
@@ -328,11 +370,10 @@ class QueryService {
   mutable obs::MetricsRegistry registry_;
   std::map<std::string, TenantStats> tenants_ WASP_GUARDED_BY(mu_);
 
-  /// Same-source stale cache, FIFO-evicted.
-  std::map<std::pair<const Graph*, VertexId>, CachedAnswer> stale_
-      WASP_GUARDED_BY(mu_);
-  std::deque<std::pair<const Graph*, VertexId>> stale_order_
-      WASP_GUARDED_BY(mu_);
+  /// Same-source answer cache, FIFO-evicted: stale degradation for any
+  /// graph, fresh hits for exactly current versioned entries.
+  std::map<CacheKey, CachedAnswer> stale_ WASP_GUARDED_BY(mu_);
+  std::deque<CacheKey> stale_order_ WASP_GUARDED_BY(mu_);
 
   /// Service-owned repair solver for update()'s cache refresh, built
   /// lazily. Not mu_-guarded: touched only by the update() holder of the

@@ -7,9 +7,13 @@
 // (atomic validation, journal semantics, compaction on demand), every
 // warm-state fallback path, and the QueryService update gate: concurrent
 // update-vs-query streams where every served answer must match the
-// reference distances of exactly the graph version it reports.
+// reference distances of exactly the graph version it reports, and the
+// fresh cache path (an entry is served without a solve only at exactly the
+// graph's current uid and version).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -551,6 +555,136 @@ TEST(IncrementalService, UpdateRepairsCachedAnswersInsteadOfDroppingThem) {
   ASSERT_EQ(fresh.outcome, service::Outcome::kServed);
   EXPECT_EQ(fresh.graph_version, vg.version());
   EXPECT_EQ(dijkstra(vg.graph(), 5).dist, fresh.dist);
+}
+
+TEST(IncrementalService, ExactlyCurrentCacheHitSkipsTheSolve) {
+  VersionedGraph vg(
+      gen::erdos_renyi(1000, 5.0, WeightScheme::uniform(1, 64), 53));
+  service::QueryService svc(service_config());
+  ASSERT_EQ(svc.solve(vg, {.source = 9}).attempts, 1);
+
+  // update() repairs the cached answer and republishes it at the new
+  // version, so the re-query is that answer: no queue, no solve.
+  Xoshiro256 rng(57);
+  const std::uint64_t v = svc.update(vg, random_batch(vg, Mode::kMixed, rng, 8));
+  const std::uint64_t cached_before =
+      svc.metrics().counter(obs::CounterId::kQueriesServedCached);
+  const service::QueryResult r =
+      svc.solve(vg, {.source = 9, .min_graph_version = v});
+  ASSERT_EQ(r.outcome, service::Outcome::kServed);
+  EXPECT_EQ(r.attempts, 0);
+  EXPECT_EQ(r.queue_ms, 0.0);
+  EXPECT_EQ(r.solve_ms, 0.0);
+  EXPECT_EQ(r.graph_version, vg.version());
+  EXPECT_EQ(dijkstra(vg.graph(), 9).dist, r.dist);
+  const obs::MetricsSnapshot m = svc.metrics();
+  EXPECT_EQ(m.counter(obs::CounterId::kQueriesServedCached), cached_before + 1);
+  // A subset of served, not a seventh outcome.
+  EXPECT_EQ(m.counter(obs::CounterId::kQueriesServed),
+            m.counter(obs::CounterId::kQueriesSubmitted));
+}
+
+TEST(IncrementalService, QueryQueuedBehindAnUpdateIsServedAtPickup) {
+  // One worker is held inside a solve until an update() is about to take
+  // the gate; a query queued behind both is picked up only after that
+  // update republished its source's answer, so it takes the fresh path at
+  // pickup. The hold is a timed margin, so allow a few rounds for a host
+  // that stalls the updater past it.
+  bool served_at_pickup = false;
+  for (int round = 0; round < 3 && !served_at_pickup; ++round) {
+    VersionedGraph vg(
+        gen::erdos_renyi(1000, 5.0, WeightScheme::uniform(1, 64), 73));
+    std::atomic<bool> hold{false};
+    std::atomic<bool> updating{false};
+    service::ServiceConfig cfg = service_config();
+    cfg.num_solvers = 1;
+    cfg.inject_failure = [&](int) {
+      if (!hold.exchange(false)) return;
+      while (!updating.load()) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    };
+    service::QueryService svc(cfg);
+    ASSERT_EQ(svc.solve(vg, {.source = 9}).outcome, service::Outcome::kServed);
+    // Put the cached answer one version behind, so the submit below misses
+    // and queues.
+    Xoshiro256 rng(79);
+    (void)vg.apply(random_batch(vg, Mode::kDecrease, rng, 20));
+    const GraphDelta batch = random_batch(vg, Mode::kMixed, rng, 8);
+    const std::uint64_t before = vg.version();
+    const std::vector<Distance> ref_before = dijkstra(vg.graph(), 9).dist;
+
+    hold = true;
+    const auto held = svc.submit(vg, {.source = 10});
+    const auto queued = svc.submit(vg, {.source = 9});
+    std::uint64_t v = 0;
+    std::thread updater([&] {
+      updating = true;
+      v = svc.update(vg, batch);
+    });
+    const service::QueryResult r = queued.get();
+    updater.join();
+    ASSERT_EQ(held.get().outcome, service::Outcome::kServed);
+    ASSERT_EQ(r.outcome, service::Outcome::kServed);
+    if (r.graph_version == before) {
+      EXPECT_EQ(ref_before, r.dist);
+    } else {
+      EXPECT_EQ(r.graph_version, v);
+      EXPECT_EQ(dijkstra(vg.graph(), 9).dist, r.dist);
+    }
+    served_at_pickup = r.attempts == 0;
+    if (served_at_pickup) {
+      EXPECT_EQ(r.graph_version, v);
+      EXPECT_GT(r.queue_ms, 0.0);
+      EXPECT_EQ(r.solve_ms, 0.0);
+      EXPECT_EQ(
+          svc.metrics().counter(obs::CounterId::kQueriesServedCached), 1u);
+    }
+  }
+  EXPECT_TRUE(served_at_pickup);
+}
+
+TEST(IncrementalService, EntryOneVersionBehindIsResolved) {
+  VersionedGraph vg(
+      gen::erdos_renyi(1000, 5.0, WeightScheme::uniform(1, 64), 59));
+  service::QueryService svc(service_config());
+  ASSERT_EQ(svc.solve(vg, {.source = 9}).outcome, service::Outcome::kServed);
+
+  // Nothing is in flight, so the graph may be mutated directly; a
+  // weight-only batch keeps flat() clean. The cached entry is now one
+  // version behind and must not be served as fresh.
+  Xoshiro256 rng(61);
+  GraphDelta batch;
+  while (batch.empty()) batch = random_batch(vg, Mode::kDecrease, rng, 40);
+  const std::uint64_t v = vg.apply(batch);
+  ASSERT_FALSE(vg.dirty());
+
+  const service::QueryResult r =
+      svc.solve(vg, {.source = 9, .min_graph_version = v});
+  ASSERT_EQ(r.outcome, service::Outcome::kServed);
+  EXPECT_GE(r.attempts, 1);
+  EXPECT_EQ(r.graph_version, v);
+  EXPECT_EQ(dijkstra(vg.graph(), 9).dist, r.dist);
+  EXPECT_EQ(svc.metrics().counter(obs::CounterId::kQueriesServedCached), 0u);
+}
+
+TEST(IncrementalService, GraphRebuiltAtSameAddressMissesTheCache) {
+  VersionedGraph vg(
+      gen::erdos_renyi(1000, 5.0, WeightScheme::uniform(1, 64), 67));
+  service::QueryService svc(service_config());
+  ASSERT_EQ(svc.solve(vg, {.source = 9}).outcome, service::Outcome::kServed);
+
+  // Allocator-reuse ABA: a different graph takes over vg's address with the
+  // same vertex count and the same version. Only the uid tells them apart.
+  VersionedGraph other(
+      gen::erdos_renyi(1000, 5.0, WeightScheme::uniform(1, 64), 71));
+  ASSERT_EQ(other.version(), vg.version());
+  vg = std::move(other);
+
+  const service::QueryResult r = svc.solve(vg, {.source = 9});
+  ASSERT_EQ(r.outcome, service::Outcome::kServed);
+  EXPECT_GE(r.attempts, 1);
+  EXPECT_EQ(dijkstra(vg.graph(), 9).dist, r.dist);
+  EXPECT_EQ(svc.metrics().counter(obs::CounterId::kQueriesServedCached), 0u);
 }
 
 }  // namespace
