@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <map>
 #include <sstream>
 #include <utility>
 
-#include "graph/builder.hpp"
 #include "support/errors.hpp"
 
 namespace wasp {
@@ -95,12 +95,13 @@ void VersionedGraph::validate_batch(const GraphDelta& delta) const {
 
 std::vector<WEdge>& VersionedGraph::overlay_for(VertexId u) {
   if (overlay_index_[u] == kNoOverlay) {
-    overlay_index_[u] = static_cast<std::uint32_t>(overlay_.size());
     const std::span<const WEdge> base = flat_.out_neighbors(u);
-    overlay_.emplace_back(base.begin(), base.end());
-    ++overlay_live_;
+    overlay_.push_back({u, std::vector<WEdge>(base.begin(), base.end())});
+    // Indexed only once the run exists, so a bad_alloc above leaves u
+    // reading the flat CSR.
+    overlay_index_[u] = static_cast<std::uint32_t>(overlay_.size() - 1);
   }
-  return overlay_[overlay_index_[u]];
+  return overlay_[overlay_index_[u]].arcs;
 }
 
 std::size_t VersionedGraph::apply_arc(EdgeUpdate::Op op, VertexId u,
@@ -114,7 +115,7 @@ std::size_t VersionedGraph::apply_arc(EdgeUpdate::Op op, VertexId u,
       WEdge* edges;
       std::size_t count;
       if (overlay_index_[u] != kNoOverlay) {
-        auto& list = overlay_[overlay_index_[u]];
+        auto& list = overlay_[overlay_index_[u]].arcs;
         edges = list.data();
         count = list.size();
       } else {
@@ -198,25 +199,92 @@ std::uint64_t VersionedGraph::apply(const GraphDelta& delta) {
 void VersionedGraph::compact() {
   if (!dirty()) return;
   const VertexId n = num_vertices();
-  std::vector<EdgeIndex> offsets(static_cast<std::size_t>(n) + 1, 0);
-  for (VertexId u = 0; u < n; ++u)
-    offsets[u + 1] = offsets[u] + out_neighbors(u).size();
-  AdjacencyVector adjacency(offsets[n]);
-  for (VertexId u = 0; u < n; ++u) {
-    const std::span<const WEdge> list = out_neighbors(u);
-    std::copy(list.begin(), list.end(), adjacency.begin() +
-              static_cast<std::ptrdiff_t>(offsets[u]));
+  std::vector<EdgeIndex>& offsets = flat_.offsets_;
+  AdjacencyVector& adjacency = flat_.adjacency_;
+  const EdgeIndex m = offsets[n];
+
+  // Graph::from_csr's guarantees, checked on the overlaid runs only: every
+  // other run was validated when the CSR was built.
+  for (const OverlayRun& run : overlay_) {
+    for (const WEdge& e : run.arcs) {
+      if (e.dst >= n) {
+        std::ostringstream os;
+        os << "VersionedGraph::compact: arc (" << run.vertex << ", " << e.dst
+           << ") out of range [0, " << n << ")";
+        throw InvalidGraphError(os.str());
+      }
+    }
   }
-  // Through the one construction front door (GraphBuilder), so the flat
-  // rebuild revalidates exactly like every other producer.
-  flat_ = GraphBuilder()
-              .csr(std::move(offsets), std::move(adjacency))
-              .undirected(is_undirected())
-              .build();
+  // A run's growth (new degree - old degree), read off the old offsets:
+  // every use below comes before the offsets are rewritten.
+  const auto growth = [&](const OverlayRun& run) {
+    return static_cast<std::int64_t>(run.arcs.size()) -
+           static_cast<std::int64_t>(offsets[run.vertex + 1] -
+                                     offsets[run.vertex]);
+  };
+  std::int64_t net = 0;
+  for (const OverlayRun& run : overlay_) net += growth(run);
+  // The one allocation, before the first write: resize() gives the strong
+  // guarantee, so a bad_alloc leaves the graph as it was. Nothing below
+  // throws (std::sort is in place and moving a run's vector is noexcept).
+  if (net > 0) adjacency.resize(static_cast<std::size_t>(m + net));
+  std::sort(overlay_.begin(), overlay_.end(),
+            [](const OverlayRun& a, const OverlayRun& b) {
+              return a.vertex < b.vertex;
+            });
+
+  // Segment i holds the untouched arcs between overlaid vertex i and the
+  // next one (or the end); it slides by the cumulative growth up to and
+  // including run i. Left-moving segments go left to right and right-moving
+  // ones right to left, so each destination only overlaps arcs that have
+  // already moved out of the way or the overlaid runs being replaced. (A
+  // left mover and a right mover never overlap, so the passes commute; the
+  // direction within each pass is what matters.)
+  WEdge* const arcs = adjacency.data();
+  const std::size_t runs = overlay_.size();
+  std::uint64_t moved = 0;
+  const auto slide = [&](std::size_t i, std::int64_t shift) {
+    const EdgeIndex begin = offsets[overlay_[i].vertex + 1];
+    const EdgeIndex end = i + 1 < runs ? offsets[overlay_[i + 1].vertex] : m;
+    if (shift == 0 || begin == end) return;
+    std::memmove(arcs + begin + shift, arcs + begin,
+                 static_cast<std::size_t>(end - begin) * sizeof(WEdge));
+    moved += end - begin;
+  };
+  std::int64_t shift = 0;
+  for (std::size_t i = 0; i < runs; ++i) {
+    shift += growth(overlay_[i]);
+    if (shift < 0) slide(i, shift);
+  }
+  for (std::size_t i = runs; i-- > 0;) {
+    if (shift > 0) slide(i, shift);
+    shift -= growth(overlay_[i]);
+  }
+
+  // Write each run at its new offset (offsets[u] is already final: it moved
+  // with the previous segment) and shift the offsets up to the next run.
+  // Unsigned wrap-around adds a negative shift exactly.
+  std::uint64_t written = 0;
+  for (std::size_t i = 0; i < runs; ++i) {
+    const OverlayRun& run = overlay_[i];
+    const VertexId u = run.vertex;
+    std::copy(run.arcs.begin(), run.arcs.end(), arcs + offsets[u]);
+    written += run.arcs.size();
+    const EdgeIndex old_end = offsets[u + 1];
+    offsets[u + 1] = offsets[u] + run.arcs.size();
+    const EdgeIndex delta = offsets[u + 1] - old_end;
+    const VertexId next = i + 1 < runs ? overlay_[i + 1].vertex : n;
+    for (std::size_t v = std::size_t{u} + 2; v <= next; ++v)
+      offsets[v] += delta;
+  }
+  assert(offsets[n] == live_edges_);
+  if (net < 0) adjacency.resize(static_cast<std::size_t>(offsets[n]));
+
+  for (const OverlayRun& run : overlay_)
+    overlay_index_[run.vertex] = kNoOverlay;
   overlay_.clear();
-  std::fill(overlay_index_.begin(), overlay_index_.end(), kNoOverlay);
-  overlay_live_ = 0;
   ++compactions_;
+  compacted_arcs_ += moved + written;
 }
 
 VersionedGraph::JournalView VersionedGraph::journal_since(

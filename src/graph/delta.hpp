@@ -18,7 +18,10 @@
 //  * Compaction on demand: graph() returns the flat CSR view every SSSP
 //    engine consumes, compacting first when the overlay is dirty. Between
 //    structural batches graph() is free; weight-only streams (the road-
-//    traffic case) never compact at all.
+//    traffic case) never compact at all. A compaction splices the overlaid
+//    runs into the CSR in place: it shifts only the arcs after the first
+//    overlaid vertex and writes only the overlaid lists, so a batch that
+//    touches a few vertices costs a few memmoves, not an O(n + m) rebuild.
 //
 // Thread-safety: apply()/compact()/graph() are writer-side calls — they must
 // be exclusive with readers (no query may be traversing the CSR). The
@@ -162,10 +165,15 @@ class VersionedGraph {
 
   /// True while insert/erase effects are staged in the overlay (weight-only
   /// batches never dirty the graph).
-  [[nodiscard]] bool dirty() const { return overlay_live_ != 0; }
+  [[nodiscard]] bool dirty() const { return !overlay_.empty(); }
 
-  /// Folds the overlay back into a flat CSR (O(n + m) copy through the
-  /// GraphBuilder plumbing). No-op when clean; does not change version().
+  /// Folds the overlay back into the flat CSR in place: the untouched
+  /// segments between overlaid vertices slide by memmove and each overlaid
+  /// list is written at its new offset. Cost is O(overlaid degrees + arcs
+  /// and offsets after the first overlaid vertex); allocates only when the
+  /// net arc count grows past the adjacency capacity. Strong exception
+  /// guarantee: a bad_alloc (or an overlaid arc out of range) leaves the
+  /// graph untouched. No-op when clean; does not change version().
   void compact();
 
   // --- two-level read view (overlay-aware; valid even while dirty) --------
@@ -180,7 +188,7 @@ class VersionedGraph {
   [[nodiscard]] std::span<const WEdge> out_neighbors(VertexId u) const {
     assert(u < num_vertices());
     if (!overlay_.empty() && overlay_index_[u] != kNoOverlay) {
-      const auto& list = overlay_[overlay_index_[u]];
+      const auto& list = overlay_[overlay_index_[u]].arcs;
       return {list.data(), list.size()};
     }
     return flat_.out_neighbors(u);
@@ -213,6 +221,11 @@ class VersionedGraph {
 
   /// Overlay compactions performed over this graph's lifetime.
   [[nodiscard]] std::uint64_t compactions() const { return compactions_; }
+  /// Arcs compaction moved (slid segments) plus arcs it wrote (overlaid
+  /// lists), over this graph's lifetime. Independent of thread count.
+  [[nodiscard]] std::uint64_t compacted_arcs() const {
+    return compacted_arcs_;
+  }
   /// Directed arc effects applied over this graph's lifetime.
   [[nodiscard]] std::uint64_t arc_effects_applied() const {
     return effects_applied_;
@@ -235,6 +248,12 @@ class VersionedGraph {
     std::uint64_t value;
   };
 
+  /// One overlaid vertex: its id and the list that replaces its adjacency.
+  struct OverlayRun {
+    VertexId vertex;
+    std::vector<WEdge> arcs;
+  };
+
   /// Copies u's adjacency into the overlay (first structural touch) and
   /// returns the mutable list.
   std::vector<WEdge>& overlay_for(VertexId u);
@@ -246,10 +265,10 @@ class VersionedGraph {
 
   Graph flat_;  ///< member (stable address); weights patched in place
   /// Sparse per-vertex overlay: overlay_index_[u] indexes overlay_, or
-  /// kNoOverlay. An overlaid vertex's full adjacency lives in overlay_.
+  /// kNoOverlay. An overlaid vertex's full adjacency lives in overlay_,
+  /// which is empty exactly when the graph is clean.
   std::vector<std::uint32_t> overlay_index_;
-  std::vector<std::vector<WEdge>> overlay_;
-  std::size_t overlay_live_ = 0;  ///< overlaid vertices (0 = clean)
+  std::vector<OverlayRun> overlay_;
 
   std::uint64_t version_ = 1;
   EdgeIndex live_edges_ = 0;
@@ -261,6 +280,7 @@ class VersionedGraph {
   std::size_t journal_limit_ = std::size_t{1} << 22;
 
   std::uint64_t compactions_ = 0;
+  std::uint64_t compacted_arcs_ = 0;
   std::uint64_t effects_applied_ = 0;
   Uid uid_;
 };

@@ -40,6 +40,7 @@ const char* counter_name(CounterId id) {
     case CounterId::kRepairConeVertices: return "repair_cone_vertices";
     case CounterId::kRepairSeedVertices: return "repair_seed_vertices";
     case CounterId::kGraphCompactions: return "graph_compactions";
+    case CounterId::kGraphCompactedArcs: return "graph_compacted_arcs";
     case CounterId::kRemoteRelaxations: return "remote_relaxations";
     case CounterId::kRemoteBatches: return "remote_batches";
     case CounterId::kLocalSteals: return "local_steals";

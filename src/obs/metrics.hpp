@@ -62,6 +62,7 @@ enum class CounterId : std::uint8_t {
   kRepairConeVertices, ///< vertices invalidated into the increase cone
   kRepairSeedVertices, ///< warm seeds handed to wasp_sssp_seeded
   kGraphCompactions,   ///< VersionedGraph overlay compactions observed
+  kGraphCompactedArcs, ///< arcs those compactions moved or wrote
   // --- partitioned execution (graph/partition.hpp + remote_queue.hpp).
   // --- A remote relaxation is counted once, at the sender, as BOTH
   // --- kRelaxations and kRemoteRelaxations; the receiver's application of
@@ -72,7 +73,7 @@ enum class CounterId : std::uint8_t {
   kLocalSteals,        ///< successful steals from a same-NUMA-node victim
   kRemoteSteals,       ///< successful steals from a cross-node victim
 };
-inline constexpr std::size_t kNumCounters = 37;
+inline constexpr std::size_t kNumCounters = 38;
 
 enum class GaugeId : std::uint8_t {
   kMaxFrontier,  ///< largest synchronous-round frontier seen

@@ -292,6 +292,7 @@ std::uint64_t QueryService::update(VersionedGraph& vg,
     }
 
     const std::uint64_t compactions_before = vg.compactions();
+    const std::uint64_t compacted_arcs_before = vg.compacted_arcs();
     try {
       version = vg.apply(batch);
       // Fold any structural overlay while the gate is exclusive.
@@ -307,6 +308,8 @@ std::uint64_t QueryService::update(VersionedGraph& vg,
     }
     registry_.shard(0).inc(CId::kGraphCompactions,
                            vg.compactions() - compactions_before);
+    registry_.shard(0).inc(CId::kGraphCompactedArcs,
+                           vg.compacted_arcs() - compacted_arcs_before);
 
     for (const auto& [k, cached] : stale_) {
       (void)cached;

@@ -86,6 +86,7 @@ const std::vector<Distance>& IncrementalSolver::solve(VersionedGraph& vg,
   bound_source_ = source;
   bound_version_ = vg.version();
   seen_compactions_ = vg.compactions();
+  seen_compacted_arcs_ = vg.compacted_arcs();
   return dist_;
 }
 
@@ -132,6 +133,8 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   registry.reset();
   obs::MetricsShard& shard = registry.shard(0);
   shard.inc(CId::kGraphCompactions, vg.compactions() - seen_compactions_);
+  shard.inc(CId::kGraphCompactedArcs,
+            vg.compacted_arcs() - seen_compacted_arcs_);
 
   const VertexId n = g.num_vertices();
   in_cone_.assign(n, 0);

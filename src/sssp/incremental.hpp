@@ -116,6 +116,7 @@ class IncrementalSolver {
   std::uint64_t bound_version_ = 0;
   std::uint32_t bound_epoch_ = 0;
   std::uint64_t seen_compactions_ = 0;
+  std::uint64_t seen_compacted_arcs_ = 0;
 
   std::vector<Distance> dist_;  ///< last exact snapshot (mirrors the array)
 

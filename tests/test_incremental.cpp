@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -316,6 +317,183 @@ TEST(IncrementalDelta, StructuralOverlayCompactsOnDemand) {
   EXPECT_EQ(vg.num_edges(), base_edges);
 }
 
+/// The CSR compact() must produce: every out_neighbors() run laid end to
+/// end, built through GraphBuilder like any other producer.
+Graph rebuilt_csr(const VersionedGraph& vg) {
+  const VertexId n = vg.num_vertices();
+  std::vector<EdgeIndex> offsets(static_cast<std::size_t>(n) + 1, 0);
+  AdjacencyVector adjacency;
+  for (VertexId u = 0; u < n; ++u) {
+    const std::span<const WEdge> list = vg.out_neighbors(u);
+    adjacency.insert(adjacency.end(), list.begin(), list.end());
+    offsets[u + 1] = adjacency.size();
+  }
+  return GraphBuilder()
+      .csr(std::move(offsets), std::move(adjacency))
+      .undirected(vg.is_undirected())
+      .build();
+}
+
+/// Compacts `vg` and checks the in-place splice against the rebuild of the
+/// view taken just before it.
+void expect_splice_equals_rebuild(VersionedGraph& vg, const std::string& what) {
+  ASSERT_TRUE(vg.dirty()) << what;
+  const Graph want = rebuilt_csr(vg);
+  vg.compact();
+  ASSERT_FALSE(vg.dirty()) << what;
+  const Graph& got = vg.flat();
+  EXPECT_EQ(got.offsets(), want.offsets()) << what;
+  EXPECT_TRUE(got.adjacency() == want.adjacency()) << what;
+  EXPECT_EQ(got.num_edges(), vg.num_edges()) << what;
+}
+
+/// Degrees cycle through 0..4 (so some runs start empty); endpoints are
+/// random. Undirected graphs leave every fifth vertex isolated instead.
+Graph splice_graph(bool undirected, std::uint64_t seed) {
+  constexpr VertexId kN = 60;
+  Xoshiro256 rng(seed);
+  std::vector<Edge> edges;
+  for (VertexId u = 0; u < kN; ++u) {
+    if (undirected && u % 5 == 3) continue;
+    for (VertexId k = 0; k < u % 5; ++k) {
+      const auto v = static_cast<VertexId>(rng.next_below(kN));
+      if (v == u || (undirected && v % 5 == 3)) continue;
+      edges.push_back({u, v, static_cast<Weight>(1 + rng.next_below(50))});
+    }
+  }
+  return GraphBuilder()
+      .edges(kN, std::move(edges))
+      .undirected(undirected)
+      .build();
+}
+
+/// Erases every distinct (u, *) edge in one batch.
+GraphDelta erase_all_out(const VersionedGraph& vg, VertexId u) {
+  GraphDelta delta;
+  std::set<VertexId> seen;
+  for (const WEdge& e : vg.out_neighbors(u))
+    if (seen.insert(e.dst).second) delta.erase(u, e.dst);
+  return delta;
+}
+
+TEST(IncrementalDelta, InPlaceCompactionEqualsTheRebuild) {
+  for (const bool undirected : {false, true}) {
+    for (const std::uint64_t seed : {3u, 5u, 8u}) {
+      SCOPED_TRACE((undirected ? "undirected seed " : "directed seed ") +
+                   std::to_string(seed));
+      VersionedGraph vg(splice_graph(undirected, seed));
+      const VertexId n = vg.num_vertices();
+      Xoshiro256 rng(seed * 7919);
+      const auto weight = [&] {
+        return static_cast<Weight>(1 + rng.next_below(50));
+      };
+      const auto other_than = [&](VertexId u) {
+        return static_cast<VertexId>((u + 1 + rng.next_below(n - 1)) % n);
+      };
+
+      // Touched vertices 0 and n - 1 (the first run and the last segment).
+      GraphDelta ends;
+      ends.insert(0, n - 1, weight()).insert(n - 1, 0, weight());
+      (void)vg.apply(ends);
+      expect_splice_equals_rebuild(vg, "ends");
+
+      // Runs that become empty: the lowest and the highest vertex with arcs.
+      VertexId low = 0;
+      while (vg.out_neighbors(low).empty()) ++low;
+      VertexId high = n - 1;
+      while (vg.out_neighbors(high).empty()) --high;
+      (void)vg.apply(erase_all_out(vg, low));
+      (void)vg.apply(erase_all_out(vg, high));
+      expect_splice_equals_rebuild(vg, "emptied runs");
+      EXPECT_TRUE(vg.out_neighbors(low).empty());
+      EXPECT_TRUE(vg.out_neighbors(high).empty());
+
+      // Runs that start empty gain arcs.
+      GraphDelta fill;
+      int filled = 0;
+      for (VertexId u = 0; u < n; ++u) {
+        if (!vg.out_neighbors(u).empty()) continue;
+        fill.insert(u, other_than(u), weight());
+        ++filled;
+      }
+      ASSERT_GE(filled, 3);
+      (void)vg.apply(fill);
+      expect_splice_equals_rebuild(vg, "filled runs");
+
+      // Net growth past the adjacency's capacity.
+      const std::size_t capacity = vg.flat().adjacency().capacity();
+      const std::size_t arcs_per_insert = undirected ? 2 : 1;
+      GraphDelta grow;
+      const std::size_t inserts =
+          (capacity - vg.num_edges()) / arcs_per_insert + 5;
+      for (std::size_t i = 0; i < inserts; ++i) {
+        const auto u = static_cast<VertexId>(rng.next_below(n));
+        grow.insert(u, other_than(u), weight());
+      }
+      (void)vg.apply(grow);
+      ASSERT_GT(vg.num_edges(), capacity);
+      expect_splice_equals_rebuild(vg, "growth past capacity");
+
+      // Net shrink: erase about half of the logical edges.
+      const EdgeIndex before_shrink = vg.num_edges();
+      GraphDelta shrink;
+      std::set<std::pair<VertexId, VertexId>> erased;
+      for (VertexId u = 0; u < n; ++u) {
+        for (const WEdge& e : vg.out_neighbors(u)) {
+          if (rng.next_below(2) == 0) continue;
+          if (erased.insert(edge_key(vg, u, e.dst)).second)
+            shrink.erase(u, e.dst);
+        }
+      }
+      (void)vg.apply(shrink);
+      ASSERT_LT(vg.num_edges(), before_shrink);
+      expect_splice_equals_rebuild(vg, "net shrink");
+
+      // Many touched vertices with mixed-sign shifts, sometimes several
+      // batches folded by one compaction.
+      for (int round = 0; round < 30; ++round) {
+        const int batches = 1 + static_cast<int>(rng.next_below(3));
+        for (int b = 0; b < batches; ++b) {
+          const int ops = 2 + static_cast<int>(rng.next_below(16));
+          const GraphDelta delta =
+              random_batch(vg, Mode::kStructural, rng, ops);
+          if (!delta.empty()) (void)vg.apply(delta);
+        }
+        if (!vg.dirty()) continue;
+        expect_splice_equals_rebuild(vg, "round " + std::to_string(round));
+      }
+    }
+  }
+}
+
+TEST(IncrementalDelta, CompactionWorkCountsOnlyTheSplicedTail) {
+  // Directed, so a batch on one arc overlays exactly one vertex.
+  VersionedGraph vg(
+      gen::rmat(12, 40000, 0.57, 0.19, 0.19, WeightScheme::uniform(1, 100), 29,
+                /*undirected=*/false));
+  const VertexId n = vg.num_vertices();
+  EXPECT_EQ(vg.compacted_arcs(), 0u);
+
+  GraphDelta near_end;
+  near_end.insert(n - 2, 0, 7);
+  (void)vg.apply(near_end);
+  const std::uint64_t expected = vg.out_neighbors(n - 2).size() +  // written
+                                 vg.out_neighbors(n - 1).size();   // moved
+  vg.compact();
+  EXPECT_EQ(vg.compacted_arcs(), expected);
+  EXPECT_LT(vg.compacted_arcs() * 100, vg.num_edges());
+
+  // Erasing the arc again slides the same tail back: the count accumulates.
+  GraphDelta undo;
+  undo.erase(n - 2, 0);
+  (void)vg.apply(undo);
+  const std::uint64_t undone = vg.out_neighbors(n - 2).size() +
+                               vg.out_neighbors(n - 1).size();
+  vg.compact();
+  EXPECT_EQ(vg.compacted_arcs(), expected + undone);
+  EXPECT_EQ(vg.compactions(), 2u);
+}
+
 TEST(IncrementalDelta, JournalTrimRaisesTheFloor) {
   VersionedGraph vg(tiny_graph());
   vg.set_journal_limit(2);  // roughly one undirected weight change
@@ -550,6 +728,7 @@ TEST(IncrementalService, UpdateRepairsCachedAnswersInsteadOfDroppingThem) {
   // A structural batch through the service compacts inside the gate.
   (void)svc.update(vg, random_batch(vg, Mode::kStructural, rng, 6));
   EXPECT_GE(svc.metrics().counter(obs::CounterId::kGraphCompactions), 1u);
+  EXPECT_GE(svc.metrics().counter(obs::CounterId::kGraphCompactedArcs), 1u);
 
   const service::QueryResult fresh = svc.solve(vg, {.source = 5});
   ASSERT_EQ(fresh.outcome, service::Outcome::kServed);
