@@ -84,10 +84,7 @@ VertexId pick_source_in_largest_component(const Graph& g, std::uint64_t seed) {
 std::vector<std::uint8_t> compute_leaf_bitmap(const Graph& g) {
   const VertexId n = g.num_vertices();
   std::vector<std::uint8_t> leaf(n, 0);
-  for (VertexId v = 0; v < n; ++v) {
-    const std::uint32_t deg = g.out_degree(v);
-    if (deg == 0 || (g.is_undirected() && deg == 1)) leaf[v] = 1;
-  }
+  for (VertexId v = 0; v < n; ++v) leaf[v] = g.is_leaf(v) ? 1 : 0;
   return leaf;
 }
 

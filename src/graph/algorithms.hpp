@@ -31,11 +31,9 @@ ComponentInfo connected_components(const Graph& g);
 /// connected component — the paper's source-selection rule.
 VertexId pick_source_in_largest_component(const Graph& g, std::uint64_t seed);
 
-/// Per-vertex "trivial shortest-path-tree leaf" bitmap (paper §4.4): a leaf's
-/// distance can never improve another vertex, so Wasp relaxes it once and
-/// never schedules it.  A vertex is marked when it has no out-edges, or — in
-/// undirected graphs — when its degree is 1 (its only neighbour is the vertex
-/// that relaxed it).
+/// Per-vertex "trivial shortest-path-tree leaf" bitmap (paper §4.4):
+/// leaf[v] == Graph::is_leaf(v). The engines test the degree in place at
+/// their relax sites; this materialized form serves tests and suite checks.
 std::vector<std::uint8_t> compute_leaf_bitmap(const Graph& g);
 
 /// Transposed graph (in-edges become out-edges). For undirected graphs this

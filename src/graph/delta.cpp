@@ -1,7 +1,6 @@
 #include "graph/delta.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <map>
 #include <sstream>
@@ -26,15 +25,6 @@ ArcPair expand(const EdgeUpdate& op, bool undirected) {
 }
 
 }  // namespace
-
-std::uint64_t VersionedGraph::Uid::next() {
-  // lint:allow(raw-atomic): pure id generator outside the verify-modelled
-  // engine; no data is published through it.
-  static std::atomic<std::uint64_t> counter{0};
-  // relaxed: uniqueness only — each caller needs a distinct value, nothing
-  // else is ordered against the increment.
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
 
 VersionedGraph::VersionedGraph(Graph base)
     : flat_(std::move(base)),
@@ -168,6 +158,14 @@ std::uint64_t VersionedGraph::apply(const GraphDelta& delta) {
   if (delta.empty()) return version_;  // no-op: no bump, no journal entry
   validate_batch(delta);
 
+  // Weight changes are patched into the flat CSR, so its content stamp must
+  // change with them (conservatively: a set_weight on an overlaid vertex
+  // touches only the overlay, and re-stamping then costs a rebuild at most).
+  const bool patches_flat =
+      std::any_of(delta.ops().begin(), delta.ops().end(),
+                  [](const EdgeUpdate& op) {
+                    return op.op == EdgeUpdate::Op::kSetWeight;
+                  });
   std::size_t touched = 0;
   try {
     for (const EdgeUpdate& op : delta.ops()) {
@@ -187,8 +185,10 @@ std::uint64_t VersionedGraph::apply(const GraphDelta& delta) {
     journal_floor_ = version_;
     effects_.clear();
     batch_ends_.clear();
+    flat_.stamp_.renew();
     throw;
   }
+  if (patches_flat) flat_.stamp_.renew();
   effects_applied_ += touched;
   ++version_;
   batch_ends_.emplace_back(version_, effects_.size());
@@ -283,6 +283,7 @@ void VersionedGraph::compact() {
   for (const OverlayRun& run : overlay_)
     overlay_index_[run.vertex] = kNoOverlay;
   overlay_.clear();
+  flat_.stamp_.renew();
   ++compactions_;
   compacted_arcs_ += moved + written;
 }

@@ -130,13 +130,14 @@ class VersionedGraph {
   /// Current version; bumped by exactly 1 per applied batch.
   [[nodiscard]] std::uint64_t version() const { return version_; }
 
-  /// Process-unique identity of this graph object: assigned at
-  /// construction from a monotonic counter, transferred by move (the
-  /// moved-from husk gets a fresh one), never reused. Warm consumers
-  /// (sssp/incremental.hpp) bind this — not the address — so a different
-  /// VersionedGraph reconstructed at a recycled heap address can never
-  /// pass for the one they answered.
-  [[nodiscard]] std::uint64_t uid() const { return uid_.value; }
+  /// Process-unique identity of this graph object (a UniqueId: assigned at
+  /// construction, transferred by move with a fresh one for the moved-from
+  /// husk, never reused). Warm consumers (sssp/incremental.hpp) bind this —
+  /// not the address — so a different VersionedGraph reconstructed at a
+  /// recycled heap address can never pass for the one they answered. It
+  /// names the object, not its content: flat().stamp() changes with every
+  /// in-place patch, uid() never does.
+  [[nodiscard]] std::uint64_t uid() const { return uid_.value(); }
 
   /// Applies `delta` as one batch: weight changes in place, structural
   /// changes to the overlay. Bumps and returns the new version. Throws
@@ -145,7 +146,9 @@ class VersionedGraph {
   /// resource failure mid-batch (bad_alloc) can leave the batch partially
   /// applied; the graph then still bumps version() and invalidates the
   /// whole journal, so warm consumers never replay against the torn state
-  /// and instead full-solve the graph as it now is.
+  /// and instead full-solve the graph as it now is. A batch with weight
+  /// changes (and a torn batch) patches the flat CSR in place and renews
+  /// flat().stamp(); a purely structural batch leaves it to compact().
   std::uint64_t apply(const GraphDelta& delta);
 
   /// The flat CSR view every solver consumes; compacts first when dirty.
@@ -173,7 +176,8 @@ class VersionedGraph {
   /// and offsets after the first overlaid vertex); allocates only when the
   /// net arc count grows past the adjacency capacity. Strong exception
   /// guarantee: a bad_alloc (or an overlaid arc out of range) leaves the
-  /// graph untouched. No-op when clean; does not change version().
+  /// graph untouched. No-op when clean; does not change version(), and
+  /// renews flat().stamp() when it rewrites the CSR.
   void compact();
 
   // --- two-level read view (overlay-aware; valid even while dirty) --------
@@ -234,20 +238,6 @@ class VersionedGraph {
  private:
   static constexpr std::uint32_t kNoOverlay = 0xFFFFFFFFu;
 
-  /// Move-aware wrapper for uid(): the defaulted VersionedGraph moves
-  /// transfer the identity with the content, and the moved-from object is
-  /// re-stamped so no two graphs ever share a uid.
-  struct Uid {
-    Uid() : value(next()) {}
-    Uid(Uid&& other) noexcept : value(std::exchange(other.value, next())) {}
-    Uid& operator=(Uid&& other) noexcept {
-      value = std::exchange(other.value, next());
-      return *this;
-    }
-    static std::uint64_t next();
-    std::uint64_t value;
-  };
-
   /// One overlaid vertex: its id and the list that replaces its adjacency.
   struct OverlayRun {
     VertexId vertex;
@@ -282,7 +272,7 @@ class VersionedGraph {
   std::uint64_t compactions_ = 0;
   std::uint64_t compacted_arcs_ = 0;
   std::uint64_t effects_applied_ = 0;
-  Uid uid_;
+  UniqueId uid_;
 };
 
 }  // namespace wasp

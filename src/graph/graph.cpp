@@ -1,6 +1,7 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <sstream>
 #include <stdexcept>
 
@@ -11,6 +12,15 @@ namespace wasp {
 // Graph::from_edges lives in builder.cpp as a thin shim over GraphBuilder —
 // the edge-list construction logic moved there so every construction style
 // shares one front door.
+
+std::uint64_t UniqueId::next() noexcept {
+  // lint:allow(raw-atomic): pure id generator outside the verify-modelled
+  // engine; no data is published through it.
+  static std::atomic<std::uint64_t> counter{0};
+  // relaxed: uniqueness only — each caller needs a distinct value, nothing
+  // else is ordered against the increment.
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
 
 Graph Graph::from_csr(std::vector<EdgeIndex> offsets, AdjacencyVector adjacency,
                       bool undirected) {

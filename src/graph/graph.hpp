@@ -9,8 +9,10 @@
 #pragma once
 
 #include <cassert>
+#include <cstdint>
 #include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "support/types.hpp"
@@ -72,6 +74,35 @@ static_assert(sizeof(WEdge) == 8, "WEdge must stay two packed 32-bit words");
 /// of these and hand it to Graph::from_csr.
 using AdjacencyVector = std::vector<WEdge, CacheAlignedAllocator<WEdge>>;
 
+/// A process-unique object id, drawn from one monotonic counter shared by
+/// every Graph stamp and VersionedGraph uid, so no two live or dead objects
+/// ever carry the same value. A copy is a different object and draws a
+/// fresh id; a move carries the id to the destination and re-draws the
+/// moved-from object's, so an id always names exactly one object's content.
+class UniqueId {
+ public:
+  UniqueId() : value_(next()) {}
+  UniqueId(const UniqueId&) : value_(next()) {}
+  UniqueId& operator=(const UniqueId&) {
+    value_ = next();
+    return *this;
+  }
+  UniqueId(UniqueId&& other) noexcept
+      : value_(std::exchange(other.value_, next())) {}
+  UniqueId& operator=(UniqueId&& other) noexcept {
+    value_ = std::exchange(other.value_, next());
+    return *this;
+  }
+
+  [[nodiscard]] std::uint64_t value() const { return value_; }
+  /// Draws a new id for an object whose content changed in place.
+  void renew() { value_ = next(); }
+
+ private:
+  static std::uint64_t next() noexcept;
+  std::uint64_t value_;
+};
+
 /// Immutable CSR graph.
 class Graph {
  public:
@@ -110,6 +141,23 @@ class Graph {
     assert(u < num_vertices());
     return static_cast<std::uint32_t>(offsets_[u + 1] - offsets_[u]);
   }
+
+  /// Leaf test of Wasp's leaf pruning (paper §4.4): a vertex whose distance
+  /// can never improve another vertex's — no out-edges or, in an undirected
+  /// graph, one edge (back to whoever relaxed it). Reads the degree in
+  /// place, so a solve pays nothing up front for pruning.
+  [[nodiscard]] bool is_leaf(VertexId v) const {
+    return out_degree(v) <= leaf_degree();
+  }
+  /// Largest out-degree is_leaf() accepts: 1 when undirected, else 0.
+  [[nodiscard]] std::uint32_t leaf_degree() const { return undirected_ ? 1 : 0; }
+
+  /// Process-unique content stamp (see UniqueId): drawn at construction,
+  /// fresh on copy, carried by a move. VersionedGraph re-draws it whenever it
+  /// patches the CSR in place, so equal stamps mean equal content and
+  /// per-graph state built from a graph (the Solver's partition cache) can
+  /// be keyed on it instead of on the object's address.
+  [[nodiscard]] std::uint64_t stamp() const { return stamp_.value(); }
 
   /// Outgoing adjacency of u as a contiguous span.
   [[nodiscard]] std::span<const WEdge> out_neighbors(VertexId u) const {
@@ -150,12 +198,13 @@ class Graph {
  private:
   // VersionedGraph (graph/delta.hpp) patches edge weights in place — the one
   // sanctioned mutation of a built CSR; it owns the version/journal bookkeeping
-  // that makes that safe.
+  // that makes that safe, and renews stamp_ after each patch.
   friend class VersionedGraph;
 
   std::vector<EdgeIndex> offsets_;  // size n+1
   AdjacencyVector adjacency_;       // size num_edges()
   bool undirected_ = false;
+  UniqueId stamp_;
 };
 
 }  // namespace wasp

@@ -45,6 +45,7 @@ const char* counter_name(CounterId id) {
     case CounterId::kRemoteBatches: return "remote_batches";
     case CounterId::kLocalSteals: return "local_steals";
     case CounterId::kRemoteSteals: return "remote_steals";
+    case CounterId::kPartitionBuilds: return "partition_builds";
   }
   return "?";
 }

@@ -72,8 +72,9 @@ enum class CounterId : std::uint8_t {
   kRemoteBatches,      ///< remote batches published (flushes)
   kLocalSteals,        ///< successful steals from a same-NUMA-node victim
   kRemoteSteals,       ///< successful steals from a cross-node victim
+  kPartitionBuilds,    ///< fragment sets built (0 when a Solver reused its own)
 };
-inline constexpr std::size_t kNumCounters = 38;
+inline constexpr std::size_t kNumCounters = 39;
 
 enum class GaugeId : std::uint8_t {
   kMaxFrontier,  ///< largest synchronous-round frontier seen

@@ -132,9 +132,7 @@ std::shared_future<QueryResult> QueryService::submit_impl(
         cached = hit->dist;
     }
     if (cached == nullptr) {
-      const CacheKey key = vg != nullptr
-                               ? CacheKey{nullptr, vg->uid(), req.source}
-                               : CacheKey{&g, 0, req.source};
+      const CacheKey key{vg != nullptr ? vg->uid() : g.stamp(), req.source};
       return enqueue_locked(g, vg, key, std::move(req));
     }
     r.query_id = next_id_++;
@@ -313,7 +311,7 @@ std::uint64_t QueryService::update(VersionedGraph& vg,
 
     for (const auto& [k, cached] : stale_) {
       (void)cached;
-      if (k.uid == vg.uid()) repair_sources.push_back(k.source);
+      if (k.graph == vg.uid()) repair_sources.push_back(k.source);
     }
   }
 
@@ -358,7 +356,7 @@ std::uint64_t QueryService::update(VersionedGraph& vg,
     MutexLock lock(mu_);
     obs::MetricsShard& adm = registry_.shard(0);
     for (Repaired& r : repaired) {
-      auto it = stale_.find(CacheKey{nullptr, vg.uid(), r.source});
+      auto it = stale_.find(CacheKey{vg.uid(), r.source});
       if (it != stale_.end())  // still cached (no eviction races the gate)
         it->second = CachedAnswer{std::move(r.dist), version};
       if (!r.stats.full_solve) {
@@ -401,7 +399,7 @@ const QueryService::CachedAnswer* QueryService::cache_find_locked(
 
 const QueryService::CachedAnswer* QueryService::fresh_find_locked(
     const VersionedGraph& vg, VertexId source) const {
-  auto hit = stale_.find(CacheKey{nullptr, vg.uid(), source});
+  auto hit = stale_.find(CacheKey{vg.uid(), source});
   // Exactly this version: an entry one batch behind is a stale answer.
   if (hit != stale_.end() && vg.version() == hit->second.version)
     return &hit->second;

@@ -285,13 +285,12 @@ class QueryService {
   struct Pending;
   using Entry = std::shared_ptr<Pending>;
 
-  /// Answer-cache key. Versioned entries are keyed by VersionedGraph::uid()
-  /// (graph == nullptr), so a graph rebuilt at a recycled address never
-  /// inherits them; plain-Graph entries by address (uid 0, which no
-  /// VersionedGraph has).
+  /// Answer-cache key. `graph` is VersionedGraph::uid() for versioned
+  /// entries and Graph::stamp() for plain ones — never an address, so a
+  /// graph rebuilt at a recycled address never inherits another graph's
+  /// answers. Uids and stamps come from one counter and never collide.
   struct CacheKey {
-    const Graph* graph = nullptr;
-    std::uint64_t uid = 0;
+    std::uint64_t graph = 0;
     VertexId source = 0;
     auto operator<=>(const CacheKey&) const = default;
   };

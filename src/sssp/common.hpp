@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "graph/partition.hpp"
 #include "obs/metrics.hpp"
 #include "obs/observer.hpp"
 #include "obs/trace.hpp"
@@ -179,6 +180,52 @@ class DistancePool {
   std::uint64_t sweeps_ = 0;
 };
 
+/// Per-graph state of partitioned Wasp — the fragments and one distance
+/// shard per fragment — kept across solves so only the first partitioned
+/// solve of a graph pays the O(n + m) build. Solver owns one and hands it to
+/// the engine through RunContext, as it does its DistancePool; the engine
+/// reuses the entry when every key field matches and otherwise replaces it.
+/// Not thread-safe: like DistancePool, it is touched between parallel phases
+/// only (the shards are filled by fragment leaders inside a team run, which
+/// the team join orders before the entry is stored).
+struct PartitionCache {
+  /// What a partition and its placement depend on.
+  struct Key {
+    std::uint64_t stamp = 0;  ///< Graph::stamp() of the partitioned graph
+    int fragments = 0;        ///< fragment count requested of build()
+    int team_size = 0;
+    /// Held, not only compared: while the entry lives, no other topology
+    /// can be allocated at this address and pass for it.
+    std::shared_ptr<const NumaTopology> topology;
+
+    friend bool operator==(const Key&, const Key&) = default;
+  };
+  struct Entry {
+    Key key;
+    GraphPartition partition;
+    /// shards[f] holds fragment f's distances over its local indices.
+    std::vector<std::unique_ptr<AtomicDistances>> shards;
+  };
+
+  /// The cached entry when its key equals `key`, else null.
+  [[nodiscard]] Entry* find(const Key& key) {
+    return entry != nullptr && entry->key == key ? entry.get() : nullptr;
+  }
+
+  /// Logically resets every cached shard to kInfDist with an O(1) epoch
+  /// bump each. Returns true when the tags wrapped and the shards were
+  /// swept; they wrap in lockstep, so that is one O(n) sweep of the set.
+  bool new_epoch() {
+    bool swept = false;
+    if (entry != nullptr) {
+      for (auto& shard : entry->shards) swept = shard->new_epoch() || swept;
+    }
+    return swept;
+  }
+
+  std::unique_ptr<Entry> entry;
+};
+
 /// Which algorithm the front-end dispatches to.
 enum class Algorithm {
   kDijkstra,       ///< sequential reference (binary/d-ary heap)
@@ -324,6 +371,15 @@ struct SsspOptions {
   /// always performs the O(1) source/threads/shape checks.
   bool paranoid_checks = false;
 
+  /// True when a solve with these options runs on the pooled flat distance
+  /// array (RunContext::dist). The sequential Dijkstra reference keeps a
+  /// plain vector and partitioned Wasp keeps fragment shards; neither
+  /// touches the pool.
+  [[nodiscard]] bool uses_distance_pool() const {
+    return algo != Algorithm::kDijkstra &&
+           !(algo == Algorithm::kWasp && wasp.partition.enabled);
+  }
+
   /// Rejects out-of-range knobs with InvalidOptionsError (delta == 0,
   /// threads < 1, mq.c < 1, wasp.chunk_capacity outside the shipped
   /// {16,32,64,128,256} instantiations, negative smq.steal_batch, ...).
@@ -373,7 +429,12 @@ struct RunContext {
   DistancePool* pool = nullptr;
   /// This run's tentative-distance array, acquired (all-kInfDist) by
   /// dispatch_sssp; the parallel algorithms use it instead of allocating.
+  /// Partitioned Wasp keeps its distances in fragment shards and leaves it
+  /// null.
   AtomicDistances* dist = nullptr;
+  /// Where partitioned Wasp keeps its fragments and shards between solves
+  /// (null = build them per call; Solver points this at its owned cache).
+  PartitionCache* partitions = nullptr;
   /// options.prefetch_lookahead, copied here by dispatch_sssp.
   std::uint32_t prefetch_lookahead = 0;
   /// options.cancel, copied here by dispatch_sssp (null = not cancellable).

@@ -98,10 +98,10 @@ void IncrementalSolver::full_solve(const Graph& g, VertexId source) {
   last_.seconds = result.stats.seconds;
 
   // Bind the warm state only when the solve actually went through the
-  // pooled atomic array (the sequential Dijkstra reference keeps its own
-  // plain vector — its "warm" pool content would be a stale lie).
+  // pooled atomic array (the sequential Dijkstra reference and partitioned
+  // Wasp keep their own storage — the pool's content would be a stale lie).
   AtomicDistances* d = solver_.distances().current();
-  if (solver_.options().algo != Algorithm::kDijkstra && d != nullptr &&
+  if (solver_.options().uses_distance_pool() && d != nullptr &&
       d->size() == g.num_vertices()) {
     bound_epoch_ = d->epoch();
   } else {
@@ -136,9 +136,18 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   shard.inc(CId::kGraphCompactedArcs,
             vg.compacted_arcs() - seen_compacted_arcs_);
 
+  // Reset the scratch flags in O(previous cone + seeds), not O(n): every set
+  // flag is listed in cone_ or seeds_, because each flag is set only after
+  // its push succeeded — also in a repair that threw mid-walk. Only a change
+  // of n (a different graph) re-allocates.
   const VertexId n = g.num_vertices();
-  in_cone_.assign(n, 0);
-  seeded_.assign(n, 0);
+  if (in_cone_.size() != n || seeded_.size() != n) {
+    in_cone_.assign(n, 0);
+    seeded_.assign(n, 0);
+  } else {
+    for (const VertexId c : cone_) in_cone_[c] = 0;
+    for (const VertexId u : seeds_) seeded_[u] = 0;
+  }
   cone_.clear();
   seeds_.clear();
 
@@ -149,14 +158,14 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   // against, and over-invalidation is the safe direction.
   for (const ArcEffect& e : effects) {
     if (e.is_decrease() && dist_[e.src] != kInfDist && !seeded_[e.src]) {
-      seeded_[e.src] = 1;
       seeds_.push_back(e.src);
+      seeded_[e.src] = 1;
     }
     if (e.is_increase() && e.dst != source && !in_cone_[e.dst] &&
         dist_[e.src] != kInfDist && dist_[e.dst] != kInfDist &&
         saturating_add(dist_[e.src], e.old_w) <= dist_[e.dst]) {
-      in_cone_[e.dst] = 1;
       cone_.push_back(e.dst);
+      in_cone_[e.dst] = 1;
     }
   }
 
@@ -178,8 +187,8 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
       const Distance dy = dist_[e.dst];
       if (dy == kInfDist) continue;
       if (saturating_add(dx, e.w) <= dy) {
-        in_cone_[e.dst] = 1;
         cone_.push_back(e.dst);
+        in_cone_[e.dst] = 1;
       }
     }
   }
@@ -195,8 +204,8 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
     for (const WEdge& e : rin.out_neighbors(c)) {
       const VertexId u = e.dst;  // in-neighbour of c
       if (in_cone_[u] || seeded_[u] || dist_[u] == kInfDist) continue;
-      seeded_[u] = 1;
       seeds_.push_back(u);
+      seeded_[u] = 1;
     }
   }
 

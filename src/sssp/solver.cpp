@@ -46,6 +46,7 @@ SsspResult Solver::solve(const Graph& g, VertexId source) {
                  observer_ != nullptr ? observer_ : options_.observer,
                  options_.chaos};
   ctx.pool = &pool_;
+  ctx.partitions = &partitions_;
   SsspResult result = detail::dispatch_sssp(g, source, options_, ctx);
   last_metrics_ = result.metrics;
   return result;

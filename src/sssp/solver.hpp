@@ -15,9 +15,12 @@
 //   solver.last_metrics().write_json(std::cout);
 //
 // The Solver owns the ThreadTeam, the (shared) NumaTopology, the
-// MetricsRegistry, and an optional TraceRecorder, and carries the observer
-// and chaos-engine pointers through every solve. Options other than
-// `threads` may be adjusted between solves via options().
+// MetricsRegistry, the pooled distance array, the partitioned engine's
+// fragments (built on the first partitioned solve of a graph and kept until a
+// solve needs a different graph stamp, fragment count or topology), and an
+// optional TraceRecorder, and carries the observer and chaos-engine pointers
+// through every solve. Options other than `threads` may be adjusted between
+// solves via options().
 #pragma once
 
 #include <cstddef>
@@ -67,9 +70,10 @@ class Solver {
 
   [[nodiscard]] ThreadTeam& team() { return team_; }
   [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
-  /// The owned epoch-versioned distance pool every solve() draws from; a
-  /// repeat query on the same graph pays an O(1) epoch bump instead of the
-  /// O(V) infinity fill (the epoch_sweeps counter reports which happened).
+  /// The owned epoch-versioned distance pool solve() draws from (see
+  /// SsspOptions::uses_distance_pool); a repeat query on the same graph
+  /// pays an O(1) epoch bump instead of the O(V) infinity fill (the
+  /// epoch_sweeps counter reports which happened).
   [[nodiscard]] DistancePool& distances() { return pool_; }
   /// Snapshot taken by the most recent solve() (empty before the first).
   [[nodiscard]] const obs::MetricsSnapshot& last_metrics() const {
@@ -91,14 +95,15 @@ class Solver {
   SsspOptions options_;
   obs::MetricsRegistry metrics_;
   DistancePool pool_;
+  PartitionCache partitions_;
   std::unique_ptr<obs::TraceRecorder> trace_;
   obs::RunObserver* observer_ = nullptr;
   obs::MetricsSnapshot last_metrics_;
   /// Re-entrancy guard: 1 while a solve is in flight (see solve() docs).
   verify::atomic<std::uint32_t> busy_{0};
   // Declared last so it is destroyed first: the destructor joins the
-  // workers, so no worker can still be touching the registry, pool, or
-  // recorder above when they are freed.
+  // workers, so no worker can still be touching the registry, pool,
+  // partitions, or recorder above when they are freed.
   ThreadTeam team_;
 };
 

@@ -80,13 +80,17 @@ SsspResult dispatch_sssp(const Graph& g, VertexId source,
     // mid-run: no worker polls, so the token was only checked above.
     return dijkstra(g, source);
   }
+  // Partitioned Wasp keeps its distances in fragment shards (and counts
+  // their sweeps itself), so it is not charged a pooled-array acquire either.
   DistancePool local_pool;
-  DistancePool& pool = ctx.pool != nullptr ? *ctx.pool : local_pool;
-  const std::uint64_t sweeps_before = pool.sweeps();
-  ctx.dist = &pool.acquire(g.num_vertices());
+  if (options.uses_distance_pool()) {
+    DistancePool& pool = ctx.pool != nullptr ? *ctx.pool : local_pool;
+    const std::uint64_t sweeps_before = pool.sweeps();
+    ctx.dist = &pool.acquire(g.num_vertices());
+    ctx.metrics.shard(0).inc(obs::CounterId::kEpochSweeps,
+                             pool.sweeps() - sweeps_before);
+  }
   ctx.prefetch_lookahead = options.prefetch_lookahead;
-  ctx.metrics.shard(0).inc(obs::CounterId::kEpochSweeps,
-                           pool.sweeps() - sweeps_before);
   SsspResult result = [&]() -> SsspResult {
   switch (options.algo) {
     case Algorithm::kDijkstra:
@@ -136,11 +140,16 @@ SsspResult dispatch_sssp(const Graph& g, VertexId source,
   return dijkstra(g, source);  // unreachable
   }();
   // The team has joined by now, so every worker's polls happened-before
-  // this check. A fired token means the distance array holds a partial
-  // relaxation — bump its epoch so the pooled state is logically all-inf
-  // again (the Solver stays reusable) and surface the typed outcome.
+  // this check. A fired token means the distance array (or the cached
+  // fragment shards) holds a partial relaxation — bump its epoch so the
+  // reused state is logically all-inf again (the Solver stays reusable) and
+  // surface the typed outcome.
   if (ctx.cancel != nullptr && ctx.cancel->cancel_requested()) {
-    ctx.dist->new_epoch();
+    if (ctx.dist != nullptr) {
+      ctx.dist->new_epoch();
+    } else if (ctx.partitions != nullptr) {
+      ctx.partitions->new_epoch();
+    }
     throw_cancelled(*ctx.cancel);
   }
   return result;

@@ -8,7 +8,6 @@
 
 #include "concurrent/chase_lev_deque.hpp"
 #include "concurrent/chunk.hpp"
-#include "graph/algorithms.hpp"
 #include "sssp/curr_board.hpp"
 #include "support/errors.hpp"
 #include "support/padded.hpp"
@@ -77,7 +76,6 @@ struct WaspShared {
   Weight delta;
   const WaspConfig& config;
   RunContext& ctx;  ///< metrics shards, trace recorder, observer
-  const std::vector<std::uint8_t>* leaf;  // null when leaf pruning is off
   CurrBoard curr;  ///< per-worker published levels (sssp/curr_board.hpp)
   std::vector<std::unique_ptr<ChaseLevDeque<ChunkT*>>> deques;
   VictimTiers tiers;
@@ -89,11 +87,10 @@ struct WaspShared {
   verify::atomic<std::uint64_t> steal_epoch{0};
 
   WaspShared(const Graph& g, AtomicDistances& d, Weight delta_,
-             const WaspConfig& cfg, RunContext& ctx_,
-             const std::vector<std::uint8_t>* leaf_, int p,
+             const WaspConfig& cfg, RunContext& ctx_, int p,
              const NumaTopology& topo, const std::vector<int>& cpu_of)
-      : graph(g), dist(d), delta(delta_), config(cfg), ctx(ctx_), leaf(leaf_),
-        curr(p), deques(static_cast<std::size_t>(p)), tiers(topo, cpu_of),
+      : graph(g), dist(d), delta(delta_), config(cfg), ctx(ctx_), curr(p),
+        deques(static_cast<std::size_t>(p)), tiers(topo, cpu_of),
         node_of(static_cast<std::size_t>(p)) {
     for (auto& d_ : deques) d_ = std::make_unique<ChaseLevDeque<ChunkT*>>();
     for (int t = 0; t < p; ++t)
@@ -263,7 +260,10 @@ class WaspWorker {
       return;
     }
     ChunkT*& head = buckets_.at(level);
-    if (head == nullptr || head->full()) {
+    // A range chunk (push_chunk files one here when a stolen chunk's level
+    // differs from curr) carries exactly one vertex: appending to it would
+    // pair another vertex with that vertex's edge range.
+    if (head == nullptr || head->full() || head->is_range()) {
       ChunkT* fresh = alloc_chunk();
       fresh->set_priority(level);
       fresh->next = head;
@@ -313,9 +313,12 @@ class WaspWorker {
     Distance du = s_.dist.load(u);
 
     // Bidirectional relaxation (§4.4): for small undirected neighborhoods,
-    // pull a potentially better distance for u before pushing.
+    // pull a potentially better distance for u before pushing. Only when the
+    // whole list is relaxed here: a pull lowers dist[u] without rescheduling
+    // u, so the slices already pushed at the old level would read as stale
+    // and never be relaxed (possible when theta < 8).
     if (s_.config.bidirectional_relaxation && g.is_undirected() &&
-        degree <= 8 && begin == 0) {
+        degree <= 8 && begin == 0 && end == degree) {
       Distance best = du;
       for (const WEdge& e : g.out_neighbors(u)) {
         my_.inc(CId::kRelaxations);
@@ -352,7 +355,7 @@ class WaspWorker {
         my_.inc(CId::kUpdates);
         // Leaf pruning (§4.4): a shortest-path-tree leaf can never improve
         // another vertex; update its distance but never schedule it.
-        if (s_.leaf != nullptr && (*s_.leaf)[e.dst]) continue;
+        if (s_.config.leaf_pruning && g.is_leaf(e.dst)) continue;
         push_to_buckets(e.dst, static_cast<std::uint64_t>(nd) / s_.delta);
       }
     }
@@ -646,9 +649,6 @@ SsspResult wasp_sssp_impl(const Graph& g, VertexId source, Weight delta,
                           const WaspConfig& config, RunContext& ctx) {
   const int p = ctx.team.size();
 
-  std::vector<std::uint8_t> leaf_bitmap;
-  if (config.leaf_pruning) leaf_bitmap = compute_leaf_bitmap(g);
-
   std::shared_ptr<const NumaTopology> topo = config.topology;
   if (!topo) topo = std::make_shared<NumaTopology>(NumaTopology::detect());
   std::vector<int> cpu_of(static_cast<std::size_t>(p));
@@ -658,9 +658,7 @@ SsspResult wasp_sssp_impl(const Graph& g, VertexId source, Weight delta,
   AtomicDistances& dist = ctx.distances(g.num_vertices());
   dist.store(source, 0);
 
-  WaspShared<ChunkT> shared(g, dist, delta, config, ctx,
-                            config.leaf_pruning ? &leaf_bitmap : nullptr, p,
-                            *topo, cpu_of);
+  WaspShared<ChunkT> shared(g, dist, delta, config, ctx, p, *topo, cpu_of);
   // Pre-publish worker 0 as busy at level 0 so no other worker can pass the
   // termination check before the source is seeded (same release site as
   // every in-run publication — the board owns the ordering).
@@ -687,9 +685,6 @@ SsspResult wasp_sssp_seeded_impl(const Graph& g,
                                  std::span<const VertexId> seeds, Weight delta,
                                  const WaspConfig& config, RunContext& ctx) {
   const int p = ctx.team.size();
-
-  std::vector<std::uint8_t> leaf_bitmap;
-  if (config.leaf_pruning) leaf_bitmap = compute_leaf_bitmap(g);
 
   std::shared_ptr<const NumaTopology> topo = config.topology;
   if (!topo) topo = std::make_shared<NumaTopology>(NumaTopology::detect());
@@ -723,9 +718,7 @@ SsspResult wasp_sssp_seeded_impl(const Graph& g,
     return result;
   }
 
-  WaspShared<ChunkT> shared(g, dist, delta, config, ctx,
-                            config.leaf_pruning ? &leaf_bitmap : nullptr, p,
-                            *topo, cpu_of);
+  WaspShared<ChunkT> shared(g, dist, delta, config, ctx, p, *topo, cpu_of);
   for (int t = 0; t < p; ++t) {
     if (min_level[static_cast<std::size_t>(t)] != kInfPriority)
       shared.curr.publish(t, min_level[static_cast<std::size_t>(t)]);

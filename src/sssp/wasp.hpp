@@ -18,9 +18,9 @@
 // only when high-priority work is not available" principle.
 //
 // Optimizations (§4.4): neighborhood decomposition (high-degree adjacency
-// split into stealable range chunks), leaf pruning (precomputed bitmap), and
-// bidirectional relaxation (pull-before-push for small undirected
-// neighborhoods).
+// split into stealable range chunks), leaf pruning (an in-place degree test,
+// Graph::is_leaf), and bidirectional relaxation (pull-before-push for small
+// undirected neighborhoods).
 //
 // Termination: a thread with no work publishes curr = infinity and scans all
 // `curr` values (§4.3). We close the classic steal/terminate race with an
@@ -76,7 +76,10 @@ SsspResult wasp_sssp_seeded(const Graph& g, std::span<const VertexId> seeds,
 /// dispatch_sssp by setting options.wasp.partition.enabled; knobs beyond
 /// WaspConfig: config.partition (fragment count, flush threshold).
 /// Bidirectional relaxation is disabled inside fragments (it would read
-/// remote shards); all other §4.4 optimizations apply unchanged.
+/// remote shards); all other §4.4 optimizations apply unchanged. With
+/// ctx.partitions set (Solver does), the fragments and shards are built on
+/// the first solve of a graph and reused while its stamp, the fragment
+/// count, the team size and the topology stay the same.
 SsspResult wasp_sssp_partitioned(const Graph& g, VertexId source, Weight delta,
                                  const WaspConfig& config, RunContext& ctx);
 

@@ -30,6 +30,11 @@
 // pins bit-identical snapshots across synthetic topologies and chaos
 // schedules. Bidirectional relaxation is disabled (it would read remote
 // shards); leaf pruning and neighborhood decomposition apply unchanged.
+//
+// The fragments and their shards are per-graph state: under a Solver they
+// live in its PartitionCache (sssp/common.hpp), so only the first solve of a
+// graph builds them and later solves reset the shards with an O(1) epoch
+// bump.
 #include "sssp/wasp.hpp"
 
 #include <algorithm>
@@ -42,7 +47,6 @@
 #include "concurrent/chase_lev_deque.hpp"
 #include "concurrent/chunk.hpp"
 #include "concurrent/remote_queue.hpp"
-#include "graph/algorithms.hpp"
 #include "graph/partition.hpp"
 #include "sssp/curr_board.hpp"
 #include "support/errors.hpp"
@@ -102,18 +106,18 @@ template <typename ChunkT>
 struct PartShared {
   const Graph& graph;
   const GraphPartition& part;
+  /// Per-fragment distance shards, owned by the fragments' cache entry and
+  /// constructed by each fragment's leader when the entry was built (the
+  /// constructor's sweep is the first touch).
+  const std::vector<std::unique_ptr<AtomicDistances>>& shards;
   Weight delta;
   const WaspConfig& config;
   RunContext& ctx;
-  const std::vector<std::uint8_t>* leaf;  // null when leaf pruning is off
   int num_workers;
   CurrBoard curr;  ///< one global board over all workers of all fragments
   std::vector<std::unique_ptr<ChaseLevDeque<ChunkT*>>> deques;  // per worker
   BasicChunkArena<ChunkT> arena;
   RemoteRelayNetwork net;  ///< per-fragment inbound channels + in-flight count
-  /// Per-fragment distance shards, constructed by each fragment's leader in
-  /// the placement phase (the constructor's sweep is the first touch).
-  std::vector<std::unique_ptr<AtomicDistances>> shards;
   std::vector<int> frag_of;                ///< worker -> fragment
   std::vector<std::vector<int>> members;   ///< fragment -> worker tids
   std::vector<int> local_idx;              ///< worker -> index in its members
@@ -128,13 +132,11 @@ struct PartShared {
   /// scan passed and who have not swept since. Exit requires quiesced == p.
   verify::atomic<std::uint32_t> quiesced{0};
 
-  PartShared(const Graph& g, const GraphPartition& part_, Weight delta_,
-             const WaspConfig& cfg, RunContext& ctx_,
-             const std::vector<std::uint8_t>* leaf_, int p)
-      : graph(g), part(part_), delta(delta_), config(cfg), ctx(ctx_),
-        leaf(leaf_), num_workers(p), curr(p),
-        deques(static_cast<std::size_t>(p)), net(part_.num_fragments()),
-        shards(static_cast<std::size_t>(part_.num_fragments())) {
+  PartShared(const Graph& g, const PartitionCache::Entry& frags,
+             Weight delta_, const WaspConfig& cfg, RunContext& ctx_, int p)
+      : graph(g), part(frags.partition), shards(frags.shards), delta(delta_),
+        config(cfg), ctx(ctx_), num_workers(p), curr(p),
+        deques(static_cast<std::size_t>(p)), net(part.num_fragments()) {
     for (auto& d : deques) d = std::make_unique<ChaseLevDeque<ChunkT*>>();
   }
 };
@@ -153,7 +155,9 @@ class PartWorker {
         rng_(hash_mix(0xA5B5ULL + static_cast<std::uint64_t>(tid))),
         deque_(shared.deques[static_cast<std::size_t>(tid)].get()),
         sender_(shared.net, shared.config.partition.flush_threshold),
-        lookahead_(shared.ctx.prefetch_lookahead) {
+        lookahead_(shared.ctx.prefetch_lookahead),
+        prune_leaves_(shared.config.leaf_pruning),
+        leaf_degree_(shared.graph.leaf_degree()) {
     buffer_ = alloc_chunk();
   }
 
@@ -224,13 +228,20 @@ class PartWorker {
 
   // --- fragment-local distance shard --------------------------------------
   // All shard accesses translate the GLOBAL vertex id to the fragment-local
-  // index; chunks, queues, and the leaf bitmap speak global ids throughout.
+  // index; chunks and queues speak global ids throughout.
 
   [[nodiscard]] Distance shard_load(VertexId global_v) const {
     return dist_.load(global_v - fragment_.begin);
   }
   bool shard_relax(VertexId global_v, Distance candidate) {
     return dist_.relax_to(global_v - fragment_.begin, candidate);
+  }
+
+  /// Leaf pruning (§4.4): Graph::is_leaf for a vertex of this fragment, read
+  /// off the fragment's own offsets. A leaf's distance is updated but the
+  /// vertex is never scheduled.
+  [[nodiscard]] bool prunable(VertexId global_v) const {
+    return prune_leaves_ && fragment_.out_degree(global_v) <= leaf_degree_;
   }
 
   // --- current bucket ----------------------------------------------------
@@ -305,7 +316,10 @@ class PartWorker {
       return;
     }
     ChunkT*& head = buckets_.at(level);
-    if (head == nullptr || head->full()) {
+    // A range chunk (push_chunk files one here when a stolen chunk's level
+    // differs from curr) carries exactly one vertex: appending to it would
+    // pair another vertex with that vertex's edge range.
+    if (head == nullptr || head->full() || head->is_range()) {
       ChunkT* fresh = alloc_chunk();
       fresh->set_priority(level);
       fresh->next = head;
@@ -371,8 +385,7 @@ class PartWorker {
       if (fragment_.owns(e.dst)) {
         if (shard_relax(e.dst, nd)) {
           my_.inc(CId::kUpdates);
-          // Leaf pruning (§4.4): update the distance, never schedule.
-          if (s_.leaf != nullptr && (*s_.leaf)[e.dst]) continue;
+          if (prunable(e.dst)) continue;
           push_to_buckets(e.dst, static_cast<std::uint64_t>(nd) / s_.delta);
         }
       } else {
@@ -422,7 +435,7 @@ class PartWorker {
           const RemoteRelax r = batch->record(i);
           if (shard_relax(r.vertex, r.dist)) {
             my_.inc(CId::kUpdates);
-            if (s_.leaf != nullptr && (*s_.leaf)[r.vertex]) continue;
+            if (prunable(r.vertex)) continue;
             push_to_buckets(r.vertex,
                             static_cast<std::uint64_t>(r.dist) / s_.delta);
             ++scheduled;
@@ -781,6 +794,8 @@ class PartWorker {
   std::uint64_t curr_cache_ = kInfPriority;
   std::uint64_t progress_ = 0;
   const std::uint32_t lookahead_;
+  const bool prune_leaves_;          ///< config.leaf_pruning
+  const std::uint32_t leaf_degree_;  ///< Graph::leaf_degree()
 };
 
 template <typename ChunkT>
@@ -789,9 +804,6 @@ SsspResult wasp_sssp_partitioned_impl(const Graph& g, VertexId source,
                                       RunContext& ctx) {
   const int p = ctx.team.size();
   const VertexId n = g.num_vertices();
-
-  std::vector<std::uint8_t> leaf_bitmap;
-  if (config.leaf_pruning) leaf_bitmap = compute_leaf_bitmap(g);
 
   std::shared_ptr<const NumaTopology> topo = config.topology;
   if (!topo) topo = std::make_shared<NumaTopology>(NumaTopology::detect());
@@ -809,12 +821,26 @@ SsspResult wasp_sssp_partitioned_impl(const Graph& g, VertexId source,
                        ? config.partition.num_fragments
                        : topo->num_nodes();
   const int f_want = std::clamp(want, 1, p);
-  GraphPartition part =
-      GraphPartition::build(g, *topo, f_want, p > 1 ? &ctx.team : nullptr);
+
+  // Reuse the cached fragments and shards when they were built for this
+  // graph content, fragment count, team and topology. Otherwise drop the
+  // stale entry first, so at most one CSR copy is alive, and build afresh.
+  const PartitionCache::Key key{g.stamp(), f_want, p, topo};
+  PartitionCache::Entry* frags =
+      ctx.partitions != nullptr ? ctx.partitions->find(key) : nullptr;
+  std::unique_ptr<PartitionCache::Entry> built;
+  if (frags == nullptr) {
+    if (ctx.partitions != nullptr) ctx.partitions->entry.reset();
+    built = std::make_unique<PartitionCache::Entry>(PartitionCache::Entry{
+        key,
+        GraphPartition::build(g, *topo, f_want, p > 1 ? &ctx.team : nullptr),
+        {}});
+    frags = built.get();
+  }
+  const GraphPartition& part = frags->partition;
   const int f_count = part.num_fragments();
 
-  PartShared<ChunkT> shared(g, part, delta, config, ctx,
-                            config.leaf_pruning ? &leaf_bitmap : nullptr, p);
+  PartShared<ChunkT> shared(g, *frags, delta, config, ctx, p);
 
   // Worker -> fragment membership: node affinity first (a worker joins the
   // fragment assigned to its NUMA node, folded mod f_count), then a
@@ -861,19 +887,32 @@ SsspResult wasp_sssp_partitioned_impl(const Graph& g, VertexId source,
         std::make_unique<VictimTiers>(*topo, member_cpus);
   }
 
-  // Placement phase: each fragment's leader (member 0) constructs its
-  // distance shard — the constructor's kInfDist sweep is the first touch,
-  // so the shard's pages land on the leader's node. The team join publishes
-  // the shard pointers to every worker of the solve phase.
-  ctx.team.run([&](int tid) {
-    verify::ScopedSchedule schedule_guard(tid);
-    if (shared.local_idx[static_cast<std::size_t>(tid)] == 0) {
-      const int f = shared.frag_of[static_cast<std::size_t>(tid)];
-      shared.shards[static_cast<std::size_t>(f)] =
-          std::make_unique<AtomicDistances>(
-              part.fragment(f).num_vertices());
-    }
-  });
+  if (built != nullptr) {
+    // Placement phase: each fragment's leader (member 0) constructs its
+    // distance shard — the constructor's kInfDist sweep is the first touch,
+    // so the shard's pages land on the leader's node. The team join
+    // publishes the shard pointers to every worker of the solve phase.
+    built->shards.resize(static_cast<std::size_t>(f_count));
+    ctx.team.run([&](int tid) {
+      verify::ScopedSchedule schedule_guard(tid);
+      if (shared.local_idx[static_cast<std::size_t>(tid)] == 0) {
+        const int f = shared.frag_of[static_cast<std::size_t>(tid)];
+        built->shards[static_cast<std::size_t>(f)] =
+            std::make_unique<AtomicDistances>(
+                part.fragment(f).num_vertices());
+      }
+    });
+    ctx.metrics.shard(0).inc(CId::kPartitionBuilds);
+    ctx.metrics.shard(0).inc(CId::kEpochSweeps);
+    // Cached only now that it is complete: a build that threw above left
+    // the cache empty, never half-built.
+    if (ctx.partitions != nullptr) ctx.partitions->entry = std::move(built);
+  } else if (ctx.partitions->new_epoch()) {
+    // Warm: frags is the cache's entry, reset by an O(1) epoch bump per
+    // shard (the same membership placed them, so their pages already sit on
+    // their leaders' nodes); only a tag wrap sweeps.
+    ctx.metrics.shard(0).inc(CId::kEpochSweeps);
+  }
 
   // Pre-publish the seed worker (the source fragment's leader) busy at
   // level 0 so no worker can pass the termination check before the seed is
@@ -899,7 +938,7 @@ SsspResult wasp_sssp_partitioned_impl(const Graph& g, VertexId source,
   for (int f = 0; f < f_count; ++f) {
     const GraphPartition::Fragment& frag = part.fragment(f);
     const AtomicDistances& shard =
-        *shared.shards[static_cast<std::size_t>(f)];
+        *frags->shards[static_cast<std::size_t>(f)];
     for (VertexId v = 0; v < frag.num_vertices(); ++v)
       result.dist[frag.begin + v] = shard.load(v);
   }

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 
 #include "graph/algorithms.hpp"
+#include "graph/delta.hpp"
 #include "graph/graph.hpp"
 #include "graph/weights.hpp"
 
@@ -159,6 +162,55 @@ TEST(LeafBitmap, DirectedOnlyZeroOutDegree) {
   EXPECT_FALSE(leaf[0]);
   EXPECT_FALSE(leaf[1]);
   EXPECT_TRUE(leaf[2]);
+}
+
+TEST(GraphStamp, FreshOnCopyCarriedByMoveAndRedrawnForTheMovedFrom) {
+  Graph a = triangle_plus_tail();
+  const Graph b = triangle_plus_tail();
+  EXPECT_NE(a.stamp(), b.stamp());  // equal content, different objects
+
+  const std::uint64_t a_stamp = a.stamp();
+  const Graph copy = a;
+  EXPECT_NE(copy.stamp(), a_stamp);
+  EXPECT_EQ(a.stamp(), a_stamp);  // copying leaves the source alone
+
+  Graph moved = std::move(a);
+  EXPECT_EQ(moved.stamp(), a_stamp);  // the stamp travels with the content
+  EXPECT_NE(a.stamp(), a_stamp);  // the moved-from object is re-stamped
+  EXPECT_NE(a.stamp(), moved.stamp());
+
+  Graph target = triangle_plus_tail();
+  const std::uint64_t target_stamp = target.stamp();
+  target = copy;  // copy-assignment: new content, new stamp
+  EXPECT_NE(target.stamp(), target_stamp);
+  EXPECT_NE(target.stamp(), copy.stamp());
+  const std::uint64_t moved_stamp = moved.stamp();
+  target = std::move(moved);
+  EXPECT_EQ(target.stamp(), moved_stamp);
+  EXPECT_NE(moved.stamp(), moved_stamp);
+}
+
+TEST(GraphStamp, VersionedGraphRenewsItOnEveryInPlacePatch) {
+  VersionedGraph vg(triangle_plus_tail());
+  EXPECT_NE(vg.uid(), vg.flat().stamp());  // one counter, distinct ids
+  const std::uint64_t uid = vg.uid();
+
+  // A weight change is patched into the flat CSR: new content, new stamp.
+  std::uint64_t stamp = vg.flat().stamp();
+  (void)vg.apply(GraphDelta().set_weight(0, 1, 42));
+  EXPECT_NE(vg.flat().stamp(), stamp);
+
+  // A structural change goes to the overlay; the flat CSR (and its stamp)
+  // change only when compaction folds it in.
+  stamp = vg.flat().stamp();
+  (void)vg.apply(GraphDelta().insert(3, 4, 7));
+  ASSERT_TRUE(vg.dirty());
+  const Graph& flat = vg.graph();  // compacts
+  EXPECT_NE(flat.stamp(), stamp);
+  stamp = flat.stamp();
+  (void)vg.graph();  // clean: nothing patched, stamp kept
+  EXPECT_EQ(vg.flat().stamp(), stamp);
+  EXPECT_EQ(vg.uid(), uid);  // the object's identity never changes
 }
 
 TEST(Transpose, ReversesDirectedEdges) {

@@ -5,10 +5,13 @@
 // expose a premature-termination race).
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "graph/suite.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/sssp.hpp"
 #include "sssp/validate.hpp"
+#include "support/numa.hpp"
 
 namespace wasp {
 namespace {
@@ -72,6 +75,42 @@ TEST(TerminationStress, ManyTinyRunsAtHighThreadCounts) {
     std::string message;
     ASSERT_TRUE(distances_equal(reference.dist, r.dist, &message))
         << "run " << run << ": " << message;
+  }
+}
+
+TEST(RangeChunkStress, DecomposedNeighbourhoodsAreRelaxedExactlyOnce) {
+  // A tiny theta splits almost every neighbourhood into range chunks. A
+  // thief files the slices of a stolen chunk whose level is not its current
+  // one in its local bucket list, so bucket heads are often range chunks: a
+  // vertex appended to one would be drained with the slice's edge range.
+  // theta = 2 also overlaps bidirectional relaxation (degree <= 8), whose
+  // pull must not turn the vertex's pending slices stale. Both engines run
+  // the same bucket code.
+  const auto w = suite::make(suite::GraphClass::kKron, 0.1, 5);
+  const auto reference = dijkstra(w.graph, w.source);
+  for (const bool partitioned : {false, true}) {
+    for (const std::uint32_t theta : {2u, 8u}) {
+      SsspOptions options;
+      options.algo = Algorithm::kWasp;
+      options.threads = partitioned ? 6 : 4;
+      options.delta = 1;
+      options.wasp.theta = theta;
+      if (partitioned) {
+        // Three workers per fragment: a steal sweep needs two victims to
+        // take chunks of two levels at once.
+        options.wasp.topology = std::make_shared<const NumaTopology>(
+            NumaTopology::synthetic(1, 2, 3));
+        options.wasp.partition.enabled = true;
+        options.wasp.partition.num_fragments = 2;
+      }
+      for (int run = 0; run < 40; ++run) {
+        const SsspResult r = run_sssp(w.graph, w.source, options);
+        std::string message;
+        ASSERT_TRUE(distances_equal(reference.dist, r.dist, &message))
+            << (partitioned ? "partitioned" : "flat") << " theta " << theta
+            << " run " << run << ": " << message;
+      }
+    }
   }
 }
 

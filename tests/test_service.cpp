@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "service/service.hpp"
+#include "sssp/dijkstra.hpp"
 #include "sssp/solver.hpp"
 #include "sssp/sssp.hpp"
 #include "support/cancel.hpp"
@@ -377,6 +379,51 @@ TEST(ServiceQuery, ShedDowngradedToStaleCountsOnceAsServedStale) {
   const obs::MetricsSnapshot snap = svc.metrics();
   EXPECT_EQ(snap.counter(obs::CounterId::kQueriesShed), 0u);
   EXPECT_EQ(snap.counter(obs::CounterId::kQueriesServedStale), 1u);
+}
+
+TEST(ServiceQuery, GraphRebuiltInTheSameStorageIsNotServedTheOldAnswer) {
+  std::optional<Graph> storage;
+  storage.emplace(make_small_graph());
+  const Graph* const address = &*storage;
+  const VertexId source = pick_source_in_largest_component(*storage, 11);
+
+  BlockingObserver blocker;
+  ServiceConfig config;
+  config.solver = options_for(Algorithm::kBellmanFord);
+  config.solver.observer = &blocker;
+  config.num_solvers = 1;
+  config.queue_capacity = 1;
+  config.coalesce = false;
+  QueryService svc(config);
+
+  // Prime the stale cache for the first graph, then construct a different
+  // graph of the same size in the very same storage.
+  const QueryResult primed = svc.solve(*storage, source);
+  ASSERT_EQ(primed.outcome, Outcome::kServed);
+  storage.reset();
+  storage.emplace(gen::erdos_renyi(3000, 6.0, WeightScheme::gap(), 37));
+  ASSERT_EQ(&*storage, address);
+  const std::vector<Distance> reference = dijkstra(*storage, source).dist;
+  ASSERT_NE(reference, primed.dist);
+
+  blocker.arm();
+  auto running = svc.submit(*storage, source);
+  blocker.wait_until_blocked();
+  QueryOptions stale_ok;
+  stale_ok.allow_stale = true;
+  auto victim = svc.submit(*storage, source, stale_ok);  // fills the queue
+  QueryOptions gold;
+  gold.priority = 1;
+  auto evictor = svc.submit(*storage, source, gold);  // sheds the victim
+
+  // The cache holds an answer for the old graph only; the new graph has
+  // none, so the shed query cannot degrade to it.
+  const QueryResult rv = victim.get();
+  EXPECT_EQ(rv.outcome, Outcome::kShed);
+  EXPECT_TRUE(rv.dist.empty());
+  blocker.release();
+  EXPECT_EQ(running.get().dist, reference);
+  EXPECT_EQ(evictor.get().dist, reference);
 }
 
 TEST(ServiceQuery, WatchdogCancelsOverdueRunThenQuarantinesAndRebuilds) {

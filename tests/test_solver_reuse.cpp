@@ -1,22 +1,29 @@
 // Solver-reuse correctness: the query-throughput fast path (pooled
-// epoch-versioned distances, prefetched relaxation) must be invisible in
-// results. A reused Solver answering the same query twice, or a different
-// query, must produce distances bit-identical to a fresh per-call solve —
-// for every algorithm, across an epoch wrap, and under fault injection.
+// epoch-versioned distances, cached partitions, prefetched relaxation) must
+// be invisible in results. A reused Solver answering the same query twice,
+// or a different query, must produce distances bit-identical to a fresh
+// per-call solve — for every algorithm, across an epoch wrap, and under
+// fault injection. The partition-cache suites are named PartitionReuse so
+// the TSan preset's Partition filter runs them.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "graph/algorithms.hpp"
+#include "graph/delta.hpp"
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
 #include "sssp/dijkstra.hpp"
+#include "sssp/incremental.hpp"
 #include "sssp/solver.hpp"
 #include "sssp/sssp.hpp"
 #include "sssp/validate.hpp"
+#include "support/cancel.hpp"
 #include "support/chaos.hpp"
 #include "support/errors.hpp"
+#include "support/numa.hpp"
 
 namespace wasp {
 namespace {
@@ -157,6 +164,180 @@ TEST(SolverReusePrefetch, LookaheadIsValidatedAndZeroDisables) {
   const SsspResult r_on = solver_on.solve(g, s);
   EXPECT_EQ(r_on.dist, reference);
   EXPECT_GT(r_on.metrics.counter(obs::CounterId::kPrefetchIssued), 0u);
+}
+
+// --- partitioned Wasp: fragments and shards are built once per graph ------
+
+SsspOptions partitioned_options(int fragments) {
+  SsspOptions options = options_for(Algorithm::kWasp);
+  options.threads = 4;
+  options.wasp.topology = std::make_shared<const NumaTopology>(
+      NumaTopology::synthetic(1, 2, 2));
+  options.wasp.partition.enabled = true;
+  options.wasp.partition.num_fragments = fragments;
+  return options;
+}
+
+std::uint64_t builds(const SsspResult& r) {
+  return r.metrics.counter(obs::CounterId::kPartitionBuilds);
+}
+std::uint64_t sweeps(const SsspResult& r) {
+  return r.metrics.counter(obs::CounterId::kEpochSweeps);
+}
+
+TEST(PartitionReuse, RepeatAndCrossSourceQueriesAreBitIdentical) {
+  const Graph g = make_test_graph();
+  const VertexId s1 = pick_source_in_largest_component(g, 11);
+  const VertexId s2 = pick_source_in_largest_component(g, 12345);
+  ASSERT_NE(s1, s2);
+
+  const SsspOptions options = partitioned_options(2);
+  // Without a Solver every call builds its own fragments.
+  const SsspResult fresh1 = run_sssp(g, s1, options);
+  const SsspResult fresh2 = run_sssp(g, s2, options);
+  EXPECT_EQ(builds(fresh1), 1u);
+  EXPECT_EQ(builds(fresh2), 1u);
+  EXPECT_EQ(fresh1.dist, dijkstra(g, s1).dist);
+  EXPECT_EQ(fresh2.dist, dijkstra(g, s2).dist);
+
+  Solver solver(options);
+  const SsspResult r1 = solver.solve(g, s1);
+  const SsspResult r2 = solver.solve(g, s1);  // repeat: shards re-epoched
+  const SsspResult r3 = solver.solve(g, s2);  // other source, same shards
+  EXPECT_EQ(r1.dist, fresh1.dist);
+  EXPECT_EQ(r2.dist, fresh1.dist);
+  EXPECT_EQ(r3.dist, fresh2.dist);
+
+  // One build and one shard sweep, on the cold solve only; the flat pooled
+  // array is never acquired for a partitioned run.
+  EXPECT_EQ(builds(r1), 1u);
+  EXPECT_EQ(builds(r2), 0u);
+  EXPECT_EQ(builds(r3), 0u);
+  EXPECT_EQ(sweeps(r1), 1u);
+  EXPECT_EQ(sweeps(r2), 0u);
+  EXPECT_EQ(sweeps(r3), 0u);
+  EXPECT_EQ(solver.distances().current(), nullptr);
+}
+
+TEST(PartitionReuse, EachVersionedBatchForcesExactlyOneRebuild) {
+  VersionedGraph vg(gen::grid(40, 40, WeightScheme::uniform(1, 100), 5));
+  const VertexId s = 0;
+  Solver solver(partitioned_options(2));
+
+  const SsspResult cold = solver.solve(vg.graph(), s);
+  EXPECT_EQ(builds(cold), 1u);
+  EXPECT_EQ(builds(solver.solve(vg.graph(), s)), 0u);
+
+  // Weight-only: patched into the CSR in place, at the same address. The
+  // cached fragments hold the old weights and must not be reused. (Making
+  // the source's first arc nearly free changes the answer, so a reuse
+  // would show in the distances too.)
+  const WEdge first = vg.flat().out_neighbors(s)[0];
+  (void)vg.apply(GraphDelta().set_weight(s, first.dst, first.w == 1 ? 99 : 1));
+  ASSERT_FALSE(vg.dirty());
+  const SsspResult weighted = solver.solve(vg.graph(), s);
+  EXPECT_EQ(builds(weighted), 1u);
+  EXPECT_EQ(weighted.dist, dijkstra(vg.graph(), s).dist);
+  EXPECT_NE(weighted.dist, cold.dist);
+  EXPECT_EQ(builds(solver.solve(vg.graph(), s)), 0u);
+
+  // Structural: staged in the overlay, folded into the CSR by compaction.
+  (void)vg.apply(GraphDelta().insert(s, vg.num_vertices() - 1, 1));
+  ASSERT_TRUE(vg.dirty());
+  const SsspResult structural = solver.solve(vg.graph(), s);
+  EXPECT_EQ(builds(structural), 1u);
+  EXPECT_EQ(structural.dist, dijkstra(vg.graph(), s).dist);
+  EXPECT_NE(structural.dist, weighted.dist);
+  EXPECT_EQ(builds(solver.solve(vg.graph(), s)), 0u);
+}
+
+TEST(PartitionReuse, FragmentCountOrTopologyChangeForcesRebuild) {
+  const Graph g = make_test_graph();
+  const VertexId s = pick_source_in_largest_component(g, 11);
+  const std::vector<Distance> reference = dijkstra(g, s).dist;
+
+  Solver solver(partitioned_options(2));
+  EXPECT_EQ(builds(solver.solve(g, s)), 1u);
+
+  solver.options().wasp.partition.num_fragments = 3;
+  SsspResult r = solver.solve(g, s);
+  EXPECT_EQ(builds(r), 1u);
+  EXPECT_EQ(r.dist, reference);
+  EXPECT_EQ(builds(solver.solve(g, s)), 0u);
+
+  // An equal-content topology is still a different object: the cache keys
+  // on the topology it holds, not on what it describes.
+  solver.options().wasp.topology = std::make_shared<const NumaTopology>(
+      NumaTopology::synthetic(1, 2, 2));
+  r = solver.solve(g, s);
+  EXPECT_EQ(builds(r), 1u);
+  EXPECT_EQ(r.dist, reference);
+  EXPECT_EQ(builds(solver.solve(g, s)), 0u);
+
+  // A different graph rebuilds as well. Directed, so leaf pruning must
+  // spare the degree-1 vertices it prunes on undirected graphs.
+  const Graph other = gen::rmat(11, 1 << 12, 0.57, 0.19, 0.19,
+                                WeightScheme::gap(), 18, /*undirected=*/false);
+  const VertexId t = pick_source_in_largest_component(other, 11);
+  r = solver.solve(other, t);
+  EXPECT_EQ(builds(r), 1u);
+  EXPECT_EQ(r.dist, dijkstra(other, t).dist);
+}
+
+TEST(PartitionReuse, IncrementalSolverNeverBindsToTheUnusedFlatArray) {
+  // A partitioned full solve keeps its distances in fragment shards, so
+  // the pooled flat array holds no answer the repair could start from —
+  // here it holds another source's distances from an earlier flat solve.
+  VersionedGraph vg(gen::grid(30, 30, WeightScheme::uniform(1, 100), 5));
+  IncrementalSolver inc(partitioned_options(2));
+  const VertexId s = 0;
+  (void)inc.solver().solve(vg.graph(), vg.num_vertices() - 1,
+                           Algorithm::kBellmanFord);
+  EXPECT_EQ(inc.solve(vg, s), dijkstra(vg.graph(), s).dist);
+
+  const WEdge first = vg.flat().out_neighbors(s)[0];
+  (void)vg.apply(GraphDelta().set_weight(s, first.dst, first.w + 50));
+  EXPECT_EQ(inc.solve(vg, s), dijkstra(vg.graph(), s).dist);
+  EXPECT_TRUE(inc.last_repair().full_solve);
+}
+
+/// Cancels the run from its first progress callback, i.e. mid-solve.
+class CancelOnProgress final : public obs::RunObserver {
+ public:
+  explicit CancelOnProgress(CancelToken& token) : token_(&token) {}
+  void on_progress(int, std::uint64_t) override {
+    token_->request_cancel(CancelReason::kUser);
+  }
+
+ private:
+  CancelToken* token_;
+};
+
+TEST(PartitionReuse, WarmSolveAfterCancelledSolveIsExact) {
+  // Big enough that a fragment's worker reaches the progress callback
+  // (every 4096 vertices) long before the solve could finish.
+  const Graph g = gen::grid(200, 200, WeightScheme::uniform(1, 100), 8);
+  const VertexId s = 0;
+  const std::vector<Distance> reference = dijkstra(g, s).dist;
+
+  SsspOptions options = partitioned_options(2);
+  options.threads = 3;
+  Solver solver(options);
+  EXPECT_EQ(builds(solver.solve(g, s)), 1u);
+
+  CancelToken token;
+  CancelOnProgress canceller(token);
+  solver.set_observer(&canceller);
+  solver.options().cancel = &token;
+  EXPECT_THROW((void)solver.solve(g, s), SolveCancelledError);
+
+  // The shards hold the cancelled run's partial relaxation; the next solve
+  // reuses them (no rebuild) and must still be exact.
+  solver.set_observer(nullptr);
+  solver.options().cancel = nullptr;
+  const SsspResult r = solver.solve(g, s);
+  EXPECT_EQ(builds(r), 0u);
+  EXPECT_EQ(r.dist, reference);
 }
 
 }  // namespace
