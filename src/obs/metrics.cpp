@@ -46,6 +46,8 @@ const char* counter_name(CounterId id) {
     case CounterId::kLocalSteals: return "local_steals";
     case CounterId::kRemoteSteals: return "remote_steals";
     case CounterId::kPartitionBuilds: return "partition_builds";
+    case CounterId::kWorkerParks: return "worker_parks";
+    case CounterId::kWorkerWakes: return "worker_wakes";
   }
   return "?";
 }

@@ -40,9 +40,7 @@ bool IncrementalSolver::warm_for(const VersionedGraph& vg, VertexId source) {
          d->epoch() == bound_epoch_ && dist_.size() == vg.num_vertices();
 }
 
-const Graph& IncrementalSolver::in_view(const VersionedGraph& vg,
-                                        const Graph& g) {
-  if (vg.is_undirected()) return g;  // out-arcs mirror in-arcs
+const Graph& IncrementalSolver::transpose_of(const Graph& g) {
   if (!transpose_valid_) {
     transpose_ = GraphBuilder().transpose_of(g).build();
     transpose_valid_ = true;
@@ -172,6 +170,12 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   // 2. Cone walk: everything reachable through admissible arcs (under the
   // warm distances) may have depended on a changed arc. dist_ still holds
   // the warm values — the atomic array is only invalidated after the walk.
+  // On an undirected graph the out-arcs read here are also the cone's
+  // in-arcs, so the walk collects the boundary seeds as it goes: every
+  // finite neighbour it does not admit (the source included) is a
+  // candidate, and candidates that enter the cone later are dropped below.
+  const bool fused = vg.is_undirected();
+  const std::size_t first_candidate = seeds_.size();
   std::uint64_t walked = 0;
   for (std::size_t i = 0; i < cone_.size(); ++i) {
     // Cancellation point for the repair loop: a big cone is the only
@@ -183,29 +187,49 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
     const VertexId x = cone_[i];
     const Distance dx = dist_[x];
     for (const WEdge& e : g.out_neighbors(x)) {
-      if (in_cone_[e.dst] || e.dst == source) continue;
+      if (in_cone_[e.dst]) continue;
       const Distance dy = dist_[e.dst];
       if (dy == kInfDist) continue;
-      if (saturating_add(dx, e.w) <= dy) {
+      if (e.dst != source && saturating_add(dx, e.w) <= dy) {
         cone_.push_back(e.dst);
         in_cone_[e.dst] = 1;
+      } else if (fused && !seeded_[e.dst]) {
+        seeds_.push_back(e.dst);
+        seeded_[e.dst] = 1;
       }
     }
   }
 
   // 3. Boundary seeds: intact in-neighbours of the cone re-derive its
-  // distances. O(sum of cone in-degrees) via the structural in-arc view.
-  const Graph& rin = in_view(vg, g);
-  for (const VertexId c : cone_) {
-    if ((++walked & 0xFFFu) == 0 && cancel != nullptr && cancel->poll()) {
-      discard_warm();
-      throw_cancelled(*cancel);
+  // distances.
+  if (fused) {
+    // Drop the candidates that entered the cone after the walk saw them
+    // (a decrease source inside the cone stays, as in the directed pass).
+    // Clearing their flags keeps every set flag listed in seeds_.
+    std::size_t kept = first_candidate;
+    for (std::size_t i = first_candidate; i < seeds_.size(); ++i) {
+      const VertexId u = seeds_[i];
+      if (in_cone_[u]) {
+        seeded_[u] = 0;
+      } else {
+        seeds_[kept++] = u;
+      }
     }
-    for (const WEdge& e : rin.out_neighbors(c)) {
-      const VertexId u = e.dst;  // in-neighbour of c
-      if (in_cone_[u] || seeded_[u] || dist_[u] == kInfDist) continue;
-      seeds_.push_back(u);
-      seeded_[u] = 1;
+    seeds_.resize(kept);
+  } else {
+    // Directed: O(sum of cone in-degrees) via the transposed in-arc view.
+    const Graph& rin = transpose_of(g);
+    for (const VertexId c : cone_) {
+      if ((++walked & 0xFFFu) == 0 && cancel != nullptr && cancel->poll()) {
+        discard_warm();
+        throw_cancelled(*cancel);
+      }
+      for (const WEdge& e : rin.out_neighbors(c)) {
+        const VertexId u = e.dst;  // in-neighbour of c
+        if (in_cone_[u] || seeded_[u] || dist_[u] == kInfDist) continue;
+        seeds_.push_back(u);
+        seeded_[u] = 1;
+      }
     }
   }
 

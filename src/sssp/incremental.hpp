@@ -19,8 +19,11 @@
 //     not (a stale too-small bound would poison monotone relaxation).
 //  3. Seeding. The repair frontier is the cone's in-boundary (intact
 //     vertices with an arc into the cone) plus every decrease source. By
-//     the warm-start argument in wasp.hpp, relaxing from exactly this set
-//     converges to the same fixed point as a cold solve.
+//     the warm-start argument in wasp.hpp, relaxing
+//     from exactly this set converges to the same fixed point as a cold
+//     solve. An undirected graph's out-arcs are its in-arcs, so the cone
+//     walk collects the boundary as it goes; a directed graph takes a
+//     second pass over a cached transpose.
 //  4. Repair. wasp_sssp_seeded runs the normal work-stealing engine over
 //     the warm array — no epoch bump, so untouched vertices cost nothing —
 //     in work proportional to the cone, not the graph.
@@ -98,11 +101,11 @@ class IncrementalSolver {
   void repair(VersionedGraph& vg, const Graph& g, VertexId source,
               std::span<const ArcEffect> effects);
 
-  /// In-neighbour view for the cone's boundary walk: the graph itself when
-  /// undirected, a cached structural transpose otherwise (rebuilt only when
-  /// a compaction signals structural change — weight patches leave the
-  /// in-arc structure intact).
-  const Graph& in_view(const VersionedGraph& vg, const Graph& g);
+  /// In-neighbour view for a directed graph's boundary pass: a cached
+  /// structural transpose, rebuilt only when a compaction signals
+  /// structural change (weight patches leave the in-arc structure intact).
+  /// Undirected graphs need none: the cone walk collects their seeds.
+  const Graph& transpose_of(const Graph& g);
 
   Solver solver_;
 

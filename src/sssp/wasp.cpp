@@ -33,6 +33,21 @@ constexpr std::uint64_t kStealingPriority = kInfPriority - 1;
 /// Sentinel neighbour range meaning "the whole adjacency list".
 constexpr std::uint32_t kFullRange = ~std::uint32_t{0};
 
+/// Failed termination rounds an idle worker spins through before it parks.
+/// Enough to ride out the short gaps of a busy run (a peer about to pour
+/// its next bucket); few enough that a worker with nothing to steal stops
+/// loading the memory system within microseconds.
+constexpr int kParkAfterRounds = 64;
+
+/// Chunks an owner's deque must hold after a push before the owner wakes a
+/// parked peer: the first is the owner's own next refill, the second is
+/// surplus a thief can take.
+constexpr std::int64_t kWakeSurplus = 2;
+
+/// States of a worker's park word (WaspShared::park).
+constexpr std::uint32_t kAwake = 0;
+constexpr std::uint32_t kParked = 1;
+
 /// Thread-local bucket list: level -> linked stack of chunks, the head chunk
 /// partially filled. Grown by power-of-two rounding (§4.3).
 template <typename ChunkT>
@@ -85,13 +100,18 @@ struct WaspShared {
   /// double-scan termination check needs it to detect work migrating behind
   /// a scan (see WaspWorker::terminate).
   verify::atomic<std::uint64_t> steal_epoch{0};
+  /// Per-worker park word (kAwake / kParked): an idle worker announces
+  /// itself here before it blocks, and pushers and leaving workers wake it
+  /// through it (WaspWorker::park / wake_parked). Starts kAwake.
+  std::vector<CachePadded<verify::atomic<std::uint32_t>>> park;
 
   WaspShared(const Graph& g, AtomicDistances& d, Weight delta_,
              const WaspConfig& cfg, RunContext& ctx_, int p,
              const NumaTopology& topo, const std::vector<int>& cpu_of)
       : graph(g), dist(d), delta(delta_), config(cfg), ctx(ctx_), curr(p),
         deques(static_cast<std::size_t>(p)), tiers(topo, cpu_of),
-        node_of(static_cast<std::size_t>(p)) {
+        node_of(static_cast<std::size_t>(p)),
+        park(static_cast<std::size_t>(p)) {
     for (auto& d_ : deques) d_ = std::make_unique<ChaseLevDeque<ChunkT*>>();
     for (int t = 0; t < p; ++t)
       node_of[static_cast<std::size_t>(t)] =
@@ -139,8 +159,18 @@ class WaspWorker {
     if (min_level != kInfPriority) publish_curr(min_level);
   }
 
-  /// The main work loop (Algorithm 1, work_stealing_shortest_path).
+  /// Runs the work loop, then wakes every parked peer: a worker leaving
+  /// run(), by verdict or by cancel, may be the last one awake, and each
+  /// parked peer must reach the double-scan verdict (or its own cancel
+  /// poll) itself.
   void run() {
+    work_loop();
+    wake_parked(s_.tiers.num_threads());
+  }
+
+ private:
+  /// The main work loop (Algorithm 1, work_stealing_shortest_path).
+  void work_loop() {
     for (;;) {
       // Cancellation point: abandon unprocessed buckets (arena-owned, freed
       // with the run) and leave through the normal idle path. Publishing
@@ -170,7 +200,6 @@ class WaspWorker {
     }
   }
 
- private:
   /// Every chunk-pool allocation goes through here so the alloc rate is
   /// observable (kChunkAllocs + trace instants).
   ChunkT* alloc_chunk() {
@@ -254,6 +283,7 @@ class WaspWorker {
       if (buffer_->full()) {
         deque_->push_bottom(buffer_);
         buffer_ = alloc_chunk();
+        wake_for_surplus();
       }
       if (buffer_->empty()) buffer_->set_priority(level);
       buffer_->push(v);
@@ -280,6 +310,7 @@ class WaspWorker {
     c->set_priority(level);
     if (level == curr_cache_) {
       deque_->push_bottom(c);
+      wake_for_surplus();
       return;
     }
     ChunkT*& head = buckets_.at(level);
@@ -544,9 +575,15 @@ class WaspWorker {
   /// is a termination-mode steal, and every such sweep increments
   /// steal_epoch *before* it can steal. Hence "epoch stable across a scan
   /// that saw every thread idle" proves no work existed during the scan.
+  ///
+  /// Parked workers keep this argument intact: a parker publishes
+  /// kInfPriority before it announces itself and never steals while
+  /// parked, so it reads as idle and moves no work behind a scan.
   bool terminate() {
     const int p = s_.tiers.num_threads();
     bool sweep = true;  // sweep on entry; afterwards only when work is seen
+    int rounds = 0;     // failed rounds that saw a peer working, since the
+                        // last park
     obs::trace_begin(s_.ctx.trace, tid_, EK::kTerminationScan);
     for (;;) {
       // Cancellation point (with deadline check — idle scans are exactly
@@ -602,9 +639,17 @@ class WaspWorker {
         return true;
       }
       // Re-sweep only when a thread holds real-priority work; if only
-      // thieves remain, stay idle and let the epoch settle.
+      // thieves remain, stay idle and let the epoch settle. Park once the
+      // spin budget is spent while a peer still works: sweeping on would
+      // only load the memory system that peer needs. Our own slot is never
+      // below kStealingPriority here, so a one-thread team never parks.
       sweep = someone_working;
-      std::this_thread::yield();
+      if (someone_working && ++rounds >= kParkAfterRounds) {
+        rounds = 0;
+        park();
+      } else {
+        std::this_thread::yield();
+      }
       record_idle(idle_timer.nanoseconds());
     }
   }
@@ -626,6 +671,89 @@ class WaspWorker {
       c->next = nullptr;
       deque_->push_bottom(c);
       c = next_chunk;
+    }
+    wake_for_surplus();
+  }
+
+  // --- parking idle workers ----------------------------------------------
+  //
+  // A store-buffering pair of seq_cst fences: the parker announces, fences
+  // and re-scans; a waker publishes (a deque push, or its final
+  // kInfPriority on the way out), fences and reads the park words. At
+  // least one side sees the other, so a parker is either woken or stays
+  // awake. docs/CONCURRENCY.md has the termination argument.
+
+  /// Blocks this idle worker until a peer wakes it. Called from terminate()
+  /// with curr already kInfPriority, so every scan counts the worker idle
+  /// while it sleeps. Returns with the park word reset to kAwake.
+  void park() {
+    auto& word = s_.park[static_cast<std::size_t>(tid_)].value;
+    // Relaxed: only the owner writes kParked, and the fence below orders
+    // the announce before the re-scan.
+    word.store(kParked, std::memory_order_relaxed);
+    // seq_cst: pairs with the waker's fence in wake_parked(). Either the
+    // waker's read of this word sees the announce, or this re-scan sees
+    // everything the waker published before its fence.
+    verify::thread_fence(std::memory_order_seq_cst);
+    if (!must_stay_awake()) {
+      my_.inc(CId::kWorkerParks);
+      // Chaos: a spurious wake-up returns before any peer woke us; the
+      // worker resumes its termination rounds as after a real wake.
+      if (!WASP_CHAOS_FAIL(chaos::Point::kSpuriousWakeup)) {
+        // Relaxed: a woken worker re-synchronizes through its next sweep
+        // and scan; the wait only has to notice the word change.
+        word.wait(kParked, std::memory_order_relaxed);
+      }
+    }
+    // Relaxed: owner-only reset (a waker's claim CAS writes the same value).
+    word.store(kAwake, std::memory_order_relaxed);
+  }
+
+  /// The parker's re-scan, behind its fence. Stays awake when any peer's
+  /// deque holds work (a steal can take it) or when every peer is idle: they
+  /// may all be parked, so nobody would be left to wake this worker, and the
+  /// verdict is its own to reach.
+  [[nodiscard]] bool must_stay_awake() const {
+    const int p = s_.tiers.num_threads();
+    bool all_idle = true;
+    for (int t = 0; t < p; ++t) {
+      if (t == tid_) continue;
+      if (!s_.deques[static_cast<std::size_t>(t)]->empty_estimate())
+        return true;
+      if (s_.curr.scan(t) != kInfPriority) all_idle = false;
+    }
+    return all_idle;
+  }
+
+  /// Wake-on-push: once this owner's deque holds a stealable surplus, give
+  /// one parked peer the chance to take it. A one-thread team has no peer.
+  void wake_for_surplus() {
+    if (s_.tiers.num_threads() > 1 && deque_->size_estimate() >= kWakeSurplus)
+      wake_parked(1);
+  }
+
+  /// Claims and notifies up to `n` parked peers, nearest tid first.
+  void wake_parked(int n) {
+    const int p = s_.tiers.num_threads();
+    if (p <= 1) return;
+    // seq_cst: pairs with the parker's fence in park(). Everything this
+    // worker published before it (deque pushes, its last curr level) is
+    // visible to a parker whose fence comes later in S; otherwise these
+    // reads see that parker's announce.
+    verify::thread_fence(std::memory_order_seq_cst);
+    for (int i = 1; i < p && n > 0; ++i) {
+      auto& word = s_.park[static_cast<std::size_t>((tid_ + i) % p)].value;
+      std::uint32_t expected = kParked;
+      // Relaxed: the fence above orders the read, and the claim CAS only
+      // decides which waker notifies (an RMW reads the latest value).
+      if (word.load(std::memory_order_relaxed) == kParked &&
+          word.compare_exchange_strong(expected, kAwake,
+                                       std::memory_order_relaxed,
+                                       std::memory_order_relaxed)) {
+        my_.inc(CId::kWorkerWakes);
+        word.notify_one();
+        --n;
+      }
     }
   }
 

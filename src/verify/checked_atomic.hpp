@@ -53,6 +53,7 @@
 #include <algorithm>
 #include <cstring>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "verify/context.hpp"
@@ -197,7 +198,41 @@ class atomic {
         .first;
   }
 
+  /// std::atomic::wait for the model. An unbound thread blocks in the real
+  /// wait. A bound thread must never block while it holds the cooperative
+  /// scheduler's token, so it spins through instrumented loads (each one a
+  /// schedule point that can hand the token to the thread that will wake
+  /// it) until the value differs from `old`. After kWaitSpinBound unchanged
+  /// loads it reports a stuck wait (a lost wake-up in the protocol under
+  /// test) and returns, so the run still finishes and the harness fails
+  /// with a replayable seed. Callers must treat any return as possibly
+  /// spurious.
+  void wait(T old, std::memory_order order,
+            std::source_location loc = std::source_location::current()) const {
+    int tid;
+    Session* s = Session::bound(tid);
+    if (s == nullptr) {
+      impl_.wait(old, order);
+      return;
+    }
+    for (std::uint32_t spin = 0; spin < kWaitSpinBound; ++spin)
+      if (!(load(order, loc) == old)) return;
+    s->report("stuck wait at " + site_str(site_of(loc)) + " (thread " +
+              std::to_string(tid) + "): value unchanged after " +
+              std::to_string(kWaitSpinBound) +
+              " loads, no wake-up ever arrived");
+  }
+
+  /// Wake-ups go to the real atomic: a bound waiter re-reads the model on
+  /// its next spin anyway, and an unbound one is blocked in impl_.wait().
+  void notify_one() { impl_.notify_one(); }
+  void notify_all() { impl_.notify_all(); }
+
  private:
+  /// Loads a bound wait() spends before it declares itself stuck. Legal
+  /// waits in the harnesses end within a few thousand schedule points.
+  static constexpr std::uint32_t kWaitSpinBound = std::uint32_t{1} << 18;
+
   struct Store {
     T value{};
     VectorClock rel;     ///< release-sequence clock carried by this store
@@ -491,6 +526,9 @@ class atomic {
   T fetch_sub(T delta, std::memory_order order) {
     return impl_.fetch_sub(delta, order);
   }
+  void wait(T old, std::memory_order order) const { impl_.wait(old, order); }
+  void notify_one() { impl_.notify_one(); }
+  void notify_all() { impl_.notify_all(); }
 
  private:
   std::atomic<T> impl_;

@@ -26,8 +26,9 @@
 //
 // Liveness: every spin-wait in the instrumented code (Chase-Lev top/bottom,
 // Wasp's termination scan, SpinBarrier) spins *through* instrumented loads,
-// so a parked thread's waiters always reach schedule points and the token
-// can always make progress; real mutexes in scope (the chunk arena) contain
+// and so does a bound verify::atomic::wait (Wasp's parked workers), so a
+// parked thread's waiters always reach schedule points and the token can
+// always make progress; real mutexes in scope (the chunk arena) contain
 // no instrumented operations, so the token never blocks on a held lock.
 // Switch decisions are probabilistic, not fair, but every runnable thread
 // is picked with positive probability, so schedules terminate almost

@@ -547,6 +547,46 @@ TEST(IncrementalWarm, JournalTrimForcesFullSolve) {
   EXPECT_EQ(dijkstra(vg.graph(), source).dist, dist);
 }
 
+/// Jams `src`'s arc to `dst` and checks the repair from `src`: exact, and
+/// seeded from `src` alone with a cone of `cone` vertices.
+void expect_jam_seeds_only_source(Graph graph, VertexId src, VertexId dst,
+                                  std::uint64_t cone) {
+  VersionedGraph vg(std::move(graph));
+  IncrementalSolver inc(test_options());
+  (void)inc.solve(vg, src);
+  GraphDelta jam;
+  jam.set_weight(src, dst, 50);
+  (void)vg.apply(jam);
+  const std::vector<Distance>& dist = inc.solve(vg, src);
+  EXPECT_FALSE(inc.last_repair().full_solve);
+  EXPECT_EQ(inc.last_repair().cone_vertices, cone);
+  EXPECT_EQ(inc.last_repair().seed_vertices, 1u);
+  EXPECT_EQ(dijkstra(vg.graph(), src).dist, dist);
+}
+
+TEST(IncrementalWarm, JamOnTheSourceOutArcSeedsOnlyTheSource) {
+  // Undirected path 0-1-...-n-1 from source 0. Jamming arc 0-1 puts every
+  // other vertex in the cone, so the one intact vertex next to the cone is
+  // the source: the walk, which never admits the source, must seed it.
+  constexpr VertexId kN = 200;
+  std::vector<Edge> path;
+  for (VertexId u = 0; u + 1 < kN; ++u) path.push_back(Edge{u, u + 1, 3});
+  expect_jam_seeds_only_source(
+      GraphBuilder().edges(kN, std::move(path)).undirected(true).build(), 0,
+      1, kN - 1);
+
+  // Diamond 0-1, 1-2, 2-3 (weight 1) and 1-3 (weight 5). The walk from 1
+  // sees 3 first over the heavy arc, where it is not admissible, so 3
+  // becomes a candidate seed; the walk from 2 then admits it. The dropped
+  // candidate must leave the source as the only seed.
+  expect_jam_seeds_only_source(
+      GraphBuilder()
+          .edges(4, {{0, 1, 1}, {1, 2, 1}, {1, 3, 5}, {2, 3, 1}})
+          .undirected(true)
+          .build(),
+      0, 1, 3);
+}
+
 TEST(IncrementalWarm, ForeignSolverUseColdsTheWarmState) {
   VersionedGraph vg(make_shape("er"));
   IncrementalSolver inc(test_options());

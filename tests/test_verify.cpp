@@ -33,6 +33,7 @@
 #include "concurrent/spinlock.hpp"
 #include "concurrent/stealing_multiqueue.hpp"
 #include "graph/algorithms.hpp"
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "sssp/curr_board.hpp"
 #include "sssp/dijkstra.hpp"
@@ -1645,6 +1646,66 @@ TEST(SchedulerHarness, DeltaSteppingEndToEndSchedulesMatchDijkstra) {
   for (std::uint64_t seed = seeds.first; seed < seeds.last; ++seed) {
     e2e_one_seed(Algorithm::kDeltaStepping, seed);
     if (::testing::Test::HasFailure()) return;
+  }
+}
+
+// --- Wasp park protocol under the scheduler --------------------------------
+//
+// One busy worker walks a path while its peers spend their spin rounds and
+// park (sssp/wasp.cpp, park()). Under the model a parked worker's wait
+// spins through instrumented loads; when no wake-up ever reaches it, the
+// wait reports a stuck wait and the session fails with a replayable seed.
+// A lost wake-up needs a park decision that races the walker's exit, so
+// the path lengths straddle the point where an idle worker's spin budget
+// runs out just as the walker finishes (that point grows with the thread
+// count). This sweep is the kill suite for the park-site mutants in
+// docs/CONCURRENCY.md: the parker's re-scan, the exit wake, and both park
+// fences.
+
+#if defined(WASP_VERIFY_ENABLED) && WASP_VERIFY_ENABLED
+constexpr std::uint64_t kParkSeeds = 480;
+#else
+constexpr std::uint64_t kParkSeeds = 12;
+#endif
+
+TEST(WaspParkProtocol, NarrowSchedulesNeverStrandAParkedWorker) {
+  const auto path = [](VertexId n) {
+    std::vector<Edge> edges;
+    for (VertexId u = 0; u + 1 < n; ++u)
+      edges.push_back(Edge{u, u + 1, 1 + u % 5});
+    return GraphBuilder().edges(n, std::move(edges)).undirected(true).build();
+  };
+
+  std::uint64_t parks = 0;
+  const SeedRange seeds = harness_seeds(kParkSeeds);
+  for (std::uint64_t seed = seeds.first; seed < seeds.last; ++seed) {
+    const int threads = 2 + static_cast<int>(seed % 3);
+    const VertexId base = threads == 2 ? 50 : threads == 3 ? 64 : 84;
+    const Graph g = path(base + static_cast<VertexId>((seed / 3) % 16));
+    const SsspResult reference = dijkstra(g, 0);
+
+    SsspOptions options;
+    options.algo = Algorithm::kWasp;
+    options.threads = threads;
+    options.delta = Weight{1} << 20;  // one bucket: the walk never migrates
+    options.seed = seed + 1;
+    Session session(session_options(threads, seed));
+    {
+      Scheduler scheduler(scheduler_options(threads, seed));
+      const SsspResult result = run_sssp(g, 0, options);
+      parks += result.metrics.counter(obs::CounterId::kWorkerParks);
+      EXPECT_TRUE(session.ok()) << replay_hint(seed) << ":\n"
+                                << session.report_text();
+      std::string message;
+      EXPECT_TRUE(distances_equal(reference.dist, result.dist, &message))
+          << replay_hint(seed) << " (threads=" << threads
+          << ", n=" << g.num_vertices() << "): " << message;
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  if (kModelOn && seeds.last - seeds.first == kParkSeeds) {
+    EXPECT_GT(parks, 0u)
+        << "no schedule parked a worker: the sweep cannot see the protocol";
   }
 }
 

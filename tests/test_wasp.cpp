@@ -1,18 +1,29 @@
 // Wasp-specific tests: each §4.4 optimization individually (the Figure 7
 // ablation space), each §4.2 steal policy, synthetic NUMA topologies,
-// stress runs under heavy oversubscription, and instrumentation.
+// stress runs under heavy oversubscription, instrumentation, and idle
+// parking (narrow runs where helpers have nothing to steal).
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <tuple>
+#include <vector>
 
 #include "graph/algorithms.hpp"
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "sssp/dijkstra.hpp"
+#include "sssp/solver.hpp"
 #include "sssp/sssp.hpp"
 #include "sssp/validate.hpp"
 #include "sssp/wasp.hpp"
+#include "support/cancel.hpp"
+#include "support/errors.hpp"
+#include "support/timer.hpp"
 
 namespace wasp {
 namespace {
@@ -317,6 +328,219 @@ TEST(WaspStats, OccupancyCountersPopulated) {
   EXPECT_GT(r.stats.steal_ns + r.stats.idle_ns, 0u);
   std::string message;
   EXPECT_TRUE(distances_equal(f.reference, r.dist, &message)) << message;
+}
+
+// --- idle parking: helpers with nothing to steal block, not spin ---------
+
+using obs::CounterId;
+
+/// Undirected path 0-1-...-(n-1). A solve from vertex 0 is one chain of
+/// work: every vertex hands exactly one successor on, so helpers find
+/// nothing to steal for the whole run.
+Graph long_path(VertexId n) {
+  std::vector<Edge> edges;
+  edges.reserve(n - 1);
+  for (VertexId u = 0; u + 1 < n; ++u)
+    edges.push_back(Edge{u, u + 1, 1 + u % 17});
+  return GraphBuilder().edges(n, std::move(edges)).undirected(true).build();
+}
+
+const Fixture& path_fixture() {
+  static const Fixture f = [] {
+    Fixture fx;
+    fx.graph = long_path(400'000);
+    fx.source = 0;
+    fx.reference = dijkstra(fx.graph, 0).dist;
+    return fx;
+  }();
+  return f;
+}
+
+/// Four threads and a delta wider than the path's longest distance: every
+/// vertex lands in level 0 of worker 0's current bucket, so the chain never
+/// passes through a deque and the three helpers stay idle throughout.
+SsspOptions narrow_options() {
+  SsspOptions options;
+  options.algo = Algorithm::kWasp;
+  options.threads = 4;
+  options.delta = Weight{1} << 28;
+  return options;
+}
+
+/// Holds worker 0 at its first progress report, its curr at a real level,
+/// until every helper has spent its spin budget and gone quiet (parked) and
+/// `release_at` has passed, or until the token is cancelled or `cap` runs
+/// out. A helper's rounds show up as on_steal probes, one per peer per
+/// sweep; a parked helper probes nothing. Waiting on that signal instead of
+/// a fixed sleep keeps the tests exact on an oversubscribed machine, where
+/// every spin round yields a whole scheduler slice.
+class HoldUntilHelpersPark final : public obs::RunObserver {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  HoldUntilHelpersPark(int threads, Clock::time_point release_at,
+                       const CancelToken* token = nullptr)
+      : threads_(threads),
+        probes_(new std::atomic<std::uint64_t>[static_cast<std::size_t>(
+            threads)]()),
+        release_at_(release_at),
+        token_(token) {}
+
+  void on_steal(int thief, int, bool) override {
+    probes_[static_cast<std::size_t>(thief)].fetch_add(
+        1, std::memory_order_relaxed);
+  }
+
+  void on_progress(int tid, std::uint64_t) override {
+    if (tid != 0 || held_) return;
+    held_ = true;
+    // Each round that sees worker 0 working sweeps every peer once; a
+    // helper parks after 64 such rounds.
+    const auto spent = static_cast<std::uint64_t>(64 * (threads_ - 1));
+    const auto cap = Clock::now() + std::chrono::seconds(10);
+    std::uint64_t last_total = 0;
+    auto last_change = Clock::now();
+    while (Clock::now() < cap &&
+           (token_ == nullptr || !token_->cancel_requested())) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      std::uint64_t total = 0;
+      bool all_spent = true;
+      for (int t = 1; t < threads_; ++t) {
+        const std::uint64_t c =
+            probes_[static_cast<std::size_t>(t)].load(std::memory_order_relaxed);
+        total += c;
+        all_spent = all_spent && c >= spent;
+      }
+      const auto now = Clock::now();
+      if (total != last_total) {
+        last_total = total;
+        last_change = now;
+      }
+      quiet_ = all_spent && now - last_change >= std::chrono::milliseconds(50);
+      if (quiet_ && now >= release_at_) return;
+    }
+  }
+
+  /// True when every helper had spent its budget and stopped probing.
+  [[nodiscard]] bool helpers_went_quiet() const { return quiet_; }
+
+ private:
+  const int threads_;
+  std::unique_ptr<std::atomic<std::uint64_t>[]> probes_;
+  const Clock::time_point release_at_;
+  const CancelToken* token_;
+  bool held_ = false;   // worker 0 only
+  bool quiet_ = false;  // written by worker 0, read after the solve
+};
+
+TEST(WaspPark, NarrowRunIsExactAndParksIdleHelpers) {
+  const Fixture& f = path_fixture();
+  Solver solver(narrow_options());
+  HoldUntilHelpersPark hold(solver.team().size(),
+                            HoldUntilHelpersPark::Clock::now());
+  solver.set_observer(&hold);
+  const SsspResult r = solver.solve(f.graph, f.source);
+  std::string message;
+  EXPECT_TRUE(distances_equal(f.reference, r.dist, &message)) << message;
+  EXPECT_TRUE(hold.helpers_went_quiet());
+  EXPECT_GE(r.metrics.counter(CounterId::kWorkerParks), 1u);
+}
+
+TEST(WaspPark, RoadGridRunIsExact) {
+  // A wide run: every worker has work most of the time, and the ones that
+  // run dry are woken by pushes that leave a surplus.
+  const Fixture f = make_fixture(gen::grid(200, 200, WeightScheme::gap(), 41));
+  SsspOptions options;
+  options.algo = Algorithm::kWasp;
+  options.threads = 4;
+  options.delta = 8;
+  Solver solver(options);
+  for (int run = 0; run < 3; ++run) {
+    const SsspResult r = solver.solve(f.graph, f.source);
+    std::string message;
+    ASSERT_TRUE(distances_equal(f.reference, r.dist, &message)) << message;
+  }
+}
+
+TEST(WaspPark, DeadlineCancelWithParkedHelpersResolvesAsDeadline) {
+  const Fixture& f = path_fixture();
+  Solver solver(narrow_options());
+  // Worker 0 is held until its helpers have parked and the deadline has
+  // passed; its next deadline poll then cancels the run. A helper still
+  // spinning at the deadline would cancel it from its own poll instead.
+  CancelToken token;
+  const auto deadline =
+      HoldUntilHelpersPark::Clock::now() + std::chrono::milliseconds(500);
+  token.set_deadline(deadline);
+  HoldUntilHelpersPark hold(solver.team().size(),
+                            deadline + std::chrono::milliseconds(5), &token);
+  solver.options().cancel = &token;
+  solver.set_observer(&hold);
+  try {
+    (void)solver.solve(f.graph, f.source);
+    FAIL() << "expected SolveCancelledError";
+  } catch (const SolveCancelledError& e) {
+    EXPECT_EQ(e.reason(), CancelReason::kDeadline);
+  }
+  const std::uint64_t parks =
+      solver.metrics().snapshot().counter(CounterId::kWorkerParks);
+
+  // The cancelling worker woke the parked helpers on its way out; they
+  // left through their own cancel polls, so the team is free again.
+  solver.options().cancel = nullptr;
+  solver.set_observer(nullptr);
+  const SsspResult r = solver.solve(f.graph, f.source);
+  std::string message;
+  EXPECT_TRUE(distances_equal(f.reference, r.dist, &message)) << message;
+
+  if (!hold.helpers_went_quiet())
+    GTEST_SKIP() << "helpers were still spinning at the deadline "
+                    "(oversubscribed machine)";
+  EXPECT_GE(parks, 1u);
+}
+
+double thread_cpu_seconds() {
+  rusage ru{};
+  getrusage(RUSAGE_THREAD, &ru);
+  return static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+         static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) * 1e-6;
+}
+
+TEST(WaspPark, ParkedHelpersBurnLittleCpuOnANarrowRun) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__) || \
+    (defined(WASP_VERIFY_ENABLED) && WASP_VERIFY_ENABLED)
+  GTEST_SKIP() << "CPU-time bound is meaningless under instrumentation";
+#endif
+  const Fixture& f = path_fixture();
+  Solver solver(narrow_options());
+  const int p = solver.team().size();
+  // Team participants keep their threads across jobs, so a sampling job
+  // before and after reads each participant's own CPU clock.
+  std::vector<double> before(static_cast<std::size_t>(p));
+  std::vector<double> after(static_cast<std::size_t>(p));
+  solver.team().run([&](int tid) {
+    before[static_cast<std::size_t>(tid)] = thread_cpu_seconds();
+  });
+  // At least 50 ms of narrow solves (each one is a few ms to tens of ms).
+  Timer wall;
+  do {
+    const SsspResult r = solver.solve(f.graph, f.source);
+    std::string message;
+    ASSERT_TRUE(distances_equal(f.reference, r.dist, &message)) << message;
+  } while (wall.seconds() < 0.05);
+  const double wall_s = wall.seconds();
+  solver.team().run([&](int tid) {
+    after[static_cast<std::size_t>(tid)] = thread_cpu_seconds();
+  });
+  // Participant 0 (this thread) walks the path; helpers 1..p-1 spin a few
+  // dozen rounds per solve and then sleep until the walker's exit wake.
+  for (int t = 1; t < p; ++t) {
+    const double cpu = after[static_cast<std::size_t>(t)] -
+                       before[static_cast<std::size_t>(t)];
+    EXPECT_LT(cpu, wall_s / 4)
+        << "helper " << t << " burned " << cpu * 1e3 << " ms of CPU over a "
+        << wall_s * 1e3 << " ms narrow run";
+  }
 }
 
 TEST(WaspValidate, PassesFixedPointValidation) {
