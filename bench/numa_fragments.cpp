@@ -1,4 +1,4 @@
-// NUMA-partitioned execution vs flat Wasp (ROADMAP item 4, docs/NUMA.md):
+// NUMA-partitioned execution vs flat Wasp (docs/NUMA.md):
 // the same graphs solved by the flat work-stealing engine and by the
 // partitioned engine under a ladder of synthetic topologies (single node,
 // two nodes, two sockets x two nodes). Reports wall time plus the remote

@@ -1,5 +1,5 @@
 // Road-network navigation under live traffic: the dynamic workload class
-// from ROADMAP item 2 (road weights change between queries; link churn
+// of docs/DYNAMIC.md (road weights change between queries; link churn
 // closes and reopens segments).
 //
 // Generates a grid road network wrapped in a VersionedGraph, computes

@@ -1,6 +1,6 @@
 // Batched remote relaxation queues for the partitioned Wasp engine.
 //
-// In partitioned execution (graph/partition.hpp, sssp/wasp_partitioned.cpp,
+// In partitioned execution (graph/partition.hpp, sssp/wasp.cpp,
 // docs/NUMA.md) a worker never CASes another fragment's distance shard.
 // When a relaxation's target vertex lives in a different fragment, the
 // {vertex, dist} record is buffered in a per-destination batch and, once the
@@ -16,8 +16,8 @@
 // exchanges the whole list out at once, so concurrent grabbers get disjoint
 // lists and no consumer lock is needed. There is no mutex-guarded shared
 // state in this file — every shared word is a commented verify::atomic (the
-// GUARDED_BY discipline of ROADMAP item 6 has nothing to bite on here by
-// construction).
+// GUARDED_BY discipline of docs/CONCURRENCY.md's Clang Thread Safety
+// Analysis has nothing to bite on here by construction).
 //
 // Termination accounting: the network carries a global `in_flight` record
 // counter (seq_cst). A batch's records are added BEFORE the batch is
@@ -25,7 +25,7 @@
 // zero read — the true count, not a stale one, because every operation on
 // the counter is seq_cst — means no published record anywhere awaits
 // application. That reading gates the votes of the partitioned engine's
-// quiescence barrier (see terminate() in wasp_partitioned.cpp for the full
+// quiescence barrier (see terminate() in sssp/wasp.cpp for the full
 // argument).
 //
 // Chaos: kRemoteFlushDelay fires before a publish, kRemoteDrainDelay before
@@ -144,7 +144,7 @@ class RemoteRelayNetwork {
     // exist. seq_cst: the termination verdict needs the TRUE count — an
     // acquire load could legally return a stale zero from before this add,
     // letting a worker vote quiescent while records sit on a channel (see
-    // terminate() in wasp_partitioned.cpp). The RMW also continues the
+    // terminate() in sssp/wasp.cpp). The RMW also continues the
     // counter's release sequence, so readers inherit the records'
     // visibility.
     in_flight_.fetch_add(batch->size(), std::memory_order_seq_cst);
@@ -195,7 +195,7 @@ class RemoteRelayNetwork {
 
   /// Published-but-not-yet-applied record count. seq_cst: with the seq_cst
   /// add/sub this load returns the CURRENT count — the quiescence barrier
-  /// in wasp_partitioned.cpp votes only on a true zero, and a stale zero
+  /// in sssp/wasp.cpp votes only on a true zero, and a stale zero
   /// (legal for an acquire load) would unsoundly pass the verdict.
   [[nodiscard]] std::uint64_t in_flight() const {
     return in_flight_.load(std::memory_order_seq_cst);
@@ -243,19 +243,15 @@ class RemoteSender {
     return true;
   }
 
-  /// Publishes every non-empty open batch (bucket-boundary / pre-idle
-  /// flush). Returns the number of batches published.
-  int flush_all() {
-    int published = 0;
-    const int f_count = net_.num_fragments();
-    for (int dst = 0; dst < f_count; ++dst) {
-      RemoteBatch*& open = open_[static_cast<std::size_t>(dst)];
-      if (open == nullptr || open->size() == 0) continue;
-      net_.publish(dst, open);
-      open = nullptr;
-      ++published;
-    }
-    return published;
+  /// Publishes the open batch for fragment `dst`, if it holds any records
+  /// (bucket-boundary / pre-idle flush). Returns true when a batch was
+  /// published.
+  bool flush(int dst) {
+    RemoteBatch*& open = open_[static_cast<std::size_t>(dst)];
+    if (open == nullptr || open->size() == 0) return false;
+    net_.publish(dst, open);
+    open = nullptr;
+    return true;
   }
 
  private:

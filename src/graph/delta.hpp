@@ -1,4 +1,4 @@
-// Versioned mutable graphs: the batched delta-update API (ROADMAP item 2).
+// Versioned mutable graphs: the batched delta-update API (docs/DYNAMIC.md).
 //
 // A VersionedGraph wraps the immutable CSR `Graph` with the three things a
 // dynamic workload needs:

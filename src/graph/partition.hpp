@@ -1,7 +1,7 @@
 // NUMA-aware graph partitioning: contiguous vertex-range fragments of the
 // global CSR, one (or more) per NUMA node.
 //
-// The partitioned Wasp engine (sssp/wasp_partitioned.cpp, docs/NUMA.md) keeps
+// The partitioned Wasp engine (sssp/wasp.cpp, docs/NUMA.md) keeps
 // the asynchronous deque protocol *inside* a fragment and exchanges boundary
 // relaxations through batched remote queues (concurrent/remote_queue.hpp)
 // instead of CAS traffic on remote cache lines. This module owns the static

@@ -73,9 +73,10 @@ enum class CounterId : std::uint8_t {
   kLocalSteals,        ///< successful steals from a same-NUMA-node victim
   kRemoteSteals,       ///< successful steals from a cross-node victim
   kPartitionBuilds,    ///< fragment sets built (0 when a Solver reused its own)
-  // --- idle parking in the flat Wasp worker (sssp/wasp.cpp terminate()) ---
+  // --- idle parking in the Wasp worker (sssp/wasp.cpp terminate()) ---
   kWorkerParks,        ///< idle workers that blocked after their re-scan
-  kWorkerWakes,        ///< parked peers claimed and notified (push or exit)
+  kWorkerWakes,        ///< parked peers claimed and notified (push, exit,
+                       ///< remote publish or quiescence vote)
 };
 inline constexpr std::size_t kNumCounters = 41;
 

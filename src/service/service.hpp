@@ -1,5 +1,6 @@
 // wasp::service::QueryService — the resilient concurrent-query layer over a
-// Solver fleet (ROADMAP item 1's "millions of users" front door).
+// Solver fleet: the front door for many concurrent users (docs/ROBUSTNESS.md
+// has its admission, deadline and cancellation contract).
 //
 // A QueryService owns a fixed pool of Solvers (one worker thread + team
 // each) behind a bounded admission queue, and gives every query a

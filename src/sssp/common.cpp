@@ -1,5 +1,6 @@
 #include "sssp/common.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "support/errors.hpp"
@@ -94,6 +95,16 @@ void SsspOptions::validate() const {
     // a huge value is a typo, not a tuning choice.
     fail("prefetch_lookahead must be <= 256 (0 disables)");
   }
+}
+
+int WaspConfig::fragments(int team_size) const {
+  if (!partition.enabled) return 1;
+  int want = partition.num_fragments;
+  if (want == 0) {
+    want = topology ? topology->num_nodes()
+                    : NumaTopology::detect().num_nodes();
+  }
+  return std::clamp(want, 1, team_size);
 }
 
 SsspStats stats_from_snapshot(const obs::MetricsSnapshot& snap) {

@@ -281,10 +281,10 @@ struct WaspConfig {
   /// only; null = no injection). Effective only in WASP_CHAOS builds.
   chaos::Engine* chaos = nullptr;
 
-  /// Partitioned execution mode (ROADMAP item 4, docs/NUMA.md): split the
-  /// CSR into per-NUMA-node fragments, run the deque protocol inside each
-  /// fragment, and route boundary relaxations through batched remote queues
-  /// instead of CAS traffic on remote cache lines.
+  /// Partitioned execution mode (docs/NUMA.md): split the CSR into
+  /// per-NUMA-node fragments, run the deque protocol inside each fragment,
+  /// and route boundary relaxations through batched remote queues instead
+  /// of CAS traffic on remote cache lines.
   struct Partition {
     bool enabled = false;
     /// Fragment count; 0 = one per NUMA node of `topology` (clamped to the
@@ -296,6 +296,13 @@ struct WaspConfig {
     std::uint32_t flush_threshold = 64;
   };
   Partition partition;
+
+  /// Fragments a cold Wasp run on `team_size` workers splits the graph
+  /// into: 1 unless partition.enabled, else partition.num_fragments (0 = one
+  /// per NUMA node of `topology`, detected when empty) clamped to
+  /// [1, team_size] so every fragment has a worker. A run that resolves to
+  /// one fragment is a flat run on the pooled distance array.
+  [[nodiscard]] int fragments(int team_size) const;
 };
 
 /// Dong et al. stepping knobs (Δ*-, ρ-, radius-stepping).
@@ -371,13 +378,13 @@ struct SsspOptions {
   /// always performs the O(1) source/threads/shape checks.
   bool paranoid_checks = false;
 
-  /// True when a solve with these options runs on the pooled flat distance
-  /// array (RunContext::dist). The sequential Dijkstra reference keeps a
-  /// plain vector and partitioned Wasp keeps fragment shards; neither
-  /// touches the pool.
-  [[nodiscard]] bool uses_distance_pool() const {
+  /// True when a solve with these options on `team_size` workers runs on
+  /// the pooled flat distance array (RunContext::dist). The sequential
+  /// Dijkstra reference keeps a plain vector and a Wasp run with more than
+  /// one fragment keeps fragment shards; neither touches the pool.
+  [[nodiscard]] bool uses_distance_pool(int team_size) const {
     return algo != Algorithm::kDijkstra &&
-           !(algo == Algorithm::kWasp && wasp.partition.enabled);
+           !(algo == Algorithm::kWasp && wasp.fragments(team_size) > 1);
   }
 
   /// Rejects out-of-range knobs with InvalidOptionsError (delta == 0,
@@ -429,8 +436,8 @@ struct RunContext {
   DistancePool* pool = nullptr;
   /// This run's tentative-distance array, acquired (all-kInfDist) by
   /// dispatch_sssp; the parallel algorithms use it instead of allocating.
-  /// Partitioned Wasp keeps its distances in fragment shards and leaves it
-  /// null.
+  /// A Wasp run with more than one fragment keeps its distances in fragment
+  /// shards and leaves it null.
   AtomicDistances* dist = nullptr;
   /// Where partitioned Wasp keeps its fragments and shards between solves
   /// (null = build them per call; Solver points this at its owned cache).

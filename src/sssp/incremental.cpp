@@ -96,11 +96,12 @@ void IncrementalSolver::full_solve(const Graph& g, VertexId source) {
   last_.seconds = result.stats.seconds;
 
   // Bind the warm state only when the solve actually went through the
-  // pooled atomic array (the sequential Dijkstra reference and partitioned
-  // Wasp keep their own storage — the pool's content would be a stale lie).
+  // pooled atomic array (the sequential Dijkstra reference and a Wasp run
+  // with more than one fragment keep their own storage — the pool's content
+  // would be a stale lie).
   AtomicDistances* d = solver_.distances().current();
-  if (solver_.options().uses_distance_pool() && d != nullptr &&
-      d->size() == g.num_vertices()) {
+  if (solver_.options().uses_distance_pool(solver_.team().size()) &&
+      d != nullptr && d->size() == g.num_vertices()) {
     bound_epoch_ = d->epoch();
   } else {
     bound_graph_ = nullptr;  // unbindable: every solve stays a full solve

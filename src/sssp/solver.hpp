@@ -15,9 +15,10 @@
 //   solver.last_metrics().write_json(std::cout);
 //
 // The Solver owns the ThreadTeam, the (shared) NumaTopology, the
-// MetricsRegistry, the pooled distance array, the partitioned engine's
-// fragments (built on the first partitioned solve of a graph and kept until a
-// solve needs a different graph stamp, fragment count or topology), and an
+// MetricsRegistry, the pooled distance array, the fragments and shards of
+// Wasp runs with more than one fragment (built on the first such solve of a
+// graph and kept until a solve needs a different graph stamp, fragment count
+// or topology), and an
 // optional TraceRecorder, and carries the observer and chaos-engine pointers
 // through every solve. Options other than `threads` may be adjusted between
 // solves via options().

@@ -80,10 +80,11 @@ SsspResult dispatch_sssp(const Graph& g, VertexId source,
     // mid-run: no worker polls, so the token was only checked above.
     return dijkstra(g, source);
   }
-  // Partitioned Wasp keeps its distances in fragment shards (and counts
-  // their sweeps itself), so it is not charged a pooled-array acquire either.
+  // A Wasp run with more than one fragment keeps its distances in fragment
+  // shards (and counts their sweeps itself), so it is not charged a
+  // pooled-array acquire either.
   DistancePool local_pool;
-  if (options.uses_distance_pool()) {
+  if (options.uses_distance_pool(ctx.team.size())) {
     DistancePool& pool = ctx.pool != nullptr ? *ctx.pool : local_pool;
     const std::uint64_t sweeps_before = pool.sweeps();
     ctx.dist = &pool.acquire(g.num_vertices());
@@ -130,8 +131,6 @@ SsspResult dispatch_sssp(const Graph& g, VertexId source,
     case Algorithm::kWasp: {
       WaspConfig cfg = options.wasp;
       if (cfg.chaos == nullptr) cfg.chaos = ctx.chaos;
-      if (cfg.partition.enabled)
-        return wasp_sssp_partitioned(g, source, options.delta, cfg, ctx);
       return wasp_sssp(g, source, options.delta, cfg, ctx);
     }
     case Algorithm::kObim:

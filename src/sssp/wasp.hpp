@@ -26,6 +26,15 @@
 // `curr` values (§4.3). We close the classic steal/terminate race with an
 // intermediate kStealingPriority state: a thief is never INF while it holds
 // a freshly stolen chunk, so "all threads INF" really means no work exists.
+// An idle worker that keeps seeing a peer at work parks instead of spinning
+// (docs/CONCURRENCY.md).
+//
+// One engine serves every run (wasp.cpp). The graph is split into F
+// fragments, and each worker relaxes against a non-owning view of its own
+// fragment: vertex range, CSR rows and distances. F = 1 is the flat run over
+// the whole Graph and the pooled distance array, with no partition, relay
+// or vote. F > 1 is the partitioned mode of docs/NUMA.md. A cold solve and
+// a seeded repair differ only in their seeds.
 #pragma once
 
 #include <span>
@@ -36,10 +45,21 @@
 
 namespace wasp {
 
-/// Runs Wasp with bucket width `delta` and the given configuration. The
-/// chaos engine installed on workers is config.chaos, falling back to
-/// ctx.chaos. Knobs must satisfy SsspOptions::validate() (delta >= 1,
-/// chunk_capacity in {16,32,64,128,256}).
+/// Runs Wasp from `source` with bucket width `delta` and the given
+/// configuration. The chaos engine installed on workers is config.chaos,
+/// falling back to ctx.chaos. Knobs must satisfy SsspOptions::validate()
+/// (delta >= 1, chunk_capacity in {16,32,64,128,256}).
+///
+/// The run uses config.fragments(team size) fragments. One fragment runs on
+/// ctx.distances(). More than one runs the partitioned mode (docs/NUMA.md):
+/// per-fragment distance shards and deques, boundary relaxations through
+/// batched remote queues (concurrent/remote_queue.hpp), bidirectional
+/// relaxation off (it would read remote shards), and a quiescence barrier
+/// on top of the termination scan. With ctx.partitions set (Solver does),
+/// the fragments and shards are built on the first solve of a graph and
+/// reused while its stamp, the fragment count, the team size and the
+/// topology stay the same. Every mode converges to the same exact-distance
+/// fixed point.
 SsspResult wasp_sssp(const Graph& g, VertexId source, Weight delta,
                      const WaspConfig& config, RunContext& ctx);
 
@@ -57,30 +77,10 @@ SsspResult wasp_sssp(const Graph& g, VertexId source, Weight delta,
 /// admissible bounds (never below the true distance). Seeds with an
 /// infinite bound are skipped (nothing can relax from them — and their
 /// bucket level would be meaningless). An empty (or all-infinite) seed set
-/// returns the current bounds unchanged. Same knob contract as wasp_sssp.
+/// returns the current bounds unchanged. The run is always one fragment
+/// over ctx.dist. Same knob contract as wasp_sssp.
 SsspResult wasp_sssp_seeded(const Graph& g, std::span<const VertexId> seeds,
                             Weight delta, const WaspConfig& config,
                             RunContext& ctx);
-
-/// Partitioned execution mode (ROADMAP item 4, docs/NUMA.md): the CSR is
-/// split into per-NUMA-node fragments (graph/partition.hpp), each with its
-/// own distance shard and fragment-local deque protocol; boundary
-/// relaxations cross fragments only through batched remote queues
-/// (concurrent/remote_queue.hpp), and the termination scan extends the
-/// double-scan protocol with an in-flight remote-record confirmation and
-/// a quiescence barrier: no worker exits until every worker's scan passes
-/// simultaneously (an exited worker could otherwise strand its fragment's
-/// inbound channel).
-/// Converges to the same exact-distance fixed point as wasp_sssp — the
-/// partition correctness suite pins bit-identical results. Reached through
-/// dispatch_sssp by setting options.wasp.partition.enabled; knobs beyond
-/// WaspConfig: config.partition (fragment count, flush threshold).
-/// Bidirectional relaxation is disabled inside fragments (it would read
-/// remote shards); all other §4.4 optimizations apply unchanged. With
-/// ctx.partitions set (Solver does), the fragments and shards are built on
-/// the first solve of a graph and reused while its stamp, the fragment
-/// count, the team size and the topology stay the same.
-SsspResult wasp_sssp_partitioned(const Graph& g, VertexId source, Weight delta,
-                                 const WaspConfig& config, RunContext& ctx);
 
 }  // namespace wasp

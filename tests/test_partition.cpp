@@ -1,4 +1,4 @@
-// Partitioned-execution correctness suite (ROADMAP item 4, docs/NUMA.md):
+// Partitioned-execution correctness suite (docs/NUMA.md):
 // fragment assembly round-trips the CSR bit-for-bit, boundary classification
 // matches brute force, and the partitioned engine's distances are identical
 // to flat Wasp across synthetic topologies and seeded chaos schedules.

@@ -219,6 +219,43 @@ TEST(PartitionReuse, RepeatAndCrossSourceQueriesAreBitIdentical) {
   EXPECT_EQ(solver.distances().current(), nullptr);
 }
 
+TEST(PartitionReuse, OneFragmentRunIsTheFlatRun) {
+  // A partitioned run that resolves to one fragment (one fragment asked
+  // for, or one thread) builds nothing and runs on the pooled flat array;
+  // at one thread it does exactly the flat run's work.
+  const Graph g = make_test_graph();
+  const VertexId s = pick_source_in_largest_component(g, 11);
+  const std::vector<Distance> reference = dijkstra(g, s).dist;
+  for (const int threads : {4, 1}) {
+    SsspOptions options = partitioned_options(threads == 4 ? 1 : 0);
+    options.threads = threads;
+    Solver solver(options);
+    const SsspResult r = solver.solve(g, s);
+    EXPECT_EQ(r.dist, reference);
+    EXPECT_EQ(builds(r), 0u);
+    EXPECT_EQ(sweeps(r), 1u);  // the pooled array's first fill
+    ASSERT_NE(solver.distances().current(), nullptr);
+    EXPECT_EQ(solver.distances().current()->size(), g.num_vertices());
+    EXPECT_EQ(sweeps(solver.solve(g, s)), 0u);  // then an epoch bump
+
+    if (threads == 1) {
+      options.wasp.partition.enabled = false;
+      const SsspResult flat = Solver(options).solve(g, s);
+      EXPECT_EQ(r.metrics.counter(obs::CounterId::kRelaxations),
+                flat.metrics.counter(obs::CounterId::kRelaxations));
+    }
+  }
+
+  // It also binds an IncrementalSolver, so an update repairs in place.
+  VersionedGraph vg(gen::grid(30, 30, WeightScheme::uniform(1, 100), 5));
+  IncrementalSolver inc(partitioned_options(1));
+  EXPECT_EQ(inc.solve(vg, 0), dijkstra(vg.graph(), 0).dist);
+  const WEdge first = vg.flat().out_neighbors(0)[0];
+  (void)vg.apply(GraphDelta().set_weight(0, first.dst, first.w + 50));
+  EXPECT_EQ(inc.solve(vg, 0), dijkstra(vg.graph(), 0).dist);
+  EXPECT_FALSE(inc.last_repair().full_solve);
+}
+
 TEST(PartitionReuse, EachVersionedBatchForcesExactlyOneRebuild) {
   VersionedGraph vg(gen::grid(40, 40, WeightScheme::uniform(1, 100), 5));
   const VertexId s = 0;

@@ -1658,9 +1658,13 @@ TEST(SchedulerHarness, DeltaSteppingEndToEndSchedulesMatchDijkstra) {
 // A lost wake-up needs a park decision that races the walker's exit, so
 // the path lengths straddle the point where an idle worker's spin budget
 // runs out just as the walker finishes (that point grows with the thread
-// count). This sweep is the kill suite for the park-site mutants in
-// docs/CONCURRENCY.md: the parker's re-scan, the exit wake, and both park
-// fences.
+// count). Every seed runs twice: as one fragment, and cut into two
+// fragments mid-path. The second walk crosses a remote queue, and the
+// walker of the first half hands over through a published batch and later
+// votes, so parked workers must be woken by a publish and by a vote, not
+// only by an exit. This sweep is the kill suite for the park-site mutants in
+// docs/CONCURRENCY.md: the parker's re-scan, the exit, publish and vote
+// wakes, and both park fences.
 
 #if defined(WASP_VERIFY_ENABLED) && WASP_VERIFY_ENABLED
 constexpr std::uint64_t kParkSeeds = 480;
@@ -1676,36 +1680,53 @@ TEST(WaspParkProtocol, NarrowSchedulesNeverStrandAParkedWorker) {
     return GraphBuilder().edges(n, std::move(edges)).undirected(true).build();
   };
 
-  std::uint64_t parks = 0;
+  const auto two_nodes =
+      std::make_shared<const NumaTopology>(NumaTopology::synthetic(1, 2, 2));
+  std::uint64_t parks[2] = {0, 0};  // by fragment count - 1
   const SeedRange seeds = harness_seeds(kParkSeeds);
   for (std::uint64_t seed = seeds.first; seed < seeds.last; ++seed) {
-    const int threads = 2 + static_cast<int>(seed % 3);
-    const VertexId base = threads == 2 ? 50 : threads == 3 ? 64 : 84;
-    const Graph g = path(base + static_cast<VertexId>((seed / 3) % 16));
-    const SsspResult reference = dijkstra(g, 0);
+    for (const int fragments : {1, 2}) {
+      const int threads = 2 + static_cast<int>(seed % 3);
+      // Two fragments: each half of the path straddles the spin budget.
+      const VertexId base = threads == 2 ? 50 : threads == 3 ? 64 : 84;
+      const Graph g = path(static_cast<VertexId>(fragments) *
+                           (base + static_cast<VertexId>((seed / 3) % 16)));
+      const SsspResult reference = dijkstra(g, 0);
 
-    SsspOptions options;
-    options.algo = Algorithm::kWasp;
-    options.threads = threads;
-    options.delta = Weight{1} << 20;  // one bucket: the walk never migrates
-    options.seed = seed + 1;
-    Session session(session_options(threads, seed));
-    {
-      Scheduler scheduler(scheduler_options(threads, seed));
-      const SsspResult result = run_sssp(g, 0, options);
-      parks += result.metrics.counter(obs::CounterId::kWorkerParks);
-      EXPECT_TRUE(session.ok()) << replay_hint(seed) << ":\n"
-                                << session.report_text();
-      std::string message;
-      EXPECT_TRUE(distances_equal(reference.dist, result.dist, &message))
-          << replay_hint(seed) << " (threads=" << threads
-          << ", n=" << g.num_vertices() << "): " << message;
+      SsspOptions options;
+      options.algo = Algorithm::kWasp;
+      options.threads = threads;
+      options.delta = Weight{1} << 20;  // one bucket: the walk never migrates
+      options.seed = seed + 1;
+      if (fragments == 2) {
+        options.wasp.topology = two_nodes;
+        options.wasp.partition.enabled = true;
+        options.wasp.partition.num_fragments = 2;
+      }
+      Session session(session_options(threads, seed));
+      {
+        Scheduler scheduler(scheduler_options(threads, seed));
+        const SsspResult result = run_sssp(g, 0, options);
+        parks[fragments - 1] +=
+            result.metrics.counter(obs::CounterId::kWorkerParks);
+        EXPECT_TRUE(session.ok())
+            << replay_hint(seed) << " (fragments=" << fragments << "):\n"
+            << session.report_text();
+        std::string message;
+        EXPECT_TRUE(distances_equal(reference.dist, result.dist, &message))
+            << replay_hint(seed) << " (threads=" << threads
+            << ", fragments=" << fragments << ", n=" << g.num_vertices()
+            << "): " << message;
+      }
+      if (::testing::Test::HasFailure()) return;
     }
-    if (::testing::Test::HasFailure()) return;
   }
   if (kModelOn && seeds.last - seeds.first == kParkSeeds) {
-    EXPECT_GT(parks, 0u)
-        << "no schedule parked a worker: the sweep cannot see the protocol";
+    for (int f = 0; f < 2; ++f) {
+      EXPECT_GT(parks[f], 0u)
+          << "no " << f + 1 << "-fragment schedule parked a worker: the "
+          << "sweep cannot see the protocol";
+    }
   }
 }
 

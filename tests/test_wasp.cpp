@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -23,6 +24,7 @@
 #include "sssp/wasp.hpp"
 #include "support/cancel.hpp"
 #include "support/errors.hpp"
+#include "support/numa.hpp"
 #include "support/timer.hpp"
 
 namespace wasp {
@@ -367,6 +369,18 @@ SsspOptions narrow_options() {
   return options;
 }
 
+/// The narrow run cut into two fragments mid-path: worker 0 walks the first
+/// half and hands the walk over through a remote batch to a worker of the
+/// second fragment, so two workers walk in turn and the rest stay idle.
+SsspOptions two_fragment_narrow_options() {
+  SsspOptions options = narrow_options();
+  options.wasp.topology =
+      std::make_shared<const NumaTopology>(NumaTopology::synthetic(1, 2, 1));
+  options.wasp.partition.enabled = true;
+  options.wasp.partition.num_fragments = 2;
+  return options;
+}
+
 /// Holds worker 0 at its first progress report, its curr at a real level,
 /// until every helper has spent its spin budget and gone quiet (parked) and
 /// `release_at` has passed, or until the token is cancelled or `cap` runs
@@ -446,6 +460,24 @@ TEST(WaspPark, NarrowRunIsExactAndParksIdleHelpers) {
   EXPECT_GE(r.metrics.counter(CounterId::kWorkerParks), 1u);
 }
 
+TEST(WaspPark, TwoFragmentNarrowRunIsExactAndParks) {
+  // The idle workers of both fragments park while a walker works; a
+  // published batch wakes the second fragment and the votes wake the rest.
+  // Solves repeat until one reports a park (each is a few milliseconds).
+  const Fixture& f = path_fixture();
+  Solver solver(two_fragment_narrow_options());
+  std::uint64_t parks = 0;
+  Timer wall;
+  do {
+    const SsspResult r = solver.solve(f.graph, f.source);
+    std::string message;
+    ASSERT_TRUE(distances_equal(f.reference, r.dist, &message)) << message;
+    EXPECT_GT(r.metrics.counter(CounterId::kRemoteBatches), 0u);
+    parks += r.metrics.counter(CounterId::kWorkerParks);
+  } while (parks == 0 && wall.seconds() < 10.0);
+  EXPECT_GE(parks, 1u);
+}
+
 TEST(WaspPark, RoadGridRunIsExact) {
   // A wide run: every worker has work most of the time, and the ones that
   // run dry are woken by pushes that leave a surplus.
@@ -512,34 +544,43 @@ TEST(WaspPark, ParkedHelpersBurnLittleCpuOnANarrowRun) {
   GTEST_SKIP() << "CPU-time bound is meaningless under instrumentation";
 #endif
   const Fixture& f = path_fixture();
-  Solver solver(narrow_options());
-  const int p = solver.team().size();
-  // Team participants keep their threads across jobs, so a sampling job
-  // before and after reads each participant's own CPU clock.
-  std::vector<double> before(static_cast<std::size_t>(p));
-  std::vector<double> after(static_cast<std::size_t>(p));
-  solver.team().run([&](int tid) {
-    before[static_cast<std::size_t>(tid)] = thread_cpu_seconds();
-  });
-  // At least 50 ms of narrow solves (each one is a few ms to tens of ms).
-  Timer wall;
-  do {
-    const SsspResult r = solver.solve(f.graph, f.source);
-    std::string message;
-    ASSERT_TRUE(distances_equal(f.reference, r.dist, &message)) << message;
-  } while (wall.seconds() < 0.05);
-  const double wall_s = wall.seconds();
-  solver.team().run([&](int tid) {
-    after[static_cast<std::size_t>(tid)] = thread_cpu_seconds();
-  });
-  // Participant 0 (this thread) walks the path; helpers 1..p-1 spin a few
-  // dozen rounds per solve and then sleep until the walker's exit wake.
-  for (int t = 1; t < p; ++t) {
-    const double cpu = after[static_cast<std::size_t>(t)] -
-                       before[static_cast<std::size_t>(t)];
-    EXPECT_LT(cpu, wall_s / 4)
-        << "helper " << t << " burned " << cpu * 1e3 << " ms of CPU over a "
-        << wall_s * 1e3 << " ms narrow run";
+  for (const int fragments : {1, 2}) {
+    Solver solver(fragments == 1 ? narrow_options()
+                                 : two_fragment_narrow_options());
+    const int p = solver.team().size();
+    // Team participants keep their threads across jobs, so a sampling job
+    // before and after reads each participant's own CPU clock.
+    std::vector<double> before(static_cast<std::size_t>(p));
+    std::vector<double> after(static_cast<std::size_t>(p));
+    solver.team().run([&](int tid) {
+      before[static_cast<std::size_t>(tid)] = thread_cpu_seconds();
+    });
+    // At least 50 ms of narrow solves (each one is a few ms to tens of ms).
+    Timer wall;
+    do {
+      const SsspResult r = solver.solve(f.graph, f.source);
+      std::string message;
+      ASSERT_TRUE(distances_equal(f.reference, r.dist, &message)) << message;
+    } while (wall.seconds() < 0.05);
+    const double wall_s = wall.seconds();
+    solver.team().run([&](int tid) {
+      after[static_cast<std::size_t>(tid)] = thread_cpu_seconds();
+    });
+    // Participant 0 (this thread) walks the path, or its first half; with
+    // two fragments one helper walks the second half, so the busiest
+    // helper is exempt. The others spin a few dozen rounds per solve and
+    // then sleep until a publish, vote or exit wakes them.
+    std::vector<double> cpu;
+    for (int t = 1; t < p; ++t)
+      cpu.push_back(after[static_cast<std::size_t>(t)] -
+                    before[static_cast<std::size_t>(t)]);
+    std::sort(cpu.begin(), cpu.end());
+    if (fragments == 2) cpu.pop_back();
+    for (const double c : cpu) {
+      EXPECT_LT(c, wall_s / 4)
+          << fragments << "-fragment run: a helper burned " << c * 1e3
+          << " ms of CPU over a " << wall_s * 1e3 << " ms narrow run";
+    }
   }
 }
 

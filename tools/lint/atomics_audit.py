@@ -99,7 +99,6 @@ MUTATE_SCOPE = [
     "src/concurrent/remote_queue.hpp",
     "src/sssp/curr_board.hpp",
     "src/sssp/wasp.cpp",
-    "src/sssp/wasp_partitioned.cpp",
 ]
 
 ABBREV = {
@@ -108,7 +107,6 @@ ABBREV = {
     "spinlock.hpp": "SL",
     "remote_queue.hpp": "RQ",
     "curr_board.hpp": "CURR",
-    "wasp_partitioned.cpp": "WSPP",
     "multiqueue.hpp": "MQH",
     "multiqueue.cpp": "MQ",
     "chunk.hpp": "CHK",
@@ -136,8 +134,7 @@ NON_ATOMIC_RECEIVERS = [
     re.compile(r"dist\s*$"),       # AtomicDistances::load(VertexId)
     re.compile(r"\.dist\s*$"),
     re.compile(r"distances\s*$"),
-    re.compile(r"dist_\s*$"),      # AtomicDistances member (partitioned worker)
-    re.compile(r"shard\s*$"),      # per-fragment AtomicDistances ref
+    re.compile(r"dist_\s*$"),      # AtomicDistances member (Wasp worker)
 ]
 
 
@@ -312,7 +309,7 @@ def has_order_comment(lines, lineno):
 def is_sssp_worker(rel, text):
     """A parallel-algorithm translation unit: launches a worker team, drives
     the engine over warm state (the incremental repair loop), or drains a
-    RemoteRelayNetwork channel (the partitioned engine's inbound loop)."""
+    RemoteRelayNetwork channel (the Wasp engine's inbound loop)."""
     return rel.startswith("src/sssp/") and rel.endswith(".cpp") \
         and ("team.run(" in text or "wasp_sssp_seeded(" in text
              or "grab_all(" in text)
