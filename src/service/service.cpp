@@ -318,7 +318,9 @@ std::uint64_t QueryService::update(VersionedGraph& vg,
   // Phase 2 (gate held, mu_ released): repair the cached answers to the new
   // version instead of dropping them. vg is quiescent now — workers are
   // gated and concurrent updaters queue on the gate — so the repairer may
-  // read it freely while submits and stats proceed under mu_.
+  // read it freely while submits and stats proceed under mu_. The cache
+  // takes the repairer's answer buffer itself: the repairer never writes a
+  // published buffer again, so readers still holding it are safe.
   struct Repaired {
     VertexId source;
     std::shared_ptr<const std::vector<Distance>> dist;
@@ -333,10 +335,9 @@ std::uint64_t QueryService::update(VersionedGraph& vg,
         opt.cancel = nullptr;
         repairer_ = std::make_unique<IncrementalSolver>(std::move(opt));
       }
-      const std::vector<Distance>& d = repairer_->solve(vg, source);
+      (void)repairer_->solve(vg, source);
       repaired.push_back(
-          {source, std::make_shared<const std::vector<Distance>>(d),
-           repairer_->last_repair()});
+          {source, repairer_->answer(), repairer_->last_repair()});
     }
   } catch (...) {
     // A failed repair leaves the remaining entries at their old version
@@ -460,18 +461,16 @@ void QueryService::account_locked(const std::string& tenant, Outcome outcome) {
   }
 }
 
-void QueryService::cache_store_locked(const CacheKey& key,
-                                      const std::vector<Distance>& dist,
-                                      std::uint64_t version) {
-  if (config_.stale_cache_entries == 0) return;
+void QueryService::cache_store_locked(
+    const CacheKey& key, std::shared_ptr<const std::vector<Distance>> dist,
+    std::uint64_t version) {
   auto it = stale_.find(key);
   if (it == stale_.end() && stale_.size() >= config_.stale_cache_entries) {
     stale_.erase(stale_order_.front());
     stale_order_.pop_front();
   }
   if (it == stale_.end()) stale_order_.push_back(key);
-  stale_[key] = CachedAnswer{
-      std::make_shared<const std::vector<Distance>>(dist), version};
+  stale_[key] = CachedAnswer{std::move(dist), version};
 }
 
 QueryResult QueryService::execute(Pending& q, int wid,
@@ -511,11 +510,17 @@ QueryResult QueryService::execute(Pending& q, int wid,
       // an abnormal exit — quarantine and rebuild off this query's path.
       if (r.outcome == Outcome::kDeadlineExpired) quarantine = true;
       if (r.outcome == Outcome::kDeadlineExpired && q.req.allow_stale) {
-        MutexLock lock(mu_);
-        if (const CachedAnswer* hit = cache_find_locked(q)) {
+        std::shared_ptr<const std::vector<Distance>> stale;
+        {
+          MutexLock lock(mu_);
+          if (const CachedAnswer* hit = cache_find_locked(q)) {
+            stale = hit->dist;
+            r.graph_version = hit->version;
+          }
+        }
+        if (stale != nullptr) {  // copied outside mu_, as in submit()
           r.outcome = Outcome::kServedStale;
-          r.dist = *hit->dist;
-          r.graph_version = hit->version;
+          r.dist = *stale;
         }
       }
       break;
@@ -596,6 +601,7 @@ void QueryService::worker_main(int wid) {
 
     QueryResult r;
     bool quarantine = false;
+    std::shared_ptr<const std::vector<Distance>> to_cache;
     if (e->token->poll()) {
       // Fired while queued (deadline between watchdog ticks, or shutdown):
       // resolve without running.
@@ -606,13 +612,16 @@ void QueryService::worker_main(int wid) {
                       : Outcome::kCancelled;
     } else {
       r = execute(*e, wid, solver, rng, quarantine);
+      // The cache's copy of the answer is made here, not under mu_.
+      if (r.outcome == Outcome::kServed && config_.stale_cache_entries > 0)
+        to_cache = std::make_shared<const std::vector<Distance>>(r.dist);
     }
 
     {
       MutexLock lock(mu_);
       running_[static_cast<std::size_t>(wid)] = nullptr;
-      if (r.outcome == Outcome::kServed)
-        cache_store_locked(e->key, r.dist, e->run_version);
+      if (to_cache != nullptr)
+        cache_store_locked(e->key, std::move(to_cache), e->run_version);
       account_locked(e->req.tenant, r.outcome);
       // An update() may be waiting for the running set to drain.
       if (update_active_ && !any_running_locked()) update_cv_.notify_all();

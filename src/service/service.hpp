@@ -332,8 +332,11 @@ class QueryService {
   /// Tenant + counter accounting for a terminal outcome. mu_ held.
   void account_locked(const std::string& tenant, Outcome outcome)
       WASP_REQUIRES(mu_);
+  /// Caches `dist` (built by the caller outside mu_) as key's answer at
+  /// `version`, evicting the oldest entry past stale_cache_entries. mu_
+  /// held.
   void cache_store_locked(const CacheKey& key,
-                          const std::vector<Distance>& dist,
+                          std::shared_ptr<const std::vector<Distance>> dist,
                           std::uint64_t version) WASP_REQUIRES(mu_);
   /// A stale-cache hit for `q` satisfying its min_graph_version, or nullptr.
   [[nodiscard]] const CachedAnswer* cache_find_locked(const Pending& q) const

@@ -27,6 +27,16 @@
 //  4. Repair. wasp_sssp_seeded runs the normal work-stealing engine over
 //     the warm array — no epoch bump, so untouched vertices cost nothing —
 //     in work proportional to the cone, not the graph.
+//  5. Publish. The engine logs every vertex it lowers (LoweredLog), so the
+//     next answer is a copy of the previous one with the cone and the
+//     logged vertices re-read from the array: O(cone + lowered) decoding,
+//     not O(V). A wide repair, whose cone alone or cone plus log passes a
+//     fixed share of n, decodes the whole array once instead.
+//
+// Answers are immutable: each solve() that changes the answer publishes a
+// new buffer, and answer() hands out a shared reference to it. A holder of
+// an earlier answer keeps reading its own version unchanged, so a cache
+// (QueryService) can keep the buffer itself instead of a copy.
 //
 // Anything that breaks the warm contract (first query, source change,
 // journal trimmed past our version, the underlying solver used for another
@@ -38,6 +48,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -45,6 +56,7 @@
 #include "graph/graph.hpp"
 #include "sssp/common.hpp"
 #include "sssp/solver.hpp"
+#include "sssp/wasp.hpp"
 
 namespace wasp {
 
@@ -56,6 +68,12 @@ struct RepairStats {
   std::uint64_t effects = 0;       ///< journaled arc effects replayed
   std::uint64_t cone_vertices = 0; ///< vertices invalidated to infinity
   std::uint64_t seed_vertices = 0; ///< warm seeds handed to the engine
+  /// Entries the engine logged (LoweredLog; 0 when the cone alone was too
+  /// wide to log). Equals the run's kUpdates count when the log ran.
+  std::uint64_t lowered = 0;
+  /// The answer was published by patching the previous one; false when a
+  /// wide repair decoded the whole array instead.
+  bool patched = false;
   double seconds = 0.0;            ///< parallel-phase time of the last run
 };
 
@@ -73,16 +91,19 @@ class IncrementalSolver {
   /// Exact distances for (vg.graph(), source) at vg's current version.
   /// Compacts vg when dirty (the engine consumes the flat CSR), then either
   /// repairs the warm state through the journal or re-solves from scratch.
-  /// The returned reference stays valid until the next solve() call.
+  /// The returned reference is *answer(): valid until the next solve() call,
+  /// or for as long as a copy of answer() is held.
   ///
   /// Cancellation: options().cancel is polled inside the cone walk and by
   /// the engine; a fired token discards the warm state (epoch bump) and
   /// throws SolveCancelledError, leaving the solver reusable.
   const std::vector<Distance>& solve(VersionedGraph& vg, VertexId source);
 
-  /// Distances of the last solve() (empty before the first).
-  [[nodiscard]] const std::vector<Distance>& distances() const {
-    return dist_;
+  /// The last solve()'s answer (null before the first). Never written
+  /// again: a later solve() that changes the answer publishes a new buffer,
+  /// and one with no new version returns this same buffer.
+  [[nodiscard]] std::shared_ptr<const std::vector<Distance>> answer() const {
+    return answer_;
   }
 
   [[nodiscard]] const RepairStats& last_repair() const { return last_; }
@@ -121,9 +142,11 @@ class IncrementalSolver {
   std::uint64_t seen_compactions_ = 0;
   std::uint64_t seen_compacted_arcs_ = 0;
 
-  std::vector<Distance> dist_;  ///< last exact snapshot (mirrors the array)
+  /// The last exact answer (mirrors the array while the state is warm).
+  std::shared_ptr<const std::vector<Distance>> answer_;
 
   // Scratch reused across repairs (sized to the graph on first use).
+  LoweredLog lowered_;
   std::vector<std::uint8_t> in_cone_;
   std::vector<VertexId> cone_;
   std::vector<VertexId> seeds_;

@@ -127,6 +127,7 @@ struct WaspShared {
   const WaspConfig& config;
   RunContext& ctx;  ///< metrics shards, trace recorder, observer
   const GraphPartition* part;  ///< null for a one-fragment run
+  LoweredLog* log;  ///< a seeded run's record of what it lowered, or null
   std::vector<FragmentView> views;  ///< fragment -> view
   int num_workers;
   std::vector<int> frag_of;               ///< worker -> fragment
@@ -155,9 +156,11 @@ struct WaspShared {
   std::vector<CachePadded<verify::atomic<std::uint32_t>>> park;
 
   WaspShared(const Graph& g, Weight delta_, const WaspConfig& cfg,
-             RunContext& ctx_, const GraphPartition* part_, int fragments,
-             int p, const NumaTopology& topo, const std::vector<int>& cpu_of)
+             RunContext& ctx_, const GraphPartition* part_, LoweredLog* log_,
+             int fragments, int p, const NumaTopology& topo,
+             const std::vector<int>& cpu_of)
       : graph(g), delta(delta_), config(cfg), ctx(ctx_), part(part_),
+        log(log_),
         views(static_cast<std::size_t>(fragments)), num_workers(p),
         frag_of(static_cast<std::size_t>(p)),
         members(static_cast<std::size_t>(fragments)),
@@ -241,6 +244,7 @@ class WaspWorker {
         deque_(shared.deques[static_cast<std::size_t>(tid)].get()),
         sender_(shared.net, shared.config.partition.flush_threshold),
         lookahead_(shared.ctx.prefetch_lookahead),
+        log_(shared.log),
         prune_leaves_(shared.config.leaf_pruning),
         leaf_degree_(shared.graph.leaf_degree()) {
     buffer_ = alloc_chunk();
@@ -373,6 +377,13 @@ class WaspWorker {
   /// distance is updated but it is never scheduled.
   [[nodiscard]] bool prunable(VertexId v) const {
     return prune_leaves_ && out_degree(v) <= leaf_degree_;
+  }
+
+  /// This worker's relax_to just lowered v: a seeded run with a log records
+  /// it (LoweredLog). Called before the leaf test, since a pruned leaf's
+  /// distance changed too.
+  void note_lowered(VertexId v) {
+    if (log_ != nullptr) log_->append(tid_, v);
   }
 
   // --- current bucket ----------------------------------------------------
@@ -526,7 +537,10 @@ class WaspWorker {
         if (through < best) best = through;
       }
       if (best < du) {
-        if (dist_.relax_to(local(u), best)) my_.inc(CId::kUpdates);
+        if (dist_.relax_to(local(u), best)) {
+          my_.inc(CId::kUpdates);
+          note_lowered(u);
+        }
         du = load(u);
       }
     }
@@ -560,6 +574,7 @@ class WaspWorker {
       }
       if (dist_.relax_to(local(e.dst), nd)) {
         my_.inc(CId::kUpdates);
+        note_lowered(e.dst);
         if (prunable(e.dst)) continue;
         push_to_buckets(e.dst, static_cast<std::uint64_t>(nd) / s_.delta);
       }
@@ -597,7 +612,8 @@ class WaspWorker {
   /// the number of vertices scheduled. Caller contract (termination
   /// soundness): this worker's board slot must not read kInfPriority while
   /// the call can schedule work — work_loop() calls it under a real level,
-  /// terminate() under kStealingPriority.
+  /// terminate() under kStealingPriority. No note_lowered here: only a run
+  /// with more than one fragment drains, and a seeded run has one.
   std::uint64_t drain_inbound() {
     if (!s_.net.pending(frag_)) return 0;
     RemoteBatch* batch = s_.net.grab_all(frag_);
@@ -1086,6 +1102,7 @@ class WaspWorker {
   std::uint64_t curr_cache_ = kInfPriority;
   std::uint64_t progress_ = 0;
   const std::uint32_t lookahead_;    ///< SsspOptions::prefetch_lookahead
+  LoweredLog* const log_;            ///< WaspShared::log
   const bool prune_leaves_;          ///< config.leaf_pruning
   const std::uint32_t leaf_degree_;  ///< Graph::leaf_degree()
 };
@@ -1105,10 +1122,12 @@ void launch(WaspShared<ChunkT>& shared, std::span<const VertexId> seeds,
 /// The one engine entry behind wasp_sssp and wasp_sssp_seeded. A cold run
 /// plants `seeds` (the source) at distance 0 in fresh distances; a warm run
 /// plants them at the bounds the caller pre-loaded into ctx.dist, always as
-/// one fragment.
+/// one fragment. A warm run with `log` records what it lowers there and
+/// leaves result.dist empty.
 template <typename ChunkT>
 SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds, bool cold,
-                    Weight delta, const WaspConfig& config, RunContext& ctx) {
+                    Weight delta, const WaspConfig& config, RunContext& ctx,
+                    LoweredLog* log) {
   const int p = ctx.team.size();
   std::shared_ptr<const NumaTopology> topo = config.topology;
   if (!topo) topo = std::make_shared<NumaTopology>(NumaTopology::detect());
@@ -1135,8 +1154,9 @@ SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds, bool cold,
   const GraphPartition* part = frags != nullptr ? &frags->partition : nullptr;
   const int f_count = part != nullptr ? part->num_fragments() : 1;
 
-  WaspShared<ChunkT> shared(g, delta, config, ctx, part, f_count, p, *topo,
-                            cpu_of);
+  if (log != nullptr) log->reset(p);
+  WaspShared<ChunkT> shared(g, delta, config, ctx, part, log, f_count, p,
+                            *topo, cpu_of);
   if (part == nullptr) {
     // The whole Graph over the run's array: the pool entry dispatch_sssp
     // acquired, or a repair's pre-loaded bounds (distances() with a
@@ -1198,7 +1218,7 @@ SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds, bool cold,
                   [](std::uint64_t l) { return l == kInfPriority; })) {
     // Nothing to repair: report the warm bounds as-is, zero parallel work.
     finalize_result(ctx, 0.0, result);
-    result.dist = shared.views[0].dist->snapshot();
+    if (log == nullptr) result.dist = shared.views[0].dist->snapshot();
     return result;
   }
   for (int t = 0; t < p; ++t) {
@@ -1214,6 +1234,7 @@ SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds, bool cold,
     launch<ChunkT, true>(shared, seeds, cold, chaos);
   }
   finalize_result(ctx, timer.seconds(), result);
+  if (log != nullptr) return result;  // the caller patches from the log
   if (part == nullptr) {
     result.dist = shared.views[0].dist->snapshot();
   } else {
@@ -1229,18 +1250,21 @@ SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds, bool cold,
 /// The chunk capacity is a compile-time property (paper §4.3: "chosen at
 /// compilation time"); dispatch to the instantiations we ship.
 SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds, bool cold,
-                    Weight delta, const WaspConfig& config, RunContext& ctx) {
+                    Weight delta, const WaspConfig& config, RunContext& ctx,
+                    LoweredLog* log) {
   switch (config.chunk_capacity) {
     case 16:
-      return run_wasp<BasicChunk<16>>(g, seeds, cold, delta, config, ctx);
+      return run_wasp<BasicChunk<16>>(g, seeds, cold, delta, config, ctx, log);
     case 32:
-      return run_wasp<BasicChunk<32>>(g, seeds, cold, delta, config, ctx);
+      return run_wasp<BasicChunk<32>>(g, seeds, cold, delta, config, ctx, log);
     case 64:
-      return run_wasp<BasicChunk<64>>(g, seeds, cold, delta, config, ctx);
+      return run_wasp<BasicChunk<64>>(g, seeds, cold, delta, config, ctx, log);
     case 128:
-      return run_wasp<BasicChunk<128>>(g, seeds, cold, delta, config, ctx);
+      return run_wasp<BasicChunk<128>>(g, seeds, cold, delta, config, ctx,
+                                       log);
     case 256:
-      return run_wasp<BasicChunk<256>>(g, seeds, cold, delta, config, ctx);
+      return run_wasp<BasicChunk<256>>(g, seeds, cold, delta, config, ctx,
+                                       log);
     default:
       throw InvalidOptionsError(
           "wasp: chunk_capacity must be one of 16, 32, 64, 128, 256");
@@ -1252,17 +1276,17 @@ SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds, bool cold,
 SsspResult wasp_sssp(const Graph& g, VertexId source, Weight delta,
                      const WaspConfig& config, RunContext& ctx) {
   return run_wasp(g, std::span<const VertexId>(&source, 1), /*cold=*/true,
-                  delta, config, ctx);
+                  delta, config, ctx, /*log=*/nullptr);
 }
 
 SsspResult wasp_sssp_seeded(const Graph& g, std::span<const VertexId> seeds,
                             Weight delta, const WaspConfig& config,
-                            RunContext& ctx) {
+                            RunContext& ctx, LoweredLog* log) {
   if (ctx.dist == nullptr || ctx.dist->size() != g.num_vertices())
     throw InvalidOptionsError(
         "wasp_sssp_seeded: ctx.dist must be pre-loaded with warm bounds "
         "sized to the graph");
-  return run_wasp(g, seeds, /*cold=*/false, delta, config, ctx);
+  return run_wasp(g, seeds, /*cold=*/false, delta, config, ctx, log);
 }
 
 }  // namespace wasp

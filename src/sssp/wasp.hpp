@@ -37,13 +37,67 @@
 // a seeded repair differ only in their seeds.
 #pragma once
 
+#include <cstddef>
 #include <span>
+#include <vector>
 
 #include "graph/graph.hpp"
 #include "sssp/common.hpp"
+#include "support/padded.hpp"
 #include "support/thread_team.hpp"
+#include "verify/checked_atomic.hpp"
 
 namespace wasp {
+
+/// What a seeded run lowered: one list per worker, holding every vertex
+/// whose distance that worker improved, in the order it improved them and
+/// with repeats (so the lists' total is the run's kUpdates count). A
+/// repair patches its previous answer from these lists instead of decoding
+/// the whole array (sssp/incremental.hpp).
+///
+/// Plain per-worker data, cache-padded: a worker appends only to its own
+/// list, and the lists are read only after the run returned, ordered by the
+/// team join. The WASP_VERIFY hooks make that discipline checkable, as in
+/// obs::MetricsShard. The run clears the lists and keeps their capacity, so
+/// a log reused across repairs stops allocating once it has grown.
+class LoweredLog {
+ public:
+  /// Empties every list and sizes the log to `workers` lists. Call between
+  /// runs only.
+  void reset(int workers) {
+    lists_.resize(static_cast<std::size_t>(workers));
+    for (auto& l : lists_) {
+      WASP_VERIFY_WR(&l.value);
+      l.value.clear();
+    }
+  }
+
+  /// Worker `tid` lowered v. Only worker tid appends to its list.
+  void append(int tid, VertexId v) {
+    std::vector<VertexId>& l = lists_[static_cast<std::size_t>(tid)].value;
+    WASP_VERIFY_WR(&l);
+    l.push_back(v);
+  }
+
+  [[nodiscard]] int workers() const { return static_cast<int>(lists_.size()); }
+
+  /// Worker `tid`'s list. Read only after the run returned.
+  [[nodiscard]] std::span<const VertexId> list(int tid) const {
+    const std::vector<VertexId>& l = lists_[static_cast<std::size_t>(tid)].value;
+    WASP_VERIFY_RD(&l);
+    return l;
+  }
+
+  /// Entries over all lists. Read only after the run returned.
+  [[nodiscard]] std::size_t size() const {
+    std::size_t total = 0;
+    for (int t = 0; t < workers(); ++t) total += list(t).size();
+    return total;
+  }
+
+ private:
+  std::vector<CachePadded<std::vector<VertexId>>> lists_;
+};
 
 /// Runs Wasp from `source` with bucket width `delta` and the given
 /// configuration. The chaos engine installed on workers is config.chaos,
@@ -79,8 +133,14 @@ SsspResult wasp_sssp(const Graph& g, VertexId source, Weight delta,
 /// bucket level would be meaningless). An empty (or all-infinite) seed set
 /// returns the current bounds unchanged. The run is always one fragment
 /// over ctx.dist. Same knob contract as wasp_sssp.
+///
+/// Without `log`, result.dist is a decoded copy of the whole array. With
+/// `log`, the run clears it to one list per worker, records every vertex it
+/// lowers there, and skips that O(V) decode: result.dist stays empty and
+/// the answer is ctx.dist itself, which differs from the pre-loaded bounds
+/// exactly at the logged vertices.
 SsspResult wasp_sssp_seeded(const Graph& g, std::span<const VertexId> seeds,
                             Weight delta, const WaspConfig& config,
-                            RunContext& ctx);
+                            RunContext& ctx, LoweredLog* log = nullptr);
 
 }  // namespace wasp

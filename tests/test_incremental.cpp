@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <span>
 #include <string>
@@ -206,6 +207,169 @@ INSTANTIATE_TEST_SUITE_P(
                     StreamCase{"rmat_dir", Mode::kMixed},
                     StreamCase{"rmat_dir", Mode::kStructural}),
     stream_name);
+
+// --- published answers: patched from the engine's log, never rewritten ----
+
+/// kUpdates of the repairer's last run (the registry is reset per repair).
+std::uint64_t run_updates(IncrementalSolver& inc) {
+  return inc.solver().metrics().snapshot().counter(obs::CounterId::kUpdates);
+}
+
+/// The checks every published repair must pass: the answer is exact, it is
+/// what the warm array holds, and when the engine logged, the log holds
+/// every lowering of the run.
+void expect_published_answer(IncrementalSolver& inc, const Graph& g,
+                             VertexId source, const std::string& what) {
+  const auto answer = inc.answer();
+  ASSERT_NE(answer, nullptr) << what;
+  EXPECT_EQ(dijkstra(g, source).dist, *answer) << what;
+  const AtomicDistances* warm = inc.solver().distances().current();
+  ASSERT_NE(warm, nullptr) << what;
+  EXPECT_EQ(warm->snapshot(), *answer) << what;
+  const RepairStats& rs = inc.last_repair();
+  // A repair logs unless its cone alone is too wide; a patched answer
+  // always had the log.
+  if (!rs.full_solve && (rs.patched || rs.lowered > 0)) {
+    EXPECT_EQ(rs.lowered, run_updates(inc)) << what;
+  }
+}
+
+TEST(IncrementalAnswer, RepairsPublishExactImmutableAnswers) {
+  int patched = 0;
+  int decoded = 0;
+  for (const char* shape : {"grid", "chain", "rmat_dir"}) {
+    for (const Mode mode : {Mode::kMixed, Mode::kStructural}) {
+      const std::string name = std::string(shape) + "/" + to_name(mode);
+      VersionedGraph vg(make_shape(shape));
+      const VertexId source = pick_source(vg);
+      IncrementalSolver inc(test_options());
+      (void)inc.solve(vg, source);
+
+      // Every answer published so far, with its version's reference.
+      std::vector<std::pair<std::shared_ptr<const std::vector<Distance>>,
+                            std::vector<Distance>>>
+          held;
+      held.emplace_back(inc.answer(), dijkstra(vg.graph(), source).dist);
+      Xoshiro256 rng(0xA75ULL + name.size() * 31 +
+                     static_cast<std::uint64_t>(mode));
+      for (int b = 0; b < 10; ++b) {
+        const GraphDelta delta = random_batch(vg, mode, rng, 6);
+        if (delta.empty()) continue;
+        (void)vg.apply(delta);
+        const std::vector<Distance>& returned = inc.solve(vg, source);
+        const std::string what = name + " batch " + std::to_string(b);
+        EXPECT_EQ(&returned, inc.answer().get()) << what;
+        expect_published_answer(inc, vg.graph(), source, what);
+        if (!inc.last_repair().full_solve)
+          ++(inc.last_repair().patched ? patched : decoded);
+
+        // No new version: the same buffer again, not a copy.
+        const auto before = inc.answer();
+        EXPECT_EQ(inc.solve(vg, source).data(), before->data()) << what;
+        EXPECT_EQ(inc.answer(), before) << what;
+
+        held.emplace_back(inc.answer(), dijkstra(vg.graph(), source).dist);
+        for (std::size_t i = 0; i < held.size(); ++i)
+          ASSERT_EQ(held[i].second, *held[i].first)
+              << what << ": answer " << i << " was written after publishing";
+      }
+    }
+  }
+  // Both publishing paths ran.
+  EXPECT_GT(patched, 0);
+  EXPECT_GT(decoded, 0);
+}
+
+/// Undirected path 0-1-...-199 (weight 3) with a pendant leaf 200 on vertex
+/// 195, for repairs from source 0. An eighth of its 201 vertices is 25, so
+/// a change near the far end is patched and one near the source is not.
+Graph comb() {
+  std::vector<Edge> edges;
+  for (VertexId u = 0; u + 1 < 200; ++u) edges.push_back(Edge{u, u + 1, 3});
+  edges.push_back(Edge{195, 200, 3});
+  return GraphBuilder().edges(201, std::move(edges)).undirected(true).build();
+}
+
+/// One thread and one bucket, so the repair's order is fixed: the seeds are
+/// popped in the reverse of their journal order.
+SsspOptions one_bucket_options() {
+  SsspOptions options = test_options();
+  options.threads = 1;
+  options.delta = 1u << 20;
+  return options;
+}
+
+/// Solves comb() from 0, applies `batch`, repairs, and checks the published
+/// answer; returns the repair's stats.
+RepairStats repair_comb(const GraphDelta& batch) {
+  VersionedGraph vg(comb());
+  IncrementalSolver inc(one_bucket_options());
+  const auto first = inc.solve(vg, 0);
+  (void)vg.apply(batch);
+  (void)inc.solve(vg, 0);
+  EXPECT_FALSE(inc.last_repair().full_solve);
+  expect_published_answer(inc, vg.graph(), 0, "comb");
+  return inc.last_repair();
+}
+
+TEST(IncrementalAnswer, ClosurePatchesAConeLeftUnreachable) {
+  // Cutting 190-191 strands 191..199 and the pendant: a cone of ten that
+  // no seed reaches, so only the cone patch can publish their infinities.
+  GraphDelta cut;
+  cut.erase(190, 191);
+  const RepairStats rs = repair_comb(cut);
+  EXPECT_EQ(rs.cone_vertices, 10u);
+  EXPECT_EQ(rs.lowered, 0u);
+  EXPECT_TRUE(rs.patched);
+}
+
+TEST(IncrementalAnswer, DecreasePatchesLoweredVerticesOutsideAnyCone) {
+  GraphDelta drop;
+  drop.set_weight(196, 197, 1);
+  const RepairStats rs = repair_comb(drop);
+  EXPECT_EQ(rs.cone_vertices, 0u);
+  EXPECT_GE(rs.lowered, 3u);  // 197, 198, 199
+  EXPECT_TRUE(rs.patched);
+}
+
+TEST(IncrementalAnswer, DecreasePatchesAPrunedLeaf) {
+  // The pendant 200 is a leaf: 195's push lowers it and never schedules it,
+  // so only a log entry written before the leaf test reaches the answer.
+  GraphDelta drop;
+  drop.set_weight(193, 194, 1);
+  const RepairStats rs = repair_comb(drop);
+  EXPECT_EQ(rs.cone_vertices, 0u);
+  EXPECT_TRUE(rs.patched);
+}
+
+TEST(IncrementalAnswer, DecreasePatchesASeedLoweredByItsPull) {
+  // Both ends of 190-191 are seeds, journaled 190 first, so the one bucket
+  // pops 191 first. Its bidirectional-relaxation pull lowers it through the
+  // cheaper arc; 190's later push finds nothing left to improve.
+  GraphDelta drop;
+  drop.set_weight(190, 191, 1);
+  const RepairStats rs = repair_comb(drop);
+  EXPECT_EQ(rs.seed_vertices, 2u);
+  EXPECT_TRUE(rs.patched);
+}
+
+TEST(IncrementalAnswer, WideConeDecodesWithoutALog) {
+  GraphDelta cut;
+  cut.erase(10, 11);  // a cone of 190 > 25
+  const RepairStats rs = repair_comb(cut);
+  EXPECT_EQ(rs.cone_vertices, 190u);
+  EXPECT_EQ(rs.lowered, 0u);
+  EXPECT_FALSE(rs.patched);
+}
+
+TEST(IncrementalAnswer, WideLogDecodesAfterLogging) {
+  GraphDelta drop;
+  drop.set_weight(10, 11, 1);  // no cone, but 190 vertices lowered
+  const RepairStats rs = repair_comb(drop);
+  EXPECT_EQ(rs.cone_vertices, 0u);
+  EXPECT_GT(rs.lowered, 25u);
+  EXPECT_FALSE(rs.patched);
+}
 
 // --- VersionedGraph / GraphDelta contract ---------------------------------
 

@@ -24,6 +24,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "concurrent/chase_lev_deque.hpp"
@@ -34,11 +35,14 @@
 #include "concurrent/stealing_multiqueue.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/builder.hpp"
+#include "graph/delta.hpp"
 #include "graph/generators.hpp"
 #include "sssp/curr_board.hpp"
 #include "sssp/dijkstra.hpp"
+#include "sssp/incremental.hpp"
 #include "sssp/sssp.hpp"
 #include "sssp/validate.hpp"
+#include "sssp/wasp.hpp"
 #include "support/chaos.hpp"
 #include "support/numa.hpp"
 #include "support/random.hpp"
@@ -1648,6 +1652,131 @@ TEST(SchedulerHarness, DeltaSteppingEndToEndSchedulesMatchDijkstra) {
     if (::testing::Test::HasFailure()) return;
   }
 }
+
+// --- seeded repair under the scheduler --------------------------------------
+//
+// A repair runs the same engine from a warm array and, while its cone is
+// narrow, logs every vertex it lowers (LoweredLog, sssp/wasp.hpp) so the
+// repairer can patch its previous answer instead of decoding the array.
+// Each seed solves an e2e case cold, applies a one- or two-arc batch of
+// jams and drops, and repairs under the scheduler; the published answer
+// must match Dijkstra. The log's own discipline (each worker appends to its
+// list, the caller reads after the join) is pinned by the LoweredLog tests
+// below it.
+
+/// A batch of one or two weight changes on distinct logical edges of `vg`:
+/// each a jam (x4) or a drop (halved, at least 1).
+GraphDelta small_random_batch(const VersionedGraph& vg, Xoshiro256& rng) {
+  GraphDelta batch;
+  std::set<std::pair<VertexId, VertexId>> used;
+  const int ops = 1 + static_cast<int>(rng.next_below(2));
+  for (int op = 0; op < ops; ++op) {
+    const auto u = static_cast<VertexId>(rng.next_below(vg.num_vertices()));
+    const auto adj = vg.out_neighbors(u);
+    if (adj.empty()) continue;
+    const WEdge e = adj[rng.next_below(adj.size())];
+    std::pair<VertexId, VertexId> key(u, e.dst);
+    if (vg.is_undirected() && e.dst < u) std::swap(key.first, key.second);
+    if (!used.insert(key).second) continue;
+    const bool jam = rng.next_below(2) == 0;
+    batch.set_weight(u, e.dst,
+                     jam ? e.w * 4 : std::max<Weight>(1, e.w / 2));
+  }
+  return batch;
+}
+
+TEST(SchedulerHarness, SeededRepairSchedulesMatchDijkstra) {
+  const SeedRange seeds = harness_seeds(kE2eSeeds / 4);
+  std::uint64_t logged = 0;
+  std::uint64_t patched = 0;
+  for (std::uint64_t seed = seeds.first; seed < seeds.last; ++seed) {
+    const int threads = 2 + static_cast<int>(seed % 3);
+    const auto& cases = e2e_cases();
+    const E2eCase& c = cases[static_cast<std::size_t>(seed % cases.size())];
+
+    SsspOptions options;
+    options.algo = Algorithm::kWasp;
+    options.threads = threads;
+    options.delta = 8;
+    options.seed = seed + 1;
+    options.wasp.chunk_capacity = 16;
+    options.wasp.steal_policy = seed % 2 == 0 ? StealPolicy::kPriorityNuma
+                                              : StealPolicy::kTwoChoice;
+    VersionedGraph vg{Graph(c.graph)};
+    IncrementalSolver inc(options);
+    (void)inc.solve(vg, c.source);  // cold, outside the model
+    Xoshiro256 rng(hash_mix(seed ^ 0x5EEDULL));
+    GraphDelta batch;
+    while (batch.empty()) batch = small_random_batch(vg, rng);
+    (void)vg.apply(batch);
+    const SsspResult reference = dijkstra(vg.graph(), c.source);
+
+    Session session(session_options(threads, seed));
+    {
+      Scheduler scheduler(scheduler_options(threads, seed));
+      (void)inc.solve(vg, c.source);
+      EXPECT_TRUE(session.ok()) << replay_hint(seed) << ":\n"
+                                << session.report_text();
+    }
+    const RepairStats& rs = inc.last_repair();
+    EXPECT_FALSE(rs.full_solve) << replay_hint(seed);
+    if (rs.patched || rs.lowered > 0) ++logged;
+    if (rs.patched) ++patched;
+    std::string message;
+    EXPECT_TRUE(distances_equal(reference.dist, *inc.answer(), &message))
+        << replay_hint(seed) << " (threads=" << threads
+        << ", cone=" << rs.cone_vertices << ", lowered=" << rs.lowered
+        << ", patched=" << rs.patched << "): " << message;
+    if (::testing::Test::HasFailure()) return;
+  }
+  if (seeds.last - seeds.first == kE2eSeeds / 4) {
+    EXPECT_GT(logged, 0u) << "no repair in the sweep ran with the log";
+    EXPECT_GT(patched, 0u) << "no repair in the sweep patched its answer";
+  }
+}
+
+TEST(LoweredLogHarness, ReadsAfterABarrierAreRaceFree) {
+  const SeedRange seeds = harness_seeds();
+  for (std::uint64_t seed = seeds.first; seed < seeds.last; ++seed) {
+    constexpr int kThreads = 3;
+    LoweredLog log;
+    log.reset(kThreads);
+    ModelBarrier barrier(kThreads);
+    std::size_t total = 0;
+    Session session(session_options(kThreads, seed));
+    run_bound(session, nullptr, kThreads, [&](int tid) {
+      for (int i = 0; i <= tid; ++i)
+        log.append(tid, static_cast<VertexId>(tid * 100 + i));
+      barrier.wait();
+      if (tid == 0) total = log.size();
+    });
+    ASSERT_TRUE(session.ok()) << replay_hint(seed) << ":\n"
+                              << session.report_text();
+    ASSERT_EQ(total, 6u);
+    for (int t = 0; t < kThreads; ++t)
+      ASSERT_EQ(log.list(t).size(), static_cast<std::size_t>(t + 1));
+  }
+}
+
+#if defined(WASP_VERIFY_ENABLED) && WASP_VERIFY_ENABLED
+TEST(LoweredLogHarness, ReadBeforeTheJoinIsReportedAsRace) {
+  // The caller reading a worker's list while that worker may still append:
+  // the plain-access hooks must flag it.
+  LoweredLog log;
+  log.reset(2);
+  Session session(session_options(2, 5));
+  run_bound(session, nullptr, 2, [&](int tid) {
+    if (tid == 0) {
+      (void)log.list(1).size();
+    } else {
+      log.append(1, 42);
+    }
+  });
+  EXPECT_FALSE(session.ok())
+      << "a read of a worker's log not ordered after its appends must be "
+         "flagged";
+}
+#endif  // WASP_VERIFY_ENABLED
 
 // --- Wasp park protocol under the scheduler --------------------------------
 //
