@@ -5,10 +5,19 @@
 // Paper numbers (gmean across graphs): random stealing is 50% (no-retry) to
 // 36% (64-retry) slower; two-choice is 39% to 27% slower. We check the
 // ordering: priority < two-choice < random, and retries helping both.
+//
+// Beside each protocol's best time the table prints that trial's steals and
+// updates (successful distance improvements): the first says how much work
+// moved between cores, the second whether moving it cost extra work. After
+// measuring a class, each protocol solves it once more and the answer is
+// compared with Dijkstra's; any mismatch fails the run (exit 1).
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "harness.hpp"
+#include "sssp/dijkstra.hpp"
+#include "sssp/validate.hpp"
 #include "support/stats.hpp"
 
 using namespace wasp;
@@ -27,6 +36,7 @@ int main(int argc, char** argv) {
   ArgParser args("sec42_steal_protocols",
                  "section 4.2: steal-protocol comparison");
   bench::add_common_args(args);
+  args.add_int("delta", 0, "bucket width for every class (0 = class default)");
   args.parse(argc, argv);
 
   const int threads = static_cast<int>(args.get_int("threads"));
@@ -42,33 +52,69 @@ int main(int argc, char** argv) {
       {"2choice-64", StealPolicy::kTwoChoice, 64},
   };
 
-  std::printf("Section 4.2: Wasp steal-protocol ablation (threads=%d)\n\n",
+  std::printf("Section 4.2: Wasp steal-protocol ablation (threads=%d)\n",
               threads);
-  bench::print_cell("graph", 7);
-  for (const auto& p : protocols) bench::print_cell(p.name, 12);
-  std::printf("\n");
 
   std::vector<std::vector<double>> times(protocols.size());
   std::vector<std::vector<double>> work(protocols.size());
+  int mismatches = 0;
   for (const auto cls : classes) {
     const auto w = suite::make(cls, args.get_double("scale"),
                                static_cast<std::uint64_t>(args.get_int("seed")));
-    bench::print_cell(suite::abbr(cls), 7);
-    for (std::size_t p = 0; p < protocols.size(); ++p) {
+    const Weight delta = args.get_int("delta") > 0
+                             ? static_cast<Weight>(args.get_int("delta"))
+                             : bench::default_delta(Algorithm::kWasp, cls);
+    std::printf("\n-- %s (delta=%u) --\n", suite::abbr(cls),
+                static_cast<unsigned>(delta));
+    bench::print_cell("protocol", 12);
+    bench::print_cell("time", 12);
+    bench::print_cell("steals", 12);
+    bench::print_cell("updates", 12);
+    bench::print_cell("relaxations", 12);
+    std::printf("\n");
+
+    std::vector<SsspOptions> configs;
+    for (const auto& p : protocols) {
       SsspOptions options;
       options.algo = Algorithm::kWasp;
       options.threads = threads;
-      options.delta = bench::default_delta(Algorithm::kWasp, cls);
-      options.wasp.steal_policy = protocols[p].policy;
-      options.wasp.steal_retries = protocols[p].retries;
+      options.delta = delta;
+      options.wasp.steal_policy = p.policy;
+      options.wasp.steal_retries = p.retries;
+      options.wasp.topology = solver.options().wasp.topology;
+      configs.push_back(options);
+    }
+
+    for (std::size_t p = 0; p < protocols.size(); ++p) {
       const bench::Measurement m =
-          bench::measure(w.graph, w.source, options, trials, solver);
+          bench::measure(w.graph, w.source, configs[p], trials, solver);
+      const std::uint64_t relaxations =
+          m.metrics.counter(obs::CounterId::kRelaxations);
       times[p].push_back(m.best_seconds);
-      work[p].push_back(static_cast<double>(m.stats.relaxations));
+      work[p].push_back(static_cast<double>(relaxations));
+      bench::print_cell(protocols[p].name, 12);
       bench::print_cell(bench::format_time_ms(m.best_seconds), 12);
+      bench::print_cell(
+          std::to_string(m.metrics.counter(obs::CounterId::kSteals)), 12);
+      bench::print_cell(
+          std::to_string(m.metrics.counter(obs::CounterId::kUpdates)), 12);
+      bench::print_cell(std::to_string(relaxations), 12);
+      std::printf("\n");
       std::fflush(stdout);
     }
-    std::printf("\n");
+
+    const std::vector<Distance> reference = dijkstra(w.graph, w.source).dist;
+    for (std::size_t p = 0; p < protocols.size(); ++p) {
+      solver.options() = configs[p];
+      const SsspResult r = solver.solve(w.graph, w.source);
+      std::string why;
+      if (!distances_equal(reference, r.dist, &why)) {
+        std::fprintf(stderr, "sec42_steal_protocols: %s/%s differs from "
+                     "Dijkstra: %s\n", suite::abbr(cls), protocols[p].name,
+                     why.c_str());
+        ++mismatches;
+      }
+    }
   }
 
   std::printf("\ngmean vs the priority protocol (time / relaxations):\n");
@@ -92,5 +138,11 @@ int main(int argc, char** argv) {
   if (hardware_threads() < threads)
     std::printf("note: %d workers on %d hardware thread(s) — oversubscribed "
                 "run.\n", threads, hardware_threads());
+  if (mismatches > 0) {
+    std::fprintf(stderr, "sec42_steal_protocols: %d protocol run(s) were not "
+                 "exact\n", mismatches);
+    return 1;
+  }
+  std::printf("every protocol matched Dijkstra on every class.\n");
   return 0;
 }

@@ -4,8 +4,8 @@
 // One cache-padded slot per worker advertises the priority level whose
 // chunks that worker currently exposes in its Chase-Lev deque. Thieves read
 // the board twice over: steal policies *probe* it to pick victims whose
-// level is at least as good as their best local bucket, and the
-// termination protocol *scans* it for the all-idle verdict.
+// level is worth leaving their best local bucket for (steal_window_admits
+// below), and the termination protocol *scans* it for the all-idle verdict.
 //
 // Extracted from wasp.cpp so the protocol's freshness contract is a
 // testable unit: the release/acquire pair below is exactly what guarantees
@@ -23,6 +23,36 @@
 #include "verify/checked_atomic.hpp"
 
 namespace wasp {
+
+/// `curr` value of a thread that is out of local work and sweeping victims
+/// (or draining its inbound channel). Distinct from kInfPriority so a thief
+/// holding freshly stolen or drained work can never be mistaken for an idle
+/// thread by the termination scan.
+inline constexpr std::uint64_t kStealingPriority = kInfPriority - 1;
+
+/// Levels a victim must lead a thief's next local bucket by before the
+/// priority steal takes from it: a thief may drift one bucket ahead of the
+/// best published level, but no further. Algorithm 2 steals at any lead
+/// (a gap of 0). On a 4-CPU box, 4 threads on a 409,600-vertex road grid
+/// at delta 64, that meant about 3,300 steals per solve, each dragging a
+/// neighbour's wavefront onto the thief's core; a gap of 2 cut them to
+/// about 250 and the solve from 28.6 to 21.1 ms with 1.5% fewer updates.
+/// The gap is in levels, so it costs work where a level is wide: +6-8%
+/// updates on road grids at delta 1024, +9% on UR at delta 64, within
+/// noise on TW, UR, MW and KV at their default deltas (EXPERIMENTS.md §4.2).
+inline constexpr std::uint64_t kStealMinGap = 2;
+
+/// Algorithm 2's victim test with the drift window: may a thief whose best
+/// local bucket is `next` steal from a victim publishing `victim`? A thief
+/// with no local work (`next == kInfPriority`, every termination sweep)
+/// takes from anyone, as in the paper. A thief with local work takes only
+/// from a working victim at least kStealMinGap levels better; written so
+/// that neither side can wrap.
+[[nodiscard]] constexpr bool steal_window_admits(std::uint64_t victim,
+                                                 std::uint64_t next) {
+  if (next == kInfPriority) return true;
+  return next >= kStealMinGap && victim <= next - kStealMinGap;
+}
 
 class CurrBoard {
  public:

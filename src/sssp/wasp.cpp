@@ -46,12 +46,6 @@ namespace {
 using CId = obs::CounterId;
 using EK = obs::EventKind;
 
-/// `curr` value of a thread that is out of local work and sweeping victims
-/// (or draining its inbound channel). Distinct from kInfPriority so a thief
-/// holding freshly stolen or drained work can never be mistaken for an idle
-/// thread by the termination scan.
-constexpr std::uint64_t kStealingPriority = kInfPriority - 1;
-
 /// Sentinel neighbour range meaning "the whole adjacency list".
 constexpr std::uint32_t kFullRange = ~std::uint32_t{0};
 
@@ -663,7 +657,9 @@ class WaspWorker {
     return s_.members[static_cast<std::size_t>(frag_)];
   }
 
-  /// Attempts to steal chunks with priority at least as good as `next`.
+  /// Attempts to steal chunks worth leaving local bucket `next` for (with
+  /// the priority policy: from victims at least kStealMinGap levels better,
+  /// or from anyone when `next` is kInfPriority).
   /// On success, publishes curr = best stolen priority, processes all stolen
   /// chunks immediately (stolen chunks are never re-exposed, §4.1), and
   /// returns true.
@@ -729,10 +725,13 @@ class WaspWorker {
     return true;
   }
 
-  /// The paper's protocol (Algorithm 2): walk NUMA tiers nearest-first;
-  /// within a tier, steal one chunk from every victim whose current
-  /// priority level is at least as good as our best local bucket; stop at
-  /// the first tier that yields anything.
+  /// The paper's protocol (Algorithm 2) with a one-bucket drift window:
+  /// walk NUMA tiers nearest-first; within a tier, steal one chunk from
+  /// every victim steal_window_admits (curr_board.hpp); stop at the first
+  /// tier that yields anything. The paper steals from any victim at least
+  /// as good as our best local bucket; requiring a two-level lead keeps
+  /// each worker's wavefront on its own core when the victim is only a
+  /// bucket ahead. A skipped victim still counts as one attempt.
   int steal_priority_numa(std::uint64_t next, ChunkT** out) {
     const VictimTiers& tiers = *s_.tiers[static_cast<std::size_t>(frag_)];
     int count = 0;
@@ -744,7 +743,7 @@ class WaspWorker {
         obs::trace_instant(s_.ctx.trace, tid_, EK::kStealAttempt,
                            static_cast<std::uint64_t>(t));
         const std::uint64_t victim_curr = s_.curr.probe(t);  // acquire
-        if (victim_curr > next) {
+        if (!steal_window_admits(victim_curr, next)) {
           notify_steal(t, false);
           continue;
         }

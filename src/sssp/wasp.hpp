@@ -12,10 +12,14 @@
 //
 // Execution (Algorithm 1) is fully asynchronous: a thread drains its current
 // bucket, then *steals higher-priority chunks* (Algorithm 2: victims walked
-// in NUMA tiers, stealing only from threads whose `curr` is at least as good
-// as the best local bucket), and only when no better work exists anywhere
-// does it advance to its next local bucket — this is the "priority drifting
-// only when high-priority work is not available" principle.
+// in NUMA tiers), and only when no better work exists anywhere does it
+// advance to its next local bucket — this is the "priority drifting only
+// when high-priority work is not available" principle. One deviation from
+// the paper: a thread that still holds local work steals only from a
+// victim at least two levels better than its best local bucket, not from
+// any victim at least as good (steal_window_admits, curr_board.hpp). The
+// one-bucket drift window keeps each worker's wavefront on its own core;
+// a thread with no local work still steals from anyone.
 //
 // Optimizations (§4.4): neighborhood decomposition (high-degree adjacency
 // split into stealable range chunks), leaf pruning (an in-place degree test,

@@ -17,6 +17,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "sssp/curr_board.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/solver.hpp"
 #include "sssp/sssp.hpp"
@@ -150,6 +151,47 @@ INSTANTIATE_TEST_SUITE_P(Policies, WaspStealPolicies,
                            }
                            return "unknown";
                          });
+
+// --- the priority policy's drift window (curr_board.hpp) -------------------
+
+TEST(WaspStealWindow, IdleThiefTakesFromAnyVictim) {
+  // next == kInfPriority is every termination sweep: the paper's rule.
+  for (const std::uint64_t victim :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{1000},
+        kStealingPriority - 1, kStealingPriority, kInfPriority})
+    EXPECT_TRUE(steal_window_admits(victim, kInfPriority)) << victim;
+}
+
+TEST(WaspStealWindow, BusyThiefNeverTakesFromANonWorkingVictim) {
+  // victim + kStealMinGap would wrap for both sentinels.
+  for (const std::uint64_t next :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{2},
+        std::uint64_t{1000}, kStealingPriority - 1, kStealingPriority}) {
+    EXPECT_FALSE(steal_window_admits(kStealingPriority, next)) << next;
+    EXPECT_FALSE(steal_window_admits(kInfPriority, next)) << next;
+  }
+}
+
+TEST(WaspStealWindow, BusyThiefNeedsATwoLevelLead) {
+  static_assert(kStealMinGap == 2);
+  for (const std::uint64_t next :
+       {std::uint64_t{2}, std::uint64_t{3}, std::uint64_t{1000},
+        kStealingPriority - 1}) {
+    EXPECT_FALSE(steal_window_admits(next + 1, next)) << next;
+    EXPECT_FALSE(steal_window_admits(next, next)) << next;
+    EXPECT_FALSE(steal_window_admits(next - 1, next)) << next;
+    EXPECT_TRUE(steal_window_admits(next - 2, next)) << next;
+    EXPECT_TRUE(steal_window_admits(0, next)) << next;
+  }
+}
+
+TEST(WaspStealWindow, BusyThiefAtTheLowestLevelsTakesNothing) {
+  // No level is two below 0 or 1; `next - kStealMinGap` must not wrap.
+  for (const std::uint64_t next : {std::uint64_t{0}, std::uint64_t{1}})
+    for (const std::uint64_t victim :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{2}})
+      EXPECT_FALSE(steal_window_admits(victim, next)) << victim << "/" << next;
+}
 
 // --- chunk capacities (compile-time instantiations) ------------------------
 
