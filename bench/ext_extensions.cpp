@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
     ContractedResult cr;
     for (int t = 0; t < trials; ++t) {
       cr = run_sssp_contracted(w.graph, w.source, o);
-      best_core = std::min(best_core, cr.result.stats.seconds);
+      best_core = std::min(best_core, cr.result.metrics.seconds);
     }
     char elim[32];
     std::snprintf(elim, sizeof(elim), "%llu (%.0f%%)",

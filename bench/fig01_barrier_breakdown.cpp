@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
     const std::uint64_t rounds = m.metrics.counter(obs::CounterId::kRounds);
     const std::uint64_t barrier_ns =
         m.metrics.counter(obs::CounterId::kBarrierNs);
-    const double total_cpu_ns = m.stats.seconds * 1e9 * threads;
+    const double total_cpu_ns = m.metrics.seconds * 1e9 * threads;
     const double barrier_pct =
         total_cpu_ns > 0 ? 100.0 * static_cast<double>(barrier_ns) /
                                total_cpu_ns

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
         m.metrics.counter(obs::CounterId::kQueueOpNs);
     const std::uint64_t relaxations =
         m.metrics.counter(obs::CounterId::kRelaxations);
-    const double total_cpu_ns = m.stats.seconds * 1e9 * threads;
+    const double total_cpu_ns = m.metrics.seconds * 1e9 * threads;
     const double q_pct =
         total_cpu_ns > 0 ? 100.0 * static_cast<double>(queue_op_ns) /
                                total_cpu_ns

@@ -38,13 +38,15 @@ int main(int argc, char** argv) {
     auto w = suite::make(cls, args.get_double("scale"),
                          static_cast<std::uint64_t>(args.get_int("seed")));
     const auto reference = dijkstra(w.graph, w.source);
+    const std::uint64_t reference_relax =
+        reference.metrics.counter(obs::CounterId::kRelaxations);
     const double base_relax =
-        static_cast<double>(std::max<std::uint64_t>(reference.stats.relaxations, 1));
+        static_cast<double>(std::max<std::uint64_t>(reference_relax, 1));
 
     std::printf("\n-- %s (Dijkstra: %llu relaxations, %s) --\n",
                 suite::abbr(cls),
-                static_cast<unsigned long long>(reference.stats.relaxations),
-                bench::format_time_ms(reference.stats.seconds).c_str());
+                static_cast<unsigned long long>(reference_relax),
+                bench::format_time_ms(reference.metrics.seconds).c_str());
     bench::print_cell("delta", 8);
     for (const auto a : algos) {
       char head[48];
@@ -65,8 +67,7 @@ int main(int argc, char** argv) {
         options.wasp.bidirectional_relaxation = false;
         const bench::Measurement m =
             bench::measure(w.graph, w.source, options, trials, solver);
-        // Relaxation counts come from the best trial's metrics snapshot
-        // (same totals the legacy stats view reports).
+        // Relaxation counts come from the best trial's metrics snapshot.
         const std::uint64_t relaxations =
             m.metrics.counter(obs::CounterId::kRelaxations);
         csv.row("fig08", suite::abbr(cls), algorithm_name(algo), delta,

@@ -149,21 +149,18 @@ Measurement measure(const Graph& g, VertexId source, const SsspOptions& options,
       // the remaining trials injection-free (once per measurement) instead
       // of failing the row. The solver itself is fine either way — a
       // cancelled run unwound cooperatively and the team is idle again.
-      if (!m.chaos_retried && (opts.chaos != nullptr ||
-                               opts.wasp.chaos != nullptr)) {
+      if (!m.chaos_retried && opts.chaos != nullptr) {
         m.chaos_retried = true;
         opts.chaos = nullptr;
-        opts.wasp.chaos = nullptr;
         --t;  // the tripped trial does not count
         continue;
       }
       m.failure = "watchdog-timeout";
       break;
     }
-    times.push_back(r.stats.seconds);
-    if (r.stats.seconds < m.best_seconds) {
-      m.best_seconds = r.stats.seconds;
-      m.stats = r.stats;
+    times.push_back(r.metrics.seconds);
+    if (r.metrics.seconds < m.best_seconds) {
+      m.best_seconds = r.metrics.seconds;
       m.metrics = std::move(r.metrics);
     }
   }

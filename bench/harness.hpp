@@ -15,13 +15,11 @@
 
 namespace wasp::bench {
 
-/// One measured configuration: best-of-trials wall time plus the stats and
-/// full metrics snapshot of the best run, and the watchdog's verdict when
-/// trials hung.
+/// One measured configuration: best-of-trials wall time plus the metrics
+/// snapshot of the best run, and the watchdog's verdict when trials hung.
 struct Measurement {
   double best_seconds = 0.0;
   double median_seconds = 0.0;
-  SsspStats stats;               // from the best trial
   obs::MetricsSnapshot metrics;  // from the best trial
 
   int watchdog_trips = 0;     ///< trials the watchdog had to interrupt

@@ -183,8 +183,8 @@ int main(int argc, char** argv) {
     service::QueryService svc(probe);
     std::vector<double> times;
     for (int q = 0; q < 5; ++q) {
-      const service::QueryResult r =
-          svc.solve(w.graph, pool[static_cast<std::size_t>(q) % pool.size()]);
+      const service::QueryResult r = svc.solve(
+          w.graph, {.source = pool[static_cast<std::size_t>(q) % pool.size()]});
       if (r.outcome == service::Outcome::kServed)
         times.push_back(r.solve_ms / 1e3);
     }
@@ -234,16 +234,16 @@ int main(int argc, char** argv) {
       const double u = std::max(rng.next_double(), 1e-12);
       next_arrival += std::chrono::nanoseconds(static_cast<std::int64_t>(
           -std::log(u) / row.offered_qps * 1e9));
-      service::QueryOptions opt;
       const bool gold = rng.next_below(5) == 0;  // 20% gold / 80% free
-      opt.tenant = gold ? "gold" : "free";
-      opt.priority = gold ? 1 : 0;
-      opt.allow_stale = !gold;
-      opt.budget = budget;
+      service::QueryRequest req;
+      req.source = pool[rng.next_below(pool.size())];
+      req.tenant = gold ? "gold" : "free";
+      req.priority = gold ? 1 : 0;
+      req.allow_stale = !gold;
+      req.budget = budget;
       ++row.attempts;
       try {
-        futures.push_back(svc.submit(
-            w.graph, pool[rng.next_below(pool.size())], std::move(opt)));
+        futures.push_back(svc.submit(w.graph, req));
         ++row.submitted;
       } catch (const ServiceOverloadedError&) {
         ++row.rejected;
@@ -314,19 +314,17 @@ int main(int argc, char** argv) {
           chaos_seed(seed), parse_policy(chaos_name), threads,
           /*record=*/false);
       cc.solver.chaos = engine.get();
-      cc.solver.wasp.chaos = engine.get();
     }
     cancel.budget_ms = std::max(median_solve_s * 0.35 * 1e3, 0.05);
     cancel.queries = 24;
     service::QueryService svc(cc);
     std::vector<double> overshoot_ms;
     for (int q = 0; q < cancel.queries; ++q) {
-      service::QueryOptions opt;
-      opt.budget = std::chrono::nanoseconds(
+      service::QueryRequest req;
+      req.source = pool[static_cast<std::size_t>(q) % pool.size()];
+      req.budget = std::chrono::nanoseconds(
           static_cast<std::int64_t>(cancel.budget_ms * 1e6));
-      const service::QueryResult r = svc.solve(
-          w.graph, pool[static_cast<std::size_t>(q) % pool.size()],
-          std::move(opt));
+      const service::QueryResult r = svc.solve(w.graph, req);
       if (r.outcome == service::Outcome::kDeadlineExpired) {
         ++cancel.expired;
         overshoot_ms.push_back(

@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
     const auto s = wasp::pick_source_in_largest_component(
         g, 100 + static_cast<std::uint64_t>(i));
     const wasp::SsspResult r = solver.solve(g, s);
-    sssp_seconds += r.stats.seconds;
+    sssp_seconds += r.metrics.seconds;
     accumulate_dependencies(g, s, r.dist, centrality);
   }
   std::printf("%d samples in %.1f ms total (%.1f ms inside SSSP)\n", samples,

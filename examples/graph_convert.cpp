@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <string>
 
+#include "graph/builder.hpp"
 #include "graph/io.hpp"
 #include "graph/suite.hpp"
 #include "graph/weights.hpp"
@@ -86,8 +87,10 @@ int run(int argc, char** argv) {
           edges.push_back({u, e.dst, e.w});
     wasp::assign_weights(edges, scheme,
                          static_cast<std::uint64_t>(args.get_int("seed")));
-    graph = wasp::Graph::from_edges(graph.num_vertices(), edges,
-                                    graph.is_undirected());
+    graph = wasp::GraphBuilder()
+        .edges(graph.num_vertices(), edges)
+        .undirected(graph.is_undirected())
+        .build();
   }
 
   // --- save -------------------------------------------------------------------

@@ -44,7 +44,8 @@ int main() {
     }
   }
   std::printf("edge relaxations: %llu, wall time: %.3f ms\n",
-              static_cast<unsigned long long>(result.stats.relaxations),
-              result.stats.seconds * 1e3);
+              static_cast<unsigned long long>(result.metrics.counter(
+                  wasp::obs::CounterId::kRelaxations)),
+              result.metrics.seconds * 1e3);
   return 0;
 }

@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
                 rs.full_solve ? "full" : "repair",
                 static_cast<unsigned long long>(rs.cone_vertices),
                 static_cast<unsigned long long>(rs.seed_vertices),
-                rs.seconds * 1e3, reference.stats.seconds * 1e3,
+                rs.seconds * 1e3, reference.metrics.seconds * 1e3,
                 ok ? "exact" : "MISMATCH (bug!)");
   }
 

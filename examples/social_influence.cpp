@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
                           : 0.0;
     std::printf("%-10u %-8u %-12llu %-14.6f %-10.1f\n", seed,
                 network.out_degree(seed), static_cast<unsigned long long>(reach),
-                closeness, r.stats.seconds * 1e3);
+                closeness, r.metrics.seconds * 1e3);
   }
   return 0;
 }

@@ -105,7 +105,7 @@ int run(int argc, char** argv) {
     } else {
       result = solver.solve(graph, source);
     }
-    times.push_back(result.stats.seconds);
+    times.push_back(result.metrics.seconds);
   }
 
   std::printf("algo=%s threads=%d delta=%u source=%u\n",
@@ -113,11 +113,13 @@ int run(int argc, char** argv) {
               options.delta, source);
   std::printf("time: best %.3f ms (median %.3f ms over %d trials)\n",
               wasp::minimum(times) * 1e3, wasp::median(times) * 1e3, trials);
+  using wasp::obs::CounterId;
+  const auto count = [&](CounterId id) {
+    return static_cast<unsigned long long>(result.metrics.counter(id));
+  };
   std::printf("relaxations=%llu updates=%llu steals=%llu rounds=%llu\n",
-              static_cast<unsigned long long>(result.stats.relaxations),
-              static_cast<unsigned long long>(result.stats.updates),
-              static_cast<unsigned long long>(result.stats.steals),
-              static_cast<unsigned long long>(result.stats.rounds));
+              count(CounterId::kRelaxations), count(CounterId::kUpdates),
+              count(CounterId::kSteals), count(CounterId::kRounds));
 
   std::uint64_t reached = 0;
   for (const auto d : result.dist)

@@ -14,7 +14,7 @@ namespace wasp {
 
 namespace {
 
-/// Edge list → sorted CSR; the former body of Graph::from_edges.
+/// Edge list → sorted CSR.
 Graph build_from_edges(VertexId num_vertices, const std::vector<Edge>& edges,
                        bool undirected) {
   const std::size_t n = num_vertices;
@@ -220,16 +220,6 @@ Graph GraphBuilder::build() {
 
 VersionedGraph GraphBuilder::build_versioned() {
   return VersionedGraph(build());
-}
-
-// Thin deprecated shim: the edge-list construction logic moved into
-// GraphBuilder; this keeps the (very many) existing call sites working.
-Graph Graph::from_edges(VertexId num_vertices, const std::vector<Edge>& edges,
-                        bool undirected) {
-  return GraphBuilder()
-      .edges(num_vertices, edges)
-      .undirected(undirected)
-      .build();
 }
 
 }  // namespace wasp

@@ -1,19 +1,15 @@
 // GraphBuilder: the one front door for graph construction.
 //
-// The repo grew five independent construction styles — Graph::from_edges,
-// the gen:: generators, the io:: loaders, transpose(), and
-// CompressedGraph::decompress() — each returning a Graph through its own
-// path. Dynamic graphs (graph/delta.hpp) need version/overlay plumbing on
-// every one of those paths, so construction now converges here: pick exactly
-// one source, optionally set options, and finish with either
+// Every way to make a graph goes through here: an edge list, CSR arrays, a
+// gen:: generator's output (graph()), the io:: loaders (*_file/*_stream),
+// transpose_of() and decompress(). Pick exactly one source, optionally set
+// options, and finish with either
 //
-//   build()           -> Graph           (the immutable CSR, as before)
+//   build()           -> Graph           (the immutable CSR)
 //   build_versioned() -> VersionedGraph  (mutable, versioned, journaled)
 //
-// The old entry points remain as thin shims that delegate to this builder
-// (Graph::from_edges) or feed it (generators via graph(), loaders via the
-// *_file/*_stream sources), so no call site is forced to migrate at once —
-// but new code should come through here.
+// so dynamic graphs (graph/delta.hpp) get their version/overlay plumbing
+// from one place, whatever the source.
 //
 // A builder is single-shot: build() consumes the staged source; reusing the
 // object without staging a new source throws InvalidGraphError.
@@ -37,9 +33,11 @@ class GraphBuilder {
 
   // --- sources (stage exactly one) ----------------------------------------
 
-  /// Edge list → CSR: drops self-loops, symmetrizes when undirected(), sorts
-  /// each adjacency list by (dst, w). This is the logic that used to live in
-  /// Graph::from_edges.
+  /// Edge list → CSR: drops self-loops (the paper's edge set excludes
+  /// u == v), sorts each adjacency list by (dst, w), and, when undirected(),
+  /// stores every edge {u,v} as both (u,v) and (v,u) with the same weight
+  /// (num_edges() then counts both directions). Throws std::out_of_range on
+  /// an endpoint >= num_vertices.
   GraphBuilder& edges(VertexId num_vertices, std::vector<Edge> edges);
 
   /// Pre-built CSR arrays (validated by build(), exactly like

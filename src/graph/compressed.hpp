@@ -22,7 +22,7 @@ namespace wasp {
 class CompressedGraph {
  public:
   /// Compresses an existing CSR graph (adjacency lists must be sorted by
-  /// destination, which Graph::from_edges guarantees).
+  /// destination, which GraphBuilder's edges() source guarantees).
   static CompressedGraph compress(const Graph& g);
 
   [[nodiscard]] VertexId num_vertices() const {

@@ -13,7 +13,7 @@ namespace wasp {
 namespace {
 
 /// Arcs a logical update expands to: (u,v) always, plus (v,u) on undirected
-/// graphs (every edge is stored in both directions, as in from_edges).
+/// graphs (GraphBuilder stores every undirected edge in both directions).
 struct ArcPair {
   VertexId a_src, a_dst;
   bool mirrored;
@@ -55,7 +55,7 @@ void VersionedGraph::validate_batch(const GraphDelta& delta) const {
     if (op.src == op.dst) {
       std::ostringstream os;
       os << "VersionedGraph::apply: self-loop on vertex " << op.src
-         << " (the edge set excludes u == v, as in Graph::from_edges)";
+         << " (the edge set excludes u == v, as in GraphBuilder::edges)";
       throw InvalidGraphError(os.str());
     }
     switch (op.op) {
@@ -100,7 +100,7 @@ std::size_t VersionedGraph::apply_arc(EdgeUpdate::Op op, VertexId u,
     case EdgeUpdate::Op::kSetWeight: {
       // In place: weight-only changes never dirty the overlay. Every
       // parallel (u, v) arc collapses to the one new weight, so the sorted-
-      // by-(dst, w) layout from_edges produced stays sorted.
+      // by-(dst, w) layout GraphBuilder produced stays sorted.
       std::size_t touched = 0;
       WEdge* edges;
       std::size_t count;
@@ -125,7 +125,7 @@ std::size_t VersionedGraph::apply_arc(EdgeUpdate::Op op, VertexId u,
       std::vector<WEdge>& list = overlay_for(u);
       const WEdge rec{v, w};
       // Sorted insertion keeps the overlaid list in the (dst, w) order a
-      // from_edges rebuild would produce, so compaction round-trips exactly.
+      // GraphBuilder rebuild would produce, so compaction round-trips exactly.
       auto pos = std::lower_bound(
           list.begin(), list.end(), rec, [](const WEdge& a, const WEdge& b) {
             return a.dst < b.dst || (a.dst == b.dst && a.w < b.w);

@@ -68,8 +68,9 @@ class GraphDelta {
     return *this;
   }
 
-  /// Adds a new edge. Parallel edges are allowed (as in Graph::from_edges);
-  /// self-loops are rejected at apply() like from_edges drops them.
+  /// Adds a new edge. Parallel edges are allowed (as in GraphBuilder's
+  /// edges() source); self-loops are rejected at apply() like edges() drops
+  /// them.
   GraphDelta& insert(VertexId u, VertexId v, Weight w) {
     ops_.push_back({EdgeUpdate::Op::kInsert, u, v, w});
     return *this;

@@ -9,10 +9,6 @@
 
 namespace wasp {
 
-// Graph::from_edges lives in builder.cpp as a thin shim over GraphBuilder —
-// the edge-list construction logic moved there so every construction style
-// shares one front door.
-
 std::uint64_t UniqueId::next() noexcept {
   // lint:allow(raw-atomic): pure id generator outside the verify-modelled
   // engine; no data is published through it.

@@ -103,23 +103,10 @@ class UniqueId {
   std::uint64_t value_;
 };
 
-/// Immutable CSR graph.
+/// Immutable CSR graph. Build one with GraphBuilder (graph/builder.hpp).
 class Graph {
  public:
   Graph() = default;
-
-  /// Builds a CSR graph from an edge list.
-  ///
-  /// Self-loops are dropped (the paper's edge set excludes u == v). When
-  /// `undirected` is true every input edge {u,v} is stored as both (u,v) and
-  /// (v,u) with the same weight; num_edges() then counts both directions.
-  ///
-  /// Deprecated shim: delegates to GraphBuilder (graph/builder.hpp), the one
-  /// front door for construction — prefer
-  /// GraphBuilder().edges(n, edges).undirected(u).build() in new code (it can
-  /// move the edge vector and can finish with build_versioned()).
-  static Graph from_edges(VertexId num_vertices, const std::vector<Edge>& edges,
-                          bool undirected);
 
   /// Builds directly from CSR arrays (used by I/O and transpose). Validation
   /// lives here; GraphBuilder's csr() source routes through it.

@@ -1,10 +1,9 @@
 // MetricsRegistry: the single instrumentation substrate every SSSP
 // implementation reports through (replacing the per-algorithm ThreadCounters
 // bags). One cache-padded MetricsShard per worker holds named counters,
-// gauges, and log2-bucketed histograms; a run ends with snapshot(), from
-// which SsspStats is computed as a compatibility view (stats_from_snapshot in
-// sssp/common.hpp) and from which the bench figures read their breakdown
-// columns.
+// gauges, and log2-bucketed histograms; a run ends with snapshot(), which
+// every SsspResult carries and from which the bench figures read their
+// breakdown columns.
 //
 // The registry is always compiled (it *is* the product's stats path);
 // WASP_OBS gates only the TraceRecorder (trace.hpp). Shard mutators are

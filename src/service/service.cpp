@@ -117,10 +117,12 @@ std::shared_future<QueryResult> QueryService::submit_impl(
          << " out of range for graph with " << g.num_vertices() << " vertices";
       throw InvalidSourceError(os.str());
     }
-    if (vg != nullptr && vg->version() < req.min_graph_version) {
+    // Plain Graphs are version 0, so they reject any positive minimum.
+    const std::uint64_t version = vg != nullptr ? vg->version() : 0;
+    if (version < req.min_graph_version) {
       std::ostringstream os;
       os << "QueryService::submit: min_graph_version " << req.min_graph_version
-         << " not yet reached (graph is at version " << vg->version() << ")";
+         << " not yet reached (graph is at version " << version << ")";
       throw InvalidOptionsError(os.str());
     }
     // Fresh path: an exactly current answer (republished by update() or
@@ -245,29 +247,12 @@ std::shared_future<QueryResult> QueryService::submit(VersionedGraph& vg,
   return submit_impl(nullptr, &vg, req);
 }
 
-std::shared_future<QueryResult> QueryService::submit(const Graph& g,
-                                                     VertexId source,
-                                                     QueryOptions opt) {
-  QueryRequest req;
-  req.source = source;
-  req.priority = opt.priority;
-  req.budget = opt.budget;
-  req.tenant = std::move(opt.tenant);
-  req.allow_stale = opt.allow_stale;
-  return submit_impl(&g, nullptr, std::move(req));
-}
-
 QueryResult QueryService::solve(const Graph& g, const QueryRequest& req) {
   return submit(g, req).get();
 }
 
 QueryResult QueryService::solve(VersionedGraph& vg, const QueryRequest& req) {
   return submit(vg, req).get();
-}
-
-QueryResult QueryService::solve(const Graph& g, VertexId source,
-                                QueryOptions opt) {
-  return submit(g, source, std::move(opt)).get();
 }
 
 std::uint64_t QueryService::update(VersionedGraph& vg,
@@ -498,7 +483,6 @@ QueryResult QueryService::execute(Pending& q, int wid,
       solver->options().cancel = nullptr;
       r.outcome = Outcome::kServed;
       r.dist = std::move(s.dist);
-      r.stats = s.stats;
       r.graph_version = q.run_version;
       break;
     } catch (const SolveCancelledError& ex) {

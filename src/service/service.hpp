@@ -120,24 +120,11 @@ struct QueryRequest {
   void validate() const;
 };
 
-/// Deprecated per-query knobs for the positional submit() shim below; new
-/// code should pass a QueryRequest.
-struct QueryOptions {
-  std::string tenant = "default";  ///< accounting + shedding identity
-  int priority = 0;                ///< higher wins queue order; lowest sheds
-  /// Wall-clock budget from submit() (queueing included); <= 0 uses the
-  /// service default_budget (which may itself be "none").
-  std::chrono::nanoseconds budget{0};
-  /// Permit a cached same-source answer when shed or expired in queue.
-  bool allow_stale = false;
-};
-
 /// What a query's future resolves to. Never an exception: every accepted
 /// query resolves with a typed Outcome (only submit() itself throws).
 struct QueryResult {
   Outcome outcome = Outcome::kFailed;
   std::vector<Distance> dist;  ///< filled for kServed / kServedStale
-  SsspStats stats;             ///< solver stats (kServed only)
   std::string error;           ///< what() of the terminal failure (kFailed)
   double queue_ms = 0.0;       ///< submit -> worker pickup (or terminal)
   double solve_ms = 0.0;       ///< worker pickup -> completion, all attempts
@@ -245,15 +232,9 @@ class QueryService {
   std::shared_future<QueryResult> submit(VersionedGraph& vg,
                                          const QueryRequest& req);
 
-  /// Deprecated positional shim; forwards to the QueryRequest overload.
-  std::shared_future<QueryResult> submit(const Graph& g, VertexId source,
-                                         QueryOptions opt = {});
-
   /// Convenience: submit() and wait.
   QueryResult solve(const Graph& g, const QueryRequest& req);
   QueryResult solve(VersionedGraph& vg, const QueryRequest& req);
-  /// Deprecated positional shim; forwards to the QueryRequest overload.
-  QueryResult solve(const Graph& g, VertexId source, QueryOptions opt = {});
 
   /// Applies `batch` to `vg` through the exclusive update gate: new pickups
   /// pause, running queries drain, the batch is applied and any structural

@@ -13,7 +13,7 @@ namespace wasp {
 SsspResult bellman_ford(const Graph& g, VertexId source, RunContext& ctx) {
   using CId = obs::CounterId;
   const int p = ctx.team.size();
-  AtomicDistances& dist = ctx.distances(g.num_vertices());
+  AtomicDistances& dist = ctx.distances();
   dist.store(source, 0);
 
   std::vector<VertexId> frontier{source};

@@ -107,30 +107,12 @@ int WaspConfig::fragments(int team_size) const {
   return std::clamp(want, 1, team_size);
 }
 
-SsspStats stats_from_snapshot(const obs::MetricsSnapshot& snap) {
-  using obs::CounterId;
-  SsspStats stats;
-  stats.seconds = snap.seconds;
-  stats.relaxations = snap.counter(CounterId::kRelaxations);
-  stats.updates = snap.counter(CounterId::kUpdates);
-  stats.steals = snap.counter(CounterId::kSteals);
-  stats.steal_attempts = snap.counter(CounterId::kStealAttempts);
-  stats.stale_skips = snap.counter(CounterId::kStaleSkips);
-  stats.rounds = snap.counter(CounterId::kRounds);
-  stats.barrier_ns = snap.counter(CounterId::kBarrierNs);
-  stats.queue_op_ns = snap.counter(CounterId::kQueueOpNs);
-  stats.steal_ns = snap.counter(CounterId::kStealNs);
-  stats.idle_ns = snap.counter(CounterId::kIdleNs);
-  return stats;
-}
-
 void finalize_result(RunContext& ctx, double seconds, SsspResult& result) {
   obs::MetricsShard& s0 = ctx.metrics.shard(0);
   s0.set_gauge(obs::GaugeId::kTeamJobs, ctx.team.jobs_run());
   s0.set_gauge(obs::GaugeId::kTeamJobNs, ctx.team.job_ns());
   ctx.metrics.set_elapsed_seconds(seconds);
   result.metrics = ctx.metrics.snapshot();
-  result.stats = stats_from_snapshot(result.metrics);
 }
 
 }  // namespace wasp

@@ -152,7 +152,7 @@ class AtomicDistances {
 /// Reusable tentative-distance storage for repeat queries. Not thread-safe:
 /// acquire() runs between parallel phases (the front-end calls it before
 /// handing workers the array). Solver owns one so repeated solve() calls
-/// skip the O(V) fill; the plain run_sssp overloads use a per-call pool.
+/// skip the O(V) fill.
 class DistancePool {
  public:
   /// Returns an array of `n` logically-kInfDist entries. The fast path is
@@ -277,10 +277,6 @@ struct WaspConfig {
   /// Solver fills this in once at construction so repeated solve() calls
   /// skip re-detection.
   std::shared_ptr<const NumaTopology> topology;
-  /// Fault-injection engine installed on every worker for this run (tests
-  /// only; null = no injection). Effective only in WASP_CHAOS builds.
-  chaos::Engine* chaos = nullptr;
-
   /// Partitioned execution mode (docs/NUMA.md): split the CSR into
   /// per-NUMA-node fragments, run the deque protocol inside each fragment,
   /// and route boundary relaxations through batched remote queues instead
@@ -395,30 +391,10 @@ struct SsspOptions {
   void validate() const;
 };
 
-/// Instrumentation totals for one run — a compatibility view computed from
-/// the MetricsSnapshot (stats_from_snapshot below), kept so pre-registry
-/// callers and the bench tables read the totals they always did.
-struct SsspStats {
-  double seconds = 0.0;            ///< parallel-phase wall time
-  std::uint64_t relaxations = 0;
-  std::uint64_t updates = 0;
-  std::uint64_t steals = 0;
-  std::uint64_t steal_attempts = 0;
-  std::uint64_t stale_skips = 0;   ///< redundant scheduling (priority drift)
-  std::uint64_t rounds = 0;        ///< synchronous steps (0 for async)
-  std::uint64_t barrier_ns = 0;    ///< total barrier wait across threads
-  std::uint64_t queue_op_ns = 0;   ///< total locked MultiQueue op time
-  std::uint64_t steal_ns = 0;      ///< total time in Wasp victim sweeps
-  std::uint64_t idle_ns = 0;       ///< total Wasp idle/termination-scan time
-};
-
-/// Projects a registry snapshot onto the legacy stats view.
-SsspStats stats_from_snapshot(const obs::MetricsSnapshot& snap);
-
-/// Distances plus instrumentation (stats is the legacy view of metrics).
+/// Distances plus the run's metrics (wall time in metrics.seconds, work
+/// counts via metrics.counter(CounterId::...)).
 struct SsspResult {
   std::vector<Distance> dist;
-  SsspStats stats;
   obs::MetricsSnapshot metrics;
 };
 
@@ -431,8 +407,8 @@ struct RunContext {
   obs::TraceRecorder* trace = nullptr;
   obs::RunObserver* observer = nullptr;
   chaos::Engine* chaos = nullptr;
-  /// Pool the front-end acquires ctx.dist from (null = per-call pool;
-  /// Solver points this at its owned pool to amortize the O(V) fill).
+  /// Pool the front-end acquires ctx.dist from (Solver's owned pool, so
+  /// repeat solves skip the O(V) fill).
   DistancePool* pool = nullptr;
   /// This run's tentative-distance array, acquired (all-kInfDist) by
   /// dispatch_sssp; the parallel algorithms use it instead of allocating.
@@ -459,28 +435,13 @@ struct RunContext {
     return cancel != nullptr && cancel->poll();
   }
 
-  /// The run's distance array: what dispatch_sssp acquired, or — for direct
-  /// algorithm calls that bypass the front door (tests, microbenches) — `n`
-  /// logically-kInfDist entries acquired here from a context-owned pool.
-  [[nodiscard]] AtomicDistances& distances(std::size_t n) {
-    if (dist == nullptr || dist->size() != n) {
-      if (pool == nullptr) {
-        if (!owned_pool) owned_pool = std::make_unique<DistancePool>();
-        pool = owned_pool.get();
-      }
-      dist = &pool->acquire(n);
-    }
-    return *dist;
-  }
-
-  /// Fallback pool for the direct-call path of distances(); the front door
-  /// never touches it.
-  std::unique_ptr<DistancePool> owned_pool = nullptr;
+  /// The run's distance array: what dispatch_sssp acquired, or a repair's
+  /// pre-loaded bounds.
+  [[nodiscard]] AtomicDistances& distances() const { return *dist; }
 };
 
 /// Shared run epilogue: records the team gauges and the elapsed time into
-/// the registry, snapshots it into `result.metrics`, and fills the legacy
-/// `result.stats` view.
+/// the registry and snapshots it into `result.metrics`.
 void finalize_result(RunContext& ctx, double seconds, SsspResult& result);
 
 }  // namespace wasp

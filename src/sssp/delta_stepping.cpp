@@ -49,7 +49,7 @@ constexpr std::size_t kFusionLimit = 1u << 12;
 SsspResult delta_stepping(const Graph& g, VertexId source, Weight delta,
                           bool bucket_fusion, RunContext& ctx) {
   const int p = ctx.team.size();
-  AtomicDistances& dist = ctx.distances(g.num_vertices());
+  AtomicDistances& dist = ctx.distances();
   dist.store(source, 0);
   const std::uint32_t lookahead = ctx.prefetch_lookahead;
 

@@ -37,7 +37,6 @@ SsspResult dijkstra(const Graph& g, VertexId source) {
   shard.inc(obs::CounterId::kVerticesProcessed, processed);
   metrics.set_elapsed_seconds(timer.seconds());
   result.metrics = metrics.snapshot();
-  result.stats = stats_from_snapshot(result.metrics);
   return result;
 }
 

@@ -110,7 +110,7 @@ void IncrementalSolver::full_solve(const Graph& g, VertexId source) {
       std::move(result.dist));
   last_ = RepairStats{};
   last_.full_solve = true;
-  last_.seconds = result.stats.seconds;
+  last_.seconds = result.metrics.seconds;
 
   // Bind the warm state only when the solve actually went through the
   // pooled atomic array (the sequential Dijkstra reference and a Wasp run
@@ -266,19 +266,16 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   RunContext ctx{solver_.team(), registry,
                  solver_.trace() != nullptr ? solver_.trace() : opts.trace,
                  opts.observer, opts.chaos};
-  ctx.pool = &solver_.distances();
   ctx.dist = &dist;
   ctx.prefetch_lookahead = opts.prefetch_lookahead;
   ctx.cancel = cancel;
-  WaspConfig cfg = opts.wasp;
-  if (cfg.chaos == nullptr) cfg.chaos = ctx.chaos;
 
   // A cone too wide to patch needs no log: the engine decodes the array.
   const std::size_t patch_limit = n / kPatchShare;
   LoweredLog* log = cone_.size() <= patch_limit ? &lowered_ : nullptr;
   SsspResult result;
   try {
-    result = wasp_sssp_seeded(g, seeds_, opts.delta, cfg, ctx, log);
+    result = wasp_sssp_seeded(g, seeds_, opts.delta, opts.wasp, ctx, log);
   } catch (...) {
     discard_warm();
     throw;
@@ -314,7 +311,7 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   last_.seed_vertices = seeds_.size();
   last_.lowered = lowered;
   last_.patched = patch;
-  last_.seconds = result.stats.seconds;
+  last_.seconds = result.metrics.seconds;
 }
 
 }  // namespace wasp

@@ -11,8 +11,8 @@
 //     source becomes a relaxation seed) or an increase (erase / weight rise
 //     — distances that rode the arc may be invalid).
 //  2. Cone invalidation. For each increase whose arc was admissible under
-//     the warm distances (dist[u] + old_w <= dist[v], the conservative
-//     parent predicate from paths.hpp), the head v starts a cone walk:
+//     the warm distances (dist[u] + old_w <= dist[v], a conservative
+//     shortest-path-parent predicate), the head v starts a cone walk:
 //     every vertex reachable from it through admissible arcs may have
 //     depended on the changed arc. The whole cone is reset to infinity —
 //     over-approximation is safe (extra recompute), under-approximation is

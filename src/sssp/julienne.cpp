@@ -32,7 +32,7 @@ SsspResult julienne_sssp(const Graph& g, VertexId source, Weight delta,
                          bool direction_optimize, RunContext& ctx) {
   const int p = ctx.team.size();
   const VertexId n = g.num_vertices();
-  AtomicDistances& dist = ctx.distances(g.num_vertices());
+  AtomicDistances& dist = ctx.distances();
   dist.store(source, 0);
 
   std::vector<CachePadded<Staging>> staging(static_cast<std::size_t>(p));

@@ -15,7 +15,7 @@ SsspResult mq_dijkstra(const Graph& g, VertexId source, int c, int stickiness,
                        int buffer_size, std::uint64_t seed, RunContext& ctx) {
   using CId = obs::CounterId;
   const int p = ctx.team.size();
-  AtomicDistances& dist = ctx.distances(g.num_vertices());
+  AtomicDistances& dist = ctx.distances();
   dist.store(source, 0);
 
   MultiQueue::Config config;

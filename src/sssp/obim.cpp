@@ -132,7 +132,7 @@ struct LocalBags {
 
 SsspResult obim_sssp(const Graph& g, VertexId source, Weight delta,
                      std::uint32_t chunk_size, RunContext& ctx) {
-  AtomicDistances& dist = ctx.distances(g.num_vertices());
+  AtomicDistances& dist = ctx.distances();
   dist.store(source, 0);
 
   GlobalBags global;

@@ -15,7 +15,7 @@ SsspResult smq_dijkstra(const Graph& g, VertexId source, int steal_batch,
                         std::uint64_t seed, RunContext& ctx) {
   using CId = obs::CounterId;
   const int p = ctx.team.size();
-  AtomicDistances& dist = ctx.distances(g.num_vertices());
+  AtomicDistances& dist = ctx.distances();
   dist.store(source, 0);
 
   StealingMultiQueue::Config config;

@@ -1,8 +1,9 @@
 // wasp::Solver — the amortizing handle over the SSSP front-end.
 //
-// run_sssp() builds a thread team, detects the NUMA topology, and allocates
-// a metrics registry per call; a production caller answering many queries
-// pays all of that once by holding a Solver:
+// run_sssp() builds a one-shot Solver, so it spawns a thread team, detects
+// the NUMA topology, and allocates a metrics registry per call; a
+// production caller answering many queries pays all of that once by holding
+// a Solver:
 //
 //   wasp::SsspOptions opt;
 //   opt.algo = wasp::Algorithm::kWasp;

@@ -11,6 +11,7 @@
 #include "sssp/mq_dijkstra.hpp"
 #include "sssp/obim.hpp"
 #include "sssp/smq_dijkstra.hpp"
+#include "sssp/solver.hpp"
 #include "sssp/stepping.hpp"
 #include "sssp/wasp.hpp"
 
@@ -83,13 +84,11 @@ SsspResult dispatch_sssp(const Graph& g, VertexId source,
   // A Wasp run with more than one fragment keeps its distances in fragment
   // shards (and counts their sweeps itself), so it is not charged a
   // pooled-array acquire either.
-  DistancePool local_pool;
   if (options.uses_distance_pool(ctx.team.size())) {
-    DistancePool& pool = ctx.pool != nullptr ? *ctx.pool : local_pool;
-    const std::uint64_t sweeps_before = pool.sweeps();
-    ctx.dist = &pool.acquire(g.num_vertices());
+    const std::uint64_t sweeps_before = ctx.pool->sweeps();
+    ctx.dist = &ctx.pool->acquire(g.num_vertices());
     ctx.metrics.shard(0).inc(obs::CounterId::kEpochSweeps,
-                             pool.sweeps() - sweeps_before);
+                             ctx.pool->sweeps() - sweeps_before);
   }
   ctx.prefetch_lookahead = options.prefetch_lookahead;
   SsspResult result = [&]() -> SsspResult {
@@ -114,7 +113,7 @@ SsspResult dispatch_sssp(const Graph& g, VertexId source,
                            options.stepping.direction_optimize, ctx);
     case Algorithm::kRadiusStepping: {
       // Preprocessing (the r_k radii) is part of radius-stepping's contract;
-      // its cost is excluded from stats.seconds like the baselines' graph
+      // its cost is excluded from metrics.seconds like the baselines' graph
       // loading, but callers wanting end-to-end cost can time this call.
       const std::vector<Distance> radii =
           compute_radii(g, options.stepping.radius_k, ctx.team);
@@ -128,11 +127,8 @@ SsspResult dispatch_sssp(const Graph& g, VertexId source,
     case Algorithm::kSmqDijkstra:
       return smq_dijkstra(g, source, options.smq.steal_batch, options.seed,
                           ctx);
-    case Algorithm::kWasp: {
-      WaspConfig cfg = options.wasp;
-      if (cfg.chaos == nullptr) cfg.chaos = ctx.chaos;
-      return wasp_sssp(g, source, options.delta, cfg, ctx);
-    }
+    case Algorithm::kWasp:
+      return wasp_sssp(g, source, options.delta, options.wasp, ctx);
     case Algorithm::kObim:
       return obim_sssp(g, source, options.delta, options.obim.chunk_size, ctx);
   }
@@ -156,21 +152,9 @@ SsspResult dispatch_sssp(const Graph& g, VertexId source,
 
 }  // namespace detail
 
-SsspResult run_sssp(const Graph& g, VertexId source, const SsspOptions& options,
-                    ThreadTeam& team) {
-  obs::MetricsRegistry metrics(team.size());
-  RunContext ctx{team, metrics, options.trace, options.observer,
-                 options.chaos};
-  return detail::dispatch_sssp(g, source, options, ctx);
-}
-
 SsspResult run_sssp(const Graph& g, VertexId source,
                     const SsspOptions& options) {
-  // Validate before spinning up the team so a bad threads count raises
-  // InvalidOptionsError (not ThreadTeam's bare invalid_argument).
-  options.validate();
-  ThreadTeam team(options.threads);
-  return run_sssp(g, source, options, team);
+  return Solver(options).solve(g, source);
 }
 
 }  // namespace wasp

@@ -13,29 +13,24 @@
 // Per-algorithm knobs are nested (opt.stepping.rho, opt.mq.c, ...); options
 // are validated once at this front door (SsspOptions::validate()).
 //
-// Callers that amortize worker-thread creation, NUMA detection, and metrics
-// allocation across many runs should use wasp::Solver (sssp/solver.hpp);
-// the ThreadTeam overload below remains for callers that only share a team.
+// run_sssp is a one-shot Solver: callers that amortize worker-thread
+// creation, NUMA detection, and metrics allocation across many runs should
+// hold a wasp::Solver (sssp/solver.hpp).
 #pragma once
 
 #include "graph/graph.hpp"
 #include "sssp/common.hpp"
-#include "support/thread_team.hpp"
 
 namespace wasp {
 
-/// Runs the algorithm selected by `options.algo` on an internally created
-/// thread team of `options.threads` workers.
+/// Runs the algorithm selected by `options.algo` on a fresh Solver of
+/// `options.threads` workers.
 SsspResult run_sssp(const Graph& g, VertexId source, const SsspOptions& options);
 
-/// Same, on a caller-provided team (team.size() overrides options.threads).
-SsspResult run_sssp(const Graph& g, VertexId source, const SsspOptions& options,
-                    ThreadTeam& team);
-
 namespace detail {
-/// The shared dispatch behind both run_sssp overloads and Solver::solve:
-/// validates inputs and options, then runs options.algo under `ctx`
-/// (ctx.metrics needs >= ctx.team.size() shards; it is reset here).
+/// The dispatch behind Solver::solve: validates inputs and options, acquires
+/// ctx.dist from ctx.pool, then runs options.algo under `ctx` (ctx.metrics
+/// needs >= ctx.team.size() shards; it is reset here).
 SsspResult dispatch_sssp(const Graph& g, VertexId source,
                          const SsspOptions& options, RunContext& ctx);
 }  // namespace detail

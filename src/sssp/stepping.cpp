@@ -71,7 +71,7 @@ SsspResult stepping_sssp(const Graph& g, VertexId source, SteppingKind kind,
     throw std::invalid_argument("radius-stepping needs precomputed radii");
   const int p = ctx.team.size();
   const VertexId n = g.num_vertices();
-  AtomicDistances& dist = ctx.distances(g.num_vertices());
+  AtomicDistances& dist = ctx.distances();
   dist.store(source, 0);
 
   std::vector<CachePadded<Distance>> local_min(static_cast<std::size_t>(p));

@@ -1108,10 +1108,10 @@ class WaspWorker {
 
 template <typename ChunkT, bool Relay>
 void launch(WaspShared<ChunkT>& shared, std::span<const VertexId> seeds,
-            bool cold, chaos::Engine* chaos) {
+            bool cold) {
   shared.ctx.team.run([&](int tid) {
     verify::ScopedSchedule schedule_guard(tid);
-    chaos::ScopedInstall chaos_guard(chaos, tid);
+    chaos::ScopedInstall chaos_guard(shared.ctx.chaos, tid);
     WaspWorker<ChunkT, Relay> worker(shared, tid);
     worker.seed(seeds, cold);
     worker.run();
@@ -1158,11 +1158,10 @@ SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds, bool cold,
                             *topo, cpu_of);
   if (part == nullptr) {
     // The whole Graph over the run's array: the pool entry dispatch_sssp
-    // acquired, or a repair's pre-loaded bounds (distances() with a
-    // matching size hands the same array back untouched).
+    // acquired, or a repair's pre-loaded bounds.
     shared.views[0] =
         FragmentView{0, g.num_vertices(), g.offsets_data(), g.edge_data(),
-                     &ctx.distances(g.num_vertices())};
+                     &ctx.distances()};
   } else {
     if (built != nullptr) {
       // Placement phase: each fragment's leader constructs its distance
@@ -1225,12 +1224,11 @@ SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds, bool cold,
       shared.curr.publish(t, min_level[static_cast<std::size_t>(t)]);
   }
 
-  chaos::Engine* chaos = config.chaos != nullptr ? config.chaos : ctx.chaos;
   Timer timer;
   if (part == nullptr) {
-    launch<ChunkT, false>(shared, seeds, cold, chaos);
+    launch<ChunkT, false>(shared, seeds, cold);
   } else {
-    launch<ChunkT, true>(shared, seeds, cold, chaos);
+    launch<ChunkT, true>(shared, seeds, cold);
   }
   finalize_result(ctx, timer.seconds(), result);
   if (log != nullptr) return result;  // the caller patches from the log

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "graph/algorithms.hpp"
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
 #include "sssp/bellman_ford.hpp"
@@ -23,6 +24,8 @@
 namespace wasp {
 namespace {
 
+using obs::CounterId;
+
 struct Ref {
   Graph graph;
   VertexId source;
@@ -37,16 +40,21 @@ Ref make_ref(Graph g, std::uint64_t seed = 3) {
   return r;
 }
 
-/// Direct algorithm calls bypass the run_sssp front door, so each call
-/// brings its own team + registry (the registry is only reset by the
-/// dispatcher; reusing one across calls would accumulate counters).
+/// Direct algorithm calls bypass the Solver front door, so each call brings
+/// its own team, registry and all-kInfDist distance array for `g` (the
+/// registry is only reset by the dispatcher; reusing one across calls would
+/// accumulate counters).
 struct Ctx {
   ThreadTeam team;
   obs::MetricsRegistry metrics;
+  AtomicDistances dist;
   RunContext ctx;
 
-  explicit Ctx(int threads)
-      : team(threads), metrics(threads), ctx{team, metrics} {}
+  Ctx(int threads, const Graph& g)
+      : team(threads), metrics(threads), dist(g.num_vertices()),
+        ctx{team, metrics} {
+    ctx.dist = &dist;
+  }
 };
 
 // --- Julienne: bounded window + overflow -----------------------------------
@@ -55,18 +63,18 @@ TEST(Julienne, OverflowRebucketingOnDeepGraphs) {
   // Long chain with delta=1: distances reach ~250*2048 so the 32-bucket
   // window overflows thousands of times.
   const Ref ref = make_ref(gen::chain_forest(1, 2048, WeightScheme::gap(), 5));
-  Ctx c(3);
+  Ctx c(3, ref.graph);
   const auto r = julienne_sssp(ref.graph, ref.source, /*delta=*/1,
                                /*direction_optimize=*/false, c.ctx);
   EXPECT_EQ(r.dist, ref.dist);
   // Many more rounds than buckets in one window.
-  EXPECT_GT(r.stats.rounds, 32u);
+  EXPECT_GT(r.metrics.counter(CounterId::kRounds), 32u);
 }
 
 TEST(Julienne, PullRoundsFireOnStarAndStayExact) {
   const Ref ref = make_ref(gen::star_hub(4000, 0.93, 0.01, WeightScheme::gap(), 6));
-  Ctx with(4);
-  Ctx without(4);
+  Ctx with(4, ref.graph);
+  Ctx without(4, ref.graph);
   const auto with_pull = julienne_sssp(ref.graph, ref.source, 64,
                                        /*direction_optimize=*/true, with.ctx);
   const auto without_pull =
@@ -78,10 +86,11 @@ TEST(Julienne, PullRoundsFireOnStarAndStayExact) {
 
 TEST(Julienne, WideDeltaCollapsesToFewRounds) {
   const Ref ref = make_ref(gen::erdos_renyi(2000, 8.0, WeightScheme::gap(), 7));
-  Ctx c(2);
+  Ctx c(2, ref.graph);
   const auto r = julienne_sssp(ref.graph, ref.source, 1u << 20, false, c.ctx);
   EXPECT_EQ(r.dist, ref.dist);
-  EXPECT_LE(r.stats.rounds, 16u);  // everything lands in bucket 0
+  // Everything lands in bucket 0.
+  EXPECT_LE(r.metrics.counter(CounterId::kRounds), 16u);
 }
 
 // --- Delta* / rho stepping ---------------------------------------------------
@@ -91,7 +100,7 @@ TEST(Stepping, SuperSparseRoundsHandleChains) {
   // through the sequential super-sparse path.
   const Ref ref = make_ref(gen::chain_forest(1, 500, WeightScheme::gap(), 8));
   for (const auto kind : {SteppingKind::kDeltaStar, SteppingKind::kRho}) {
-    Ctx c(4);
+    Ctx c(4, ref.graph);
     const auto r = stepping_sssp(ref.graph, ref.source, kind, 64, 1 << 14,
                                  true, c.ctx);
     EXPECT_EQ(r.dist, ref.dist);
@@ -101,7 +110,7 @@ TEST(Stepping, SuperSparseRoundsHandleChains) {
 TEST(Stepping, PullRoundsOnStarStayExact) {
   const Ref ref = make_ref(gen::star_hub(6000, 0.93, 0.01, WeightScheme::gap(), 9));
   for (const bool pull : {true, false}) {
-    Ctx c(4);
+    Ctx c(4, ref.graph);
     const auto r = stepping_sssp(ref.graph, ref.source, SteppingKind::kDeltaStar,
                                  32, 1 << 14, pull, c.ctx);
     EXPECT_EQ(r.dist, ref.dist) << "pull=" << pull;
@@ -116,7 +125,7 @@ TEST(Stepping, RegressionSettledBoundIsFrontierMinNotThreshold) {
   // the frontier minimum. This configuration (undirected, dense enough to
   // trigger pulls, frontier below rho) reproduced the bug deterministically.
   const Ref ref = make_ref(gen::erdos_renyi(3000, 8.0, WeightScheme::gap(), 16));
-  Ctx c(1);
+  Ctx c(1, ref.graph);
   const auto r = stepping_sssp(ref.graph, ref.source, SteppingKind::kRho,
                                1, /*rho=*/1 << 14, /*pull=*/true, c.ctx);
   EXPECT_EQ(r.dist, ref.dist);
@@ -130,7 +139,7 @@ TEST(Stepping, TinyRhoStillTerminates) {
   // rho=1 processes ~one vertex per threshold round: maximal round count,
   // exercises the deferral path heavily.
   const Ref ref = make_ref(gen::erdos_renyi(500, 6.0, WeightScheme::gap(), 10));
-  Ctx c(3);
+  Ctx c(3, ref.graph);
   const auto r = stepping_sssp(ref.graph, ref.source, SteppingKind::kRho, 1, 1,
                                true, c.ctx);
   EXPECT_EQ(r.dist, ref.dist);
@@ -138,7 +147,7 @@ TEST(Stepping, TinyRhoStillTerminates) {
 
 TEST(Stepping, HugeDeltaStarBecomesBellmanFordLike) {
   const Ref ref = make_ref(gen::grid(30, 30, WeightScheme::gap(), 11));
-  Ctx c(4);
+  Ctx c(4, ref.graph);
   const auto r = stepping_sssp(ref.graph, ref.source, SteppingKind::kDeltaStar,
                                kInfDist / 2, 1 << 14, false, c.ctx);
   EXPECT_EQ(r.dist, ref.dist);
@@ -148,8 +157,8 @@ TEST(Stepping, HugeDeltaStarBecomesBellmanFordLike) {
 
 TEST(DeltaStepping, BucketFusionPreservesResultsAndCutsRounds) {
   const Ref ref = make_ref(gen::grid(60, 60, WeightScheme::gap(), 12));
-  Ctx fused_ctx(4);
-  Ctx plain_ctx(4);
+  Ctx fused_ctx(4, ref.graph);
+  Ctx plain_ctx(4, ref.graph);
   const auto fused =
       delta_stepping(ref.graph, ref.source, 64, true, fused_ctx.ctx);
   const auto plain =
@@ -157,15 +166,16 @@ TEST(DeltaStepping, BucketFusionPreservesResultsAndCutsRounds) {
   EXPECT_EQ(fused.dist, ref.dist);
   EXPECT_EQ(plain.dist, ref.dist);
   // Fusion's whole point: fewer synchronous steps on road-like graphs.
-  EXPECT_LT(fused.stats.rounds, plain.stats.rounds);
+  EXPECT_LT(fused.metrics.counter(CounterId::kRounds),
+            plain.metrics.counter(CounterId::kRounds));
 }
 
 TEST(DeltaStepping, BarrierTimeIsRecorded) {
   const Ref ref = make_ref(gen::grid(40, 40, WeightScheme::gap(), 13));
-  Ctx c(4);
+  Ctx c(4, ref.graph);
   const auto r = delta_stepping(ref.graph, ref.source, 32, true, c.ctx);
-  EXPECT_GT(r.stats.barrier_ns, 0u);
-  EXPECT_GT(r.stats.rounds, 0u);
+  EXPECT_GT(r.metrics.counter(CounterId::kBarrierNs), 0u);
+  EXPECT_GT(r.metrics.counter(CounterId::kRounds), 0u);
 }
 
 TEST(DeltaStepping, DeltaZeroIsRejectedAtTheFrontDoor) {
@@ -186,7 +196,7 @@ TEST(Obim, TinyChunksForceGlobalBagTraffic) {
   // through the global bags.
   const Ref ref = make_ref(gen::rmat(10, 8192, 0.57, 0.19, 0.19,
                                      WeightScheme::gap(), 15, true));
-  Ctx c(6);
+  Ctx c(6, ref.graph);
   const auto r = obim_sssp(ref.graph, ref.source, 8, /*chunk_size=*/2, c.ctx);
   EXPECT_EQ(r.dist, ref.dist);
 }
@@ -194,7 +204,7 @@ TEST(Obim, TinyChunksForceGlobalBagTraffic) {
 TEST(Obim, HugeChunksKeepWorkLocal) {
   const Ref ref = make_ref(gen::rmat(10, 8192, 0.57, 0.19, 0.19,
                                      WeightScheme::gap(), 16, true));
-  Ctx c(4);
+  Ctx c(4, ref.graph);
   const auto r =
       obim_sssp(ref.graph, ref.source, 8, /*chunk_size=*/4096, c.ctx);
   EXPECT_EQ(r.dist, ref.dist);
@@ -202,7 +212,7 @@ TEST(Obim, HugeChunksKeepWorkLocal) {
 
 TEST(Obim, DeepPriorityLevelsOnChains) {
   const Ref ref = make_ref(gen::chain_forest(2, 400, WeightScheme::gap(), 17));
-  Ctx c(3);
+  Ctx c(3, ref.graph);
   const auto r = obim_sssp(ref.graph, ref.source, 1, 128, c.ctx);
   EXPECT_EQ(r.dist, ref.dist);
 }
@@ -212,7 +222,10 @@ TEST(Obim, DeepPriorityLevelsOnChains) {
 TEST(RadiusStepping, RadiiAreKNearestDistances) {
   // Path 0-1-2-3 with weights 2,3,4: r_2(0) = dist to 2nd nearest = 5.
   const Graph g =
-      Graph::from_edges(4, {{0, 1, 2}, {1, 2, 3}, {2, 3, 4}}, true);
+      GraphBuilder()
+          .edges(4, {{0, 1, 2}, {1, 2, 3}, {2, 3, 4}})
+          .undirected()
+          .build();
   ThreadTeam team(2);
   const auto r1 = compute_radii(g, 1, team);
   EXPECT_EQ(r1[0], 2u);   // nearest neighbour of 0 is 1 at distance 2
@@ -225,7 +238,7 @@ TEST(RadiusStepping, RadiiAreKNearestDistances) {
 TEST(RadiusStepping, MatchesDijkstraAcrossK) {
   const Ref ref = make_ref(gen::erdos_renyi(2000, 8.0, WeightScheme::gap(), 22));
   for (const std::uint32_t k : {1u, 4u, 64u}) {
-    Ctx c(4);
+    Ctx c(4, ref.graph);
     const auto radii = compute_radii(ref.graph, k, c.team);
     const auto r = stepping_sssp(ref.graph, ref.source, SteppingKind::kRadius,
                                  1, 1, true, c.ctx, &radii);
@@ -245,7 +258,7 @@ TEST(RadiusStepping, FrontEndDispatch) {
 
 TEST(RadiusStepping, RequiresRadii) {
   const Ref ref = make_ref(gen::grid(5, 5, WeightScheme::gap(), 24));
-  Ctx c(1);
+  Ctx c(1, ref.graph);
   EXPECT_THROW(stepping_sssp(ref.graph, ref.source, SteppingKind::kRadius, 1,
                              1, false, c.ctx, nullptr),
                std::invalid_argument);
@@ -258,7 +271,7 @@ TEST(MqDijkstra, ParameterMatrixStaysExact) {
   for (const int c : {1, 4}) {
     for (const int stickiness : {1, 16}) {
       for (const int buffer : {1, 32}) {
-        Ctx run(4);
+        Ctx run(4, ref.graph);
         const auto r = mq_dijkstra(ref.graph, ref.source, c, stickiness, buffer,
                                    1, run.ctx);
         EXPECT_EQ(r.dist, ref.dist)
@@ -270,9 +283,9 @@ TEST(MqDijkstra, ParameterMatrixStaysExact) {
 
 TEST(MqDijkstra, QueueOpTimeIsRecorded) {
   const Ref ref = make_ref(gen::erdos_renyi(2000, 8.0, WeightScheme::gap(), 19));
-  Ctx c(2);
+  Ctx c(2, ref.graph);
   const auto r = mq_dijkstra(ref.graph, ref.source, 2, 8, 16, 1, c.ctx);
-  EXPECT_GT(r.stats.queue_op_ns, 0u);
+  EXPECT_GT(r.metrics.counter(CounterId::kQueueOpNs), 0u);
 }
 
 // --- Bellman-Ford --------------------------------------------------------------
@@ -281,10 +294,10 @@ TEST(BellmanFord, NegativeFreeCyclesConverge) {
   // Dense cyclic graph: many re-insertions per round.
   const Ref ref = make_ref(gen::rmat(9, 8192, 0.5, 0.2, 0.2,
                                      WeightScheme::uniform(1, 8), 20, true));
-  Ctx c(4);
+  Ctx c(4, ref.graph);
   const auto r = bellman_ford(ref.graph, ref.source, c.ctx);
   EXPECT_EQ(r.dist, ref.dist);
-  EXPECT_GT(r.stats.rounds, 1u);
+  EXPECT_GT(r.metrics.counter(CounterId::kRounds), 1u);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "obs/observer.hpp"
 #include "graph/generators.hpp"
 #include "sssp/dijkstra.hpp"
+#include "sssp/solver.hpp"
 #include "sssp/sssp.hpp"
 #include "sssp/validate.hpp"
 #include "support/chaos.hpp"
@@ -226,7 +227,9 @@ TEST(ChaosGrid, ThousandSeededRunsMatchDijkstra) {
 
   constexpr int kThreads = 4;
   constexpr int kSeedsPerCell = 67;  // 3 algos x 5 policies x 67 = 1005
-  ThreadTeam team(kThreads);
+  SsspOptions base;
+  base.threads = kThreads;
+  Solver solver(base);
   const auto policies = chaos::standard_policies();
   const Algorithm algos[] = {Algorithm::kWasp, Algorithm::kSmqDijkstra,
                              Algorithm::kDeltaStepping};
@@ -242,12 +245,11 @@ TEST(ChaosGrid, ThousandSeededRunsMatchDijkstra) {
 
         chaos::Engine engine(static_cast<std::uint64_t>(1000 * combos + s),
                              policy, kThreads, /*record=*/true);
-        SsspOptions options;
+        SsspOptions& options = solver.options();
         options.algo = algo;
-        options.threads = kThreads;
         options.delta = on_rmat ? 2 : 32;
         options.chaos = &engine;
-        const SsspResult r = run_sssp(g, src, options, team);
+        const SsspResult r = solver.solve(g, src);
         ++combos;
         std::string why;
         if (!distances_equal(ref, r.dist, &why)) {
@@ -274,17 +276,17 @@ TEST(ChaosReplay, SingleThreadRunsReproduceIdenticalTraces) {
   const VertexId src = pick_source_in_largest_component(g, 31);
   const std::vector<Distance> ref = dijkstra(g, src).dist;
 
-  ThreadTeam team(1);
+  SsspOptions options;
+  options.algo = Algorithm::kWasp;
+  options.threads = 1;
+  options.delta = 2;
+  Solver solver(options);
   for (const std::uint64_t seed : {7ull, 1234ull, 0xFACEull}) {
     std::vector<chaos::Event> traces[2];
     for (int rep = 0; rep < 2; ++rep) {
       chaos::Engine engine(seed, chaos::Policy::termination_fuzz(), 1);
-      SsspOptions options;
-      options.algo = Algorithm::kWasp;
-      options.threads = 1;
-      options.delta = 2;
-      options.chaos = &engine;
-      const SsspResult r = run_sssp(g, src, options, team);
+      solver.options().chaos = &engine;
+      const SsspResult r = solver.solve(g, src);
       std::string why;
       EXPECT_TRUE(distances_equal(ref, r.dist, &why))
           << chaos::failure_report(engine, "single-thread run diverged: " + why);
@@ -325,24 +327,25 @@ TEST(ChaosObserver, LifecycleInvariantsHoldUnderInjection) {
   const std::vector<Distance> ref = dijkstra(g, src).dist;
 
   constexpr int kThreads = 4;
-  ThreadTeam team(kThreads);
+  SsspOptions options;
+  options.algo = Algorithm::kWasp;
+  options.threads = kThreads;
+  options.delta = 8;
+  Solver solver(options);
   for (const std::uint64_t seed : {3ull, 99ull, 0xBEEFull}) {
     chaos::Engine engine(seed, chaos::Policy::steal_storm(), kThreads);
     Hooks hooks;
-    SsspOptions options;
-    options.algo = Algorithm::kWasp;
-    options.threads = kThreads;
-    options.delta = 8;
-    options.chaos = &engine;
-    options.observer = &hooks;
-    const SsspResult r = run_sssp(g, src, options, team);
+    solver.options().chaos = &engine;
+    solver.options().observer = &hooks;
+    const SsspResult r = solver.solve(g, src);
 
     std::string why;
     ASSERT_TRUE(distances_equal(ref, r.dist, &why))
         << chaos::failure_report(engine, "observed run diverged: " + why);
     EXPECT_EQ(hooks.terminations.load(), static_cast<std::uint64_t>(kThreads))
         << chaos::failure_report(engine, "termination hook count drifted");
-    EXPECT_EQ(hooks.steals.load(), r.stats.steal_attempts)
+    EXPECT_EQ(hooks.steals.load(),
+              r.metrics.counter(obs::CounterId::kStealAttempts))
         << chaos::failure_report(engine, "steal hook count drifted");
   }
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/algorithms.hpp"
+#include "graph/builder.hpp"
 #include "graph/compressed.hpp"
 #include "graph/generators.hpp"
 #include "sssp/dijkstra.hpp"
@@ -29,7 +30,7 @@ TEST(CompressedGraph, RoundTripsAcrossFamilies) {
                              /*undirected=*/true));
   expect_roundtrip(gen::star_hub(2000, 0.93, 0.01, WeightScheme::gap(), 4));
   expect_roundtrip(gen::chain_forest(3, 100, WeightScheme::gap(), 5));
-  expect_roundtrip(Graph::from_edges(1, {}, false));  // edgeless
+  expect_roundtrip(GraphBuilder().edges(1, {}).build());  // edgeless
 }
 
 TEST(CompressedGraph, IterationMatchesUncompressed) {
@@ -66,8 +67,9 @@ TEST(CompressedGraph, CompressesTypicalGraphs) {
 TEST(CompressedGraph, HandlesLargeWeightsAndBackwardEdges) {
   // First-destination deltas can be negative (dst < src) and weights can
   // need multi-byte varints.
-  const Graph g = Graph::from_edges(
-      10, {{9, 0, 1'000'000}, {9, 8, 3}, {0, 9, 42}}, false);
+  const Graph g = GraphBuilder()
+      .edges(10, {{9, 0, 1'000'000}, {9, 8, 3}, {0, 9, 42}})
+      .build();
   expect_roundtrip(g);
 }
 

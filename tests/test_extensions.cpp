@@ -1,111 +1,18 @@
-// Tests for the extension modules: shortest-path trees & path extraction,
-// batched SSSP, pendant-tree contraction, the Stealing MultiQueue, and the
-// delta-suggestion heuristic.
+// Tests for the extension modules: pendant-tree contraction and the
+// Stealing MultiQueue.
 #include <gtest/gtest.h>
 
-#include <set>
-
 #include "graph/algorithms.hpp"
+#include "graph/builder.hpp"
 #include "graph/contraction.hpp"
 #include "graph/generators.hpp"
 #include "sssp/contracted.hpp"
 #include "sssp/dijkstra.hpp"
-#include "sssp/paths.hpp"
 #include "sssp/sssp.hpp"
-#include "sssp/tuning.hpp"
 #include "sssp/validate.hpp"
 
 namespace wasp {
 namespace {
-
-// --- shortest-path trees & paths -------------------------------------------
-
-TEST(Paths, TreeParentsAreTight) {
-  const Graph g = gen::rmat(10, 4096, 0.57, 0.19, 0.19, WeightScheme::gap(), 3,
-                            true);
-  const VertexId src = pick_source_in_largest_component(g, 1);
-  const auto dist = dijkstra(g, src).dist;
-  const auto parent = shortest_path_tree(g, src, dist);
-  EXPECT_EQ(parent[src], kInvalidVertex);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (v == src) continue;
-    if (dist[v] == kInfDist) {
-      EXPECT_EQ(parent[v], kInvalidVertex);
-      continue;
-    }
-    ASSERT_NE(parent[v], kInvalidVertex) << "reached vertex without parent";
-    // The parent edge must be tight.
-    bool tight = false;
-    for (const WEdge& e : g.out_neighbors(parent[v]))
-      if (e.dst == v && dist[parent[v]] + e.w == dist[v]) tight = true;
-    EXPECT_TRUE(tight) << "parent edge of " << v << " not tight";
-  }
-}
-
-TEST(Paths, ExtractPathEndsMatchAndSumsToDistance) {
-  const Graph g = gen::grid(20, 20, WeightScheme::gap(), 4);
-  const VertexId src = 0;
-  const auto dist = dijkstra(g, src).dist;
-  for (VertexId target : {VertexId{399}, VertexId{57}, VertexId{210}}) {
-    const auto path = extract_path(g, src, target, dist);
-    ASSERT_FALSE(path.empty());
-    EXPECT_EQ(path.front(), src);
-    EXPECT_EQ(path.back(), target);
-    // Sum edge weights along the path.
-    Distance sum = 0;
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      Weight w = 0;
-      bool found = false;
-      for (const WEdge& e : g.out_neighbors(path[i]))
-        if (e.dst == path[i + 1] && (!found || e.w < w)) {
-          w = e.w;
-          found = true;
-        }
-      ASSERT_TRUE(found) << "path uses a non-edge";
-      sum += w;
-    }
-    EXPECT_EQ(sum, dist[target]);
-  }
-}
-
-TEST(Paths, ExtractPathDirectedGraph) {
-  const Graph g = Graph::from_edges(
-      4, {{0, 1, 2}, {1, 2, 2}, {0, 2, 10}, {2, 3, 1}}, false);
-  const auto dist = dijkstra(g, 0).dist;
-  const auto path = extract_path(g, 0, 3, dist);
-  EXPECT_EQ(path, (std::vector<VertexId>{0, 1, 2, 3}));
-}
-
-TEST(Paths, UnreachableTargetGivesEmptyPath) {
-  const Graph g = Graph::from_edges(3, {{0, 1, 1}}, false);
-  const auto dist = dijkstra(g, 0).dist;
-  EXPECT_TRUE(extract_path(g, 0, 2, dist).empty());
-}
-
-TEST(Paths, BatchRunsMatchIndividualRuns) {
-  const Graph g = gen::erdos_renyi(2000, 8.0, WeightScheme::gap(), 5);
-  SsspOptions options;
-  options.algo = Algorithm::kWasp;
-  options.threads = 3;
-  options.delta = 1;
-  const std::vector<VertexId> sources = {1, 100, 999};
-  const BatchResult batch = run_sssp_batch(g, sources, options);
-  ASSERT_EQ(batch.runs.size(), 3u);
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    const auto expected = dijkstra(g, sources[i]).dist;
-    EXPECT_EQ(batch.runs[i].dist, expected) << "source " << sources[i];
-  }
-}
-
-TEST(Paths, CentralityHelpers) {
-  // Star: center 0 with 4 unit spokes.
-  const Graph g = Graph::from_edges(
-      5, {{0, 1, 2}, {0, 2, 2}, {0, 3, 2}, {0, 4, 2}}, true);
-  const auto dist = dijkstra(g, 0).dist;
-  EXPECT_DOUBLE_EQ(closeness_centrality(dist, 0), 4.0 / 8.0);
-  EXPECT_EQ(reach_within(dist, 0, 2), 4u);
-  EXPECT_EQ(reach_within(dist, 0, 1), 0u);
-}
 
 // --- pendant-tree contraction ----------------------------------------------
 
@@ -125,12 +32,12 @@ TEST(Contraction, EliminatesStarLeavesAndStaysExact) {
 TEST(Contraction, EliminatesWholeTrees) {
   // A triangle core {0,1,2} with a 3-deep pendant path 2-3-4-5 and a
   // branching pendant tree at 0.
-  const Graph g = Graph::from_edges(
-      8,
-      {{0, 1, 1}, {1, 2, 1}, {0, 2, 1},        // core
-       {2, 3, 5}, {3, 4, 2}, {4, 5, 7},        // path
-       {0, 6, 4}, {6, 7, 3}},                  // small tree
-      true);
+  const Graph g = GraphBuilder()
+      .edges(8, {{0, 1, 1}, {1, 2, 1}, {0, 2, 1},  // core
+                 {2, 3, 5}, {3, 4, 2}, {4, 5, 7},  // path
+                 {0, 6, 4}, {6, 7, 3}})            // small tree
+      .undirected()
+      .build();
   const auto pc = PendantContraction::contract(g, 0);
   EXPECT_EQ(pc.num_eliminated(), 5u);  // vertices 3,4,5,6,7
   for (VertexId v : {3u, 4u, 5u, 6u, 7u}) EXPECT_FALSE(pc.in_core(v));
@@ -144,9 +51,11 @@ TEST(Contraction, EliminatesWholeTrees) {
 TEST(Contraction, SourceInsidePendantTreeIsPreserved) {
   // Path 0-1-2-3 attached to triangle {3,4,5}; source 0 is a leaf. The
   // whole chain 0-1-2 must survive so core SSSP from 0 is well-defined.
-  const Graph g = Graph::from_edges(
-      6, {{0, 1, 1}, {1, 2, 1}, {2, 3, 1}, {3, 4, 1}, {4, 5, 1}, {3, 5, 1}},
-      true);
+  const Graph g = GraphBuilder()
+      .edges(6, {{0, 1, 1}, {1, 2, 1}, {2, 3, 1}, {3, 4, 1}, {4, 5, 1},
+                 {3, 5, 1}})
+      .undirected()
+      .build();
   const auto pc = PendantContraction::contract(g, 0);
   EXPECT_TRUE(pc.in_core(0));
   EXPECT_TRUE(pc.in_core(1));
@@ -168,7 +77,7 @@ TEST(Contraction, PureTreeContractsToSource) {
 }
 
 TEST(Contraction, RejectsDirectedGraphs) {
-  const Graph g = Graph::from_edges(2, {{0, 1, 1}}, false);
+  const Graph g = GraphBuilder().edges(2, {{0, 1, 1}}).build();
   EXPECT_THROW(PendantContraction::contract(g, 0), std::invalid_argument);
 }
 
@@ -238,56 +147,16 @@ TEST(Contraction, GridHasNoPendantsButStaysExact) {
 
 TEST(Contraction, UnreachablePendantTreesStayInfinite) {
   // Two components; the pendant path 3-4-5 hangs off the *other* component.
-  const Graph g = Graph::from_edges(
-      6, {{0, 1, 1}, {1, 2, 1}, {0, 2, 1}, {3, 4, 2}, {4, 5, 2}}, true);
+  const Graph g = GraphBuilder()
+      .edges(6, {{0, 1, 1}, {1, 2, 1}, {0, 2, 1}, {3, 4, 2}, {4, 5, 2}})
+      .undirected()
+      .build();
   const auto pc = PendantContraction::contract(g, 0);
   auto dist = dijkstra(pc.core(), 0).dist;
   pc.expand(dist);
   EXPECT_EQ(dist[4], kInfDist);
   EXPECT_EQ(dist[5], kInfDist);
   EXPECT_EQ(dist, dijkstra(g, 0).dist);
-}
-
-// --- delta heuristics --------------------------------------------------------
-
-TEST(Tuning, ProfileDetectsStructure) {
-  const auto road = profile_graph(gen::grid(50, 50, WeightScheme::gap(), 1));
-  EXPECT_TRUE(road.low_degree);
-  EXPECT_FALSE(road.skewed);
-
-  const auto social = profile_graph(
-      gen::rmat(12, 1 << 16, 0.57, 0.19, 0.19, WeightScheme::gap(), 2, true));
-  EXPECT_FALSE(social.low_degree);
-  EXPECT_TRUE(social.skewed);
-}
-
-TEST(Tuning, WaspGetsDeltaOneOnSkewedGraphs) {
-  const Graph g =
-      gen::rmat(12, 1 << 16, 0.57, 0.19, 0.19, WeightScheme::gap(), 2, true);
-  EXPECT_EQ(suggest_delta(Algorithm::kWasp, g), 1u);
-  EXPECT_GT(suggest_delta(Algorithm::kDeltaStepping, g), 1u);
-}
-
-TEST(Tuning, CoarseDeltaOnRoadGraphs) {
-  const Graph g = gen::grid(60, 60, WeightScheme::gap(), 1);
-  EXPECT_GT(suggest_delta(Algorithm::kWasp, g), 255u);
-  EXPECT_GT(suggest_delta(Algorithm::kDeltaStepping, g),
-            suggest_delta(Algorithm::kObim, g) / 4);
-  EXPECT_EQ(suggest_delta(Algorithm::kMqDijkstra, g), 1u);
-}
-
-TEST(Tuning, SuggestedDeltasProduceCorrectRuns) {
-  const Graph g = gen::grid(40, 40, WeightScheme::gap(), 8);
-  const VertexId src = 0;
-  const auto expected = dijkstra(g, src).dist;
-  for (const auto algo : {Algorithm::kWasp, Algorithm::kDeltaStepping,
-                          Algorithm::kDeltaStar}) {
-    SsspOptions options;
-    options.algo = algo;
-    options.threads = 4;
-    options.delta = suggest_delta(algo, g);
-    EXPECT_EQ(run_sssp(g, src, options).dist, expected) << algorithm_name(algo);
-  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "graph/algorithms.hpp"
+#include "graph/builder.hpp"
 #include "graph/graph.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/sssp.hpp"
@@ -32,7 +33,7 @@ Graph random_graph(Xoshiro256& rng, VertexId n, double avg_degree,
     const auto w = static_cast<Weight>(rng.next_in(lo, max_w));
     if (u != v) edges.push_back({u, v, w});
   }
-  return Graph::from_edges(n, edges, undirected);
+  return GraphBuilder().edges(n, edges).undirected(undirected).build();
 }
 
 class FuzzAllAlgorithms : public testing::TestWithParam<int> {};

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "graph/algorithms.hpp"
+#include "graph/builder.hpp"
 #include "graph/delta.hpp"
 #include "graph/graph.hpp"
 #include "graph/weights.hpp"
@@ -16,18 +17,22 @@ namespace {
 
 Graph triangle_plus_tail() {
   // 0-1-2 triangle, tail 2-3, isolated 4. Undirected.
-  return Graph::from_edges(
-      5, {{0, 1, 5}, {1, 2, 3}, {0, 2, 9}, {2, 3, 1}}, true);
+  return GraphBuilder()
+      .edges(5, {{0, 1, 5}, {1, 2, 3}, {0, 2, 9}, {2, 3, 1}})
+      .undirected()
+      .build();
 }
 
 TEST(Graph, EmptyGraph) {
-  const Graph g = Graph::from_edges(0, {}, false);
+  const Graph g = GraphBuilder().edges(0, {}).build();
   EXPECT_EQ(g.num_vertices(), 0u);
   EXPECT_EQ(g.num_edges(), 0u);
 }
 
 TEST(Graph, DirectedFromEdges) {
-  const Graph g = Graph::from_edges(3, {{0, 1, 7}, {0, 2, 2}, {2, 1, 4}}, false);
+  const Graph g = GraphBuilder()
+      .edges(3, {{0, 1, 7}, {0, 2, 2}, {2, 1, 4}})
+      .build();
   EXPECT_EQ(g.num_vertices(), 3u);
   EXPECT_EQ(g.num_edges(), 3u);
   EXPECT_FALSE(g.is_undirected());
@@ -54,17 +59,20 @@ TEST(Graph, UndirectedStoresBothDirections) {
 }
 
 TEST(Graph, DropsSelfLoops) {
-  const Graph g = Graph::from_edges(2, {{0, 0, 1}, {0, 1, 2}, {1, 1, 3}}, false);
+  const Graph g = GraphBuilder()
+      .edges(2, {{0, 0, 1}, {0, 1, 2}, {1, 1, 3}})
+      .build();
   EXPECT_EQ(g.num_edges(), 1u);
 }
 
 TEST(Graph, RejectsOutOfRangeVertices) {
-  EXPECT_THROW(Graph::from_edges(2, {{0, 5, 1}}, false), std::out_of_range);
+  EXPECT_THROW(GraphBuilder().edges(2, {{0, 5, 1}}).build(), std::out_of_range);
 }
 
 TEST(Graph, NeighborRangeSubspan) {
-  const Graph g = Graph::from_edges(
-      1 + 4, {{0, 1, 1}, {0, 2, 2}, {0, 3, 3}, {0, 4, 4}}, false);
+  const Graph g = GraphBuilder()
+      .edges(1 + 4, {{0, 1, 1}, {0, 2, 2}, {0, 3, 3}, {0, 4, 4}})
+      .build();
   const auto mid = g.out_neighbors(0, 1, 3);
   ASSERT_EQ(mid.size(), 2u);
   EXPECT_EQ(mid[0].dst, 2u);
@@ -73,7 +81,7 @@ TEST(Graph, NeighborRangeSubspan) {
 
 TEST(Graph, MaxWeight) {
   EXPECT_EQ(triangle_plus_tail().max_weight(), 9u);
-  EXPECT_EQ(Graph::from_edges(1, {}, false).max_weight(), 0u);
+  EXPECT_EQ(GraphBuilder().edges(1, {}).build().max_weight(), 0u);
 }
 
 TEST(Graph, FromCsrRejectsMalformedOffsets) {
@@ -132,7 +140,7 @@ TEST(ConnectedComponents, FindsComponentsAndLargest) {
 }
 
 TEST(ConnectedComponents, DirectedUsesWeakConnectivity) {
-  const Graph g = Graph::from_edges(3, {{0, 1, 1}, {2, 1, 1}}, false);
+  const Graph g = GraphBuilder().edges(3, {{0, 1, 1}, {2, 1, 1}}).build();
   const ComponentInfo info = connected_components(g);
   EXPECT_EQ(info.size.size(), 1u);
 }
@@ -157,7 +165,7 @@ TEST(LeafBitmap, UndirectedDegreeOneAndIsolated) {
 }
 
 TEST(LeafBitmap, DirectedOnlyZeroOutDegree) {
-  const Graph g = Graph::from_edges(3, {{0, 1, 1}, {1, 2, 1}}, false);
+  const Graph g = GraphBuilder().edges(3, {{0, 1, 1}, {1, 2, 1}}).build();
   const auto leaf = compute_leaf_bitmap(g);
   EXPECT_FALSE(leaf[0]);
   EXPECT_FALSE(leaf[1]);
@@ -214,7 +222,9 @@ TEST(GraphStamp, VersionedGraphRenewsItOnEveryInPlacePatch) {
 }
 
 TEST(Transpose, ReversesDirectedEdges) {
-  const Graph g = Graph::from_edges(3, {{0, 1, 7}, {0, 2, 2}, {2, 1, 4}}, false);
+  const Graph g = GraphBuilder()
+      .edges(3, {{0, 1, 7}, {0, 2, 2}, {2, 1, 4}})
+      .build();
   const Graph gt = transpose(g);
   EXPECT_EQ(gt.num_edges(), 3u);
   EXPECT_EQ(gt.out_degree(1), 2u);  // in-edges of 1

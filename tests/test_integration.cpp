@@ -7,6 +7,7 @@
 
 #include <memory>
 
+#include "graph/builder.hpp"
 #include "graph/suite.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/sssp.hpp"
@@ -117,7 +118,7 @@ TEST(RangeChunkStress, DecomposedNeighbourhoodsAreRelaxedExactlyOnce) {
 TEST(TerminationStress, ImmediateTerminationOnEdgelessGraph) {
   // All workers enter the termination protocol instantly; the run must end
   // (no livelock) with only the source settled.
-  const Graph g = Graph::from_edges(64, {}, false);
+  const Graph g = GraphBuilder().edges(64, {}).build();
   SsspOptions options;
   options.algo = Algorithm::kWasp;
   options.threads = 8;

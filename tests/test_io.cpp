@@ -6,6 +6,7 @@
 #include <functional>
 #include <sstream>
 
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "support/errors.hpp"
@@ -142,7 +143,7 @@ TEST(GapWsgIo, RoundTripsDirectedSkippingInverse) {
 
 TEST(GapWsgIo, HeaderLayoutMatchesGap) {
   // First 17 bytes: bool directed, int64 m, int64 n.
-  const Graph g = Graph::from_edges(3, {{0, 1, 5}, {1, 2, 7}}, false);
+  const Graph g = GraphBuilder().edges(3, {{0, 1, 5}, {1, 2, 7}}).build();
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
   io::write_gap_wsg(g, ss);
   const std::string bytes = ss.str();
@@ -168,7 +169,9 @@ TEST(GapWsgIo, RejectsGarbage) {
 
 /// Serialized bytes of a small valid binary graph, for corruption.
 std::string valid_binary_bytes() {
-  const Graph g = Graph::from_edges(4, {{0, 1, 2}, {1, 2, 3}, {2, 3, 4}}, false);
+  const Graph g = GraphBuilder()
+      .edges(4, {{0, 1, 2}, {1, 2, 3}, {2, 3, 4}})
+      .build();
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
   io::write_binary(g, ss);
   return ss.str();
@@ -247,7 +250,7 @@ TEST(BinaryIo, TypedErrorIsAlsoRuntimeError) {
 }
 
 TEST(GapWsgIo, TruncatedPayloadReportsArray) {
-  const Graph g = Graph::from_edges(3, {{0, 1, 5}, {1, 2, 7}}, false);
+  const Graph g = GraphBuilder().edges(3, {{0, 1, 5}, {1, 2, 7}}).build();
   std::stringstream full(std::ios::in | std::ios::out | std::ios::binary);
   io::write_gap_wsg(g, full);
   const std::string bytes = full.str();

@@ -16,6 +16,7 @@
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
 #include "sssp/dijkstra.hpp"
+#include "sssp/solver.hpp"
 #include "sssp/sssp.hpp"
 #include "sssp/validate.hpp"
 #include "sssp/wasp.hpp"
@@ -313,7 +314,7 @@ TEST(PartitionChaos, SeededSchedulesConvergeToReference) {
   constexpr int kThreads = 4;
   const auto policies = chaos::standard_policies();
   const auto topologies = suite_topologies();
-  ThreadTeam team(kThreads);
+  Solver solver(partitioned_options(kThreads, /*fragments=*/0, nullptr));
 
   int runs = 0;
   for (std::size_t pi = 0; pi < policies.size(); ++pi) {
@@ -327,11 +328,12 @@ TEST(PartitionChaos, SeededSchedulesConvergeToReference) {
         chaos::Engine engine(
             static_cast<std::uint64_t>(10'000 * pi + 100 * ti + s),
             policies[pi], kThreads, /*record=*/true);
-        SsspOptions options = partitioned_options(
+        SsspOptions& options = solver.options();
+        options = partitioned_options(
             kThreads, /*fragments=*/static_cast<int>(runs % 4), topo);
         options.delta = (runs % 2 == 0) ? 2 : 32;
         options.chaos = &engine;
-        const SsspResult r = run_sssp(f.graph, f.source, options, team);
+        const SsspResult r = solver.solve(f.graph, f.source);
         ++runs;
         std::string why;
         if (!distances_equal(f.reference, r.dist, &why)) {
@@ -351,15 +353,15 @@ TEST(PartitionChaos, TerminationFuzzOnRemoteWindow) {
   constexpr int kThreads = 6;
   const Fixture& f = fixtures()[0];  // grid: long chains cross fragments
   auto topo = std::make_shared<NumaTopology>(NumaTopology::synthetic(2, 1, 3));
-  ThreadTeam team(kThreads);
+  SsspOptions options = partitioned_options(kThreads, /*fragments=*/2, topo);
+  options.delta = 2;
+  options.wasp.partition.flush_threshold = 4;  // many small batches
+  Solver solver(options);
   for (std::uint64_t seed = 0; seed < 32; ++seed) {
     chaos::Engine engine(seed, chaos::Policy::termination_fuzz(), kThreads,
                          /*record=*/true);
-    SsspOptions options = partitioned_options(kThreads, /*fragments=*/2, topo);
-    options.delta = 2;
-    options.wasp.partition.flush_threshold = 4;  // many small batches
-    options.chaos = &engine;
-    const SsspResult r = run_sssp(f.graph, f.source, options, team);
+    solver.options().chaos = &engine;
+    const SsspResult r = solver.solve(f.graph, f.source);
     std::string why;
     if (!distances_equal(f.reference, r.dist, &why)) {
       FAIL() << chaos::failure_report(

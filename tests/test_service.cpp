@@ -30,7 +30,7 @@ namespace wasp {
 namespace {
 
 using service::Outcome;
-using service::QueryOptions;
+using service::QueryRequest;
 using service::QueryResult;
 using service::QueryService;
 using service::ServiceConfig;
@@ -216,8 +216,8 @@ TEST(ServiceQuery, ServesQueriesBitIdenticalToFreshSolves) {
   config.solver = opts;
   config.num_solvers = 2;
   QueryService svc(config);
-  const QueryResult r1 = svc.solve(g, s1);
-  const QueryResult r2 = svc.solve(g, s2);
+  const QueryResult r1 = svc.solve(g, {.source = s1});
+  const QueryResult r2 = svc.solve(g, {.source = s2});
   ASSERT_EQ(r1.outcome, Outcome::kServed);
   ASSERT_EQ(r2.outcome, Outcome::kServed);
   EXPECT_TRUE(r1.ok());
@@ -247,10 +247,11 @@ TEST(ServiceQuery, CoalescesQueuedSameSourceSubmits) {
   QueryService svc(config);
 
   blocker.arm();
-  auto running = svc.submit(g, a);  // occupies the only solver
+  auto running = svc.submit(g, {.source = a});  // occupies the only solver
   blocker.wait_until_blocked();
-  auto f1 = svc.submit(g, b);
-  auto f2 = svc.submit(g, b);  // same (graph, source): coalesces onto f1
+  auto f1 = svc.submit(g, {.source = b});
+  // Same (graph, source): coalesces onto f1.
+  auto f2 = svc.submit(g, {.source = b});
   EXPECT_EQ(svc.stats().totals.coalesced, 1u);
   EXPECT_EQ(svc.stats().totals.submitted, 2u);  // riders are not re-counted
   blocker.release();
@@ -277,17 +278,15 @@ TEST(ServiceQuery, OverloadShedsLowPriorityAndRejectsNonOutranking) {
   QueryService svc(config);
 
   blocker.arm();
-  auto running = svc.submit(g, source);
+  auto running = svc.submit(g, {.source = source});
   blocker.wait_until_blocked();
-  auto q1 = svc.submit(g, source);
-  auto q2 = svc.submit(g, source);  // queue now at capacity
+  auto q1 = svc.submit(g, {.source = source});
+  auto q2 = svc.submit(g, {.source = source});  // queue now at capacity
   // Same priority outranks nothing: typed rejection.
-  EXPECT_THROW((void)svc.submit(g, source), ServiceOverloadedError);
+  EXPECT_THROW((void)svc.submit(g, {.source = source}),
+               ServiceOverloadedError);
   // Higher priority evicts the youngest lowest-priority entry (q2).
-  QueryOptions gold;
-  gold.priority = 1;
-  gold.tenant = "gold";
-  auto q3 = svc.submit(g, source, gold);
+  auto q3 = svc.submit(g, {.source = source, .priority = 1, .tenant = "gold"});
   EXPECT_EQ(q2.get().outcome, Outcome::kShed);
   blocker.release();
 
@@ -313,20 +312,18 @@ TEST(ServiceQuery, QueueExpiryDegradesToStaleWhenAllowed) {
   QueryService svc(config);
 
   // Prime the stale cache with a served answer for `a`.
-  const QueryResult primed = svc.solve(g, a);
+  const QueryResult primed = svc.solve(g, {.source = a});
   ASSERT_EQ(primed.outcome, Outcome::kServed);
 
   blocker.arm();
-  auto running = svc.submit(g, a);
+  auto running = svc.submit(g, {.source = a});
   blocker.wait_until_blocked();
 
-  QueryOptions stale_ok;
-  stale_ok.allow_stale = true;
-  stale_ok.budget = std::chrono::milliseconds(2);
-  auto degraded = svc.submit(g, a, stale_ok);
-  QueryOptions strict;
-  strict.budget = std::chrono::milliseconds(2);
-  auto expired = svc.submit(g, a, strict);
+  auto degraded = svc.submit(g, {.source = a,
+                                 .budget = std::chrono::milliseconds(2),
+                                 .allow_stale = true});
+  auto expired =
+      svc.submit(g, {.source = a, .budget = std::chrono::milliseconds(2)});
 
   // The watchdog expires both in the queue (the only solver is held).
   const QueryResult rd = degraded.get();
@@ -351,18 +348,15 @@ TEST(ServiceQuery, ShedDowngradedToStaleCountsOnceAsServedStale) {
   QueryService svc(config);
 
   // Prime the stale cache, then hold the only solver mid-run.
-  const QueryResult primed = svc.solve(g, source);
+  const QueryResult primed = svc.solve(g, {.source = source});
   ASSERT_EQ(primed.outcome, Outcome::kServed);
   blocker.arm();
-  auto running = svc.submit(g, source);
+  auto running = svc.submit(g, {.source = source});
   blocker.wait_until_blocked();
 
-  QueryOptions stale_ok;
-  stale_ok.allow_stale = true;
-  auto victim = svc.submit(g, source, stale_ok);  // fills the queue
-  QueryOptions gold;
-  gold.priority = 1;
-  auto evictor = svc.submit(g, source, gold);  // sheds the victim
+  // The victim fills the queue; the evictor sheds it.
+  auto victim = svc.submit(g, {.source = source, .allow_stale = true});
+  auto evictor = svc.submit(g, {.source = source, .priority = 1});
 
   const QueryResult rv = victim.get();
   EXPECT_EQ(rv.outcome, Outcome::kServedStale);
@@ -398,7 +392,7 @@ TEST(ServiceQuery, GraphRebuiltInTheSameStorageIsNotServedTheOldAnswer) {
 
   // Prime the stale cache for the first graph, then construct a different
   // graph of the same size in the very same storage.
-  const QueryResult primed = svc.solve(*storage, source);
+  const QueryResult primed = svc.solve(*storage, {.source = source});
   ASSERT_EQ(primed.outcome, Outcome::kServed);
   storage.reset();
   storage.emplace(gen::erdos_renyi(3000, 6.0, WeightScheme::gap(), 37));
@@ -407,14 +401,11 @@ TEST(ServiceQuery, GraphRebuiltInTheSameStorageIsNotServedTheOldAnswer) {
   ASSERT_NE(reference, primed.dist);
 
   blocker.arm();
-  auto running = svc.submit(*storage, source);
+  auto running = svc.submit(*storage, {.source = source});
   blocker.wait_until_blocked();
-  QueryOptions stale_ok;
-  stale_ok.allow_stale = true;
-  auto victim = svc.submit(*storage, source, stale_ok);  // fills the queue
-  QueryOptions gold;
-  gold.priority = 1;
-  auto evictor = svc.submit(*storage, source, gold);  // sheds the victim
+  // The victim fills the queue; the evictor sheds it.
+  auto victim = svc.submit(*storage, {.source = source, .allow_stale = true});
+  auto evictor = svc.submit(*storage, {.source = source, .priority = 1});
 
   // The cache holds an answer for the old graph only; the new graph has
   // none, so the shed query cannot degrade to it.
@@ -446,12 +437,11 @@ TEST(ServiceQuery, WatchdogCancelsOverdueRunThenQuarantinesAndRebuilds) {
   // latency is small against its budget even under sanitizer slowdown; a
   // budget that expires while still queued would be resolved by the watchdog
   // without ever starting the run (and the observer would never block).
-  ASSERT_EQ(svc.solve(g, source).outcome, Outcome::kServed);
+  ASSERT_EQ(svc.solve(g, {.source = source}).outcome, Outcome::kServed);
 
   blocker.arm();
-  QueryOptions opt;
-  opt.budget = std::chrono::milliseconds(300);
-  auto overdue = svc.submit(g, source, opt);
+  auto overdue = svc.submit(
+      g, {.source = source, .budget = std::chrono::milliseconds(300)});
   ASSERT_TRUE(blocker.wait_until_blocked_for(std::chrono::seconds(60)))
       << "solve never reached its first round; the deadline expired while "
          "the query was still queued";
@@ -464,7 +454,7 @@ TEST(ServiceQuery, WatchdogCancelsOverdueRunThenQuarantinesAndRebuilds) {
   EXPECT_EQ(overdue.get().outcome, Outcome::kDeadlineExpired);
   // The cancelled Solver was quarantined; the next query runs on a rebuilt
   // one and must be bit-identical to a fresh solve.
-  const QueryResult next = svc.solve(g, source);
+  const QueryResult next = svc.solve(g, {.source = source});
   EXPECT_EQ(next.outcome, Outcome::kServed);
   EXPECT_EQ(next.dist, fresh.dist);
   EXPECT_EQ(svc.stats().solver_rebuilds, 1u);
@@ -485,7 +475,7 @@ TEST(ServiceQuery, RetryBackoffIsDeterministicUnderSeedReplay) {
       if (attempt < 2) throw std::runtime_error("injected transient fault");
     };
     QueryService svc(config);
-    return svc.solve(g, source);
+    return svc.solve(g, {.source = source});
   };
 
   const QueryResult first = run_once(seed);
@@ -519,7 +509,7 @@ TEST(ServiceQuery, RetryExhaustionAndPermanentErrorsFailTyped) {
     throw std::runtime_error("always failing");
   };
   QueryService svc(config);
-  const QueryResult r = svc.solve(g, source);
+  const QueryResult r = svc.solve(g, {.source = source});
   EXPECT_EQ(r.outcome, Outcome::kFailed);
   EXPECT_EQ(r.attempts, 2);  // first + one retry, then exhausted
   EXPECT_FALSE(r.error.empty());
@@ -530,8 +520,27 @@ TEST(ServiceQuery, RetryExhaustionAndPermanentErrorsFailTyped) {
   plain.solver = options_for(Algorithm::kWasp);
   plain.num_solvers = 1;
   QueryService svc2(plain);
-  EXPECT_THROW((void)svc2.solve(g, g.num_vertices() + 7),
+  EXPECT_THROW((void)svc2.solve(g, {.source = g.num_vertices() + 7}),
                InvalidSourceError);
+}
+
+TEST(ServiceQuery, PlainGraphRejectsAPositiveMinGraphVersion) {
+  const Graph g = make_small_graph();
+  const VertexId source = pick_source_in_largest_component(g, 11);
+  ServiceConfig config;
+  config.solver = options_for(Algorithm::kWasp);
+  config.num_solvers = 1;
+  QueryService svc(config);
+
+  // A plain Graph is version 0, so it has not reached version 5: submit
+  // throws instead of queueing the query and answering it at version 0.
+  const QueryRequest ahead{.source = source, .min_graph_version = 5};
+  EXPECT_THROW((void)svc.submit(g, ahead), InvalidOptionsError);
+  EXPECT_EQ(svc.stats().totals.submitted, 0u);
+
+  const QueryResult r = svc.solve(g, {.source = source});
+  EXPECT_EQ(r.outcome, Outcome::kServed);
+  EXPECT_EQ(r.graph_version, 0u);
 }
 
 TEST(ServiceQuery, ShutdownResolvesQueuedAsCancelledAndRejectsSubmits) {
@@ -547,9 +556,9 @@ TEST(ServiceQuery, ShutdownResolvesQueuedAsCancelledAndRejectsSubmits) {
   QueryService svc(config);
 
   blocker.arm();
-  auto running = svc.submit(g, source);
+  auto running = svc.submit(g, {.source = source});
   blocker.wait_until_blocked();
-  auto queued = svc.submit(g, source);
+  auto queued = svc.submit(g, {.source = source});
 
   std::thread closer([&] { svc.shutdown(); });
   // Queued entries resolve immediately (shutdown drains the queue before
@@ -563,7 +572,7 @@ TEST(ServiceQuery, ShutdownResolvesQueuedAsCancelledAndRejectsSubmits) {
       << to_string(ran.outcome);
   closer.join();
 
-  EXPECT_THROW((void)svc.submit(g, source), std::logic_error);
+  EXPECT_THROW((void)svc.submit(g, {.source = source}), std::logic_error);
   svc.shutdown();  // idempotent
 }
 

@@ -129,7 +129,7 @@ TEST(SolverReuseChaos, SeededInjectionWithFastPathStaysExact) {
   options.prefetch_lookahead = 8;
   chaos::Engine engine(0xC0FFEEu, chaos::Policy::uniform(1 << 12),
                        options.threads);
-  options.wasp.chaos = &engine;
+  options.chaos = &engine;
 
   Solver solver(options);
   for (int i = 0; i < 3; ++i) {

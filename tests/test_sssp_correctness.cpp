@@ -8,6 +8,7 @@
 #include <tuple>
 
 #include "graph/algorithms.hpp"
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/sssp.hpp"
@@ -120,7 +121,7 @@ INSTANTIATE_TEST_SUITE_P(DeltaValues, SsspDeltaSweep,
                                          Weight{1u << 20}));
 
 TEST(SsspEdgeCases, SingleVertexGraph) {
-  const Graph g = Graph::from_edges(1, {}, false);
+  const Graph g = GraphBuilder().edges(1, {}).build();
   SsspOptions options;
   options.algo = Algorithm::kWasp;
   options.threads = 2;
@@ -131,7 +132,10 @@ TEST(SsspEdgeCases, SingleVertexGraph) {
 
 TEST(SsspEdgeCases, DisconnectedVerticesStayInfinite) {
   // Two components; sources in the first leave the second at infinity.
-  const Graph g = Graph::from_edges(5, {{0, 1, 2}, {1, 2, 2}, {3, 4, 2}}, true);
+  const Graph g = GraphBuilder()
+      .edges(5, {{0, 1, 2}, {1, 2, 2}, {3, 4, 2}})
+      .undirected()
+      .build();
   for (const Algorithm algo :
        {Algorithm::kDeltaStepping, Algorithm::kMqDijkstra, Algorithm::kWasp}) {
     SsspOptions options;
@@ -148,8 +152,9 @@ TEST(SsspEdgeCases, DisconnectedVerticesStayInfinite) {
 }
 
 TEST(SsspEdgeCases, ZeroWeightEdgesSupported) {
-  const Graph g = Graph::from_edges(
-      4, {{0, 1, 0}, {1, 2, 0}, {2, 3, 5}, {0, 3, 6}}, false);
+  const Graph g = GraphBuilder()
+      .edges(4, {{0, 1, 0}, {1, 2, 0}, {2, 3, 5}, {0, 3, 6}})
+      .build();
   const SsspResult reference = dijkstra(g, 0);
   EXPECT_EQ(reference.dist[3], 5u);
   for (const Algorithm algo :
@@ -166,7 +171,7 @@ TEST(SsspEdgeCases, ZeroWeightEdgesSupported) {
 }
 
 TEST(SsspEdgeCases, SourceWithNoOutEdges) {
-  const Graph g = Graph::from_edges(3, {{1, 2, 4}}, false);
+  const Graph g = GraphBuilder().edges(3, {{1, 2, 4}}).build();
   SsspOptions options;
   options.algo = Algorithm::kWasp;
   options.threads = 2;
@@ -177,7 +182,9 @@ TEST(SsspEdgeCases, SourceWithNoOutEdges) {
 }
 
 TEST(SsspEdgeCases, ParallelEdgesKeepMinimum) {
-  const Graph g = Graph::from_edges(2, {{0, 1, 9}, {0, 1, 3}, {0, 1, 7}}, false);
+  const Graph g = GraphBuilder()
+      .edges(2, {{0, 1, 9}, {0, 1, 3}, {0, 1, 7}})
+      .build();
   SsspOptions options;
   options.algo = Algorithm::kWasp;
   options.threads = 2;
@@ -185,10 +192,13 @@ TEST(SsspEdgeCases, ParallelEdgesKeepMinimum) {
   EXPECT_EQ(r.dist[1], 3u);
 }
 
-TEST(SsspStats, RelaxationCountsArePlausible) {
+TEST(SsspMetrics, RelaxationCountsArePlausible) {
+  using obs::CounterId;
   const TestGraph& tg = test_graph(4);  // undirected rmat
   const SsspResult reference = dijkstra(tg.graph, tg.source);
-  EXPECT_GT(reference.stats.relaxations, 0u);
+  const std::uint64_t reference_relax =
+      reference.metrics.counter(CounterId::kRelaxations);
+  EXPECT_GT(reference_relax, 0u);
 
   SsspOptions options;
   options.algo = Algorithm::kWasp;
@@ -199,9 +209,10 @@ TEST(SsspStats, RelaxationCountsArePlausible) {
   // A parallel run cannot beat Dijkstra's relaxation count (the theoretical
   // minimum modulo leaf pruning, which only removes relaxations Dijkstra
   // performs; allow small slack for that).
-  EXPECT_GE(wasp_run.stats.relaxations + tg.graph.num_vertices(),
-            reference.stats.relaxations / 2);
-  EXPECT_GT(wasp_run.stats.updates, 0u);
+  EXPECT_GE(wasp_run.metrics.counter(CounterId::kRelaxations) +
+                tg.graph.num_vertices(),
+            reference_relax / 2);
+  EXPECT_GT(wasp_run.metrics.counter(CounterId::kUpdates), 0u);
 }
 
 }  // namespace

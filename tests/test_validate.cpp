@@ -2,6 +2,7 @@
 // distance vectors and reject each class of corruption.
 #include <gtest/gtest.h>
 
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/validate.hpp"
@@ -10,8 +11,9 @@ namespace wasp {
 namespace {
 
 Graph small_graph() {
-  return Graph::from_edges(5, {{0, 1, 2}, {0, 2, 7}, {1, 2, 3}, {2, 3, 1}},
-                           false);
+  return GraphBuilder()
+      .edges(5, {{0, 1, 2}, {0, 2, 7}, {1, 2, 3}, {2, 3, 1}})
+      .build();
 }
 
 TEST(DistancesEqual, AcceptsIdentical) {

@@ -70,6 +70,8 @@ void expect_correct(const Fixture& f, const SsspOptions& options,
       << label << ": " << message;
 }
 
+using obs::CounterId;
+
 // --- optimization toggles (all 8 combinations, the Fig. 7 space) ----------
 
 using OptParam = std::tuple<bool, bool, bool>;  // LP, BR, ND
@@ -281,7 +283,7 @@ TEST(WaspStress, LargeWeightOutlierGrowsBucketsGeometrically) {
   edges.push_back({0, outlier, 200'000});
   edges.push_back({outlier, 0, 200'000});
   const Fixture f =
-      make_fixture(Graph::from_edges(outlier + 1, edges, /*undirected=*/false));
+      make_fixture(GraphBuilder().edges(outlier + 1, edges).build());
 
   SsspOptions options;
   options.algo = Algorithm::kWasp;
@@ -311,9 +313,9 @@ TEST(WaspStats, StealsHappenWithManyThreads) {
   std::uint64_t attempts = 0;
   for (int attempt = 0; attempt < 15 && steals == 0; ++attempt) {
     const SsspResult r = run_sssp(f.graph, f.source, options);
-    steals = r.stats.steals;
-    attempts = r.stats.steal_attempts;
-    EXPECT_GT(r.stats.relaxations, 0u);
+    steals = r.metrics.counter(CounterId::kSteals);
+    attempts = r.metrics.counter(CounterId::kStealAttempts);
+    EXPECT_GT(r.metrics.counter(CounterId::kRelaxations), 0u);
     std::string message;
     ASSERT_TRUE(distances_equal(f.reference, r.dist, &message)) << message;
   }
@@ -335,7 +337,7 @@ TEST(WaspStats, SingleThreadNeverSteals) {
   options.delta = 16;
   const Fixture& f = grid_fixture();
   const SsspResult r = run_sssp(f.graph, f.source, options);
-  EXPECT_EQ(r.stats.steals, 0u);
+  EXPECT_EQ(r.metrics.counter(CounterId::kSteals), 0u);
   std::string message;
   EXPECT_TRUE(distances_equal(f.reference, r.dist, &message)) << message;
 }
@@ -369,14 +371,14 @@ TEST(WaspStats, OccupancyCountersPopulated) {
   options.threads = 6;
   options.delta = 1024;
   const SsspResult r = run_sssp(f.graph, f.source, options);
-  EXPECT_GT(r.stats.steal_ns + r.stats.idle_ns, 0u);
+  EXPECT_GT(r.metrics.counter(CounterId::kStealNs) +
+                r.metrics.counter(CounterId::kIdleNs),
+            0u);
   std::string message;
   EXPECT_TRUE(distances_equal(f.reference, r.dist, &message)) << message;
 }
 
 // --- idle parking: helpers with nothing to steal block, not spin ---------
-
-using obs::CounterId;
 
 /// Undirected path 0-1-...-(n-1). A solve from vertex 0 is one chain of
 /// work: every vertex hands exactly one successor on, so helpers find
