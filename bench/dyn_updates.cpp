@@ -8,17 +8,32 @@
 // Besides the table, writes a machine-readable JSON report (default
 // BENCH_dyn.json; tools/bench_check.py validates it, and the ctest smoke
 // job runs a tiny instance with --schema-only).
+//
+// --cone-sweep instead measures the crossover behind kInlineRepairWork
+// (sssp/incremental.hpp): for cones of growing size, the seeded engine's
+// time on one worker against the full team.
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <memory>
+#include <set>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "graph/builder.hpp"
 #include "graph/delta.hpp"
 #include "harness.hpp"
+#include "obs/metrics.hpp"
+#include "sssp/dijkstra.hpp"
 #include "sssp/incremental.hpp"
+#include "sssp/wasp.hpp"
+#include "support/numa.hpp"
 #include "support/random.hpp"
 #include "support/stats.hpp"
+#include "support/thread_team.hpp"
 #include "support/timer.hpp"
 
 using namespace wasp;
@@ -36,6 +51,7 @@ struct Row {
   double mean_cone = 0.0;
   double mean_seeds = 0.0;
   int incremental_repairs = 0;
+  int inline_repairs = 0;  ///< repairs that ran on one worker
   int full_solves = 0;
   bool exact = true;  ///< repaired == from-scratch after every batch
 };
@@ -70,14 +86,161 @@ void write_json(const std::string& path, int threads, int batches, int ops,
         "    {\"graph\": \"%s\", \"algo\": \"%s\", \"batches\": %d, "
         "\"ops_per_batch\": %d, \"repair_ms\": %.6f, \"full_ms\": %.6f, "
         "\"speedup\": %.3f, \"mean_cone\": %.1f, \"mean_seeds\": %.1f, "
-        "\"incremental_repairs\": %d, \"full_solves\": %d, \"exact\": %s}%s\n",
+        "\"incremental_repairs\": %d, \"inline_repairs\": %d, "
+        "\"full_solves\": %d, \"exact\": %s}%s\n",
         r.graph.c_str(), r.algo.c_str(), r.batches, r.ops_per_batch,
         r.repair_ms, r.full_ms, r.speedup, r.mean_cone, r.mean_seeds,
-        r.incremental_repairs, r.full_solves, r.exact ? "true" : "false",
+        r.incremental_repairs, r.inline_repairs, r.full_solves,
+        r.exact ? "true" : "false",
         i + 1 < rows.size() ? "," : "");
     out << buf;
   }
   out << "  ]\n}\n";
+}
+
+/// --cone-sweep on one class. Jams (x4) a growing number (x1.5 a step) of
+/// shortest-path-tree arcs of the base graph and re-settles the cone they
+/// raise with wasp_sssp_seeded, on a one-participant team and on the full
+/// team, `reps` times each, alternating. Each timed run follows a 2 ms idle
+/// gap, as a traffic tick reaches a sleeping team. The cone is the minimal
+/// one: the vertices whose distance the jams raise, at infinity, with every
+/// other bound exact and the cone's finite in-neighbours as seeds. A
+/// repair's cone walk over-approximates this set, so its work can only be
+/// larger for the same jams. Every run is checked against Dijkstra; returns
+/// false on a mismatch.
+bool cone_sweep(suite::GraphClass cls, double scale, std::uint64_t seed,
+                int threads, int reps) {
+  auto w = suite::make(cls, scale, seed);
+  const Graph& base = w.graph;
+  const VertexId source = w.source;
+  const VertexId n = base.num_vertices();
+  const Weight delta = bench::default_delta(Algorithm::kWasp, cls);
+  const Weight max_w = std::max<Weight>(1, base.max_weight());
+  const std::vector<Distance> warm = dijkstra(base, source).dist;
+  const Graph base_in = GraphBuilder().transpose_of(base).build();
+
+  WaspConfig config;
+  config.topology =
+      std::make_shared<const NumaTopology>(NumaTopology::detect());
+  ThreadTeam solo(1);
+  ThreadTeam team(threads);
+  obs::MetricsRegistry registry(threads);
+  AtomicDistances dist(n);
+  LoweredLog log;
+
+  std::printf("%s (n = %u, delta = %u): seeded repair, 1 worker vs %d, "
+              "medians of %d\n",
+              suite::abbr(cls), n, delta, threads, reps);
+  bench::print_cell("jams", 7);
+  bench::print_cell("cone", 9);
+  bench::print_cell("seeds", 8);
+  bench::print_cell("work", 9);
+  bench::print_cell("1 worker", 11);
+  bench::print_cell("team", 11);
+  bench::print_cell("team/1", 8);
+  bench::print_cell("picks", 6);
+  bench::print_cell("check", 7);
+  std::printf("\n");
+
+  Xoshiro256 rng(seed ^ 0xC0DE5EEDULL);
+  bool all_exact = true;
+  for (std::uint64_t jams = 1; jams <= n; jams += (jams + 1) / 2) {
+    // Jam the tree arc into `jams` random reachable vertices.
+    GraphDelta batch;
+    std::set<std::pair<VertexId, VertexId>> used;
+    for (std::uint64_t j = 0; j < jams; ++j) {
+      const auto v = static_cast<VertexId>(rng.next_below(n));
+      if (v == source || warm[v] == kInfDist) continue;
+      for (const WEdge& e : base_in.out_neighbors(v)) {
+        const VertexId u = e.dst;  // the arc u -> v
+        if (warm[u] == kInfDist || saturating_add(warm[u], e.w) != warm[v])
+          continue;
+        std::pair<VertexId, VertexId> key(u, v);
+        if (base.is_undirected() && v < u) std::swap(key.first, key.second);
+        if (!used.insert(key).second) break;
+        const auto jam = std::min<std::uint64_t>(std::uint64_t{e.w} * 4,
+                                                 std::uint64_t{max_w} * 8);
+        batch.set_weight(u, v, static_cast<Weight>(jam));
+        break;
+      }
+    }
+    VersionedGraph vg{Graph(base)};
+    (void)vg.apply(batch);
+    const Graph& g = vg.graph();
+    const std::vector<Distance> exact = dijkstra(g, source).dist;
+
+    std::vector<VertexId> cone;
+    for (VertexId v = 0; v < n; ++v)
+      if (exact[v] != warm[v]) cone.push_back(v);
+    std::vector<std::uint8_t> marked(n, 0);
+    for (const VertexId c : cone) marked[c] = 1;
+    std::vector<VertexId> seeds;
+    const Graph g_in = GraphBuilder().transpose_of(g).build();
+    for (const VertexId c : cone) {
+      for (const WEdge& e : g_in.out_neighbors(c)) {
+        if (marked[e.dst] || warm[e.dst] == kInfDist) continue;
+        marked[e.dst] = 1;
+        seeds.push_back(e.dst);
+      }
+    }
+
+    bool exact_ok = true;
+    const auto timed_run = [&](ThreadTeam& t) {
+      for (VertexId v = 0; v < n; ++v) dist.store(v, warm[v]);
+      for (const VertexId c : cone) dist.store(c, kInfDist);
+      RunContext ctx{t, registry};
+      ctx.dist = &dist;
+      ctx.prefetch_lookahead = SsspOptions{}.prefetch_lookahead;
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      Timer timer;
+      (void)wasp_sssp_seeded(g, seeds, delta, config, ctx, &log);
+      const double seconds = timer.seconds();
+      if (dist.snapshot() != exact) exact_ok = false;
+      return seconds;
+    };
+    std::vector<double> one_times;
+    std::vector<double> team_times;
+    for (int r = 0; r < reps; ++r) {
+      if (r % 2 == 0) {
+        one_times.push_back(timed_run(solo));
+        team_times.push_back(timed_run(team));
+      } else {
+        team_times.push_back(timed_run(team));
+        one_times.push_back(timed_run(solo));
+      }
+    }
+    all_exact = all_exact && exact_ok;
+
+    const std::uint64_t work = cone.size() + seeds.size();
+    const double one_ms = median(one_times) * 1e3;
+    const double team_ms = median(team_times) * 1e3;
+    char cell[32];
+    std::snprintf(cell, sizeof(cell), "%llu",
+                  static_cast<unsigned long long>(jams));
+    bench::print_cell(cell, 7);
+    std::snprintf(cell, sizeof(cell), "%zu", cone.size());
+    bench::print_cell(cell, 9);
+    std::snprintf(cell, sizeof(cell), "%zu", seeds.size());
+    bench::print_cell(cell, 8);
+    std::snprintf(cell, sizeof(cell), "%llu",
+                  static_cast<unsigned long long>(work));
+    bench::print_cell(cell, 9);
+    std::snprintf(cell, sizeof(cell), "%.4fms", one_ms);
+    bench::print_cell(cell, 11);
+    std::snprintf(cell, sizeof(cell), "%.4fms", team_ms);
+    bench::print_cell(cell, 11);
+    std::snprintf(cell, sizeof(cell), "%.2f",
+                  one_ms > 0 ? team_ms / one_ms : 0.0);
+    bench::print_cell(cell, 8);
+    std::snprintf(cell, sizeof(cell), "%d", repair_workers(work, threads));
+    bench::print_cell(cell, 6);
+    bench::print_cell(exact_ok ? "exact" : "MISMATCH", 7);
+    std::printf("\n");
+    std::fflush(stdout);
+    if (cone.size() > n / 2) break;
+  }
+  std::printf("\n");
+  return all_exact;
 }
 
 }  // namespace
@@ -90,6 +253,10 @@ int main(int argc, char** argv) {
   args.add_int("batches", 16, "update batches per graph");
   args.add_int("ops", 32, "weight-change operations per batch");
   args.add_string("out", "BENCH_dyn.json", "machine-readable report path");
+  args.add_flag("cone-sweep",
+                "time seeded repairs of growing cones on one worker vs the "
+                "full team (the kInlineRepairWork crossover); no report");
+  args.add_int("reps", 15, "timed runs per cone size and width (--cone-sweep)");
   args.parse(argc, argv);
 
   const int threads = static_cast<int>(args.get_int("threads"));
@@ -98,6 +265,19 @@ int main(int argc, char** argv) {
   const int ops =
       static_cast<int>(std::max<std::int64_t>(1, args.get_int("ops")));
   const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed"));
+
+  if (args.get_flag("cone-sweep")) {
+    const int reps =
+        static_cast<int>(std::max<std::int64_t>(1, args.get_int("reps")));
+    std::printf("Cone sweep: kInlineRepairWork = %llu (\"picks\" is the "
+                "width a repair of that work runs on)\n\n",
+                static_cast<unsigned long long>(kInlineRepairWork));
+    bool all_exact = true;
+    for (const auto cls : bench::selected_classes(args))
+      all_exact = cone_sweep(cls, args.get_double("scale"), seed, threads,
+                             reps) && all_exact;
+    return all_exact ? 0 : 1;
+  }
 
   std::printf("Dynamic updates: %d batches x %d weight changes; incremental "
               "repair vs from-scratch (algo=wasp, threads=%d)\n\n",
@@ -108,6 +288,7 @@ int main(int argc, char** argv) {
   bench::print_cell("speedup", 9);
   bench::print_cell("cone", 9);
   bench::print_cell("seeds", 9);
+  bench::print_cell("inline", 8);
   bench::print_cell("check", 7);
   std::printf("\n");
 
@@ -172,6 +353,7 @@ int main(int argc, char** argv) {
         row.full_solves += 1;
       } else {
         row.incremental_repairs += 1;
+        if (rs.workers == 1) row.inline_repairs += 1;
         cone_total += rs.cone_vertices;
         seed_total += rs.seed_vertices;
       }
@@ -204,6 +386,9 @@ int main(int argc, char** argv) {
     bench::print_cell(cell, 9);
     std::snprintf(cell, sizeof(cell), "%.0f", row.mean_seeds);
     bench::print_cell(cell, 9);
+    std::snprintf(cell, sizeof(cell), "%d/%d", row.inline_repairs,
+                  row.incremental_repairs);
+    bench::print_cell(cell, 8);
     bench::print_cell(row.exact ? "exact" : "MISMATCH", 7);
     std::printf("\n");
     std::fflush(stdout);

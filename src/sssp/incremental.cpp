@@ -110,6 +110,7 @@ void IncrementalSolver::full_solve(const Graph& g, VertexId source) {
       std::move(result.dist));
   last_ = RepairStats{};
   last_.full_solve = true;
+  last_.workers = solver_.team().size();
   last_.seconds = result.metrics.seconds;
 
   // Bind the warm state only when the solve actually went through the
@@ -263,7 +264,12 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   shard.inc(CId::kRepairConeVertices, cone_.size());
   shard.inc(CId::kRepairSeedVertices, seeds_.size());
 
-  RunContext ctx{solver_.team(), registry,
+  // A small repair runs on the calling thread alone (kInlineRepairWork).
+  const int workers =
+      repair_workers(cone_.size() + seeds_.size(), solver_.team().size());
+  RunContext ctx{workers < solver_.team().size() ? inline_team_
+                                                 : solver_.team(),
+                 registry,
                  solver_.trace() != nullptr ? solver_.trace() : opts.trace,
                  opts.observer, opts.chaos};
   ctx.dist = &dist;
@@ -311,6 +317,7 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   last_.seed_vertices = seeds_.size();
   last_.lowered = lowered;
   last_.patched = patch;
+  last_.workers = workers;
   last_.seconds = result.metrics.seconds;
 }
 

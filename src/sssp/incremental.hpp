@@ -26,7 +26,9 @@
 //     second pass over a cached transpose.
 //  4. Repair. wasp_sssp_seeded runs the normal work-stealing engine over
 //     the warm array — no epoch bump, so untouched vertices cost nothing —
-//     in work proportional to the cone, not the graph.
+//     in work proportional to the cone, not the graph. A small repair (cone
+//     plus seeds below kInlineRepairWork) runs on the calling thread alone:
+//     waking the Solver's team would cost more than the work it shares.
 //  5. Publish. The engine logs every vertex it lowers (LoweredLog), so the
 //     next answer is a copy of the previous one with the cone and the
 //     logged vertices re-read from the array: O(cone + lowered) decoding,
@@ -57,8 +59,29 @@
 #include "sssp/common.hpp"
 #include "sssp/solver.hpp"
 #include "sssp/wasp.hpp"
+#include "support/thread_team.hpp"
 
 namespace wasp {
+
+/// A repair whose work (cone plus seeds) is below this runs the engine on
+/// a one-participant team, the calling thread alone; from it up, on the
+/// Solver's team. A team run pays a condvar wake, idle peers' steal and
+/// termination scans, and a join, which a cone of a few hundred vertices
+/// does not earn back. `dyn_updates --cone-sweep --scale 1 --graphs USA
+/// --threads 4` (a 102,400-vertex road grid, Δ = 1024, medians of 15 runs
+/// per width, each after a 2 ms idle gap, seeds 1-7) on a 4-vCPU Xeon VM
+/// gave a team/one time ratio of 2.1-6.3 up to 310 work (no team run took
+/// under 0.09 ms), 1.3-1.8 at 440-650, 0.98-1.16 at 675-810, 0.82-1.03 at
+/// 1,030-1,500, 0.65-0.77 at 2,200-5,000 and 0.36-0.54 from 10,000 up.
+inline constexpr std::uint64_t kInlineRepairWork = 1024;
+
+/// Participants a repair of `work` vertices (cone plus seeds) runs on,
+/// given a Solver team of `team_size`: 1 below kInlineRepairWork, else the
+/// whole team.
+[[nodiscard]] constexpr int repair_workers(std::uint64_t work,
+                                           int team_size) {
+  return work < kInlineRepairWork ? 1 : team_size;
+}
 
 /// What the last solve() did, for observability and tests. The same numbers
 /// feed the kRepair* counters in the solver's MetricsRegistry.
@@ -74,6 +97,10 @@ struct RepairStats {
   /// The answer was published by patching the previous one; false when a
   /// wide repair decoded the whole array instead.
   bool patched = false;
+  /// Participants the last engine run had: 1 for a repair run inline on
+  /// the calling thread, the team size for a team repair or a full solve,
+  /// 0 when nothing ran (no new version).
+  int workers = 0;
   double seconds = 0.0;            ///< parallel-phase time of the last run
 };
 
@@ -129,6 +156,9 @@ class IncrementalSolver {
   const Graph& transpose_of(const Graph& g);
 
   Solver solver_;
+  /// The calling thread alone: what a repair below kInlineRepairWork runs
+  /// on (no worker threads, so run() is a plain call).
+  ThreadTeam inline_team_{1};
 
   // Warm-state binding: which (graph, source, version) the pool's distance
   // array answers, plus the epoch stamp that proves nobody bumped it since.

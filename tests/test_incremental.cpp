@@ -51,6 +51,9 @@ Graph make_shape(const std::string& name) {
   const WeightScheme ws = WeightScheme::uniform(1, 100);
   if (name == "grid") return gen::grid(28, 28, ws, 11);
   if (name == "chain") return gen::chain_forest(6, 250, ws, 13);
+  // One 3,000-vertex path: cutting it strands the whole tail, so its cones
+  // reach past kInlineRepairWork and repair on the team.
+  if (name == "long_chain") return gen::chain_forest(1, 3000, ws, 29);
   if (name == "er") return gen::erdos_renyi(1600, 6.0, ws, 17);
   if (name == "star") return gen::star_hub(1600, 0.3, 0.3, ws, 19);
   if (name == "rmat_dir")
@@ -237,7 +240,9 @@ void expect_published_answer(IncrementalSolver& inc, const Graph& g,
 TEST(IncrementalAnswer, RepairsPublishExactImmutableAnswers) {
   int patched = 0;
   int decoded = 0;
-  for (const char* shape : {"grid", "chain", "rmat_dir"}) {
+  int inline_runs = 0;
+  int team_runs = 0;
+  for (const char* shape : {"grid", "chain", "rmat_dir", "long_chain"}) {
     for (const Mode mode : {Mode::kMixed, Mode::kStructural}) {
       const std::string name = std::string(shape) + "/" + to_name(mode);
       VersionedGraph vg(make_shape(shape));
@@ -260,8 +265,15 @@ TEST(IncrementalAnswer, RepairsPublishExactImmutableAnswers) {
         const std::string what = name + " batch " + std::to_string(b);
         EXPECT_EQ(&returned, inc.answer().get()) << what;
         expect_published_answer(inc, vg.graph(), source, what);
-        if (!inc.last_repair().full_solve)
-          ++(inc.last_repair().patched ? patched : decoded);
+        const RepairStats& rs = inc.last_repair();
+        if (!rs.full_solve) {
+          ++(rs.patched ? patched : decoded);
+          EXPECT_EQ(rs.workers,
+                    repair_workers(rs.cone_vertices + rs.seed_vertices,
+                                   inc.solver().team().size()))
+              << what;
+          ++(rs.workers == 1 ? inline_runs : team_runs);
+        }
 
         // No new version: the same buffer again, not a copy.
         const auto before = inc.answer();
@@ -275,9 +287,53 @@ TEST(IncrementalAnswer, RepairsPublishExactImmutableAnswers) {
       }
     }
   }
-  // Both publishing paths ran.
+  // Both publishing paths ran, and repairs ran both inline and on the team.
   EXPECT_GT(patched, 0);
   EXPECT_GT(decoded, 0);
+  EXPECT_GT(inline_runs, 0);
+  EXPECT_GT(team_runs, 0);
+}
+
+TEST(IncrementalAnswer, RepairWorkersSplitsAtTheCutoff) {
+  EXPECT_EQ(repair_workers(0, 4), 1);
+  EXPECT_EQ(repair_workers(1, 4), 1);
+  EXPECT_EQ(repair_workers(kInlineRepairWork - 1, 4), 1);
+  EXPECT_EQ(repair_workers(kInlineRepairWork, 4), 4);
+  EXPECT_EQ(repair_workers(kInlineRepairWork + 1, 4), 4);
+  EXPECT_EQ(repair_workers(kInlineRepairWork, 2), 2);
+  // A one-thread Solver has no team to wake: one worker at any size.
+  EXPECT_EQ(repair_workers(0, 1), 1);
+  EXPECT_EQ(repair_workers(kInlineRepairWork, 1), 1);
+  EXPECT_EQ(repair_workers(std::uint64_t{1} << 40, 1), 1);
+}
+
+TEST(IncrementalAnswer, ManySeedsRepairOnTheTeamWithTheLog) {
+  // Weight drops on a quarter of a 48x48 grid's edges: no cone, so the
+  // engine logs, and well over kInlineRepairWork decrease sources, so the
+  // repair runs on the Solver's two workers, appending to the log
+  // concurrently.
+  VersionedGraph vg(gen::grid(48, 48, WeightScheme::uniform(2, 100), 31));
+  const VertexId source = pick_source(vg);
+  IncrementalSolver inc(test_options());
+  (void)inc.solve(vg, source);
+  GraphDelta drops;
+  for (VertexId u = 0; u < vg.num_vertices(); u += 2) {
+    for (const WEdge& e : vg.out_neighbors(u)) {
+      if (e.dst > u) {
+        drops.set_weight(u, e.dst, 1);
+        break;
+      }
+    }
+  }
+  (void)vg.apply(drops);
+  (void)inc.solve(vg, source);
+  const RepairStats& rs = inc.last_repair();
+  ASSERT_FALSE(rs.full_solve);
+  EXPECT_EQ(rs.cone_vertices, 0u);
+  EXPECT_GE(rs.seed_vertices, kInlineRepairWork);
+  EXPECT_EQ(rs.workers, 2);
+  EXPECT_GT(rs.lowered, 0u);
+  expect_published_answer(inc, vg.graph(), source, "grid drops");
 }
 
 /// Undirected path 0-1-...-199 (weight 3) with a pendant leaf 200 on vertex

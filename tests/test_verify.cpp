@@ -37,6 +37,7 @@
 #include "graph/builder.hpp"
 #include "graph/delta.hpp"
 #include "graph/generators.hpp"
+#include "obs/metrics.hpp"
 #include "sssp/curr_board.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/incremental.hpp"
@@ -46,6 +47,7 @@
 #include "support/chaos.hpp"
 #include "support/numa.hpp"
 #include "support/random.hpp"
+#include "support/thread_team.hpp"
 #include "verify/checked_atomic.hpp"
 #include "verify/context.hpp"
 #include "verify/linearize.hpp"
@@ -1660,9 +1662,13 @@ TEST(SchedulerHarness, DeltaSteppingEndToEndSchedulesMatchDijkstra) {
 // repairer can patch its previous answer instead of decoding the array.
 // Each seed solves an e2e case cold, applies a one- or two-arc batch of
 // jams and drops, and repairs under the scheduler; the published answer
-// must match Dijkstra. The log's own discipline (each worker appends to its
+// must match Dijkstra. The e2e cases are far below kInlineRepairWork, so
+// the IncrementalSolver repairs them on the calling thread alone; the
+// engine's multi-worker seeded run (seed levels published before launch,
+// concurrent log appends) is driven directly on a 2-4-worker team by the
+// case after it. The log's own discipline (each worker appends to its
 // list, the caller reads after the join) is pinned by the LoweredLog tests
-// below it.
+// below them.
 
 /// A batch of one or two weight changes on distinct logical edges of `vg`:
 /// each a jam (x4) or a drop (halved, at least 1).
@@ -1711,15 +1717,19 @@ TEST(SchedulerHarness, SeededRepairSchedulesMatchDijkstra) {
     (void)vg.apply(batch);
     const SsspResult reference = dijkstra(vg.graph(), c.source);
 
-    Session session(session_options(threads, seed));
+    // Cone and seeds together never exceed 2n, so the repair runs inline:
+    // a scheduler round of one participant.
+    ASSERT_LT(2 * std::uint64_t{vg.num_vertices()}, kInlineRepairWork);
+    Session session(session_options(1, seed));
     {
-      Scheduler scheduler(scheduler_options(threads, seed));
+      Scheduler scheduler(scheduler_options(1, seed));
       (void)inc.solve(vg, c.source);
       EXPECT_TRUE(session.ok()) << replay_hint(seed) << ":\n"
                                 << session.report_text();
     }
     const RepairStats& rs = inc.last_repair();
     EXPECT_FALSE(rs.full_solve) << replay_hint(seed);
+    EXPECT_EQ(rs.workers, 1) << replay_hint(seed);
     if (rs.patched || rs.lowered > 0) ++logged;
     if (rs.patched) ++patched;
     std::string message;
@@ -1732,6 +1742,108 @@ TEST(SchedulerHarness, SeededRepairSchedulesMatchDijkstra) {
   if (seeds.last - seeds.first == kE2eSeeds / 4) {
     EXPECT_GT(logged, 0u) << "no repair in the sweep ran with the log";
     EXPECT_GT(patched, 0u) << "no repair in the sweep patched its answer";
+  }
+}
+
+TEST(SchedulerHarness, SeededTeamRunsMatchDijkstra) {
+  // wasp_sssp_seeded on a 2-4-worker team, as a repair too wide to run
+  // inline would call it. Each seed drops one or two arcs of an e2e case
+  // and pre-loads the old exact distances (admissible: a drop only lowers
+  // distances), with a random third of the vertices invalidated to
+  // infinity. The seeds are the drop sources plus the finite in-neighbours
+  // of the invalidated set, so relaxing from them reaches the new exact
+  // distances, and the log must hold every vertex whose bound moved.
+  const SeedRange seeds = harness_seeds(kE2eSeeds / 4);
+  const auto topology =
+      std::make_shared<const NumaTopology>(NumaTopology::detect());
+  std::uint64_t logged = 0;
+  for (std::uint64_t seed = seeds.first; seed < seeds.last; ++seed) {
+    const int threads = 2 + static_cast<int>(seed % 3);
+    const auto& cases = e2e_cases();
+    const E2eCase& c = cases[static_cast<std::size_t>(seed % cases.size())];
+    const VertexId n = c.graph.num_vertices();
+    const std::vector<Distance> old_dist = dijkstra(c.graph, c.source).dist;
+
+    Xoshiro256 rng(hash_mix(seed ^ 0x7EA5ULL));
+    VersionedGraph vg{Graph(c.graph)};
+    GraphDelta drops;
+    std::vector<VertexId> seed_set;
+    std::vector<std::uint8_t> seeded(n, 0);
+    const auto add_seed = [&](VertexId u) {
+      if (seeded[u] || old_dist[u] == kInfDist) return;
+      seeded[u] = 1;
+      seed_set.push_back(u);
+    };
+    for (int op = 0; op < 2; ++op) {
+      const auto u = static_cast<VertexId>(rng.next_below(n));
+      const auto adj = vg.out_neighbors(u);
+      if (adj.empty()) continue;
+      const WEdge e = adj[rng.next_below(adj.size())];
+      if (seeded[u] || seeded[e.dst]) continue;  // one change per edge
+      drops.set_weight(u, e.dst, std::max<Weight>(1, e.w / 2));
+      add_seed(u);
+      if (vg.is_undirected()) add_seed(e.dst);
+    }
+    if (!drops.empty()) (void)vg.apply(drops);
+    const Graph& g = vg.graph();
+    const SsspResult reference = dijkstra(g, c.source);
+
+    AtomicDistances dist(n);
+    std::vector<std::uint8_t> invalid(n, 0);
+    for (VertexId v = 0; v < n; ++v) {
+      invalid[v] = v != c.source && rng.next_below(3) == 0;
+      dist.store(v, invalid[v] ? kInfDist : old_dist[v]);
+    }
+    const Graph in = GraphBuilder().transpose_of(g).build();
+    for (VertexId v = 0; v < n; ++v) {
+      if (!invalid[v]) continue;
+      for (const WEdge& e : in.out_neighbors(v))
+        if (!invalid[e.dst]) add_seed(e.dst);
+    }
+
+    WaspConfig config;
+    config.theta = 64;
+    config.chunk_capacity = 16;
+    config.steal_policy = seed % 2 == 0 ? StealPolicy::kPriorityNuma
+                                        : StealPolicy::kTwoChoice;
+    config.topology = topology;
+    ThreadTeam team(threads);
+    obs::MetricsRegistry registry(threads);
+    LoweredLog log;
+    RunContext ctx{team, registry};
+    ctx.dist = &dist;
+    SsspResult result;
+    Session session(session_options(threads, seed));
+    {
+      Scheduler scheduler(scheduler_options(threads, seed));
+      result = wasp_sssp_seeded(g, seed_set, 8, config, ctx, &log);
+      EXPECT_TRUE(session.ok()) << replay_hint(seed) << ":\n"
+                                << session.report_text();
+    }
+    const std::vector<Distance> answer = dist.snapshot();
+    std::string message;
+    EXPECT_TRUE(distances_equal(reference.dist, answer, &message))
+        << replay_hint(seed) << " (threads=" << threads
+        << ", seeds=" << seed_set.size() << "): " << message;
+    EXPECT_EQ(log.workers(), threads) << replay_hint(seed);
+    EXPECT_EQ(log.size(),
+              result.metrics.counter(obs::CounterId::kUpdates))
+        << replay_hint(seed);
+    std::vector<std::uint8_t> in_log(n, 0);
+    for (int t = 0; t < log.workers(); ++t)
+      for (const VertexId v : log.list(t)) in_log[v] = 1;
+    for (VertexId v = 0; v < n; ++v) {
+      const Distance preloaded = invalid[v] ? kInfDist : old_dist[v];
+      if (answer[v] != preloaded) {
+        EXPECT_TRUE(in_log[v]) << replay_hint(seed) << ": vertex " << v
+                               << " moved but is not in the log";
+      }
+    }
+    if (log.size() > 0) ++logged;
+    if (::testing::Test::HasFailure()) return;
+  }
+  if (seeds.last - seeds.first == kE2eSeeds / 4) {
+    EXPECT_GT(logged, 0u) << "no seeded run in the sweep lowered a vertex";
   }
 }
 
