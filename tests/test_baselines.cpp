@@ -4,11 +4,13 @@
 // global-bag migration, MultiQueue parameterizations) and checks exactness.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "graph/algorithms.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "graph/suite.hpp"
 #include "obs/metrics.hpp"
 #include "sssp/bellman_ford.hpp"
 #include "sssp/delta_stepping.hpp"
@@ -56,6 +58,76 @@ struct Ctx {
     ctx.dist = &dist;
   }
 };
+
+// --- one-thread work counts ---------------------------------------------------
+
+/// rounds, relaxations, updates of one deterministic one-thread run.
+struct WorkCounts {
+  std::uint64_t rounds;
+  std::uint64_t relaxations;
+  std::uint64_t updates;
+
+  friend bool operator==(const WorkCounts&, const WorkCounts&) = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const WorkCounts& c) {
+  return os << "{" << c.rounds << ", " << c.relaxations << ", " << c.updates
+            << "}";
+}
+
+TEST(RoundBaselines, OneThreadWorkCountsArePinned) {
+  // At one thread every round baseline is deterministic, so these counts
+  // pin each algorithm's own rule (bins and fusion, the bucket window, the
+  // threshold rule, the dedup flags) independently of how their rounds are
+  // driven: a change to the round machinery must leave all of them
+  // unchanged.
+  // `option` is gap.bucket_fusion for GAP, stepping.direction_optimize for
+  // the rest.
+  struct Row {
+    Algorithm algo;
+    bool option;
+    WorkCounts road;
+    WorkCounts power_law;
+  };
+  const Row rows[] = {
+      {Algorithm::kBellmanFord, false, {161, 140863, 47686}, {11, 451526, 23379}},
+      {Algorithm::kDeltaStepping, true, {152, 44251, 13597}, {12, 646041, 21328}},
+      {Algorithm::kDeltaStepping, false, {449, 44251, 13597}, {25, 646041, 21328}},
+      {Algorithm::kJulienne, true, {465, 44953, 13597}, {26, 867932, 11357}},
+      {Algorithm::kJulienne, false, {465, 44953, 13597}, {25, 646041, 21328}},
+      {Algorithm::kDeltaStar, true, {295, 40623, 13590}, {20, 895886, 11396}},
+      {Algorithm::kRhoStepping, true, {136, 469112, 72004}, {11, 723728, 12278}},
+      {Algorithm::kRadiusStepping, true, {194, 42333, 14479}, {12, 900120, 11357}},
+  };
+  const suite::Workload road =
+      suite::make(suite::GraphClass::kRoadUsa, 0.1, 1);
+  const suite::Workload power_law =
+      suite::make(suite::GraphClass::kKron, 0.1, 1);
+  const std::vector<Distance> road_ref = dijkstra(road.graph, road.source).dist;
+  const std::vector<Distance> power_law_ref =
+      dijkstra(power_law.graph, power_law.source).dist;
+  const auto counts = [](const suite::Workload& w,
+                         const std::vector<Distance>& ref, const Row& row,
+                         Weight delta) {
+    SsspOptions options;
+    options.algo = row.algo;
+    options.threads = 1;
+    options.delta = delta;
+    options.gap.bucket_fusion = row.option;
+    options.stepping.direction_optimize = row.option;
+    const SsspResult r = run_sssp(w.graph, w.source, options);
+    EXPECT_EQ(r.dist, ref) << to_string(row.algo) << " on " << w.name;
+    return WorkCounts{r.metrics.counter(CounterId::kRounds),
+                      r.metrics.counter(CounterId::kRelaxations),
+                      r.metrics.counter(CounterId::kUpdates)};
+  };
+  for (const Row& row : rows) {
+    EXPECT_EQ(counts(road, road_ref, row, 64), row.road)
+        << to_string(row.algo) << " option=" << row.option << " on road";
+    EXPECT_EQ(counts(power_law, power_law_ref, row, 32), row.power_law)
+        << to_string(row.algo) << " option=" << row.option << " on power law";
+  }
+}
 
 // --- Julienne: bounded window + overflow -----------------------------------
 
