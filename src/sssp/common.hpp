@@ -76,9 +76,10 @@ class AtomicDistances {
     while (candidate < decode(old)) {
       WASP_CHAOS_YIELD(chaos::Point::kYieldBeforeCas);
       // Release on success: an acq_rel frontier-flag exchange that reads
-      // our flag write also sees this improved distance (bellman_ford's
-      // dedup pairing). Relaxed on failure: the loop re-reads `old` and
-      // the monotone-min argument needs no ordering.
+      // our flag write also sees this improved distance (the round
+      // baselines' dedup pairing, PendingFlags in rounds.hpp). Relaxed on
+      // failure: the loop re-reads `old` and the monotone-min argument
+      // needs no ordering.
       if (dist_[v].compare_exchange_weak(old, pack(candidate),
                                          std::memory_order_release,
                                          std::memory_order_relaxed)) {
@@ -349,15 +350,16 @@ struct SsspOptions {
   std::uint64_t seed = 0x5EEDULL;
 
   /// Software-prefetch lookahead, in edges, for the relaxation loops of
-  /// Wasp, delta-stepping, and the MultiQueue/SMQ solvers: while relaxing
-  /// edge j the worker prefetches the distance entry of edge j+k's target
-  /// (and, in chunk drains, the next vertex's adjacency offsets). 0
+  /// Wasp, the round baselines, and the MultiQueue/SMQ solvers: while
+  /// relaxing edge j the worker prefetches the distance entry of edge j+k's
+  /// target (and, in chunk drains, the next vertex's adjacency offsets). 0
   /// disables. Purely a performance knob — results are bit-identical at any
   /// setting. See docs/PERFORMANCE.md for tuning.
   std::uint32_t prefetch_lookahead = 4;
 
   /// Fault-injection engine threaded to the workers of chaos-aware
-  /// algorithms (Wasp, SMQ-Dijkstra, delta-stepping). Null = no injection.
+  /// algorithms (Wasp, SMQ-Dijkstra, the round baselines). Null = no
+  /// injection.
   chaos::Engine* chaos = nullptr;
   /// Cooperative cancellation/deadline token (null = not cancellable).
   /// Polled at cheap boundaries by every parallel algorithm; a fired token

@@ -7,11 +7,12 @@
 //  * ρ-stepping: threshold chosen (by sampling) so that about ρ vertices
 //    fall below it each round.
 //
-// Both use the lazy-batched frontier (FrontierBag) and the two optimizations
-// the paper attributes to them: super-sparse rounds (tiny frontiers are
-// processed sequentially, skipping parallel overhead and cutting barrier
-// cost on road graphs) and the direction-optimizing pull step on dense
-// frontiers of undirected graphs (their Mawi lifeline).
+// Both run on the round skeleton of sssp/rounds.hpp (a lazy-batched
+// FrontierBag frontier) with the two optimizations the paper attributes to
+// them: super-sparse rounds (tiny frontiers are processed sequentially,
+// skipping parallel overhead and cutting barrier cost on road graphs) and
+// the direction-optimizing pull step on dense frontiers of undirected
+// graphs (their Mawi lifeline).
 #pragma once
 
 #include "graph/graph.hpp"

@@ -1,7 +1,9 @@
 // Sense-reversing centralized barrier with an instrumentation hook.
 //
-// Used by the synchronous baselines (GAP-style delta-stepping, Julienne,
-// delta*/rho-stepping).  The barrier optionally accumulates per-thread wait
+// The round barrier of the synchronous baselines (GAP-style delta-stepping,
+// Julienne, delta*/rho/radius-stepping, Bellman-Ford), all of which run
+// through RoundDriver (sssp/rounds.hpp): three waits per round end, plus any
+// an algorithm's own rule adds. The barrier accumulates per-thread wait
 // time so the Figure-1 experiment can report the barrier share of execution.
 //
 // The barrier spins briefly and then yields: on oversubscribed machines a

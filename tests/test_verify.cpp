@@ -1517,8 +1517,9 @@ TEST(FrontierBagHarness, UnorderedScanIsReportedAsRace) {
 
 // --- seeded end-to-end scheduler harness ----------------------------------
 //
-// The real solvers (wasp.cpp, delta_stepping.cpp, stepping.cpp) construct a
-// verify::ScopedSchedule at the top of their team lambdas. With a Session
+// The real solvers (wasp.cpp and the round baselines through
+// sssp/rounds.hpp) construct a verify::ScopedSchedule at the top of their
+// team lambdas. With a Session
 // and a Scheduler installed, every solve below therefore runs the *actual*
 // production protocol — Chase-Lev deques, termination scan, barriers — as
 // one deterministic virtual schedule: the scheduler serializes the team
@@ -1652,6 +1653,22 @@ TEST(SchedulerHarness, DeltaSteppingEndToEndSchedulesMatchDijkstra) {
   for (std::uint64_t seed = seeds.first; seed < seeds.last; ++seed) {
     e2e_one_seed(Algorithm::kDeltaStepping, seed);
     if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(SchedulerHarness, RoundBaselinesEndToEndSchedulesMatchDijkstra) {
+  // The other round baselines share delta-stepping's skeleton
+  // (sssp/rounds.hpp): block claims, the gather and the round end run
+  // under the scheduler for each, with every answer checked against
+  // Dijkstra.
+  const SeedRange seeds = harness_seeds(kE2eSeeds / 8);
+  for (const Algorithm algo :
+       {Algorithm::kJulienne, Algorithm::kDeltaStar, Algorithm::kRhoStepping,
+        Algorithm::kBellmanFord}) {
+    for (std::uint64_t seed = seeds.first; seed < seeds.last; ++seed) {
+      e2e_one_seed(algo, seed);
+      if (::testing::Test::HasFailure()) return;
+    }
   }
 }
 
@@ -2004,7 +2021,7 @@ TEST(SchedulerHarness, ModelBarrierDeltaSteppingRoundInSitu) {
   // share of the source's out-edges (CAS loops on checked distances),
   // inserts the improved vertices into the FrontierBag, and the bag's
   // insert -> compute_offsets -> copy_out_and_clear contract is checked in
-  // situ against the model — the same contract stepping.cpp's rounds rely
+  // situ against the model — the same contract the round baselines rely
   // on, here with real relaxation between the barriers instead of a
   // synthetic fill.
   const Graph g = gen::grid(5, 5, WeightScheme::gap(), 31);

@@ -23,10 +23,11 @@ Subcommands
                                 synchronization concept — the protocol is
                                 documented where it is implemented.
               cancel-poll       every parallel worker loop in src/sssp/ (a
-                                .cpp that calls team.run, drives the engine
-                                via wasp_sssp_seeded like the incremental
-                                repair loop, or drains a remote-queue channel
-                                via grab_all) must poll the CancelToken
+                                .cpp or header that calls team.run, or a
+                                .cpp that drives the engine via
+                                wasp_sssp_seeded like the incremental repair
+                                loop or drains a remote-queue channel via
+                                grab_all) must poll the CancelToken
                                 (stop_requested / poll_cancel / poll); an
                                 unpollable algorithm wedges the service
                                 layer's deadline machinery.
@@ -309,8 +310,14 @@ def has_order_comment(lines, lineno):
 def is_sssp_worker(rel, text):
     """A parallel-algorithm translation unit: launches a worker team, drives
     the engine over warm state (the incremental repair loop), or drains a
-    RemoteRelayNetwork channel (the Wasp engine's inbound loop)."""
-    return rel.startswith("src/sssp/") and rel.endswith(".cpp") \
+    RemoteRelayNetwork channel (the Wasp engine's inbound loop). A header
+    counts when it launches the team itself (the round baselines' driver,
+    rounds.hpp)."""
+    if not rel.startswith("src/sssp/"):
+        return False
+    if rel.endswith(".hpp"):
+        return "team.run(" in text
+    return rel.endswith(".cpp") \
         and ("team.run(" in text or "wasp_sssp_seeded(" in text
              or "grab_all(" in text)
 
