@@ -59,7 +59,7 @@ std::vector<Distance> dijkstra_compressed(const CompressedGraph& g,
     const auto [d, u] = heap.pop();
     if (d != dist[u]) continue;
     g.for_each_out(u, [&](VertexId v, Weight w) {
-      const Distance nd = d + w;
+      const Distance nd = saturating_add(d, w);
       if (nd < dist[v]) {
         dist[v] = nd;
         heap.push(nd, v);

@@ -71,8 +71,7 @@ void PendantContraction::expand(std::vector<Distance>& dist) const {
   // Reverse elimination order: a vertex's parent was eliminated later (or is
   // in the core), so its distance is already final.
   for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
-    dist[it->v] = dist[it->parent] == kInfDist ? kInfDist
-                                               : dist[it->parent] + it->w;
+    dist[it->v] = saturating_add(dist[it->parent], it->w);
   }
 }
 

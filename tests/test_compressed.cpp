@@ -81,5 +81,15 @@ TEST(CompressedGraph, DijkstraOverCompressedMatchesReference) {
   EXPECT_EQ(dijkstra_compressed(cg, src), dijkstra(g, src).dist);
 }
 
+TEST(CompressedGraph, DijkstraSaturatesInsteadOfWrapping) {
+  // 10 + 4,294,967,290 passes kInfDist: the path to 2 is no path, as in
+  // dijkstra(), not a wrapped distance of 4.
+  const Graph g =
+      GraphBuilder().edges(3, {{0, 1, 10}, {1, 2, kInfDist - 5}}).build();
+  const std::vector<Distance> want = dijkstra(g, 0).dist;
+  ASSERT_EQ(want[2], kInfDist);
+  EXPECT_EQ(dijkstra_compressed(CompressedGraph::compress(g), 0), want);
+}
+
 }  // namespace
 }  // namespace wasp

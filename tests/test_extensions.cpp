@@ -96,6 +96,27 @@ TEST(Contraction, RunSsspContractedMatchesPlain) {
   }
 }
 
+TEST(Contraction, ExpandSaturatesInsteadOfWrapping) {
+  // A pendant chain 0-1-2 hanging off the triangle 0-3-4: 10 + 4,294,967,290
+  // passes kInfDist, so vertex 2 is unreachable, not at a wrapped 4.
+  const Graph g = GraphBuilder()
+                      .edges(5, {{0, 1, 10},
+                                 {1, 2, kInfDist - 5},
+                                 {0, 3, 1},
+                                 {3, 4, 1},
+                                 {4, 0, 1}})
+                      .undirected(true)
+                      .build();
+  const std::vector<Distance> want = dijkstra(g, 0).dist;
+  ASSERT_EQ(want[2], kInfDist);
+  SsspOptions options;
+  options.algo = Algorithm::kWasp;
+  options.threads = 2;
+  const auto contracted = run_sssp_contracted(g, 0, options);
+  EXPECT_EQ(contracted.eliminated_vertices, 2u);
+  EXPECT_EQ(contracted.result.dist, want);
+}
+
 // --- Stealing MultiQueue ----------------------------------------------------
 
 TEST(SmqDijkstra, MatchesDijkstraAcrossGraphs) {
