@@ -151,8 +151,12 @@ class IncrementalSolver {
 
   /// In-neighbour view for a directed graph's boundary pass: a cached
   /// structural transpose, rebuilt only when a compaction signals
-  /// structural change (weight patches leave the in-arc structure intact).
-  /// Undirected graphs need none: the cone walk collects their seeds.
+  /// structural change. Between compactions the flat CSR keeps its slots:
+  /// a weight patch rewrites one, a closure leaves a dead arc in it, and a
+  /// reopening revives a dead (u, v) slot of the same row. So the cached
+  /// transpose stays a superset of the live in-arcs, and an in-neighbour
+  /// over a dead arc only adds a harmless seed. Undirected graphs need
+  /// none: the cone walk collects their seeds.
   const Graph& transpose_of(const Graph& g);
 
   Solver solver_;
