@@ -103,7 +103,9 @@ int main(int argc, char** argv) {
     }
 
     // Every fourth tick: reopen the previously closed segment and close a
-    // fresh one (structural churn — exercises insert/erase + compaction).
+    // fresh one (structural churn: the erase leaves the segment in its CSR
+    // slot as a dead arc and the insert revives that slot, so the graph
+    // never compacts).
     if (tick % 4 == 3) {
       if (have_closed) delta.insert(closed.u, closed.v, closed.w);
       closed = sample_segment(roads, rng);
