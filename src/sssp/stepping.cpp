@@ -50,7 +50,10 @@ std::vector<Distance> compute_radii(const Graph& g, std::uint32_t k,
         if (found > k) break;
         for (const WEdge& e : g.out_neighbors(u)) {
           if (settled.size() + heap.size() > 8 * k) break;  // bound the probe
-          heap.push(saturating_add(d, e.w), e.dst);
+          // An arc whose sum saturates (a dead arc at kInfDist) reaches
+          // nothing, so it never enters the probe or sets a radius.
+          const Distance nd = saturating_add(d, e.w);
+          if (nd != kInfDist) heap.push(nd, e.dst);
         }
       }
       radii[vi] = radius;
@@ -82,7 +85,8 @@ SsspResult stepping_sssp(const Graph& g, VertexId source, SteppingKind kind,
       const Distance d = dist.load(*lo);
       b.min = std::min(b.min, d);
       if (kind == SteppingKind::kRadius && d != kInfDist)
-        b.radius_min = std::min(b.radius_min, d + (*radii)[*lo]);
+        b.radius_min =
+            std::min(b.radius_min, saturating_add(d, (*radii)[*lo]));
     }
     return b;
   };
