@@ -80,9 +80,11 @@ TEST(RoundBaselines, OneThreadWorkCountsArePinned) {
   // pin each algorithm's own rule (bins and fusion, the bucket window, the
   // threshold rule, the dedup flags) independently of how their rounds are
   // driven: a change to the round machinery must leave all of them
-  // unchanged.
+  // unchanged. The asynchronous baselines (MQ, SMQ, OBIM) run no rounds but
+  // are just as deterministic at one thread (the queues' RNGs are seeded
+  // from options.seed), so their rows pin the worker loop the same way.
   // `option` is gap.bucket_fusion for GAP, stepping.direction_optimize for
-  // the rest.
+  // the rest; the asynchronous baselines ignore it.
   struct Row {
     Algorithm algo;
     bool option;
@@ -98,6 +100,9 @@ TEST(RoundBaselines, OneThreadWorkCountsArePinned) {
       {Algorithm::kDeltaStar, true, {295, 40623, 13590}, {20, 895886, 11396}},
       {Algorithm::kRhoStepping, true, {136, 469112, 72004}, {11, 723728, 12278}},
       {Algorithm::kRadiusStepping, true, {194, 42333, 14479}, {12, 900120, 11357}},
+      {Algorithm::kMqDijkstra, false, {0, 51594, 18039}, {0, 261538, 20071}},
+      {Algorithm::kSmqDijkstra, false, {0, 40400, 13410}, {0, 209250, 14890}},
+      {Algorithm::kObim, false, {0, 44444, 13732}, {0, 1296316, 50877}},
   };
   const suite::Workload road =
       suite::make(suite::GraphClass::kRoadUsa, 0.1, 1);
