@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
       }
     }
     for (std::size_t a = 0; a < algos.size(); ++a) {
-      bench::print_cell(algorithm_name(algos[a]), 8);
+      bench::print_cell(to_string(algos[a]), 8);
       for (std::size_t si = 0; si < schemes.size(); ++si)
         bench::print_cell(bench::format_time_ms(times[a][si]), 14);
       std::printf("\n");
@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
       std::size_t best = 0;
       for (std::size_t a = 1; a < algos.size(); ++a)
         if (times[a][si] < times[best][si]) best = a;
-      std::printf("%s=%s  ", schemes[si].name, algorithm_name(algos[best]));
+      std::printf("%s=%s  ", schemes[si].name, to_string(algos[best]));
     }
     std::printf("\n");
   }

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
     }
   }
   for (std::size_t a = 0; a < algos.size(); ++a) {
-    bench::print_cell(algorithm_name(algos[a]), 8);
+    bench::print_cell(to_string(algos[a]), 8);
     for (std::size_t c = 0; c < classes.size(); ++c)
       bench::print_cell(std::to_string(table[a][c]), 8);
     std::printf("\n");

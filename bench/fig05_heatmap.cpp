@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
               : bench::default_delta(algos[a], classes[c]);
       times[a][c] =
           bench::measure(w.graph, w.source, options, trials, solver).best_seconds;
-      csv.row("fig05", suite::abbr(classes[c]), algorithm_name(algos[a]),
+      csv.row("fig05", suite::abbr(classes[c]), to_string(algos[a]),
               options.delta, threads, times[a][c]);
     }
   }
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   for (const auto cls : classes) bench::print_cell(suite::abbr(cls), 16);
   std::printf("\n");
   for (std::size_t a = 0; a < algos.size(); ++a) {
-    bench::print_cell(algorithm_name(algos[a]), 8);
+    bench::print_cell(to_string(algos[a]), 8);
     for (std::size_t c = 0; c < classes.size(); ++c) {
       double best = 1e100;
       for (std::size_t x = 0; x < algos.size(); ++x)

@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
         // Steal locality from the best trial: on one-node hosts every steal
         // is local; on multi-node hosts the split shows how much work the
         // NUMA-aware victim order keeps on-node (docs/NUMA.md).
-        csv.row("fig06", suite::abbr(cls), algorithm_name(algos[a]),
+        csv.row("fig06", suite::abbr(cls), to_string(algos[a]),
                 thread_counts[ti], times[a][ti],
                 m.metrics.counter(obs::CounterId::kLocalSteals),
                 m.metrics.counter(obs::CounterId::kRemoteSteals));
@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
       }
     }
     for (std::size_t a = 0; a < algos.size(); ++a) {
-      bench::print_cell(algorithm_name(algos[a]), 8);
+      bench::print_cell(to_string(algos[a]), 8);
       for (std::size_t ti = 0; ti < thread_counts.size(); ++ti) {
         char cell[64];
         std::snprintf(cell, sizeof(cell), "%8s %5.2fx",

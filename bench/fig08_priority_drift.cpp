@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
     bench::print_cell("delta", 8);
     for (const auto a : algos) {
       char head[48];
-      std::snprintf(head, sizeof(head), "%s relax/time", algorithm_name(a));
+      std::snprintf(head, sizeof(head), "%s relax/time", to_string(a));
       bench::print_cell(head, 22);
     }
     std::printf("\n");
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
         // Relaxation counts come from the best trial's metrics snapshot.
         const std::uint64_t relaxations =
             m.metrics.counter(obs::CounterId::kRelaxations);
-        csv.row("fig08", suite::abbr(cls), algorithm_name(algo), delta,
+        csv.row("fig08", suite::abbr(cls), to_string(algo), delta,
                 m.best_seconds, relaxations);
         char cell[64];
         std::snprintf(cell, sizeof(cell), "%5.2f %10s",

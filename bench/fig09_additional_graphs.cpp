@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
               : bench::default_delta(algos[a], classes[c]);
       times[a][c] =
           bench::measure(w.graph, w.source, options, trials, solver).best_seconds;
-      csv.row("fig09", suite::abbr(classes[c]), algorithm_name(algos[a]),
+      csv.row("fig09", suite::abbr(classes[c]), to_string(algos[a]),
               options.delta, threads, times[a][c]);
     }
   }
@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   for (const auto cls : classes) bench::print_cell(suite::abbr(cls), 16);
   std::printf("\n");
   for (std::size_t a = 0; a < algos.size(); ++a) {
-    bench::print_cell(algorithm_name(algos[a]), 8);
+    bench::print_cell(to_string(algos[a]), 8);
     for (std::size_t c = 0; c < classes.size(); ++c) {
       double best = 1e100;
       for (std::size_t x = 0; x < algos.size(); ++x)
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
     for (std::size_t c = 0; c < classes.size(); ++c)
       ratios.push_back(times[a][c] / times[wasp_row][c]);
     all.insert(all.end(), ratios.begin(), ratios.end());
-    std::printf("  vs %-8s %s\n", algorithm_name(algos[a]),
+    std::printf("  vs %-8s %s\n", to_string(algos[a]),
                 bench::format_speedup(geometric_mean(ratios)).c_str());
   }
   std::printf("  overall     %s\n",

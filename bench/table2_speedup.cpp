@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
       times[a][c] = m.best_seconds;
       // Hung runs become structured "watchdog-timeout" rows with NaN times
       // instead of wedging the remaining configurations.
-      csv.row("table2", suite::abbr(classes[c]), algorithm_name(algos[a]),
+      csv.row("table2", suite::abbr(classes[c]), to_string(algos[a]),
               options.delta, threads, times[a][c],
               m.ok() ? "ok" : m.failure);
     }
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
       ratios.push_back(times[a][c] / times[wasp_row][c]);
     const double g = geometric_mean(ratios);
     all.insert(all.end(), ratios.begin(), ratios.end());
-    std::printf("%-8s %-10s\n", algorithm_name(algos[a]),
+    std::printf("%-8s %-10s\n", to_string(algos[a]),
                 bench::format_speedup(g).c_str());
   }
   std::printf("%-8s %-10s\n", "gmean", bench::format_speedup(geometric_mean(all)).c_str());

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   std::printf("Table 3: self-speedup (t=%d vs t=1, scale=%.2f)\n\n", threads,
               args.get_double("scale"));
   bench::print_cell("graph", 7);
-  for (const auto a : algos) bench::print_cell(algorithm_name(a), 8);
+  for (const auto a : algos) bench::print_cell(to_string(a), 8);
   std::printf("\n");
 
   for (const auto cls : classes) {

@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
 
   std::printf("Repeat-query throughput: %d queries/graph through one Solver "
               "(algo=%s, threads=%d)\n\n",
-              queries, algorithm_name(algo), threads);
+              queries, to_string(algo), threads);
   bench::print_cell("graph", 7);
   bench::print_cell("first", 12);
   bench::print_cell("steady", 12);
@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
 
     Row row;
     row.graph = suite::abbr(cls);
-    row.algo = algorithm_name(algo);
+    row.algo = to_string(algo);
     row.queries = queries;
 
     // First-query latency: everything a cold service pays before its first

@@ -109,7 +109,7 @@ int run(int argc, char** argv) {
   }
 
   std::printf("algo=%s threads=%d delta=%u source=%u\n",
-              wasp::algorithm_name(options.algo), options.threads,
+              wasp::to_string(options.algo), options.threads,
               options.delta, source);
   std::printf("time: best %.3f ms (median %.3f ms over %d trials)\n",
               wasp::minimum(times) * 1e3, wasp::median(times) * 1e3, trials);

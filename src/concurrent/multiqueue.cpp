@@ -21,8 +21,6 @@ MultiQueue::MultiQueue(const Config& config)
 void MultiQueue::push(int tid, Distance key, VertexId value) {
   auto& me = per_thread_[static_cast<std::size_t>(tid)].value;
   me.insert_buffer.push_back(Entry{key, value});
-  // Statistic only (see size_estimate); relaxed on purpose.
-  size_.fetch_add(1, std::memory_order_relaxed);
   if (me.insert_buffer.size() >= static_cast<std::size_t>(config_.buffer_size))
     flush(tid);
 }
@@ -111,7 +109,6 @@ bool MultiQueue::try_pop(int tid, Distance& key, VertexId& value) {
   const Entry e = me.delete_buffer[me.delete_cursor++];
   key = e.key;
   value = e.value;
-  size_.fetch_sub(1, std::memory_order_relaxed);  // relaxed: stats only
   return true;
 }
 

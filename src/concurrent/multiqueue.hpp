@@ -59,13 +59,6 @@ class MultiQueue {
   /// by other threads' pops.
   void flush(int tid);
 
-  /// Elements currently buffered + queued (exact when quiescent).
-  /// Occupancy statistic: staleness is inherent (the counter races with
-  /// buffered pushes anyway), so relaxed is the honest order.
-  [[nodiscard]] std::int64_t size_estimate() const {
-    return size_.load(std::memory_order_relaxed);
-  }
-
   /// Nanoseconds thread `tid` has spent inside locked queue operations.
   [[nodiscard]] std::uint64_t queue_op_ns(int tid) const {
     return per_thread_[static_cast<std::size_t>(tid)].value.queue_op_ns;
@@ -107,7 +100,6 @@ class MultiQueue {
   Config config_;
   std::vector<CachePadded<InternalQueue>> queues_;
   std::vector<CachePadded<PerThread>> per_thread_;
-  verify::atomic<std::int64_t> size_{0};
 };
 
 }  // namespace wasp

@@ -12,12 +12,12 @@
 // Memory-order map (docs/CONCURRENCY.md): the only load-bearing
 // synchronization in this structure is `buffer_lock` — every cross-thread
 // access to a steal buffer happens under it, and every unlocked read of
-// `buffer_min` or `size_` is advisory (victim sampling, refill gating,
-// occupancy monitoring) and re-validated under the lock before anything is
-// taken. The mutation tester proved the previous acquire/release/acq_rel
-// annotations on those advisory sites unnecessary (no harness could kill
-// their weakening, and the re-validation argument shows why), so they are
-// relaxed on purpose; do not "fix" them back without a killing schedule.
+// `buffer_min` is advisory (victim sampling, refill gating) and re-validated
+// under the lock before anything is taken. The mutation tester proved the
+// previous acquire/release/acq_rel annotations on those advisory sites
+// unnecessary (no harness could kill their weakening, and the
+// re-validation argument shows why), so they are relaxed on purpose; do
+// not "fix" them back without a killing schedule.
 #pragma once
 
 #include <atomic>
@@ -61,9 +61,6 @@ class StealingMultiQueue {
   void push(int tid, Distance key, VertexId value) {
     auto& me = per_thread_[static_cast<std::size_t>(tid)].value;
     me.heap.push(key, value);
-    // Occupancy statistic only (monitoring + driver idle loops, which
-    // re-check under their own busy protocol): relaxed on purpose.
-    size_.fetch_add(1, std::memory_order_relaxed);
     maybe_refill_buffer(me);
   }
 
@@ -78,28 +75,18 @@ class StealingMultiQueue {
       const auto e = me.heap.pop();
       key = e.key;
       value = e.value;
-      size_.fetch_sub(1, std::memory_order_relaxed);  // relaxed: stats only
       maybe_refill_buffer(me);
       return true;
     }
-    if (buffer_min != kInfDist && pop_own_buffer(me, key, value)) {
-      size_.fetch_sub(1, std::memory_order_relaxed);  // relaxed: stats only
+    if (buffer_min != kInfDist && pop_own_buffer(me, key, value))
       return true;
-    }
     if (!me.heap.empty()) {
       const auto e = me.heap.pop();
       key = e.key;
       value = e.value;
-      size_.fetch_sub(1, std::memory_order_relaxed);  // relaxed: stats only
       return true;
     }
     return steal_batch(tid, me, key, value);
-  }
-
-  [[nodiscard]] std::int64_t size_estimate() const {
-    // Relaxed: size_ is an advisory global-emptiness hint; termination has
-    // its own protocol in the schedulers.
-    return size_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -187,7 +174,6 @@ class StealingMultiQueue {
     }
     key = batch.front().key;
     value = batch.front().value;
-    size_.fetch_sub(1, std::memory_order_relaxed);  // relaxed: stats only
     for (std::size_t i = 1; i < batch.size(); ++i)
       me.heap.push(batch[i].key, batch[i].value);
     return true;
@@ -195,7 +181,6 @@ class StealingMultiQueue {
 
   Config config_;
   std::vector<CachePadded<PerThread>> per_thread_;
-  verify::atomic<std::int64_t> size_{0};
 };
 
 }  // namespace wasp

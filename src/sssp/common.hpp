@@ -246,8 +246,6 @@ enum class Algorithm {
 /// the bench labels, and the error messages all read from it.
 /// Canonical name of `a` ("wasp", "gap", "gbbs", ...).
 const char* to_string(Algorithm a);
-/// Back-compat alias for to_string().
-inline const char* algorithm_name(Algorithm a) { return to_string(a); }
 /// Parses a canonical name or its documented alias ("bf"/"bellman-ford",
 /// "gap"/"delta", ...); throws std::invalid_argument listing the accepted
 /// names otherwise.
@@ -358,8 +356,9 @@ struct SsspOptions {
   std::uint32_t prefetch_lookahead = 4;
 
   /// Fault-injection engine threaded to the workers of chaos-aware
-  /// algorithms (Wasp, SMQ-Dijkstra, the round baselines). Null = no
-  /// injection.
+  /// algorithms: Wasp, the round baselines, MQ-Dijkstra, SMQ-Dijkstra and
+  /// OBIM (every parallel one; all of them inject around the distance
+  /// CAS). Null = no injection.
   chaos::Engine* chaos = nullptr;
   /// Cooperative cancellation/deadline token (null = not cancellable).
   /// Polled at cheap boundaries by every parallel algorithm; a fired token

@@ -1,16 +1,13 @@
 #include "sssp/obim.hpp"
 
-#include <atomic>
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
-#include <thread>
+#include <vector>
 
 #include "concurrent/spinlock.hpp"
-#include "support/padded.hpp"
-#include "support/thread_team.hpp"
-#include "support/timer.hpp"
-#include "verify/checked_atomic.hpp"
+#include "sssp/async_loop.hpp"
 
 namespace wasp {
 
@@ -23,50 +20,48 @@ constexpr std::uint64_t kInfLevel = ~std::uint64_t{0};
 using ObimChunk = std::vector<VertexId>;
 using ChunkPtr = std::unique_ptr<ObimChunk>;
 
-/// Lock-protected global bag list, one per priority level, with a
-/// monotonically self-repairing minimum-level hint.
+/// Lock-protected global bag list, one per priority level. Levels live in
+/// segments of doubling size (segment s holds 64 * 2^s levels), allocated on
+/// first use and published with a CAS, so the list grows without a lock a
+/// worker could block on while a peer holds it.
 class GlobalBags {
  public:
+  GlobalBags() = default;
+  GlobalBags(const GlobalBags&) = delete;
+  GlobalBags& operator=(const GlobalBags&) = delete;
+  ~GlobalBags() {
+    // Relaxed: the team has joined; no worker touches the segments.
+    for (auto& s : segments_) delete[] s.load(std::memory_order_relaxed);
+  }
+
   void push_chunk(std::uint64_t level, ChunkPtr chunk) {
-    ensure_level(level);
-    {
-      std::shared_lock<std::shared_mutex> structure(resize_mutex_);
-      Level& slot = *levels_[level];
-      SpinGuard guard(slot.lock);
-      slot.chunks.push_back(std::move(chunk));
-      // Release: count is read lock-free by best_level()'s acquire scan —
-      // a reader that sees count > 0 must also see a poppable chunk vector
-      // (finalized by the SpinLock release, but the scan takes no lock).
-      slot.count.fetch_add(1, std::memory_order_release);
-    }
-    // Lower the hint if this level is better than the recorded minimum.
-    // acq_rel on success pairs with best_level()'s acquire load; acquire on
-    // failure so the retry loop re-observes `seen` coherently.
-    std::uint64_t seen = min_hint_.load(std::memory_order_relaxed);
-    while (level < seen &&
-           !min_hint_.compare_exchange_weak(seen, level,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_acquire)) {
-    }
+    Level& slot = at(level);
+    SpinGuard guard(slot.lock);
+    slot.chunks.push_back(std::move(chunk));
+    // Release: count is read lock-free by best_level()'s acquire scan —
+    // a reader that sees count > 0 must also see a poppable chunk vector
+    // (finalized by the SpinLock release, but the scan takes no lock).
+    slot.count.fetch_add(1, std::memory_order_release);
   }
 
   /// Smallest level that currently appears non-empty (kInfLevel when none).
-  std::uint64_t best_level() {
-    std::shared_lock<std::shared_mutex> structure(resize_mutex_);
-    // Acquire pair of push_chunk's releases: the hint and per-level counts
-    // are scanned lock-free; see the count comment above.
-    const std::uint64_t start = min_hint_.load(std::memory_order_acquire);
-    for (std::uint64_t l = start; l < levels_.size(); ++l) {
-      if (levels_[l]->count.load(std::memory_order_acquire) > 0) return l;
+  std::uint64_t best_level() const {
+    for (std::size_t s = 0; s < kSegments; ++s) {
+      // Acquire: pairs with at()'s publishing CAS (the levels are built).
+      const Level* seg = segments_[s].load(std::memory_order_acquire);
+      if (seg == nullptr) continue;
+      for (std::uint64_t i = 0; i < (kFirstSegment << s); ++i) {
+        // Acquire pair of push_chunk's release; see the count comment there.
+        if (seg[i].count.load(std::memory_order_acquire) > 0)
+          return kFirstSegment * ((std::uint64_t{1} << s) - 1) + i;
+      }
     }
     return kInfLevel;
   }
 
   /// Pops one chunk from `level`; empty pointer when it lost the race.
   ChunkPtr pop_chunk(std::uint64_t level) {
-    std::shared_lock<std::shared_mutex> structure(resize_mutex_);
-    if (level >= levels_.size()) return nullptr;
-    Level& slot = *levels_[level];
+    Level& slot = at(level);
     SpinGuard guard(slot.lock);
     if (slot.chunks.empty()) return nullptr;
     ChunkPtr chunk = std::move(slot.chunks.back());
@@ -84,20 +79,29 @@ class GlobalBags {
     verify::atomic<std::int64_t> count{0};  // lock-free scan shadow
   };
 
-  void ensure_level(std::uint64_t level) {
-    {
-      std::shared_lock<std::shared_mutex> structure(resize_mutex_);
-      if (level < levels_.size()) return;
+  static constexpr std::uint64_t kFirstSegment = 64;
+  /// Segments 0..26 hold 64 * (2^27 - 1) levels, more than any
+  /// Distance / Δ.
+  static constexpr std::size_t kSegments = 27;
+
+  Level& at(std::uint64_t level) {
+    const std::uint64_t q = level / kFirstSegment + 1;
+    const auto s = static_cast<std::size_t>(std::bit_width(q) - 1);
+    // Acquire: pairs with the publishing CAS below.
+    Level* seg = segments_[s].load(std::memory_order_acquire);
+    if (seg == nullptr) {
+      auto fresh = std::make_unique<Level[]>(kFirstSegment << s);
+      // acq_rel on success publishes the built levels (best_level's and
+      // at()'s acquire loads); acquire on failure reads the winner's.
+      if (segments_[s].compare_exchange_strong(seg, fresh.get(),
+                                               std::memory_order_acq_rel,
+                                               std::memory_order_acquire))
+        seg = fresh.release();
     }
-    std::unique_lock<std::shared_mutex> structure(resize_mutex_);
-    std::size_t cap = levels_.empty() ? 64 : levels_.size();
-    while (cap <= level) cap *= 2;
-    while (levels_.size() < cap) levels_.push_back(std::make_unique<Level>());
+    return seg[level - kFirstSegment * ((std::uint64_t{1} << s) - 1)];
   }
 
-  std::shared_mutex resize_mutex_;
-  std::vector<std::unique_ptr<Level>> levels_;
-  verify::atomic<std::uint64_t> min_hint_{0};
+  std::array<verify::atomic<Level*>, kSegments> segments_{};
 };
 
 /// Thread-local per-level fill chunks with a min-level hint.
@@ -136,32 +140,23 @@ SsspResult obim_sssp(const Graph& g, VertexId source, Weight delta,
   dist.store(source, 0);
 
   GlobalBags global;
-  // Vertices in the system (local bags + global bags + being processed).
-  verify::atomic<std::int64_t> pending{0};
-
+  QuiescenceDetector detector(ctx.team.size());
   {
     auto seed_chunk = std::make_unique<ObimChunk>();
     seed_chunk->push_back(source);
-    // Relaxed: pre-run seeding; the team launch publishes it.
-    pending.store(1, std::memory_order_relaxed);
     global.push_chunk(0, std::move(seed_chunk));
   }
 
-  Timer timer;
-  ctx.team.run([&](int tid) {
-    obs::MetricsShard& my = ctx.metrics.shard(tid);
+  return run_async(ctx, [&](AsyncWorker& me) {
+    const int tid = me.tid;
     LocalBags local;
     std::uint64_t curr = kInfLevel;
-    std::uint64_t progress = 0;
 
     const auto push_update = [&](VertexId v, Distance nd) {
       const std::uint64_t level = static_cast<std::uint64_t>(nd) / delta;
       ObimChunk* chunk = local.at(level);
+      detector.pushed(tid);
       chunk->push_back(v);
-      // acq_rel: raising pending before the vertex becomes poppable pairs
-      // with the scan's acquire — a scanner seeing pending == 0 cannot have
-      // missed an in-flight vertex.
-      pending.fetch_add(1, std::memory_order_acq_rel);
       local.min_hint = std::min(local.min_hint, level);
       if (chunk->size() >= chunk_size) {
         // Excess vertices go into the global bags (paper §2).
@@ -175,36 +170,22 @@ SsspResult obim_sssp(const Graph& g, VertexId source, Weight delta,
       const Distance du = dist.load(u);
       if (static_cast<std::uint64_t>(du) <
           level * static_cast<std::uint64_t>(delta)) {
-        my.inc(CId::kStaleSkips);
-      }
-      if (static_cast<std::uint64_t>(du) >=
-          level * static_cast<std::uint64_t>(delta)) {
-        my.inc(CId::kVerticesProcessed);
-        ++progress;
-        if ((progress & 0xFFFu) == 0) {
-          if (ctx.observer != nullptr) ctx.observer->on_progress(tid, progress);
-          // Deadline poll at the observer cadence; the loop-top poll exits.
-          (void)ctx.poll_cancel();
-        }
+        me.shard.inc(CId::kStaleSkips);
+      } else {
+        me.processed();
         for (const WEdge& e : g.out_neighbors(u)) {
-          my.inc(CId::kRelaxations);
+          me.shard.inc(CId::kRelaxations);
           const Distance nd = saturating_add(du, e.w);
           if (dist.relax_to(e.dst, nd)) {
-            my.inc(CId::kUpdates);
+            me.shard.inc(CId::kUpdates);
             push_update(e.dst, nd);
           }
         }
       }
-      // acq_rel: the drop is ordered after this vertex's pushes, so the
-      // termination scan's acquire read cannot see 0 early.
-      pending.fetch_sub(1, std::memory_order_acq_rel);
+      detector.done(tid);
     };
 
-    for (;;) {
-      // Cancellation point (async: threads leave independently; abandoned
-      // local/global chunks die with the run-local bag structures, and the
-      // `pending` count is simply left non-zero — every peer also polls).
-      if (ctx.stop_requested()) break;
+    while (!ctx.stop_requested()) {
       // Drain the local bag at the current level first (thread-local work,
       // no synchronization — OBIM's fast path).
       if (curr != kInfLevel && curr < local.fill.size() && local.fill[curr] &&
@@ -220,15 +201,7 @@ SsspResult obim_sssp(const Graph& g, VertexId source, Weight delta,
       const std::uint64_t best_local = local.best_level();
       const std::uint64_t best_global = global.best_level();
       if (best_local == kInfLevel && best_global == kInfLevel) {
-        my.inc(CId::kTerminationScans);
-        // Idle scans also check the deadline (see mq_dijkstra).
-        (void)ctx.poll_cancel();
-        // Acquire: pairs with the acq_rel pending updates above.
-        if (pending.load(std::memory_order_acquire) == 0) {
-          if (ctx.observer != nullptr) ctx.observer->on_termination(tid);
-          break;
-        }
-        std::this_thread::yield();
+        if (me.idle(detector)) break;
         continue;
       }
       if (best_global < best_local) {
@@ -239,18 +212,12 @@ SsspResult obim_sssp(const Graph& g, VertexId source, Weight delta,
             stolen->pop_back();
             process(u, curr);
           }
-          continue;
         }
-        continue;  // lost the race; retry selection
+        continue;  // a lost race retries the selection
       }
       curr = best_local;
     }
   });
-
-  SsspResult result;
-  finalize_result(ctx, timer.seconds(), result);
-  result.dist = dist.snapshot();
-  return result;
 }
 
 }  // namespace wasp

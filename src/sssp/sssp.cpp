@@ -10,7 +10,6 @@
 #include "sssp/julienne.hpp"
 #include "sssp/mq_dijkstra.hpp"
 #include "sssp/obim.hpp"
-#include "sssp/smq_dijkstra.hpp"
 #include "sssp/solver.hpp"
 #include "sssp/stepping.hpp"
 #include "sssp/wasp.hpp"

@@ -254,7 +254,7 @@ TEST(ChaosGrid, ThousandSeededRunsMatchDijkstra) {
         std::string why;
         if (!distances_equal(ref, r.dist, &why)) {
           FAIL() << chaos::failure_report(
-              engine, std::string(algorithm_name(algo)) +
+              engine, std::string(to_string(algo)) +
                           " diverges from Dijkstra on " +
                           (on_rmat ? "rmat" : "grid") + ": " + why);
         }

@@ -151,7 +151,7 @@ TEST(SmqDijkstra, GridAndStarStayCorrect) {
 
 TEST(SmqDijkstra, ParsesAlgorithmName) {
   EXPECT_EQ(parse_algorithm("smq"), Algorithm::kSmqDijkstra);
-  EXPECT_STREQ(algorithm_name(Algorithm::kSmqDijkstra), "smq");
+  EXPECT_STREQ(to_string(Algorithm::kSmqDijkstra), "smq");
 }
 
 // --- contraction + compressed interplay -------------------------------------

@@ -72,7 +72,7 @@ TEST_P(FuzzAllAlgorithms, EveryAlgorithmMatchesDijkstra) {
     const SsspResult r = run_sssp(g, src, options);
     std::string message;
     ASSERT_TRUE(distances_equal(expected, r.dist, &message))
-        << algorithm_name(algo) << " diverged on round " << round << " (n=" << n
+        << to_string(algo) << " diverged on round " << round << " (n=" << n
         << ", avg_deg=" << avg_degree << ", undirected=" << undirected
         << ", max_w=" << max_w << ", zero_w=" << zero_weights
         << ", delta=" << delta << ", threads=" << threads << "): " << message;

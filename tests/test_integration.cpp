@@ -45,7 +45,7 @@ TEST_P(SuiteIntegration, GapAndDeltaStarMatchDijkstra) {
     const SsspResult r = run_sssp(w.graph, w.source, options);
     std::string message;
     ASSERT_TRUE(distances_equal(reference.dist, r.dist, &message))
-        << suite::abbr(GetParam()) << "/" << algorithm_name(algo) << ": "
+        << suite::abbr(GetParam()) << "/" << to_string(algo) << ": "
         << message;
   }
 }

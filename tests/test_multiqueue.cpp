@@ -35,7 +35,6 @@ TEST(MultiQueue, SingleThreadPopsEverything) {
     EXPECT_TRUE(seen.insert(v).second);
   }
   EXPECT_EQ(seen.size(), 100u);
-  EXPECT_EQ(mq.size_estimate(), 0);
 }
 
 TEST(MultiQueue, PopOrderIsApproximatelySorted) {
@@ -61,7 +60,6 @@ TEST(MultiQueue, PopOrderIsApproximatelySorted) {
 TEST(MultiQueue, FlushMakesBufferedElementsVisible) {
   MultiQueue mq(config_for(2, /*buffer=*/16));
   mq.push(0, 5, 50);  // sits in thread 0's insertion buffer
-  EXPECT_EQ(mq.size_estimate(), 1);
   mq.flush(0);
   Distance d;
   VertexId v;
@@ -118,8 +116,9 @@ TEST(MultiQueue, ConcurrentExactlyOnce) {
       if (mq.try_pop(tid, d, v)) {
         EXPECT_EQ(consumed[v].fetch_add(1, std::memory_order_acq_rel), 0);
         popped_total.fetch_add(1, std::memory_order_acq_rel);
-      } else if (mq.size_estimate() == 0) {
-        break;
+      } else if (popped_total.load(std::memory_order_acquire) ==
+                 kThreads * kPerThread) {
+        break;  // every element is out; a failed pop is no proof of that
       }
     }
   });

@@ -138,7 +138,7 @@ TEST(RunObserver, AsyncQueueAlgorithmsTerminateOncePerWorker) {
     options.delta = 8;
     options.observer = &observer;
     run_sssp(g, src, options);
-    EXPECT_EQ(observer.terminations.load(), 3u) << algorithm_name(algo);
+    EXPECT_EQ(observer.terminations.load(), 3u) << to_string(algo);
   }
 }
 
@@ -292,7 +292,7 @@ TEST(MetricsRegistry, UpdatesAreASubsetOfRelaxations) {
     const std::uint64_t relaxations =
         r.metrics.counter(CounterId::kRelaxations);
     EXPECT_LE(r.metrics.counter(CounterId::kUpdates), relaxations);
-    EXPECT_GT(relaxations, 0u) << algorithm_name(algo);
+    EXPECT_GT(relaxations, 0u) << to_string(algo);
   }
 }
 
@@ -507,7 +507,7 @@ TEST(AlgorithmTable, RoundTripsEveryCanonicalName) {
     const std::string name = to_string(a);
     EXPECT_NE(name, "?");
     EXPECT_EQ(parse_algorithm(name), a) << name;
-    EXPECT_STREQ(algorithm_name(a), name.c_str());
+    EXPECT_STREQ(to_string(a), name.c_str());
   }
 }
 

@@ -180,7 +180,7 @@ INSTANTIATE_TEST_SUITE_P(
                     Algorithm::kMqDijkstra, Algorithm::kSmqDijkstra,
                     Algorithm::kObim, Algorithm::kWasp),
     [](const testing::TestParamInfo<Algorithm>& param) {
-      return algorithm_name(param.param);
+      return to_string(param.param);
     });
 
 // --- Solver re-entrancy guard ----------------------------------------------

@@ -86,7 +86,7 @@ INSTANTIATE_TEST_SUITE_P(
                     Algorithm::kSmqDijkstra, Algorithm::kObim,
                     Algorithm::kWasp),
     [](const testing::TestParamInfo<Algorithm>& param_info) {
-      std::string name = algorithm_name(param_info.param);
+      std::string name = to_string(param_info.param);
       for (char& c : name)
         if (c == '-') c = '_';
       return name;

@@ -63,7 +63,7 @@ using Param = std::tuple<Algorithm, int /*graph index*/, Weight /*delta*/,
 
 std::string param_name(const testing::TestParamInfo<Param>& info) {
   const auto [algo, graph_index, delta, threads] = info.param;
-  return std::string(algorithm_name(algo)) + "_" +
+  return std::string(to_string(algo)) + "_" +
          test_graph(graph_index).name + "_d" + std::to_string(delta) + "_t" +
          std::to_string(threads);
 }
@@ -88,7 +88,7 @@ TEST_P(SsspCorrectness, MatchesDijkstra) {
 
   std::string message;
   ASSERT_TRUE(distances_equal(reference.dist, result.dist, &message))
-      << algorithm_name(algo) << " on " << tg.name << " (delta=" << delta
+      << to_string(algo) << " on " << tg.name << " (delta=" << delta
       << ", threads=" << threads << "): " << message;
 }
 
@@ -151,11 +151,11 @@ TEST(SsspEdgeCases, DisconnectedVerticesStayInfinite) {
     options.threads = 2;
     options.delta = 1;
     const SsspResult r = run_sssp(g, 0, options);
-    EXPECT_EQ(r.dist[0], 0u) << algorithm_name(algo);
-    EXPECT_EQ(r.dist[1], 2u) << algorithm_name(algo);
-    EXPECT_EQ(r.dist[2], 4u) << algorithm_name(algo);
-    EXPECT_EQ(r.dist[3], kInfDist) << algorithm_name(algo);
-    EXPECT_EQ(r.dist[4], kInfDist) << algorithm_name(algo);
+    EXPECT_EQ(r.dist[0], 0u) << to_string(algo);
+    EXPECT_EQ(r.dist[1], 2u) << to_string(algo);
+    EXPECT_EQ(r.dist[2], 4u) << to_string(algo);
+    EXPECT_EQ(r.dist[3], kInfDist) << to_string(algo);
+    EXPECT_EQ(r.dist[4], kInfDist) << to_string(algo);
   }
 }
 
@@ -174,7 +174,7 @@ TEST(SsspEdgeCases, ZeroWeightEdgesSupported) {
     const SsspResult r = run_sssp(g, 0, options);
     std::string message;
     EXPECT_TRUE(distances_equal(reference.dist, r.dist, &message))
-        << algorithm_name(algo) << ": " << message;
+        << to_string(algo) << ": " << message;
   }
 }
 
@@ -264,7 +264,7 @@ std::vector<DeadArcRun> dead_arc_runs() {
         Algorithm::kDeltaStepping, Algorithm::kJulienne, Algorithm::kDeltaStar,
         Algorithm::kRhoStepping, Algorithm::kRadiusStepping,
         Algorithm::kMqDijkstra, Algorithm::kSmqDijkstra, Algorithm::kObim})
-    add(algorithm_name(algo), algo, 4);
+    add(to_string(algo), algo, 4);
   return runs;
 }
 

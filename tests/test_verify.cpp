@@ -38,6 +38,7 @@
 #include "graph/delta.hpp"
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
+#include "sssp/async_loop.hpp"
 #include "sssp/curr_board.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/incremental.hpp"
@@ -1029,6 +1030,49 @@ TEST(WaspCurrProtocol, IdlePublishOrdersPriorChunkMutations) {
   EXPECT_GT(observed_runs, 0) << "scan never observed the idle level";
 }
 
+// --- quiescence detector of the asynchronous baselines (async_loop.hpp) ----
+//
+// Worker 0 holds the source in flight and hands one pushed vertex to
+// worker 1 through a release/acquire slot, standing in for a queue's lock.
+// Worker 1 finishes it. A scanner that counts worker 1's done must also
+// count worker 0's push, so it can never find the run quiescent while the
+// source is in flight. Weaken done()'s release or the done collect's
+// acquire and a stale pushed count balances the sums: these are the kill
+// tests for the QD-* mutants.
+
+TEST(QuiescenceDetectorProtocol, CountedDoneCarriesThePushesBeforeIt) {
+  const SeedRange seeds = harness_seeds();
+  for (std::uint64_t seed = seeds.first; seed < seeds.last; ++seed) {
+    QuiescenceDetector detector(3);  // counts the source as worker 0's push
+    verify::atomic<int> handed{0};
+    std::atomic<int> finished{0};  // raw: real-time order, no model edge
+    Session session(always_stale(3, seed));
+    run_bound(session, nullptr, 3, [&](int tid) {
+      if (tid == 0) {
+        detector.pushed(0);
+        handed.store(1, std::memory_order_release);
+      } else if (tid == 1) {
+        while (handed.load(std::memory_order_acquire) != 1) {
+          std::this_thread::yield();
+        }
+        detector.done(1);
+        finished.store(1, std::memory_order_release);
+      } else {
+        while (finished.load(std::memory_order_acquire) != 1) {
+          std::this_thread::yield();
+        }
+        EXPECT_FALSE(detector.quiescent())
+            << replay_hint(seed)
+            << ": quiescent while the source is in flight - the scan "
+               "counted a done without the push ordered before it";
+      }
+    });
+    ASSERT_TRUE(session.ok()) << replay_hint(seed) << ":\n"
+                              << session.report_text();
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
 // --- Chase-Lev ring handoff (CLD-da1296 consume / CLD-69c545 release) -------------
 
 TEST(DequeGrow, ConsumeCarriesRingConstructionToThief) {
@@ -1600,6 +1644,12 @@ E2eOutcome e2e_one_seed(Algorithm algo, std::uint64_t seed,
   options.wasp.chunk_capacity = 16;  // small chunks: more deque traffic
   options.wasp.steal_policy = seed % 2 == 0 ? StealPolicy::kPriorityNuma
                                             : StealPolicy::kTwoChoice;
+  // Small buffers, batches and chunks: more shared-queue and global-bag
+  // traffic in the asynchronous baselines.
+  options.mq.buffer = 2;
+  options.mq.stickiness = 2;
+  options.smq.steal_batch = 2;
+  options.obim.chunk_size = 2;
   if (partitioned) {
     // Partitioned engine under the serialized scheduler: a multi-node
     // synthetic topology so fragments and remote queues actually form, and
@@ -1665,6 +1715,20 @@ TEST(SchedulerHarness, RoundBaselinesEndToEndSchedulesMatchDijkstra) {
   for (const Algorithm algo :
        {Algorithm::kJulienne, Algorithm::kDeltaStar, Algorithm::kRhoStepping,
         Algorithm::kBellmanFord}) {
+    for (std::uint64_t seed = seeds.first; seed < seeds.last; ++seed) {
+      e2e_one_seed(algo, seed);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(SchedulerHarness, AsyncBaselinesEndToEndSchedulesMatchDijkstra) {
+  // MQ and SMQ run the shared loop of sssp/async_loop.hpp and OBIM its own
+  // bag rule; all three leave through the quiescence detector, under the
+  // scheduler, with every answer checked against Dijkstra.
+  const SeedRange seeds = harness_seeds(kE2eSeeds / 8);
+  for (const Algorithm algo :
+       {Algorithm::kMqDijkstra, Algorithm::kSmqDijkstra, Algorithm::kObim}) {
     for (std::uint64_t seed = seeds.first; seed < seeds.last; ++seed) {
       e2e_one_seed(algo, seed);
       if (::testing::Test::HasFailure()) return;

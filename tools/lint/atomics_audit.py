@@ -99,6 +99,7 @@ MUTATE_SCOPE = [
     "src/concurrent/spinlock.hpp",
     "src/concurrent/remote_queue.hpp",
     "src/sssp/curr_board.hpp",
+    "src/sssp/async_loop.hpp",
     "src/sssp/wasp.cpp",
 ]
 
@@ -108,6 +109,7 @@ ABBREV = {
     "spinlock.hpp": "SL",
     "remote_queue.hpp": "RQ",
     "curr_board.hpp": "CURR",
+    "async_loop.hpp": "QD",
     "multiqueue.hpp": "MQH",
     "multiqueue.cpp": "MQ",
     "chunk.hpp": "CHK",
