@@ -1,19 +1,15 @@
 #include "harness.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <functional>
-#include <future>
 #include <limits>
 #include <memory>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "support/cancel.hpp"
-#include "support/chaos.hpp"
 #include "support/errors.hpp"
 #include "support/stats.hpp"
 
@@ -21,109 +17,10 @@ namespace wasp::bench {
 
 namespace {
 
-/// Liveness monitor the watchdog consults before declaring a trial hung: a
-/// trial that keeps emitting rounds or progress callbacks is slow, not
-/// wedged, and earns one budget extension. Steal callbacks are deliberately
-/// not counted — a livelocked steal storm still fires those.
-class ProgressMonitor final : public obs::RunObserver {
- public:
-  explicit ProgressMonitor(obs::RunObserver* inner) : inner_(inner) {}
-
-  void on_round(std::uint64_t round, std::size_t frontier_size) override {
-    ticks_.fetch_add(1, std::memory_order_relaxed);
-    if (inner_ != nullptr) inner_->on_round(round, frontier_size);
-  }
-  void on_steal(int thief, int victim, bool success) override {
-    if (inner_ != nullptr) inner_->on_steal(thief, victim, success);
-  }
-  void on_termination(int tid) override {
-    if (inner_ != nullptr) inner_->on_termination(tid);
-  }
-  void on_progress(int tid, std::uint64_t vertices_processed) override {
-    ticks_.fetch_add(1, std::memory_order_relaxed);
-    if (inner_ != nullptr) inner_->on_progress(tid, vertices_processed);
-  }
-
-  [[nodiscard]] std::uint64_t ticks() const {
-    return ticks_.load(std::memory_order_relaxed);
-  }
-
- private:
-  obs::RunObserver* inner_;
-  std::atomic<std::uint64_t> ticks_{0};
-};
-
 /// Solvers handed out by make_solver(). Owning them here (instead of by
 /// value in the bench binaries) keeps one construction per worker count for
 /// the whole process — the amortization the Solver front-end exists for.
 std::vector<std::unique_ptr<Solver>> g_solvers;  // NOLINT(cert-err58-cpp)
-
-/// Runs one trial on a helper thread so the harness can interrupt it.
-/// Returns true when the trial finished within `timeout_seconds` (result in
-/// `out`; exceptions from Solver::solve rethrow here). A trial whose monitor
-/// recorded observer ticks during the budget is making forward progress and
-/// earns exactly one budget extension. On expiry the watchdog disables fault
-/// injection process-wide -- the only supported livelock source -- and
-/// grants one more timeout for the run to unwind; a run that still does not
-/// return is cancelled through the trial's CancelToken, which every
-/// algorithm polls, so the runner joins promptly and the Solver stays
-/// reusable for the next trial (no thread is ever detached, nothing leaks).
-bool run_with_watchdog(const Graph& g, VertexId source,
-                       const SsspOptions& options, Solver& solver,
-                       double timeout_seconds, const ProgressMonitor* monitor,
-                       SsspResult& out) {
-  solver.options() = options;
-  if (timeout_seconds <= 0) {
-    out = solver.solve(g, source);
-    return true;
-  }
-  CancelToken token;
-  solver.options().cancel = &token;
-  std::packaged_task<SsspResult()> task(
-      [&solver, &g, source] { return solver.solve(g, source); });
-  std::future<SsspResult> future = task.get_future();
-  std::thread runner(std::move(task));
-  const auto finish = [&](bool completed) {
-    runner.join();
-    solver.options().cancel = nullptr;
-    if (!completed) {
-      // Cancelled run: consume the typed failure so the shared state is
-      // drained; the epoch bump already discarded the partial distances.
-      try {
-        future.get();
-      } catch (const SolveCancelledError&) {
-      }
-      return false;
-    }
-    out = future.get();
-    return true;
-  };
-  const auto budget = std::chrono::duration<double>(timeout_seconds);
-  std::uint64_t ticks_before = monitor != nullptr ? monitor->ticks() : 0;
-  if (future.wait_for(budget) == std::future_status::ready) return finish(true);
-  if (monitor != nullptr && monitor->ticks() != ticks_before) {
-    // Rounds/progress advanced during the budget: slow, not hung.
-    if (future.wait_for(budget) == std::future_status::ready)
-      return finish(true);
-  }
-  // Timed out. Pull the injection kill switch: chaos-induced livelocks (e.g.
-  // steal-storm policies at unlucky rates) clear within microseconds once
-  // every WASP_CHAOS_FAIL starts answering false.
-  chaos::disable_all();
-  const bool recovered =
-      future.wait_for(budget) == std::future_status::ready;
-  if (recovered) {
-    chaos::enable_all();
-    (void)finish(true);  // counted as a trip by the caller despite recovering
-    return false;
-  }
-  // Still wedged: cancel cooperatively. The polling sites notice within one
-  // interval and the run unwinds through its own termination protocol.
-  token.request_cancel(CancelReason::kWatchdog);
-  const bool gone = finish(false);
-  chaos::enable_all();
-  return gone;  // always false: the trial produced no result
-}
 
 }  // namespace
 
@@ -132,29 +29,27 @@ Measurement measure(const Graph& g, VertexId source, const SsspOptions& options,
   Measurement m;
   std::vector<double> times;
   m.best_seconds = 1e100;
-  SsspOptions opts = options;
-  ProgressMonitor monitor(options.observer);
-  opts.observer = &monitor;
   // Keep the NUMA topology the solver resolved at construction: bench
   // configs usually carry none, and per-trial re-detection is exactly the
   // cost the Solver front-end amortizes away.
-  if (!opts.wasp.topology) opts.wasp.topology = solver.options().wasp.topology;
+  std::shared_ptr<const NumaTopology> topology = solver.options().wasp.topology;
+  solver.options() = options;
+  SsspOptions& opts = solver.options();
+  if (!opts.wasp.topology) opts.wasp.topology = std::move(topology);
   for (int t = 0; t < std::max(trials, 1); ++t) {
+    // The watchdog is the trial's deadline. Every parallel algorithm polls
+    // it, so an overdue trial unwinds cooperatively, its partial distances
+    // are discarded, and the Solver stays reusable.
+    CancelToken deadline;
+    if (watchdog_seconds > 0) {
+      deadline.set_budget(std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::duration<double>(watchdog_seconds)));
+      opts.cancel = &deadline;
+    }
     SsspResult r;
-    if (!run_with_watchdog(g, source, opts, solver, watchdog_seconds,
-                           &monitor, r)) {
-      ++m.watchdog_trips;
-      // The trial tripped (recovered-after-kill-switch or cancelled): the
-      // configuration is most plausibly a chaos-induced livelock, so retry
-      // the remaining trials injection-free (once per measurement) instead
-      // of failing the row. The solver itself is fine either way — a
-      // cancelled run unwound cooperatively and the team is idle again.
-      if (!m.chaos_retried && opts.chaos != nullptr) {
-        m.chaos_retried = true;
-        opts.chaos = nullptr;
-        --t;  // the tripped trial does not count
-        continue;
-      }
+    try {
+      r = solver.solve(g, source);
+    } catch (const SolveCancelledError&) {
       m.failure = "watchdog-timeout";
       break;
     }
@@ -164,8 +59,8 @@ Measurement measure(const Graph& g, VertexId source, const SsspOptions& options,
       m.metrics = std::move(r.metrics);
     }
   }
+  opts.cancel = nullptr;
   if (times.empty()) {
-    if (m.failure.empty()) m.failure = "watchdog-timeout";
     m.best_seconds = std::numeric_limits<double>::quiet_NaN();
     m.median_seconds = m.best_seconds;
     return m;

@@ -161,7 +161,7 @@ int main(int argc, char** argv) {
   const auto w = suite::make(cls, args.get_double("scale"), seed);
   const std::string graph_abbr = suite::abbr(cls);
 
-  // Seeded source pool inside the largest component (as tput_queries).
+  // Seeded source pool inside the largest component.
   std::vector<VertexId> pool;
   for (int i = 0; i < 8; ++i)
     pool.push_back(pick_source_in_largest_component(w.graph, seed + 7919u * i));

@@ -49,6 +49,8 @@ void ServiceConfig::validate() const {
     throw InvalidOptionsError("ServiceConfig: max_retries must be >= 0");
   if (watchdog_interval.count() <= 0)
     throw InvalidOptionsError("ServiceConfig: watchdog_interval must be > 0");
+  if (retry_backoff.count() < 0)
+    throw InvalidOptionsError("ServiceConfig: retry_backoff must be >= 0");
   solver.validate();
 }
 

@@ -159,6 +159,7 @@ struct ServiceConfig {
   int max_retries = 2;  ///< extra solve attempts per query on transient errors
   /// Base backoff before retry k: base << k plus jitter in [0, base),
   /// drawn from a per-worker PRNG seeded from `seed` (deterministic replay).
+  /// Must be >= 0.
   std::chrono::nanoseconds retry_backoff{std::chrono::microseconds(200)};
   std::uint64_t seed = 0x5EEDULL;
   bool coalesce = true;  ///< merge same-(graph, source) queued submits
@@ -172,8 +173,8 @@ struct ServiceConfig {
   std::function<void(int attempt)> inject_failure;
 
   /// Rejects nonsensical knobs (num_solvers < 1, queue_capacity < 1,
-  /// max_retries < 0, watchdog_interval <= 0) with InvalidOptionsError and
-  /// validates the nested solver options.
+  /// max_retries < 0, watchdog_interval <= 0, retry_backoff < 0) with
+  /// InvalidOptionsError and validates the nested solver options.
   void validate() const;
 };
 

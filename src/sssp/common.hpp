@@ -371,9 +371,6 @@ struct SsspOptions {
   /// recorder. Both must outlive the run; the observer must be thread-safe.
   obs::RunObserver* observer = nullptr;
   obs::TraceRecorder* trace = nullptr;
-  /// Re-validate the CSR arrays (O(n + m)) before dispatch; the front-end
-  /// always performs the O(1) source/threads/shape checks.
-  bool paranoid_checks = false;
 
   /// True when a solve with these options on `team_size` workers runs on
   /// the pooled flat distance array (RunContext::dist). The sequential

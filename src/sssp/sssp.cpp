@@ -19,11 +19,9 @@ namespace wasp {
 namespace {
 
 /// Rejects inputs no algorithm can run on, with typed errors, before any
-/// worker thread is involved. The O(1) checks run always; the O(n + m) CSR
-/// scan runs only with options.paranoid_checks (Graph::from_csr already
-/// validates at construction, so this re-scan is for callers that bypassed
-/// it or mutated buffers underneath).
-void check_inputs(const Graph& g, VertexId source, const SsspOptions& options) {
+/// worker thread is involved. O(1): Graph::from_csr already validated the
+/// CSR arrays at construction.
+void check_inputs(const Graph& g, VertexId source) {
   if (g.num_vertices() == 0)
     throw InvalidGraphError("run_sssp: graph has no vertices");
   if (source >= g.num_vertices()) {
@@ -31,25 +29,6 @@ void check_inputs(const Graph& g, VertexId source, const SsspOptions& options) {
     os << "run_sssp: source " << source << " out of range [0, "
        << g.num_vertices() << ")";
     throw InvalidSourceError(os.str());
-  }
-  if (!options.paranoid_checks) return;
-  const auto& offsets = g.offsets();
-  const auto& adjacency = g.adjacency();
-  for (std::size_t v = 0; v + 1 < offsets.size(); ++v) {
-    if (offsets[v] > offsets[v + 1]) {
-      std::ostringstream os;
-      os << "run_sssp: CSR offsets decrease at vertex " << v << " ("
-         << offsets[v] << " > " << offsets[v + 1] << ")";
-      throw InvalidGraphError(os.str());
-    }
-  }
-  for (std::size_t i = 0; i < adjacency.size(); ++i) {
-    if (adjacency[i].dst >= g.num_vertices()) {
-      std::ostringstream os;
-      os << "run_sssp: adjacency[" << i << "].dst = " << adjacency[i].dst
-         << " out of range [0, " << g.num_vertices() << ")";
-      throw InvalidGraphError(os.str());
-    }
   }
 }
 
@@ -68,7 +47,7 @@ namespace detail {
 SsspResult dispatch_sssp(const Graph& g, VertexId source,
                          const SsspOptions& options, RunContext& ctx) {
   options.validate();
-  check_inputs(g, source, options);
+  check_inputs(g, source);
   ctx.metrics.reset();
   ctx.cancel = options.cancel;
   // Pre-fired token (or an already-expired deadline): reject before any

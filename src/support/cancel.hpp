@@ -33,16 +33,14 @@ enum class CancelReason : std::uint32_t {
   kNone = 0,      ///< not cancelled
   kUser = 1,      ///< explicit request (service shutdown, client abort)
   kDeadline = 2,  ///< per-query deadline/budget expired
-  kWatchdog = 3,  ///< external watchdog tripped (bench harness budget)
 };
 
-/// Name of `r` ("none", "user", "deadline", "watchdog").
+/// Name of `r` ("none", "user", "deadline").
 inline const char* to_string(CancelReason r) {
   switch (r) {
     case CancelReason::kNone: return "none";
     case CancelReason::kUser: return "user";
     case CancelReason::kDeadline: return "deadline";
-    case CancelReason::kWatchdog: return "watchdog";
   }
   return "?";
 }

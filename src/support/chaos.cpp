@@ -128,19 +128,4 @@ std::string failure_report(const Engine& engine, const std::string& what) {
   return os.str();
 }
 
-// All g_enabled accesses are relaxed: the kill switch carries no payload —
-// a late observation just means one more (harmless) injection fires, and
-// fire() itself only reads per-thread state.
-void disable_all() {
-  detail::g_enabled.store(false, std::memory_order_relaxed);
-}
-
-void enable_all() {
-  detail::g_enabled.store(true, std::memory_order_relaxed);  // relaxed: see above
-}
-
-bool globally_enabled() {
-  return detail::g_enabled.load(std::memory_order_relaxed);  // see relaxed note above
-}
-
 }  // namespace wasp::chaos

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -145,9 +144,6 @@ struct Binding {
 // (the guard's lazy-init store is what UBSan would otherwise flag, and the
 // wrapper call would tax every injection-point visit).
 inline constinit thread_local Binding tls_binding{};
-// lint:allow(raw-atomic): chaos sits below the verify model; an instrumented
-// kill switch would recurse into the session from inside its own hooks.
-inline constinit std::atomic<bool> g_enabled{true};  // watchdog kill switch
 }  // namespace detail
 
 /// Binds `engine` to the calling thread as logical thread `tid` for the
@@ -167,20 +163,10 @@ class ScopedInstall {
   detail::Binding saved_;
 };
 
-/// Process-wide kill switch: after disable_all(), every fire() returns
-/// false regardless of installed engines. The bench watchdog flips this to
-/// un-wedge a chaos-induced livelock before retrying.
-void disable_all();
-void enable_all();
-[[nodiscard]] bool globally_enabled();
-
 /// Consults the calling thread's installed engine. False when none.
 inline bool fire(Point p) {
   detail::Binding& b = detail::tls_binding;
   if (b.engine == nullptr) return false;
-  // Relaxed: the kill switch is advisory — observing it late only lets one
-  // more harmless injection through (see disable_all in chaos.cpp).
-  if (!detail::g_enabled.load(std::memory_order_relaxed)) return false;
   return b.engine->fire(b.tid, p);
 }
 
@@ -189,13 +175,9 @@ inline void maybe_yield(Point p) {
   if (fire(p)) std::this_thread::yield();
 }
 
-/// True when an engine is installed on this thread (and not globally
-/// disabled) — lets code skip setup work for chaos-only paths.
-inline bool active() {
-  // Relaxed: same advisory kill-switch read as fire().
-  return detail::tls_binding.engine != nullptr &&
-         detail::g_enabled.load(std::memory_order_relaxed);
-}
+/// True when an engine is installed on this thread — lets code skip setup
+/// work for chaos-only paths.
+inline bool active() { return detail::tls_binding.engine != nullptr; }
 
 }  // namespace wasp::chaos
 

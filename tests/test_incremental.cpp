@@ -1,9 +1,9 @@
 // Incremental SSSP repair over versioned graphs (graph/delta.hpp +
-// sssp/incremental.hpp): the correctness anchor is bit-identical distances
-// vs a from-scratch solve after every batch, across seeded randomized batch
-// streams (decrease-only, increase-only, mixed, structural insert/erase) on
-// the four ISSUE graph shapes plus a directed R-MAT (which exercises the
-// cached-transpose boundary walk). Also pins the VersionedGraph contract
+// sssp/incremental.hpp). The correctness anchor, bit-identical distances vs
+// a from-scratch solve after every batch of every stream kind, is the
+// delta-stream axis of test_differential.cpp. This file pins the published
+// answers (patched from the engine's log, never rewritten), the
+// VersionedGraph contract
 // (atomic validation, journal semantics, compaction on demand), every
 // warm-state fallback path, and the QueryService update gate: concurrent
 // update-vs-query streams where every served answer must match the
@@ -46,8 +46,9 @@ SsspOptions test_options() {
   return options;
 }
 
-/// The four ISSUE shapes (all undirected) plus a directed R-MAT, small
-/// enough for a per-batch Dijkstra cross-check under TSan.
+/// Undirected grid, chains and Erdős–Rényi plus a directed R-MAT (which
+/// exercises the cached-transpose boundary walk), small enough for a
+/// per-batch Dijkstra cross-check under TSan.
 Graph make_shape(const std::string& name) {
   const WeightScheme ws = WeightScheme::uniform(1, 100);
   if (name == "grid") return gen::grid(28, 28, ws, 11);
@@ -56,7 +57,6 @@ Graph make_shape(const std::string& name) {
   // reach past kInlineRepairWork and repair on the team.
   if (name == "long_chain") return gen::chain_forest(1, 3000, ws, 29);
   if (name == "er") return gen::erdos_renyi(1600, 6.0, ws, 17);
-  if (name == "star") return gen::star_hub(1600, 0.3, 0.3, ws, 19);
   if (name == "rmat_dir")
     return gen::rmat(10, 8192, 0.57, 0.19, 0.19, ws, 23, /*undirected=*/false);
   ADD_FAILURE() << "unknown shape " << name;
@@ -69,12 +69,11 @@ VertexId pick_source(const VersionedGraph& vg) {
   return 0;
 }
 
-enum class Mode { kDecrease, kIncrease, kMixed, kStructural };
+enum class Mode { kDecrease, kMixed, kStructural };
 
 const char* to_name(Mode m) {
   switch (m) {
     case Mode::kDecrease: return "decrease";
-    case Mode::kIncrease: return "increase";
     case Mode::kMixed: return "mixed";
     case Mode::kStructural: return "structural";
   }
@@ -144,73 +143,6 @@ GraphDelta random_batch(const VersionedGraph& vg, Mode mode, Xoshiro256& rng,
   }
   return delta;
 }
-
-// --- randomized batch streams: bit-identical repair on every shape --------
-
-struct StreamCase {
-  const char* shape;
-  Mode mode;
-};
-
-std::string stream_name(const testing::TestParamInfo<StreamCase>& info) {
-  return std::string(info.param.shape) + "_" + to_name(info.param.mode);
-}
-
-class IncrementalStream : public testing::TestWithParam<StreamCase> {};
-
-TEST_P(IncrementalStream, BitIdenticalToFromScratchAfterEveryBatch) {
-  const StreamCase& p = GetParam();
-  VersionedGraph vg(make_shape(p.shape));
-  const VertexId source = pick_source(vg);
-
-  IncrementalSolver inc(test_options());
-  const std::vector<Distance>& first = inc.solve(vg, source);
-  EXPECT_TRUE(inc.last_repair().full_solve);
-  ASSERT_EQ(dijkstra(vg.graph(), source).dist, first);
-
-  Xoshiro256 rng(0xD17AULL * (1 + static_cast<std::uint64_t>(p.mode)) +
-                 std::string(p.shape).size());
-  int incremental = 0;
-  const int batches = 8;
-  for (int b = 0; b < batches; ++b) {
-    const GraphDelta delta = random_batch(vg, p.mode, rng, 12);
-    if (delta.empty()) continue;
-    (void)vg.apply(delta);
-
-    const std::vector<Distance>& repaired = inc.solve(vg, source);
-    if (!inc.last_repair().full_solve) ++incremental;
-    const SsspResult reference = dijkstra(vg.graph(), source);
-    ASSERT_EQ(reference.dist, repaired)
-        << p.shape << "/" << to_name(p.mode) << " batch " << b;
-  }
-  // The warm path must actually be the one under test, not a silent
-  // full-solve fallback on every batch.
-  EXPECT_GT(incremental, 0);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, IncrementalStream,
-    testing::Values(StreamCase{"grid", Mode::kDecrease},
-                    StreamCase{"grid", Mode::kIncrease},
-                    StreamCase{"grid", Mode::kMixed},
-                    StreamCase{"grid", Mode::kStructural},
-                    StreamCase{"chain", Mode::kDecrease},
-                    StreamCase{"chain", Mode::kIncrease},
-                    StreamCase{"chain", Mode::kMixed},
-                    StreamCase{"chain", Mode::kStructural},
-                    StreamCase{"er", Mode::kDecrease},
-                    StreamCase{"er", Mode::kIncrease},
-                    StreamCase{"er", Mode::kMixed},
-                    StreamCase{"er", Mode::kStructural},
-                    StreamCase{"star", Mode::kDecrease},
-                    StreamCase{"star", Mode::kIncrease},
-                    StreamCase{"star", Mode::kMixed},
-                    StreamCase{"star", Mode::kStructural},
-                    StreamCase{"rmat_dir", Mode::kDecrease},
-                    StreamCase{"rmat_dir", Mode::kIncrease},
-                    StreamCase{"rmat_dir", Mode::kMixed},
-                    StreamCase{"rmat_dir", Mode::kStructural}),
-    stream_name);
 
 // --- published answers: patched from the engine's log, never rewritten ----
 

@@ -1,8 +1,7 @@
-// End-to-end integration tests: every workload class of the benchmark suite
-// (main + appendix) solved by Wasp and spot-checked baselines against
-// Dijkstra at a small scale, plus an adversarial termination stress
-// (many tiny runs at high thread counts — the configuration most likely to
-// expose a premature-termination race).
+// Adversarial Wasp stress on suite workloads: many tiny runs at high thread
+// counts (the configuration most likely to expose a premature-termination
+// race) and range-chunk draining at tiny theta. Every suite class against
+// Dijkstra lives in test_differential.cpp.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -16,48 +15,6 @@
 
 namespace wasp {
 namespace {
-
-class SuiteIntegration : public testing::TestWithParam<suite::GraphClass> {};
-
-TEST_P(SuiteIntegration, WaspMatchesDijkstraOnEveryClass) {
-  const auto w = suite::make(GetParam(), 0.1, 5);
-  const auto reference = dijkstra(w.graph, w.source);
-
-  SsspOptions options;
-  options.algo = Algorithm::kWasp;
-  options.threads = 4;
-  options.delta = 1;
-  options.wasp.theta = 512;  // make decomposition fire at this scale
-  const SsspResult r = run_sssp(w.graph, w.source, options);
-  std::string message;
-  ASSERT_TRUE(distances_equal(reference.dist, r.dist, &message))
-      << suite::abbr(GetParam()) << ": " << message;
-}
-
-TEST_P(SuiteIntegration, GapAndDeltaStarMatchDijkstra) {
-  const auto w = suite::make(GetParam(), 0.1, 5);
-  const auto reference = dijkstra(w.graph, w.source);
-  for (const Algorithm algo : {Algorithm::kDeltaStepping, Algorithm::kDeltaStar}) {
-    SsspOptions options;
-    options.algo = algo;
-    options.threads = 3;
-    options.delta = 128;
-    const SsspResult r = run_sssp(w.graph, w.source, options);
-    std::string message;
-    ASSERT_TRUE(distances_equal(reference.dist, r.dist, &message))
-        << suite::abbr(GetParam()) << "/" << to_string(algo) << ": "
-        << message;
-  }
-}
-
-std::string class_name(const testing::TestParamInfo<suite::GraphClass>& info) {
-  return suite::abbr(info.param);
-}
-
-INSTANTIATE_TEST_SUITE_P(MainSuite, SuiteIntegration,
-                         testing::ValuesIn(suite::main_suite()), class_name);
-INSTANTIATE_TEST_SUITE_P(AppendixSuite, SuiteIntegration,
-                         testing::ValuesIn(suite::appendix_suite()), class_name);
 
 TEST(TerminationStress, ManyTinyRunsAtHighThreadCounts) {
   // Tiny graphs with many threads maximize the window for the

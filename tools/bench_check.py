@@ -1,18 +1,7 @@
 #!/usr/bin/env python3
-"""Validates a machine-readable bench report (BENCH_tput.json,
-BENCH_qps.json, BENCH_dyn.json, or BENCH_numa.json), dispatching on the
-report's "bench" field.
-
-tput_queries checks (stdlib only, exit 1 on the first violation):
-  * the top-level schema: schema_version == 1, bench == "tput_queries",
-    threads/queries positive, a non-empty results list;
-  * every row carries the full key set with sane values: qps > 0, positive
-    latencies, queries > 0;
-  * steady-state latency does not exceed first-solve latency by more than
-    the tolerance (the pooled front-end must never make repeat queries
-    slower), and optionally beats it by --min-gain (e.g. 1.25 asserts
-    steady-state at least 25% below first-solve);
-  * at least one epoch sweep was recorded per row (the first acquire).
+"""Validates a machine-readable bench report (BENCH_qps.json,
+BENCH_dyn.json, or BENCH_numa.json), dispatching on the report's "bench"
+field. Stdlib only; exits 1 on the first violation.
 
 qps_service checks:
   * the top-level schema: bench == "qps_service", fleet shape positive,
@@ -50,31 +39,21 @@ numa_fragments checks:
   * without --schema-only, the single-fragment parity run must stay within
     3x of the flat engine's wall time.
 
-With --schema-only, the timing-relation checks (steady <= first * tolerance
-and --min-gain) are skipped for tput and dyn reports: schema, key-set,
-positivity, the qps accounting invariants, and the dyn exactness anchor
-still run. This is the mode ctest uses on tiny smoke runs, where latencies
-are noise but bookkeeping must be exact.
+With --schema-only, the timing-relation checks (the dyn --min-gain and the
+numa parity timing) are skipped: schema, key-set, positivity, the qps
+accounting invariants, and the exactness anchors still run. This is the
+mode ctest uses on tiny smoke runs, where latencies are noise but
+bookkeeping must be exact.
 
 Usage:
-  python3 tools/bench_check.py BENCH_tput.json
-  python3 tools/bench_check.py BENCH_tput.json --min-gain 1.3334 --graph USA
   python3 tools/bench_check.py BENCH_qps.json --schema-only
-  python3 tools/bench_check.py BENCH_dyn.json --schema-only
+  python3 tools/bench_check.py BENCH_dyn.json --min-gain 2 --graph USA
+  python3 tools/bench_check.py BENCH_numa.json
 """
 
 import argparse
 import json
 import sys
-
-ROW_KEYS = {
-    "graph", "algo", "queries", "first_ms", "steady_ms", "qps",
-    "epoch_sweeps", "prefetch_issued",
-}
-TOP_KEYS = {
-    "schema_version", "bench", "threads", "queries", "scale",
-    "distinct_sources", "results",
-}
 
 QPS_TOP_KEYS = {
     "schema_version", "bench", "graph", "threads", "solvers",
@@ -117,54 +96,6 @@ DYN_ROW_KEYS = {
 def fail(msg):
     print(f"bench_check: FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
-
-
-def check_tput_report(report, min_gain, graph_filter, tolerance, schema_only):
-    missing = TOP_KEYS - report.keys()
-    if missing:
-        fail(f"missing top-level keys: {sorted(missing)}")
-    if report["threads"] < 1 or report["queries"] < 2:
-        fail("threads must be >= 1 and queries >= 2")
-    rows = report["results"]
-    if not rows:
-        fail("empty results list")
-
-    checked = 0
-    for row in rows:
-        missing = ROW_KEYS - row.keys()
-        if missing:
-            fail(f"row {row.get('graph', '?')}: missing keys {sorted(missing)}")
-        name = f"{row['graph']}/{row['algo']}"
-        if graph_filter and row["graph"] not in graph_filter:
-            continue
-        checked += 1
-        if row["queries"] <= 0:
-            fail(f"{name}: queries must be positive")
-        if row["first_ms"] <= 0 or row["steady_ms"] <= 0:
-            fail(f"{name}: latencies must be positive")
-        if row["qps"] <= 0:
-            fail(f"{name}: qps must be positive, got {row['qps']}")
-        if row["epoch_sweeps"] < 1:
-            fail(f"{name}: expected at least one epoch sweep (first acquire)")
-        gain = row["first_ms"] / row["steady_ms"]
-        if schema_only:
-            print(f"bench_check: ok {name} (schema only): "
-                  f"first {row['first_ms']:.3f}ms, "
-                  f"steady {row['steady_ms']:.3f}ms, {row['qps']:.0f} qps")
-            continue
-        if row["steady_ms"] > row["first_ms"] * tolerance:
-            fail(f"{name}: steady-state {row['steady_ms']:.3f}ms exceeds "
-                 f"first-solve {row['first_ms']:.3f}ms "
-                 f"(tolerance {tolerance:.2f}x) — the pooled front-end made "
-                 "repeat queries slower")
-        if gain < min_gain:
-            fail(f"{name}: first/steady gain {gain:.2f}x below required "
-                 f"{min_gain:.2f}x")
-        print(f"bench_check: ok {name}: first {row['first_ms']:.3f}ms, "
-              f"steady {row['steady_ms']:.3f}ms ({gain:.2f}x), "
-              f"{row['qps']:.0f} qps")
-    if checked == 0:
-        fail(f"no rows matched graph filter {sorted(graph_filter)}")
 
 
 def check_qps_report(report):
@@ -360,14 +291,11 @@ def check_numa_report(report, graph_filter, schema_only):
         fail(f"no rows matched graph filter {sorted(graph_filter)}")
 
 
-def check_report(report, min_gain, graph_filter, tolerance, schema_only):
+def check_report(report, min_gain, graph_filter, schema_only):
     if report.get("schema_version") != 1:
         fail(f"unsupported schema_version {report.get('schema_version')}")
     bench = report.get("bench")
-    if bench == "tput_queries":
-        check_tput_report(report, min_gain, graph_filter, tolerance,
-                          schema_only)
-    elif bench == "qps_service":
+    if bench == "qps_service":
         # The qps accounting invariants are exact at any scale, so
         # --schema-only changes nothing here.
         check_qps_report(report)
@@ -381,16 +309,14 @@ def check_report(report, min_gain, graph_filter, tolerance, schema_only):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("report", help="path to BENCH_tput.json/BENCH_qps.json")
+    parser.add_argument("report",
+                        help="path to BENCH_qps/BENCH_dyn/BENCH_numa.json")
     parser.add_argument("--min-gain", type=float, default=1.0,
-                        help="required first/steady latency ratio on checked "
-                             "rows (default 1.0: steady must not be slower)")
+                        help="required dyn repair speedup over a full solve "
+                             "on checked rows (default 1.0)")
     parser.add_argument("--graph", action="append", default=[],
                         help="only apply value checks to this graph "
                              "abbreviation (repeatable; default: all rows)")
-    parser.add_argument("--tolerance", type=float, default=1.0,
-                        help="slack factor for the steady <= first check "
-                             "when --min-gain is 1.0 (default 1.0)")
     parser.add_argument("--schema-only", action="store_true",
                         help="validate schema and value sanity but skip the "
                              "timing-relation checks (for tiny smoke runs)")
@@ -402,8 +328,7 @@ def main():
     except (OSError, json.JSONDecodeError) as e:
         fail(f"cannot read {args.report}: {e}")
 
-    check_report(report, args.min_gain, set(args.graph), args.tolerance,
-                 args.schema_only)
+    check_report(report, args.min_gain, set(args.graph), args.schema_only)
     print("bench_check: PASS")
 
 
