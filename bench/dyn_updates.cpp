@@ -6,7 +6,9 @@
 // batch. Every batch's repaired distances are checked bit-identical to the
 // from-scratch answer before timing is trusted. The update itself (apply
 // plus graph(), which compacts when the graph is dirty) is timed apart
-// from the repair, with the compactions it ran.
+// from the repair, with the compactions it ran. Beside the times, each row
+// counts the repair's work: cone and seed vertices and the engine's updates
+// per repair.
 //
 // Besides the table, writes a machine-readable JSON report (default
 // BENCH_dyn.json; tools/bench_check.py validates it, and the ctest smoke
@@ -57,6 +59,10 @@ struct Row {
   double speedup = 0.0;    ///< full_ms / repair_ms
   double mean_cone = 0.0;
   double mean_seeds = 0.0;
+  /// Engine updates (successful lowerings) per incremental repair: the
+  /// repair's work as a count, not a time. Exact on one worker; a team
+  /// repair's count varies with how its workers interleave.
+  double mean_repair_updates = 0.0;
   int incremental_repairs = 0;
   int inline_repairs = 0;  ///< repairs that ran on one worker
   int full_solves = 0;
@@ -96,12 +102,14 @@ void write_json(const std::string& path, int threads, int batches, int ops,
         "\"update_ms\": %.6f, \"compactions_per_batch\": %.3f, "
         "\"repair_ms\": %.6f, \"full_ms\": %.6f, "
         "\"speedup\": %.3f, \"mean_cone\": %.1f, \"mean_seeds\": %.1f, "
-        "\"incremental_repairs\": %d, \"inline_repairs\": %d, "
+        "\"mean_repair_updates\": %.1f, \"incremental_repairs\": %d, "
+        "\"inline_repairs\": %d, "
         "\"full_solves\": %d, \"exact\": %s}%s\n",
         r.graph.c_str(), r.algo.c_str(), r.batches, r.ops_per_batch,
         r.closures, r.update_ms, r.compactions_per_batch, r.repair_ms,
         r.full_ms, r.speedup, r.mean_cone, r.mean_seeds,
-        r.incremental_repairs, r.inline_repairs, r.full_solves,
+        r.mean_repair_updates, r.incremental_repairs, r.inline_repairs,
+        r.full_solves,
         r.exact ? "true" : "false", i + 1 < rows.size() ? "," : "");
     out << buf;
   }
@@ -306,6 +314,7 @@ int main(int argc, char** argv) {
   bench::print_cell("speedup", 9);
   bench::print_cell("cone", 9);
   bench::print_cell("seeds", 9);
+  bench::print_cell("updates", 9);
   bench::print_cell("inline", 8);
   bench::print_cell("check", 7);
   std::printf("\n");
@@ -348,6 +357,7 @@ int main(int argc, char** argv) {
     std::vector<double> full_times;
     std::uint64_t cone_total = 0;
     std::uint64_t seed_total = 0;
+    std::uint64_t update_total = 0;
     for (int b = 0; b < batches; ++b) {
       // Traffic tick: half the arcs jam (weight x4, saturating at 8x the
       // base maximum), half settle back into the base weight range.
@@ -399,6 +409,8 @@ int main(int argc, char** argv) {
         if (rs.workers == 1) row.inline_repairs += 1;
         cone_total += rs.cone_vertices;
         seed_total += rs.seed_vertices;
+        update_total += inc.solver().metrics().snapshot().counter(
+            obs::CounterId::kUpdates);
       }
 
       Timer ft;
@@ -419,6 +431,8 @@ int main(int argc, char** argv) {
         static_cast<double>(cone_total) / static_cast<double>(inc_count);
     row.mean_seeds =
         static_cast<double>(seed_total) / static_cast<double>(inc_count);
+    row.mean_repair_updates =
+        static_cast<double>(update_total) / static_cast<double>(inc_count);
     all_exact = all_exact && row.exact;
     rows.push_back(row);
 
@@ -435,6 +449,8 @@ int main(int argc, char** argv) {
     std::snprintf(cell, sizeof(cell), "%.0f", row.mean_cone);
     bench::print_cell(cell, 9);
     std::snprintf(cell, sizeof(cell), "%.0f", row.mean_seeds);
+    bench::print_cell(cell, 9);
+    std::snprintf(cell, sizeof(cell), "%.0f", row.mean_repair_updates);
     bench::print_cell(cell, 9);
     std::snprintf(cell, sizeof(cell), "%d/%d", row.inline_repairs,
                   row.incremental_repairs);

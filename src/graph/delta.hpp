@@ -102,7 +102,7 @@ class GraphDelta {
 
 /// One applied, normalized, *directed* effect in the journal. Undirected
 /// updates journal both arcs. The incremental solver classifies each effect
-/// as a decrease (seed relaxation from src) or an increase (invalidate dst's
+/// as a decrease (seed relaxation from src) or an increase (re-price dst's
 /// downstream cone) by comparing old_w and new_w.
 struct ArcEffect {
   VertexId src = 0;
@@ -118,7 +118,7 @@ struct ArcEffect {
     return (!existed && exists) || (existed && exists && new_w < old_w);
   }
   /// A shortest path through this arc may have been destroyed (erase or
-  /// weight increase) — repair invalidates dst's cone.
+  /// weight increase) — repair re-prices dst's cone.
   [[nodiscard]] bool is_increase() const {
     return (existed && !exists) || (existed && exists && new_w > old_w);
   }

@@ -58,7 +58,7 @@ enum class CounterId : std::uint8_t {
   kWatchdogCancels,        ///< overdue runs cancelled by the service watchdog
   // --- incremental repair (graph/delta.hpp + sssp/incremental.hpp) ---------
   kRepairBatches,      ///< delta batches repaired incrementally (not full)
-  kRepairConeVertices, ///< vertices invalidated into the increase cone
+  kRepairConeVertices, ///< vertices re-priced in the increase cone
   kRepairSeedVertices, ///< warm seeds handed to wasp_sssp_seeded
   kGraphCompactions,   ///< VersionedGraph overlay compactions observed
   kGraphCompactedArcs, ///< arcs those compactions moved or wrote

@@ -1,5 +1,6 @@
 #include "sssp/incremental.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <sstream>
@@ -9,6 +10,7 @@
 #include "graph/builder.hpp"
 #include "sssp/wasp.hpp"
 #include "support/errors.hpp"
+#include "support/timer.hpp"
 
 namespace wasp {
 
@@ -129,6 +131,7 @@ void IncrementalSolver::full_solve(const Graph& g, VertexId source) {
 void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
                                VertexId source,
                                std::span<const ArcEffect> effects) {
+  const Timer walk_timer;
   SsspOptions& opts = solver_.options();
   opts.validate();
   CancelToken* cancel = opts.cancel;
@@ -137,17 +140,21 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   // base the next answer patches.
   const std::vector<Distance>& warm = *answer_;
 
-  // Any exit that leaves the atomic array half-mutated (cancel, engine
-  // failure) must poison the warm state, or the next solve would repair on
-  // top of garbage.
-  auto discard_warm = [&] {
-    dist.new_epoch();
-    bound_graph_ = nullptr;
-  };
-  if (cancel != nullptr && cancel->poll()) {
-    discard_warm();
-    throw_cancelled(*cancel);
-  }
+  // The walk stores bounds into the atomic array, so any exit before the
+  // new answer is published (cancel, engine failure, an allocation failure
+  // mid-walk) must poison the warm state, or the next solve would repair
+  // on top of garbage.
+  struct DiscardUnlessPublished {
+    IncrementalSolver& self;
+    AtomicDistances& dist;
+    bool published = false;
+    ~DiscardUnlessPublished() {
+      if (published) return;
+      dist.new_epoch();
+      self.bound_graph_ = nullptr;
+    }
+  } guard{*this, dist};
+  if (cancel != nullptr && cancel->poll()) throw_cancelled(*cancel);
 
   obs::MetricsRegistry& registry = solver_.metrics();
   registry.reset();
@@ -170,68 +177,141 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   }
   cone_.clear();
   seeds_.clear();
+  heads_.clear();
+  priced_from_.clear();
+
+  // seeded_ marks a vertex in seeds_: a kSeed stays, a kCandidate (a
+  // boundary candidate of the undirected walk) is dropped if it enters the
+  // cone after the walk saw it.
+  constexpr std::uint8_t kCandidate = 1;
+  constexpr std::uint8_t kSeed = 2;
+  auto seed = [&](VertexId u) {
+    if (seeded_[u] == 0) seeds_.push_back(u);
+    seeded_[u] = kSeed;
+  };
 
   // 1. Classify effects. Decrease sources seed relaxation; admissible
-  // increase heads start the invalidation cone. The <= (not ==) parent
-  // predicate is deliberately conservative: across multi-batch catch-up an
-  // effect's old_w need not be the weight the warm distances settled
-  // against, and over-invalidation is the safe direction.
+  // increase heads start the cone walk. The <= (not ==) parent predicate is
+  // deliberately conservative: across multi-batch catch-up an effect's
+  // old_w need not be the weight the warm distances settled against, and
+  // a cone too large is the safe direction. Every increase is kept, not
+  // just the admissible ones: together they bound the arc's current weight.
   for (const ArcEffect& e : effects) {
-    if (e.is_decrease() && warm[e.src] != kInfDist && !seeded_[e.src]) {
-      seeds_.push_back(e.src);
-      seeded_[e.src] = 1;
-    }
-    if (e.is_increase() && e.dst != source && !in_cone_[e.dst] &&
-        warm[e.src] != kInfDist && warm[e.dst] != kInfDist &&
-        saturating_add(warm[e.src], e.old_w) <= warm[e.dst]) {
-      cone_.push_back(e.dst);
-      in_cone_[e.dst] = 1;
+    if (e.is_decrease() && warm[e.src] != kInfDist) seed(e.src);
+    if (e.is_increase() && e.dst != source && warm[e.src] != kInfDist &&
+        warm[e.dst] != kInfDist) {
+      heads_.push_back(ConeHead{
+          e.dst, e.src, e.exists ? e.new_w : kDeadWeight,
+          saturating_add(warm[e.src], e.old_w) <= warm[e.dst]});
     }
   }
+  // Nearest heads first: an admissible arc never leads to a smaller warm
+  // distance, so a head's tail that lies in another head's cone is priced
+  // before the head reads it, unless zero-weight arcs tie them. The
+  // increases of one arc end up adjacent.
+  std::sort(heads_.begin(), heads_.end(),
+            [&](const ConeHead& a, const ConeHead& b) {
+              if (warm[a.head] != warm[b.head])
+                return warm[a.head] < warm[b.head];
+              return a.head != b.head ? a.head < b.head : a.tail < b.tail;
+            });
 
+  // The engine's warm start needs two invariants (sssp/incremental.hpp):
+  //  (a) every value in the array is at least the exact distance;
+  //  (b) the tail of every arc that can still improve its head is seeded.
+  // The walk keeps (a) by storing re-priced tree paths (or, on a reset,
+  // infinity); the walk's seeds and step 3 keep (b).
+  //
   // 2. Cone walk: everything reachable through admissible arcs (under the
-  // warm distances) may have depended on a changed arc. The atomic array
-  // still holds the same values; it is only invalidated after the walk.
-  // On an undirected graph the out-arcs read here are also the cone's
+  // warm distances) may have depended on a changed arc. Each vertex is
+  // stored at its bound when admitted, so the array reads as the vertex's
+  // bound inside the cone and its warm distance outside it. The stores run
+  // on the calling thread, and the engine's team launch publishes them. On
+  // an undirected graph the out-arcs read here are also the cone's
   // in-arcs, so the walk collects the boundary seeds as it goes: every
   // finite neighbour it does not admit (the source included) is a
-  // candidate, and candidates that enter the cone later are dropped below.
+  // candidate. It also compares both directions of each arc to a priced
+  // vertex and seeds the end whose bound improves the other. A neighbour
+  // outside the cone is compared at its warm distance; if it enters later,
+  // its own scan compares again.
   const bool fused = vg.is_undirected();
   const std::size_t first_candidate = seeds_.size();
+  auto admit = [&](VertexId v, Distance bound) {
+    cone_.push_back(v);
+    in_cone_[v] = 1;
+    dist.store(v, bound);
+  };
   std::uint64_t walked = 0;
-  for (std::size_t i = 0; i < cone_.size(); ++i) {
-    // Cancellation point for the repair loop: a big cone is the only
-    // sequential phase here that can run long.
-    if ((++walked & 0xFFFu) == 0 && cancel != nullptr && cancel->poll()) {
-      discard_warm();
-      throw_cancelled(*cancel);
+  std::size_t scanned = 0;
+  for (std::size_t i = 0; i < heads_.size();) {
+    // The increases of one (tail, head) arc. After the warm answer only an
+    // increase raised the arc, so its current weight is at most the
+    // largest weight they set (infinity once closed). Reading the journal,
+    // not the tail's CSR row, keeps a hub tail from costing its degree.
+    const VertexId head = heads_[i].head;
+    const VertexId tail = heads_[i].tail;
+    Weight w = 0;
+    bool admissible = false;
+    for (; i < heads_.size() && heads_[i].head == head &&
+           heads_[i].tail == tail;
+         ++i) {
+      w = std::max(w, heads_[i].new_w);
+      admissible = admissible || heads_[i].admissible;
     }
-    const VertexId x = cone_[i];
-    const Distance dx = warm[x];
-    for (const WEdge& e : g.out_neighbors(x)) {
-      if (in_cone_[e.dst]) continue;
-      const Distance dy = warm[e.dst];
-      if (dy == kInfDist) continue;
-      if (e.dst != source && saturating_add(dx, e.w) <= dy) {
-        cone_.push_back(e.dst);
-        in_cone_[e.dst] = 1;
-      } else if (fused && !seeded_[e.dst]) {
-        seeds_.push_back(e.dst);
-        seeded_[e.dst] = 1;
+    if (!admissible || in_cone_[head]) continue;
+    if (!in_cone_[tail]) priced_from_.push_back(tail);
+    admit(head, saturating_add(dist.load(tail), w));
+
+    for (; scanned < cone_.size(); ++scanned) {
+      // Cancellation point for the repair loop: a big cone is the only
+      // sequential phase here that can run long.
+      if ((++walked & 0xFFFu) == 0 && cancel != nullptr && cancel->poll())
+        throw_cancelled(*cancel);
+      const VertexId x = cone_[scanned];
+      const Distance wx = warm[x];
+      const Distance bx = dist.load(x);
+      for (const WEdge& e : g.out_neighbors(x)) {
+        const VertexId y = e.dst;
+        if (in_cone_[y]) {
+          if (fused) {
+            const Distance by = dist.load(y);
+            if (saturating_add(bx, e.w) < by) seed(x);
+            if (saturating_add(by, e.w) < bx) seed(y);
+          }
+          continue;
+        }
+        const Distance wy = warm[y];
+        if (wy != kInfDist && y != source && saturating_add(wx, e.w) <= wy) {
+          admit(y, saturating_add(bx, e.w));
+        } else if (fused) {
+          if (wy != kInfDist && seeded_[y] == 0) {
+            seeds_.push_back(y);
+            seeded_[y] = kCandidate;
+          }
+          if (saturating_add(bx, e.w) < wy) seed(x);
+        }
       }
     }
   }
 
-  // 3. Boundary seeds: intact in-neighbours of the cone re-derive its
-  // distances.
+  // A head priced from a tail outside the cone read the tail's warm
+  // distance; if a later walk admitted the tail, that value may be below
+  // the tail's new distance. Then no bound is trusted: the cone goes to
+  // infinity and re-derives from the boundary and the decrease sources.
+  bool reset = false;
+  for (const VertexId t : priced_from_) reset = reset || in_cone_[t] != 0;
+
+  // 3. Seeds besides the decrease sources: intact in-neighbours of the cone
+  // re-derive its distances, and cone vertices whose bound improves an
+  // out-neighbour carry that improvement.
   if (fused) {
-    // Drop the candidates that entered the cone after the walk saw them
-    // (a decrease source inside the cone stays, as in the directed pass).
-    // Clearing their flags keeps every set flag listed in seeds_.
+    // Drop the candidates that entered the cone after the walk saw them,
+    // and on a reset every cone seed but a decrease source. Clearing their
+    // flags keeps every set flag listed in seeds_.
     std::size_t kept = first_candidate;
     for (std::size_t i = first_candidate; i < seeds_.size(); ++i) {
       const VertexId u = seeds_[i];
-      if (in_cone_[u]) {
+      if (in_cone_[u] && (reset || seeded_[u] == kCandidate)) {
         seeded_[u] = 0;
       } else {
         seeds_[kept++] = u;
@@ -239,32 +319,39 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
     }
     seeds_.resize(kept);
   } else {
-    // Directed: O(sum of cone in-degrees) via the transposed in-arc view.
+    // Directed: O(sum of cone in- and out-degrees) via the transposed
+    // in-arc view and the cone's own rows.
     const Graph& rin = transpose_of(g);
     for (const VertexId c : cone_) {
-      if ((++walked & 0xFFFu) == 0 && cancel != nullptr && cancel->poll()) {
-        discard_warm();
+      if ((++walked & 0xFFFu) == 0 && cancel != nullptr && cancel->poll())
         throw_cancelled(*cancel);
-      }
       for (const WEdge& e : rin.out_neighbors(c)) {
         const VertexId u = e.dst;  // in-neighbour of c
-        if (in_cone_[u] || seeded_[u] || warm[u] == kInfDist) continue;
-        seeds_.push_back(u);
-        seeded_[u] = 1;
+        if (in_cone_[u] || warm[u] == kInfDist) continue;
+        seed(u);
+      }
+      if (reset) continue;
+      const Distance bc = dist.load(c);
+      for (const WEdge& e : g.out_neighbors(c)) {
+        if (saturating_add(bc, e.w) < dist.load(e.dst)) {
+          seed(c);
+          break;
+        }
       }
     }
   }
-
-  // 4. Invalidate the cone and repair from the seeds with the normal
-  // engine. No epoch bump: untouched vertices keep their warm entries.
-  for (const VertexId c : cone_) dist.store(c, kInfDist);
+  if (reset) {
+    for (const VertexId c : cone_) dist.store(c, kInfDist);
+  }
 
   const std::uint64_t batches = vg.version() - bound_version_;
   shard.inc(CId::kRepairBatches, batches);
   shard.inc(CId::kRepairConeVertices, cone_.size());
   shard.inc(CId::kRepairSeedVertices, seeds_.size());
 
-  // A small repair runs on the calling thread alone (kInlineRepairWork).
+  // 4. Repair from the seeds with the normal engine. No epoch bump:
+  // untouched vertices keep their warm entries. A small repair runs on the
+  // calling thread alone (kInlineRepairWork).
   const int workers =
       repair_workers(cone_.size() + seeds_.size(), solver_.team().size());
   RunContext ctx{workers < solver_.team().size() ? inline_team_
@@ -279,21 +366,15 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   // A cone too wide to patch needs no log: the engine decodes the array.
   const std::size_t patch_limit = n / kPatchShare;
   LoweredLog* log = cone_.size() <= patch_limit ? &lowered_ : nullptr;
-  SsspResult result;
-  try {
-    result = wasp_sssp_seeded(g, seeds_, opts.delta, opts.wasp, ctx, log);
-  } catch (...) {
-    discard_warm();
-    throw;
-  }
-  if (cancel != nullptr && cancel->cancel_requested()) {
-    discard_warm();
-    throw_cancelled(*cancel);
-  }
+  const double walk_seconds = walk_timer.seconds();
+  SsspResult result =
+      wasp_sssp_seeded(g, seeds_, opts.delta, opts.wasp, ctx, log);
+  if (cancel != nullptr && cancel->cancel_requested()) throw_cancelled(*cancel);
 
   // 5. Publish a new buffer; the previous answer stays as its holders saw
   // it. Outside the cone and the log the array still holds the previous
   // answer, so patching re-reads exactly the entries that may differ.
+  const Timer publish_timer;
   const std::size_t lowered = log != nullptr ? lowered_.size() : 0;
   const bool patch = log != nullptr && cone_.size() + lowered <= patch_limit;
   if (patch) {
@@ -307,6 +388,7 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
     answer_ = std::make_shared<const std::vector<Distance>>(
         log != nullptr ? dist.snapshot() : std::move(result.dist));
   }
+  guard.published = true;
 
   bound_epoch_ = dist.epoch();
   last_ = RepairStats{};
@@ -317,8 +399,11 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   last_.seed_vertices = seeds_.size();
   last_.lowered = lowered;
   last_.patched = patch;
+  last_.cone_reset = reset;
   last_.workers = workers;
   last_.seconds = result.metrics.seconds;
+  last_.walk_seconds = walk_seconds;
+  last_.publish_seconds = publish_timer.seconds();
 }
 
 }  // namespace wasp

@@ -10,25 +10,48 @@
 //     (insert / weight drop — some path may have gotten cheaper; the arc's
 //     source becomes a relaxation seed) or an increase (erase / weight rise
 //     — distances that rode the arc may be invalid).
-//  2. Cone invalidation. For each increase whose arc was admissible under
-//     the warm distances (dist[u] + old_w <= dist[v], a conservative
+//  2. Cone walk. For each increase whose arc was admissible under the warm
+//     distances (dist[u] + old_w <= dist[v], a conservative
 //     shortest-path-parent predicate), the head v starts a cone walk:
 //     every vertex reachable from it through admissible arcs may have
-//     depended on the changed arc. The whole cone is reset to infinity —
-//     over-approximation is safe (extra recompute), under-approximation is
-//     not (a stale too-small bound would poison monotone relaxation).
+//     depended on the changed arc. Over-approximation is safe (extra
+//     work), under-approximation is not. The walk re-prices the cone
+//     instead of resetting it to infinity. Heads go in order of warm
+//     distance. A head's bound is its tail's value plus the largest weight
+//     the journal's increases gave the arc (infinity once closed), which is
+//     at least the arc's current weight. A vertex the walk admits from x
+//     gets bound(x) + w at the current w. Each cone vertex thus holds its
+//     old tree path re-priced, an upper bound on its new distance.
 //  3. Seeding. The repair frontier is the cone's in-boundary (intact
-//     vertices with an arc into the cone) plus every decrease source. By
-//     the warm-start argument in wasp.hpp, relaxing
-//     from exactly this set converges to the same fixed point as a cold
-//     solve. An undirected graph's out-arcs are its in-arcs, so the cone
-//     walk collects the boundary as it goes; a directed graph takes a
-//     second pass over a cached transpose.
+//     vertices with an arc into the cone), every decrease source, and
+//     every cone vertex whose bound improves an out-neighbour. An
+//     undirected graph's out-arcs are its in-arcs, so the cone walk
+//     collects the boundary and compares both directions of each arc it
+//     scans; a directed graph takes a second pass over a cached transpose
+//     and the cone's out-arcs.
+//
+//     The engine (wasp_sssp_seeded) converges to the exact distances from
+//     any state that keeps two invariants, and the repair hands it one:
+//      (a) every value is at least the exact distance. Outside the cone a
+//          warm distance is the length of an old tree path that no
+//          increase touched. A bound adds current (or larger) arc weights
+//          to such values or to other bounds.
+//      (b) the tail of every arc that can still improve its head is
+//          seeded. Between two vertices outside the cone only a decreased
+//          arc can, and its source is seeded. An arc into the cone has a
+//          boundary tail, and a cone vertex whose bound improves a
+//          neighbour is seeded itself.
+//     (a) fails only when a head was priced from a tail outside the cone
+//     that a later head's walk then admitted: the tail's warm value may be
+//     stale. Heads in order of warm distance leave that possible only
+//     through zero-weight ties. Then the whole cone is stored at infinity,
+//     and the boundary and the decrease sources alone seed it.
 //  4. Repair. wasp_sssp_seeded runs the normal work-stealing engine over
 //     the warm array — no epoch bump, so untouched vertices cost nothing —
-//     in work proportional to the cone, not the graph. A small repair (cone
-//     plus seeds below kInlineRepairWork) runs on the calling thread alone:
-//     waking the Solver's team would cost more than the work it shares.
+//     in work proportional to the improvements left, not the cone. A small
+//     repair (cone plus seeds below kInlineRepairWork) runs on the calling
+//     thread alone: waking the Solver's team would cost more than the work
+//     it shares.
 //  5. Publish. The engine logs every vertex it lowers (LoweredLog), so the
 //     next answer is a copy of the previous one with the cone and the
 //     logged vertices re-read from the array: O(cone + lowered) decoding,
@@ -89,7 +112,7 @@ struct RepairStats {
   bool full_solve = true;          ///< fell back to a from-scratch solve
   std::uint64_t batches = 0;       ///< versions caught up by the repair
   std::uint64_t effects = 0;       ///< journaled arc effects replayed
-  std::uint64_t cone_vertices = 0; ///< vertices invalidated to infinity
+  std::uint64_t cone_vertices = 0; ///< vertices the cone walk re-priced
   std::uint64_t seed_vertices = 0; ///< warm seeds handed to the engine
   /// Entries the engine logged (LoweredLog; 0 when the cone alone was too
   /// wide to log). Equals the run's kUpdates count when the log ran.
@@ -97,11 +120,21 @@ struct RepairStats {
   /// The answer was published by patching the previous one; false when a
   /// wide repair decoded the whole array instead.
   bool patched = false;
+  /// A zero-weight tie let a head be priced from a stale tail, so the cone
+  /// was stored at infinity instead of at its re-priced bounds.
+  bool cone_reset = false;
   /// Participants the last engine run had: 1 for a repair run inline on
   /// the calling thread, the team size for a team repair or a full solve,
   /// 0 when nothing ran (no new version).
   int workers = 0;
   double seconds = 0.0;            ///< parallel-phase time of the last run
+  /// A repair's wall time splits into walk_seconds (classification, cone
+  /// walk and seeding, up to the engine call), the engine's `seconds`, and
+  /// publish_seconds (from the engine's return to the published answer).
+  /// The three sum to the repair's wall time less the engine's setup and
+  /// join around its parallel phase; both are 0 on a full solve.
+  double walk_seconds = 0.0;
+  double publish_seconds = 0.0;
 };
 
 class IncrementalSolver {
@@ -179,8 +212,19 @@ class IncrementalSolver {
   /// The last exact answer (mirrors the array while the state is warm).
   std::shared_ptr<const std::vector<Distance>> answer_;
 
+  /// A journaled increase of the arc (tail, head). An admissible one makes
+  /// `head` a cone head, priced from `tail`.
+  struct ConeHead {
+    VertexId head;
+    VertexId tail;
+    Weight new_w;  ///< kDeadWeight for a closure
+    bool admissible;
+  };
+
   // Scratch reused across repairs (sized to the graph on first use).
   LoweredLog lowered_;
+  std::vector<ConeHead> heads_;
+  std::vector<VertexId> priced_from_;  ///< tails outside the cone when read
   std::vector<std::uint8_t> in_cone_;
   std::vector<VertexId> cone_;
   std::vector<VertexId> seeds_;

@@ -124,7 +124,7 @@ SsspResult wasp_sssp(const Graph& g, VertexId source, Weight delta,
 /// Warm-start multi-source variant backing incremental repair
 /// (sssp/incremental.hpp): instead of seeding one source at distance 0 into
 /// an all-infinity array, the caller pre-loads ctx.dist with valid *upper
-/// bounds* (kInfDist for invalidated vertices) and names the frontier —
+/// bounds* (a repair's re-priced paths, or kInfDist) and names the frontier —
 /// every vertex whose current bound may improve a neighbour. The engine
 /// relaxes monotonically from the seeds exactly like a cold run relaxes
 /// from the source, so it converges to the same fixed point: exact

@@ -2,8 +2,9 @@
 // sssp/incremental.hpp). The correctness anchor, bit-identical distances vs
 // a from-scratch solve after every batch of every stream kind, is the
 // delta-stream axis of test_differential.cpp. This file pins the published
-// answers (patched from the engine's log, never rewritten), the
-// VersionedGraph contract
+// answers (patched from the engine's log, never rewritten), the re-priced
+// repair cone (its work, nested heads, the zero-weight fallback and the
+// cone's own seeds), the VersionedGraph contract
 // (atomic validation, journal semantics, compaction on demand), every
 // warm-state fallback path, and the QueryService update gate: concurrent
 // update-vs-query streams where every served answer must match the
@@ -20,6 +21,7 @@
 #include <memory>
 #include <set>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -34,6 +36,7 @@
 #include "support/cancel.hpp"
 #include "support/errors.hpp"
 #include "support/random.hpp"
+#include "support/timer.hpp"
 
 namespace wasp {
 namespace {
@@ -358,6 +361,205 @@ TEST(IncrementalAnswer, WideLogDecodesAfterLogging) {
   EXPECT_EQ(rs.cone_vertices, 0u);
   EXPECT_GT(rs.lowered, 25u);
   EXPECT_FALSE(rs.patched);
+}
+
+// --- re-priced cones: each cone vertex keeps its old tree path's price ---
+
+/// Solves `vg` from `source` with `inc`, applies `batches` in turn, and
+/// repairs once; checks the answer against Dijkstra.
+void repair_after(IncrementalSolver& inc, VersionedGraph& vg, VertexId source,
+                  const std::vector<GraphDelta>& batches,
+                  const std::string& what) {
+  (void)inc.solve(vg, source);
+  for (const GraphDelta& batch : batches) (void)vg.apply(batch);
+  (void)inc.solve(vg, source);
+  ASSERT_FALSE(inc.last_repair().full_solve) << what;
+  EXPECT_EQ(inc.last_repair().batches, batches.size()) << what;
+  expect_published_answer(inc, vg.graph(), source, what);
+}
+
+TEST(IncrementalReprice, TreeJamRepricesTheSubtreeWithoutUpdates) {
+  // Jamming 190-191 raises 191..199 and the pendant by exactly the jam, and
+  // no other path reaches them: the re-priced cone is already the answer.
+  VersionedGraph vg(comb());
+  IncrementalSolver inc(one_bucket_options());
+  GraphDelta jam;
+  jam.set_weight(190, 191, 30);
+  repair_after(inc, vg, 0, {jam}, "comb jam");
+  const RepairStats& rs = inc.last_repair();
+  EXPECT_EQ(rs.cone_vertices, 10u);
+  EXPECT_FALSE(rs.cone_reset);
+  EXPECT_EQ(run_updates(inc), 0u);
+  EXPECT_EQ(rs.lowered, 0u);
+  EXPECT_TRUE(rs.patched);
+
+  // Two raises of one arc caught up at once: only the first is admissible
+  // under the warm distances, but the head must be priced at the second.
+  VersionedGraph vg2(comb());
+  IncrementalSolver inc2(one_bucket_options());
+  GraphDelta raise;
+  raise.set_weight(190, 191, 10);
+  GraphDelta raise_again;
+  raise_again.set_weight(190, 191, 40);
+  repair_after(inc2, vg2, 0, {raise, raise_again}, "comb raised twice");
+  EXPECT_EQ(inc2.last_repair().cone_vertices, 10u);
+  EXPECT_EQ(run_updates(inc2), 0u);
+}
+
+/// The shortest-path-tree parent of every vertex reachable from `source`
+/// (kInvalidVertex for the source and unreachable vertices).
+std::vector<VertexId> tree_parents(const Graph& g, VertexId source) {
+  const std::vector<Distance> d = dijkstra(g, source).dist;
+  std::vector<VertexId> parent(g.num_vertices(), kInvalidVertex);
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    if (d[u] == kInfDist) continue;
+    for (const WEdge& e : g.out_neighbors(u)) {
+      if (e.dst != source && parent[e.dst] == kInvalidVertex &&
+          saturating_add(d[u], e.w) == d[e.dst])
+        parent[e.dst] = u;
+    }
+  }
+  return parent;
+}
+
+TEST(IncrementalReprice, NestedJamsPriceInnerHeadsFromOuterCones) {
+  // The inner jam's tail lies in the outer jam's cone. The inner jam comes
+  // first in the batch, so only the walk's nearest-head-first order lets
+  // the inner head read its tail's re-priced bound, not its stale warm
+  // distance. Then the same jams as a two-batch catch-up.
+  const auto jam_inner = [](GraphDelta& d) { d.set_weight(185, 186, 20); };
+  const auto jam_outer = [](GraphDelta& d) { d.set_weight(180, 181, 10); };
+  GraphDelta both;
+  jam_inner(both);
+  jam_outer(both);
+  GraphDelta inner;
+  jam_inner(inner);
+  GraphDelta outer;
+  jam_outer(outer);
+  for (const auto& [name, batches] :
+       {std::pair{"one batch", std::vector<GraphDelta>{both}},
+        std::pair{"catch-up", std::vector<GraphDelta>{inner, outer}}}) {
+    VersionedGraph vg(comb());
+    IncrementalSolver inc(one_bucket_options());
+    repair_after(inc, vg, 0, batches, name);
+    const RepairStats& rs = inc.last_repair();
+    EXPECT_EQ(rs.cone_vertices, 20u) << name;  // 181..199 and the pendant
+    EXPECT_FALSE(rs.cone_reset) << name;
+    EXPECT_EQ(run_updates(inc), 0u) << name;
+  }
+
+  // On a road grid, where detours compete with the re-priced paths: jam
+  // the tree arcs into a far vertex and into an ancestor halfway up its
+  // tree path, inner jam first.
+  const Graph grid = gen::grid(24, 24, WeightScheme::uniform(1, 100), 37);
+  const std::vector<Distance> d = dijkstra(grid, 0).dist;
+  const std::vector<VertexId> parent = tree_parents(grid, 0);
+  VertexId far = 0;
+  for (VertexId v = 0; v < grid.num_vertices(); ++v)
+    if (d[v] != kInfDist && d[v] > d[far]) far = v;
+  std::vector<VertexId> path;  // far up to a child of the source
+  for (VertexId v = far; parent[v] != kInvalidVertex; v = parent[v])
+    path.push_back(v);
+  ASSERT_GE(path.size(), 4u);
+  const VertexId mid = path[path.size() / 2];
+  GraphDelta grid_inner;
+  grid_inner.set_weight(parent[far], far, 400);
+  GraphDelta grid_outer;
+  grid_outer.set_weight(parent[mid], mid, 400);
+  GraphDelta grid_both = grid_inner;
+  grid_both.set_weight(parent[mid], mid, 400);
+  for (const auto& [name, batches] :
+       {std::pair{"grid one batch", std::vector<GraphDelta>{grid_both}},
+        std::pair{"grid catch-up",
+                  std::vector<GraphDelta>{grid_inner, grid_outer}}}) {
+    VersionedGraph vg{Graph(grid)};
+    IncrementalSolver inc(test_options());
+    repair_after(inc, vg, 0, batches, name);
+    EXPECT_FALSE(inc.last_repair().cone_reset) << name;
+  }
+}
+
+TEST(IncrementalReprice, ZeroWeightTieResetsTheConeToInfinity) {
+  // 0-2 (5), 2-1 (0), 1-3 (2), 0-3 (100), from 0: 1 and 2 tie at 5. Jamming
+  // 0-2 and 2-1 makes both heads; the tie puts 1 first, priced from 2's
+  // stale 5, and 2's own walk then admits 2. Only the reset to infinity is
+  // exact (1 is at 51, not 6).
+  for (const bool undirected : {true, false}) {
+    const std::string name = undirected ? "undirected" : "directed";
+    VersionedGraph vg(GraphBuilder()
+                          .edges(4, {{0, 2, 5}, {2, 1, 0}, {1, 3, 2},
+                                     {0, 3, 100}})
+                          .undirected(undirected)
+                          .build());
+    IncrementalSolver inc(test_options());
+    GraphDelta jams;
+    jams.set_weight(0, 2, 50);
+    jams.set_weight(2, 1, 1);
+    repair_after(inc, vg, 0, {jams}, name);
+    EXPECT_TRUE(inc.last_repair().cone_reset) << name;
+    EXPECT_EQ(inc.answer()->at(1), 51u) << name;
+  }
+}
+
+TEST(IncrementalReprice, DetourThroughALighterConeIsSeeded) {
+  // A 2x3 road grid from s = 0:
+  //   0 -1- 1 -1- 2
+  //   |2    |5    |1
+  //   3 -1- 4 -5- 5
+  // Jamming 0-1 to 100 and 0-3 to 3 re-prices two cones, {1, 2, 5} at
+  // 100, 101, 102 and {3, 4} at 3, 4. The only intact vertex next to them
+  // is the source, which improves neither. The detours 4-1 and 4-5 put 1
+  // at 9 and 5 at 9, so the cone vertex 4 must be seeded for its bound.
+  for (const bool undirected : {true, false}) {
+    const std::string name = undirected ? "undirected" : "directed";
+    std::vector<Edge> edges = {{0, 1, 1}, {1, 2, 1}, {0, 3, 2}, {1, 4, 5},
+                               {2, 5, 1}, {3, 4, 1}, {4, 5, 5}};
+    if (!undirected) {
+      for (std::size_t i = 0, m = edges.size(); i < m; ++i)
+        edges.push_back(Edge{edges[i].dst, edges[i].src, edges[i].w});
+    }
+    VersionedGraph vg(GraphBuilder()
+                          .edges(6, std::move(edges))
+                          .undirected(undirected)
+                          .build());
+    IncrementalSolver inc(test_options());
+    GraphDelta jams;
+    jams.set_weight(0, 1, 100);
+    jams.set_weight(0, 3, 3);
+    repair_after(inc, vg, 0, {jams}, name);
+    const RepairStats& rs = inc.last_repair();
+    EXPECT_EQ(rs.cone_vertices, 5u) << name;
+    EXPECT_FALSE(rs.cone_reset) << name;
+    EXPECT_EQ(inc.answer()->at(1), 9u) << name;
+  }
+}
+
+TEST(IncrementalReprice, RepairLayersFitInItsWallTime) {
+  // The cone walk, the engine's parallel phase and the publish are
+  // disjoint slices of one repair, on the team and inline alike.
+  VersionedGraph vg(make_shape("long_chain"));
+  const VertexId source = pick_source(vg);
+  IncrementalSolver inc(test_options());
+  (void)inc.solve(vg, source);
+  EXPECT_EQ(inc.last_repair().walk_seconds, 0.0);
+  EXPECT_EQ(inc.last_repair().publish_seconds, 0.0);
+  Xoshiro256 rng(0x1A7E5ULL);
+  for (int b = 0; b < 8; ++b) {
+    const GraphDelta delta = random_batch(vg, Mode::kMixed, rng, 6);
+    if (delta.empty()) continue;
+    (void)vg.apply(delta);
+    const Timer wall;
+    (void)inc.solve(vg, source);
+    const double wall_seconds = wall.seconds();
+    const RepairStats& rs = inc.last_repair();
+    ASSERT_FALSE(rs.full_solve);
+    EXPECT_GT(rs.walk_seconds, 0.0);
+    EXPECT_GT(rs.publish_seconds, 0.0);
+    EXPECT_GE(rs.seconds, 0.0);
+    EXPECT_LE(rs.walk_seconds + rs.seconds + rs.publish_seconds,
+              wall_seconds)
+        << "batch " << b;
+  }
 }
 
 // --- VersionedGraph / GraphDelta contract ---------------------------------
@@ -966,6 +1168,29 @@ TEST(IncrementalWarm, CancelledRepairThrowsAndLeavesSolverReusable) {
   const std::vector<Distance>& dist = inc.solve(vg, source);
   EXPECT_TRUE(inc.last_repair().full_solve);  // warm state was discarded
   EXPECT_EQ(dijkstra(vg.graph(), source).dist, dist);
+}
+
+TEST(IncrementalWarm, EngineFailureAfterTheWalkDiscardsTheWarmState) {
+  // The walk has stored re-priced bounds in the array by the time the
+  // engine runs; an engine that throws must leave the next solve cold.
+  struct ThrowingObserver : obs::RunObserver {
+    void on_termination(int /*tid*/) override {
+      throw std::runtime_error("observer failed");
+    }
+  } throwing;
+  VersionedGraph vg(comb());
+  IncrementalSolver inc(one_bucket_options());
+  (void)inc.solve(vg, 0);
+  GraphDelta jam;
+  jam.set_weight(190, 191, 30);
+  (void)vg.apply(jam);
+  inc.options().observer = &throwing;
+  EXPECT_THROW((void)inc.solve(vg, 0), std::runtime_error);
+
+  inc.options().observer = nullptr;
+  const std::vector<Distance>& dist = inc.solve(vg, 0);
+  EXPECT_TRUE(inc.last_repair().full_solve);
+  EXPECT_EQ(dijkstra(vg.graph(), 0).dist, dist);
 }
 
 TEST(IncrementalWarm, UidIsProcessUniqueAndMoveAware) {

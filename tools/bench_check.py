@@ -19,7 +19,8 @@ dyn_updates checks:
   * the top-level schema: bench == "dyn_updates", threads/batches/
     ops_per_batch positive, closures non-negative, a non-empty results
     list;
-  * per row: positive update/repair/full latencies, non-negative closures,
+  * per row: positive update/repair/full latencies, non-negative closures
+    and mean_repair_updates (engine updates per repair, the work count),
     compactions_per_batch == 0 (weight changes, closures and reopenings
     all stay in place), incremental_repairs + full_solves == batches, at
     least one incremental repair, and the correctness anchor exact ==
@@ -89,7 +90,8 @@ DYN_TOP_KEYS = {
 DYN_ROW_KEYS = {
     "graph", "algo", "batches", "ops_per_batch", "closures",
     "update_ms", "compactions_per_batch", "repair_ms", "full_ms", "speedup",
-    "mean_cone", "mean_seeds", "incremental_repairs", "full_solves", "exact",
+    "mean_cone", "mean_seeds", "mean_repair_updates", "incremental_repairs",
+    "full_solves", "exact",
 }
 
 
@@ -191,6 +193,8 @@ def check_dyn_report(report, min_gain, graph_filter, schema_only):
             fail(f"{name}: update/repair/full latencies must be positive")
         if row["closures"] < 0:
             fail(f"{name}: closures must be >= 0")
+        if row["mean_repair_updates"] < 0:
+            fail(f"{name}: mean_repair_updates must be >= 0")
         if row["compactions_per_batch"] != 0:
             fail(f"{name}: {row['compactions_per_batch']} compactions per "
                  f"batch, expected 0 ({row['closures']} closures per batch "
@@ -219,7 +223,8 @@ def check_dyn_report(report, min_gain, graph_filter, schema_only):
                  f"required {min_gain:.2f}x")
         print(f"bench_check: ok {name}: repair {row['repair_ms']:.3f}ms vs "
               f"full {row['full_ms']:.3f}ms ({row['speedup']:.2f}x), "
-              f"mean cone {row['mean_cone']:.0f}")
+              f"mean cone {row['mean_cone']:.0f}, "
+              f"{row['mean_repair_updates']:.0f} updates per repair")
     if checked == 0:
         fail(f"no rows matched graph filter {sorted(graph_filter)}")
 
