@@ -7,8 +7,8 @@
 // from-scratch answer before timing is trusted. The update itself (apply
 // plus graph(), which compacts when the graph is dirty) is timed apart
 // from the repair, with the compactions it ran. Beside the times, each row
-// counts the repair's work: cone and seed vertices and the engine's updates
-// per repair.
+// counts the repair's work: cone and seed vertices, the engine's updates
+// and the answer entries the publish wrote per repair.
 //
 // Besides the table, writes a machine-readable JSON report (default
 // BENCH_dyn.json; tools/bench_check.py validates it, and the ctest smoke
@@ -63,6 +63,10 @@ struct Row {
   /// repair's work as a count, not a time. Exact on one worker; a team
   /// repair's count varies with how its workers interleave.
   double mean_repair_updates = 0.0;
+  /// Answer entries the publish wrote per incremental repair
+  /// (RepairStats::published_entries): the previous and current change sets
+  /// on a recycled buffer, n plus the change set on a copy, n on a decode.
+  double mean_published_entries = 0.0;
   int incremental_repairs = 0;
   int inline_repairs = 0;  ///< repairs that ran on one worker
   int full_solves = 0;
@@ -102,13 +106,15 @@ void write_json(const std::string& path, int threads, int batches, int ops,
         "\"update_ms\": %.6f, \"compactions_per_batch\": %.3f, "
         "\"repair_ms\": %.6f, \"full_ms\": %.6f, "
         "\"speedup\": %.3f, \"mean_cone\": %.1f, \"mean_seeds\": %.1f, "
-        "\"mean_repair_updates\": %.1f, \"incremental_repairs\": %d, "
+        "\"mean_repair_updates\": %.1f, \"mean_published_entries\": %.1f, "
+        "\"incremental_repairs\": %d, "
         "\"inline_repairs\": %d, "
         "\"full_solves\": %d, \"exact\": %s}%s\n",
         r.graph.c_str(), r.algo.c_str(), r.batches, r.ops_per_batch,
         r.closures, r.update_ms, r.compactions_per_batch, r.repair_ms,
         r.full_ms, r.speedup, r.mean_cone, r.mean_seeds,
-        r.mean_repair_updates, r.incremental_repairs, r.inline_repairs,
+        r.mean_repair_updates, r.mean_published_entries,
+        r.incremental_repairs, r.inline_repairs,
         r.full_solves,
         r.exact ? "true" : "false", i + 1 < rows.size() ? "," : "");
     out << buf;
@@ -211,7 +217,7 @@ bool cone_sweep(suite::GraphClass cls, double scale, std::uint64_t seed,
       ctx.prefetch_lookahead = SsspOptions{}.prefetch_lookahead;
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
       Timer timer;
-      (void)wasp_sssp_seeded(g, seeds, delta, config, ctx, &log);
+      (void)wasp_sssp_seeded(g, seeds, delta, config, ctx, log);
       const double seconds = timer.seconds();
       if (dist.snapshot() != exact) exact_ok = false;
       return seconds;
@@ -315,6 +321,7 @@ int main(int argc, char** argv) {
   bench::print_cell("cone", 9);
   bench::print_cell("seeds", 9);
   bench::print_cell("updates", 9);
+  bench::print_cell("written", 9);
   bench::print_cell("inline", 8);
   bench::print_cell("check", 7);
   std::printf("\n");
@@ -358,6 +365,7 @@ int main(int argc, char** argv) {
     std::uint64_t cone_total = 0;
     std::uint64_t seed_total = 0;
     std::uint64_t update_total = 0;
+    std::uint64_t published_total = 0;
     for (int b = 0; b < batches; ++b) {
       // Traffic tick: half the arcs jam (weight x4, saturating at 8x the
       // base maximum), half settle back into the base weight range.
@@ -399,7 +407,7 @@ int main(int argc, char** argv) {
       update_times.push_back(ut.seconds());
 
       Timer rt;
-      const std::vector<Distance>& repaired = inc.solve(vg, source);
+      const Answer& repaired = inc.solve(vg, source);
       repair_times.push_back(rt.seconds());
       const RepairStats& rs = inc.last_repair();
       if (rs.full_solve) {
@@ -411,6 +419,7 @@ int main(int argc, char** argv) {
         seed_total += rs.seed_vertices;
         update_total += inc.solver().metrics().snapshot().counter(
             obs::CounterId::kUpdates);
+        published_total += rs.published_entries;
       }
 
       Timer ft;
@@ -433,6 +442,8 @@ int main(int argc, char** argv) {
         static_cast<double>(seed_total) / static_cast<double>(inc_count);
     row.mean_repair_updates =
         static_cast<double>(update_total) / static_cast<double>(inc_count);
+    row.mean_published_entries =
+        static_cast<double>(published_total) / static_cast<double>(inc_count);
     all_exact = all_exact && row.exact;
     rows.push_back(row);
 
@@ -451,6 +462,8 @@ int main(int argc, char** argv) {
     std::snprintf(cell, sizeof(cell), "%.0f", row.mean_seeds);
     bench::print_cell(cell, 9);
     std::snprintf(cell, sizeof(cell), "%.0f", row.mean_repair_updates);
+    bench::print_cell(cell, 9);
+    std::snprintf(cell, sizeof(cell), "%.0f", row.mean_published_entries);
     bench::print_cell(cell, 9);
     std::snprintf(cell, sizeof(cell), "%d/%d", row.inline_repairs,
                   row.incremental_repairs);

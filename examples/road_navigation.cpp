@@ -69,10 +69,9 @@ int main(int argc, char** argv) {
   options.delta = static_cast<wasp::Weight>(args.get_int("delta"));
 
   wasp::IncrementalSolver nav(options);
-  const std::vector<wasp::Distance>& dist = nav.solve(roads, depot);
+  (void)nav.solve(roads, depot);
   std::printf("one-to-all from depot %u: %.1f ms with %d threads (full solve)\n",
               depot, nav.last_repair().seconds * 1e3, options.threads);
-  (void)dist;  // refreshed in place by every nav.solve below
 
   const auto ticks = static_cast<int>(args.get_int("ticks"));
   const auto spikes = static_cast<int>(args.get_int("spikes"));
@@ -114,7 +113,7 @@ int main(int argc, char** argv) {
     }
 
     const std::uint64_t version = roads.apply(delta);
-    const std::vector<wasp::Distance>& repaired = nav.solve(roads, depot);
+    const wasp::Answer& repaired = nav.solve(roads, depot);
     const wasp::RepairStats& rs = nav.last_repair();
 
     const wasp::SsspResult reference = wasp::dijkstra(roads.graph(), depot);

@@ -37,6 +37,7 @@ const char* counter_name(CounterId id) {
     case CounterId::kSolverRebuilds: return "solver_rebuilds";
     case CounterId::kWatchdogCancels: return "watchdog_cancels";
     case CounterId::kRepairBatches: return "repair_batches";
+    case CounterId::kRepairRecycled: return "repair_recycled";
     case CounterId::kRepairConeVertices: return "repair_cone_vertices";
     case CounterId::kRepairSeedVertices: return "repair_seed_vertices";
     case CounterId::kGraphCompactions: return "graph_compactions";

@@ -58,6 +58,7 @@ enum class CounterId : std::uint8_t {
   kWatchdogCancels,        ///< overdue runs cancelled by the service watchdog
   // --- incremental repair (graph/delta.hpp + sssp/incremental.hpp) ---------
   kRepairBatches,      ///< delta batches repaired incrementally (not full)
+  kRepairRecycled,     ///< repairs patched into a buffer one publish behind
   kRepairConeVertices, ///< vertices re-priced in the increase cone
   kRepairSeedVertices, ///< warm seeds handed to wasp_sssp_seeded
   kGraphCompactions,   ///< VersionedGraph overlay compactions observed
@@ -77,7 +78,7 @@ enum class CounterId : std::uint8_t {
   kWorkerWakes,        ///< parked peers claimed and notified (push, exit,
                        ///< remote publish or quiescence vote)
 };
-inline constexpr std::size_t kNumCounters = 41;
+inline constexpr std::size_t kNumCounters = 42;
 
 enum class GaugeId : std::uint8_t {
   kMaxFrontier,  ///< largest synchronous-round frontier seen

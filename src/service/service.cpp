@@ -101,7 +101,6 @@ std::shared_future<QueryResult> QueryService::submit_impl(
     const Graph* graph, const VersionedGraph* vg, QueryRequest req) {
   req.validate();
 
-  std::shared_ptr<const std::vector<Distance>> cached;
   QueryResult r;
   {
     MutexLock lock(mu_);
@@ -131,24 +130,22 @@ std::shared_future<QueryResult> QueryService::submit_impl(
     // stored by a run at this version) is the answer; no solve, no queue.
     // Plain Graphs have no version, so they never take it; a request
     // already past its absolute deadline queues and expires as before.
-    if (vg != nullptr && req.deadline > Clock::now()) {
-      if (const CachedAnswer* hit = fresh_find_locked(*vg, req.source))
-        cached = hit->dist;
-    }
-    if (cached == nullptr) {
+    const CachedAnswer* hit = vg != nullptr && req.deadline > Clock::now()
+                                  ? fresh_find_locked(*vg, req.source)
+                                  : nullptr;
+    if (hit == nullptr) {
       const CacheKey key{vg != nullptr ? vg->uid() : g.stamp(), req.source};
       return enqueue_locked(g, vg, key, std::move(req));
     }
+    r.dist = hit->dist;  // shared: the entry's buffer, not a copy
     r.query_id = next_id_++;
     r.graph_version = vg->version();
     registry_.shard(0).inc(CId::kQueriesSubmitted);
     tenants_[req.tenant].submitted += 1;
     account_cached_locked(req.tenant);
   }
-  // The O(V) copy happens outside mu_; the shared_ptr keeps the answer
-  // alive even if an update() replaces the entry meanwhile.
+  // r.dist keeps the answer alive even if an update() replaces the entry.
   r.outcome = Outcome::kServed;
-  r.dist = *cached;
   std::promise<QueryResult> done;
   done.set_value(std::move(r));
   return done.get_future().share();
@@ -306,11 +303,12 @@ std::uint64_t QueryService::update(VersionedGraph& vg,
   // version instead of dropping them. vg is quiescent now — workers are
   // gated and concurrent updaters queue on the gate — so the repairer may
   // read it freely while submits and stats proceed under mu_. The cache
-  // takes the repairer's answer buffer itself: the repairer never writes a
-  // published buffer again, so readers still holding it are safe.
+  // takes the repairer's answer buffer itself: the repairer writes a buffer
+  // only after its last holder dropped it, so readers still holding one are
+  // safe.
   struct Repaired {
     VertexId source;
-    std::shared_ptr<const std::vector<Distance>> dist;
+    Answer dist;
     RepairStats stats;
   };
   std::vector<Repaired> repaired;
@@ -349,6 +347,7 @@ std::uint64_t QueryService::update(VersionedGraph& vg,
         it->second = CachedAnswer{std::move(r.dist), version};
       if (!r.stats.full_solve) {
         adm.inc(CId::kRepairBatches, r.stats.batches);
+        if (r.stats.recycled) adm.inc(CId::kRepairRecycled);
         adm.inc(CId::kRepairConeVertices, r.stats.cone_vertices);
         adm.inc(CId::kRepairSeedVertices, r.stats.seed_vertices);
       }
@@ -407,7 +406,7 @@ void QueryService::finish_unrun_locked(const Entry& e, Outcome outcome) {
   if (e->req.allow_stale) {
     if (const CachedAnswer* hit = cache_find_locked(*e)) {
       r.outcome = Outcome::kServedStale;
-      r.dist = *hit->dist;
+      r.dist = hit->dist;
       r.graph_version = hit->version;
     }
   }
@@ -448,9 +447,8 @@ void QueryService::account_locked(const std::string& tenant, Outcome outcome) {
   }
 }
 
-void QueryService::cache_store_locked(
-    const CacheKey& key, std::shared_ptr<const std::vector<Distance>> dist,
-    std::uint64_t version) {
+void QueryService::cache_store_locked(const CacheKey& key, Answer dist,
+                                      std::uint64_t version) {
   auto it = stale_.find(key);
   if (it == stale_.end() && stale_.size() >= config_.stale_cache_entries) {
     stale_.erase(stale_order_.front());
@@ -484,7 +482,7 @@ QueryResult QueryService::execute(Pending& q, int wid,
       SsspResult s = solver->solve(*q.graph, q.req.source);
       solver->options().cancel = nullptr;
       r.outcome = Outcome::kServed;
-      r.dist = std::move(s.dist);
+      r.dist = Answer(std::move(s.dist));
       r.graph_version = q.run_version;
       break;
     } catch (const SolveCancelledError& ex) {
@@ -496,17 +494,11 @@ QueryResult QueryService::execute(Pending& q, int wid,
       // an abnormal exit — quarantine and rebuild off this query's path.
       if (r.outcome == Outcome::kDeadlineExpired) quarantine = true;
       if (r.outcome == Outcome::kDeadlineExpired && q.req.allow_stale) {
-        std::shared_ptr<const std::vector<Distance>> stale;
-        {
-          MutexLock lock(mu_);
-          if (const CachedAnswer* hit = cache_find_locked(q)) {
-            stale = hit->dist;
-            r.graph_version = hit->version;
-          }
-        }
-        if (stale != nullptr) {  // copied outside mu_, as in submit()
+        MutexLock lock(mu_);
+        if (const CachedAnswer* hit = cache_find_locked(q)) {
           r.outcome = Outcome::kServedStale;
-          r.dist = *stale;
+          r.dist = hit->dist;
+          r.graph_version = hit->version;
         }
       }
       break;
@@ -548,7 +540,8 @@ void QueryService::worker_main(int wid) {
                            static_cast<std::uint64_t>(wid + 1))));
   for (;;) {
     Entry e;
-    std::shared_ptr<const std::vector<Distance>> cached;
+    bool fresh = false;  // served from an exactly current entry, no solve
+    Answer cached;
     {
       MutexLock lock(mu_);
       // Explicit predicate loop (not the lambda overload): TSA analyzes a
@@ -568,18 +561,19 @@ void QueryService::worker_main(int wid) {
             e->token->poll() ? nullptr
                              : fresh_find_locked(*e->versioned, e->req.source);
         if (hit != nullptr) {
+          fresh = true;
           cached = hit->dist;
           account_cached_locked(e->req.tenant);
         }
       }
-      if (cached == nullptr) running_[static_cast<std::size_t>(wid)] = e;
+      if (!fresh) running_[static_cast<std::size_t>(wid)] = e;
     }
-    if (cached != nullptr) {
+    if (fresh) {
       QueryResult r;
       r.query_id = e->id;
       r.queue_ms = ms_between(e->submitted, Clock::now());
       r.outcome = Outcome::kServed;
-      r.dist = *cached;
+      r.dist = std::move(cached);
       r.graph_version = e->run_version;
       e->promise.set_value(std::move(r));
       continue;
@@ -587,7 +581,6 @@ void QueryService::worker_main(int wid) {
 
     QueryResult r;
     bool quarantine = false;
-    std::shared_ptr<const std::vector<Distance>> to_cache;
     if (e->token->poll()) {
       // Fired while queued (deadline between watchdog ticks, or shutdown):
       // resolve without running.
@@ -598,16 +591,14 @@ void QueryService::worker_main(int wid) {
                       : Outcome::kCancelled;
     } else {
       r = execute(*e, wid, solver, rng, quarantine);
-      // The cache's copy of the answer is made here, not under mu_.
-      if (r.outcome == Outcome::kServed && config_.stale_cache_entries > 0)
-        to_cache = std::make_shared<const std::vector<Distance>>(r.dist);
     }
 
     {
       MutexLock lock(mu_);
       running_[static_cast<std::size_t>(wid)] = nullptr;
-      if (to_cache != nullptr)
-        cache_store_locked(e->key, std::move(to_cache), e->run_version);
+      // The cache shares the served answer's buffer with the client.
+      if (r.outcome == Outcome::kServed && config_.stale_cache_entries > 0)
+        cache_store_locked(e->key, r.dist, e->run_version);
       account_locked(e->req.tenant, r.outcome);
       // An update() may be waiting for the running set to drain.
       if (update_active_ && !any_running_locked()) update_cv_.notify_all();

@@ -63,6 +63,7 @@
 #include "graph/delta.hpp"
 #include "graph/graph.hpp"
 #include "obs/metrics.hpp"
+#include "sssp/answer.hpp"
 #include "sssp/common.hpp"
 #include "sssp/incremental.hpp"
 #include "sssp/solver.hpp"
@@ -124,7 +125,12 @@ struct QueryRequest {
 /// query resolves with a typed Outcome (only submit() itself throws).
 struct QueryResult {
   Outcome outcome = Outcome::kFailed;
-  std::vector<Distance> dist;  ///< filled for kServed / kServedStale
+  /// Filled for kServed / kServedStale. A shared, immutable buffer (no
+  /// copy): a cached answer is the cache's own buffer, and a served run's
+  /// answer becomes the cache's. For an answer update() repaired, dropping
+  /// the result lets the repairer rewrite the buffer into a later version
+  /// (sssp/incremental.hpp).
+  Answer dist;
   std::string error;           ///< what() of the terminal failure (kFailed)
   double queue_ms = 0.0;       ///< submit -> worker pickup (or terminal)
   double solve_ms = 0.0;       ///< worker pickup -> completion, all attempts
@@ -280,9 +286,10 @@ class QueryService {
 
   /// One cache value: the distances plus the graph version they were
   /// computed at (0 for plain Graphs), so min_graph_version can filter and
-  /// fresh_find_locked can tell an exactly current entry.
+  /// fresh_find_locked can tell an exactly current entry. Every hit shares
+  /// `dist` with its QueryResult.
   struct CachedAnswer {
-    std::shared_ptr<const std::vector<Distance>> dist;
+    Answer dist;
     std::uint64_t version = 0;
   };
 
@@ -314,11 +321,10 @@ class QueryService {
   /// Tenant + counter accounting for a terminal outcome. mu_ held.
   void account_locked(const std::string& tenant, Outcome outcome)
       WASP_REQUIRES(mu_);
-  /// Caches `dist` (built by the caller outside mu_) as key's answer at
-  /// `version`, evicting the oldest entry past stale_cache_entries. mu_
-  /// held.
-  void cache_store_locked(const CacheKey& key,
-                          std::shared_ptr<const std::vector<Distance>> dist,
+  /// Caches `dist` (shared, not copied) as key's answer at `version`,
+  /// evicting the oldest entry past stale_cache_entries, which must be
+  /// positive. mu_ held.
+  void cache_store_locked(const CacheKey& key, Answer dist,
                           std::uint64_t version) WASP_REQUIRES(mu_);
   /// A stale-cache hit for `q` satisfying its min_graph_version, or nullptr.
   [[nodiscard]] const CachedAnswer* cache_find_locked(const Pending& q) const

@@ -92,12 +92,19 @@ class AtomicDistances {
   }
 
   /// Copies distances out (result snapshot; call after the parallel phase).
-  /// Relaxed: called after the team joins, which orders all writes.
   [[nodiscard]] std::vector<Distance> snapshot() const {
-    std::vector<Distance> out(n_);
+    std::vector<Distance> out;
+    snapshot_into(out);
+    return out;
+  }
+
+  /// Decodes every entry into `out`, resized to size(); a buffer that
+  /// already has the size is overwritten in place, with no allocation.
+  /// Relaxed: called after the team joins, which orders all writes.
+  void snapshot_into(std::vector<Distance>& out) const {
+    out.resize(n_);
     for (std::size_t i = 0; i < n_; ++i)
       out[i] = decode(dist_[i].load(std::memory_order_relaxed));
-    return out;
   }
 
   /// O(1) logical reset of every entry to kInfDist. Call between parallel

@@ -1,7 +1,9 @@
 #include "sssp/incremental.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -10,6 +12,7 @@
 #include "graph/builder.hpp"
 #include "sssp/wasp.hpp"
 #include "support/errors.hpp"
+#include "support/thread_safety.hpp"
 #include "support/timer.hpp"
 
 namespace wasp {
@@ -18,18 +21,9 @@ namespace {
 
 using CId = obs::CounterId;
 
-/// A repair patches its previous answer while the cone plus the engine's
-/// log stay within n / kPatchShare entries; past that it decodes the whole
-/// array once. Patching costs a copy of the previous answer plus one
-/// scattered re-read per entry, decoding one pass over the atomic array. On
-/// a 4-vCPU Xeon VM (medians of 41, scattered entries, n = 102,400) a
-/// decode took 89 us, and patching n/64 entries took 21 us, n/8 44 us, n/4
-/// 81 us and n/2 129 us: the two cross near n/4. An eighth keeps a patch at
-/// about half a decode, which leaves room for the log's own cost (one
-/// append per lowering, repeats included). In perfbench's live_traffic,
-/// road ticks (cones of about 1,500 of 102,400 vertices) patch, and
-/// chain-forest ticks (cones of about 74,000 of 131,072) decode.
-constexpr std::size_t kPatchShare = 8;
+/// The tag of a buffer whose contents match no generation: never one
+/// behind any answer a repair patches.
+constexpr std::uint64_t kUntagged = std::numeric_limits<std::uint64_t>::max();
 
 [[noreturn]] void throw_cancelled(const CancelToken& token) {
   std::ostringstream os;
@@ -40,8 +34,77 @@ constexpr std::size_t kPatchShare = 8;
 
 }  // namespace
 
+/// Buffers whose last Answer was dropped, waiting for a repair to rewrite
+/// them. Every published answer's deleter holds the pool weakly and hands
+/// its buffer back from whichever thread dropped it; the mutex orders that
+/// thread's last reads before the repair's writes. Two buffers are enough
+/// for a reader that drops each answer within two publishes: the one a
+/// repair rewrites and the one that reader still holds.
+class IncrementalSolver::BufferPool {
+ public:
+  /// An answer's deleter: returns its buffer to the pool, or frees it when
+  /// the solver, and with it the pool, is gone.
+  struct Return {
+    std::weak_ptr<BufferPool> pool;
+    AnswerBuffer* buffer;
+
+    void operator()(const std::vector<Distance>* /*dist*/) const noexcept {
+      std::unique_ptr<AnswerBuffer> owned(buffer);
+      if (const std::shared_ptr<BufferPool> p = pool.lock())
+        p->put(std::move(owned));
+    }
+  };
+
+  /// Keeps `buffer` in a free slot, or in place of an older one; whichever
+  /// is left over is freed after the lock is released.
+  void put(std::unique_ptr<AnswerBuffer> buffer) noexcept {
+    MutexLock lock(mu_);
+    std::unique_ptr<AnswerBuffer>* oldest = &free_[0];
+    for (std::unique_ptr<AnswerBuffer>& slot : free_) {
+      if (slot == nullptr) {
+        oldest = &slot;
+        break;
+      }
+      if (slot->generation < (*oldest)->generation) oldest = &slot;
+    }
+    if (*oldest == nullptr || (*oldest)->generation < buffer->generation)
+      oldest->swap(buffer);
+  }
+
+  /// A free buffer, the one tagged `generation` if there is one; null when
+  /// the list is empty.
+  std::unique_ptr<AnswerBuffer> take(std::uint64_t generation) {
+    MutexLock lock(mu_);
+    std::unique_ptr<AnswerBuffer>* pick = nullptr;
+    for (std::unique_ptr<AnswerBuffer>& slot : free_) {
+      if (slot != nullptr &&
+          (pick == nullptr || slot->generation == generation))
+        pick = &slot;
+    }
+    return pick != nullptr ? std::move(*pick) : nullptr;
+  }
+
+ private:
+  Mutex mu_;
+  std::array<std::unique_ptr<AnswerBuffer>, 2> free_ WASP_GUARDED_BY(mu_);
+};
+
 IncrementalSolver::IncrementalSolver(SsspOptions options)
-    : solver_(std::move(options)) {}
+    : solver_(std::move(options)), pool_(std::make_shared<BufferPool>()) {}
+
+void IncrementalSolver::publish(std::unique_ptr<AnswerBuffer> buffer,
+                                bool changed_all) {
+  // Untagged until published: if the control block cannot be allocated,
+  // the deleter returns the buffer to the pool, where it must match no
+  // generation.
+  buffer->generation = kUntagged;
+  AnswerBuffer* raw = buffer.release();
+  std::shared_ptr<const std::vector<Distance>> shared(
+      &raw->dist, BufferPool::Return{pool_, raw});
+  raw->generation = ++generation_;
+  changed_all_ = changed_all;
+  answer_ = Answer(std::move(shared));
+}
 
 bool IncrementalSolver::warm_for(const VersionedGraph& vg, VertexId source) {
   if (bound_graph_ != &vg || bound_source_ != source) return false;
@@ -54,8 +117,7 @@ bool IncrementalSolver::warm_for(const VersionedGraph& vg, VertexId source) {
   // query through the solver bumps it).
   AtomicDistances* d = solver_.distances().current();
   return d != nullptr && d->size() == vg.num_vertices() &&
-         d->epoch() == bound_epoch_ && answer_ != nullptr &&
-         answer_->size() == vg.num_vertices();
+         d->epoch() == bound_epoch_ && answer_.size() == vg.num_vertices();
 }
 
 const Graph& IncrementalSolver::transpose_of(const Graph& g) {
@@ -66,8 +128,7 @@ const Graph& IncrementalSolver::transpose_of(const Graph& g) {
   return transpose_;
 }
 
-const std::vector<Distance>& IncrementalSolver::solve(VersionedGraph& vg,
-                                                      VertexId source) {
+const Answer& IncrementalSolver::solve(VersionedGraph& vg, VertexId source) {
   // uid, not address: the transpose cache below must also survive (only)
   // the graph object it was built from.
   const bool same_binding = bound_graph_ == &vg && bound_uid_ == vg.uid() &&
@@ -103,13 +164,14 @@ const std::vector<Distance>& IncrementalSolver::solve(VersionedGraph& vg,
   bound_version_ = vg.version();
   seen_compactions_ = vg.compactions();
   seen_compacted_arcs_ = vg.compacted_arcs();
-  return *answer_;
+  return answer_;
 }
 
 void IncrementalSolver::full_solve(const Graph& g, VertexId source) {
   SsspResult result = solver_.solve(g, source);
-  answer_ = std::make_shared<const std::vector<Distance>>(
-      std::move(result.dist));
+  auto buffer = std::make_unique<AnswerBuffer>();
+  buffer->dist = std::move(result.dist);
+  publish(std::move(buffer), /*changed_all=*/true);
   last_ = RepairStats{};
   last_.full_solve = true;
   last_.workers = solver_.team().size();
@@ -136,9 +198,8 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   opts.validate();
   CancelToken* cancel = opts.cancel;
   AtomicDistances& dist = *solver_.distances().current();
-  // The previous answer: the warm distances the cone walk reads, and the
-  // base the next answer patches.
-  const std::vector<Distance>& warm = *answer_;
+  // The previous answer: the warm distances the cone walk reads.
+  const std::span<const Distance> warm(answer_.data(), answer_.size());
 
   // The walk stores bounds into the atomic array, so any exit before the
   // new answer is published (cancel, engine failure, an allocation failure
@@ -363,32 +424,59 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   ctx.prefetch_lookahead = opts.prefetch_lookahead;
   ctx.cancel = cancel;
 
-  // A cone too wide to patch needs no log: the engine decodes the array.
-  const std::size_t patch_limit = n / kPatchShare;
-  LoweredLog* log = cone_.size() <= patch_limit ? &lowered_ : nullptr;
   const double walk_seconds = walk_timer.seconds();
   SsspResult result =
-      wasp_sssp_seeded(g, seeds_, opts.delta, opts.wasp, ctx, log);
+      wasp_sssp_seeded(g, seeds_, opts.delta, opts.wasp, ctx, lowered_);
   if (cancel != nullptr && cancel->cancel_requested()) throw_cancelled(*cancel);
 
-  // 5. Publish a new buffer; the previous answer stays as its holders saw
-  // it. Outside the cone and the log the array still holds the previous
-  // answer, so patching re-reads exactly the entries that may differ.
+  // 5. Publish into a free buffer; every earlier answer stays as its
+  // holders see it. Outside the cone and the log the array still holds the
+  // previous answer, and a buffer one publish behind differs from that
+  // only at the previous change set, so a patch re-reads exactly the
+  // entries that may differ.
   const Timer publish_timer;
-  const std::size_t lowered = log != nullptr ? lowered_.size() : 0;
-  const bool patch = log != nullptr && cone_.size() + lowered <= patch_limit;
-  if (patch) {
-    auto next = std::make_shared<std::vector<Distance>>(warm);
-    for (const VertexId c : cone_) (*next)[c] = dist.load(c);
-    for (int t = 0; t < lowered_.workers(); ++t) {
-      for (const VertexId v : lowered_.list(t)) (*next)[v] = dist.load(v);
-    }
-    answer_ = std::move(next);
+  const std::size_t lowered = lowered_.size();
+  const std::size_t current = cone_.size() + lowered;
+  const std::size_t limit = n / kPatchShare;
+  std::unique_ptr<AnswerBuffer> next = pool_->take(generation_ - 1);
+  const bool recycled = next != nullptr && !changed_all_ &&
+                        next->generation + 1 == generation_ &&
+                        changed_.size() + current <= limit;
+  const bool wide = !recycled && current > limit;
+  if (next == nullptr) next = std::make_unique<AnswerBuffer>();
+  std::vector<Distance>& out = next->dist;
+  std::uint64_t written = 0;
+  auto reread = [&](std::span<const VertexId> entries) {
+    for (const VertexId v : entries) out[v] = dist.load(v);
+    written += entries.size();
+  };
+  if (wide) {
+    dist.snapshot_into(out);
+    written = n;
   } else {
-    answer_ = std::make_shared<const std::vector<Distance>>(
-        log != nullptr ? dist.snapshot() : std::move(result.dist));
+    if (recycled) {
+      reread(changed_);
+    } else {
+      out.assign(answer_.begin(), answer_.end());
+      written = n;
+    }
+    reread(cone_);
+    for (int t = 0; t < lowered_.workers(); ++t) reread(lowered_.list(t));
   }
+  // This repair's change set, for the next one. A set past the limit is
+  // not kept: the next repair could not patch with it anyway.
+  changed_.clear();
+  const bool changed_all = current > limit;
+  if (!changed_all) {
+    changed_.insert(changed_.end(), cone_.begin(), cone_.end());
+    for (int t = 0; t < lowered_.workers(); ++t) {
+      const std::span<const VertexId> list = lowered_.list(t);
+      changed_.insert(changed_.end(), list.begin(), list.end());
+    }
+  }
+  publish(std::move(next), changed_all);
   guard.published = true;
+  if (recycled) shard.inc(CId::kRepairRecycled);
 
   bound_epoch_ = dist.epoch();
   last_ = RepairStats{};
@@ -398,7 +486,9 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   last_.cone_vertices = cone_.size();
   last_.seed_vertices = seeds_.size();
   last_.lowered = lowered;
-  last_.patched = patch;
+  last_.patched = !wide;
+  last_.recycled = recycled;
+  last_.published_entries = written;
   last_.cone_reset = reset;
   last_.workers = workers;
   last_.seconds = result.metrics.seconds;

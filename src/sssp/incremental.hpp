@@ -53,15 +53,28 @@
 //     thread alone: waking the Solver's team would cost more than the work
 //     it shares.
 //  5. Publish. The engine logs every vertex it lowers (LoweredLog), so the
-//     next answer is a copy of the previous one with the cone and the
-//     logged vertices re-read from the array: O(cone + lowered) decoding,
-//     not O(V). A wide repair, whose cone alone or cone plus log passes a
-//     fixed share of n, decodes the whole array once instead.
+//     repair's change set, the entries where the new answer may differ
+//     from the previous one, is its cone plus its log. The new answer goes
+//     into a recycled buffer (below). A buffer exactly one publish behind
+//     differs from the previous answer only at the previous change set, so
+//     re-reading that set and this one from the array makes it the new
+//     answer: O(previous + current change set), not O(V). Any other
+//     buffer first takes a copy of the previous answer and then this
+//     repair's change set. A wide repair, whose change set passes a fixed
+//     share of n, decodes the whole array into the buffer instead. A full
+//     solve publishes its own result and leaves the change set unknown.
 //
-// Answers are immutable: each solve() that changes the answer publishes a
-// new buffer, and answer() hands out a shared reference to it. A holder of
-// an earlier answer keeps reading its own version unchanged, so a cache
-// (QueryService) can keep the buffer itself instead of a copy.
+// Answers are immutable and shared (sssp/answer.hpp): each solve() that
+// changes the answer publishes a new one, and answer() hands out a
+// reference to its buffer, never a copy. A holder of an earlier answer
+// keeps reading its own version unchanged, so a cache (QueryService) and
+// its clients hold the repairer's buffer itself. When the last holder
+// drops a buffer, it returns to this solver's free list (at most two
+// buffers, each tagged with the publish generation of its contents), and a
+// later repair rewrites it. A reader that drops each answer within two
+// publishes thus keeps the patch path; one that keeps every answer makes
+// each repair copy the previous answer whole. A buffer released after its
+// solver is gone is simply freed.
 //
 // Anything that breaks the warm contract (first query, source change,
 // journal trimmed past our version, the underlying solver used for another
@@ -72,6 +85,7 @@
 // batch are bit-identical to a from-scratch solve.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -79,6 +93,7 @@
 
 #include "graph/delta.hpp"
 #include "graph/graph.hpp"
+#include "sssp/answer.hpp"
 #include "sssp/common.hpp"
 #include "sssp/solver.hpp"
 #include "sssp/wasp.hpp"
@@ -106,6 +121,25 @@ inline constexpr std::uint64_t kInlineRepairWork = 1024;
   return work < kInlineRepairWork ? 1 : team_size;
 }
 
+/// A repair publishes by re-reading entries from the array while the
+/// entries it re-reads stay within n / kPatchShare; past that it decodes
+/// the whole array into the buffer. A recycled buffer one publish behind
+/// re-reads the previous and the current change set; any other buffer
+/// copies the previous answer and re-reads the current set. Re-reading is
+/// one scattered decode per entry; a decode is one pass over the atomic
+/// array. Medians of 41 on a 4-vCPU Xeon VM (random entries, into a reused
+/// buffer, with and without an evicting 32 MB sweep before each run): at
+/// n = 102,400 a decode took 88 us warm and 148 us cold, and re-reading
+/// n/8 entries 26 / 59 us, n/4 49 / 95 us and n/2 113 / 151 us; at
+/// n = 131,072 a decode took 109 / 141 us, and n/8 42 / 84 us, n/4
+/// 87 / 143 us and n/2 181 / 236 us. A copy of the previous answer took
+/// 11-45 us. The two cross between n/4 and n/2, so a quarter keeps every
+/// patch at or below a decode (the copy path at n/4 reads 64-144 us). In
+/// perfbench's live_traffic, road ticks (change sets of about 1,700 of
+/// 102,400 vertices) patch, and chain-forest ticks (cones of about 74,000
+/// of 131,072) decode.
+inline constexpr std::size_t kPatchShare = 4;
+
 /// What the last solve() did, for observability and tests. The same numbers
 /// feed the kRepair* counters in the solver's MetricsRegistry.
 struct RepairStats {
@@ -114,12 +148,19 @@ struct RepairStats {
   std::uint64_t effects = 0;       ///< journaled arc effects replayed
   std::uint64_t cone_vertices = 0; ///< vertices the cone walk re-priced
   std::uint64_t seed_vertices = 0; ///< warm seeds handed to the engine
-  /// Entries the engine logged (LoweredLog; 0 when the cone alone was too
-  /// wide to log). Equals the run's kUpdates count when the log ran.
+  /// Entries the engine logged (LoweredLog), repeats included: the run's
+  /// kUpdates count.
   std::uint64_t lowered = 0;
-  /// The answer was published by patching the previous one; false when a
-  /// wide repair decoded the whole array instead.
+  /// The answer was published by patching entries into a buffer; false
+  /// when a wide repair decoded the whole array instead.
   bool patched = false;
+  /// The patched buffer was recycled exactly one publish behind, so only
+  /// the previous and this repair's change sets were rewritten.
+  bool recycled = false;
+  /// Entries the publish wrote into the new answer: the previous plus the
+  /// current change set when recycled; n plus the current change set for a
+  /// copy-then-patch; n for a decode. 0 on a full solve.
+  std::uint64_t published_entries = 0;
   /// A zero-weight tie let a head be priced from a stale tail, so the cone
   /// was stored at infinity instead of at its re-priced bounds.
   bool cone_reset = false;
@@ -151,20 +192,19 @@ class IncrementalSolver {
   /// Exact distances for (vg.graph(), source) at vg's current version.
   /// Compacts vg when dirty (the engine consumes the flat CSR), then either
   /// repairs the warm state through the journal or re-solves from scratch.
-  /// The returned reference is *answer(): valid until the next solve() call,
-  /// or for as long as a copy of answer() is held.
+  /// The returned reference is the solver's own answer, valid until the
+  /// next solve() call; a copy of it (or answer()) keeps the buffer for as
+  /// long as it is held.
   ///
   /// Cancellation: options().cancel is polled inside the cone walk and by
   /// the engine; a fired token discards the warm state (epoch bump) and
   /// throws SolveCancelledError, leaving the solver reusable.
-  const std::vector<Distance>& solve(VersionedGraph& vg, VertexId source);
+  const Answer& solve(VersionedGraph& vg, VertexId source);
 
-  /// The last solve()'s answer (null before the first). Never written
-  /// again: a later solve() that changes the answer publishes a new buffer,
-  /// and one with no new version returns this same buffer.
-  [[nodiscard]] std::shared_ptr<const std::vector<Distance>> answer() const {
-    return answer_;
-  }
+  /// The last solve()'s answer (empty before the first). Never written
+  /// while held: a later solve() that changes the answer publishes another
+  /// buffer, and one with no new version returns this same buffer.
+  [[nodiscard]] Answer answer() const { return answer_; }
 
   [[nodiscard]] const RepairStats& last_repair() const { return last_; }
 
@@ -181,6 +221,18 @@ class IncrementalSolver {
   void full_solve(const Graph& g, VertexId source);
   void repair(VersionedGraph& vg, const Graph& g, VertexId source,
               std::span<const ArcEffect> effects);
+
+  /// An answer's storage, tagged with the publish generation it holds.
+  struct AnswerBuffer {
+    std::vector<Distance> dist;
+    std::uint64_t generation = 0;
+  };
+  /// The free list released buffers return to (defined in incremental.cpp).
+  class BufferPool;
+  /// Publishes `buffer` as the next generation's answer. `changed_all`
+  /// says the change set since the previous answer is unknown; otherwise
+  /// it is changed_.
+  void publish(std::unique_ptr<AnswerBuffer> buffer, bool changed_all);
 
   /// In-neighbour view for a directed graph's boundary pass: a cached
   /// structural transpose, rebuilt only when a compaction signals
@@ -210,7 +262,15 @@ class IncrementalSolver {
   std::uint64_t seen_compacted_arcs_ = 0;
 
   /// The last exact answer (mirrors the array while the state is warm).
-  std::shared_ptr<const std::vector<Distance>> answer_;
+  Answer answer_;
+  /// Publishes so far: answer_ holds generation_.
+  std::uint64_t generation_ = 0;
+  /// The entries where answer_ may differ from generation_ - 1 (cone plus
+  /// log, repeats included), unless changed_all_.
+  std::vector<VertexId> changed_;
+  bool changed_all_ = true;
+  /// Released buffers; each answer's deleter holds it weakly.
+  std::shared_ptr<BufferPool> pool_;
 
   /// A journaled increase of the arc (tail, head). An admissible one makes
   /// `head` a cone head, priced from `tail`.

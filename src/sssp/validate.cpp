@@ -7,7 +7,7 @@
 namespace wasp {
 
 bool distances_equal(const std::vector<Distance>& expected,
-                     const std::vector<Distance>& got, std::string* message) {
+                     std::span<const Distance> got, std::string* message) {
   if (expected.size() != got.size()) {
     if (message != nullptr) {
       std::ostringstream os;

@@ -4,6 +4,7 @@
 // by an in-edge).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -13,9 +14,15 @@
 namespace wasp {
 
 /// Compares `got` against `expected` element-wise; on mismatch fills
-/// `message` with the first offending vertex and returns false.
+/// `message` with the first offending vertex and returns false. `got` may
+/// be any contiguous view, an Answer (sssp/answer.hpp) included.
 bool distances_equal(const std::vector<Distance>& expected,
-                     const std::vector<Distance>& got, std::string* message);
+                     std::span<const Distance> got, std::string* message);
+inline bool distances_equal(const std::vector<Distance>& expected,
+                            const std::vector<Distance>& got,
+                            std::string* message) {
+  return distances_equal(expected, std::span<const Distance>(got), message);
+}
 
 /// Checks the SSSP fixed-point conditions directly on the graph:
 ///  * dist[source] == 0,

@@ -121,7 +121,7 @@ struct WaspShared {
   const WaspConfig& config;
   RunContext& ctx;  ///< metrics shards, trace recorder, observer
   const GraphPartition* part;  ///< null for a one-fragment run
-  LoweredLog* log;  ///< a seeded run's record of what it lowered, or null
+  LoweredLog* log;  ///< a seeded run's record of what it lowered; null cold
   std::vector<FragmentView> views;  ///< fragment -> view
   int num_workers;
   std::vector<int> frag_of;               ///< worker -> fragment
@@ -373,8 +373,8 @@ class WaspWorker {
     return prune_leaves_ && out_degree(v) <= leaf_degree_;
   }
 
-  /// This worker's relax_to just lowered v: a seeded run with a log records
-  /// it (LoweredLog). Called before the leaf test, since a pruned leaf's
+  /// This worker's relax_to just lowered v: a seeded run records it
+  /// (LoweredLog). Called before the leaf test, since a pruned leaf's
   /// distance changed too.
   void note_lowered(VertexId v) {
     if (log_ != nullptr) log_->append(tid_, v);
@@ -1119,14 +1119,15 @@ void launch(WaspShared<ChunkT>& shared, std::span<const VertexId> seeds,
 }
 
 /// The one engine entry behind wasp_sssp and wasp_sssp_seeded. A cold run
-/// plants `seeds` (the source) at distance 0 in fresh distances; a warm run
-/// plants them at the bounds the caller pre-loaded into ctx.dist, always as
-/// one fragment. A warm run with `log` records what it lowers there and
-/// leaves result.dist empty.
+/// (no `log`) plants `seeds` (the source) at distance 0 in fresh distances
+/// and decodes them into result.dist. A warm run plants them at the bounds
+/// the caller pre-loaded into ctx.dist, always as one fragment, records
+/// what it lowers in `log` and leaves result.dist empty.
 template <typename ChunkT>
-SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds, bool cold,
+SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds,
                     Weight delta, const WaspConfig& config, RunContext& ctx,
                     LoweredLog* log) {
+  const bool cold = log == nullptr;
   const int p = ctx.team.size();
   std::shared_ptr<const NumaTopology> topo = config.topology;
   if (!topo) topo = std::make_shared<NumaTopology>(NumaTopology::detect());
@@ -1153,7 +1154,7 @@ SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds, bool cold,
   const GraphPartition* part = frags != nullptr ? &frags->partition : nullptr;
   const int f_count = part != nullptr ? part->num_fragments() : 1;
 
-  if (log != nullptr) log->reset(p);
+  if (!cold) log->reset(p);
   WaspShared<ChunkT> shared(g, delta, config, ctx, part, log, f_count, p,
                             *topo, cpu_of);
   if (part == nullptr) {
@@ -1214,9 +1215,9 @@ SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds, bool cold,
   SsspResult result;
   if (std::all_of(min_level.begin(), min_level.end(),
                   [](std::uint64_t l) { return l == kInfPriority; })) {
-    // Nothing to repair: report the warm bounds as-is, zero parallel work.
+    // Only a warm run gets here (a cold seed sits at 0): nothing to repair,
+    // the bounds stand as they are, zero parallel work, an empty log.
     finalize_result(ctx, 0.0, result);
-    if (log == nullptr) result.dist = shared.views[0].dist->snapshot();
     return result;
   }
   for (int t = 0; t < p; ++t) {
@@ -1231,7 +1232,7 @@ SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds, bool cold,
     launch<ChunkT, true>(shared, seeds, cold);
   }
   finalize_result(ctx, timer.seconds(), result);
-  if (log != nullptr) return result;  // the caller patches from the log
+  if (!cold) return result;  // the caller patches from the log
   if (part == nullptr) {
     result.dist = shared.views[0].dist->snapshot();
   } else {
@@ -1246,22 +1247,20 @@ SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds, bool cold,
 
 /// The chunk capacity is a compile-time property (paper §4.3: "chosen at
 /// compilation time"); dispatch to the instantiations we ship.
-SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds, bool cold,
+SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds,
                     Weight delta, const WaspConfig& config, RunContext& ctx,
                     LoweredLog* log) {
   switch (config.chunk_capacity) {
     case 16:
-      return run_wasp<BasicChunk<16>>(g, seeds, cold, delta, config, ctx, log);
+      return run_wasp<BasicChunk<16>>(g, seeds, delta, config, ctx, log);
     case 32:
-      return run_wasp<BasicChunk<32>>(g, seeds, cold, delta, config, ctx, log);
+      return run_wasp<BasicChunk<32>>(g, seeds, delta, config, ctx, log);
     case 64:
-      return run_wasp<BasicChunk<64>>(g, seeds, cold, delta, config, ctx, log);
+      return run_wasp<BasicChunk<64>>(g, seeds, delta, config, ctx, log);
     case 128:
-      return run_wasp<BasicChunk<128>>(g, seeds, cold, delta, config, ctx,
-                                       log);
+      return run_wasp<BasicChunk<128>>(g, seeds, delta, config, ctx, log);
     case 256:
-      return run_wasp<BasicChunk<256>>(g, seeds, cold, delta, config, ctx,
-                                       log);
+      return run_wasp<BasicChunk<256>>(g, seeds, delta, config, ctx, log);
     default:
       throw InvalidOptionsError(
           "wasp: chunk_capacity must be one of 16, 32, 64, 128, 256");
@@ -1272,18 +1271,18 @@ SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds, bool cold,
 
 SsspResult wasp_sssp(const Graph& g, VertexId source, Weight delta,
                      const WaspConfig& config, RunContext& ctx) {
-  return run_wasp(g, std::span<const VertexId>(&source, 1), /*cold=*/true,
-                  delta, config, ctx, /*log=*/nullptr);
+  return run_wasp(g, std::span<const VertexId>(&source, 1), delta, config,
+                  ctx, /*log=*/nullptr);
 }
 
 SsspResult wasp_sssp_seeded(const Graph& g, std::span<const VertexId> seeds,
                             Weight delta, const WaspConfig& config,
-                            RunContext& ctx, LoweredLog* log) {
+                            RunContext& ctx, LoweredLog& log) {
   if (ctx.dist == nullptr || ctx.dist->size() != g.num_vertices())
     throw InvalidOptionsError(
         "wasp_sssp_seeded: ctx.dist must be pre-loaded with warm bounds "
         "sized to the graph");
-  return run_wasp(g, seeds, /*cold=*/false, delta, config, ctx, log);
+  return run_wasp(g, seeds, delta, config, ctx, &log);
 }
 
 }  // namespace wasp

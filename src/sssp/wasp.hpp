@@ -138,13 +138,12 @@ SsspResult wasp_sssp(const Graph& g, VertexId source, Weight delta,
 /// returns the current bounds unchanged. The run is always one fragment
 /// over ctx.dist. Same knob contract as wasp_sssp.
 ///
-/// Without `log`, result.dist is a decoded copy of the whole array. With
-/// `log`, the run clears it to one list per worker, records every vertex it
-/// lowers there, and skips that O(V) decode: result.dist stays empty and
-/// the answer is ctx.dist itself, which differs from the pre-loaded bounds
-/// exactly at the logged vertices.
+/// The run clears `log` to one list per worker and records every vertex it
+/// lowers there. It decodes nothing: result.dist stays empty and the answer
+/// is ctx.dist itself, which differs from the pre-loaded bounds exactly at
+/// the logged vertices.
 SsspResult wasp_sssp_seeded(const Graph& g, std::span<const VertexId> seeds,
                             Weight delta, const WaspConfig& config,
-                            RunContext& ctx, LoweredLog* log = nullptr);
+                            RunContext& ctx, LoweredLog& log);
 
 }  // namespace wasp

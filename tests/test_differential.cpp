@@ -24,6 +24,7 @@
 #include <iterator>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -414,7 +415,7 @@ void check(const Case& c) {
                        options.threads);
   if (c.chaos_policy != 0) options.chaos = &engine;
   IncrementalSolver inc(options);
-  const auto expect_exact = [&](const std::vector<Distance>& got,
+  const auto expect_exact = [&](std::span<const Distance> got,
                                 const std::string& when) {
     std::string why;
     if (distances_equal(dijkstra(vg.graph(), source).dist, got, &why)) return;
@@ -446,7 +447,7 @@ void check(const Case& c) {
     const GraphDelta delta = next_batch(vg, c.stream, rng, closed);
     if (delta.empty()) continue;
     (void)vg.apply(delta);
-    const std::vector<Distance>& got = inc.solve(vg, source);
+    const Answer& got = inc.solve(vg, source);
     if (!inc.last_repair().full_solve) ++repairs;
     expect_exact(got, "after batch " + std::to_string(b));
   }

@@ -2,7 +2,8 @@
 // sssp/incremental.hpp). The correctness anchor, bit-identical distances vs
 // a from-scratch solve after every batch of every stream kind, is the
 // delta-stream axis of test_differential.cpp. This file pins the published
-// answers (patched from the engine's log, never rewritten), the re-priced
+// answers (patched from the engine's log, never rewritten while held,
+// recycled once released), the re-priced
 // repair cone (its work, nested heads, the zero-weight fallback and the
 // cone's own seeds), the VersionedGraph contract
 // (atomic validation, journal semantics, compaction on demand), every
@@ -13,10 +14,12 @@
 // graph's current uid and version).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -147,7 +150,8 @@ GraphDelta random_batch(const VersionedGraph& vg, Mode mode, Xoshiro256& rng,
   return delta;
 }
 
-// --- published answers: patched from the engine's log, never rewritten ----
+// --- published answers: patched from the engine's log, never rewritten
+// --- while held -------------------------------------------------------------
 
 /// kUpdates of the repairer's last run (the registry is reset per repair).
 std::uint64_t run_updates(IncrementalSolver& inc) {
@@ -155,20 +159,17 @@ std::uint64_t run_updates(IncrementalSolver& inc) {
 }
 
 /// The checks every published repair must pass: the answer is exact, it is
-/// what the warm array holds, and when the engine logged, the log holds
-/// every lowering of the run.
+/// what the warm array holds, and the log holds every lowering of the run.
 void expect_published_answer(IncrementalSolver& inc, const Graph& g,
                              VertexId source, const std::string& what) {
-  const auto answer = inc.answer();
-  ASSERT_NE(answer, nullptr) << what;
-  EXPECT_EQ(dijkstra(g, source).dist, *answer) << what;
+  const Answer answer = inc.answer();
+  ASSERT_FALSE(answer.empty()) << what;
+  EXPECT_EQ(dijkstra(g, source).dist, answer) << what;
   const AtomicDistances* warm = inc.solver().distances().current();
   ASSERT_NE(warm, nullptr) << what;
-  EXPECT_EQ(warm->snapshot(), *answer) << what;
+  EXPECT_EQ(warm->snapshot(), answer) << what;
   const RepairStats& rs = inc.last_repair();
-  // A repair logs unless its cone alone is too wide; a patched answer
-  // always had the log.
-  if (!rs.full_solve && (rs.patched || rs.lowered > 0)) {
+  if (!rs.full_solve) {
     EXPECT_EQ(rs.lowered, run_updates(inc)) << what;
   }
 }
@@ -187,9 +188,7 @@ TEST(IncrementalAnswer, RepairsPublishExactImmutableAnswers) {
       (void)inc.solve(vg, source);
 
       // Every answer published so far, with its version's reference.
-      std::vector<std::pair<std::shared_ptr<const std::vector<Distance>>,
-                            std::vector<Distance>>>
-          held;
+      std::vector<std::pair<Answer, std::vector<Distance>>> held;
       held.emplace_back(inc.answer(), dijkstra(vg.graph(), source).dist);
       Xoshiro256 rng(0xA75ULL + name.size() * 31 +
                      static_cast<std::uint64_t>(mode));
@@ -197,9 +196,9 @@ TEST(IncrementalAnswer, RepairsPublishExactImmutableAnswers) {
         const GraphDelta delta = random_batch(vg, mode, rng, 6);
         if (delta.empty()) continue;
         (void)vg.apply(delta);
-        const std::vector<Distance>& returned = inc.solve(vg, source);
+        const Answer& returned = inc.solve(vg, source);
         const std::string what = name + " batch " + std::to_string(b);
-        EXPECT_EQ(&returned, inc.answer().get()) << what;
+        EXPECT_EQ(returned.data(), inc.answer().data()) << what;
         expect_published_answer(inc, vg.graph(), source, what);
         const RepairStats& rs = inc.last_repair();
         if (!rs.full_solve) {
@@ -212,13 +211,13 @@ TEST(IncrementalAnswer, RepairsPublishExactImmutableAnswers) {
         }
 
         // No new version: the same buffer again, not a copy.
-        const auto before = inc.answer();
-        EXPECT_EQ(inc.solve(vg, source).data(), before->data()) << what;
-        EXPECT_EQ(inc.answer(), before) << what;
+        const Answer before = inc.answer();
+        EXPECT_EQ(inc.solve(vg, source).data(), before.data()) << what;
+        EXPECT_EQ(inc.answer().data(), before.data()) << what;
 
         held.emplace_back(inc.answer(), dijkstra(vg.graph(), source).dist);
         for (std::size_t i = 0; i < held.size(); ++i)
-          ASSERT_EQ(held[i].second, *held[i].first)
+          ASSERT_EQ(held[i].second, held[i].first)
               << what << ": answer " << i << " was written after publishing";
       }
     }
@@ -273,13 +272,17 @@ TEST(IncrementalAnswer, ManySeedsRepairOnTheTeamWithTheLog) {
 }
 
 /// Undirected path 0-1-...-199 (weight 3) with a pendant leaf 200 on vertex
-/// 195, for repairs from source 0. An eighth of its 201 vertices is 25, so
+/// 195, for repairs from source 0. A quarter of its 201 vertices is 50, so
 /// a change near the far end is patched and one near the source is not.
-Graph comb() {
+/// A longer `path` keeps the pendant five vertices from the end.
+Graph comb(VertexId path = 200) {
   std::vector<Edge> edges;
-  for (VertexId u = 0; u + 1 < 200; ++u) edges.push_back(Edge{u, u + 1, 3});
-  edges.push_back(Edge{195, 200, 3});
-  return GraphBuilder().edges(201, std::move(edges)).undirected(true).build();
+  for (VertexId u = 0; u + 1 < path; ++u) edges.push_back(Edge{u, u + 1, 3});
+  edges.push_back(Edge{path - 5, path, 3});
+  return GraphBuilder()
+      .edges(path + 1, std::move(edges))
+      .undirected(true)
+      .build();
 }
 
 /// One thread and one bucket, so the repair's order is fixed: the seeds are
@@ -345,13 +348,14 @@ TEST(IncrementalAnswer, DecreasePatchesASeedLoweredByItsPull) {
   EXPECT_TRUE(rs.patched);
 }
 
-TEST(IncrementalAnswer, WideConeDecodesWithoutALog) {
+TEST(IncrementalAnswer, WideConeDecodesTheWholeArray) {
   GraphDelta cut;
-  cut.erase(10, 11);  // a cone of 190 > 25
+  cut.erase(10, 11);  // a cone of 190 > 50
   const RepairStats rs = repair_comb(cut);
   EXPECT_EQ(rs.cone_vertices, 190u);
   EXPECT_EQ(rs.lowered, 0u);
   EXPECT_FALSE(rs.patched);
+  EXPECT_EQ(rs.published_entries, 201u);
 }
 
 TEST(IncrementalAnswer, WideLogDecodesAfterLogging) {
@@ -359,8 +363,160 @@ TEST(IncrementalAnswer, WideLogDecodesAfterLogging) {
   drop.set_weight(10, 11, 1);  // no cone, but 190 vertices lowered
   const RepairStats rs = repair_comb(drop);
   EXPECT_EQ(rs.cone_vertices, 0u);
-  EXPECT_GT(rs.lowered, 25u);
+  EXPECT_GT(rs.lowered, 50u);
   EXPECT_FALSE(rs.patched);
+}
+
+// --- recycled buffers: a released answer is rewritten, a held one never ---
+
+/// What a repair that patched the buffer one publish behind writes: the
+/// previous repair's change set and its own.
+std::uint64_t two_change_sets(const RepairStats& previous,
+                              const RepairStats& current) {
+  return previous.cone_vertices + previous.lowered + current.cone_vertices +
+         current.lowered;
+}
+
+TEST(IncrementalAnswer, HeldAnswersStayExactWhileReleasedOnesAreRecycled) {
+  // A reader keeps each published answer for 0 to 6 further publishes
+  // (cycling) and then drops it. Every answer it still holds must read as
+  // its own version's reference. A patched repair whose buffer one publish
+  // behind was released rewrites only the two change sets (while they fit
+  // the patch limit); one whose buffer is still held copies the previous
+  // answer whole.
+  VersionedGraph vg(gen::grid(64, 64, WeightScheme::uniform(1, 100), 37));
+  const VertexId source = pick_source(vg);
+  const std::uint64_t n = vg.num_vertices();
+  IncrementalSolver inc(test_options());
+  (void)inc.solve(vg, source);
+
+  struct Held {
+    Answer answer;
+    std::vector<Distance> reference;
+    int published;  ///< index of the publish that made it
+    int until;      ///< dropped once this many publishes have happened
+  };
+  // A hold of 2 followed by a longer one releases a buffer two publishes
+  // behind while the one a single publish behind is still held.
+  constexpr int kHold[] = {0, 2, 3, 1, 6, 0, 2, 2};
+  std::vector<Held> held;
+  held.push_back({inc.answer(), dijkstra(vg.graph(), source).dist, 0, 1});
+  RepairStats previous = inc.last_repair();
+  int publishes = 0;
+  int recycled = 0;
+  int copied = 0;
+  int longest = 0;
+  Xoshiro256 rng(0x4E1DULL);
+  for (int b = 0; b < 48; ++b) {
+    const GraphDelta delta = random_batch(vg, Mode::kMixed, rng, 2);
+    if (delta.empty()) continue;
+    (void)vg.apply(delta);
+    const bool behind_held =
+        std::any_of(held.begin(), held.end(), [&](const Held& h) {
+          return h.published == publishes - 1;
+        });
+    (void)inc.solve(vg, source);
+    ++publishes;
+    const std::string what = "batch " + std::to_string(b);
+    expect_published_answer(inc, vg.graph(), source, what);
+    const RepairStats rs = inc.last_repair();
+    ASSERT_FALSE(rs.full_solve) << what;
+    if (rs.patched && previous.patched && !behind_held &&
+        two_change_sets(previous, rs) <= n / kPatchShare) {
+      EXPECT_TRUE(rs.recycled) << what;
+      EXPECT_EQ(rs.published_entries, two_change_sets(previous, rs)) << what;
+      ++recycled;
+    } else if (rs.patched) {
+      EXPECT_FALSE(rs.recycled) << what;
+      EXPECT_EQ(rs.published_entries, n + rs.cone_vertices + rs.lowered)
+          << what;
+      ++copied;
+    }
+    previous = rs;
+
+    const int hold = kHold[publishes % std::size(kHold)];
+    held.push_back({inc.answer(), dijkstra(vg.graph(), source).dist,
+                    publishes, publishes + hold});
+    std::erase_if(held, [&](const Held& h) {
+      if (h.until > publishes) return false;
+      longest = std::max(longest, publishes - h.published);
+      return true;
+    });
+    for (const Held& h : held) {
+      ASSERT_EQ(h.reference, h.answer)
+          << what << ": answer " << h.published << " changed while held";
+    }
+  }
+  EXPECT_GE(longest, 6);
+  EXPECT_GT(recycled, 0);
+  EXPECT_GT(copied, 0);
+}
+
+TEST(IncrementalAnswer, AnswersOutliveTheirSolver) {
+  // Answers keep their buffers after the solver is gone; dropping them
+  // then frees the buffers instead of returning them to its free list.
+  VersionedGraph vg(comb());
+  std::vector<Answer> kept;
+  {
+    IncrementalSolver inc(one_bucket_options());
+    kept.push_back(inc.solve(vg, 0));
+    GraphDelta drop;
+    drop.set_weight(196, 197, 1);
+    (void)vg.apply(drop);
+    kept.push_back(inc.solve(vg, 0));
+    ASSERT_FALSE(inc.last_repair().full_solve);
+  }
+  EXPECT_EQ(dijkstra(vg.graph(), 0).dist, kept.back());
+  EXPECT_NE(kept.front(), kept.back());
+  kept.clear();
+}
+
+TEST(IncrementalAnswer, RecycledRepairWritesTheTwoChangeSetsAtAnyN) {
+  // Drops near the far end of a comb lower the same few vertices at any
+  // length. The first repair after the full solve copies the answer (n
+  // plus its change set); each later one patches the buffer one publish
+  // behind with only the two change sets, so the same repairs write the
+  // same entries at n = 201 and 2,001, and a repair that changes nothing
+  // writes just the previous change set.
+  std::vector<std::uint64_t> written[2];
+  for (int i = 0; i < 2; ++i) {
+    const VertexId path = i == 0 ? 200 : 2000;
+    VersionedGraph vg(comb(path));
+    IncrementalSolver inc(one_bucket_options());
+    (void)inc.solve(vg, 0);
+    GraphDelta first;
+    first.set_weight(path - 4, path - 3, 2);
+    GraphDelta second;
+    second.set_weight(path - 2, path - 1, 1);
+    GraphDelta nothing;
+    nothing.insert(0, 2, 100);  // seeds 0 and 2, lowers nothing
+    RepairStats previous;
+    int k = 0;
+    for (const GraphDelta* batch : {&first, &second, &nothing}) {
+      const std::string what =
+          "n " + std::to_string(path + 1) + " repair " + std::to_string(k);
+      (void)vg.apply(*batch);
+      (void)inc.solve(vg, 0);
+      expect_published_answer(inc, vg.graph(), 0, what);
+      const RepairStats rs = inc.last_repair();
+      ASSERT_TRUE(rs.patched) << what;
+      EXPECT_EQ(rs.recycled, k > 0) << what;
+      if (k == 0) {
+        EXPECT_EQ(rs.published_entries,
+                  path + 1 + rs.cone_vertices + rs.lowered)
+            << what;
+      } else {
+        EXPECT_EQ(rs.published_entries, two_change_sets(previous, rs))
+            << what;
+        written[i].push_back(rs.published_entries);
+      }
+      previous = rs;
+      ++k;
+    }
+    EXPECT_EQ(previous.cone_vertices + previous.lowered, 0u);
+  }
+  EXPECT_EQ(written[0], written[1]);
+  EXPECT_GT(written[0].front(), 0u);
 }
 
 // --- re-priced cones: each cone vertex keeps its old tree path's price ---
@@ -497,7 +653,7 @@ TEST(IncrementalReprice, ZeroWeightTieResetsTheConeToInfinity) {
     jams.set_weight(2, 1, 1);
     repair_after(inc, vg, 0, {jams}, name);
     EXPECT_TRUE(inc.last_repair().cone_reset) << name;
-    EXPECT_EQ(inc.answer()->at(1), 51u) << name;
+    EXPECT_EQ(inc.answer()[1], 51u) << name;
   }
 }
 
@@ -530,7 +686,7 @@ TEST(IncrementalReprice, DetourThroughALighterConeIsSeeded) {
     const RepairStats& rs = inc.last_repair();
     EXPECT_EQ(rs.cone_vertices, 5u) << name;
     EXPECT_FALSE(rs.cone_reset) << name;
-    EXPECT_EQ(inc.answer()->at(1), 9u) << name;
+    EXPECT_EQ(inc.answer()[1], 9u) << name;
   }
 }
 
@@ -1025,7 +1181,7 @@ TEST(IncrementalDelta, DirectedCloseReopenRepairsMatchAColdSolve) {
       delta.insert(a.u, a.e.dst, w);
     }
     (void)vg.apply(delta);
-    const std::vector<Distance>& repaired = inc.solve(vg, source);
+    const Answer& repaired = inc.solve(vg, source);
     if (!inc.last_repair().full_solve) ++repairs;
     ASSERT_EQ(cold.solve(rebuilt_csr(vg), source).dist, repaired)
         << "batch " << b;
@@ -1055,10 +1211,10 @@ TEST(IncrementalDelta, JournalTrimRaisesTheFloor) {
 TEST(IncrementalWarm, UnchangedVersionIsServedWithoutResolving) {
   VersionedGraph vg(make_shape("er"));
   IncrementalSolver inc(test_options());
-  const std::vector<Distance> first = inc.solve(vg, 3);
+  const Answer first = inc.solve(vg, 3);
   EXPECT_TRUE(inc.last_repair().full_solve);
 
-  const std::vector<Distance>& again = inc.solve(vg, 3);
+  const Answer& again = inc.solve(vg, 3);
   EXPECT_FALSE(inc.last_repair().full_solve);
   EXPECT_EQ(inc.last_repair().batches, 0u);
   EXPECT_EQ(first, again);
@@ -1068,7 +1224,7 @@ TEST(IncrementalWarm, SourceChangeFallsBackToFullSolve) {
   VersionedGraph vg(make_shape("er"));
   IncrementalSolver inc(test_options());
   (void)inc.solve(vg, 3);
-  const std::vector<Distance>& other = inc.solve(vg, 7);
+  const Answer& other = inc.solve(vg, 7);
   EXPECT_TRUE(inc.last_repair().full_solve);
   EXPECT_EQ(dijkstra(vg.graph(), 7).dist, other);
 }
@@ -1083,7 +1239,7 @@ TEST(IncrementalWarm, JournalTrimForcesFullSolve) {
   GraphDelta d;
   d.set_weight(0, 1, 77);
   (void)vg.apply(d);
-  const std::vector<Distance>& dist = inc.solve(vg, source);
+  const Answer& dist = inc.solve(vg, source);
   EXPECT_TRUE(inc.last_repair().full_solve);
   EXPECT_EQ(dijkstra(vg.graph(), source).dist, dist);
 }
@@ -1098,7 +1254,7 @@ void expect_jam_seeds_only_source(Graph graph, VertexId src, VertexId dst,
   GraphDelta jam;
   jam.set_weight(src, dst, 50);
   (void)vg.apply(jam);
-  const std::vector<Distance>& dist = inc.solve(vg, src);
+  const Answer& dist = inc.solve(vg, src);
   EXPECT_FALSE(inc.last_repair().full_solve);
   EXPECT_EQ(inc.last_repair().cone_vertices, cone);
   EXPECT_EQ(inc.last_repair().seed_vertices, 1u);
@@ -1145,7 +1301,7 @@ TEST(IncrementalWarm, ForeignSolverUseColdsTheWarmState) {
   while (batch.empty()) batch = random_batch(vg, Mode::kMixed, rng, 4);
   (void)vg.apply(batch);
 
-  const std::vector<Distance>& dist = inc.solve(vg, source);
+  const Answer& dist = inc.solve(vg, source);
   EXPECT_TRUE(inc.last_repair().full_solve);
   EXPECT_EQ(dijkstra(vg.graph(), source).dist, dist);
 }
@@ -1165,7 +1321,7 @@ TEST(IncrementalWarm, CancelledRepairThrowsAndLeavesSolverReusable) {
   EXPECT_THROW((void)inc.solve(vg, source), SolveCancelledError);
 
   inc.options().cancel = nullptr;
-  const std::vector<Distance>& dist = inc.solve(vg, source);
+  const Answer& dist = inc.solve(vg, source);
   EXPECT_TRUE(inc.last_repair().full_solve);  // warm state was discarded
   EXPECT_EQ(dijkstra(vg.graph(), source).dist, dist);
 }
@@ -1188,7 +1344,7 @@ TEST(IncrementalWarm, EngineFailureAfterTheWalkDiscardsTheWarmState) {
   EXPECT_THROW((void)inc.solve(vg, 0), std::runtime_error);
 
   inc.options().observer = nullptr;
-  const std::vector<Distance>& dist = inc.solve(vg, 0);
+  const Answer& dist = inc.solve(vg, 0);
   EXPECT_TRUE(inc.last_repair().full_solve);
   EXPECT_EQ(dijkstra(vg.graph(), 0).dist, dist);
 }
@@ -1222,7 +1378,7 @@ TEST(IncrementalWarm, GraphRebuiltAtSameAddressFallsBackToFullSolve) {
   ASSERT_GE(other.version(), vg.version());
   vg = std::move(other);
 
-  const std::vector<Distance>& dist = inc.solve(vg, source);
+  const Answer& dist = inc.solve(vg, source);
   EXPECT_TRUE(inc.last_repair().full_solve);  // uid mismatch forces cold
   EXPECT_EQ(dijkstra(vg.graph(), source).dist, dist);
 }
@@ -1338,6 +1494,54 @@ TEST(IncrementalService, UpdateRepairsCachedAnswersInsteadOfDroppingThem) {
   ASSERT_EQ(fresh.outcome, service::Outcome::kServed);
   EXPECT_EQ(fresh.graph_version, vg.version());
   EXPECT_EQ(dijkstra(vg.graph(), 5).dist, fresh.dist);
+}
+
+TEST(IncrementalService, ReadersDropAnswersWhileUpdatesRecycle) {
+  // A reader thread queries the hot source in a loop, reads each answer
+  // once (a checksum) and drops it, while updates repair that answer and
+  // rewrite the buffers the reader released. A buffer rewritten while the
+  // reader still read it would be a data race (TSan) and a wrong checksum.
+  VersionedGraph vg(gen::grid(48, 48, WeightScheme::uniform(1, 100), 59));
+  const VertexId source = pick_source(vg);
+  service::QueryService svc(service_config());
+  ASSERT_EQ(svc.solve(vg, {.source = source}).outcome,
+            service::Outcome::kServed);
+
+  const auto checksum = [](std::span<const Distance> dist) {
+    std::uint64_t h = 0xCBF29CE484222325ULL;
+    for (const Distance d : dist) h = (h ^ d) * 0x100000001B3ULL;
+    return h;
+  };
+  std::atomic<bool> done{false};
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> seen;  // version, sum
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const service::QueryResult r = svc.solve(vg, {.source = source});
+      ASSERT_EQ(r.outcome, service::Outcome::kServed);
+      seen.emplace_back(r.graph_version, checksum(r.dist));
+    }
+  });
+
+  // References per version, computed by this (the only updating) thread.
+  std::map<std::uint64_t, std::uint64_t> expected;
+  expected[vg.version()] = checksum(dijkstra(vg.graph(), source).dist);
+  Xoshiro256 rng(61);
+  for (int k = 0; k < 30; ++k) {
+    const GraphDelta delta = random_batch(vg, Mode::kMixed, rng, 2);
+    if (delta.empty()) continue;
+    const std::uint64_t v = svc.update(vg, delta);
+    expected[v] = checksum(dijkstra(vg.graph(), source).dist);
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  ASSERT_FALSE(seen.empty());
+  for (const auto& [version, sum] : seen) {
+    const auto it = expected.find(version);
+    ASSERT_NE(it, expected.end()) << "answer at unknown version " << version;
+    EXPECT_EQ(it->second, sum) << "answer at version " << version;
+  }
+  EXPECT_GT(svc.metrics().counter(obs::CounterId::kRepairRecycled), 0u);
 }
 
 TEST(IncrementalService, ExactlyCurrentCacheHitSkipsTheSolve) {

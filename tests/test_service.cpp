@@ -290,6 +290,48 @@ TEST(ServiceQuery, QueueExpiryDegradesToStaleWhenAllowed) {
   EXPECT_EQ(running.get().outcome, Outcome::kServed);
 }
 
+TEST(ServiceQuery, FreshStaleAndServedAnswersShareOneBuffer) {
+  VersionedGraph vg(make_small_graph());
+  const VertexId a = pick_source_in_largest_component(vg.graph(), 11);
+  const VertexId b = pick_source_in_largest_component(vg.graph(), 12);
+  ASSERT_NE(a, b);
+
+  BlockingObserver blocker;
+  ServiceConfig config;
+  config.solver = options_for(Algorithm::kBellmanFord);
+  config.solver.observer = &blocker;
+  config.num_solvers = 1;
+  config.coalesce = false;
+  QueryService svc(config);
+
+  // A served run: the cache entry takes the answer the client got.
+  const QueryResult served = svc.solve(vg, {.source = a});
+  ASSERT_EQ(served.outcome, Outcome::kServed);
+  ASSERT_EQ(served.attempts, 1);
+  ASSERT_EQ(served.dist, dijkstra(vg.graph(), a).dist);
+
+  // A fresh hit at submit hands out that entry.
+  const QueryResult fresh = svc.solve(vg, {.source = a});
+  ASSERT_EQ(fresh.outcome, Outcome::kServed);
+  EXPECT_EQ(fresh.attempts, 0);
+  EXPECT_EQ(fresh.dist.data(), served.dist.data());
+
+  // A stale answer: with the only solver held, a request already past its
+  // deadline queues, and the watchdog degrades it to the same entry.
+  blocker.arm();
+  auto running = svc.submit(vg, {.source = b});
+  blocker.wait_until_blocked();
+  auto stale = svc.submit(
+      vg, {.source = a,
+           .deadline = service::Clock::now() - std::chrono::milliseconds(1),
+           .allow_stale = true});
+  const QueryResult rs = stale.get();
+  EXPECT_EQ(rs.outcome, Outcome::kServedStale);
+  EXPECT_EQ(rs.dist.data(), served.dist.data());
+  blocker.release();
+  EXPECT_EQ(running.get().outcome, Outcome::kServed);
+}
+
 TEST(ServiceQuery, ShedDowngradedToStaleCountsOnceAsServedStale) {
   const Graph g = make_small_graph();
   const VertexId source = pick_source_in_largest_component(g, 11);
