@@ -11,9 +11,8 @@
 #include "concurrent/chunk.hpp"
 #include "concurrent/dary_heap.hpp"
 #include "concurrent/multiqueue.hpp"
-#include "graph/compressed.hpp"
-#include "graph/generators.hpp"
 #include "support/random.hpp"
+#include "support/types.hpp"
 
 namespace {
 
@@ -96,38 +95,6 @@ void BM_DaryHeapPushPop(benchmark::State& state) {
 BENCHMARK(BM_DaryHeapPushPop<2>)->Arg(1 << 12);
 BENCHMARK(BM_DaryHeapPushPop<4>)->Arg(1 << 12);
 BENCHMARK(BM_DaryHeapPushPop<8>)->Arg(1 << 12);
-
-void BM_CompressedIteration(benchmark::State& state) {
-  // Decode throughput of the varint-compressed adjacency vs the raw CSR —
-  // quantifies the compute cost of the space saving.
-  const Graph g = gen::erdos_renyi(1 << 14, 16.0, WeightScheme::gap(), 3);
-  const CompressedGraph cg = CompressedGraph::compress(g);
-  for (auto _ : state) {
-    std::uint64_t sum = 0;
-    for (VertexId v = 0; v < g.num_vertices(); ++v)
-      cg.for_each_out(v, [&](VertexId dst, Weight w) { sum += dst + w; });
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(g.num_edges()));
-  state.counters["bytes/edge"] = static_cast<double>(cg.adjacency_bytes()) /
-                                 static_cast<double>(cg.num_edges());
-}
-BENCHMARK(BM_CompressedIteration);
-
-void BM_RawIteration(benchmark::State& state) {
-  const Graph g = gen::erdos_renyi(1 << 14, 16.0, WeightScheme::gap(), 3);
-  for (auto _ : state) {
-    std::uint64_t sum = 0;
-    for (VertexId v = 0; v < g.num_vertices(); ++v)
-      for (const WEdge& e : g.out_neighbors(v)) sum += e.dst + e.w;
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(g.num_edges()));
-  state.counters["bytes/edge"] = static_cast<double>(sizeof(WEdge));
-}
-BENCHMARK(BM_RawIteration);
 
 void BM_MultiQueuePushPop(benchmark::State& state) {
   MultiQueue::Config config;

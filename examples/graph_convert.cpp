@@ -1,7 +1,8 @@
 // Graph format converter — the analogue of the paper artifact's
-// convert_mtx.sh / convert_gap.sh utilities: reads any supported format and
-// writes any other, optionally assigning weights with the GAP or
-// truncated-normal scheme along the way.
+// convert_mtx.sh / convert_gap.sh utilities: reads any supported format,
+// writes binary, GAP .wsg or an edge list (Matrix Market is input only), and
+// optionally assigns weights with the GAP or truncated-normal scheme along
+// the way.
 //
 //   ./graph_convert --in graph.mtx --out graph.wsg
 //   ./graph_convert --in edges.el --in-format edgelist --undirected
@@ -17,14 +18,6 @@
 #include "support/cli.hpp"
 
 namespace {
-
-std::string infer_format(const std::string& path, const std::string& flag) {
-  if (flag != "auto") return flag;
-  if (path.ends_with(".mtx")) return "mtx";
-  if (path.ends_with(".el") || path.ends_with(".txt")) return "edgelist";
-  if (path.ends_with(".wsg") || path.ends_with(".sg")) return "wsg";
-  return "binary";
-}
 
 int run(int argc, char** argv) {
   wasp::ArgParser args("graph_convert", "convert graphs between formats");
@@ -45,16 +38,28 @@ int run(int argc, char** argv) {
     std::fprintf(stderr, "graph_convert: --out is required\n");
     return 2;
   }
+  // Matrix Market is read-only: refuse it (and any unknown name) before
+  // loading anything rather than writing some other format under its name.
+  std::string out_format = args.get_string("out-format");
+  if (out_format == "auto") out_format = wasp::io::format_from_extension(out);
+  void (*write)(const wasp::Graph&, const std::string&) = nullptr;
+  if (out_format == "binary") write = wasp::io::write_binary_file;
+  else if (out_format == "wsg") write = wasp::io::write_gap_wsg_file;
+  else if (out_format == "edgelist") write = wasp::io::write_edge_list_file;
+  if (write == nullptr) {
+    std::fprintf(stderr,
+                 "graph_convert: cannot write format %s (writable: binary, "
+                 "wsg, edgelist)\n",
+                 out_format.c_str());
+    return 2;
+  }
 
   // --- load or generate -----------------------------------------------------
   wasp::Graph graph;
   const std::string in = args.get_string("in");
   if (!in.empty()) {
-    const std::string format = infer_format(in, args.get_string("in-format"));
-    if (format == "binary") graph = wasp::io::read_binary_file(in);
-    else if (format == "wsg") graph = wasp::io::read_gap_wsg_file(in);
-    else if (format == "mtx") graph = wasp::io::read_matrix_market_file(in);
-    else graph = wasp::io::read_edge_list_file(in, args.get_flag("undirected"));
+    graph = wasp::io::read_graph_file(in, args.get_string("in-format"),
+                                      args.get_flag("undirected"));
   } else if (!args.get_string("class").empty()) {
     graph = wasp::suite::make(wasp::suite::parse_abbr(args.get_string("class")),
                               args.get_double("scale"),
@@ -94,10 +99,7 @@ int run(int argc, char** argv) {
   }
 
   // --- save -------------------------------------------------------------------
-  const std::string out_format = infer_format(out, args.get_string("out-format"));
-  if (out_format == "binary") wasp::io::write_binary_file(graph, out);
-  else if (out_format == "wsg") wasp::io::write_gap_wsg_file(graph, out);
-  else wasp::io::write_edge_list_file(graph, out);
+  write(graph, out);
 
   std::printf("%u vertices, %llu directed edges (%s) -> %s [%s]\n",
               graph.num_vertices(),

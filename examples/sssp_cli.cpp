@@ -1,7 +1,8 @@
 // General-purpose SSSP command-line tool — the analogue of the GAP suite's
-// `sssp` binary the paper builds on. Loads a graph (binary/edge-list/Matrix
-// Market) or generates a named workload class, runs any of the nine
-// implementations, validates the result, and reports timing + work stats.
+// `sssp` binary the paper builds on. Loads a graph (binary/GAP .wsg/edge
+// list/Matrix Market) or generates a named workload class, runs any of the
+// eleven implementations, validates the result, and reports timing + work
+// stats.
 //
 //   ./sssp_cli --class USA --algo wasp --threads 8 --delta 16 --trials 3
 //   ./sssp_cli --load graph.wsp --algo gap --delta 32
@@ -12,7 +13,6 @@
 #include "graph/algorithms.hpp"
 #include "graph/io.hpp"
 #include "graph/suite.hpp"
-#include "sssp/contracted.hpp"
 #include "sssp/solver.hpp"
 #include "sssp/sssp.hpp"
 #include "sssp/validate.hpp"
@@ -26,8 +26,10 @@ int run(int argc, char** argv) {
   args.add_string("class", "USA",
                   "workload class abbreviation (USA, EU, KV, MW, TW, ...)");
   args.add_double("scale", 1.0, "workload scale factor");
-  args.add_string("load", "", "load a graph instead: path to .wsp/.el/.mtx");
-  args.add_string("format", "auto", "load format: auto|binary|edgelist|mtx");
+  args.add_string("load", "",
+                  "load a graph instead: path to .wsp/.wsg/.el/.mtx");
+  args.add_string("format", "auto",
+                  "load format: auto|binary|wsg|edgelist|mtx");
   args.add_flag("undirected", "treat a loaded edge list as undirected");
   args.add_string("save", "", "save the graph in binary format and exit");
   args.add_string("algo", "wasp", wasp::algorithm_list());
@@ -35,7 +37,6 @@ int run(int argc, char** argv) {
   args.add_int("delta", 1, "bucket width");
   args.add_int("trials", 1, "repetitions (best time reported)");
   args.add_int("source", -1, "source vertex (-1: random in largest component)");
-  args.add_flag("contract", "pendant-tree contraction preprocessing (undirected)");
   args.add_flag("no-validate", "skip fixed-point validation");
   args.parse(argc, argv);
 
@@ -45,15 +46,8 @@ int run(int argc, char** argv) {
   std::string name;
   const std::string load = args.get_string("load");
   if (!load.empty()) {
-    std::string format = args.get_string("format");
-    if (format == "auto") {
-      if (load.ends_with(".mtx")) format = "mtx";
-      else if (load.ends_with(".el") || load.ends_with(".txt")) format = "edgelist";
-      else format = "binary";
-    }
-    if (format == "binary") graph = wasp::io::read_binary_file(load);
-    else if (format == "mtx") graph = wasp::io::read_matrix_market_file(load);
-    else graph = wasp::io::read_edge_list_file(load, args.get_flag("undirected"));
+    graph = wasp::io::read_graph_file(load, args.get_string("format"),
+                                      args.get_flag("undirected"));
     name = load;
     source = wasp::pick_source_in_largest_component(graph, 1);
   } else {
@@ -89,22 +83,9 @@ int run(int argc, char** argv) {
   const auto trials = static_cast<int>(args.get_int("trials"));
   // Trials share one Solver, so repeat timings measure the algorithm (epoch
   // reset), not repeated team spawns and distance-array initializations.
-  // The contracted pipeline keeps its own entry point (it solves a reduced
-  // graph and re-expands).
   wasp::Solver solver(options);
   for (int t = 0; t < trials; ++t) {
-    if (args.get_flag("contract")) {
-      wasp::ContractedResult cr =
-          wasp::run_sssp_contracted(graph, source, options);
-      if (t == 0)
-        std::printf("contraction eliminated %llu pendant vertices "
-                    "(preprocess %.3f ms)\n",
-                    static_cast<unsigned long long>(cr.eliminated_vertices),
-                    cr.preprocess_seconds * 1e3);
-      result = std::move(cr.result);
-    } else {
-      result = solver.solve(graph, source);
-    }
+    result = solver.solve(graph, source);
     times.push_back(result.metrics.seconds);
   }
 

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "graph/algorithms.hpp"
-#include "graph/compressed.hpp"
 #include "graph/delta.hpp"
 #include "graph/io.hpp"
 #include "support/errors.hpp"
@@ -144,12 +143,6 @@ GraphBuilder& GraphBuilder::transpose_of(const Graph& g) {
   return *this;
 }
 
-GraphBuilder& GraphBuilder::decompress(const CompressedGraph& g) {
-  stage(Source::kDecompress);
-  compressed_ = &g;
-  return *this;
-}
-
 GraphBuilder& GraphBuilder::undirected(bool undirected) {
   undirected_ = undirected;
   undirected_set_ = true;
@@ -209,9 +202,6 @@ Graph GraphBuilder::build() {
       break;
     case Source::kTranspose:
       result = transpose(*borrowed_);
-      break;
-    case Source::kDecompress:
-      result = compressed_->decompress();
       break;
   }
   reset();

@@ -1,9 +1,9 @@
 // GraphBuilder: the one front door for graph construction.
 //
 // Every way to make a graph goes through here: an edge list, CSR arrays, a
-// gen:: generator's output (graph()), the io:: loaders (*_file/*_stream),
-// transpose_of() and decompress(). Pick exactly one source, optionally set
-// options, and finish with either
+// gen:: generator's output (graph()), the io:: loaders (*_file/*_stream)
+// and transpose_of(). Pick exactly one source, optionally set options, and
+// finish with either
 //
 //   build()           -> Graph           (the immutable CSR)
 //   build_versioned() -> VersionedGraph  (mutable, versioned, journaled)
@@ -24,7 +24,6 @@
 
 namespace wasp {
 
-class CompressedGraph;
 class VersionedGraph;
 
 class GraphBuilder {
@@ -64,16 +63,12 @@ class GraphBuilder {
   /// stay alive until build().
   GraphBuilder& transpose_of(const Graph& g);
 
-  /// Decompression of a byte-compressed graph. `g` must stay alive until
-  /// build().
-  GraphBuilder& decompress(const CompressedGraph& g);
-
   // --- options -------------------------------------------------------------
 
   /// Marks the result undirected. Valid for the edges/csr/edge-list sources
   /// (which do not carry directedness themselves); build() throws for the
-  /// self-describing sources (binary, wsg, matrix market, graph(), transpose,
-  /// decompress).
+  /// self-describing sources (binary, wsg, matrix market, graph(),
+  /// transpose).
   GraphBuilder& undirected(bool undirected = true);
 
   // --- terminals -----------------------------------------------------------
@@ -101,7 +96,6 @@ class GraphBuilder {
     kGapWsgFile,
     kGapWsgStream,
     kTranspose,
-    kDecompress,
   };
 
   GraphBuilder& stage(Source s);
@@ -120,7 +114,6 @@ class GraphBuilder {
   std::istream* stream_ = nullptr;
   double real_scale_ = 1.0;
   const Graph* borrowed_ = nullptr;
-  const CompressedGraph* compressed_ = nullptr;
 };
 
 }  // namespace wasp

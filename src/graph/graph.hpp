@@ -70,8 +70,8 @@ struct WEdge {
 static_assert(sizeof(WEdge) == 8, "WEdge must stay two packed 32-bit words");
 
 /// The CSR adjacency container: interleaved {dst, w} records, cache-line
-/// aligned. Builders (generators, I/O, decompression, transpose) produce one
-/// of these and hand it to Graph::from_csr.
+/// aligned. Builders (generators, I/O, transpose) produce one of these and
+/// hand it to Graph::from_csr.
 using AdjacencyVector = std::vector<WEdge, CacheAlignedAllocator<WEdge>>;
 
 /// A process-unique object id, drawn from one monotonic counter shared by

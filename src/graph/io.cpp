@@ -342,4 +342,23 @@ Graph read_gap_wsg_file(const std::string& path) {
   return read_gap_wsg(in);
 }
 
+std::string format_from_extension(const std::string& path) {
+  if (path.ends_with(".mtx")) return "mtx";
+  if (path.ends_with(".el") || path.ends_with(".txt")) return "edgelist";
+  if (path.ends_with(".wsg") || path.ends_with(".sg")) return "wsg";
+  return "binary";
+}
+
+Graph read_graph_file(const std::string& path, const std::string& format,
+                      bool undirected) {
+  const std::string f =
+      format == "auto" ? format_from_extension(path) : format;
+  if (f == "binary") return read_binary_file(path);
+  if (f == "wsg") return read_gap_wsg_file(path);
+  if (f == "edgelist") return read_edge_list_file(path, undirected);
+  if (f == "mtx") return read_matrix_market_file(path);
+  parse_error("unknown format '" + format +
+              "' (expected auto, binary, wsg, edgelist or mtx)");
+}
+
 }  // namespace wasp::io

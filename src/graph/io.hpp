@@ -1,12 +1,16 @@
 // Graph serialization.
 //
-// Three formats, mirroring the paper artifact's conversion pipeline:
+// Four formats, mirroring the paper artifact's conversion pipeline:
 //  * text edge lists ("u v w" per line, '#'/'%' comments) — the exchange
 //    format most public datasets ship in,
 //  * Matrix Market coordinate files (the SuiteSparse format the artifact
-//    converts from),
-//  * a binary CSR container ("WSPG" magic) — the fast load format, the
-//    analogue of GAP/GBBS binary graphs.
+//    converts from; read only),
+//  * a binary CSR container ("WSPG" magic) — the fast load format,
+//  * GAP serialized weighted graphs (.wsg) — the format the artifact
+//    converts every dataset into.
+//
+// read_graph_file() is the one place that maps a format name or a file
+// extension to a reader.
 #pragma once
 
 #include <iosfwd>
@@ -46,5 +50,16 @@ void write_gap_wsg(const Graph& g, std::ostream& out);
 void write_gap_wsg_file(const Graph& g, const std::string& path);
 Graph read_gap_wsg(std::istream& in);
 Graph read_gap_wsg_file(const std::string& path);
+
+/// The format a path's extension implies: "mtx" for .mtx, "edgelist" for .el
+/// and .txt, "wsg" for .wsg and .sg, and "binary" for anything else.
+std::string format_from_extension(const std::string& path);
+
+/// Reads `path` in `format` — "binary", "wsg", "edgelist" or "mtx", or
+/// "auto" for format_from_extension(path). `undirected` applies to edge
+/// lists only; the other formats carry their own directedness. Throws
+/// GraphFormatError on an unknown format name.
+Graph read_graph_file(const std::string& path, const std::string& format,
+                      bool undirected = false);
 
 }  // namespace wasp::io

@@ -1,10 +1,12 @@
 // Round-trip and format tests for graph I/O (edge list, Matrix Market,
-// binary CSR).
+// binary CSR, GAP .wsg) and for read_graph_file's format dispatch.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <sstream>
+#include <string>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -308,6 +310,62 @@ TEST(BinaryIo, FileRoundTrip) {
   io::write_binary_file(g, path);
   const Graph h = io::read_binary_file(path);
   expect_same_graph(g, h);
+}
+
+TEST(ReadGraphFile, FormatFromExtension) {
+  EXPECT_EQ(io::format_from_extension("g.mtx"), "mtx");
+  EXPECT_EQ(io::format_from_extension("g.el"), "edgelist");
+  EXPECT_EQ(io::format_from_extension("g.txt"), "edgelist");
+  EXPECT_EQ(io::format_from_extension("g.wsg"), "wsg");
+  EXPECT_EQ(io::format_from_extension("g.sg"), "wsg");
+  EXPECT_EQ(io::format_from_extension("g.wsp"), "binary");
+  EXPECT_EQ(io::format_from_extension("g.mtx.bak"), "binary");
+  EXPECT_EQ(io::format_from_extension("g"), "binary");
+}
+
+TEST(ReadGraphFile, AutoPicksTheReaderByExtension) {
+  const Graph g = gen::grid(4, 5, WeightScheme::gap(), 6);
+  const std::string base = testing::TempDir() + "/wasp_read_graph_file";
+  for (const char* ext : {".wsg", ".sg"}) {
+    io::write_gap_wsg_file(g, base + ext);
+    expect_same_graph(g, io::read_graph_file(base + ext, "auto"));
+  }
+  for (const char* ext : {".el", ".txt"}) {
+    io::write_edge_list_file(g, base + ext);
+    expect_same_graph(
+        g, io::read_graph_file(base + ext, "auto", /*undirected=*/true));
+  }
+  for (const char* ext : {".wsp", ".bin"}) {
+    io::write_binary_file(g, base + ext);
+    expect_same_graph(g, io::read_graph_file(base + ext, "auto"));
+  }
+  {
+    std::ofstream out(base + ".mtx");
+    out << "%%MatrixMarket matrix coordinate integer general\n"
+           "3 3 2\n1 2 5\n2 3 7\n";
+  }
+  const Graph m = io::read_graph_file(base + ".mtx", "auto");
+  EXPECT_EQ(m.num_vertices(), 3u);
+  EXPECT_EQ(m.num_edges(), 2u);
+  EXPECT_EQ(m.out_neighbors(1)[0], (WEdge{2, 7}));
+}
+
+TEST(ReadGraphFile, ExplicitFormatOverridesExtension) {
+  const Graph g = gen::grid(3, 3, WeightScheme::gap(), 7);
+  const std::string path = testing::TempDir() + "/wasp_read_graph_file.dat";
+  io::write_gap_wsg_file(g, path);
+  expect_same_graph(g, io::read_graph_file(path, "wsg"));
+  EXPECT_THROW(io::read_graph_file(path, "auto"), GraphFormatError);
+}
+
+TEST(ReadGraphFile, RejectsUnknownFormatName) {
+  // The name is checked before the file is opened, so no file is needed.
+  const std::string msg = throw_message(
+      [] { (void)io::read_graph_file("no_such_graph.wsp", "bogus"); });
+  EXPECT_NE(msg.find("unknown format 'bogus'"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("wsg"), std::string::npos) << msg;
+  EXPECT_THROW((void)io::read_graph_file("no_such_graph.wsp", "bogus"),
+               GraphFormatError);
 }
 
 }  // namespace

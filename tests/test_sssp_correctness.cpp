@@ -12,10 +12,8 @@
 
 #include "graph/algorithms.hpp"
 #include "graph/builder.hpp"
-#include "graph/compressed.hpp"
 #include "graph/delta.hpp"
 #include "graph/generators.hpp"
-#include "sssp/contracted.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/sssp.hpp"
 #include "sssp/stepping.hpp"
@@ -232,12 +230,6 @@ TEST(DeadArcs, EveryAlgorithmIsExactOverClosedAndReopenedArcs) {
       };
       for (const DeadArcRun& run : runs)
         expect_exact(run.name, run_sssp(g, source, run.options).dist);
-      expect_exact("dijkstra_compressed",
-                   dijkstra_compressed(CompressedGraph::compress(g), source));
-      if (undirected)
-        expect_exact(
-            "contracted",
-            run_sssp_contracted(g, source, runs[1].options).result.dist);
     }
   }
 }
