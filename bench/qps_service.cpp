@@ -12,13 +12,11 @@
 //
 // Writes BENCH_qps.json (see docs/ROBUSTNESS.md for the schema;
 // tools/bench_check.py --schema-only validates it in the service-smoke CI
-// job, under TSan with chaos injection installed).
+// job, under TSan).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,7 +24,6 @@
 #include "graph/algorithms.hpp"
 #include "harness.hpp"
 #include "service/service.hpp"
-#include "support/chaos.hpp"
 #include "support/errors.hpp"
 #include "support/stats.hpp"
 #include "support/timer.hpp"
@@ -72,22 +69,8 @@ double percentile(std::vector<double> v, double p) {
   return v[lo] + (v[hi] - v[lo]) * frac;
 }
 
-chaos::Policy parse_policy(const std::string& name) {
-  for (const chaos::Policy& p : chaos::standard_policies())
-    if (name == p.name) return p;
-  std::fprintf(stderr, "qps_service: unknown chaos policy '%s'\n",
-               name.c_str());
-  std::exit(2);
-}
-
-std::uint64_t chaos_seed(std::uint64_t fallback) {
-  const char* env = std::getenv("WASP_CHAOS_SEED");
-  return env != nullptr ? std::strtoull(env, nullptr, 10) : fallback;
-}
-
 void write_json(const std::string& path, const std::string& graph, int threads,
                 int solvers, std::size_t queue_capacity, std::uint64_t seed,
-                const std::string& chaos_name,
                 const std::vector<RateRow>& rates, double saturation_qps,
                 const CancelSummary& cancel, double watchdog_ms) {
   std::ofstream out(path);
@@ -99,7 +82,6 @@ void write_json(const std::string& path, const std::string& graph, int threads,
       << "  \"solvers\": " << solvers << ",\n"
       << "  \"queue_capacity\": " << queue_capacity << ",\n"
       << "  \"seed\": " << seed << ",\n"
-      << "  \"chaos\": \"" << chaos_name << "\",\n"
       << "  \"rates\": [\n";
   for (std::size_t i = 0; i < rates.size(); ++i) {
     const RateRow& r = rates[i];
@@ -142,9 +124,6 @@ int main(int argc, char** argv) {
   args.add_int("queries", 48, "query attempts per offered rate");
   args.add_double("budget-x", 20.0,
                   "per-query budget as a multiple of the median solve time");
-  args.add_string("chaos", "off",
-                  "fault-injection policy for the cancel phase "
-                  "(off/uniform/steal-storm/alloc-pressure/termination-fuzz)");
   args.add_string("out", "BENCH_qps.json", "machine-readable report path");
   args.parse(argc, argv);
 
@@ -155,7 +134,6 @@ int main(int argc, char** argv) {
   const int queries =
       static_cast<int>(std::max<std::int64_t>(4, args.get_int("queries")));
   const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  const std::string chaos_name = args.get_string("chaos");
 
   const auto cls = bench::selected_classes(args).front();
   const auto w = suite::make(cls, args.get_double("scale"), seed);
@@ -298,9 +276,8 @@ int main(int argc, char** argv) {
   }
 
   // --- Cancellation latency: budgets deliberately below the solve time ---
-  // A single-solver fleet (one chaos engine must not be shared by teams
-  // running concurrently), sequential queries, each with ~35% of the median
-  // solve time: every query should come back kDeadlineExpired, and the
+  // A single-solver fleet running sequential queries, each with ~35% of the
+  // median solve time: every query should come back kDeadlineExpired, and the
   // overshoot — completion minus deadline — measures how quickly the
   // polling sites notice and unwind.
   CancelSummary cancel;
@@ -308,13 +285,6 @@ int main(int argc, char** argv) {
     service::ServiceConfig cc = base;
     cc.num_solvers = 1;
     cc.max_retries = 0;
-    std::unique_ptr<chaos::Engine> engine;
-    if (chaos_name != "off") {
-      engine = std::make_unique<chaos::Engine>(
-          chaos_seed(seed), parse_policy(chaos_name), threads,
-          /*record=*/false);
-      cc.solver.chaos = engine.get();
-    }
     cancel.budget_ms = std::max(median_solve_s * 0.35 * 1e3, 0.05);
     cancel.queries = 24;
     service::QueryService svc(cc);
@@ -344,8 +314,8 @@ int main(int argc, char** argv) {
               cancel.p50_overshoot_ms, cancel.p99_overshoot_ms);
 
   const std::string out_path = args.get_string("out");
-  write_json(out_path, graph_abbr, threads, solvers, queue_cap, seed,
-             chaos_name, rows, saturation_qps, cancel,
+  write_json(out_path, graph_abbr, threads, solvers, queue_cap, seed, rows,
+             saturation_qps, cancel,
              std::chrono::duration<double, std::milli>(
                  base.watchdog_interval)
                  .count());

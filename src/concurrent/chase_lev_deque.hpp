@@ -16,7 +16,6 @@
 #include <memory>
 #include <vector>
 
-#include "support/chaos.hpp"
 #include "support/types.hpp"
 #include "verify/checked_atomic.hpp"
 
@@ -73,12 +72,10 @@ class ChaseLevDeque {
     T item = rb->get(b);
     if (t == b) {
       // Last element: race with thieves via CAS on top.
-      WASP_CHAOS_YIELD(chaos::Point::kYieldBeforeCas);
       if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
                                         std::memory_order_relaxed)) {
         item = nullptr;  // a thief got it
       }
-      WASP_CHAOS_YIELD(chaos::Point::kYieldAfterCas);
       // Relaxed: restoring bottom after the last-element race publishes
       // nothing — the element's fate was already decided by the CAS on top.
       bottom_.store(b + 1, std::memory_order_relaxed);
@@ -89,17 +86,15 @@ class ChaseLevDeque {
   /// Thief: steals from the top (FIFO). Returns nullptr when empty or when
   /// it loses a race (callers treat both as "nothing stolen").
   T steal() {
-    if (WASP_CHAOS_FAIL(chaos::Point::kStealFail)) return nullptr;
+    if (verify::inject(verify::Fault::kStealFail)) return nullptr;
     std::int64_t t = top_.load(std::memory_order_acquire);
     verify::thread_fence(std::memory_order_seq_cst);
     const std::int64_t b = bottom_.load(std::memory_order_acquire);
     if (t >= b) return nullptr;
     Ring* rb = buffer_.load(std::memory_order_consume);
     T item = rb->get(t);
-    WASP_CHAOS_YIELD(chaos::Point::kYieldBeforeCas);
     if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
                                       std::memory_order_relaxed)) {
-      WASP_CHAOS_YIELD(chaos::Point::kYieldAfterCas);
       return nullptr;
     }
     return item;

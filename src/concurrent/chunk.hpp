@@ -28,7 +28,6 @@
 #include <mutex>
 #include <vector>
 
-#include "support/chaos.hpp"
 #include "support/types.hpp"
 #include "verify/checked_atomic.hpp"
 
@@ -183,12 +182,12 @@ class BasicChunkPool {
                           std::uint32_t block_size = 128)
       : arena_(&arena), block_size_(block_size) {}
 
-  /// Returns a pristine chunk. Under chaos, kChunkAllocFail simulates an
-  /// exhausted freelist: the pool abandons its (drained) free chunks to the
-  /// arena and carves a fresh slab, exercising the allocation path and
-  /// cross-thread chunk migration.
+  /// Returns a pristine chunk. The scheduler's kChunkAllocFail fault
+  /// simulates an exhausted freelist: the pool abandons its (drained) free
+  /// chunks to the arena and carves a fresh slab, exercising the allocation
+  /// path and cross-thread chunk migration.
   ChunkT* get() {
-    if (free_ == nullptr || WASP_CHAOS_FAIL(chaos::Point::kChunkAllocFail))
+    if (free_ == nullptr || verify::inject(verify::Fault::kChunkAllocFail))
       free_ = arena_->allocate_block(block_size_);
     ChunkT* c = free_;
     free_ = c->next;

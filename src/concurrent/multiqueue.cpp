@@ -54,11 +54,34 @@ int MultiQueue::pick_queue_two_choice(PerThread& me) {
   return static_cast<int>(ka <= kb ? a : b);
 }
 
+bool MultiQueue::take_batch(InternalQueue& q, PerThread& me) {
+  // Advisory early-out: a stale non-inf value is re-validated under the
+  // lock below; a stale inf just skips the queue.
+  if (q.top_key.load(std::memory_order_relaxed) == kInfDist) return false;
+  SpinGuard guard(q.lock);
+  if (q.heap.empty()) return false;
+  WASP_VERIFY_WR(&q.heap);
+  const auto batch = std::min<std::size_t>(
+      static_cast<std::size_t>(config_.buffer_size), q.heap.size());
+  me.delete_buffer.clear();
+  me.delete_cursor = 0;
+  for (std::size_t i = 0; i < batch; ++i) {
+    const auto e = q.heap.pop();
+    me.delete_buffer.push_back(Entry{e.key, e.value});
+  }
+  // Relaxed hint refresh under the queue lock (see flush).
+  q.top_key.store(q.heap.empty() ? kInfDist : q.heap.top().key,
+                  std::memory_order_relaxed);
+  return true;
+}
+
 bool MultiQueue::refill(int /*tid*/, PerThread& me) {
   Timer timer;
-  // Try a bounded number of sampled queues before reporting empty; stale
-  // entries make single-sample failures common.
-  for (int attempt = 0; attempt < 2 * config_.c * config_.threads + 2; ++attempt) {
+  // Try a bounded number of sampled queues first; stale entries make
+  // single-sample failures common.
+  bool took = false;
+  for (int attempt = 0;
+       !took && attempt < 2 * config_.c * config_.threads + 2; ++attempt) {
     int qi;
     if (me.sticky_left > 0 && me.sticky_queue >= 0) {
       qi = me.sticky_queue;
@@ -68,35 +91,16 @@ bool MultiQueue::refill(int /*tid*/, PerThread& me) {
       me.sticky_left = config_.stickiness;
     }
     --me.sticky_left;
-    InternalQueue& q = queues_[static_cast<std::size_t>(qi)].value;
-    // Advisory early-out: a stale non-inf value is re-validated under the
-    // lock below; a stale inf just skips a queue this attempt.
-    if (q.top_key.load(std::memory_order_relaxed) == kInfDist) {
-      me.sticky_left = 0;  // empty queue: re-sample next time
-      continue;
-    }
-    SpinGuard guard(q.lock);
-    if (q.heap.empty()) {
-      me.sticky_left = 0;
-      continue;
-    }
-    WASP_VERIFY_WR(&q.heap);
-    const auto batch = std::min<std::size_t>(
-        static_cast<std::size_t>(config_.buffer_size), q.heap.size());
-    me.delete_buffer.clear();
-    me.delete_cursor = 0;
-    for (std::size_t i = 0; i < batch; ++i) {
-      const auto e = q.heap.pop();
-      me.delete_buffer.push_back(Entry{e.key, e.value});
-    }
-    // Relaxed hint refresh under the queue lock (see push_flush).
-    q.top_key.store(q.heap.empty() ? kInfDist : q.heap.top().key,
-                    std::memory_order_relaxed);
-    me.queue_op_ns += timer.nanoseconds();
-    return true;
+    took = take_batch(queues_[static_cast<std::size_t>(qi)].value, me);
+    if (!took) me.sticky_left = 0;  // empty queue: re-sample next time
   }
+  // Sampling can miss the only non-empty queue. Visit every queue once
+  // before reporting empty, so that on a quiescent structure false means
+  // truly empty.
+  for (std::size_t qi = 0; !took && qi < queues_.size(); ++qi)
+    took = take_batch(queues_[qi].value, me);
   me.queue_op_ns += timer.nanoseconds();
-  return false;
+  return took;
 }
 
 bool MultiQueue::try_pop(int tid, Distance& key, VertexId& value) {

@@ -95,6 +95,9 @@ class MultiQueue {
   };
 
   int pick_queue_two_choice(PerThread& me);
+  /// Moves up to buffer_size of `q`'s smallest entries into the caller's
+  /// delete buffer; false when `q` is (or looks) empty.
+  bool take_batch(InternalQueue& q, PerThread& me);
   bool refill(int tid, PerThread& me);
 
   Config config_;

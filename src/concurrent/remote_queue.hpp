@@ -28,9 +28,7 @@
 // quiescence barrier (see terminate() in sssp/wasp.cpp for the full
 // argument).
 //
-// Chaos: kRemoteFlushDelay fires before a publish, kRemoteDrainDelay before
-// a drain — both stretch the publish->drain window the termination
-// extension must tolerate. Drain loops poll cancellation in the driver
+// Drain loops poll cancellation in the driver
 // (records are applied in bounded per-batch loops here, so the poll sits at
 // batch granularity).
 #pragma once
@@ -39,7 +37,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "support/chaos.hpp"
 #include "support/padded.hpp"
 #include "support/types.hpp"
 #include "verify/checked_atomic.hpp"
@@ -138,7 +135,6 @@ class RemoteRelayNetwork {
   /// Publishes a filled batch onto fragment `dst`'s inbound channel.
   /// Ownership transfers to whichever drainer grabs the list.
   void publish(int dst, RemoteBatch* batch) {
-    WASP_CHAOS_YIELD(chaos::Point::kRemoteFlushDelay);
     // Records are accounted BEFORE the batch becomes grabbable: a scanner
     // must never observe an empty channel + zero counter while records
     // exist. seq_cst: the termination verdict needs the TRUE count — an
@@ -154,12 +150,10 @@ class RemoteRelayNetwork {
     RemoteBatch* old = head.load(std::memory_order_relaxed);
     do {
       batch->next = old;
-      WASP_CHAOS_YIELD(chaos::Point::kYieldBeforeCas);
       // release on success: publishes records_, count_ and next to the
       // drainer's acquire exchange. relaxed on failure: retry re-reads.
     } while (!head.compare_exchange_weak(old, batch, std::memory_order_release,
                                          std::memory_order_relaxed));
-    WASP_CHAOS_YIELD(chaos::Point::kYieldAfterCas);
   }
 
   /// Atomically takes fragment `frag`'s whole inbound list (newest first);
@@ -167,7 +161,6 @@ class RemoteRelayNetwork {
   /// caller owns (and must delete) the returned batches, and must call
   /// on_drained() with each batch's size after applying its records.
   [[nodiscard]] RemoteBatch* grab_all(int frag) {
-    WASP_CHAOS_YIELD(chaos::Point::kRemoteDrainDelay);
     // acquire: pairs with the publish CAS release — after the exchange the
     // grabbed batches' plain records/count/next reads are hb-ordered.
     return heads_[static_cast<std::size_t>(frag)].value.exchange(

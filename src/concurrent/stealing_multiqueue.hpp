@@ -27,7 +27,6 @@
 
 #include "concurrent/dary_heap.hpp"
 #include "concurrent/spinlock.hpp"
-#include "support/chaos.hpp"
 #include "support/padded.hpp"
 #include "support/random.hpp"
 #include "support/types.hpp"
@@ -146,8 +145,7 @@ class StealingMultiQueue {
   bool steal_batch(int tid, PerThread& me, Distance& key, VertexId& value) {
     const int p = config_.threads;
     if (p <= 1) return false;
-    if (WASP_CHAOS_FAIL(chaos::Point::kStealFail)) return false;
-    WASP_CHAOS_YIELD(chaos::Point::kYieldBeforeCas);
+    if (verify::inject(verify::Fault::kStealFail)) return false;
     int a = static_cast<int>(me.rng.next_below(static_cast<std::uint64_t>(p - 1)));
     if (a >= tid) ++a;
     int b = static_cast<int>(me.rng.next_below(static_cast<std::uint64_t>(p - 1)));

@@ -1,7 +1,8 @@
 // RunObserver: run-lifecycle hooks for callers that want live progress
 // rather than post-hoc snapshots — the bench watchdog uses it to tell a
-// slow-but-progressing run from a livelocked one, and the chaos tests use it
-// to assert lifecycle invariants under fault injection.
+// slow-but-progressing run from a livelocked one, and the scheduler harness
+// (tests/test_verify.cpp) uses it to assert lifecycle invariants on its
+// fault seeds.
 //
 // Unlike the TraceRecorder this interface is NOT gated by WASP_OBS: it is
 // product behavior (the watchdog depends on it). The algorithms only pay a

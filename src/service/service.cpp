@@ -510,7 +510,7 @@ QueryResult QueryService::execute(Pending& q, int wid,
       r.error = ex.what();
       break;
     } catch (const std::exception& ex) {
-      // Transient failure (chaos-forced, injected): quarantine the Solver
+      // Transient failure (an allocation failure, say): quarantine the Solver
       // immediately — its internal state is suspect — and retry on a fresh
       // one after a seeded, jittered backoff.
       solver.reset();

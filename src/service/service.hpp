@@ -151,7 +151,7 @@ struct QueryResult {
 };
 
 /// Service-wide configuration. `solver` is the per-Solver option block
-/// (algorithm, threads-per-solver, chaos engine, ...).
+/// (algorithm, threads-per-solver, observer, ...).
 struct ServiceConfig {
   SsspOptions solver;
   int num_solvers = 2;              ///< worker threads, one Solver each

@@ -6,7 +6,7 @@
 //  * QuiescenceDetector proves that last condition without a shared write
 //    per vertex (docs/CONCURRENCY.md, "Quiescence detector").
 //  * run_async() runs a worker on every team thread under the verify
-//    scheduler and chaos guards; AsyncWorker holds the per-vertex polls and
+//    scheduler guard; AsyncWorker holds the per-vertex polls and
 //    the idle step every worker shares.
 //  * queue_sssp() is the whole loop of Dijkstra over a relaxed priority
 //    queue. MQ and SMQ are its two instantiations; OBIM keeps its own bag
@@ -20,7 +20,6 @@
 
 #include "graph/graph.hpp"
 #include "sssp/common.hpp"
-#include "support/chaos.hpp"
 #include "support/padded.hpp"
 #include "support/prefetch.hpp"
 #include "support/thread_team.hpp"
@@ -128,7 +127,6 @@ SsspResult run_async(RunContext& ctx, Worker&& worker) {
   Timer timer;
   ctx.team.run([&](int tid) {
     verify::ScopedSchedule schedule_guard(tid);
-    chaos::ScopedInstall chaos_guard(ctx.chaos, tid);
     AsyncWorker me{tid, ctx, ctx.metrics.shard(tid)};
     worker(me);
   });

@@ -1,7 +1,7 @@
 // Shared machinery for every SSSP implementation: the atomic tentative-
 // distance array, the CAS edge-relaxation primitive (paper Algorithm 1,
 // relax()), the run-lifecycle context every parallel algorithm executes
-// under (RunContext: team + metrics + optional trace/observer/chaos), and
+// under (RunContext: team + metrics + optional trace/observer), and
 // the option/result types of the unified front-end in sssp.hpp.
 #pragma once
 
@@ -17,7 +17,6 @@
 #include "obs/observer.hpp"
 #include "obs/trace.hpp"
 #include "support/cancel.hpp"
-#include "support/chaos.hpp"
 #include "support/numa.hpp"
 #include "support/types.hpp"
 #include "verify/checked_atomic.hpp"
@@ -74,7 +73,6 @@ class AtomicDistances {
   bool relax_to(VertexId v, Distance candidate) {
     std::uint64_t old = dist_[v].load(std::memory_order_relaxed);
     while (candidate < decode(old)) {
-      WASP_CHAOS_YIELD(chaos::Point::kYieldBeforeCas);
       // Release on success: an acq_rel frontier-flag exchange that reads
       // our flag write also sees this improved distance (the round
       // baselines' dedup pairing, PendingFlags in rounds.hpp). Relaxed on
@@ -85,7 +83,6 @@ class AtomicDistances {
                                          std::memory_order_relaxed)) {
         return true;
       }
-      WASP_CHAOS_YIELD(chaos::Point::kYieldAfterCas);
       // `old` reloaded by the failed CAS; loop re-checks the improvement.
     }
     return false;
@@ -362,11 +359,6 @@ struct SsspOptions {
   /// setting. See docs/PERFORMANCE.md for tuning.
   std::uint32_t prefetch_lookahead = 4;
 
-  /// Fault-injection engine threaded to the workers of chaos-aware
-  /// algorithms: Wasp, the round baselines, MQ-Dijkstra, SMQ-Dijkstra and
-  /// OBIM (every parallel one; all of them inject around the distance
-  /// CAS). Null = no injection.
-  chaos::Engine* chaos = nullptr;
   /// Cooperative cancellation/deadline token (null = not cancellable).
   /// Polled at cheap boundaries by every parallel algorithm; a fired token
   /// makes the front-end discard the partial run (epoch bump) and throw
@@ -411,7 +403,6 @@ struct RunContext {
   obs::MetricsRegistry& metrics;  ///< must have >= team.size() shards
   obs::TraceRecorder* trace = nullptr;
   obs::RunObserver* observer = nullptr;
-  chaos::Engine* chaos = nullptr;
   /// Pool the front-end acquires ctx.dist from (Solver's owned pool, so
   /// repeat solves skip the O(V) fill).
   DistancePool* pool = nullptr;

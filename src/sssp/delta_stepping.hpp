@@ -15,8 +15,7 @@ namespace wasp {
 
 /// Runs GAP-style delta-stepping with bucket width `delta` (>= 1) on
 /// ctx.team. `bucket_fusion` toggles the GraphIt/GAP bucket-fusion
-/// optimization; ctx.chaos (optional) installs a fault-injection engine on
-/// every worker.
+/// optimization.
 SsspResult delta_stepping(const Graph& g, VertexId source, Weight delta,
                           bool bucket_fusion, RunContext& ctx);
 

@@ -419,7 +419,7 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
                                                  : solver_.team(),
                  registry,
                  solver_.trace() != nullptr ? solver_.trace() : opts.trace,
-                 opts.observer, opts.chaos};
+                 opts.observer};
   ctx.dist = &dist;
   ctx.prefetch_lookahead = opts.prefetch_lookahead;
   ctx.cancel = cancel;

@@ -80,14 +80,13 @@ class RoundDriver {
   }
 
   /// Runs worker(tid, shard) on every team thread under the verify
-  /// scheduler and chaos guards, then records the rounds and barrier time
+  /// scheduler guard, then records the rounds and barrier time
   /// and snapshots the distances.
   template <class Worker>
   SsspResult run(Worker&& worker) {
     Timer timer;
     ctx.team.run([&](int tid) {
       verify::ScopedSchedule schedule_guard(tid);
-      chaos::ScopedInstall chaos_guard(ctx.chaos, tid);
       worker(tid, ctx.metrics.shard(tid));
     });
     const double seconds = timer.seconds();

@@ -43,8 +43,7 @@ SsspResult Solver::solve(const Graph& g, VertexId source) {
   } guard{busy_};
   RunContext ctx{team_, metrics_,
                  trace_ ? trace_.get() : options_.trace,
-                 observer_ != nullptr ? observer_ : options_.observer,
-                 options_.chaos};
+                 observer_ != nullptr ? observer_ : options_.observer};
   ctx.pool = &pool_;
   ctx.partitions = &partitions_;
   SsspResult result = detail::dispatch_sssp(g, source, options_, ctx);

@@ -20,8 +20,8 @@
 // Wasp runs with more than one fragment (built on the first such solve of a
 // graph and kept until a solve needs a different graph stamp, fragment count
 // or topology), and an
-// optional TraceRecorder, and carries the observer and chaos-engine pointers
-// through every solve. Options other than `threads` may be adjusted between
+// optional TraceRecorder, and carries the observer pointer through every
+// solve. Options other than `threads` may be adjusted between
 // solves via options().
 #pragma once
 

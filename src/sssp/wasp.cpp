@@ -384,9 +384,6 @@ class WaspWorker {
 
   void publish_curr(std::uint64_t level) {
     curr_cache_ = level;
-    // Chaos: widen the window between deciding a level and publishing it —
-    // the interval the kStealingPriority state exists to protect.
-    WASP_CHAOS_YIELD(chaos::Point::kDelayCurrPublish);
     s_.curr.publish(tid_, level);  // release (curr_board.hpp)
   }
 
@@ -933,11 +930,11 @@ class WaspWorker {
           s_.steal_epoch.load(std::memory_order_acquire);
 
       if (all_idle && in_flight == 0 && epoch_before == epoch_after) {
-        // Chaos: a spurious wakeup distrusts the verdict and forces one
-        // more sweep (which also exercises the revoke path once this
-        // worker has voted); termination must still be reached once the
-        // injected doubt stops firing.
-        if (WASP_CHAOS_FAIL(chaos::Point::kSpuriousWakeup)) {
+        // A spurious wakeup (a scheduler fault) distrusts the verdict and
+        // forces one more sweep (which also exercises the revoke path once
+        // this worker has voted); termination must still be reached once
+        // the injected doubt stops firing.
+        if (verify::inject(verify::Fault::kSpuriousWakeup)) {
           sweep = true;
           record_idle(idle_timer.nanoseconds());
           continue;
@@ -1020,9 +1017,10 @@ class WaspWorker {
     verify::thread_fence(std::memory_order_seq_cst);
     if (!must_stay_awake()) {
       my_.inc(CId::kWorkerParks);
-      // Chaos: a spurious wake-up returns before any peer woke us; the
-      // worker resumes its termination rounds as after a real wake.
-      if (!WASP_CHAOS_FAIL(chaos::Point::kSpuriousWakeup)) {
+      // A spurious wake-up (a scheduler fault) returns before any peer
+      // woke us; the worker resumes its termination rounds as after a
+      // real wake.
+      if (!verify::inject(verify::Fault::kSpuriousWakeup)) {
         // Relaxed: a woken worker re-synchronizes through its next sweep
         // and scan; the wait only has to notice the word change.
         word.wait(kParked, std::memory_order_relaxed);
@@ -1111,7 +1109,6 @@ void launch(WaspShared<ChunkT>& shared, std::span<const VertexId> seeds,
             bool cold) {
   shared.ctx.team.run([&](int tid) {
     verify::ScopedSchedule schedule_guard(tid);
-    chaos::ScopedInstall chaos_guard(shared.ctx.chaos, tid);
     WaspWorker<ChunkT, Relay> worker(shared, tid);
     worker.seed(seeds, cold);
     worker.run();

@@ -104,9 +104,8 @@ class LoweredLog {
 };
 
 /// Runs Wasp from `source` with bucket width `delta` and the given
-/// configuration. The chaos engine installed on workers is ctx.chaos. Knobs
-/// must satisfy SsspOptions::validate() (delta >= 1, chunk_capacity in
-/// {16,32,64,128,256}).
+/// configuration. Knobs must satisfy SsspOptions::validate() (delta >= 1,
+/// chunk_capacity in {16,32,64,128,256}).
 ///
 /// The run uses config.fragments(team size) fragments. One fragment runs on
 /// ctx.distances(). More than one runs the partitioned mode (docs/NUMA.md):

@@ -2,9 +2,9 @@
 // std::atomic.
 //
 // With WASP_VERIFY=OFF (the default), wasp::verify::atomic<T> is a
-// zero-cost passthrough to std::atomic<T> and the annotation macros fold to
-// no-ops — mirroring the chaos macros' cost model, so the benchmarking
-// configuration compiles the exact bits the perf numbers come from.
+// zero-cost passthrough to std::atomic<T>, and the annotation macros and
+// fault points fold to no-ops, so the benchmarking configuration compiles
+// the exact bits the perf numbers come from.
 //
 // With WASP_VERIFY=ON and a verify::Session installed on the calling
 // thread, every operation runs the happens-before model of context.hpp:
@@ -80,7 +80,30 @@ inline void raw_thread_fence(std::memory_order order) noexcept {
 #endif
 }
 
+/// The faults an installed Scheduler injects as seeded actions at the fault
+/// points (inject() below; Scheduler::fault in scheduler.hpp). Each is an
+/// outcome the hardware allows but rarely produces.
+enum class Fault : std::uint8_t {
+  kStealFail,       ///< a deque or SMQ steal attempt loses its race
+  kChunkAllocFail,  ///< the chunk pool treats its freelist as exhausted
+  kSpuriousWakeup,  ///< Wasp's termination scan distrusts a passing verdict,
+                    ///< or a parking worker returns before any wake
+};
+inline constexpr std::size_t kNumFaults = 3;
+
 #if defined(WASP_VERIFY_ENABLED) && WASP_VERIFY_ENABLED
+
+/// Out-of-line hop into scheduler.hpp (defined in context.cpp): the
+/// installed Scheduler's fault() decision for `f`.
+bool scheduler_fault(int tid, Fault f);
+
+/// Fault point: true when the installed Scheduler fires `f` for the calling
+/// bound thread. Without a scheduler this is one atomic load.
+inline bool inject(Fault f) {
+  int tid;
+  return detail::g_scheduler.load(std::memory_order_acquire) != nullptr &&
+         Session::bound(tid) != nullptr && scheduler_fault(tid, f);
+}
 
 template <typename T>
 class atomic {
@@ -493,6 +516,9 @@ void plain_store(T& cell, T v,
 }
 
 #else  // !WASP_VERIFY_ENABLED ------------------------------------------------
+
+/// No scheduler, no faults: every fault point folds away.
+constexpr bool inject(Fault) { return false; }
 
 /// Zero-cost passthrough: identical layout and codegen to std::atomic<T>.
 template <typename T>

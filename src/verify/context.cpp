@@ -12,6 +12,11 @@ void scheduler_yield(int tid) {
   if (Scheduler* sched = Scheduler::current()) sched->yield(tid);
 }
 
+bool scheduler_fault(int tid, Fault f) {
+  Scheduler* sched = Scheduler::current();
+  return sched != nullptr && sched->fault(tid, f);
+}
+
 std::string site_str(const Site& s) {
   const char* base = s.file;
   for (const char* p = s.file; *p != '\0'; ++p)
@@ -323,8 +328,9 @@ std::string Session::report_text() const {
   for (const std::string& d : diagnostics_) out << "  * " << d << "\n";
   if (dropped_diagnostics_ > 0)
     out << "  (+" << dropped_diagnostics_ << " more dropped)\n";
-  out << "replay: rerun with the same seed; stale-value choices and chaos "
-         "schedules are pure functions of (seed, tid)\n";
+  out << "replay: rerun with the same seed; stale-value choices are pure "
+         "functions of (seed, tid), and so is an installed Scheduler's "
+         "schedule, faults included\n";
   return out.str();
 }
 

@@ -39,9 +39,8 @@
 //    hb edge shows up as wrong data, not just a race verdict.
 //
 // Sessions are scoped and exclusive (one at a time, enforced). Threads bind
-// with ScopedBind, mirroring chaos::ScopedInstall; unbound threads fall
-// through to plain std::atomic behavior, so code under instrumentation runs
-// unchanged outside a session.
+// with ScopedBind; unbound threads fall through to plain std::atomic
+// behavior, so code under instrumentation runs unchanged outside a session.
 #pragma once
 
 #include <algorithm>
@@ -304,7 +303,7 @@ class Session {
 
 /// Binds the calling thread to `session` as logical thread `tid` for the
 /// guard's lifetime. A null session is a no-op, so callers can thread an
-/// optional session through unconditionally (chaos::ScopedInstall idiom).
+/// optional session through unconditionally.
 class ScopedBind {
  public:
   ScopedBind(Session* session, int tid);
@@ -323,8 +322,9 @@ struct Binding {
   Session* session = nullptr;
   int tid = -1;
 };
-// constinit: no TLS init-guard on the instrumentation hot path (same
-// rationale as chaos::detail::tls_binding).
+// constinit: statically initialized, so no TLS init-guard wrapper sits on
+// the instrumentation hot path (its lazy-init store is also what UBSan would
+// flag).
 inline constinit thread_local Binding tls_binding{};
 inline constinit std::atomic<Session*> g_session{nullptr};
 inline constinit std::atomic<std::uint64_t> g_generation{0};

@@ -42,6 +42,8 @@ struct Op {
   bool ok = true;        ///< result flag (e.g. try_pop success)
   std::uint64_t inv = 0; ///< invocation timestamp
   std::uint64_t res = 0; ///< response timestamp
+
+  friend bool operator==(const Op&, const Op&) = default;
 };
 
 /// Records a complete history from concurrent threads: call `begin` before

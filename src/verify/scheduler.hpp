@@ -23,6 +23,13 @@
 //  * When a thread's lambda returns, ~ScopedSchedule detaches it: the token
 //    moves on, and when the last participant detaches the scheduler resets
 //    so the next team.run round can reuse it.
+//  * Faults are seeded actions too. At a fault point (verify::inject in
+//    checked_atomic.hpp: a steal, a chunk-pool get, Wasp's termination
+//    verdict and park) the token holder asks fault(). On a fault seed
+//    (faults_armed) the answer is a draw from the same PRNG, so an injected
+//    steal failure, pool exhaustion or spurious wakeup replays with its
+//    schedule and enters schedule_hash(). Other seeds draw nothing: their
+//    schedules are exactly those of a fault-free scheduler.
 //
 // Liveness: every spin-wait in the instrumented code (Chase-Lev top/bottom,
 // Wasp's termination scan, SpinBarrier) spins *through* instrumented loads,
@@ -40,6 +47,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -48,6 +56,7 @@
 #include <vector>
 
 #include "support/random.hpp"
+#include "verify/checked_atomic.hpp"
 #include "verify/context.hpp"
 #include "verify/vector_clock.hpp"
 
@@ -55,6 +64,21 @@ namespace wasp::verify {
 
 class Scheduler {
  public:
+  /// P(fault fires)/65536 per fault-point visit on a fault seed, by Fault.
+  /// Steals and chunk gets are visited many times a run and fail at 1/8; a
+  /// termination verdict is visited about once per worker, so its spurious
+  /// wakeup fires at 1/2.
+  static constexpr std::array<std::uint16_t, kNumFaults> kFaultRate = {
+      8192, 8192, 32768};
+
+  /// One seed in five injects faults. The residue keeps fault seeds spread
+  /// over every thread count, graph and policy the harnesses derive from
+  /// the seed mod 2, 3 and 4, and off the kill seeds docs/CONCURRENCY.md
+  /// pins.
+  static constexpr bool faults_armed(std::uint64_t seed) {
+    return seed % 5 == 3;
+  }
+
   struct Options {
     int threads = 2;          ///< participants per team round (== team size)
     std::uint64_t seed = 1;   ///< drives every scheduling decision
@@ -65,6 +89,7 @@ class Scheduler {
       : options_(options),
         attached_(static_cast<std::size_t>(options.threads), 0),
         runnable_(static_cast<std::size_t>(options.threads), 0),
+        armed_(faults_armed(options.seed)),
         rng_(hash_mix(options.seed ^ 0x5C7EDD1CEULL)) {
     if (options.threads < 1 || options.threads > kMaxVerifyThreads)
       throw std::invalid_argument("verify::Scheduler: bad thread count");
@@ -144,9 +169,26 @@ class Scheduler {
     }
   }
 
+  /// Fault action at a fault point: on a fault seed, fires `f` for the
+  /// token holder with probability kFaultRate[f]/65536. The visit and its
+  /// outcome enter the hash.
+  bool fault(int tid, Fault f) {
+    if (!armed_) return false;
+    std::lock_guard<std::mutex> lk(mu_);
+    if (!running_ || current_ != tid) return false;  // unattached thread
+    const bool fire =
+        rng_.next_below(65536) < kFaultRate[static_cast<std::size_t>(f)];
+    mix(static_cast<std::uint64_t>(tid) |
+        (static_cast<std::uint64_t>(f) + 2) << 32 |
+        static_cast<std::uint64_t>(fire) << 40);
+    if (fire) ++faults_[static_cast<std::size_t>(f)];
+    return fire;
+  }
+
   /// FNV-1a fingerprint of every decision made so far: token grants at
-  /// attach/detach, every schedule point, and every switch target. Two runs
-  /// with equal hashes executed the same schedule bit-for-bit.
+  /// attach/detach, every schedule point, every switch target and every
+  /// fault draw. Two runs with equal hashes executed the same schedule
+  /// bit-for-bit.
   [[nodiscard]] std::uint64_t schedule_hash() const {
     std::lock_guard<std::mutex> lk(mu_);
     return hash_;
@@ -165,6 +207,12 @@ class Scheduler {
   [[nodiscard]] std::uint64_t rounds() const {
     std::lock_guard<std::mutex> lk(mu_);
     return rounds_;
+  }
+
+  /// How many times each fault fired, indexed by Fault.
+  [[nodiscard]] std::array<std::uint64_t, kNumFaults> faults() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return faults_;
   }
 
   [[nodiscard]] const Options& options() const { return options_; }
@@ -199,11 +247,13 @@ class Scheduler {
   int n_runnable_ = 0;
   int current_ = -1;
   bool running_ = false;
+  const bool armed_;
   Xoshiro256 rng_;
   std::uint64_t hash_ = 1469598103934665603ULL;  // FNV-1a offset basis
   std::uint64_t points_ = 0;
   std::uint64_t switches_ = 0;
   std::uint64_t rounds_ = 0;
+  std::array<std::uint64_t, kNumFaults> faults_{};
 };
 
 #if defined(WASP_VERIFY_ENABLED) && WASP_VERIFY_ENABLED

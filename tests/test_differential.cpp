@@ -2,7 +2,7 @@
 // every Solver configuration, on any schedule, must return exactly
 // dijkstra()'s answer. A case is a pure function of a 64-bit seed that picks
 // one value on every axis of axes(): generator, algorithm, threads, Δ, ρ,
-// the Wasp knobs, chaos policy, delta stream and cancel point. Streams
+// the Wasp knobs, delta stream and cancel point. Streams
 // replay through IncrementalSolver and are checked after every batch; a
 // cancelled first solve is followed by a re-solve on the same Solver.
 //
@@ -39,7 +39,6 @@
 #include "sssp/incremental.hpp"
 #include "sssp/validate.hpp"
 #include "support/cancel.hpp"
-#include "support/chaos.hpp"
 #include "support/errors.hpp"
 #include "support/numa.hpp"
 #include "support/random.hpp"
@@ -47,8 +46,10 @@
 namespace wasp {
 namespace {
 
-// Chaos builds run enough cases that at least 1,205 of them inject faults.
-#if defined(WASP_CHAOS_ENABLED) && WASP_CHAOS_ENABLED
+// The TSan and verify builds, where schedules vary most, run three times the
+// cases.
+#if defined(__SANITIZE_THREAD__) || \
+    (defined(WASP_VERIFY_ENABLED) && WASP_VERIFY_ENABLED)
 constexpr std::uint64_t kCases = 1536;
 #else
 constexpr std::uint64_t kCases = 512;
@@ -69,7 +70,6 @@ struct Case {
   int generator = 0;
   SsspOptions options;   ///< every knob but the topology
   int topology = 0;      ///< index into kTopologies
-  int chaos_policy = 0;  ///< index into chaos::standard_policies(); 0 = off
   Stream stream = Stream::kNone;
   bool cancel = false;
 };
@@ -289,12 +289,6 @@ const std::vector<Axis>& axes() {
              return c.options.wasp.partition.flush_threshold;
            },
            true),
-      {"chaos", static_cast<int>(chaos::standard_policies().size()), false,
-       [](C c, int i) { c.chaos_policy = i; },
-       [](Case c) {
-         return std::string(chaos::standard_policies()[static_cast<std::size_t>(
-                                c.chaos_policy)].name);
-       }},
       axis("stream", kStreams, [](C c) -> auto& { return c.stream; }),
       axis("cancel", kBools, [](C c) -> auto& { return c.cancel; }),
   };
@@ -409,20 +403,12 @@ void check(const Case& c) {
       pick_source_in_largest_component(vg.graph(), c.seed);
   SsspOptions options = c.options;
   options.wasp.topology = make_topology(c.topology);
-  chaos::Engine engine(c.seed,
-                       chaos::standard_policies()[static_cast<std::size_t>(
-                           c.chaos_policy)],
-                       options.threads);
-  if (c.chaos_policy != 0) options.chaos = &engine;
   IncrementalSolver inc(options);
   const auto expect_exact = [&](std::span<const Distance> got,
                                 const std::string& when) {
     std::string why;
     if (distances_equal(dijkstra(vg.graph(), source).dist, got, &why)) return;
-    why.insert(0, when + ": ");
-    ADD_FAILURE() << (options.chaos != nullptr
-                          ? chaos::failure_report(engine, why)
-                          : why);
+    ADD_FAILURE() << when << ": " << why;
   };
 
   if (c.cancel) {
@@ -478,12 +464,12 @@ TEST(Differential, CaseIsAPureFunctionOfItsSeed) {
             "seed=0 generator=grid algo=dijkstra threads=1 delta=1 rho=1 "
             "leaf_pruning=off bidirectional=off decomposition=off theta=8 "
             "steal=priority-numa retries=0 chunk=16 topology=detected "
-            "fragments=flat flush=4 chaos=off stream=none cancel=off");
+            "fragments=flat flush=4 stream=none cancel=off");
   EXPECT_EQ(describe(decode(kPinnedCases)),
-            "seed=77 generator=ML algo=wasp threads=3 delta=1024 rho=64 "
+            "seed=77 generator=ML algo=gap threads=3 delta=1024 rho=64 "
             "leaf_pruning=off bidirectional=off decomposition=on theta=256 "
             "steal=random retries=8 chunk=16 topology=1x1x8 fragments=flat "
-            "flush=64 chaos=steal-storm stream=decrease cancel=off");
+            "flush=64 stream=increase cancel=off");
   const Graph g = random_multigraph(kPinnedCases);
   EXPECT_EQ(g.num_vertices(), 177u);
   EXPECT_EQ(g.num_edges(), 408u);
@@ -506,15 +492,6 @@ TEST(Differential, PinnedCasesHitEveryValueOfEveryAxis) {
     EXPECT_EQ(want, got) << a.name;
   }
 }
-
-#if defined(WASP_CHAOS_ENABLED) && WASP_CHAOS_ENABLED
-TEST(Differential, ChaosBuildsInjectIntoAtLeast1205Cases) {
-  int injected = 0;
-  for (std::uint64_t seed = 0; seed < kCases; ++seed)
-    injected += decode(seed).chaos_policy != 0 ? 1 : 0;
-  EXPECT_GE(injected, 1205);
-}
-#endif
 
 // --- the replaced sweeps' names, each a list of configurations for check() -
 

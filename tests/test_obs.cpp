@@ -431,10 +431,10 @@ TEST(MetricsRegistryVerify, FullWaspRunUnderModelReportsNoRaces) {
   options.algo = Algorithm::kWasp;
   options.threads = 2;
   options.delta = 8;
-  // The sssp drivers bind chaos engines per worker, not verify sessions, so
-  // model coverage here comes from the checked atomics inside the concurrent
-  // containers plus the unbound-thread passthrough; the run must not trip
-  // the session installed around it.
+  // The sssp drivers bind their workers to the session only through
+  // ScopedSchedule, when a Scheduler is installed; none is here, so the
+  // workers run unbound through the checked atomics' passthrough, and the
+  // run must not trip the session installed around it.
   const SsspResult r = run_sssp(g, src, options);
   EXPECT_FALSE(r.dist.empty());
   EXPECT_TRUE(session.ok()) << session.report_text();

@@ -1,9 +1,10 @@
 // Partitioned-execution suite (docs/NUMA.md): fragment assembly round-trips
 // the CSR bit-for-bit, boundary classification matches brute force, remote
-// counters account for cut traffic, and termination survives chaos on the
-// remote publish->drain window. Exactness across topologies, fragment
-// counts, flush thresholds and chaos schedules is checked by
-// test_differential.cpp.
+// counters account for cut traffic. Exactness across topologies, fragment
+// counts and flush thresholds is checked by test_differential.cpp; seeded
+// schedules and faults on the remote publish->drain window by
+// SchedulerHarness.PartitionedWaspEndToEndSchedulesMatchDijkstra
+// (test_verify.cpp).
 //
 // Every suite here is named Partition* so the TSan preset's test filter
 // picks it up (CMakePresets.json).
@@ -22,7 +23,6 @@
 #include "sssp/sssp.hpp"
 #include "sssp/validate.hpp"
 #include "sssp/wasp.hpp"
-#include "support/chaos.hpp"
 #include "support/numa.hpp"
 #include "support/thread_team.hpp"
 
@@ -237,32 +237,6 @@ TEST(PartitionSolve, RemoteCountersAccountForCutTraffic) {
   const SsspResult rs = run_sssp(f.graph, f.source, single);
   EXPECT_EQ(rs.metrics.counter(obs::CounterId::kRemoteRelaxations), 0u);
   EXPECT_EQ(rs.metrics.counter(obs::CounterId::kRemoteBatches), 0u);
-}
-
-// --- chaos ------------------------------------------------------------------
-
-// Termination-fuzz focus: the publish->drain window is the novel blind spot
-// (remote-flush-delay / remote-drain-delay chaos points stretch it).
-TEST(PartitionChaos, TerminationFuzzOnRemoteWindow) {
-  constexpr int kThreads = 6;
-  const Fixture& f = fixtures()[0];  // grid: long chains cross fragments
-  auto topo = std::make_shared<NumaTopology>(NumaTopology::synthetic(2, 1, 3));
-  SsspOptions options = partitioned_options(kThreads, /*fragments=*/2, topo);
-  options.delta = 2;
-  options.wasp.partition.flush_threshold = 4;  // many small batches
-  Solver solver(options);
-  for (std::uint64_t seed = 0; seed < 32; ++seed) {
-    chaos::Engine engine(seed, chaos::Policy::termination_fuzz(), kThreads,
-                         /*record=*/true);
-    solver.options().chaos = &engine;
-    const SsspResult r = solver.solve(f.graph, f.source);
-    std::string why;
-    if (!distances_equal(f.reference, r.dist, &why)) {
-      FAIL() << chaos::failure_report(
-          engine, "termination fuzz diverged (seed " + std::to_string(seed) +
-                      "): " + why);
-    }
-  }
 }
 
 }  // namespace

@@ -4,14 +4,13 @@
 // the in-run polls and the QueryService watchdog, admission control
 // sheds/rejects/coalesces as specified, the stale cache degrades
 // gracefully, and the retry/backoff path replays deterministically from its
-// seed (override with WASP_CHAOS_SEED).
+// seed.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -52,11 +51,7 @@ SsspOptions options_for(Algorithm algo) {
   return options;
 }
 
-std::uint64_t test_seed() {
-  if (const char* pin = std::getenv("WASP_CHAOS_SEED"))
-    return std::strtoull(pin, nullptr, 10);
-  return 0x5EEDULL;
-}
+constexpr std::uint64_t kTestSeed = 0x5EEDULL;
 
 /// Blocks the first run callback after arm() until release(); callbacks
 /// while unarmed (or after release) pass straight through. Lets a test hold
@@ -461,7 +456,7 @@ TEST(ServiceQuery, WatchdogCancelsOverdueRunThenQuarantinesAndRebuilds) {
 TEST(ServiceQuery, RetryBackoffIsDeterministicUnderSeedReplay) {
   const Graph g = make_small_graph();
   const VertexId source = pick_source_in_largest_component(g, 11);
-  const std::uint64_t seed = test_seed();
+  const std::uint64_t seed = kTestSeed;
 
   const auto run_once = [&](std::uint64_t s) {
     ServiceConfig config;

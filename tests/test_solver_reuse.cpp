@@ -2,9 +2,9 @@
 // epoch-versioned distances, cached partitions, prefetched relaxation) must
 // be invisible in results. A reused Solver answering the same query twice,
 // or a different query, must produce distances bit-identical to a fresh
-// per-call solve — for every algorithm, across an epoch wrap, and under
-// fault injection. The partition-cache suites are named PartitionReuse so
-// the TSan preset's Partition filter runs them.
+// per-call solve — for every algorithm and across an epoch wrap. The
+// partition-cache suites are named PartitionReuse so the TSan preset's
+// Partition filter runs them.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,7 +21,6 @@
 #include "sssp/sssp.hpp"
 #include "sssp/validate.hpp"
 #include "support/cancel.hpp"
-#include "support/chaos.hpp"
 #include "support/errors.hpp"
 #include "support/numa.hpp"
 
@@ -117,27 +116,6 @@ TEST(SolverReuseEpochWrap, ForcedWrapSweepsAndStaysCorrect) {
   const SsspResult r3 = solver.solve(g, s);
   EXPECT_EQ(r3.metrics.counter(obs::CounterId::kEpochSweeps), 0u);
   EXPECT_EQ(r3.dist, reference);
-}
-
-TEST(SolverReuseChaos, SeededInjectionWithFastPathStaysExact) {
-  const Graph g = make_test_graph();
-  const VertexId s = pick_source_in_largest_component(g, 11);
-  const std::vector<Distance> reference = dijkstra(g, s).dist;
-
-  SsspOptions options = options_for(Algorithm::kWasp);
-  options.delta = 1;
-  options.prefetch_lookahead = 8;
-  chaos::Engine engine(0xC0FFEEu, chaos::Policy::uniform(1 << 12),
-                       options.threads);
-  options.chaos = &engine;
-
-  Solver solver(options);
-  for (int i = 0; i < 3; ++i) {
-    const SsspResult r = solver.solve(g, s);
-    std::string message;
-    ASSERT_TRUE(distances_equal(reference, r.dist, &message))
-        << "iteration " << i << ": " << message;
-  }
 }
 
 TEST(SolverReusePrefetch, LookaheadIsValidatedAndZeroDisables) {

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -38,6 +39,7 @@
 #include "graph/delta.hpp"
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
+#include "obs/observer.hpp"
 #include "sssp/async_loop.hpp"
 #include "sssp/curr_board.hpp"
 #include "sssp/dijkstra.hpp"
@@ -45,7 +47,6 @@
 #include "sssp/sssp.hpp"
 #include "sssp/validate.hpp"
 #include "sssp/wasp.hpp"
-#include "support/chaos.hpp"
 #include "support/numa.hpp"
 #include "support/random.hpp"
 #include "support/thread_team.hpp"
@@ -74,24 +75,28 @@ using verify::Op;
 using verify::PoolSpec;
 using verify::Session;
 
-/// Runs `fn(tid)` on `threads` std::threads, each bound to `session` and to
-/// a chaos engine stream, mirroring how sssp drivers install both.
+using verify::ModelBarrier;
+using verify::Scheduler;
+
+/// Runs `fn(tid)` on `threads` std::threads, each bound to `session`. Each
+/// thread also joins the installed Scheduler's round, if there is one, as
+/// the sssp drivers' team lambdas do: the seed then pins the interleaving
+/// and the faults. Without one the threads run free, which the staged tests
+/// need: their raw-atomic spin-waits reach no schedule point, so a token
+/// holder spinning there would never hand the token on.
 template <typename Fn>
-void run_bound(Session& session, chaos::Engine* engine, int threads, Fn fn) {
+void run_bound(Session& session, int threads, Fn fn) {
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(threads));
   for (int t = 0; t < threads; ++t) {
     pool.emplace_back([&, t] {
-      chaos::ScopedInstall chaos_guard(engine, t);
       verify::ScopedBind bind(&session, t);
+      verify::ScopedSchedule schedule_guard(t);
       fn(t);
     });
   }
   for (auto& th : pool) th.join();
 }
-
-using verify::ModelBarrier;
-using verify::Scheduler;
 
 /// Seed range for the harness loops: all of [0, count) normally, or exactly
 /// the one seed named by WASP_VERIFY_SEED=<n> — every harness failure
@@ -115,9 +120,10 @@ SeedRange harness_seeds(std::uint64_t count = kHarnessSeeds) {
 
 /// "seed N (replay: WASP_VERIFY_SEED=N ./tests/test_verify
 /// --gtest_filter=Suite.Test)" — stitched into every harness assertion so a
-/// red run is replayable by copy-paste. The seed pins both the session's
-/// stale-load streams and the scheduler's interleaving decisions, so the
-/// replay executes the same schedule bit-for-bit.
+/// red run is replayable by copy-paste. The seed pins the session's
+/// stale-load streams and, in every test that installs a Scheduler (the
+/// linearizability and end-to-end harnesses), its interleaving and fault
+/// decisions, so the replay executes the same schedule bit-for-bit.
 std::string replay_hint(std::uint64_t seed) {
   const ::testing::TestInfo* info =
       ::testing::UnitTest::GetInstance()->current_test_info();
@@ -135,6 +141,20 @@ Session::Options session_options(int threads, std::uint64_t seed) {
   o.seed = seed;
   return o;
 }
+
+Scheduler::Options scheduler_options(int threads, std::uint64_t seed) {
+  Scheduler::Options o;
+  o.threads = threads;
+  o.seed = seed;
+  return o;
+}
+
+/// What one seeded harness run leaves behind for replay checks.
+struct HarnessRun {
+  std::uint64_t schedule_hash = 0;
+  std::vector<std::vector<Op>> history;
+  std::array<std::uint64_t, verify::kNumFaults> faults{};
+};
 
 // --- linearizability checker self-tests (flavor independent) --------------
 
@@ -240,7 +260,7 @@ TEST(VerifyModel, MessagePassingRelaxedObservesStaleData) {
     verify::atomic<int> flag{0};
     int seen = -1;
     Session session(session_options(2, seed));
-    run_bound(session, nullptr, 2, [&](int tid) {
+    run_bound(session, 2, [&](int tid) {
       if (tid == 0) {
         data.store(42, std::memory_order_relaxed);
         flag.store(1, std::memory_order_relaxed);
@@ -264,7 +284,7 @@ TEST(VerifyModel, MessagePassingReleaseAcquireNeverStale) {
     verify::atomic<int> flag{0};
     int seen = -1;
     Session session(session_options(2, seed));
-    run_bound(session, nullptr, 2, [&](int tid) {
+    run_bound(session, 2, [&](int tid) {
       if (tid == 0) {
         data.store(42, std::memory_order_relaxed);
         flag.store(1, std::memory_order_release);
@@ -285,7 +305,7 @@ TEST(VerifyModel, ReleaseFenceArmsSubsequentRelaxedStore) {
     verify::atomic<int> flag{0};
     int seen = -1;
     Session session(session_options(2, seed));
-    run_bound(session, nullptr, 2, [&](int tid) {
+    run_bound(session, 2, [&](int tid) {
       if (tid == 0) {
         data.store(42, std::memory_order_relaxed);
         verify::thread_fence(std::memory_order_release);
@@ -312,7 +332,7 @@ TEST(VerifyModel, SeqCstFencesForbidStoreBufferingBothZero) {
       verify::atomic<int> y{0};
       int r0 = -1, r1 = -1;
       Session session(session_options(2, seed));
-      run_bound(session, nullptr, 2, [&](int tid) {
+      run_bound(session, 2, [&](int tid) {
         if (tid == 0) {
           x.store(1, std::memory_order_relaxed);
           if (fenced) verify::thread_fence(std::memory_order_seq_cst);
@@ -340,7 +360,7 @@ TEST(VerifyModel, SeqCstFencesForbidStoreBufferingBothZero) {
 TEST(VerifyModel, RmwAtomicityIsExact) {
   verify::atomic<std::int64_t> counter{0};
   Session session(session_options(3, 7));
-  run_bound(session, nullptr, 3, [&](int) {
+  run_bound(session, 3, [&](int) {
     for (int i = 0; i < 200; ++i)
       counter.fetch_add(1, std::memory_order_relaxed);
   });
@@ -380,7 +400,7 @@ TEST(VerifyModel, SeqCstStoreFloorsPostFenceLoads) {
     std::atomic<int> handoff{0};
     int seen = -1;
     Session session(always_stale(2, seed));
-    run_bound(session, nullptr, 2, [&](int tid) {
+    run_bound(session, 2, [&](int tid) {
       if (tid == 0) {
         x.store(1, std::memory_order_seq_cst);
         handoff.store(1, std::memory_order_release);
@@ -404,7 +424,7 @@ TEST(VerifyModel, SeqCstLoadFloorsAtNewestScStore) {
     std::atomic<int> handoff{0};
     int seen = -1;
     Session session(always_stale(2, seed));
-    run_bound(session, nullptr, 2, [&](int tid) {
+    run_bound(session, 2, [&](int tid) {
       if (tid == 0) {
         x.store(1, std::memory_order_seq_cst);
         handoff.store(1, std::memory_order_release);
@@ -432,7 +452,7 @@ TEST(VerifyModel, FenceFencePublishesEarlierRelaxedStore) {
     std::atomic<int> handoff{0};
     int seen = -1;
     Session session(always_stale(2, seed));
-    run_bound(session, nullptr, 2, [&](int tid) {
+    run_bound(session, 2, [&](int tid) {
       if (tid == 0) {
         x.store(1, std::memory_order_relaxed);
         verify::thread_fence(std::memory_order_seq_cst);
@@ -462,7 +482,7 @@ TEST(VerifyModel, UnfencedLoadMayStillMissSeqCstStore) {
     std::atomic<int> handoff{0};
     int seen = -1;
     Session session(always_stale(2, seed));
-    run_bound(session, nullptr, 2, [&](int tid) {
+    run_bound(session, 2, [&](int tid) {
       if (tid == 0) {
         x.store(1, std::memory_order_seq_cst);
         handoff.store(1, std::memory_order_release);
@@ -497,7 +517,7 @@ TEST(VerifyModel, ScFencesAloneDoNotSynchronizePlainAccesses) {
   std::uint32_t cell = 0;
   std::atomic<int> handoff{0};
   Session session(session_options(2, 7));
-  run_bound(session, nullptr, 2, [&](int tid) {
+  run_bound(session, 2, [&](int tid) {
     if (tid == 0) {
       verify::plain_store(cell, std::uint32_t{7});
       verify::thread_fence(std::memory_order_seq_cst);
@@ -528,7 +548,7 @@ TEST(VerifyModel, FenceFenceForcesValueWithoutHappensBefore) {
     std::atomic<int> handoff{0};
     int seen = -1;
     Session session(always_stale(2, seed));
-    run_bound(session, nullptr, 2, [&](int tid) {
+    run_bound(session, 2, [&](int tid) {
       if (tid == 0) {
         verify::plain_store(cell, std::uint32_t{7});
         x.store(1, std::memory_order_relaxed);
@@ -562,7 +582,7 @@ TEST(VerifyModel, ReleaseSequenceContinuesThroughOwnRelaxedStore) {
     verify::atomic<int> x{0};
     std::atomic<int> handoff{0};
     Session session(always_stale(2, seed));
-    run_bound(session, nullptr, 2, [&](int tid) {
+    run_bound(session, 2, [&](int tid) {
       if (tid == 0) {
         verify::plain_store(cell, std::uint32_t{7});
         x.store(1, std::memory_order_release);
@@ -592,7 +612,7 @@ TEST(VerifyModel, ReleaseSequenceBrokenByForeignRelaxedStore) {
   std::atomic<int> h1{0};
   std::atomic<int> h2{0};
   Session session(session_options(3, 11));
-  run_bound(session, nullptr, 3, [&](int tid) {
+  run_bound(session, 3, [&](int tid) {
     if (tid == 0) {
       verify::plain_store(cell, std::uint32_t{7});
       x.store(1, std::memory_order_release);
@@ -630,7 +650,7 @@ TEST(VerifyModel, RmwContinuesForeignReleaseSequence) {
     std::atomic<int> h1{0};
     std::atomic<int> h2{0};
     Session session(always_stale(3, seed));
-    run_bound(session, nullptr, 3, [&](int tid) {
+    run_bound(session, 3, [&](int tid) {
       if (tid == 0) {
         verify::plain_store(cell, std::uint32_t{7});
         x.store(1, std::memory_order_release);
@@ -687,7 +707,7 @@ TEST(VerifyModel, ScExplorationUnpinsUnorderedStoreFenceWindow) {
       std::atomic<int> handoff{0};
       int seen = -1;
       Session session(exploring(2, seed, window));
-      run_bound(session, nullptr, 2, [&](int tid) {
+      run_bound(session, 2, [&](int tid) {
         if (tid == 0) {
           x.store(1, std::memory_order_seq_cst);
           handoff.store(1, std::memory_order_release);
@@ -721,7 +741,7 @@ TEST(VerifyModel, ScExplorationKeepsSeqCstLoadFloorsFirm) {
     int r0 = -1;
     int r1 = -1;
     Session session(exploring(2, seed, 8));
-    run_bound(session, nullptr, 2, [&](int tid) {
+    run_bound(session, 2, [&](int tid) {
       if (tid == 0) {
         x.store(1, std::memory_order_seq_cst);
         r0 = y.load(std::memory_order_seq_cst);
@@ -750,7 +770,7 @@ TEST(VerifyModel, ScExplorationHorizonAnchorsForbidFenceBothZero) {
     int r0 = -1;
     int r1 = -1;
     Session session(exploring(2, seed, 8));
-    run_bound(session, nullptr, 2, [&](int tid) {
+    run_bound(session, 2, [&](int tid) {
       if (tid == 0) {
         x.store(1, std::memory_order_relaxed);
         verify::thread_fence(std::memory_order_seq_cst);
@@ -786,7 +806,7 @@ TEST(VerifyModel, PlainValueModelAdmitsStaleValueWithoutHb) {
     std::atomic<int> handoff{0};
     std::uint32_t seen = 0;
     Session session(always_stale(2, seed));
-    run_bound(session, nullptr, 2, [&](int tid) {
+    run_bound(session, 2, [&](int tid) {
       if (tid == 0) {
         verify::plain_store(cell, std::uint32_t{7});
         handoff.store(1, std::memory_order_release);
@@ -811,7 +831,7 @@ TEST(VerifyModel, PlainValueModelFreshUnderReleaseAcquire) {
     std::uint32_t cell = 1;
     verify::atomic<int> flag{0};
     Session session(always_stale(2, seed));
-    run_bound(session, nullptr, 2, [&](int tid) {
+    run_bound(session, 2, [&](int tid) {
       if (tid == 0) {
         verify::plain_store(cell, std::uint32_t{7});
         flag.store(1, std::memory_order_release);
@@ -855,7 +875,7 @@ TEST(DequeScOrder, PopBottomCasIsPublishedToFencedThief) {
     std::atomic<int> stage{0};  // raw: real-time order, no model edge
     std::int64_t size_seen = -1;
     Session session(always_stale(2, seed));
-    run_bound(session, nullptr, 2, [&](int tid) {
+    run_bound(session, 2, [&](int tid) {
       if (tid == 0) {
         deque.push_bottom(&cell);
         // Last-element pop: t == b path, decided by the CLD-86f63b seq_cst
@@ -888,7 +908,7 @@ TEST(DequeScOrder, StealCasIsPublishedToFencedOwner) {
     std::atomic<int> stage{0};  // raw: real-time order, no model edge
     std::int64_t size_seen = -1;
     Session session(always_stale(2, seed));
-    run_bound(session, nullptr, 2, [&](int tid) {
+    run_bound(session, 2, [&](int tid) {
       if (tid == 0) {
         deque.push_bottom(&cell);
         stage.store(1, std::memory_order_release);
@@ -945,7 +965,7 @@ TEST(WaspCurrProtocol, ProbedLevelGuaranteesStealableChunk) {
     HarnessChunk chunk;  // filled bound by the owner
     std::atomic<int> ready{0};  // raw: real-time order, no model edge
     Session session(always_stale(2, seed));
-    run_bound(session, nullptr, 2, [&](int tid) {
+    run_bound(session, 2, [&](int tid) {
       if (tid == 0) {
         chunk.set_priority(5);
         chunk.push(VertexId{7});
@@ -993,7 +1013,7 @@ TEST(WaspCurrProtocol, IdlePublishOrdersPriorChunkMutations) {
     HarnessChunk chunk;
     std::atomic<int> ready{0};
     Session session(always_stale(2, seed));
-    run_bound(session, nullptr, 2, [&](int tid) {
+    run_bound(session, 2, [&](int tid) {
       if (tid == 0) {
         board.publish(0, 3);  // working at level 3
         chunk.push(VertexId{9});
@@ -1047,7 +1067,7 @@ TEST(QuiescenceDetectorProtocol, CountedDoneCarriesThePushesBeforeIt) {
     verify::atomic<int> handed{0};
     std::atomic<int> finished{0};  // raw: real-time order, no model edge
     Session session(always_stale(3, seed));
-    run_bound(session, nullptr, 3, [&](int tid) {
+    run_bound(session, 3, [&](int tid) {
       if (tid == 0) {
         detector.pushed(0);
         handed.store(1, std::memory_order_release);
@@ -1089,7 +1109,7 @@ TEST(DequeGrow, ConsumeCarriesRingConstructionToThief) {
     std::vector<HarnessChunk> chunks(3);
     std::atomic<int> ready{0};
     Session session(always_stale(2, seed));
-    run_bound(session, nullptr, 2, [&](int tid) {
+    run_bound(session, 2, [&](int tid) {
       if (tid == 0) {
         for (auto& c : chunks) deque.push_bottom(&c);  // grows while bound
         ready.store(1, std::memory_order_release);
@@ -1110,7 +1130,7 @@ TEST(DequeGrow, ConsumeCarriesRingConstructionToThief) {
 TEST(VerifySession, PlainRaceDetected) {
   int cell = 0;
   Session session(session_options(2, 3));
-  run_bound(session, nullptr, 2, [&](int tid) {
+  run_bound(session, 2, [&](int tid) {
     if (tid == 0) {
       WASP_VERIFY_WR(&cell);
       cell = 1;
@@ -1132,7 +1152,7 @@ TEST(VerifySession, PlainAccessOrderedByReleaseAcquireIsClean) {
   int cell = 0;
   verify::atomic<int> flag{0};
   Session session(session_options(2, 3));
-  run_bound(session, nullptr, 2, [&](int tid) {
+  run_bound(session, 2, [&](int tid) {
     if (tid == 0) {
       WASP_VERIFY_WR(&cell);
       cell = 1;
@@ -1192,7 +1212,8 @@ bool toy_stack_run_clean(std::uint64_t seed) {
   std::vector<typename ToyStack<kCasOrder>::Node> nodes(50);
   verify::atomic<int> done{0};
   Session session(session_options(2, seed));
-  run_bound(session, nullptr, 2, [&](int tid) {
+  Scheduler scheduler(scheduler_options(2, seed));
+  run_bound(session, 2, [&](int tid) {
     if (tid == 0) {
       for (std::size_t i = 0; i < nodes.size(); ++i)
         stack.push(&nodes[i], 100 + i);
@@ -1223,9 +1244,11 @@ TEST(ToyStack, CheckerAcceptsAcqRelPublication) {
 // --- seeded linearizability harnesses over the real structures ------------
 //
 // Each harness runs kHarnessSeeds independent sessions. Under WASP_VERIFY
-// the session's weak-memory model and the chaos engine perturb the run; the
-// recorded history must stay linearizable, the session race-free, and the
-// element multiset conserved.
+// the session's weak-memory model and a Scheduler seeded like it perturb the
+// run: the scheduler picks the interleaving and, on its fault seeds, fails
+// steals and chunk-pool gets. The recorded history must stay linearizable,
+// the session race-free, and the element multiset conserved. A seed replays
+// bit-for-bit (SchedulerHarness.PinnedFaultSeedsReplayBitForBit).
 
 using HarnessChunk = BasicChunk<4>;
 
@@ -1243,7 +1266,6 @@ void deque_harness_one_seed(std::uint64_t seed, DequeRunStats& stats) {
   ChaseLevDeque<HarnessChunk*> deque(2);
   std::vector<HarnessChunk> chunks(kOwnerOps);
   HistoryRecorder rec(kThreads);
-  chaos::Engine engine(seed, chaos::Policy::uniform(4096), kThreads);
   std::vector<std::uint64_t> drained_sum(kThreads, 0);
   std::uint64_t pushed_sum = 0;
 
@@ -1254,7 +1276,8 @@ void deque_harness_one_seed(std::uint64_t seed, DequeRunStats& stats) {
   };
 
   Session session(session_options(kThreads, seed));
-  run_bound(session, &engine, kThreads, [&](int tid) {
+  Scheduler scheduler(scheduler_options(kThreads, seed));
+  run_bound(session, kThreads, [&](int tid) {
     Xoshiro256 rng(hash_mix(seed * 31 + static_cast<std::uint64_t>(tid)));
     if (tid == 0) {
       int next_chunk = 0;
@@ -1344,13 +1367,16 @@ TEST(DequeHarness, SeededHistoriesLinearizeAndConserve) {
   EXPECT_LT(stats.budget_exhausted, kHarnessSeeds / 10U);
 }
 
+/// One seeded bag history; `replay`, when given, receives the schedule and
+/// the history for replay checks.
 template <typename Queue>
 void bag_harness_one_seed(std::uint64_t seed, Queue& queue, int threads,
-                          int pushes_per_thread) {
+                          int pushes_per_thread,
+                          HarnessRun* replay = nullptr) {
   HistoryRecorder rec(threads);
-  chaos::Engine engine(seed, chaos::Policy::uniform(4096), threads);
   Session session(session_options(threads, seed));
-  run_bound(session, &engine, threads, [&](int tid) {
+  Scheduler scheduler(scheduler_options(threads, seed));
+  run_bound(session, threads, [&](int tid) {
     Xoshiro256 rng(hash_mix(seed * 131 + static_cast<std::uint64_t>(tid)));
     int pushed = 0;
     const int ops = pushes_per_thread * 2;
@@ -1414,32 +1440,58 @@ void bag_harness_one_seed(std::uint64_t seed, Queue& queue, int threads,
 
   const auto lin = linearize<BagSpec>(by_thread);
   ASSERT_TRUE(lin.ok) << replay_hint(seed) << ":\n" << lin.explanation;
+  if (replay != nullptr) {
+    replay->schedule_hash = scheduler.schedule_hash();
+    replay->faults = scheduler.faults();
+    replay->history = by_thread;
+  }
+}
+
+void mq_harness_one_seed(std::uint64_t seed) {
+  MultiQueue::Config cfg;
+  cfg.threads = 3;
+  cfg.c = 2;
+  cfg.buffer_size = 4;
+  cfg.stickiness = 2;
+  cfg.seed = seed + 1;
+  MultiQueue mq(cfg);
+  bag_harness_one_seed(seed, mq, cfg.threads, 10);
 }
 
 TEST(MultiQueueHarness, SeededHistoriesLinearizeAndConserve) {
   const SeedRange seeds = harness_seeds();
   for (std::uint64_t seed = seeds.first; seed < seeds.last; ++seed) {
-    MultiQueue::Config cfg;
-    cfg.threads = 3;
-    cfg.c = 2;
-    cfg.buffer_size = 4;
-    cfg.stickiness = 2;
-    cfg.seed = seed + 1;
-    MultiQueue mq(cfg);
-    bag_harness_one_seed(seed, mq, cfg.threads, 10);
+    mq_harness_one_seed(seed);
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+#if defined(WASP_VERIFY_ENABLED) && WASP_VERIFY_ENABLED
+TEST(MultiQueueHarness, PinnedSeedsDrainEveryElementAtQuiescence) {
+  // Seeds 982 and 2661 leave one element in a single non-empty queue after
+  // the threads join, which the sampled queue picks of refill can all
+  // miss. The quiescent drain counts the element as lost unless try_pop
+  // reports empty only when every queue is empty.
+  for (const std::uint64_t seed : {982ULL, 2661ULL}) {
+    mq_harness_one_seed(seed);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+#endif  // WASP_VERIFY_ENABLED
+
+void smq_harness_one_seed(std::uint64_t seed, HarnessRun* replay = nullptr) {
+  StealingMultiQueue::Config cfg;
+  cfg.threads = 3;
+  cfg.steal_batch = 2;
+  cfg.seed = seed + 1;
+  StealingMultiQueue smq(cfg);
+  bag_harness_one_seed(seed, smq, cfg.threads, 10, replay);
 }
 
 TEST(StealingMultiQueueHarness, SeededHistoriesLinearizeAndConserve) {
   const SeedRange seeds = harness_seeds();
   for (std::uint64_t seed = seeds.first; seed < seeds.last; ++seed) {
-    StealingMultiQueue::Config cfg;
-    cfg.threads = 3;
-    cfg.steal_batch = 2;
-    cfg.seed = seed + 1;
-    StealingMultiQueue smq(cfg);
-    bag_harness_one_seed(seed, smq, cfg.threads, 10);
+    smq_harness_one_seed(seed);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -1450,9 +1502,9 @@ TEST(ChunkPoolHarness, SeededHistoriesKeepOwnershipExclusive) {
     constexpr int kThreads = 3;
     BasicChunkArena<HarnessChunk> arena;
     HistoryRecorder rec(kThreads);
-    chaos::Engine engine(seed, chaos::Policy::alloc_pressure(), kThreads);
     Session session(session_options(kThreads, seed));
-    run_bound(session, &engine, kThreads, [&](int tid) {
+    Scheduler scheduler(scheduler_options(kThreads, seed));
+    run_bound(session, kThreads, [&](int tid) {
       BasicChunkPool<HarnessChunk> pool(arena, /*block_size=*/4);
       Xoshiro256 rng(hash_mix(seed * 17 + static_cast<std::uint64_t>(tid)));
       std::vector<HarnessChunk*> held;
@@ -1492,7 +1544,7 @@ TEST(SpinLockHarness, LockAndTryLockOrderPlainWrites) {
     SpinLock lock;
     std::uint64_t counter = 0;
     Session session(session_options(3, seed));
-    run_bound(session, nullptr, 3, [&](int tid) {
+    run_bound(session, 3, [&](int tid) {
       for (int i = 0; i < 40; ++i) {
         if (tid == 2) {
           while (!lock.try_lock()) std::this_thread::yield();
@@ -1520,7 +1572,7 @@ TEST(FrontierBagHarness, PhasedDisciplineIsRaceFree) {
     std::vector<VertexId> out(kThreads * 8);
     std::size_t total = 0;
     Session session(session_options(kThreads, seed));
-    run_bound(session, nullptr, kThreads, [&](int tid) {
+    run_bound(session, kThreads, [&](int tid) {
       for (int i = 0; i < 8; ++i)
         bag.insert(tid, static_cast<VertexId>(tid * 100 + i));
       barrier.wait();
@@ -1547,7 +1599,7 @@ TEST(FrontierBagHarness, UnorderedScanIsReportedAsRace) {
   // the phase discipline is violated and the checker must say so.
   FrontierBag bag(2);
   Session session(session_options(2, 5));
-  run_bound(session, nullptr, 2, [&](int tid) {
+  run_bound(session, 2, [&](int tid) {
     if (tid == 0) {
       (void)bag.compute_offsets();
     } else {
@@ -1588,13 +1640,6 @@ constexpr std::uint64_t kE2eSeeds = 60;
 /// and outcome flag it immediately.
 constexpr std::uint64_t kPinnedSeed = 17;
 
-Scheduler::Options scheduler_options(int threads, std::uint64_t seed) {
-  Scheduler::Options o;
-  o.threads = threads;
-  o.seed = seed;
-  return o;
-}
-
 struct E2eCase {
   Graph graph;
   VertexId source;
@@ -1623,11 +1668,31 @@ struct E2eOutcome {
   std::uint64_t schedule_hash = 0;
   std::uint64_t schedule_points = 0;
   std::uint64_t switches = 0;
+  std::array<std::uint64_t, verify::kNumFaults> faults{};
+  std::vector<Distance> dist;
+};
+
+/// Counts the run-lifecycle callbacks whose invariants the Wasp fault seeds
+/// check (see RunObserver.WaspFiresTerminationOncePerWorkerAndStealPerAttempt
+/// in test_obs.cpp for the fault-free form).
+class LifecycleHooks final : public obs::RunObserver {
+ public:
+  void on_steal(int, int, bool) override {
+    steals.fetch_add(1, std::memory_order_relaxed);
+  }
+  void on_termination(int) override {
+    terminations.fetch_add(1, std::memory_order_relaxed);
+  }
+  std::atomic<std::uint64_t> steals{0};
+  std::atomic<std::uint64_t> terminations{0};
 };
 
 /// One seeded end-to-end schedule of the real solver. The seed fans out
 /// into the thread count (2-4), the graph, the steal policy, the session's
-/// stale-value streams, and every scheduling decision.
+/// stale-value streams, and every scheduling and fault decision. On Wasp's
+/// fault seeds the run also checks the observer contract: termination fires
+/// once per worker, and on_steal once per steal attempt, failed ones
+/// included.
 E2eOutcome e2e_one_seed(Algorithm algo, std::uint64_t seed,
                         bool partitioned = false) {
   const int threads = 2 + static_cast<int>(seed % 3);
@@ -1663,6 +1728,11 @@ E2eOutcome e2e_one_seed(Algorithm algo, std::uint64_t seed,
     options.wasp.partition.flush_threshold = 1 + (seed % 4);
   }
 
+  LifecycleHooks hooks;
+  const bool check_hooks =
+      algo == Algorithm::kWasp && Scheduler::faults_armed(seed);
+  if (check_hooks) options.observer = &hooks;
+
   E2eOutcome out;
   Session session(session_options(threads, seed));
   {
@@ -1671,6 +1741,16 @@ E2eOutcome e2e_one_seed(Algorithm algo, std::uint64_t seed,
     out.schedule_hash = scheduler.schedule_hash();
     out.schedule_points = scheduler.schedule_points();
     out.switches = scheduler.switches();
+    out.faults = scheduler.faults();
+    out.dist = result.dist;
+    if (check_hooks) {
+      EXPECT_EQ(hooks.terminations.load(),
+                static_cast<std::uint64_t>(threads))
+          << replay_hint(seed) << ": termination hook count drifted";
+      EXPECT_EQ(hooks.steals.load(),
+                result.metrics.counter(obs::CounterId::kStealAttempts))
+          << replay_hint(seed) << ": steal hook count drifted";
+    }
 
     EXPECT_TRUE(session.ok()) << replay_hint(seed) << ":\n"
                               << session.report_text();
@@ -1684,9 +1764,16 @@ E2eOutcome e2e_one_seed(Algorithm algo, std::uint64_t seed,
 
 TEST(SchedulerHarness, WaspEndToEndSchedulesMatchDijkstra) {
   const SeedRange seeds = harness_seeds(kE2eSeeds);
+  std::array<std::uint64_t, verify::kNumFaults> faults{};
   for (std::uint64_t seed = seeds.first; seed < seeds.last; ++seed) {
-    e2e_one_seed(Algorithm::kWasp, seed);
+    const E2eOutcome out = e2e_one_seed(Algorithm::kWasp, seed);
+    for (std::size_t f = 0; f < verify::kNumFaults; ++f)
+      faults[f] += out.faults[f];
     if (::testing::Test::HasFailure()) return;
+  }
+  if (kModelOn && seeds.last - seeds.first == kE2eSeeds) {
+    for (std::size_t f = 0; f < verify::kNumFaults; ++f)
+      EXPECT_GT(faults[f], 0u) << "fault " << f << " never fired in the sweep";
   }
 }
 
@@ -1935,7 +2022,7 @@ TEST(LoweredLogHarness, ReadsAfterABarrierAreRaceFree) {
     ModelBarrier barrier(kThreads);
     std::size_t total = 0;
     Session session(session_options(kThreads, seed));
-    run_bound(session, nullptr, kThreads, [&](int tid) {
+    run_bound(session, kThreads, [&](int tid) {
       for (int i = 0; i <= tid; ++i)
         log.append(tid, static_cast<VertexId>(tid * 100 + i));
       barrier.wait();
@@ -1956,7 +2043,7 @@ TEST(LoweredLogHarness, ReadBeforeTheJoinIsReportedAsRace) {
   LoweredLog log;
   log.reset(2);
   Session session(session_options(2, 5));
-  run_bound(session, nullptr, 2, [&](int tid) {
+  run_bound(session, 2, [&](int tid) {
     if (tid == 0) {
       (void)log.list(1).size();
     } else {
@@ -2077,6 +2164,43 @@ TEST(SchedulerHarness, PinnedSeedReplaysScheduleBitForBit) {
   }
 }
 
+#if defined(WASP_VERIFY_ENABLED) && WASP_VERIFY_ENABLED
+TEST(SchedulerHarness, PinnedFaultSeedsReplayBitForBit) {
+  // Faults are scheduler actions, so a fault seed replays like any other:
+  // the same decisions, faults included, and the same answer or history.
+  // The pinned seeds are fault seeds that run 4 workers, one per e2e graph
+  // in turn. Together they fire every fault, which a single seed's few
+  // termination verdicts cannot promise.
+  std::array<std::uint64_t, verify::kNumFaults> fired{};
+  for (const std::uint64_t seed : {8, 23, 38, 53, 68, 83, 98, 113}) {
+    ASSERT_TRUE(Scheduler::faults_armed(seed));
+    const E2eOutcome first = e2e_one_seed(Algorithm::kWasp, seed);
+    const E2eOutcome second = e2e_one_seed(Algorithm::kWasp, seed);
+    EXPECT_EQ(first.schedule_hash, second.schedule_hash)
+        << replay_hint(seed) << ": same fault seed, different schedule";
+    EXPECT_EQ(first.faults, second.faults) << replay_hint(seed);
+    EXPECT_EQ(first.dist, second.dist) << replay_hint(seed);
+    for (std::size_t f = 0; f < verify::kNumFaults; ++f)
+      fired[f] += first.faults[f];
+  }
+  for (std::size_t f = 0; f < verify::kNumFaults; ++f)
+    EXPECT_GT(fired[f], 0u) << "fault " << f << " never fired";
+
+  // The linearizability harnesses run under the scheduler too: a pinned
+  // seed reproduces its whole recorded history, timestamps included.
+  HarnessRun runs[2];
+  for (HarnessRun& run : runs) {
+    smq_harness_one_seed(8, &run);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  }
+  EXPECT_EQ(runs[0].schedule_hash, runs[1].schedule_hash)
+      << "same seed, different harness schedule: replay is broken";
+  EXPECT_EQ(runs[0].faults, runs[1].faults);
+  EXPECT_TRUE(runs[0].history == runs[1].history)
+      << "same seed, different recorded history: replay is broken";
+}
+#endif  // WASP_VERIFY_ENABLED
+
 TEST(SchedulerHarness, ModelBarrierDeltaSteppingRoundInSitu) {
   // One hand-rolled delta-stepping round under the scheduler, with the
   // phase discipline carried by ModelBarrier: every thread relaxes its
@@ -2106,8 +2230,7 @@ TEST(SchedulerHarness, ModelBarrierDeltaSteppingRoundInSitu) {
     Session session(session_options(kThreads, seed));
     {
       Scheduler scheduler(scheduler_options(kThreads, seed));
-      run_bound(session, nullptr, kThreads, [&](int tid) {
-        verify::ScopedSchedule schedule_guard(tid);
+      run_bound(session, kThreads, [&](int tid) {
         for (std::size_t i = static_cast<std::size_t>(tid); i < edges.size();
              i += kThreads) {
           const VertexId v = edges[i].dst;

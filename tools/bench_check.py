@@ -59,7 +59,7 @@ import sys
 
 QPS_TOP_KEYS = {
     "schema_version", "bench", "graph", "threads", "solvers",
-    "queue_capacity", "seed", "chaos", "rates", "saturation_qps", "cancel",
+    "queue_capacity", "seed", "rates", "saturation_qps", "cancel",
 }
 QPS_RATE_KEYS = {
     "offered_qps", "attempts", "submitted", "rejected", "served",
