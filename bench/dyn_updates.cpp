@@ -8,21 +8,23 @@
 // plus graph(), which compacts when the graph is dirty) is timed apart
 // from the repair, with the compactions it ran. Beside the times, each row
 // counts the repair's work: cone and seed vertices, the engine's updates
-// and the answer entries the publish wrote per repair.
+// and the answer entries the publish wrote per repair. It splits the
+// repair's mean wall time into the cone walk, the engine and the publish,
+// and counts the repairs that stayed inline and those that escalated to
+// the team.
 //
 // Besides the table, writes a machine-readable JSON report (default
 // BENCH_dyn.json; tools/bench_check.py validates it, and the ctest smoke
 // job runs a tiny instance with --schema-only).
 //
-// --cone-sweep instead measures the crossover behind kInlineRepairWork
-// (sssp/incremental.hpp): for cones of growing size, the seeded engine's
-// time on one worker against the full team.
+// --cone-sweep instead measures the budget behind kInlineRepairWork
+// (sssp/incremental.hpp): for jam batches of growing size, a repair's
+// engine time on one worker against a team Solver under the width rule.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <deque>
 #include <fstream>
-#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -35,11 +37,8 @@
 #include "obs/metrics.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/incremental.hpp"
-#include "sssp/wasp.hpp"
-#include "support/numa.hpp"
 #include "support/random.hpp"
 #include "support/stats.hpp"
-#include "support/thread_team.hpp"
 #include "support/timer.hpp"
 
 using namespace wasp;
@@ -67,8 +66,17 @@ struct Row {
   /// (RepairStats::published_entries): the previous and current change sets
   /// on a recycled buffer, n plus the change set on a copy, n on a decode.
   double mean_published_entries = 0.0;
+  /// A repair's layers, means over the incremental repairs (means add up,
+  /// medians do not): the cone walk, the engine's parallel phases and the
+  /// publish. They sum to at most mean_repair_ms, the mean wall time of
+  /// the same repairs; the rest is the engine's setup and join.
+  double walk_ms = 0.0;
+  double engine_ms = 0.0;
+  double publish_ms = 0.0;
+  double mean_repair_ms = 0.0;
   int incremental_repairs = 0;
-  int inline_repairs = 0;  ///< repairs that ran on one worker
+  int inline_repairs = 0;     ///< repairs that ran on one worker
+  int escalated_repairs = 0;  ///< repairs the team finished
   int full_solves = 0;
   bool exact = true;  ///< repaired == from-scratch after every batch
 };
@@ -98,7 +106,7 @@ void write_json(const std::string& path, int threads, int batches, int ops,
       << "  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
-    char buf[768];
+    char buf[1024];
     std::snprintf(
         buf, sizeof(buf),
         "    {\"graph\": \"%s\", \"algo\": \"%s\", \"batches\": %d, "
@@ -107,14 +115,17 @@ void write_json(const std::string& path, int threads, int batches, int ops,
         "\"repair_ms\": %.6f, \"full_ms\": %.6f, "
         "\"speedup\": %.3f, \"mean_cone\": %.1f, \"mean_seeds\": %.1f, "
         "\"mean_repair_updates\": %.1f, \"mean_published_entries\": %.1f, "
+        "\"walk_ms\": %.6f, \"engine_ms\": %.6f, \"publish_ms\": %.6f, "
+        "\"mean_repair_ms\": %.6f, "
         "\"incremental_repairs\": %d, "
-        "\"inline_repairs\": %d, "
+        "\"inline_repairs\": %d, \"escalated_repairs\": %d, "
         "\"full_solves\": %d, \"exact\": %s}%s\n",
         r.graph.c_str(), r.algo.c_str(), r.batches, r.ops_per_batch,
         r.closures, r.update_ms, r.compactions_per_batch, r.repair_ms,
         r.full_ms, r.speedup, r.mean_cone, r.mean_seeds,
-        r.mean_repair_updates, r.mean_published_entries,
-        r.incremental_repairs, r.inline_repairs,
+        r.mean_repair_updates, r.mean_published_entries, r.walk_ms,
+        r.engine_ms, r.publish_ms, r.mean_repair_ms,
+        r.incremental_repairs, r.inline_repairs, r.escalated_repairs,
         r.full_solves,
         r.exact ? "true" : "false", i + 1 < rows.size() ? "," : "");
     out << buf;
@@ -122,16 +133,24 @@ void write_json(const std::string& path, int threads, int batches, int ops,
   out << "  ]\n}\n";
 }
 
+/// Engine vertices the solver's last run processed (an escalated repair's
+/// two runs together: the registry is reset once per repair).
+std::uint64_t processed(IncrementalSolver& inc) {
+  return inc.solver().metrics().snapshot().counter(
+      obs::CounterId::kVerticesProcessed);
+}
+
 /// --cone-sweep on one class. Jams (x4) a growing number (x1.5 a step) of
-/// shortest-path-tree arcs of the base graph and re-settles the cone they
-/// raise with wasp_sssp_seeded, on a one-participant team and on the full
-/// team, `reps` times each, alternating. Each timed run follows a 2 ms idle
-/// gap, as a traffic tick reaches a sleeping team. The cone is the minimal
-/// one: the vertices whose distance the jams raise, at infinity, with every
-/// other bound exact and the cone's finite in-neighbours as seeds. A
-/// repair's cone walk over-approximates this set, so its work can only be
-/// larger for the same jams. Every run is checked against Dijkstra; returns
-/// false on a mismatch.
+/// shortest-path-tree arcs of the base graph and repairs them through two
+/// IncrementalSolvers, `reps` times each, alternating: one on a
+/// one-thread Solver, where the whole repair runs on the calling thread,
+/// and one on a `threads`-worker Solver, which starts inline and escalates
+/// to its team past kInlineRepairWork processed vertices. Both run the
+/// real re-priced cone walk. Between reps the jams are cleared again
+/// (untimed), and each timed repair follows a 2 ms idle gap, as a traffic
+/// tick reaches a sleeping team. The times are the engine's (walk and
+/// publish excluded), medians over the reps. Every repair is checked
+/// against Dijkstra; returns false on a mismatch.
 bool cone_sweep(suite::GraphClass cls, double scale, std::uint64_t seed,
                 int threads, int reps) {
   auto w = suite::make(cls, scale, seed);
@@ -143,34 +162,27 @@ bool cone_sweep(suite::GraphClass cls, double scale, std::uint64_t seed,
   const std::vector<Distance> warm = dijkstra(base, source).dist;
   const Graph base_in = GraphBuilder().transpose_of(base).build();
 
-  WaspConfig config;
-  config.topology =
-      std::make_shared<const NumaTopology>(NumaTopology::detect());
-  ThreadTeam solo(1);
-  ThreadTeam team(threads);
-  obs::MetricsRegistry registry(threads);
-  AtomicDistances dist(n);
-  LoweredLog log;
-
-  std::printf("%s (n = %u, delta = %u): seeded repair, 1 worker vs %d, "
-              "medians of %d\n",
+  std::printf("%s (n = %u, delta = %u): repairs on 1 worker vs %d by the "
+              "width rule, engine medians of %d\n",
               suite::abbr(cls), n, delta, threads, reps);
   bench::print_cell("jams", 7);
   bench::print_cell("cone", 9);
   bench::print_cell("seeds", 8);
-  bench::print_cell("work", 9);
+  bench::print_cell("processed", 10);
   bench::print_cell("1 worker", 11);
   bench::print_cell("team", 11);
   bench::print_cell("team/1", 8);
-  bench::print_cell("picks", 6);
+  bench::print_cell("escalated", 10);
   bench::print_cell("check", 7);
   std::printf("\n");
 
   Xoshiro256 rng(seed ^ 0xC0DE5EEDULL);
   bool all_exact = true;
   for (std::uint64_t jams = 1; jams <= n; jams += (jams + 1) / 2) {
-    // Jam the tree arc into `jams` random reachable vertices.
+    // Jam the tree arc into `jams` random reachable vertices; `clear`
+    // restores their base weights.
     GraphDelta batch;
+    GraphDelta clear;
     std::set<std::pair<VertexId, VertexId>> used;
     for (std::uint64_t j = 0; j < jams; ++j) {
       const auto v = static_cast<VertexId>(rng.next_below(n));
@@ -185,70 +197,66 @@ bool cone_sweep(suite::GraphClass cls, double scale, std::uint64_t seed,
         const auto jam = std::min<std::uint64_t>(std::uint64_t{e.w} * 4,
                                                  std::uint64_t{max_w} * 8);
         batch.set_weight(u, v, static_cast<Weight>(jam));
+        clear.set_weight(u, v, e.w);
         break;
       }
     }
-    VersionedGraph vg{Graph(base)};
-    (void)vg.apply(batch);
-    const Graph& g = vg.graph();
-    const std::vector<Distance> exact = dijkstra(g, source).dist;
 
-    std::vector<VertexId> cone;
-    for (VertexId v = 0; v < n; ++v)
-      if (exact[v] != warm[v]) cone.push_back(v);
-    std::vector<std::uint8_t> marked(n, 0);
-    for (const VertexId c : cone) marked[c] = 1;
-    std::vector<VertexId> seeds;
-    const Graph g_in = GraphBuilder().transpose_of(g).build();
-    for (const VertexId c : cone) {
-      for (const WEdge& e : g_in.out_neighbors(c)) {
-        if (marked[e.dst] || warm[e.dst] == kInfDist) continue;
-        marked[e.dst] = 1;
-        seeds.push_back(e.dst);
-      }
-    }
-
-    bool exact_ok = true;
-    const auto timed_run = [&](ThreadTeam& t) {
-      for (VertexId v = 0; v < n; ++v) dist.store(v, warm[v]);
-      for (const VertexId c : cone) dist.store(c, kInfDist);
-      RunContext ctx{t, registry};
-      ctx.dist = &dist;
-      ctx.prefetch_lookahead = SsspOptions{}.prefetch_lookahead;
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      Timer timer;
-      (void)wasp_sssp_seeded(g, seeds, delta, config, ctx, log);
-      const double seconds = timer.seconds();
-      if (dist.snapshot() != exact) exact_ok = false;
-      return seconds;
+    // One side of the sweep: a Solver width, its own copy of the graph, and
+    // its last repair's stats and engine vertices.
+    struct Width {
+      VersionedGraph vg;
+      IncrementalSolver inc;
+      std::vector<double> times;
+      RepairStats last;
+      std::uint64_t processed = 0;
     };
-    std::vector<double> one_times;
-    std::vector<double> team_times;
+    const auto options_for = [&](int t) {
+      SsspOptions options;
+      options.algo = Algorithm::kWasp;
+      options.threads = t;
+      options.delta = delta;
+      return options;
+    };
+    Width one{VersionedGraph{Graph(base)}, IncrementalSolver(options_for(1)),
+              {}, {}, 0};
+    Width team{VersionedGraph{Graph(base)},
+               IncrementalSolver(options_for(threads)), {}, {}, 0};
+    std::vector<Distance> exact;
+    bool exact_ok = true;
+    const auto timed_repair = [&](Width& width) {
+      if (width.times.empty()) (void)width.inc.solve(width.vg, source);
+      (void)width.vg.apply(batch);
+      if (exact.empty()) exact = dijkstra(width.vg.graph(), source).dist;
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      if (width.inc.solve(width.vg, source) != exact) exact_ok = false;
+      width.last = width.inc.last_repair();
+      width.times.push_back(width.last.seconds);
+      width.processed = processed(width.inc);
+      (void)width.vg.apply(clear);
+      if (width.inc.solve(width.vg, source) != warm) exact_ok = false;
+    };
     for (int r = 0; r < reps; ++r) {
-      if (r % 2 == 0) {
-        one_times.push_back(timed_run(solo));
-        team_times.push_back(timed_run(team));
-      } else {
-        team_times.push_back(timed_run(team));
-        one_times.push_back(timed_run(solo));
-      }
+      timed_repair(r % 2 == 0 ? one : team);
+      timed_repair(r % 2 == 0 ? team : one);
     }
     all_exact = all_exact && exact_ok;
 
-    const std::uint64_t work = cone.size() + seeds.size();
-    const double one_ms = median(one_times) * 1e3;
-    const double team_ms = median(team_times) * 1e3;
+    const double one_ms = median(one.times) * 1e3;
+    const double team_ms = median(team.times) * 1e3;
     char cell[32];
     std::snprintf(cell, sizeof(cell), "%llu",
                   static_cast<unsigned long long>(jams));
     bench::print_cell(cell, 7);
-    std::snprintf(cell, sizeof(cell), "%zu", cone.size());
+    std::snprintf(cell, sizeof(cell), "%llu",
+                  static_cast<unsigned long long>(one.last.cone_vertices));
     bench::print_cell(cell, 9);
-    std::snprintf(cell, sizeof(cell), "%zu", seeds.size());
+    std::snprintf(cell, sizeof(cell), "%llu",
+                  static_cast<unsigned long long>(one.last.seed_vertices));
     bench::print_cell(cell, 8);
     std::snprintf(cell, sizeof(cell), "%llu",
-                  static_cast<unsigned long long>(work));
-    bench::print_cell(cell, 9);
+                  static_cast<unsigned long long>(one.processed));
+    bench::print_cell(cell, 10);
     std::snprintf(cell, sizeof(cell), "%.4fms", one_ms);
     bench::print_cell(cell, 11);
     std::snprintf(cell, sizeof(cell), "%.4fms", team_ms);
@@ -256,12 +264,11 @@ bool cone_sweep(suite::GraphClass cls, double scale, std::uint64_t seed,
     std::snprintf(cell, sizeof(cell), "%.2f",
                   one_ms > 0 ? team_ms / one_ms : 0.0);
     bench::print_cell(cell, 8);
-    std::snprintf(cell, sizeof(cell), "%d", repair_workers(work, threads));
-    bench::print_cell(cell, 6);
+    bench::print_cell(team.last.workers > 1 ? "yes" : "no", 10);
     bench::print_cell(exact_ok ? "exact" : "MISMATCH", 7);
     std::printf("\n");
     std::fflush(stdout);
-    if (cone.size() > n / 2) break;
+    if (one.last.cone_vertices > n / 2) break;
   }
   std::printf("\n");
   return all_exact;
@@ -281,8 +288,9 @@ int main(int argc, char** argv) {
                "old weight once more than twice this many are closed");
   args.add_string("out", "BENCH_dyn.json", "machine-readable report path");
   args.add_flag("cone-sweep",
-                "time seeded repairs of growing cones on one worker vs the "
-                "full team (the kInlineRepairWork crossover); no report");
+                "time repairs of growing jam batches on one worker vs the "
+                "width rule's team (the kInlineRepairWork budget); no "
+                "report");
   args.add_int("reps", 15, "timed runs per cone size and width (--cone-sweep)");
   args.parse(argc, argv);
 
@@ -298,8 +306,8 @@ int main(int argc, char** argv) {
   if (args.get_flag("cone-sweep")) {
     const int reps =
         static_cast<int>(std::max<std::int64_t>(1, args.get_int("reps")));
-    std::printf("Cone sweep: kInlineRepairWork = %llu (\"picks\" is the "
-                "width a repair of that work runs on)\n\n",
+    std::printf("Cone sweep: kInlineRepairWork = %llu (a repair that "
+                "processes more escalates to the team)\n\n",
                 static_cast<unsigned long long>(kInlineRepairWork));
     bool all_exact = true;
     for (const auto cls : bench::selected_classes(args))
@@ -322,6 +330,9 @@ int main(int argc, char** argv) {
   bench::print_cell("seeds", 9);
   bench::print_cell("updates", 9);
   bench::print_cell("written", 9);
+  bench::print_cell("walk", 10);
+  bench::print_cell("engine", 10);
+  bench::print_cell("publish", 10);
   bench::print_cell("inline", 8);
   bench::print_cell("check", 7);
   std::printf("\n");
@@ -366,6 +377,10 @@ int main(int argc, char** argv) {
     std::uint64_t seed_total = 0;
     std::uint64_t update_total = 0;
     std::uint64_t published_total = 0;
+    double walk_total = 0.0;
+    double engine_total = 0.0;
+    double publish_total = 0.0;
+    double repair_total = 0.0;
     for (int b = 0; b < batches; ++b) {
       // Traffic tick: half the arcs jam (weight x4, saturating at 8x the
       // base maximum), half settle back into the base weight range.
@@ -414,7 +429,11 @@ int main(int argc, char** argv) {
         row.full_solves += 1;
       } else {
         row.incremental_repairs += 1;
-        if (rs.workers == 1) row.inline_repairs += 1;
+        ++(rs.workers == 1 ? row.inline_repairs : row.escalated_repairs);
+        walk_total += rs.walk_seconds;
+        engine_total += rs.seconds;
+        publish_total += rs.publish_seconds;
+        repair_total += repair_times.back();
         cone_total += rs.cone_vertices;
         seed_total += rs.seed_vertices;
         update_total += inc.solver().metrics().snapshot().counter(
@@ -444,6 +463,10 @@ int main(int argc, char** argv) {
         static_cast<double>(update_total) / static_cast<double>(inc_count);
     row.mean_published_entries =
         static_cast<double>(published_total) / static_cast<double>(inc_count);
+    row.walk_ms = walk_total / inc_count * 1e3;
+    row.engine_ms = engine_total / inc_count * 1e3;
+    row.publish_ms = publish_total / inc_count * 1e3;
+    row.mean_repair_ms = repair_total / inc_count * 1e3;
     all_exact = all_exact && row.exact;
     rows.push_back(row);
 
@@ -465,6 +488,10 @@ int main(int argc, char** argv) {
     bench::print_cell(cell, 9);
     std::snprintf(cell, sizeof(cell), "%.0f", row.mean_published_entries);
     bench::print_cell(cell, 9);
+    for (const double ms : {row.walk_ms, row.engine_ms, row.publish_ms}) {
+      std::snprintf(cell, sizeof(cell), "%.4fms", ms);
+      bench::print_cell(cell, 10);
+    }
     std::snprintf(cell, sizeof(cell), "%d/%d", row.inline_repairs,
                   row.incremental_repairs);
     bench::print_cell(cell, 8);

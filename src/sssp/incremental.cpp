@@ -226,29 +226,40 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
 
   // Reset the scratch flags in O(previous cone + seeds), not O(n): every set
   // flag is listed in cone_ or seeds_, because each flag is set only after
-  // its push succeeded — also in a repair that threw mid-walk. Only a change
-  // of n (a different graph) re-allocates.
+  // its push succeeded — also in a repair that threw mid-walk. bound_ is
+  // read only where in_cone_ is set, so it is never reset. Only a change of
+  // n (a different graph) re-allocates.
   const VertexId n = g.num_vertices();
   if (in_cone_.size() != n || seeded_.size() != n) {
     in_cone_.assign(n, 0);
     seeded_.assign(n, 0);
+    bound_.assign(n, kInfDist);
   } else {
     for (const VertexId c : cone_) in_cone_[c] = 0;
     for (const VertexId u : seeds_) seeded_[u] = 0;
   }
   cone_.clear();
+  stack_.clear();
   seeds_.clear();
   heads_.clear();
   priced_from_.clear();
 
-  // seeded_ marks a vertex in seeds_: a kSeed stays, a kCandidate (a
+  // The walk's hot loop reads these through plain pointers.
+  const Distance* const warm_d = warm.data();
+  std::uint8_t* const in_cone = in_cone_.data();
+  std::uint8_t* const seeded = seeded_.data();
+  Distance* const bound = bound_.data();
+  const EdgeIndex* const offsets = g.offsets_data();
+  const WEdge* const edges = g.edge_data();
+
+  // seeded marks a vertex in seeds_: a kSeed stays, a kCandidate (a
   // boundary candidate of the undirected walk) is dropped if it enters the
   // cone after the walk saw it.
   constexpr std::uint8_t kCandidate = 1;
   constexpr std::uint8_t kSeed = 2;
   auto seed = [&](VertexId u) {
-    if (seeded_[u] == 0) seeds_.push_back(u);
-    seeded_[u] = kSeed;
+    if (seeded[u] == 0) seeds_.push_back(u);
+    seeded[u] = kSeed;
   };
 
   // 1. Classify effects. Decrease sources seed relaxation; admissible
@@ -258,12 +269,12 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   // a cone too large is the safe direction. Every increase is kept, not
   // just the admissible ones: together they bound the arc's current weight.
   for (const ArcEffect& e : effects) {
-    if (e.is_decrease() && warm[e.src] != kInfDist) seed(e.src);
-    if (e.is_increase() && e.dst != source && warm[e.src] != kInfDist &&
-        warm[e.dst] != kInfDist) {
+    if (e.is_decrease() && warm_d[e.src] != kInfDist) seed(e.src);
+    if (e.is_increase() && e.dst != source && warm_d[e.src] != kInfDist &&
+        warm_d[e.dst] != kInfDist) {
       heads_.push_back(ConeHead{
           e.dst, e.src, e.exists ? e.new_w : kDeadWeight,
-          saturating_add(warm[e.src], e.old_w) <= warm[e.dst]});
+          saturating_add(warm_d[e.src], e.old_w) <= warm_d[e.dst]});
     }
   }
   // Nearest heads first: an admissible arc never leads to a smaller warm
@@ -272,8 +283,8 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   // increases of one arc end up adjacent.
   std::sort(heads_.begin(), heads_.end(),
             [&](const ConeHead& a, const ConeHead& b) {
-              if (warm[a.head] != warm[b.head])
-                return warm[a.head] < warm[b.head];
+              if (warm_d[a.head] != warm_d[b.head])
+                return warm_d[a.head] < warm_d[b.head];
               return a.head != b.head ? a.head < b.head : a.tail < b.tail;
             });
 
@@ -284,26 +295,29 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   // infinity); the walk's seeds and step 3 keep (b).
   //
   // 2. Cone walk: everything reachable through admissible arcs (under the
-  // warm distances) may have depended on a changed arc. Each vertex is
-  // stored at its bound when admitted, so the array reads as the vertex's
-  // bound inside the cone and its warm distance outside it. The stores run
-  // on the calling thread, and the engine's team launch publishes them. On
-  // an undirected graph the out-arcs read here are also the cone's
-  // in-arcs, so the walk collects the boundary seeds as it goes: every
-  // finite neighbour it does not admit (the source included) is a
-  // candidate. It also compares both directions of each arc to a priced
-  // vertex and seeds the end whose bound improves the other. A neighbour
-  // outside the cone is compared at its warm distance; if it enters later,
-  // its own scan compares again.
+  // warm distances) may have depended on a changed arc. Admission reads
+  // only warm distances and current weights, so the walk admits the same
+  // set in any order; it goes depth first. Each vertex gets its bound when
+  // admitted, in bound_ for the walk and in the array for the engine, so
+  // the array reads as the vertex's bound inside the cone and its warm
+  // distance outside it. The stores run on the calling thread, and the
+  // engine's team launch publishes them. On an undirected graph the
+  // out-arcs read here are also the cone's in-arcs, so the walk collects
+  // the boundary seeds as it goes: every finite neighbour it does not admit
+  // (the source included) is a candidate. It also compares both directions
+  // of each arc to a priced vertex and seeds the end whose bound improves
+  // the other. A neighbour outside the cone is compared at its warm
+  // distance; if it enters later, its own scan compares again.
   const bool fused = vg.is_undirected();
   const std::size_t first_candidate = seeds_.size();
-  auto admit = [&](VertexId v, Distance bound) {
+  auto admit = [&](VertexId v, Distance b) {
     cone_.push_back(v);
-    in_cone_[v] = 1;
-    dist.store(v, bound);
+    stack_.push_back(v);
+    in_cone[v] = 1;
+    bound[v] = b;
+    dist.store(v, b);
   };
   std::uint64_t walked = 0;
-  std::size_t scanned = 0;
   for (std::size_t i = 0; i < heads_.size();) {
     // The increases of one (tail, head) arc. After the warm answer only an
     // increase raised the arc, so its current weight is at most the
@@ -319,37 +333,39 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
       w = std::max(w, heads_[i].new_w);
       admissible = admissible || heads_[i].admissible;
     }
-    if (!admissible || in_cone_[head]) continue;
-    if (!in_cone_[tail]) priced_from_.push_back(tail);
-    admit(head, saturating_add(dist.load(tail), w));
+    if (!admissible || in_cone[head]) continue;
+    if (!in_cone[tail]) priced_from_.push_back(tail);
+    admit(head, saturating_add(in_cone[tail] ? bound[tail] : warm_d[tail], w));
 
-    for (; scanned < cone_.size(); ++scanned) {
+    while (!stack_.empty()) {
       // Cancellation point for the repair loop: a big cone is the only
       // sequential phase here that can run long.
       if ((++walked & 0xFFFu) == 0 && cancel != nullptr && cancel->poll())
         throw_cancelled(*cancel);
-      const VertexId x = cone_[scanned];
-      const Distance wx = warm[x];
-      const Distance bx = dist.load(x);
-      for (const WEdge& e : g.out_neighbors(x)) {
-        const VertexId y = e.dst;
-        if (in_cone_[y]) {
+      const VertexId x = stack_.back();
+      stack_.pop_back();
+      const Distance wx = warm_d[x];
+      const Distance bx = bound[x];
+      for (const WEdge* e = edges + offsets[x], *end = edges + offsets[x + 1];
+           e != end; ++e) {
+        const VertexId y = e->dst;
+        if (in_cone[y]) {
           if (fused) {
-            const Distance by = dist.load(y);
-            if (saturating_add(bx, e.w) < by) seed(x);
-            if (saturating_add(by, e.w) < bx) seed(y);
+            const Distance by = bound[y];
+            if (saturating_add(bx, e->w) < by) seed(x);
+            if (saturating_add(by, e->w) < bx) seed(y);
           }
           continue;
         }
-        const Distance wy = warm[y];
-        if (wy != kInfDist && y != source && saturating_add(wx, e.w) <= wy) {
-          admit(y, saturating_add(bx, e.w));
+        const Distance wy = warm_d[y];
+        if (wy != kInfDist && y != source && saturating_add(wx, e->w) <= wy) {
+          admit(y, saturating_add(bx, e->w));
         } else if (fused) {
-          if (wy != kInfDist && seeded_[y] == 0) {
+          if (wy != kInfDist && seeded[y] == 0) {
             seeds_.push_back(y);
-            seeded_[y] = kCandidate;
+            seeded[y] = kCandidate;
           }
-          if (saturating_add(bx, e.w) < wy) seed(x);
+          if (saturating_add(bx, e->w) < wy) seed(x);
         }
       }
     }
@@ -360,7 +376,7 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   // the tail's new distance. Then no bound is trusted: the cone goes to
   // infinity and re-derives from the boundary and the decrease sources.
   bool reset = false;
-  for (const VertexId t : priced_from_) reset = reset || in_cone_[t] != 0;
+  for (const VertexId t : priced_from_) reset = reset || in_cone[t] != 0;
 
   // 3. Seeds besides the decrease sources: intact in-neighbours of the cone
   // re-derive its distances, and cone vertices whose bound improves an
@@ -372,8 +388,8 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
     std::size_t kept = first_candidate;
     for (std::size_t i = first_candidate; i < seeds_.size(); ++i) {
       const VertexId u = seeds_[i];
-      if (in_cone_[u] && (reset || seeded_[u] == kCandidate)) {
-        seeded_[u] = 0;
+      if (in_cone[u] && (reset || seeded[u] == kCandidate)) {
+        seeded[u] = 0;
       } else {
         seeds_[kept++] = u;
       }
@@ -388,13 +404,14 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
         throw_cancelled(*cancel);
       for (const WEdge& e : rin.out_neighbors(c)) {
         const VertexId u = e.dst;  // in-neighbour of c
-        if (in_cone_[u] || warm[u] == kInfDist) continue;
+        if (in_cone[u] || warm_d[u] == kInfDist) continue;
         seed(u);
       }
       if (reset) continue;
-      const Distance bc = dist.load(c);
+      const Distance bc = bound[c];
       for (const WEdge& e : g.out_neighbors(c)) {
-        if (saturating_add(bc, e.w) < dist.load(e.dst)) {
+        const Distance d = in_cone[e.dst] ? bound[e.dst] : warm_d[e.dst];
+        if (saturating_add(bc, e.w) < d) {
           seed(c);
           break;
         }
@@ -411,31 +428,45 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   shard.inc(CId::kRepairSeedVertices, seeds_.size());
 
   // 4. Repair from the seeds with the normal engine. No epoch bump:
-  // untouched vertices keep their warm entries. A small repair runs on the
-  // calling thread alone (kInlineRepairWork).
-  const int workers =
-      repair_workers(cone_.size() + seeds_.size(), solver_.team().size());
-  RunContext ctx{workers < solver_.team().size() ? inline_team_
-                                                 : solver_.team(),
-                 registry,
-                 solver_.trace() != nullptr ? solver_.trace() : opts.trace,
-                 opts.observer};
-  ctx.dist = &dist;
-  ctx.prefetch_lookahead = opts.prefetch_lookahead;
-  ctx.cancel = cancel;
-
+  // untouched vertices keep their warm entries. The repair starts on the
+  // calling thread alone. Past kInlineRepairWork processed vertices that
+  // run stops, and the Solver's team resumes from the seeds plus what it
+  // lowered, which keeps both invariants (wasp_sssp_seeded).
+  const std::size_t walk_seeds = seeds_.size();
+  const int team_size = solver_.team().size();
+  auto run_engine = [&](ThreadTeam& team, LoweredLog& log,
+                        std::uint64_t budget) {
+    RunContext ctx{team, registry,
+                   solver_.trace() != nullptr ? solver_.trace() : opts.trace,
+                   opts.observer};
+    ctx.dist = &dist;
+    ctx.prefetch_lookahead = opts.prefetch_lookahead;
+    ctx.cancel = cancel;
+    const SsspResult result =
+        wasp_sssp_seeded(g, seeds_, opts.delta, opts.wasp, ctx, log, budget);
+    if (cancel != nullptr && cancel->cancel_requested())
+      throw_cancelled(*cancel);
+    return result.metrics.seconds;
+  };
   const double walk_seconds = walk_timer.seconds();
-  SsspResult result =
-      wasp_sssp_seeded(g, seeds_, opts.delta, opts.wasp, ctx, lowered_);
-  if (cancel != nullptr && cancel->cancel_requested()) throw_cancelled(*cancel);
+  double engine_seconds =
+      run_engine(inline_team_, lowered_,
+                 team_size > 1 ? kInlineRepairWork : kNoWorkBudget);
+  const bool escalated = lowered_.stopped();
+  team_lowered_.reset(0);
+  if (escalated) {
+    for (const VertexId v : lowered_.list(0)) seed(v);
+    engine_seconds += run_engine(solver_.team(), team_lowered_, kNoWorkBudget);
+  }
+  const std::array<const LoweredLog*, 2> logs{&lowered_, &team_lowered_};
 
   // 5. Publish into a free buffer; every earlier answer stays as its
-  // holders see it. Outside the cone and the log the array still holds the
+  // holders see it. Outside the cone and the logs the array still holds the
   // previous answer, and a buffer one publish behind differs from that
   // only at the previous change set, so a patch re-reads exactly the
   // entries that may differ.
   const Timer publish_timer;
-  const std::size_t lowered = lowered_.size();
+  const std::size_t lowered = lowered_.size() + team_lowered_.size();
   const std::size_t current = cone_.size() + lowered;
   const std::size_t limit = n / kPatchShare;
   std::unique_ptr<AnswerBuffer> next = pool_->take(generation_ - 1);
@@ -461,7 +492,8 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
       written = n;
     }
     reread(cone_);
-    for (int t = 0; t < lowered_.workers(); ++t) reread(lowered_.list(t));
+    for (const LoweredLog* log : logs)
+      for (int t = 0; t < log->workers(); ++t) reread(log->list(t));
   }
   // This repair's change set, for the next one. A set past the limit is
   // not kept: the next repair could not patch with it anyway.
@@ -469,9 +501,11 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   const bool changed_all = current > limit;
   if (!changed_all) {
     changed_.insert(changed_.end(), cone_.begin(), cone_.end());
-    for (int t = 0; t < lowered_.workers(); ++t) {
-      const std::span<const VertexId> list = lowered_.list(t);
-      changed_.insert(changed_.end(), list.begin(), list.end());
+    for (const LoweredLog* log : logs) {
+      for (int t = 0; t < log->workers(); ++t) {
+        const std::span<const VertexId> list = log->list(t);
+        changed_.insert(changed_.end(), list.begin(), list.end());
+      }
     }
   }
   publish(std::move(next), changed_all);
@@ -484,14 +518,14 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   last_.batches = batches;
   last_.effects = effects.size();
   last_.cone_vertices = cone_.size();
-  last_.seed_vertices = seeds_.size();
+  last_.seed_vertices = walk_seeds;
   last_.lowered = lowered;
   last_.patched = !wide;
   last_.recycled = recycled;
   last_.published_entries = written;
   last_.cone_reset = reset;
-  last_.workers = workers;
-  last_.seconds = result.metrics.seconds;
+  last_.workers = escalated ? team_size : 1;
+  last_.seconds = engine_seconds;
   last_.walk_seconds = walk_seconds;
   last_.publish_seconds = publish_timer.seconds();
 }

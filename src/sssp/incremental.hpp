@@ -20,8 +20,11 @@
 //     distance. A head's bound is its tail's value plus the largest weight
 //     the journal's increases gave the arc (infinity once closed), which is
 //     at least the arc's current weight. A vertex the walk admits from x
-//     gets bound(x) + w at the current w. Each cone vertex thus holds its
-//     old tree path re-priced, an upper bound on its new distance.
+//     gets bound(x) + w at the current w. Each cone vertex thus holds an
+//     old path re-priced, an upper bound on its new distance. Admission
+//     reads only warm distances and current weights, so any scan order
+//     admits the same cone: the walk goes depth first over a stack, and
+//     reads bounds from a plain per-solver array, not the atomic one.
 //  3. Seeding. The repair frontier is the cone's in-boundary (intact
 //     vertices with an arc into the cone), every decrease source, and
 //     every cone vertex whose bound improves an out-neighbour. An
@@ -48,13 +51,18 @@
 //     and the boundary and the decrease sources alone seed it.
 //  4. Repair. wasp_sssp_seeded runs the normal work-stealing engine over
 //     the warm array — no epoch bump, so untouched vertices cost nothing —
-//     in work proportional to the improvements left, not the cone. A small
-//     repair (cone plus seeds below kInlineRepairWork) runs on the calling
-//     thread alone: waking the Solver's team would cost more than the work
-//     it shares.
+//     in work proportional to the improvements left, not the cone. The
+//     width follows the work done, not a guess from the cone: every repair
+//     starts on the calling thread alone, and one that processes more than
+//     kInlineRepairWork vertices stops and escalates to the Solver's team,
+//     seeded from the seeds plus the inline run's log. That keeps both
+//     invariants: every value is still the length of some path, and an arc
+//     (u, v) that can still improve v either has a lowered, hence logged,
+//     u, or had d[u] + w < d'[v] <= d[v] before the run, so u was a seed.
 //  5. Publish. The engine logs every vertex it lowers (LoweredLog), so the
 //     repair's change set, the entries where the new answer may differ
-//     from the previous one, is its cone plus its log. The new answer goes
+//     from the previous one, is its cone plus its logs (the inline run's
+//     and, after an escalation, the team run's). The new answer goes
 //     into a recycled buffer (below). A buffer exactly one publish behind
 //     differs from the previous answer only at the previous change set, so
 //     re-reading that set and this one from the array makes it the new
@@ -101,25 +109,29 @@
 
 namespace wasp {
 
-/// A repair whose work (cone plus seeds) is below this runs the engine on
-/// a one-participant team, the calling thread alone; from it up, on the
-/// Solver's team. A team run pays a condvar wake, idle peers' steal and
-/// termination scans, and a join, which a cone of a few hundred vertices
-/// does not earn back. `dyn_updates --cone-sweep --scale 1 --graphs USA
-/// --threads 4` (a 102,400-vertex road grid, Δ = 1024, medians of 15 runs
-/// per width, each after a 2 ms idle gap, seeds 1-7) on a 4-vCPU Xeon VM
-/// gave a team/one time ratio of 2.1-6.3 up to 310 work (no team run took
-/// under 0.09 ms), 1.3-1.8 at 440-650, 0.98-1.16 at 675-810, 0.82-1.03 at
-/// 1,030-1,500, 0.65-0.77 at 2,200-5,000 and 0.36-0.54 from 10,000 up.
-inline constexpr std::uint64_t kInlineRepairWork = 1024;
-
-/// Participants a repair of `work` vertices (cone plus seeds) runs on,
-/// given a Solver team of `team_size`: 1 below kInlineRepairWork, else the
-/// whole team.
-[[nodiscard]] constexpr int repair_workers(std::uint64_t work,
-                                           int team_size) {
-  return work < kInlineRepairWork ? 1 : team_size;
-}
+/// Vertices a repair's engine may process on the calling thread alone.
+/// Every repair starts there. One that processes more stops and resumes on
+/// the Solver's team, seeded from its seeds plus every vertex it lowered
+/// (ski rental: the run works alone until it has spent about what a team
+/// launch costs). A team run pays a condvar wake, idle peers' steal and
+/// termination scans, and a join. A chain, with no parallelism to share,
+/// stays inline; a wide lowering pays at most this much extra.
+/// `dyn_updates --cone-sweep --graphs USA --scale 1 --threads 4 --reps 9`
+/// (a 102,400-vertex road grid, Δ = 1024, engine medians, seeds 1-3) on a
+/// 4-vCPU Xeon VM: one worker processed a vertex in 80-100 ns. Built with
+/// this constant at 0, so that every repair escalates after one vertex, a
+/// team run with under 100 vertices of work took 0.08-0.22 ms, and the
+/// team beat one worker at 3,212 and 5,032 processed vertices but not at
+/// 5,056 or 8,221; from 14,670 up it always did. Escalating just past the
+/// budget cost 0.11-0.18 ms more than one worker (budget 1,024 at 1,337
+/// and 2,060 processed, 2,048 at 2,060), about 1,200-2,000 vertices of
+/// inline work, which is where ski rental puts the budget. Summed over
+/// the rows from 1,337 to 17,113 processed, the rule took 4.13 ms at
+/// 1,024, 3.66 ms at 2,048 and 3.68 ms at 4,096 (one run each). At 2,048,
+/// repairs that processed up to 1,337 ran at one-worker speed whatever
+/// their cone (cones of 5,386-7,327 stayed inline), and escalated ones ran
+/// at 0.33-0.70 of one worker from 23,744 up.
+inline constexpr std::uint64_t kInlineRepairWork = 2048;
 
 /// A repair publishes by re-reading entries from the array while the
 /// entries it re-reads stay within n / kPatchShare; past that it decodes
@@ -164,11 +176,14 @@ struct RepairStats {
   /// A zero-weight tie let a head be priced from a stale tail, so the cone
   /// was stored at infinity instead of at its re-priced bounds.
   bool cone_reset = false;
-  /// Participants the last engine run had: 1 for a repair run inline on
-  /// the calling thread, the team size for a team repair or a full solve,
-  /// 0 when nothing ran (no new version).
+  /// Participants the last engine run ended on: 1 for a repair that ran
+  /// inline on the calling thread, the team size for an escalated repair
+  /// (its inline run passed kInlineRepairWork and the team finished it) or
+  /// a full solve, 0 when nothing ran (no new version).
   int workers = 0;
-  double seconds = 0.0;            ///< parallel-phase time of the last run
+  /// Parallel-phase time of the engine: a repair's inline run plus, when
+  /// it escalated, its team run.
+  double seconds = 0.0;
   /// A repair's wall time splits into walk_seconds (classification, cone
   /// walk and seeding, up to the engine call), the engine's `seconds`, and
   /// publish_seconds (from the engine's return to the published answer).
@@ -245,8 +260,8 @@ class IncrementalSolver {
   const Graph& transpose_of(const Graph& g);
 
   Solver solver_;
-  /// The calling thread alone: what a repair below kInlineRepairWork runs
-  /// on (no worker threads, so run() is a plain call).
+  /// The calling thread alone: where every repair starts (no worker
+  /// threads, so run() is a plain call).
   ThreadTeam inline_team_{1};
 
   // Warm-state binding: which (graph, source, version) the pool's distance
@@ -266,7 +281,7 @@ class IncrementalSolver {
   /// Publishes so far: answer_ holds generation_.
   std::uint64_t generation_ = 0;
   /// The entries where answer_ may differ from generation_ - 1 (cone plus
-  /// log, repeats included), unless changed_all_.
+  /// logs, repeats included), unless changed_all_.
   std::vector<VertexId> changed_;
   bool changed_all_ = true;
   /// Released buffers; each answer's deleter holds it weakly.
@@ -282,11 +297,15 @@ class IncrementalSolver {
   };
 
   // Scratch reused across repairs (sized to the graph on first use).
-  LoweredLog lowered_;
+  LoweredLog lowered_;       ///< the inline run's log
+  LoweredLog team_lowered_;  ///< an escalated repair's team run's log
   std::vector<ConeHead> heads_;
   std::vector<VertexId> priced_from_;  ///< tails outside the cone when read
   std::vector<std::uint8_t> in_cone_;
+  /// A cone vertex's bound; read only where in_cone_ is set.
+  std::vector<Distance> bound_;
   std::vector<VertexId> cone_;
+  std::vector<VertexId> stack_;  ///< admitted cone vertices not yet scanned
   std::vector<VertexId> seeds_;
   std::vector<std::uint8_t> seeded_;
 

@@ -15,7 +15,9 @@
 //  * termination extends the §4.3 double-scan with a quiescence barrier
 //    (terminate()).
 // A cold solve and a repair differ only in their seeds: {source} at
-// distance 0, or the caller's frontier at its pre-loaded bounds.
+// distance 0, or the caller's frontier at its pre-loaded bounds. A
+// one-worker repair may also carry a budget of processed vertices, past
+// which it leaves the way a cancelled run does (WaspWorker::stop_requested).
 #include "sssp/wasp.hpp"
 
 #include <algorithm>
@@ -122,6 +124,9 @@ struct WaspShared {
   RunContext& ctx;  ///< metrics shards, trace recorder, observer
   const GraphPartition* part;  ///< null for a one-fragment run
   LoweredLog* log;  ///< a seeded run's record of what it lowered; null cold
+  /// Processed vertices after which a one-worker run stops
+  /// (wasp_sssp_seeded); kNoWorkBudget otherwise.
+  std::uint64_t budget = kNoWorkBudget;
   std::vector<FragmentView> views;  ///< fragment -> view
   int num_workers;
   std::vector<int> frag_of;               ///< worker -> fragment
@@ -239,6 +244,7 @@ class WaspWorker {
         sender_(shared.net, shared.config.partition.flush_threshold),
         lookahead_(shared.ctx.prefetch_lookahead),
         log_(shared.log),
+        budget_(shared.budget),
         prune_leaves_(shared.config.leaf_pruning),
         leaf_degree_(shared.graph.leaf_degree()) {
     buffer_ = alloc_chunk();
@@ -286,12 +292,17 @@ class WaspWorker {
       // with the run) and any undrained inbound batches (freed by the
       // network's teardown), and leave through the normal idle path.
       // Publishing kInfPriority lets peers still inside terminate() reach
-      // the all-idle verdict even before their own poll fires.
-      if (s_.ctx.stop_requested()) {
+      // the all-idle verdict even before their own poll fires. A budget
+      // stop leaves the same way and tells the caller through the log.
+      if (stop_requested()) {
+        if (progress_ > budget_) log_->mark_stopped();
         publish_curr(kInfPriority);
         return;
       }
       drain_current_bucket();
+      // A stop inside the drain can leave entries in the buffer or deque:
+      // leave above, before a termination scan could read them as done.
+      if (stop_requested()) continue;
       if constexpr (Relay) {
         // Bucket boundary: publish open outbound batches so neighbour
         // fragments see our boundary relaxations, then pick up theirs.
@@ -373,6 +384,12 @@ class WaspWorker {
     return prune_leaves_ && out_degree(v) <= leaf_degree_;
   }
 
+  /// Cancellation, or a budgeted run past its budget of processed
+  /// vertices. Both leave through the same exits.
+  [[nodiscard]] bool stop_requested() const {
+    return progress_ > budget_ || s_.ctx.stop_requested();
+  }
+
   /// This worker's relax_to just lowered v: a seeded run records it
   /// (LoweredLog). Called before the leaf test, since a pruned leaf's
   /// distance changed too.
@@ -428,7 +445,7 @@ class WaspWorker {
     while (pop_current(u, prio, begin, end)) {
       // Cancellation point (one relaxed load per pop): leftover entries in
       // the buffer/deque are simply dropped — run() exits next iteration.
-      if (s_.ctx.stop_requested()) return;
+      if (stop_requested()) return;
       if (is_stale(u, prio)) {
         my_.inc(CId::kStaleSkips);
         continue;
@@ -701,7 +718,7 @@ class WaspWorker {
       while (!c->empty()) {
         // Cancellation point: stop processing but keep recycling the stolen
         // chunks (they are never re-exposed) so ownership stays tidy.
-        if (s_.ctx.stop_requested()) {
+        if (stop_requested()) {
           c->reset();
           break;
         }
@@ -1100,6 +1117,7 @@ class WaspWorker {
   std::uint64_t progress_ = 0;
   const std::uint32_t lookahead_;    ///< SsspOptions::prefetch_lookahead
   LoweredLog* const log_;            ///< WaspShared::log
+  const std::uint64_t budget_;       ///< WaspShared::budget
   const bool prune_leaves_;          ///< config.leaf_pruning
   const std::uint32_t leaf_degree_;  ///< Graph::leaf_degree()
 };
@@ -1119,11 +1137,12 @@ void launch(WaspShared<ChunkT>& shared, std::span<const VertexId> seeds,
 /// (no `log`) plants `seeds` (the source) at distance 0 in fresh distances
 /// and decodes them into result.dist. A warm run plants them at the bounds
 /// the caller pre-loaded into ctx.dist, always as one fragment, records
-/// what it lowers in `log` and leaves result.dist empty.
+/// what it lowers in `log`, stops past `budget` processed vertices when it
+/// has one worker, and leaves result.dist empty.
 template <typename ChunkT>
 SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds,
                     Weight delta, const WaspConfig& config, RunContext& ctx,
-                    LoweredLog* log) {
+                    LoweredLog* log, std::uint64_t budget) {
   const bool cold = log == nullptr;
   const int p = ctx.team.size();
   std::shared_ptr<const NumaTopology> topo = config.topology;
@@ -1154,6 +1173,7 @@ SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds,
   if (!cold) log->reset(p);
   WaspShared<ChunkT> shared(g, delta, config, ctx, part, log, f_count, p,
                             *topo, cpu_of);
+  if (!cold && p == 1) shared.budget = budget;
   if (part == nullptr) {
     // The whole Graph over the run's array: the pool entry dispatch_sssp
     // acquired, or a repair's pre-loaded bounds.
@@ -1246,18 +1266,23 @@ SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds,
 /// compilation time"); dispatch to the instantiations we ship.
 SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds,
                     Weight delta, const WaspConfig& config, RunContext& ctx,
-                    LoweredLog* log) {
+                    LoweredLog* log, std::uint64_t budget) {
   switch (config.chunk_capacity) {
     case 16:
-      return run_wasp<BasicChunk<16>>(g, seeds, delta, config, ctx, log);
+      return run_wasp<BasicChunk<16>>(g, seeds, delta, config, ctx, log,
+                                      budget);
     case 32:
-      return run_wasp<BasicChunk<32>>(g, seeds, delta, config, ctx, log);
+      return run_wasp<BasicChunk<32>>(g, seeds, delta, config, ctx, log,
+                                      budget);
     case 64:
-      return run_wasp<BasicChunk<64>>(g, seeds, delta, config, ctx, log);
+      return run_wasp<BasicChunk<64>>(g, seeds, delta, config, ctx, log,
+                                      budget);
     case 128:
-      return run_wasp<BasicChunk<128>>(g, seeds, delta, config, ctx, log);
+      return run_wasp<BasicChunk<128>>(g, seeds, delta, config, ctx, log,
+                                       budget);
     case 256:
-      return run_wasp<BasicChunk<256>>(g, seeds, delta, config, ctx, log);
+      return run_wasp<BasicChunk<256>>(g, seeds, delta, config, ctx, log,
+                                       budget);
     default:
       throw InvalidOptionsError(
           "wasp: chunk_capacity must be one of 16, 32, 64, 128, 256");
@@ -1269,17 +1294,18 @@ SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds,
 SsspResult wasp_sssp(const Graph& g, VertexId source, Weight delta,
                      const WaspConfig& config, RunContext& ctx) {
   return run_wasp(g, std::span<const VertexId>(&source, 1), delta, config,
-                  ctx, /*log=*/nullptr);
+                  ctx, /*log=*/nullptr, kNoWorkBudget);
 }
 
 SsspResult wasp_sssp_seeded(const Graph& g, std::span<const VertexId> seeds,
                             Weight delta, const WaspConfig& config,
-                            RunContext& ctx, LoweredLog& log) {
+                            RunContext& ctx, LoweredLog& log,
+                            std::uint64_t budget) {
   if (ctx.dist == nullptr || ctx.dist->size() != g.num_vertices())
     throw InvalidOptionsError(
         "wasp_sssp_seeded: ctx.dist must be pre-loaded with warm bounds "
         "sized to the graph");
-  return run_wasp(g, seeds, delta, config, ctx, &log);
+  return run_wasp(g, seeds, delta, config, ctx, &log, budget);
 }
 
 }  // namespace wasp

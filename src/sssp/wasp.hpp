@@ -42,6 +42,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -69,6 +70,8 @@ class LoweredLog {
   /// Empties every list and sizes the log to `workers` lists. Call between
   /// runs only.
   void reset(int workers) {
+    WASP_VERIFY_WR(&stopped_);
+    stopped_ = false;
     lists_.resize(static_cast<std::size_t>(workers));
     for (auto& l : lists_) {
       WASP_VERIFY_WR(&l.value);
@@ -99,9 +102,26 @@ class LoweredLog {
     return total;
   }
 
+  /// The run stopped at its work budget (wasp_sssp_seeded) instead of
+  /// converging. Read only after the run returned.
+  [[nodiscard]] bool stopped() const {
+    WASP_VERIFY_RD(&stopped_);
+    return stopped_;
+  }
+
+  /// The run's only worker passed its budget. Only that worker calls it.
+  void mark_stopped() {
+    WASP_VERIFY_WR(&stopped_);
+    stopped_ = true;
+  }
+
  private:
   std::vector<CachePadded<std::vector<VertexId>>> lists_;
+  bool stopped_ = false;
 };
+
+/// No work budget: a seeded run goes on until it converges.
+inline constexpr std::uint64_t kNoWorkBudget = ~std::uint64_t{0};
 
 /// Runs Wasp from `source` with bucket width `delta` and the given
 /// configuration. Knobs must satisfy SsspOptions::validate() (delta >= 1,
@@ -141,8 +161,18 @@ SsspResult wasp_sssp(const Graph& g, VertexId source, Weight delta,
 /// lowers there. It decodes nothing: result.dist stays empty and the answer
 /// is ctx.dist itself, which differs from the pre-loaded bounds exactly at
 /// the logged vertices.
+///
+/// A run on a one-participant team stops once it has processed more than
+/// `budget` vertices (ignored on a larger team). It leaves the way a
+/// cancelled run does: its worker fires no on_termination, and the array
+/// holds upper bounds short of the answer. log.stopped() then reads true.
+/// Both invariants hold for a resume from the seeds plus the log: every
+/// value is still the length of some path, and an arc that can still
+/// improve its head either starts at a logged vertex or could improve it
+/// before the run, when its tail was a seed.
 SsspResult wasp_sssp_seeded(const Graph& g, std::span<const VertexId> seeds,
                             Weight delta, const WaspConfig& config,
-                            RunContext& ctx, LoweredLog& log);
+                            RunContext& ctx, LoweredLog& log,
+                            std::uint64_t budget = kNoWorkBudget);
 
 }  // namespace wasp

@@ -59,8 +59,9 @@ Graph make_shape(const std::string& name) {
   const WeightScheme ws = WeightScheme::uniform(1, 100);
   if (name == "grid") return gen::grid(28, 28, ws, 11);
   if (name == "chain") return gen::chain_forest(6, 250, ws, 13);
-  // One 3,000-vertex path: cutting it strands the whole tail, so its cones
-  // reach past kInlineRepairWork and repair on the team.
+  // One 3,000-vertex path: its cones reach past kInlineRepairWork, and a
+  // decrease near the source lowers more than that, so a repair escalates
+  // to the team.
   if (name == "long_chain") return gen::chain_forest(1, 3000, ws, 29);
   if (name == "er") return gen::erdos_renyi(1600, 6.0, ws, 17);
   if (name == "rmat_dir")
@@ -158,6 +159,13 @@ std::uint64_t run_updates(IncrementalSolver& inc) {
   return inc.solver().metrics().snapshot().counter(obs::CounterId::kUpdates);
 }
 
+/// Vertices the repairer's last run processed (both runs of an escalated
+/// repair).
+std::uint64_t run_processed(IncrementalSolver& inc) {
+  return inc.solver().metrics().snapshot().counter(
+      obs::CounterId::kVerticesProcessed);
+}
+
 /// The checks every published repair must pass: the answer is exact, it is
 /// what the warm array holds, and the log holds every lowering of the run.
 void expect_published_answer(IncrementalSolver& inc, const Graph& g,
@@ -178,7 +186,7 @@ TEST(IncrementalAnswer, RepairsPublishExactImmutableAnswers) {
   int patched = 0;
   int decoded = 0;
   int inline_runs = 0;
-  int team_runs = 0;
+  int escalated = 0;
   for (const char* shape : {"grid", "chain", "rmat_dir", "long_chain"}) {
     for (const Mode mode : {Mode::kMixed, Mode::kStructural}) {
       const std::string name = std::string(shape) + "/" + to_name(mode);
@@ -203,11 +211,13 @@ TEST(IncrementalAnswer, RepairsPublishExactImmutableAnswers) {
         const RepairStats& rs = inc.last_repair();
         if (!rs.full_solve) {
           ++(rs.patched ? patched : decoded);
-          EXPECT_EQ(rs.workers,
-                    repair_workers(rs.cone_vertices + rs.seed_vertices,
-                                   inc.solver().team().size()))
+          // The width follows the work done: a repair escalates to the
+          // team exactly when its inline run processed past the budget.
+          EXPECT_EQ(rs.workers, run_processed(inc) > kInlineRepairWork
+                                    ? inc.solver().team().size()
+                                    : 1)
               << what;
-          ++(rs.workers == 1 ? inline_runs : team_runs);
+          ++(rs.workers == 1 ? inline_runs : escalated);
         }
 
         // No new version: the same buffer again, not a copy.
@@ -222,31 +232,19 @@ TEST(IncrementalAnswer, RepairsPublishExactImmutableAnswers) {
       }
     }
   }
-  // Both publishing paths ran, and repairs ran both inline and on the team.
+  // Both publishing paths ran, and repairs both stayed inline and
+  // escalated to the team.
   EXPECT_GT(patched, 0);
   EXPECT_GT(decoded, 0);
   EXPECT_GT(inline_runs, 0);
-  EXPECT_GT(team_runs, 0);
-}
-
-TEST(IncrementalAnswer, RepairWorkersSplitsAtTheCutoff) {
-  EXPECT_EQ(repair_workers(0, 4), 1);
-  EXPECT_EQ(repair_workers(1, 4), 1);
-  EXPECT_EQ(repair_workers(kInlineRepairWork - 1, 4), 1);
-  EXPECT_EQ(repair_workers(kInlineRepairWork, 4), 4);
-  EXPECT_EQ(repair_workers(kInlineRepairWork + 1, 4), 4);
-  EXPECT_EQ(repair_workers(kInlineRepairWork, 2), 2);
-  // A one-thread Solver has no team to wake: one worker at any size.
-  EXPECT_EQ(repair_workers(0, 1), 1);
-  EXPECT_EQ(repair_workers(kInlineRepairWork, 1), 1);
-  EXPECT_EQ(repair_workers(std::uint64_t{1} << 40, 1), 1);
+  EXPECT_GT(escalated, 0);
 }
 
 TEST(IncrementalAnswer, ManySeedsRepairOnTheTeamWithTheLog) {
   // Weight drops on a quarter of a 48x48 grid's edges: no cone, so the
-  // engine logs, and well over kInlineRepairWork decrease sources, so the
-  // repair runs on the Solver's two workers, appending to the log
-  // concurrently.
+  // engine logs, and more decrease sources than kInlineRepairWork, so the
+  // inline run passes its budget and the repair escalates to the Solver's
+  // two workers, appending to the log concurrently.
   VersionedGraph vg(gen::grid(48, 48, WeightScheme::uniform(2, 100), 31));
   const VertexId source = pick_source(vg);
   IncrementalSolver inc(test_options());
@@ -269,6 +267,88 @@ TEST(IncrementalAnswer, ManySeedsRepairOnTheTeamWithTheLog) {
   EXPECT_EQ(rs.workers, 2);
   EXPECT_GT(rs.lowered, 0u);
   expect_published_answer(inc, vg.graph(), source, "grid drops");
+}
+
+TEST(IncrementalAnswer, LargeConeFewSeedsRepairsInline) {
+  // Jamming the third arc of a 3,000-vertex chain re-prices the whole tail,
+  // a cone far past kInlineRepairWork, yet no bound can improve: the
+  // engine processes only the seeds, so the repair never wakes the team.
+  VersionedGraph vg(make_shape("long_chain"));
+  IncrementalSolver inc(test_options());
+  (void)inc.solve(vg, 0);
+  GraphDelta jam;
+  jam.set_weight(2, 3, 500);
+  (void)vg.apply(jam);
+  (void)inc.solve(vg, 0);
+  const RepairStats& rs = inc.last_repair();
+  ASSERT_FALSE(rs.full_solve);
+  EXPECT_GT(rs.cone_vertices, kInlineRepairWork);
+  EXPECT_LE(run_processed(inc), kInlineRepairWork);
+  EXPECT_EQ(rs.workers, 1);
+  expect_published_answer(inc, vg.graph(), 0, "long chain jam");
+}
+
+/// Counts on_termination calls: once per worker that leaves a run through
+/// its termination scan.
+struct TerminationCounter final : obs::RunObserver {
+  void on_termination(int /*tid*/) override {
+    terminations.fetch_add(1, std::memory_order_relaxed);
+  }
+  std::atomic<int> terminations{0};
+};
+
+TEST(IncrementalAnswer, EscalatedRepairResumesFromTheLog) {
+  // Dropping the second arc of a 3,000-vertex chain lowers the whole tail.
+  // The inline run stops past kInlineRepairWork processed vertices, with
+  // the rest of the chain still at its old distances, and the team must
+  // resume from what the inline run lowered: the seed alone improves
+  // nothing further.
+  VersionedGraph vg(make_shape("long_chain"));
+  IncrementalSolver inc(test_options());
+  (void)inc.solve(vg, 0);
+  const Distance before = inc.answer()[vg.num_vertices() - 1];
+  TerminationCounter counter;
+  inc.options().observer = &counter;
+  GraphDelta drop;
+  drop.set_weight(1, 2, 1);
+  (void)vg.apply(drop);
+  (void)inc.solve(vg, 0);
+  const RepairStats& rs = inc.last_repair();
+  ASSERT_FALSE(rs.full_solve);
+  EXPECT_EQ(rs.cone_vertices, 0u);
+  EXPECT_GT(run_processed(inc), kInlineRepairWork);
+  EXPECT_EQ(rs.workers, 2);
+  EXPECT_GT(rs.lowered, kInlineRepairWork);
+  EXPECT_LT(inc.answer()[vg.num_vertices() - 1], before);
+  expect_published_answer(inc, vg.graph(), 0, "long chain drop");
+  // The stopped inline worker leaves as a cancelled one does, without a
+  // termination: only the team's workers report one.
+  EXPECT_EQ(counter.terminations.load(), 2);
+
+  // A small drop near the end stays inline, and its one worker terminates.
+  counter.terminations = 0;
+  GraphDelta tail_drop;
+  tail_drop.set_weight(2990, 2991, 1);
+  (void)vg.apply(tail_drop);
+  (void)inc.solve(vg, 0);
+  EXPECT_EQ(inc.last_repair().workers, 1);
+  EXPECT_EQ(counter.terminations.load(), 1);
+  expect_published_answer(inc, vg.graph(), 0, "long chain tail drop");
+  inc.options().observer = nullptr;
+
+  // A one-thread Solver has no team to escalate to: the same drop runs
+  // inline to the end.
+  VersionedGraph solo_vg(make_shape("long_chain"));
+  SsspOptions solo_options = test_options();
+  solo_options.threads = 1;
+  IncrementalSolver solo(solo_options);
+  (void)solo.solve(solo_vg, 0);
+  (void)solo_vg.apply(drop);
+  (void)solo.solve(solo_vg, 0);
+  ASSERT_FALSE(solo.last_repair().full_solve);
+  EXPECT_GT(run_processed(solo), kInlineRepairWork);
+  EXPECT_EQ(solo.last_repair().workers, 1);
+  expect_published_answer(solo, solo_vg.graph(), 0, "one-thread drop");
 }
 
 /// Undirected path 0-1-...-199 (weight 3) with a pendant leaf 200 on vertex
@@ -687,6 +767,72 @@ TEST(IncrementalReprice, DetourThroughALighterConeIsSeeded) {
     EXPECT_EQ(rs.cone_vertices, 5u) << name;
     EXPECT_FALSE(rs.cone_reset) << name;
     EXPECT_EQ(inc.answer()[1], 9u) << name;
+  }
+}
+
+/// The cone the walk must admit, computed on its own: every head of an
+/// increase that was admissible under the warm answer, closed under the
+/// arcs (x, y) of the current graph with warm[x] + w <= warm[y], finite
+/// warm values and y != source.
+std::size_t admissible_closure(const Graph& g, std::span<const Distance> warm,
+                               std::span<const ArcEffect> effects,
+                               VertexId source) {
+  std::vector<std::uint8_t> in(g.num_vertices(), 0);
+  std::vector<VertexId> frontier;
+  const auto enter = [&](VertexId v) {
+    if (in[v] || v == source || warm[v] == kInfDist) return;
+    in[v] = 1;
+    frontier.push_back(v);
+  };
+  for (const ArcEffect& e : effects) {
+    if (e.is_increase() && warm[e.src] != kInfDist &&
+        saturating_add(warm[e.src], e.old_w) <= warm[e.dst])
+      enter(e.dst);
+  }
+  std::size_t size = 0;
+  for (; !frontier.empty(); ++size) {
+    const VertexId x = frontier.back();
+    frontier.pop_back();
+    for (const WEdge& e : g.out_neighbors(x))
+      if (saturating_add(warm[x], e.w) <= warm[e.dst]) enter(e.dst);
+  }
+  return size;
+}
+
+TEST(IncrementalReprice, WalkOrderDoesNotChangeTheCone) {
+  const Graph tie = GraphBuilder()
+                        .edges(6, {{0, 2, 5}, {2, 1, 0}, {1, 3, 2},
+                                   {0, 3, 100}, {3, 4, 0}, {4, 5, 0}})
+                        .undirected(true)
+                        .build();
+  for (const auto& [name, graph] :
+       {std::pair{"grid", make_shape("grid")}, std::pair{"comb", comb()},
+        std::pair{"chain", make_shape("chain")},
+        std::pair{"zero-weight tie", tie}}) {
+    for (const Mode mode : {Mode::kMixed, Mode::kStructural}) {
+      VersionedGraph vg{Graph(graph)};
+      IncrementalSolver inc(test_options());
+      (void)inc.solve(vg, 0);
+      Xoshiro256 rng(0xC0E5ULL + static_cast<std::uint64_t>(mode));
+      for (int b = 0; b < 6; ++b) {
+        const std::string what = std::string(name) + "/" + to_name(mode) +
+                                 " batch " + std::to_string(b);
+        GraphDelta delta = random_batch(vg, mode, rng, 4);
+        if (delta.empty()) continue;
+        const Answer warm = inc.answer();
+        const std::uint64_t version = vg.version();
+        (void)vg.apply(delta);
+        const VersionedGraph::JournalView jv = vg.journal_since(version);
+        ASSERT_TRUE(jv.ok) << what;
+        const std::size_t expected = admissible_closure(
+            vg.graph(), std::span<const Distance>(warm.data(), warm.size()),
+            jv.effects, 0);
+        (void)inc.solve(vg, 0);
+        ASSERT_FALSE(inc.last_repair().full_solve) << what;
+        EXPECT_EQ(inc.last_repair().cone_vertices, expected) << what;
+        EXPECT_EQ(dijkstra(vg.graph(), 0).dist, inc.answer()) << what;
+      }
+    }
   }
 }
 

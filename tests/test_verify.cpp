@@ -19,6 +19,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <set>
@@ -1835,7 +1836,8 @@ TEST(SchedulerHarness, AsyncBaselinesEndToEndSchedulesMatchDijkstra) {
 // the IncrementalSolver repairs them on the calling thread alone; the
 // engine's multi-worker seeded run (seed levels published before launch,
 // concurrent log appends) is driven directly on a 2-4-worker team by the
-// case after it. The log's own discipline (each worker appends to its
+// case after it, and an escalated repair (a budget-stopped one-worker run,
+// then the team from the seeds plus its log) by the one after that. The log's own discipline (each worker appends to its
 // list, the caller reads after the join) is pinned by the LoweredLog tests
 // below them.
 
@@ -1885,8 +1887,9 @@ TEST(SchedulerHarness, SeededRepairSchedulesMatchDijkstra) {
     (void)vg.apply(batch);
     const SsspResult reference = dijkstra(vg.graph(), c.source);
 
-    // Cone and seeds together never exceed 2n, so the repair runs inline:
-    // a scheduler round of one participant.
+    // The repair processes about the cone plus its seeds, far below
+    // kInlineRepairWork on these cases, so it stays inline: a scheduler
+    // round of one participant (the escalation is the next harness's).
     ASSERT_LT(2 * std::uint64_t{vg.num_vertices()}, kInlineRepairWork);
     Session session(session_options(1, seed));
     {
@@ -1911,68 +1914,104 @@ TEST(SchedulerHarness, SeededRepairSchedulesMatchDijkstra) {
   }
 }
 
-TEST(SchedulerHarness, SeededTeamRunsMatchDijkstra) {
-  // wasp_sssp_seeded on a 2-4-worker team, as a repair too wide to run
-  // inline would call it. Each seed drops one or two arcs of an e2e case
-  // and pre-loads the old exact distances (admissible: a drop only lowers
-  // distances), with a random third of the vertices invalidated to
-  // infinity. The seeds are the drop sources plus the finite in-neighbours
-  // of the invalidated set, so relaxing from them reaches the new exact
-  // distances, and the log must hold every vertex whose bound moved.
-  const SeedRange seeds = harness_seeds(kE2eSeeds / 4);
-  const auto topology =
+/// A seeded run's input as a repair too wide to finish inline hands it to
+/// the engine. One or two arcs of an e2e case drop, the old exact
+/// distances are pre-loaded (admissible: a drop only lowers distances),
+/// and a random third of the vertices is invalidated to infinity. The
+/// seeds are the drop sources plus the finite in-neighbours of the
+/// invalidated set, so relaxing from them reaches the new exact distances.
+struct WarmCase {
+  VersionedGraph vg;
+  std::vector<Distance> preloaded;
+  std::vector<VertexId> seeds;
+  std::vector<Distance> reference;
+};
+
+WarmCase make_warm_case(const E2eCase& c, std::uint64_t seed) {
+  const VertexId n = c.graph.num_vertices();
+  const std::vector<Distance> old_dist = dijkstra(c.graph, c.source).dist;
+  Xoshiro256 rng(hash_mix(seed ^ 0x7EA5ULL));
+  WarmCase w{VersionedGraph{Graph(c.graph)}, {}, {}, {}};
+  GraphDelta drops;
+  std::vector<std::uint8_t> seeded(n, 0);
+  const auto add_seed = [&](VertexId u) {
+    if (seeded[u] || old_dist[u] == kInfDist) return;
+    seeded[u] = 1;
+    w.seeds.push_back(u);
+  };
+  for (int op = 0; op < 2; ++op) {
+    const auto u = static_cast<VertexId>(rng.next_below(n));
+    const auto adj = w.vg.out_neighbors(u);
+    if (adj.empty()) continue;
+    const WEdge e = adj[rng.next_below(adj.size())];
+    if (seeded[u] || seeded[e.dst]) continue;  // one change per edge
+    drops.set_weight(u, e.dst, std::max<Weight>(1, e.w / 2));
+    add_seed(u);
+    if (w.vg.is_undirected()) add_seed(e.dst);
+  }
+  if (!drops.empty()) (void)w.vg.apply(drops);
+  const Graph& g = w.vg.graph();
+  w.reference = dijkstra(g, c.source).dist;
+
+  std::vector<std::uint8_t> invalid(n, 0);
+  w.preloaded.resize(n);
+  for (VertexId v = 0; v < n; ++v) {
+    invalid[v] = v != c.source && rng.next_below(3) == 0;
+    w.preloaded[v] = invalid[v] ? kInfDist : old_dist[v];
+  }
+  const Graph in = GraphBuilder().transpose_of(g).build();
+  for (VertexId v = 0; v < n; ++v) {
+    if (!invalid[v]) continue;
+    for (const WEdge& e : in.out_neighbors(v))
+      if (!invalid[e.dst]) add_seed(e.dst);
+  }
+  return w;
+}
+
+WaspConfig harness_wasp_config(std::uint64_t seed) {
+  static const auto topology =
       std::make_shared<const NumaTopology>(NumaTopology::detect());
+  WaspConfig config;
+  config.theta = 64;
+  config.chunk_capacity = 16;
+  config.steal_policy = seed % 2 == 0 ? StealPolicy::kPriorityNuma
+                                      : StealPolicy::kTwoChoice;
+  config.topology = topology;
+  return config;
+}
+
+/// Every vertex whose value moved from `preloaded` is in one of the logs.
+void expect_logged(const std::vector<Distance>& preloaded,
+                   const std::vector<Distance>& answer,
+                   std::initializer_list<const LoweredLog*> logs,
+                   std::uint64_t seed) {
+  std::vector<std::uint8_t> in_log(answer.size(), 0);
+  for (const LoweredLog* log : logs)
+    for (int t = 0; t < log->workers(); ++t)
+      for (const VertexId v : log->list(t)) in_log[v] = 1;
+  for (VertexId v = 0; v < answer.size(); ++v) {
+    if (answer[v] != preloaded[v]) {
+      EXPECT_TRUE(in_log[v]) << replay_hint(seed) << ": vertex " << v
+                             << " moved but is not in the log";
+    }
+  }
+}
+
+TEST(SchedulerHarness, SeededTeamRunsMatchDijkstra) {
+  // wasp_sssp_seeded on a 2-4-worker team, from make_warm_case's input;
+  // the log must hold every vertex whose bound moved.
+  const SeedRange seeds = harness_seeds(kE2eSeeds / 4);
   std::uint64_t logged = 0;
   for (std::uint64_t seed = seeds.first; seed < seeds.last; ++seed) {
     const int threads = 2 + static_cast<int>(seed % 3);
     const auto& cases = e2e_cases();
     const E2eCase& c = cases[static_cast<std::size_t>(seed % cases.size())];
+    WarmCase w = make_warm_case(c, seed);
     const VertexId n = c.graph.num_vertices();
-    const std::vector<Distance> old_dist = dijkstra(c.graph, c.source).dist;
-
-    Xoshiro256 rng(hash_mix(seed ^ 0x7EA5ULL));
-    VersionedGraph vg{Graph(c.graph)};
-    GraphDelta drops;
-    std::vector<VertexId> seed_set;
-    std::vector<std::uint8_t> seeded(n, 0);
-    const auto add_seed = [&](VertexId u) {
-      if (seeded[u] || old_dist[u] == kInfDist) return;
-      seeded[u] = 1;
-      seed_set.push_back(u);
-    };
-    for (int op = 0; op < 2; ++op) {
-      const auto u = static_cast<VertexId>(rng.next_below(n));
-      const auto adj = vg.out_neighbors(u);
-      if (adj.empty()) continue;
-      const WEdge e = adj[rng.next_below(adj.size())];
-      if (seeded[u] || seeded[e.dst]) continue;  // one change per edge
-      drops.set_weight(u, e.dst, std::max<Weight>(1, e.w / 2));
-      add_seed(u);
-      if (vg.is_undirected()) add_seed(e.dst);
-    }
-    if (!drops.empty()) (void)vg.apply(drops);
-    const Graph& g = vg.graph();
-    const SsspResult reference = dijkstra(g, c.source);
-
     AtomicDistances dist(n);
-    std::vector<std::uint8_t> invalid(n, 0);
-    for (VertexId v = 0; v < n; ++v) {
-      invalid[v] = v != c.source && rng.next_below(3) == 0;
-      dist.store(v, invalid[v] ? kInfDist : old_dist[v]);
-    }
-    const Graph in = GraphBuilder().transpose_of(g).build();
-    for (VertexId v = 0; v < n; ++v) {
-      if (!invalid[v]) continue;
-      for (const WEdge& e : in.out_neighbors(v))
-        if (!invalid[e.dst]) add_seed(e.dst);
-    }
+    for (VertexId v = 0; v < n; ++v) dist.store(v, w.preloaded[v]);
 
-    WaspConfig config;
-    config.theta = 64;
-    config.chunk_capacity = 16;
-    config.steal_policy = seed % 2 == 0 ? StealPolicy::kPriorityNuma
-                                        : StealPolicy::kTwoChoice;
-    config.topology = topology;
+    const WaspConfig config = harness_wasp_config(seed);
     ThreadTeam team(threads);
     obs::MetricsRegistry registry(threads);
     LoweredLog log;
@@ -1982,34 +2021,108 @@ TEST(SchedulerHarness, SeededTeamRunsMatchDijkstra) {
     Session session(session_options(threads, seed));
     {
       Scheduler scheduler(scheduler_options(threads, seed));
-      result = wasp_sssp_seeded(g, seed_set, 8, config, ctx, log);
+      result = wasp_sssp_seeded(w.vg.graph(), w.seeds, 8, config, ctx, log);
       EXPECT_TRUE(session.ok()) << replay_hint(seed) << ":\n"
                                 << session.report_text();
     }
     const std::vector<Distance> answer = dist.snapshot();
     std::string message;
-    EXPECT_TRUE(distances_equal(reference.dist, answer, &message))
+    EXPECT_TRUE(distances_equal(w.reference, answer, &message))
         << replay_hint(seed) << " (threads=" << threads
-        << ", seeds=" << seed_set.size() << "): " << message;
+        << ", seeds=" << w.seeds.size() << "): " << message;
     EXPECT_EQ(log.workers(), threads) << replay_hint(seed);
     EXPECT_EQ(log.size(),
               result.metrics.counter(obs::CounterId::kUpdates))
         << replay_hint(seed);
-    std::vector<std::uint8_t> in_log(n, 0);
-    for (int t = 0; t < log.workers(); ++t)
-      for (const VertexId v : log.list(t)) in_log[v] = 1;
-    for (VertexId v = 0; v < n; ++v) {
-      const Distance preloaded = invalid[v] ? kInfDist : old_dist[v];
-      if (answer[v] != preloaded) {
-        EXPECT_TRUE(in_log[v]) << replay_hint(seed) << ": vertex " << v
-                               << " moved but is not in the log";
-      }
-    }
+    expect_logged(w.preloaded, answer, {&log}, seed);
     if (log.size() > 0) ++logged;
     if (::testing::Test::HasFailure()) return;
   }
   if (seeds.last - seeds.first == kE2eSeeds / 4) {
     EXPECT_GT(logged, 0u) << "no seeded run in the sweep lowered a vertex";
+  }
+}
+
+TEST(SchedulerHarness, EscalatedRepairSchedulesMatchDijkstra) {
+  // An escalated repair in two halves, as IncrementalSolver runs one: a
+  // one-worker run with a small budget under a one-participant schedule,
+  // then, if it stopped, a 2-4-worker run under a team-sized schedule,
+  // seeded from the seeds plus the stopped run's log. The stopped worker
+  // fires no on_termination and the team's fire one each; the answer must
+  // match Dijkstra and the two logs must hold every vertex that moved.
+  const SeedRange seeds = harness_seeds(kE2eSeeds / 4);
+  std::uint64_t escalated = 0;
+  for (std::uint64_t seed = seeds.first; seed < seeds.last; ++seed) {
+    const int threads = 2 + static_cast<int>(seed % 3);
+    const std::uint64_t budget = seed % 24;
+    const auto& cases = e2e_cases();
+    const E2eCase& c = cases[static_cast<std::size_t>(seed % cases.size())];
+    WarmCase w = make_warm_case(c, seed);
+    const Graph& g = w.vg.graph();
+    const VertexId n = g.num_vertices();
+    AtomicDistances dist(n);
+    for (VertexId v = 0; v < n; ++v) dist.store(v, w.preloaded[v]);
+    const WaspConfig config = harness_wasp_config(seed);
+    obs::MetricsRegistry registry(threads);
+    LifecycleHooks hooks;
+
+    ThreadTeam solo(1);
+    LoweredLog inline_log;
+    RunContext inline_ctx{solo, registry, nullptr, &hooks};
+    inline_ctx.dist = &dist;
+    SsspResult inline_result;
+    {
+      Session session(session_options(1, seed));
+      Scheduler scheduler(scheduler_options(1, seed));
+      inline_result = wasp_sssp_seeded(g, w.seeds, 8, config, inline_ctx,
+                                       inline_log, budget);
+      EXPECT_TRUE(session.ok()) << replay_hint(seed) << ":\n"
+                                << session.report_text();
+    }
+    const std::uint64_t processed = inline_result.metrics.counter(
+        obs::CounterId::kVerticesProcessed);
+    EXPECT_EQ(inline_log.stopped(), processed > budget) << replay_hint(seed);
+    EXPECT_LE(processed, budget + 1) << replay_hint(seed);
+
+    LoweredLog team_log;
+    team_log.reset(0);
+    if (inline_log.stopped()) {
+      ++escalated;
+      EXPECT_EQ(hooks.terminations.load(), 0u) << replay_hint(seed);
+      std::vector<VertexId> resume = w.seeds;
+      std::vector<std::uint8_t> seeded(n, 0);
+      for (const VertexId u : resume) seeded[u] = 1;
+      for (const VertexId v : inline_log.list(0)) {
+        if (!seeded[v]) resume.push_back(v);
+        seeded[v] = 1;
+      }
+      ThreadTeam team(threads);
+      RunContext team_ctx{team, registry, nullptr, &hooks};
+      team_ctx.dist = &dist;
+      Session session(session_options(threads, seed));
+      Scheduler scheduler(scheduler_options(threads, seed));
+      // A budget on a team is ignored: the run converges.
+      (void)wasp_sssp_seeded(g, resume, 8, config, team_ctx, team_log, 0);
+      EXPECT_TRUE(session.ok()) << replay_hint(seed) << ":\n"
+                                << session.report_text();
+      EXPECT_FALSE(team_log.stopped()) << replay_hint(seed);
+      EXPECT_EQ(hooks.terminations.load(),
+                static_cast<std::uint64_t>(threads))
+          << replay_hint(seed);
+    } else if (processed > 0) {
+      EXPECT_EQ(hooks.terminations.load(), 1u) << replay_hint(seed);
+    }
+    const std::vector<Distance> answer = dist.snapshot();
+    std::string message;
+    EXPECT_TRUE(distances_equal(w.reference, answer, &message))
+        << replay_hint(seed) << " (threads=" << threads << ", budget="
+        << budget << ", escalated=" << inline_log.stopped() << "): "
+        << message;
+    expect_logged(w.preloaded, answer, {&inline_log, &team_log}, seed);
+    if (::testing::Test::HasFailure()) return;
+  }
+  if (seeds.last - seeds.first == kE2eSeeds / 4) {
+    EXPECT_GT(escalated, 0u) << "no repair in the sweep escalated";
   }
 }
 

@@ -22,10 +22,15 @@ dyn_updates checks:
   * per row: positive update/repair/full latencies, non-negative closures,
     mean_repair_updates (engine updates per repair, the work count) and
     mean_published_entries (answer entries each repair's publish wrote),
-    compactions_per_batch == 0 (weight changes, closures and reopenings
-    all stay in place), incremental_repairs + full_solves == batches, at
-    least one incremental repair, and the correctness anchor exact ==
-    true (repaired distances bit-identical to a from-scratch solve after
+    the layer split: walk_ms, engine_ms and publish_ms (means over the
+    incremental repairs) are non-negative and sum to no more than
+    mean_repair_ms, the mean wall time of the same repairs (they are
+    disjoint slices of it, at any scale), inline_repairs +
+    escalated_repairs == incremental_repairs, compactions_per_batch == 0
+    (weight changes, closures and reopenings all stay in place),
+    incremental_repairs + full_solves == batches, at least one
+    incremental repair, and the correctness anchor exact == true
+    (repaired distances bit-identical to a from-scratch solve after
     every batch — checked at any scale);
   * without --schema-only, the repair speedup must reach --min-gain.
 
@@ -92,8 +97,12 @@ DYN_ROW_KEYS = {
     "graph", "algo", "batches", "ops_per_batch", "closures",
     "update_ms", "compactions_per_batch", "repair_ms", "full_ms", "speedup",
     "mean_cone", "mean_seeds", "mean_repair_updates",
-    "mean_published_entries", "incremental_repairs", "full_solves", "exact",
+    "mean_published_entries", "walk_ms", "engine_ms", "publish_ms",
+    "mean_repair_ms", "incremental_repairs", "inline_repairs",
+    "escalated_repairs", "full_solves", "exact",
 }
+# Rounding slack for the layer sum: four values printed to 1e-6 ms.
+LAYER_SUM_SLACK_MS = 2e-6
 
 
 def fail(msg):
@@ -198,6 +207,18 @@ def check_dyn_report(report, min_gain, graph_filter, schema_only):
             fail(f"{name}: mean_repair_updates must be >= 0")
         if row["mean_published_entries"] < 0:
             fail(f"{name}: mean_published_entries must be >= 0")
+        layers = (row["walk_ms"], row["engine_ms"], row["publish_ms"])
+        if min(layers) < 0:
+            fail(f"{name}: walk/engine/publish means must be >= 0")
+        if sum(layers) > row["mean_repair_ms"] + LAYER_SUM_SLACK_MS:
+            fail(f"{name}: walk {layers[0]:.6f} + engine {layers[1]:.6f} + "
+                 f"publish {layers[2]:.6f} ms exceed the mean repair "
+                 f"{row['mean_repair_ms']:.6f} ms")
+        if row["inline_repairs"] + row["escalated_repairs"] != \
+                row["incremental_repairs"]:
+            fail(f"{name}: inline_repairs {row['inline_repairs']} + "
+                 f"escalated_repairs {row['escalated_repairs']} != "
+                 f"incremental_repairs {row['incremental_repairs']}")
         if row["compactions_per_batch"] != 0:
             fail(f"{name}: {row['compactions_per_batch']} compactions per "
                  f"batch, expected 0 ({row['closures']} closures per batch "
@@ -229,7 +250,9 @@ def check_dyn_report(report, min_gain, graph_filter, schema_only):
               f"mean cone {row['mean_cone']:.0f}, "
               f"{row['mean_repair_updates']:.0f} updates and "
               f"{row['mean_published_entries']:.0f} published entries per "
-              "repair")
+              f"repair, walk/engine/publish {row['walk_ms']:.3f}/"
+              f"{row['engine_ms']:.3f}/{row['publish_ms']:.3f} ms, "
+              f"{row['escalated_repairs']} escalated")
     if checked == 0:
         fail(f"no rows matched graph filter {sorted(graph_filter)}")
 
