@@ -356,7 +356,7 @@ int main(int argc, char** argv) {
     scratch.options().delta = options.delta;
 
     // Warm both sides before timing: the incremental solver binds its warm
-    // (graph, source) state, the scratch solver pays its one epoch sweep.
+    // (graph, source) state, the scratch solver allocates its pooled array.
     (void)inc.solve(vg, source);
     (void)scratch.solve(vg.graph(), source);
 

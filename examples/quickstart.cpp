@@ -4,8 +4,8 @@
 //
 // Demonstrates the two core public entry points: GraphBuilder for
 // construction and wasp::Solver for queries (the Solver owns the thread
-// team and the epoch-versioned distance pool, so repeat queries skip the
-// O(V) reinitialization).
+// team and the pooled distance array, so repeat queries skip the team
+// spawn and the allocation).
 #include <cstdio>
 
 #include "graph/builder.hpp"

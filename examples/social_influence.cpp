@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   const auto num_seeds = static_cast<int>(args.get_int("seeds"));
 
   // One Solver for all seeds: repeat queries reuse the team and the pooled
-  // distance array (epoch reset instead of an O(V) sweep per query).
+  // distance array (a refill instead of a new allocation per query).
   wasp::Solver solver(options);
 
   std::printf("\n%-10s %-8s %-12s %-14s %-10s\n", "seed", "degree",

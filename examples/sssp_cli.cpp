@@ -81,8 +81,8 @@ int run(int argc, char** argv) {
   std::vector<double> times;
   wasp::SsspResult result;
   const auto trials = static_cast<int>(args.get_int("trials"));
-  // Trials share one Solver, so repeat timings measure the algorithm (epoch
-  // reset), not repeated team spawns and distance-array initializations.
+  // Trials share one Solver, so repeat timings measure the algorithm, not
+  // repeated team spawns and distance-array allocations.
   wasp::Solver solver(options);
   for (int t = 0; t < trials; ++t) {
     result = solver.solve(graph, source);

@@ -13,7 +13,7 @@
 //    budget it has already blown.
 //  * Cooperative cancellation — an overdue or shed query unwinds through
 //    the algorithms' own termination protocols within one polling
-//    interval; the partial distance state is epoch-bumped away and the
+//    interval; the next solve refills the partial distance state, so the
 //    Solver stays reusable.
 //  * Admission control — past the queue high-watermark a new query either
 //    evicts the lowest-priority queued entry (if it outranks one) or is

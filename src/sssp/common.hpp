@@ -5,6 +5,7 @@
 // the option/result types of the unified front-end in sssp.hpp.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -25,27 +26,26 @@ namespace wasp {
 
 class ThreadTeam;
 
-/// Tentative-distance array with atomic CAS updates, epoch-versioned so a
-/// pooled array re-initializes in O(1) between solves instead of O(V).
+/// Tentative-distance array with atomic CAS updates: one 32-bit word per
+/// vertex holding its distance, kInfDist while unreached.
 ///
-/// Each entry packs {epoch tag : high 32, distance : low 32} into one
-/// 64-bit atomic word. An entry whose tag differs from the array's current
-/// epoch is logically kInfDist — so new_epoch() invalidates every entry
-/// without touching memory. The tag is 32 bits wide; when it wraps (once
-/// per 2^32 solves) a full O(V) sweep re-stamps the array, because entries
-/// stale since tag-space-ago would otherwise read as live again.
+/// The relax loop reads this array at random, so its size is the engine's
+/// working set: at 4 bytes per vertex the 409,600-vertex road grid of
+/// perfbench's road_solve (1.6 MB) fits a 2 MB L2 (docs/PERFORMANCE.md).
+/// A reset is one O(V) fill(); every cold solve decodes the whole array
+/// anyway, so a cheaper reset would save no asymptotic work.
 ///
-/// The epoch is mutated only between parallel phases (by the dispatching
-/// thread, ordered against workers by ThreadTeam fork/join), so workers
-/// read a stable plain value and all same-run CAS traffic carries one tag:
-/// the packed compare-exchange is exactly the old 32-bit distance CAS with
-/// a constant prefix.
+/// fill() runs between parallel phases only (by the dispatching thread,
+/// ordered against workers by ThreadTeam fork/join).
 class AtomicDistances {
  public:
+  /// Every entry is constructed at kInfDist, never zero-then-filled: a
+  /// fragment leader builds its shard inside the placement phase, and a
+  /// peer that read an entry's initial value as 0 would hold a ghost
+  /// distance that beats every candidate and silently defeats relax_to().
+  /// The verify model's stale reads may return that initial value.
   explicit AtomicDistances(std::size_t n)
-      : n_(n), dist_(std::make_unique<verify::atomic<std::uint64_t>[]>(n)) {
-    sweep();
-  }
+      : n_(n), dist_(std::make_unique<Entry[]>(n)) {}
 
   [[nodiscard]] std::size_t size() const { return n_; }
 
@@ -53,12 +53,12 @@ class AtomicDistances {
   /// re-validates (stale-skip check or CAS), and cross-thread visibility of
   /// the *final* values rides the scheduler's own edges (barriers, steals).
   [[nodiscard]] Distance load(VertexId v) const {
-    return decode(dist_[v].load(std::memory_order_relaxed));
+    return dist_[v].load(std::memory_order_relaxed);
   }
 
   /// Relaxed: pre-run seeding; the team launch publishes it.
   void store(VertexId v, Distance d) {
-    dist_[v].store(pack(d), std::memory_order_relaxed);
+    dist_[v].store(d, std::memory_order_relaxed);
   }
 
   /// The relax() primitive of Algorithm 1 (lines 1-8): lowers dist[v] to
@@ -68,17 +68,16 @@ class AtomicDistances {
   /// visibility of the new distance.
   /// Candidates must come from saturating_add (see types.hpp): kInfDist can
   /// never win the strict-decrease test, so wrapped sums cannot corrupt the
-  /// array. A stale-epoch entry decodes to kInfDist and the CAS compares
-  /// the full packed word, so overwriting it is exactly the inf-entry case.
+  /// array.
   bool relax_to(VertexId v, Distance candidate) {
-    std::uint64_t old = dist_[v].load(std::memory_order_relaxed);
-    while (candidate < decode(old)) {
+    Distance old = dist_[v].load(std::memory_order_relaxed);
+    while (candidate < old) {
       // Release on success: an acq_rel frontier-flag exchange that reads
       // our flag write also sees this improved distance (the round
       // baselines' dedup pairing, PendingFlags in rounds.hpp). Relaxed on
       // failure: the loop re-reads `old` and the monotone-min argument
       // needs no ordering.
-      if (dist_[v].compare_exchange_weak(old, pack(candidate),
+      if (dist_[v].compare_exchange_weak(old, candidate,
                                          std::memory_order_release,
                                          std::memory_order_relaxed)) {
         return true;
@@ -95,94 +94,79 @@ class AtomicDistances {
     return out;
   }
 
-  /// Decodes every entry into `out`, resized to size(); a buffer that
+  /// Copies every entry into `out`, resized to size(); a buffer that
   /// already has the size is overwritten in place, with no allocation.
   /// Relaxed: called after the team joins, which orders all writes.
   void snapshot_into(std::vector<Distance>& out) const {
     out.resize(n_);
     for (std::size_t i = 0; i < n_; ++i)
-      out[i] = decode(dist_[i].load(std::memory_order_relaxed));
+      out[i] = dist_[i].load(std::memory_order_relaxed);
   }
 
-  /// O(1) logical reset of every entry to kInfDist. Call between parallel
-  /// phases only. Returns true when the tag wrapped and an O(V) sweep ran.
-  bool new_epoch() {
-    ++epoch_;
-    if (epoch_ != 0) return false;
-    sweep();
-    return true;
+  /// O(V) reset of every entry to kInfDist. Call between parallel phases
+  /// only. Relaxed: nothing runs concurrently, and the next team launch
+  /// publishes the fill.
+  void fill() {
+    for (std::size_t i = 0; i < n_; ++i)
+      dist_[i].store(kInfDist, std::memory_order_relaxed);
   }
 
-  [[nodiscard]] std::uint32_t epoch() const { return epoch_; }
-
-  /// Test hook: jumps the tag (e.g. to 0xFFFFFFFF to force a wrap on the
-  /// next new_epoch) and re-stamps the array as all-kInfDist under it.
-  void debug_set_epoch(std::uint32_t e) {
-    epoch_ = e;
-    sweep();
-  }
-
-  /// Address of v's packed entry, for software prefetch ahead of load()/
+  /// Address of v's entry, for software prefetch ahead of load()/
   /// relax_to() (prefetch.hpp).
   [[nodiscard]] const void* prefetch_addr(VertexId v) const {
     return &dist_[v];
   }
 
  private:
-  [[nodiscard]] std::uint64_t pack(Distance d) const {
-    return (static_cast<std::uint64_t>(epoch_) << 32) | d;
-  }
-  [[nodiscard]] Distance decode(std::uint64_t word) const {
-    return (word >> 32) == epoch_ ? static_cast<Distance>(word) : kInfDist;
-  }
-  // Relaxed: sweep runs between parallel phases (no concurrent access).
-  void sweep() {
-    for (std::size_t i = 0; i < n_; ++i)
-      dist_[i].store(pack(kInfDist), std::memory_order_relaxed);
-  }
+  /// One vertex's distance, constructed at kInfDist (see the constructor).
+  struct Entry : verify::atomic<Distance> {
+    Entry() noexcept : verify::atomic<Distance>(kInfDist) {}
+  };
+#if !(defined(WASP_VERIFY_ENABLED) && WASP_VERIFY_ENABLED)
+  // The array is the relax loop's working set: one lock-free 32-bit word
+  // per vertex, and a wider entry (a tag, a padded atomic) fails here.
+  static_assert(sizeof(Entry) == sizeof(Distance));
+  // lint:allow(raw-atomic): a compile-time property, no atomic object.
+  static_assert(std::atomic<Distance>::is_always_lock_free);
+#endif
 
   std::size_t n_;
-  // Starts at 1, never 0: a freshly value-initialized atomic entry holds the
-  // all-zero word, and under epoch 0 that word would decode as a LIVE
-  // {tag 0, distance 0} — a ghost zero that beats every candidate and
-  // silently defeats relax_to(). A reader racing the constructing thread's
-  // sweep (partitioned shards are built by fragment leaders inside the
-  // parallel phase; the stale-read verify model exercises exactly this) must
-  // instead decode the zero word as a tag mismatch, i.e. kInfDist, which the
-  // monotone CAS handles harmlessly.
-  std::uint32_t epoch_ = 1;
-  std::unique_ptr<verify::atomic<std::uint64_t>[]> dist_;
+  std::unique_ptr<Entry[]> dist_;
 };
 
 /// Reusable tentative-distance storage for repeat queries. Not thread-safe:
 /// acquire() runs between parallel phases (the front-end calls it before
 /// handing workers the array). Solver owns one so repeated solve() calls
-/// skip the O(V) fill.
+/// reuse one allocation.
 class DistancePool {
  public:
-  /// Returns an array of `n` logically-kInfDist entries. The fast path is
-  /// an O(1) epoch bump; first use, a size change, and a tag wrap each cost
-  /// one O(n) initialization, counted in sweeps().
+  /// Returns an array of `n` entries, all kInfDist: the held one refilled,
+  /// or a new one on first use or a size change. Either is one O(n)
+  /// initialization (the epoch_sweeps counter), and each starts a new
+  /// generation.
   AtomicDistances& acquire(std::size_t n) {
     if (dist_ == nullptr || dist_->size() != n) {
       dist_ = std::make_unique<AtomicDistances>(n);
-      ++sweeps_;
-    } else if (dist_->new_epoch()) {
-      ++sweeps_;
+    } else {
+      dist_->fill();
     }
+    ++generation_;
     return *dist_;
   }
 
-  /// O(n) initializations performed so far (the epoch_sweeps counter reports
-  /// the per-run delta).
-  [[nodiscard]] std::uint64_t sweeps() const { return sweeps_; }
+  /// Acquires so far. The held array belongs to whoever made the latest
+  /// acquire: a caller that keeps state in it between solves
+  /// (IncrementalSolver) binds this value, and a different one means
+  /// someone acquired since. 64 bits and kept across reallocations, so a
+  /// value never repeats.
+  [[nodiscard]] std::uint64_t generation() const { return generation_; }
 
   /// The held array, null before the first acquire (test/debug access).
   [[nodiscard]] AtomicDistances* current() { return dist_.get(); }
 
  private:
   std::unique_ptr<AtomicDistances> dist_;
-  std::uint64_t sweeps_ = 0;
+  std::uint64_t generation_ = 0;
 };
 
 /// Per-graph state of partitioned Wasp — the fragments and one distance
@@ -191,7 +175,7 @@ class DistancePool {
 /// the engine through RunContext, as it does its DistancePool; the engine
 /// reuses the entry when every key field matches and otherwise replaces it.
 /// Not thread-safe: like DistancePool, it is touched between parallel phases
-/// only (the shards are filled by fragment leaders inside a team run, which
+/// only (the shards are built by fragment leaders inside a team run, which
 /// the team join orders before the entry is stored).
 struct PartitionCache {
   /// What a partition and its placement depend on.
@@ -215,17 +199,6 @@ struct PartitionCache {
   /// The cached entry when its key equals `key`, else null.
   [[nodiscard]] Entry* find(const Key& key) {
     return entry != nullptr && entry->key == key ? entry.get() : nullptr;
-  }
-
-  /// Logically resets every cached shard to kInfDist with an O(1) epoch
-  /// bump each. Returns true when the tags wrapped and the shards were
-  /// swept; they wrap in lockstep, so that is one O(n) sweep of the set.
-  bool new_epoch() {
-    bool swept = false;
-    if (entry != nullptr) {
-      for (auto& shard : entry->shards) swept = shard->new_epoch() || swept;
-    }
-    return swept;
   }
 
   std::unique_ptr<Entry> entry;
@@ -361,10 +334,10 @@ struct SsspOptions {
 
   /// Cooperative cancellation/deadline token (null = not cancellable).
   /// Polled at cheap boundaries by every parallel algorithm; a fired token
-  /// makes the front-end discard the partial run (epoch bump) and throw
-  /// SolveCancelledError. Must outlive the run. The sequential Dijkstra
-  /// reference checks it only at entry — see docs/ROBUSTNESS.md for the
-  /// per-algorithm granularity.
+  /// makes the front-end throw SolveCancelledError, and the next solve's
+  /// fill discards the partial run. Must outlive the run. The sequential
+  /// Dijkstra reference checks it only at entry — see docs/ROBUSTNESS.md
+  /// for the per-algorithm granularity.
   CancelToken* cancel = nullptr;
   /// Run-lifecycle hooks (null = none): live callbacks and the event-ring
   /// recorder. Both must outlive the run; the observer must be thread-safe.
@@ -404,7 +377,7 @@ struct RunContext {
   obs::TraceRecorder* trace = nullptr;
   obs::RunObserver* observer = nullptr;
   /// Pool the front-end acquires ctx.dist from (Solver's owned pool, so
-  /// repeat solves skip the O(V) fill).
+  /// repeat solves reuse one allocation).
   DistancePool* pool = nullptr;
   /// This run's tentative-distance array, acquired (all-kInfDist) by
   /// dispatch_sssp; the parallel algorithms use it instead of allocating.

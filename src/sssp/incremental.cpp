@@ -113,11 +113,13 @@ bool IncrementalSolver::warm_for(const VersionedGraph& vg, VertexId source) {
   // process-unique uid (never reused) is the identity check.
   if (bound_uid_ != vg.uid()) return false;
   // The warm contract needs the pool's array to still be *our* array: same
-  // size, and the epoch stamp untouched since our last answer (any other
-  // query through the solver bumps it).
-  AtomicDistances* d = solver_.distances().current();
+  // size, and no acquire since our last answer (any other query through the
+  // solver acquires, which fills the array and moves the generation).
+  DistancePool& pool = solver_.distances();
+  AtomicDistances* d = pool.current();
   return d != nullptr && d->size() == vg.num_vertices() &&
-         d->epoch() == bound_epoch_ && answer_.size() == vg.num_vertices();
+         pool.generation() == bound_generation_ &&
+         answer_.size() == vg.num_vertices();
 }
 
 const Graph& IncrementalSolver::transpose_of(const Graph& g) {
@@ -184,7 +186,7 @@ void IncrementalSolver::full_solve(const Graph& g, VertexId source) {
   AtomicDistances* d = solver_.distances().current();
   if (solver_.options().uses_distance_pool(solver_.team().size()) &&
       d != nullptr && d->size() == g.num_vertices()) {
-    bound_epoch_ = d->epoch();
+    bound_generation_ = solver_.distances().generation();
   } else {
     bound_graph_ = nullptr;  // unbindable: every solve stays a full solve
   }
@@ -203,18 +205,16 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
 
   // The walk stores bounds into the atomic array, so any exit before the
   // new answer is published (cancel, engine failure, an allocation failure
-  // mid-walk) must poison the warm state, or the next solve would repair
-  // on top of garbage.
+  // mid-walk) must unbind the warm state, or the next solve would repair
+  // on top of garbage. That solve then solves in full, and its acquire
+  // refills the array.
   struct DiscardUnlessPublished {
     IncrementalSolver& self;
-    AtomicDistances& dist;
     bool published = false;
     ~DiscardUnlessPublished() {
-      if (published) return;
-      dist.new_epoch();
-      self.bound_graph_ = nullptr;
+      if (!published) self.bound_graph_ = nullptr;
     }
-  } guard{*this, dist};
+  } guard{*this};
   if (cancel != nullptr && cancel->poll()) throw_cancelled(*cancel);
 
   obs::MetricsRegistry& registry = solver_.metrics();
@@ -427,8 +427,8 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   shard.inc(CId::kRepairConeVertices, cone_.size());
   shard.inc(CId::kRepairSeedVertices, seeds_.size());
 
-  // 4. Repair from the seeds with the normal engine. No epoch bump:
-  // untouched vertices keep their warm entries. The repair starts on the
+  // 4. Repair from the seeds with the normal engine. No acquire and no
+  // fill: untouched vertices keep their warm entries. The repair starts on the
   // calling thread alone. Past kInlineRepairWork processed vertices that
   // run stops, and the Solver's team resumes from the seeds plus what it
   // lowered, which keeps both invariants (wasp_sssp_seeded).
@@ -512,7 +512,6 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   guard.published = true;
   if (recycled) shard.inc(CId::kRepairRecycled);
 
-  bound_epoch_ = dist.epoch();
   last_ = RepairStats{};
   last_.full_solve = false;
   last_.batches = batches;

@@ -2,7 +2,7 @@
 // counterpart to graph/delta.hpp).
 //
 // An IncrementalSolver binds to one (VersionedGraph, source) pair and keeps
-// the epoch-versioned tentative-distance array of its last answer *warm*.
+// the pooled tentative-distance array of its last answer *warm*.
 // When the graph moves forward by a batch, solve() replays the journal
 // instead of recomputing:
 //
@@ -50,7 +50,8 @@
 //     through zero-weight ties. Then the whole cone is stored at infinity,
 //     and the boundary and the decrease sources alone seed it.
 //  4. Repair. wasp_sssp_seeded runs the normal work-stealing engine over
-//     the warm array — no epoch bump, so untouched vertices cost nothing —
+//     the warm array — no acquire and no fill, so untouched vertices cost
+//     nothing —
 //     in work proportional to the improvements left, not the cone. The
 //     width follows the work done, not a guess from the cone: every repair
 //     starts on the calling thread alone, and one that processes more than
@@ -87,7 +88,9 @@
 // Anything that breaks the warm contract (first query, source change,
 // journal trimmed past our version, the underlying solver used for another
 // query in between, a graph swap) falls back to a full solve through the
-// owned wasp::Solver; last_repair().full_solve records which path ran.
+// owned wasp::Solver; last_repair().full_solve records which path ran. A
+// foreign query is caught by the pool's reset generation
+// (DistancePool::generation), which every acquire moves.
 //
 // Correctness anchor (tests/test_incremental.cpp): distances after every
 // batch are bit-identical to a from-scratch solve.
@@ -139,7 +142,8 @@ inline constexpr std::uint64_t kInlineRepairWork = 2048;
 /// re-reads the previous and the current change set; any other buffer
 /// copies the previous answer and re-reads the current set. Re-reading is
 /// one scattered decode per entry; a decode is one pass over the atomic
-/// array. Medians of 41 on a 4-vCPU Xeon VM (random entries, into a reused
+/// array. Medians of 41 on a 4-vCPU Xeon VM, taken when each entry was an
+/// 8-byte tagged word (now 4 bytes) (random entries, into a reused
 /// buffer, with and without an evicting 32 MB sweep before each run): at
 /// n = 102,400 a decode took 88 us warm and 148 us cold, and re-reading
 /// n/8 entries 26 / 59 us, n/4 49 / 95 us and n/2 113 / 151 us; at
@@ -212,8 +216,9 @@ class IncrementalSolver {
   /// long as it is held.
   ///
   /// Cancellation: options().cancel is polled inside the cone walk and by
-  /// the engine; a fired token discards the warm state (epoch bump) and
-  /// throws SolveCancelledError, leaving the solver reusable.
+  /// the engine; a fired token discards the warm state (the next solve is
+  /// a full one) and throws SolveCancelledError, leaving the solver
+  /// reusable.
   const Answer& solve(VersionedGraph& vg, VertexId source);
 
   /// The last solve()'s answer (empty before the first). Never written
@@ -225,7 +230,7 @@ class IncrementalSolver {
 
   /// The owned Solver (team, metrics, options). Using it directly for other
   /// queries is allowed — the next solve() detects the cold pool via the
-  /// epoch stamp and falls back to a full solve.
+  /// reset generation and falls back to a full solve.
   [[nodiscard]] Solver& solver() { return solver_; }
   [[nodiscard]] SsspOptions& options() { return solver_.options(); }
 
@@ -265,14 +270,15 @@ class IncrementalSolver {
   ThreadTeam inline_team_{1};
 
   // Warm-state binding: which (graph, source, version) the pool's distance
-  // array answers, plus the epoch stamp that proves nobody bumped it since.
+  // array answers, plus the pool generation that proves nobody acquired it
+  // since.
   // The uid — not the address — is the graph's identity: allocator reuse
   // can reconstruct a different VersionedGraph at the same address.
   const VersionedGraph* bound_graph_ = nullptr;
   std::uint64_t bound_uid_ = 0;
   VertexId bound_source_ = kInvalidVertex;
   std::uint64_t bound_version_ = 0;
-  std::uint32_t bound_epoch_ = 0;
+  std::uint64_t bound_generation_ = 0;
   std::uint64_t seen_compactions_ = 0;
   std::uint64_t seen_compacted_arcs_ = 0;
 

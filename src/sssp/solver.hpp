@@ -72,10 +72,10 @@ class Solver {
 
   [[nodiscard]] ThreadTeam& team() { return team_; }
   [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
-  /// The owned epoch-versioned distance pool solve() draws from (see
+  /// The owned distance pool solve() draws from (see
   /// SsspOptions::uses_distance_pool); a repeat query on the same graph
-  /// pays an O(1) epoch bump instead of the O(V) infinity fill (the
-  /// epoch_sweeps counter reports which happened).
+  /// reuses its allocation and pays one O(V) infinity fill (counted in
+  /// epoch_sweeps).
   [[nodiscard]] DistancePool& distances() { return pool_; }
   /// Snapshot taken by the most recent solve() (empty before the first).
   [[nodiscard]] const obs::MetricsSnapshot& last_metrics() const {

@@ -60,13 +60,11 @@ SsspResult dispatch_sssp(const Graph& g, VertexId source,
     return dijkstra(g, source);
   }
   // A Wasp run with more than one fragment keeps its distances in fragment
-  // shards (and counts their sweeps itself), so it is not charged a
+  // shards (and counts their fills itself), so it is not charged a
   // pooled-array acquire either.
   if (options.uses_distance_pool(ctx.team.size())) {
-    const std::uint64_t sweeps_before = ctx.pool->sweeps();
     ctx.dist = &ctx.pool->acquire(g.num_vertices());
-    ctx.metrics.shard(0).inc(obs::CounterId::kEpochSweeps,
-                             ctx.pool->sweeps() - sweeps_before);
+    ctx.metrics.shard(0).inc(obs::CounterId::kEpochSweeps);
   }
   ctx.prefetch_lookahead = options.prefetch_lookahead;
   SsspResult result = [&]() -> SsspResult {
@@ -113,18 +111,11 @@ SsspResult dispatch_sssp(const Graph& g, VertexId source,
   return dijkstra(g, source);  // unreachable
   }();
   // The team has joined by now, so every worker's polls happened-before
-  // this check. A fired token means the distance array (or the cached
-  // fragment shards) holds a partial relaxation — bump its epoch so the
-  // reused state is logically all-inf again (the Solver stays reusable) and
-  // surface the typed outcome.
-  if (ctx.cancel != nullptr && ctx.cancel->cancel_requested()) {
-    if (ctx.dist != nullptr) {
-      ctx.dist->new_epoch();
-    } else if (ctx.partitions != nullptr) {
-      ctx.partitions->new_epoch();
-    }
+  // this check. A fired token leaves a partial relaxation in the distance
+  // array (or the cached fragment shards); the next solve fills them before
+  // use, so the Solver stays reusable without a discard here.
+  if (ctx.cancel != nullptr && ctx.cancel->cancel_requested())
     throw_cancelled(*ctx.cancel);
-  }
   return result;
 }
 

@@ -1183,8 +1183,8 @@ SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds,
   } else {
     if (built != nullptr) {
       // Placement phase: each fragment's leader constructs its distance
-      // shard — the constructor's kInfDist sweep is the first touch, so
-      // the shard's pages land on the leader's node. The team join
+      // shard — constructing the entries at kInfDist is the first touch,
+      // so the shard's pages land on the leader's node. The team join
       // publishes the shard pointers to every worker of the solve phase.
       built->shards.resize(static_cast<std::size_t>(f_count));
       ctx.team.run([&](int tid) {
@@ -1201,10 +1201,11 @@ SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds,
       // Cached only now that it is complete: a build that threw above left
       // the cache empty, never half-built.
       if (ctx.partitions != nullptr) ctx.partitions->entry = std::move(built);
-    } else if (ctx.partitions->new_epoch()) {
-      // Warm: reset by an O(1) epoch bump per shard (the same membership
-      // placed them, so their pages already sit on their leaders' nodes);
-      // only a tag wrap sweeps.
+    } else {
+      // Warm: refill the cached shards, one O(n) fill of the set (the same
+      // membership placed them, so their pages already sit on their
+      // leaders' nodes).
+      for (const auto& shard : frags->shards) shard->fill();
       ctx.metrics.shard(0).inc(CId::kEpochSweeps);
     }
     for (int f = 0; f < f_count; ++f) {

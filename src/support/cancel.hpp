@@ -15,8 +15,8 @@
 // no external watchdog ever fires.
 //
 // Memory ordering: the cancel flag carries no data — the dispatching
-// front-end re-checks the token after the team joins (an ordering point)
-// and discards partial state by bumping the distance epoch. Polls are
+// front-end re-checks the token after the team joins (an ordering point),
+// and the next solve refills the partial distance state. Polls are
 // therefore relaxed loads; the cancel CAS uses acq_rel only so reason()
 // observers on other threads see a settled value.
 #pragma once

@@ -45,8 +45,8 @@ class InvalidOptionsError : public std::invalid_argument {
 };
 
 /// A solve unwound early because its CancelToken fired (explicit request,
-/// deadline expiry, or watchdog trip). The partial distance state is
-/// discarded (epoch-bumped) before this is thrown, so the Solver stays
+/// deadline expiry, or watchdog trip). The partial distance state is left
+/// behind and refilled by the next solve before use, so the Solver stays
 /// reusable. reason() discriminates why.
 class SolveCancelledError : public std::runtime_error {
  public:

@@ -1436,9 +1436,9 @@ TEST(IncrementalWarm, ForeignSolverUseColdsTheWarmState) {
   const VertexId source = pick_source(vg);
   (void)inc.solve(vg, source);
 
-  // Using the owned Solver directly bumps the pool epoch: the warm contract
-  // is broken and the next solve must detect it instead of repairing on top
-  // of someone else's distances.
+  // Using the owned Solver directly moves the pool generation: the warm
+  // contract is broken and the next solve must detect it instead of
+  // repairing on top of someone else's distances.
   Graph other = make_shape("grid");
   (void)inc.solver().solve(other, 0);
 
@@ -1514,9 +1514,9 @@ TEST(IncrementalWarm, GraphRebuiltAtSameAddressFallsBackToFullSolve) {
 
   // Allocator-reuse ABA: a *different* graph takes over the bound object's
   // address (move-assignment re-stamps vg in place) with the same vertex
-  // count, an untouched pool epoch, and a version no older than the bound
-  // one — everything an address + version heuristic would mistake for warm
-  // state. Only the uid tells them apart.
+  // count, an untouched pool generation, and a version no older than the
+  // bound one — everything an address + version heuristic would mistake for
+  // warm state. Only the uid tells them apart.
   VersionedGraph other(
       gen::erdos_renyi(1600, 6.0, WeightScheme::uniform(1, 100), 99));
   Xoshiro256 rng(5);

@@ -1,14 +1,16 @@
 // Solver-reuse correctness: the query-throughput fast path (pooled
-// epoch-versioned distances, cached partitions, prefetched relaxation) must
-// be invisible in results. A reused Solver answering the same query twice,
-// or a different query, must produce distances bit-identical to a fresh
-// per-call solve — for every algorithm and across an epoch wrap. The
-// partition-cache suites are named PartitionReuse so the TSan preset's
-// Partition filter runs them.
+// distances, cached partitions, prefetched relaxation) must be invisible in
+// results. A reused Solver answering the same query twice, or a different
+// query, must produce distances bit-identical to a fresh per-call solve —
+// for every algorithm, and after a cancelled run, a different graph or an
+// incremental repair left the pooled array dirty. The partition-cache
+// suites are named PartitionReuse so the TSan preset's Partition filter
+// runs them.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "graph/algorithms.hpp"
@@ -54,26 +56,23 @@ TEST_P(SolverReuse, RepeatAndCrossSourceQueriesAreBitIdentical) {
 
   Solver solver(options);
   const SsspResult r1 = solver.solve(g, s1);
-  const SsspResult r2 = solver.solve(g, s1);  // repeat query: epoch bump only
+  const SsspResult r2 = solver.solve(g, s1);  // repeat query: one refill
   const SsspResult r3 = solver.solve(g, s2);  // different source, same pool
 
   EXPECT_EQ(r1.dist, fresh1.dist);
   EXPECT_EQ(r2.dist, fresh1.dist);
   EXPECT_EQ(r3.dist, fresh2.dist);
 
-  // The pooled array is initialized once (the first acquire); repeat
-  // queries re-use it with an O(1) epoch bump. Sequential Dijkstra bypasses
-  // the pool entirely.
+  // Every pooled solve pays one O(V) fill: the first allocates the array
+  // at kInfDist, repeat queries refill it. Sequential Dijkstra bypasses the
+  // pool entirely.
   const auto sweeps = [](const SsspResult& r) {
     return r.metrics.counter(obs::CounterId::kEpochSweeps);
   };
-  if (GetParam() == Algorithm::kDijkstra) {
-    EXPECT_EQ(sweeps(r1), 0u);
-  } else {
-    EXPECT_EQ(sweeps(r1), 1u);
-  }
-  EXPECT_EQ(sweeps(r2), 0u);
-  EXPECT_EQ(sweeps(r3), 0u);
+  const std::uint64_t fills = GetParam() == Algorithm::kDijkstra ? 0 : 1;
+  EXPECT_EQ(sweeps(r1), fills);
+  EXPECT_EQ(sweeps(r2), fills);
+  EXPECT_EQ(sweeps(r3), fills);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -91,32 +90,84 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-TEST(SolverReuseEpochWrap, ForcedWrapSweepsAndStaysCorrect) {
-  const Graph g = make_test_graph();
-  const VertexId s = pick_source_in_largest_component(g, 11);
-  const std::vector<Distance> reference = dijkstra(g, s).dist;
+/// Requests cancellation from the first run callback, so the cancel lands
+/// mid-solve: every round of the round baselines, and every 4096 processed
+/// vertices of the asynchronous ones.
+class CancelOnFirstCallback final : public obs::RunObserver {
+ public:
+  explicit CancelOnFirstCallback(CancelToken& token) : token_(&token) {}
+  void on_round(std::uint64_t, std::uint64_t) override { fire(); }
+  void on_progress(int, std::uint64_t) override { fire(); }
 
-  Solver solver(options_for(Algorithm::kWasp));
-  const SsspResult r1 = solver.solve(g, s);
-  EXPECT_EQ(r1.metrics.counter(obs::CounterId::kEpochSweeps), 1u);
-  EXPECT_EQ(r1.dist, reference);
+ private:
+  void fire() { token_->request_cancel(CancelReason::kUser); }
+  CancelToken* token_;
+};
 
-  // Jump the tag to its maximum: the next acquire wraps to 0 and must run
-  // the full O(V) re-stamp instead of the O(1) bump — entries stamped a full
-  // tag-space ago would otherwise read as live.
-  AtomicDistances* dist = solver.distances().current();
-  ASSERT_NE(dist, nullptr);
-  dist->debug_set_epoch(0xFFFFFFFFu);
-  const SsspResult r2 = solver.solve(g, s);
-  EXPECT_EQ(r2.metrics.counter(obs::CounterId::kEpochSweeps), 1u);
-  EXPECT_EQ(dist->epoch(), 0u);
-  EXPECT_EQ(r2.dist, reference);
-
-  // And the bump fast path resumes afterwards.
-  const SsspResult r3 = solver.solve(g, s);
-  EXPECT_EQ(r3.metrics.counter(obs::CounterId::kEpochSweeps), 0u);
-  EXPECT_EQ(r3.dist, reference);
+/// Big enough that a cancel lands before the run can finish: some worker
+/// of three processes past 4096 vertices.
+Graph make_large_graph(std::uint64_t seed) {
+  return gen::erdos_renyi(20000, 6.0, WeightScheme::gap(), seed);
 }
+
+class SolverReuseAfterReset : public testing::TestWithParam<Algorithm> {};
+
+TEST_P(SolverReuseAfterReset, DirtyPoolIsRefilledBeforeEverySolve) {
+  // A pooled solve's only reset is the fill at acquire, so whatever the
+  // previous user left in the array must not leak into the next answer.
+  // Each step below leaves it dirty in a different way.
+  VersionedGraph vg(make_large_graph(17));
+  const Graph other = make_large_graph(18);
+  ASSERT_EQ(other.num_vertices(), vg.num_vertices());
+  const VertexId s = pick_source_in_largest_component(vg.graph(), 11);
+  const VertexId t = pick_source_in_largest_component(other, 11);
+  IncrementalSolver inc(options_for(GetParam()));
+  Solver& solver = inc.solver();
+
+  // A cancelled run leaves a partial relaxation behind.
+  CancelToken token;
+  CancelOnFirstCallback canceller(token);
+  solver.set_observer(&canceller);
+  solver.options().cancel = &token;
+  EXPECT_THROW((void)solver.solve(vg.graph(), s), SolveCancelledError);
+  solver.set_observer(nullptr);
+  solver.options().cancel = nullptr;
+  SsspResult r = solver.solve(vg.graph(), s);
+  EXPECT_EQ(r.dist, dijkstra(vg.graph(), s).dist);
+  EXPECT_EQ(r.metrics.counter(obs::CounterId::kEpochSweeps), 1u);
+
+  // Another graph of the same size reuses the allocation.
+  const AtomicDistances* array = solver.distances().current();
+  r = solver.solve(other, t);
+  EXPECT_EQ(r.dist, dijkstra(other, t).dist);
+  EXPECT_EQ(solver.distances().current(), array);
+
+  // A repair leaves its answer in the array, warm for the next repair.
+  (void)inc.solve(vg, s);
+  const WEdge first = vg.flat().out_neighbors(s)[0];
+  (void)vg.apply(GraphDelta().set_weight(s, first.dst, first.w + 50));
+  EXPECT_EQ(inc.solve(vg, s), dijkstra(vg.graph(), s).dist);
+  EXPECT_FALSE(inc.last_repair().full_solve);
+  r = solver.solve(other, t);
+  EXPECT_EQ(r.dist, dijkstra(other, t).dist);
+
+  // That solve moved the pool's generation, so the next update is not
+  // repaired on top of the other graph's distances.
+  (void)vg.apply(GraphDelta().set_weight(s, first.dst, first.w));
+  EXPECT_EQ(inc.solve(vg, s), dijkstra(vg.graph(), s).dist);
+  EXPECT_TRUE(inc.last_repair().full_solve);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pooled, SolverReuseAfterReset,
+    testing::Values(Algorithm::kBellmanFord, Algorithm::kDeltaStepping,
+                    Algorithm::kJulienne, Algorithm::kDeltaStar,
+                    Algorithm::kRhoStepping, Algorithm::kRadiusStepping,
+                    Algorithm::kMqDijkstra, Algorithm::kSmqDijkstra,
+                    Algorithm::kObim, Algorithm::kWasp),
+    [](const testing::TestParamInfo<Algorithm>& param_info) {
+      return std::string(to_string(param_info.param));
+    });
 
 TEST(SolverReusePrefetch, LookaheadIsValidatedAndZeroDisables) {
   const Graph g = make_test_graph();
@@ -180,20 +231,21 @@ TEST(PartitionReuse, RepeatAndCrossSourceQueriesAreBitIdentical) {
 
   Solver solver(options);
   const SsspResult r1 = solver.solve(g, s1);
-  const SsspResult r2 = solver.solve(g, s1);  // repeat: shards re-epoched
+  const SsspResult r2 = solver.solve(g, s1);  // repeat: shards refilled
   const SsspResult r3 = solver.solve(g, s2);  // other source, same shards
   EXPECT_EQ(r1.dist, fresh1.dist);
   EXPECT_EQ(r2.dist, fresh1.dist);
   EXPECT_EQ(r3.dist, fresh2.dist);
 
-  // One build and one shard sweep, on the cold solve only; the flat pooled
-  // array is never acquired for a partitioned run.
+  // One build, on the cold solve only, and one fill of the shard set per
+  // solve: the build constructs them at kInfDist, reuse refills them. The
+  // flat pooled array is never acquired for a partitioned run.
   EXPECT_EQ(builds(r1), 1u);
   EXPECT_EQ(builds(r2), 0u);
   EXPECT_EQ(builds(r3), 0u);
   EXPECT_EQ(sweeps(r1), 1u);
-  EXPECT_EQ(sweeps(r2), 0u);
-  EXPECT_EQ(sweeps(r3), 0u);
+  EXPECT_EQ(sweeps(r2), 1u);
+  EXPECT_EQ(sweeps(r3), 1u);
   EXPECT_EQ(solver.distances().current(), nullptr);
 }
 
@@ -214,7 +266,7 @@ TEST(PartitionReuse, OneFragmentRunIsTheFlatRun) {
     EXPECT_EQ(sweeps(r), 1u);  // the pooled array's first fill
     ASSERT_NE(solver.distances().current(), nullptr);
     EXPECT_EQ(solver.distances().current()->size(), g.num_vertices());
-    EXPECT_EQ(sweeps(solver.solve(g, s)), 0u);  // then an epoch bump
+    EXPECT_EQ(sweeps(solver.solve(g, s)), 1u);  // then a refill
 
     if (threads == 1) {
       options.wasp.partition.enabled = false;
@@ -316,18 +368,6 @@ TEST(PartitionReuse, IncrementalSolverNeverBindsToTheUnusedFlatArray) {
   EXPECT_TRUE(inc.last_repair().full_solve);
 }
 
-/// Cancels the run from its first progress callback, i.e. mid-solve.
-class CancelOnProgress final : public obs::RunObserver {
- public:
-  explicit CancelOnProgress(CancelToken& token) : token_(&token) {}
-  void on_progress(int, std::uint64_t) override {
-    token_->request_cancel(CancelReason::kUser);
-  }
-
- private:
-  CancelToken* token_;
-};
-
 TEST(PartitionReuse, WarmSolveAfterCancelledSolveIsExact) {
   // Big enough that a fragment's worker reaches the progress callback
   // (every 4096 vertices) long before the solve could finish.
@@ -341,7 +381,7 @@ TEST(PartitionReuse, WarmSolveAfterCancelledSolveIsExact) {
   EXPECT_EQ(builds(solver.solve(g, s)), 1u);
 
   CancelToken token;
-  CancelOnProgress canceller(token);
+  CancelOnFirstCallback canceller(token);
   solver.set_observer(&canceller);
   solver.options().cancel = &token;
   EXPECT_THROW((void)solver.solve(g, s), SolveCancelledError);

@@ -323,6 +323,35 @@ TEST(VerifyModel, ReleaseFenceArmsSubsequentRelaxedStore) {
   }
 }
 
+TEST(VerifyModel, RelaxToPublishesWithRelease) {
+  // AtomicDistances::relax_to's documented contract: a successful lowering
+  // is a release, so a reader whose relaxed load sees the new distance and
+  // then fences with acquire also sees what the writer did before it.
+  // Today every caller also publishes through a later release of its own
+  // (a frontier flag, a deque push, a lock), so only this test pins the
+  // primitive's order (mutant DIST-7e9ec7).
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    verify::atomic<int> data{0};
+    AtomicDistances dist(1);
+    int seen = -1;
+    Session session(session_options(2, seed));
+    run_bound(session, 2, [&](int tid) {
+      if (tid == 0) {
+        data.store(42, std::memory_order_relaxed);
+        EXPECT_TRUE(dist.relax_to(0, 7));
+      } else {
+        while (dist.load(0) != 7) {
+        }
+        verify::thread_fence(std::memory_order_acquire);
+        seen = data.load(std::memory_order_relaxed);
+      }
+    });
+    ASSERT_TRUE(session.ok()) << session.report_text();
+    ASSERT_EQ(seen, 42) << "relax_to published without release at seed "
+                        << seed;
+  }
+}
+
 TEST(VerifyModel, SeqCstFencesForbidStoreBufferingBothZero) {
   // SB litmus: r0 == r1 == 0 is forbidden with seq_cst fences. This is the
   // edge pop_bottom/steal rely on; its mutant must be observable.
@@ -1782,6 +1811,55 @@ TEST(SchedulerHarness, PartitionedWaspEndToEndSchedulesMatchDijkstra) {
   const SeedRange seeds = harness_seeds(kE2eSeeds / 2);
   for (std::uint64_t seed = seeds.first; seed < seeds.last; ++seed) {
     e2e_one_seed(Algorithm::kWasp, seed, /*partitioned=*/true);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(SchedulerHarness, PlacementPhaseShardsNeverReadZero) {
+  // Partitioned Wasp builds each fragment's distance shard on the
+  // fragment's leader inside a team run (run_wasp's placement phase), and
+  // the leader's peers read it in the next run. Nothing in the model orders
+  // a peer after the leader's stores, so a peer's load may return any store
+  // its clock does not rule out, an entry's initial value included: an
+  // entry that began at 0 and was filled afterwards would read as a ghost
+  // distance 0. Every entry must read kInfDist from every worker.
+  constexpr VertexId kShardSize = 96;
+  const SeedRange seeds = harness_seeds(kE2eSeeds / 4);
+  for (std::uint64_t seed = seeds.first; seed < seeds.last; ++seed) {
+    const int threads = 2 + static_cast<int>(seed % 3);
+    const int fragments = threads > 2 ? 2 : 1;
+    ThreadTeam team(threads);
+    std::vector<std::unique_ptr<AtomicDistances>> shards(
+        static_cast<std::size_t>(fragments));
+    std::vector<std::uint64_t> not_inf(static_cast<std::size_t>(threads), 0);
+    Session session(session_options(threads, seed));
+    {
+      Scheduler scheduler(scheduler_options(threads, seed));
+      // Leaders are workers 0 and 2, as with two fragments of a 3-4-worker
+      // team; each builds its fragment's shard.
+      team.run([&](int tid) {
+        verify::ScopedSchedule schedule_guard(tid);
+        if (tid % 2 == 0 && tid / 2 < fragments) {
+          shards[static_cast<std::size_t>(tid / 2)] =
+              std::make_unique<AtomicDistances>(kShardSize);
+        }
+      });
+      team.run([&](int tid) {
+        verify::ScopedSchedule schedule_guard(tid);
+        for (const auto& shard : shards) {
+          for (VertexId v = 0; v < kShardSize; ++v)
+            if (shard->load(v) != kInfDist)
+              ++not_inf[static_cast<std::size_t>(tid)];
+        }
+      });
+    }
+    EXPECT_TRUE(session.ok()) << replay_hint(seed) << ":\n"
+                              << session.report_text();
+    for (int t = 0; t < threads; ++t) {
+      EXPECT_EQ(not_inf[static_cast<std::size_t>(t)], 0u)
+          << replay_hint(seed) << ": worker " << t
+          << " read an entry of a fresh shard below kInfDist";
+    }
     if (::testing::Test::HasFailure()) return;
   }
 }

@@ -90,10 +90,12 @@ def discover_scope():
 
 # Default mutation targets: the two stealing structures, the spinlock (the
 # only load-bearing synchronization the StealingMultiQueue has left —
-# docs/CONCURRENCY.md), the curr-board publication protocol, and the Wasp
+# docs/CONCURRENCY.md), the curr-board publication protocol, the Wasp
 # scheduler loop itself (steal epochs, termination scan), which the seeded
-# end-to-end harness in test_verify exercises.
+# end-to-end harness in test_verify exercises, and the relax CAS every
+# algorithm lowers distances through.
 MUTATE_SCOPE = [
+    "src/sssp/common.hpp",
     "src/concurrent/chase_lev_deque.hpp",
     "src/concurrent/stealing_multiqueue.hpp",
     "src/concurrent/spinlock.hpp",
