@@ -9,7 +9,6 @@
 
 #include "graph/suite.hpp"
 #include "sssp/solver.hpp"
-#include "sssp/sssp.hpp"
 #include "support/cli.hpp"
 #include "support/thread_team.hpp"
 

@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
       // Correctness before timing: partitioned answers must be
       // bit-identical to the flat engine's (SSSP distances are unique, so
       // this is schedule-independent).
-      const SsspResult check = run_sssp(w.graph, w.source, options);
+      const SsspResult check = Solver(options).solve(w.graph, w.source);
       if (tc.topo == nullptr)
         reference = check.dist;
       else

@@ -244,7 +244,8 @@ int main(int argc, char** argv) {
       }
     }
     const double elapsed = wall.seconds();
-    row.coalesced = svc.stats().totals.coalesced;
+    row.coalesced =
+        svc.metrics().counter(obs::CounterId::kQueriesCoalesced);
     svc.shutdown();
     row.served_qps =
         elapsed > 0 ? static_cast<double>(row.served) / elapsed : 0.0;

@@ -14,7 +14,6 @@
 #include "graph/io.hpp"
 #include "graph/suite.hpp"
 #include "sssp/solver.hpp"
-#include "sssp/sssp.hpp"
 #include "sssp/validate.hpp"
 #include "support/cli.hpp"
 #include "support/stats.hpp"

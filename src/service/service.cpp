@@ -12,6 +12,19 @@ namespace {
 
 using CId = obs::CounterId;
 
+/// The kQueries* counter of a terminal outcome.
+CId outcome_counter(Outcome o) {
+  switch (o) {
+    case Outcome::kServed: return CId::kQueriesServed;
+    case Outcome::kServedStale: return CId::kQueriesServedStale;
+    case Outcome::kCancelled: return CId::kQueriesCancelled;
+    case Outcome::kDeadlineExpired: return CId::kQueriesDeadlineExpired;
+    case Outcome::kShed: return CId::kQueriesShed;
+    case Outcome::kFailed: return CId::kQueriesFailed;
+  }
+  return CId::kQueriesFailed;  // unreachable
+}
+
 double ms_between(CancelToken::Clock::time_point from,
                   CancelToken::Clock::time_point to) {
   return std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
@@ -140,8 +153,7 @@ std::shared_future<QueryResult> QueryService::submit_impl(
     r.dist = hit->dist;  // shared: the entry's buffer, not a copy
     r.query_id = next_id_++;
     r.graph_version = vg->version();
-    registry_.shard(0).inc(CId::kQueriesSubmitted);
-    tenants_[req.tenant].submitted += 1;
+    count_locked(req.tenant, CId::kQueriesSubmitted);
     account_cached_locked(req.tenant);
   }
   // r.dist keeps the answer alive even if an update() replaces the entry.
@@ -154,8 +166,6 @@ std::shared_future<QueryResult> QueryService::submit_impl(
 std::shared_future<QueryResult> QueryService::enqueue_locked(
     const Graph& g, const VersionedGraph* vg, const CacheKey& key,
     QueryRequest req) {
-  obs::MetricsShard& adm = registry_.shard(0);
-
   const auto now = Clock::now();
   std::chrono::nanoseconds budget =
       req.budget.count() > 0 ? req.budget : config_.default_budget;
@@ -171,8 +181,7 @@ std::shared_future<QueryResult> QueryService::enqueue_locked(
   if (config_.coalesce) {
     for (const Entry& e : queue_) {
       if (e->key == key) {
-        adm.inc(CId::kQueriesCoalesced);
-        tenants_[req.tenant].coalesced += 1;
+        count_locked(req.tenant, CId::kQueriesCoalesced);
         e->deadline = std::max(e->deadline, deadline);
         e->req.priority = std::max(e->req.priority, req.priority);
         e->req.allow_stale = e->req.allow_stale || req.allow_stale;
@@ -205,8 +214,7 @@ std::shared_future<QueryResult> QueryService::enqueue_locked(
       queue_.erase(victim);
       finish_unrun_locked(shed, Outcome::kShed);
     } else {
-      adm.inc(CId::kQueriesRejected);
-      tenants_[req.tenant].rejected += 1;
+      count_locked(req.tenant, CId::kQueriesRejected);
       std::ostringstream os;
       os << "QueryService::submit: queue full (" << queue_.size() << "/"
          << config_.queue_capacity << ") and priority " << req.priority
@@ -228,8 +236,7 @@ std::shared_future<QueryResult> QueryService::enqueue_locked(
   e->id = next_id_++;
   e->future = e->promise.get_future().share();
   queue_.push_back(e);
-  adm.inc(CId::kQueriesSubmitted);
-  tenants_[e->req.tenant].submitted += 1;
+  count_locked(e->req.tenant, CId::kQueriesSubmitted);
   work_cv_.notify_one();
   return e->future;
 }
@@ -394,7 +401,7 @@ const QueryService::CachedAnswer* QueryService::fresh_find_locked(
 }
 
 void QueryService::account_cached_locked(const std::string& tenant) {
-  registry_.shard(0).inc(CId::kQueriesServedCached);
+  count_locked(tenant, CId::kQueriesServedCached);
   account_locked(tenant, Outcome::kServed);
 }
 
@@ -412,39 +419,17 @@ void QueryService::finish_unrun_locked(const Entry& e, Outcome outcome) {
   }
   // Counted after the stale downgrade: a shed query answered from the cache
   // is served_stale, not shed — one outcome, one counter.
-  if (r.outcome == Outcome::kShed) registry_.shard(0).inc(CId::kQueriesShed);
   account_locked(e->req.tenant, r.outcome);
   e->promise.set_value(std::move(r));
 }
 
+void QueryService::count_locked(const std::string& tenant, CId id) {
+  registry_.shard(0).inc(id);
+  tenants_.try_emplace(tenant, 1).first->second.shard(0).inc(id);
+}
+
 void QueryService::account_locked(const std::string& tenant, Outcome outcome) {
-  TenantStats& t = tenants_[tenant];
-  obs::MetricsShard& adm = registry_.shard(0);
-  switch (outcome) {
-    case Outcome::kServed:
-      t.served += 1;
-      adm.inc(CId::kQueriesServed);
-      break;
-    case Outcome::kServedStale:
-      t.served_stale += 1;
-      adm.inc(CId::kQueriesServedStale);
-      break;
-    case Outcome::kCancelled:
-      t.cancelled += 1;
-      adm.inc(CId::kQueriesCancelled);
-      break;
-    case Outcome::kDeadlineExpired:
-      t.deadline_expired += 1;
-      adm.inc(CId::kQueriesDeadlineExpired);
-      break;
-    case Outcome::kShed:
-      t.shed += 1;
-      break;  // kQueriesShed counted at the shed site
-    case Outcome::kFailed:
-      t.failed += 1;
-      adm.inc(CId::kQueriesFailed);
-      break;
-  }
+  count_locked(tenant, outcome_counter(outcome));
 }
 
 void QueryService::cache_store_locked(const CacheKey& key, Answer dist,
@@ -644,10 +629,8 @@ void QueryService::watchdog_main() {
 void QueryService::shutdown() {
   {
     MutexLock lock(mu_);
-    if (stopping_) {
-      // Already shut down (idempotent); fall through to the joins below,
-      // which are no-ops on already-joined threads guarded by joinable().
-    }
+    // Idempotent: a second call finds the queue empty and the threads
+    // already joined (the joins below check joinable()).
     stopping_ = true;
     // Resolve everything still queued and wave off everything running.
     for (const Entry& e : queue_) {
@@ -667,37 +650,16 @@ void QueryService::shutdown() {
     if (w.joinable()) w.join();
 }
 
-ServiceStats QueryService::stats() const {
-  MutexLock lock(mu_);
-  ServiceStats s;
-  s.tenants = tenants_;
-  for (const auto& [name, t] : s.tenants) {
-    (void)name;
-    s.totals.submitted += t.submitted;
-    s.totals.served += t.served;
-    s.totals.served_stale += t.served_stale;
-    s.totals.cancelled += t.cancelled;
-    s.totals.deadline_expired += t.deadline_expired;
-    s.totals.shed += t.shed;
-    s.totals.rejected += t.rejected;
-    s.totals.failed += t.failed;
-    s.totals.coalesced += t.coalesced;
-  }
-  const obs::MetricsSnapshot snap = registry_.snapshot();
-  s.retries = snap.totals[static_cast<std::size_t>(CId::kQueryRetries)];
-  s.solver_rebuilds =
-      snap.totals[static_cast<std::size_t>(CId::kSolverRebuilds)];
-  s.watchdog_cancels =
-      snap.totals[static_cast<std::size_t>(CId::kWatchdogCancels)];
-  s.queue_depth = queue_.size();
-  for (const Entry& e : running_)
-    if (e != nullptr) ++s.running;
-  return s;
-}
-
 obs::MetricsSnapshot QueryService::metrics() const {
   MutexLock lock(mu_);
   return registry_.snapshot();
+}
+
+obs::MetricsSnapshot QueryService::metrics(std::string_view tenant) const {
+  MutexLock lock(mu_);
+  const auto it = tenants_.find(tenant);
+  return it != tenants_.end() ? it->second.snapshot()
+                              : obs::MetricsRegistry(1).snapshot();
 }
 
 }  // namespace wasp::service

@@ -40,10 +40,12 @@
 //    from the cache instead of re-solving. QueryRequest::min_graph_version
 //    lets a client demand at-least-this-fresh answers.
 //
-// Accounting flows through an obs::MetricsRegistry (the kQueries* /
-// kSolverRebuilds / kWatchdogCancels counters) plus a per-tenant table;
-// bench/qps_service drives the whole contract under a seeded open-loop
-// arrival stream. Semantics are documented in docs/ROBUSTNESS.md.
+// Accounting flows through one obs::MetricsRegistry (the kQueries* /
+// kSolverRebuilds / kWatchdogCancels counters), read through metrics(), and
+// a per-tenant registry of the same kQueries* counters, read through
+// metrics(tenant). bench/qps_service drives the whole contract under a
+// seeded open-loop arrival stream. Semantics are documented in
+// docs/ROBUSTNESS.md.
 #pragma once
 
 #include <chrono>
@@ -57,6 +59,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -184,32 +187,8 @@ struct ServiceConfig {
   void validate() const;
 };
 
-/// Per-tenant accounting (all monotonically increasing).
-struct TenantStats {
-  std::uint64_t submitted = 0;
-  std::uint64_t served = 0;
-  std::uint64_t served_stale = 0;
-  std::uint64_t cancelled = 0;
-  std::uint64_t deadline_expired = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t coalesced = 0;
-};
-
-/// Snapshot of the service's accounting state.
-struct ServiceStats {
-  TenantStats totals;
-  std::map<std::string, TenantStats> tenants;
-  std::uint64_t retries = 0;           ///< solve attempts beyond the first
-  std::uint64_t solver_rebuilds = 0;   ///< quarantined Solvers rebuilt
-  std::uint64_t watchdog_cancels = 0;  ///< overdue runs the watchdog killed
-  std::size_t queue_depth = 0;         ///< queued (not running) right now
-  std::size_t running = 0;             ///< queries being solved right now
-};
-
-/// The Solver-fleet query front door. Thread-safe: submit()/solve()/stats()
-/// may be called concurrently from any thread.
+/// The Solver-fleet query front door. Thread-safe: submit()/solve()/
+/// metrics() may be called concurrently from any thread.
 class QueryService {
  public:
   /// Validates `config`, spawns num_solvers workers (each builds its own
@@ -264,10 +243,13 @@ class QueryService {
   /// rejects further submits. Idempotent.
   void shutdown();
 
-  [[nodiscard]] ServiceStats stats() const;
   /// Cumulative service counters (the kQueries* block; per_thread[0] is the
   /// admission/watchdog shard, [1..num_solvers] the workers).
   [[nodiscard]] obs::MetricsSnapshot metrics() const;
+  /// Cumulative kQueries* counters of one tenant (QueryRequest::tenant), in
+  /// a one-shard snapshot; all zero for a tenant never seen. Summed over
+  /// every tenant, each equals the same counter in metrics().
+  [[nodiscard]] obs::MetricsSnapshot metrics(std::string_view tenant) const;
   [[nodiscard]] const ServiceConfig& config() const { return config_; }
 
  private:
@@ -318,7 +300,11 @@ class QueryService {
   /// downgrading to the stale cache when allowed. mu_ held.
   void finish_unrun_locked(const Entry& e, Outcome outcome)
       WASP_REQUIRES(mu_);
-  /// Tenant + counter accounting for a terminal outcome. mu_ held.
+  /// Bumps kQueries* counter `id` in the service registry and in `tenant`'s.
+  /// mu_ held.
+  void count_locked(const std::string& tenant, obs::CounterId id)
+      WASP_REQUIRES(mu_);
+  /// Counts a terminal outcome for `tenant`. mu_ held.
   void account_locked(const std::string& tenant, Outcome outcome)
       WASP_REQUIRES(mu_);
   /// Caches `dist` (shared, not copied) as key's answer at `version`,
@@ -359,7 +345,10 @@ class QueryService {
   /// Shard 0: admission/watchdog paths (all writes under mu_). Shards
   /// 1..num_solvers: one per worker thread (single-writer, no lock).
   mutable obs::MetricsRegistry registry_;
-  std::map<std::string, TenantStats> tenants_ WASP_GUARDED_BY(mu_);
+  /// One single-shard registry per tenant, holding that tenant's share of
+  /// the kQueries* counters (count_locked bumps both).
+  std::map<std::string, obs::MetricsRegistry, std::less<>> tenants_
+      WASP_GUARDED_BY(mu_);
 
   /// Same-source answer cache, FIFO-evicted: stale degradation for any
   /// graph, fresh hits for exactly current versioned entries.

@@ -151,7 +151,7 @@ SsspResult queue_sssp(const Graph& g, VertexId source, Queue& queue,
   QuiescenceDetector detector(ctx.team.size());
   queue.push(0, 0, source);
   if constexpr (kBuffered) queue.flush(0);
-  const std::uint32_t lookahead = ctx.prefetch_lookahead;
+  constexpr std::uint32_t lookahead = kPrefetchLookahead;
 
   return run_async(ctx, [&](AsyncWorker& me) {
     const int tid = me.tid;
@@ -171,7 +171,7 @@ SsspResult queue_sssp(const Graph& g, VertexId source, Queue& queue,
         const WEdge* edges = g.edge_data() + g.edge_offset(u);
         const std::uint32_t deg = g.out_degree(u);
         for (std::uint32_t j = 0; j < deg; ++j) {
-          if (lookahead != 0 && j + lookahead < deg)
+          if (j + lookahead < deg)
             prefetch_read(dist.prefetch_addr(edges[j + lookahead].dst));
           const WEdge& e = edges[j];
           me.shard.inc(CId::kRelaxations);
@@ -182,7 +182,7 @@ SsspResult queue_sssp(const Graph& g, VertexId source, Queue& queue,
             queue.push(tid, nd, e.dst);
           }
         }
-        if (lookahead != 0 && deg > lookahead)
+        if (deg > lookahead)
           me.shard.inc(CId::kPrefetchIssued, deg - lookahead);
       }
       if constexpr (kBuffered) queue.flush(tid);

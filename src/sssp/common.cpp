@@ -84,17 +84,11 @@ void SsspOptions::validate() const {
     fail("wasp.partition.flush_threshold must be in [1, 256]");
   }
   if (stepping.rho == 0) fail("stepping.rho must be >= 1");
-  if (stepping.radius_k == 0) fail("stepping.radius_k must be >= 1");
   if (mq.c < 1) fail("mq.c must be >= 1");
   if (mq.stickiness < 1) fail("mq.stickiness must be >= 1");
   if (mq.buffer < 1) fail("mq.buffer must be >= 1");
   if (smq.steal_batch < 0) fail("smq.steal_batch must be >= 0");
   if (obim.chunk_size == 0) fail("obim.chunk_size must be >= 1");
-  if (prefetch_lookahead > 256) {
-    // Past a few dozen entries the prefetches evict each other before use;
-    // a huge value is a typo, not a tuning choice.
-    fail("prefetch_lookahead must be <= 256 (0 disables)");
-  }
 }
 
 int WaspConfig::fragments(int team_size) const {

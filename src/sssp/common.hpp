@@ -2,7 +2,7 @@
 // distance array, the CAS edge-relaxation primitive (paper Algorithm 1,
 // relax()), the run-lifecycle context every parallel algorithm executes
 // under (RunContext: team + metrics + optional trace/observer), and
-// the option/result types of the unified front-end in sssp.hpp.
+// the option/result types of the Solver front-end (solver.hpp).
 #pragma once
 
 #include <atomic>
@@ -277,17 +277,9 @@ struct WaspConfig {
   [[nodiscard]] int fragments(int team_size) const;
 };
 
-/// Dong et al. stepping knobs (Δ*-, ρ-, radius-stepping).
+/// Dong et al. stepping knob (ρ-stepping).
 struct SteppingOptions {
-  std::uint64_t rho = 1u << 14;    ///< ρ for ρ-stepping
-  bool direction_optimize = true;  ///< pull step on huge frontiers (also
-                                   ///< honored by Julienne)
-  std::uint32_t radius_k = 16;     ///< k for the r_k(v) preprocessing
-};
-
-/// GAP delta-stepping knobs.
-struct GapOptions {
-  bool bucket_fusion = true;
+  std::uint64_t rho = 1u << 14;  ///< ρ for ρ-stepping
 };
 
 /// MultiQueue knobs.
@@ -307,9 +299,9 @@ struct ObimOptions {
   std::uint32_t chunk_size = 128;
 };
 
-/// Options for run_sssp() / Solver. Per-algorithm knobs are nested; the
-/// top level keeps only what every algorithm shares (algo, threads, Δ,
-/// seed) and the run-lifecycle hooks.
+/// Options for Solver. Per-algorithm knobs are nested; the top level keeps
+/// only what every algorithm shares (algo, threads, Δ, seed) and the
+/// run-lifecycle hooks.
 struct SsspOptions {
   Algorithm algo = Algorithm::kWasp;
   int threads = 1;
@@ -317,20 +309,11 @@ struct SsspOptions {
 
   WaspConfig wasp;
   SteppingOptions stepping;
-  GapOptions gap;
   MqOptions mq;
   SmqOptions smq;
   ObimOptions obim;
 
   std::uint64_t seed = 0x5EEDULL;
-
-  /// Software-prefetch lookahead, in edges, for the relaxation loops of
-  /// Wasp, the round baselines, and the MultiQueue/SMQ solvers: while
-  /// relaxing edge j the worker prefetches the distance entry of edge j+k's
-  /// target (and, in chunk drains, the next vertex's adjacency offsets). 0
-  /// disables. Purely a performance knob — results are bit-identical at any
-  /// setting. See docs/PERFORMANCE.md for tuning.
-  std::uint32_t prefetch_lookahead = 4;
 
   /// Cooperative cancellation/deadline token (null = not cancellable).
   /// Polled at cheap boundaries by every parallel algorithm; a fired token
@@ -356,8 +339,8 @@ struct SsspOptions {
   /// Rejects out-of-range knobs with InvalidOptionsError (delta == 0,
   /// threads < 1, mq.c < 1, wasp.chunk_capacity outside the shipped
   /// {16,32,64,128,256} instantiations, negative smq.steal_batch, ...).
-  /// Called once at the run_sssp/Solver front door; the algorithms assume
-  /// validated knobs.
+  /// Called at the Solver front door; the algorithms assume validated
+  /// knobs.
   void validate() const;
 };
 
@@ -368,9 +351,9 @@ struct SsspResult {
   obs::MetricsSnapshot metrics;
 };
 
-/// Everything a parallel SSSP implementation runs under. The front-end
-/// (run_sssp / Solver::solve) assembles one per run; the algorithm resets
-/// ctx.metrics at entry and reports exclusively through it.
+/// Everything a parallel SSSP implementation runs under. Solver::solve
+/// assembles one per run; the algorithm resets ctx.metrics at entry and
+/// reports exclusively through it.
 struct RunContext {
   ThreadTeam& team;
   obs::MetricsRegistry& metrics;  ///< must have >= team.size() shards
@@ -380,16 +363,14 @@ struct RunContext {
   /// repeat solves reuse one allocation).
   DistancePool* pool = nullptr;
   /// This run's tentative-distance array, acquired (all-kInfDist) by
-  /// dispatch_sssp; the parallel algorithms use it instead of allocating.
+  /// Solver::solve; the parallel algorithms use it instead of allocating.
   /// A Wasp run with more than one fragment keeps its distances in fragment
   /// shards and leaves it null.
   AtomicDistances* dist = nullptr;
   /// Where partitioned Wasp keeps its fragments and shards between solves
   /// (null = build them per call; Solver points this at its owned cache).
   PartitionCache* partitions = nullptr;
-  /// options.prefetch_lookahead, copied here by dispatch_sssp.
-  std::uint32_t prefetch_lookahead = 0;
-  /// options.cancel, copied here by dispatch_sssp (null = not cancellable).
+  /// options.cancel, copied here by Solver::solve (null = not cancellable).
   CancelToken* cancel = nullptr;
 
   /// Hot-path cancellation poll (relaxed flag load; see cancel.hpp). Safe
@@ -404,7 +385,7 @@ struct RunContext {
     return cancel != nullptr && cancel->poll();
   }
 
-  /// The run's distance array: what dispatch_sssp acquired, or a repair's
+  /// The run's distance array: what Solver::solve acquired, or a repair's
   /// pre-loaded bounds.
   [[nodiscard]] AtomicDistances& distances() const { return *dist; }
 };

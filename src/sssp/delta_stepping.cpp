@@ -42,10 +42,10 @@ constexpr std::size_t kFusionLimit = 1u << 12;
 }  // namespace
 
 SsspResult delta_stepping(const Graph& g, VertexId source, Weight delta,
-                          bool bucket_fusion, RunContext& ctx) {
+                          RunContext& ctx) {
   RoundDriver rounds(g, source, ctx);
   AtomicDistances& dist = rounds.dist;
-  const std::uint32_t lookahead = ctx.prefetch_lookahead;
+  constexpr std::uint32_t lookahead = kPrefetchLookahead;
   std::vector<CachePadded<LocalBins>> bins(
       static_cast<std::size_t>(ctx.team.size()));
   std::uint64_t curr_bin = 0;  // written by thread 0 at the round end
@@ -66,27 +66,25 @@ SsspResult delta_stepping(const Graph& g, VertexId source, Weight delta,
       // Bucket fusion: keep draining our own current bin while it is small,
       // saving whole synchronous steps (GAP's optimization for
       // large-diameter graphs).
-      if (bucket_fusion) {
-        std::vector<VertexId> fused;
-        while (!ctx.stop_requested() && curr_bin < mine.bins.size() &&
-               !mine.bins[curr_bin].empty() &&
-               mine.bins[curr_bin].size() <= kFusionLimit) {
-          fused.swap(mine.bins[curr_bin]);
-          // The fused drain knows its whole work list up front: warm the
-          // distance entry and adjacency offsets of the vertex `lookahead`
-          // slots ahead while processing this one.
-          for (std::size_t i = 0; i < fused.size(); ++i) {
-            if (lookahead != 0 && i + lookahead < fused.size()) {
-              const VertexId ahead = fused[i + lookahead];
-              prefetch_read(dist.prefetch_addr(ahead));
-              prefetch_read(g.offsets_data() + ahead);
-            }
-            visit(fused[i]);
+      std::vector<VertexId> fused;
+      while (!ctx.stop_requested() && curr_bin < mine.bins.size() &&
+             !mine.bins[curr_bin].empty() &&
+             mine.bins[curr_bin].size() <= kFusionLimit) {
+        fused.swap(mine.bins[curr_bin]);
+        // The fused drain knows its whole work list up front: warm the
+        // distance entry and adjacency offsets of the vertex `lookahead`
+        // slots ahead while processing this one.
+        for (std::size_t i = 0; i < fused.size(); ++i) {
+          if (i + lookahead < fused.size()) {
+            const VertexId ahead = fused[i + lookahead];
+            prefetch_read(dist.prefetch_addr(ahead));
+            prefetch_read(g.offsets_data() + ahead);
           }
-          if (lookahead != 0 && fused.size() > lookahead)
-            my.inc(CId::kPrefetchIssued, 2 * (fused.size() - lookahead));
-          fused.clear();
+          visit(fused[i]);
         }
+        if (fused.size() > lookahead)
+          my.inc(CId::kPrefetchIssued, 2 * (fused.size() - lookahead));
+        fused.clear();
       }
       // Only this thread fills its bins, so its minimum is final here.
       mine.next = mine.min_non_empty(curr_bin);

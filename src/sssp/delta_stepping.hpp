@@ -13,10 +13,9 @@
 
 namespace wasp {
 
-/// Runs GAP-style delta-stepping with bucket width `delta` (>= 1) on
-/// ctx.team. `bucket_fusion` toggles the GraphIt/GAP bucket-fusion
-/// optimization.
+/// Runs GAP-style delta-stepping, with bucket fusion, at bucket width
+/// `delta` (>= 1) on ctx.team.
 SsspResult delta_stepping(const Graph& g, VertexId source, Weight delta,
-                          bool bucket_fusion, RunContext& ctx);
+                          RunContext& ctx);
 
 }  // namespace wasp

@@ -440,7 +440,6 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
                    solver_.trace() != nullptr ? solver_.trace() : opts.trace,
                    opts.observer};
     ctx.dist = &dist;
-    ctx.prefetch_lookahead = opts.prefetch_lookahead;
     ctx.cancel = cancel;
     const SsspResult result =
         wasp_sssp_seeded(g, seeds_, opts.delta, opts.wasp, ctx, log, budget);

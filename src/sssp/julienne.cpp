@@ -25,8 +25,8 @@ struct Staging {
 }  // namespace
 
 SsspResult julienne_sssp(const Graph& g, VertexId source, Weight delta,
-                         bool direction_optimize, RunContext& ctx) {
-  RoundDriver rounds(g, source, ctx, direction_optimize);
+                         RunContext& ctx) {
+  RoundDriver rounds(g, source, ctx, /*direction_optimize=*/true);
   AtomicDistances& dist = rounds.dist;
   std::vector<CachePadded<Staging>> staging(
       static_cast<std::size_t>(ctx.team.size()));

@@ -6,7 +6,8 @@
 // the paper (Figure 5, >30x slower than Wasp).
 //
 // Includes the direction-optimizing pull step GBBS applies on very dense
-// frontiers (the optimization that saves it on Mawi, §5.1).
+// frontiers of undirected graphs (the optimization that saves it on Mawi,
+// §5.1).
 #pragma once
 
 #include "graph/graph.hpp"
@@ -16,9 +17,7 @@
 namespace wasp {
 
 /// Runs GBBS/Julienne-style delta-stepping (delta >= 1).
-/// `direction_optimize` enables the pull step on dense frontiers of
-/// undirected graphs.
 SsspResult julienne_sssp(const Graph& g, VertexId source, Weight delta,
-                         bool direction_optimize, RunContext& ctx);
+                         RunContext& ctx);
 
 }  // namespace wasp

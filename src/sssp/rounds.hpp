@@ -137,13 +137,13 @@ class RoundDriver {
   /// Relaxes u's out-edges from du; on_update(v, d) gets each improvement.
   template <class F>
   void relax(obs::MetricsShard& my, VertexId u, Distance du, F&& on_update) {
-    const std::uint32_t ahead = ctx.prefetch_lookahead;
+    constexpr std::uint32_t ahead = kPrefetchLookahead;
     // Indexed drain so edge j can prefetch the dist entry of edge j +
     // ahead's target (the only data-dependent miss here).
     const WEdge* edges = g.edge_data() + g.edge_offset(u);
     const std::uint32_t deg = g.out_degree(u);
     for (std::uint32_t j = 0; j < deg; ++j) {
-      if (ahead != 0 && j + ahead < deg)
+      if (j + ahead < deg)
         prefetch_read(dist.prefetch_addr(edges[j + ahead].dst));
       my.inc(obs::CounterId::kRelaxations);
       const Distance nd = saturating_add(du, edges[j].w);
@@ -152,8 +152,7 @@ class RoundDriver {
         on_update(edges[j].dst, nd);
       }
     }
-    if (ahead != 0 && deg > ahead)
-      my.inc(obs::CounterId::kPrefetchIssued, deg - ahead);
+    if (deg > ahead) my.inc(obs::CounterId::kPrefetchIssued, deg - ahead);
   }
 
   /// The Δ-bucket visit (GAP, Julienne): skips u when a better path already

@@ -1,9 +1,10 @@
-// wasp::Solver — the amortizing handle over the SSSP front-end.
-//
-// run_sssp() builds a one-shot Solver, so it spawns a thread team, detects
-// the NUMA topology, and allocates a metrics registry per call; a
-// production caller answering many queries pays all of that once by holding
-// a Solver:
+// wasp::Solver — the one front door to every SSSP implementation: Wasp, the
+// six paper baselines, two related-work extension baselines (radius-stepping
+// and the Stealing MultiQueue) and two references, all returning the same
+// SsspResult. A one-shot solve is `wasp::Solver(opt).solve(g, source)`.
+// Constructing a Solver spawns its thread team, detects the NUMA topology
+// and allocates a metrics registry, so a caller answering many queries pays
+// all of that once by holding one:
 //
 //   wasp::SsspOptions opt;
 //   opt.algo = wasp::Algorithm::kWasp;
@@ -21,8 +22,9 @@
 // graph and kept until a solve needs a different graph stamp, fragment count
 // or topology), and an
 // optional TraceRecorder, and carries the observer pointer through every
-// solve. Options other than `threads` may be adjusted between
-// solves via options().
+// solve. Per-algorithm knobs are nested (opt.stepping.rho, opt.mq.c, ...);
+// options other than `threads` may be adjusted between solves via
+// options().
 #pragma once
 
 #include <cstddef>

@@ -63,12 +63,11 @@ std::vector<Distance> compute_radii(const Graph& g, std::uint32_t k,
 }
 
 SsspResult stepping_sssp(const Graph& g, VertexId source, SteppingKind kind,
-                         Weight delta, std::uint64_t rho,
-                         bool direction_optimize, RunContext& ctx,
+                         Weight delta, std::uint64_t rho, RunContext& ctx,
                          const std::vector<Distance>* radii) {
   if (kind == SteppingKind::kRadius && radii == nullptr)
     throw std::invalid_argument("radius-stepping needs precomputed radii");
-  RoundDriver rounds(g, source, ctx, direction_optimize);
+  RoundDriver rounds(g, source, ctx, /*direction_optimize=*/true);
   AtomicDistances& dist = rounds.dist;
   const std::vector<VertexId>& frontier = rounds.frontier;
   const auto p = static_cast<std::size_t>(ctx.team.size());

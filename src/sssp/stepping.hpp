@@ -33,8 +33,7 @@ enum class SteppingKind {
 /// size, >= 1) or radius-stepping (radii = per-vertex k-radius from
 /// compute_radii; required for kRadius, ignored otherwise).
 SsspResult stepping_sssp(const Graph& g, VertexId source, SteppingKind kind,
-                         Weight delta, std::uint64_t rho,
-                         bool direction_optimize, RunContext& ctx,
+                         Weight delta, std::uint64_t rho, RunContext& ctx,
                          const std::vector<Distance>* radii = nullptr);
 
 /// Radius-stepping preprocessing: r_k(v) = distance from v to its k-th

@@ -242,7 +242,6 @@ class WaspWorker {
         rng_(hash_mix(0xA5B5ULL + static_cast<std::uint64_t>(tid))),
         deque_(shared.deques[static_cast<std::size_t>(tid)].get()),
         sender_(shared.net, shared.config.partition.flush_threshold),
-        lookahead_(shared.ctx.prefetch_lookahead),
         log_(shared.log),
         budget_(shared.budget),
         prune_leaves_(shared.config.leaf_pruning),
@@ -426,10 +425,10 @@ class WaspWorker {
       u = buffer_->pop();
       // Chunk-drain lookahead: the LIFO order of the remaining entries is
       // already decided, so warm the distance entry and adjacency offsets
-      // of the vertex we will drain `lookahead_` pops from now.
-      if (lookahead_ != 0 && !buffer_->empty()) {
-        const VertexId ahead = local(
-            buffer_->peek(std::min(lookahead_ - 1, buffer_->size() - 1)));
+      // of the vertex we will drain kPrefetchLookahead pops from now.
+      if (!buffer_->empty()) {
+        const VertexId ahead = local(buffer_->peek(
+            std::min(kPrefetchLookahead - 1, buffer_->size() - 1)));
         prefetch_read(dist_.prefetch_addr(ahead));
         prefetch_read(view_.offsets + ahead);
         my_.inc(CId::kPrefetchIssued, 2);
@@ -564,10 +563,11 @@ class WaspWorker {
       (void)s_.ctx.poll_cancel();
     }
     // Indexed drain over the interleaved records so edge j can prefetch the
-    // dist entry of edge j + lookahead's target (the data-dependent miss).
+    // dist entry of edge j + kPrefetchLookahead's target (the
+    // data-dependent miss).
     for (std::uint32_t j = begin; j < end; ++j) {
-      if (lookahead_ != 0 && j + lookahead_ < end) {
-        const VertexId target = edges[j + lookahead_].dst;
+      if (j + kPrefetchLookahead < end) {
+        const VertexId target = edges[j + kPrefetchLookahead].dst;
         if (owns(target)) prefetch_read(dist_.prefetch_addr(local(target)));
       }
       const WEdge& e = edges[j];
@@ -587,8 +587,8 @@ class WaspWorker {
         push_to_buckets(e.dst, static_cast<std::uint64_t>(nd) / s_.delta);
       }
     }
-    if (lookahead_ != 0 && end - begin > lookahead_)
-      my_.inc(CId::kPrefetchIssued, end - begin - lookahead_);
+    if (end - begin > kPrefetchLookahead)
+      my_.inc(CId::kPrefetchIssued, end - begin - kPrefetchLookahead);
   }
 
   // --- remote queues (relay runs) ------------------------------------------
@@ -1115,7 +1115,6 @@ class WaspWorker {
   BucketList<ChunkT> buckets_;
   std::uint64_t curr_cache_ = kInfPriority;
   std::uint64_t progress_ = 0;
-  const std::uint32_t lookahead_;    ///< SsspOptions::prefetch_lookahead
   LoweredLog* const log_;            ///< WaspShared::log
   const std::uint64_t budget_;       ///< WaspShared::budget
   const bool prune_leaves_;          ///< config.leaf_pruning
@@ -1175,7 +1174,7 @@ SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds,
                             *topo, cpu_of);
   if (!cold && p == 1) shared.budget = budget;
   if (part == nullptr) {
-    // The whole Graph over the run's array: the pool entry dispatch_sssp
+    // The whole Graph over the run's array: the pool entry Solver::solve
     // acquired, or a repair's pre-loaded bounds.
     shared.views[0] =
         FragmentView{0, g.num_vertices(), g.offsets_data(), g.edge_data(),

@@ -5,12 +5,19 @@
 // on dist[] — the access pattern is data-dependent (edge targets), so the
 // hardware prefetcher cannot help. The drain loops in Wasp, delta-stepping,
 // and the MultiQueue/SMQ solvers know their next k targets well before
-// relaxing them, and issue prefetches that far ahead
-// (SsspOptions::prefetch_lookahead; 0 disables, results are identical either
-// way).
+// relaxing them, and issue prefetches kPrefetchLookahead entries ahead
+// (results are identical with or without the hints).
 #pragma once
 
+#include <cstdint>
+
 namespace wasp {
+
+/// How far ahead the relaxation loops prefetch, in edges (or, in chunk
+/// drains, in entries): while relaxing edge j a worker prefetches the
+/// distance entry of edge j + kPrefetchLookahead's target.
+/// docs/PERFORMANCE.md has the measurement behind the value.
+inline constexpr std::uint32_t kPrefetchLookahead = 4;
 
 /// Hints the read of the cache line containing `p` into all cache levels.
 /// A no-op on compilers without __builtin_prefetch; never faults, so callers

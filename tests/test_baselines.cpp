@@ -18,7 +18,7 @@
 #include "sssp/julienne.hpp"
 #include "sssp/mq_dijkstra.hpp"
 #include "sssp/obim.hpp"
-#include "sssp/sssp.hpp"
+#include "sssp/solver.hpp"
 #include "sssp/stepping.hpp"
 #include "sssp/validate.hpp"
 #include "support/errors.hpp"
@@ -83,26 +83,21 @@ TEST(RoundBaselines, OneThreadWorkCountsArePinned) {
   // unchanged. The asynchronous baselines (MQ, SMQ, OBIM) run no rounds but
   // are just as deterministic at one thread (the queues' RNGs are seeded
   // from options.seed), so their rows pin the worker loop the same way.
-  // `option` is gap.bucket_fusion for GAP, stepping.direction_optimize for
-  // the rest; the asynchronous baselines ignore it.
   struct Row {
     Algorithm algo;
-    bool option;
     WorkCounts road;
     WorkCounts power_law;
   };
   const Row rows[] = {
-      {Algorithm::kBellmanFord, false, {161, 140863, 47686}, {11, 451526, 23379}},
-      {Algorithm::kDeltaStepping, true, {152, 44251, 13597}, {12, 646041, 21328}},
-      {Algorithm::kDeltaStepping, false, {449, 44251, 13597}, {25, 646041, 21328}},
-      {Algorithm::kJulienne, true, {465, 44953, 13597}, {26, 867932, 11357}},
-      {Algorithm::kJulienne, false, {465, 44953, 13597}, {25, 646041, 21328}},
-      {Algorithm::kDeltaStar, true, {295, 40623, 13590}, {20, 895886, 11396}},
-      {Algorithm::kRhoStepping, true, {136, 469112, 72004}, {11, 723728, 12278}},
-      {Algorithm::kRadiusStepping, true, {194, 42333, 14479}, {12, 900120, 11357}},
-      {Algorithm::kMqDijkstra, false, {0, 51594, 18039}, {0, 261538, 20071}},
-      {Algorithm::kSmqDijkstra, false, {0, 40400, 13410}, {0, 209250, 14890}},
-      {Algorithm::kObim, false, {0, 44444, 13732}, {0, 1296316, 50877}},
+      {Algorithm::kBellmanFord, {161, 140863, 47686}, {11, 451526, 23379}},
+      {Algorithm::kDeltaStepping, {152, 44251, 13597}, {12, 646041, 21328}},
+      {Algorithm::kJulienne, {465, 44953, 13597}, {26, 867932, 11357}},
+      {Algorithm::kDeltaStar, {295, 40623, 13590}, {20, 895886, 11396}},
+      {Algorithm::kRhoStepping, {136, 469112, 72004}, {11, 723728, 12278}},
+      {Algorithm::kRadiusStepping, {194, 42333, 14479}, {12, 900120, 11357}},
+      {Algorithm::kMqDijkstra, {0, 51594, 18039}, {0, 261538, 20071}},
+      {Algorithm::kSmqDijkstra, {0, 40400, 13410}, {0, 209250, 14890}},
+      {Algorithm::kObim, {0, 44444, 13732}, {0, 1296316, 50877}},
   };
   const suite::Workload road =
       suite::make(suite::GraphClass::kRoadUsa, 0.1, 1);
@@ -118,9 +113,7 @@ TEST(RoundBaselines, OneThreadWorkCountsArePinned) {
     options.algo = row.algo;
     options.threads = 1;
     options.delta = delta;
-    options.gap.bucket_fusion = row.option;
-    options.stepping.direction_optimize = row.option;
-    const SsspResult r = run_sssp(w.graph, w.source, options);
+    const SsspResult r = Solver(options).solve(w.graph, w.source);
     EXPECT_EQ(r.dist, ref) << to_string(row.algo) << " on " << w.name;
     return WorkCounts{r.metrics.counter(CounterId::kRounds),
                       r.metrics.counter(CounterId::kRelaxations),
@@ -128,9 +121,9 @@ TEST(RoundBaselines, OneThreadWorkCountsArePinned) {
   };
   for (const Row& row : rows) {
     EXPECT_EQ(counts(road, road_ref, row, 64), row.road)
-        << to_string(row.algo) << " option=" << row.option << " on road";
+        << to_string(row.algo) << " on road";
     EXPECT_EQ(counts(power_law, power_law_ref, row, 32), row.power_law)
-        << to_string(row.algo) << " option=" << row.option << " on power law";
+        << to_string(row.algo) << " on power law";
   }
 }
 
@@ -141,8 +134,7 @@ TEST(Julienne, OverflowRebucketingOnDeepGraphs) {
   // window overflows thousands of times.
   const Ref ref = make_ref(gen::chain_forest(1, 2048, WeightScheme::gap(), 5));
   Ctx c(3, ref.graph);
-  const auto r = julienne_sssp(ref.graph, ref.source, /*delta=*/1,
-                               /*direction_optimize=*/false, c.ctx);
+  const auto r = julienne_sssp(ref.graph, ref.source, /*delta=*/1, c.ctx);
   EXPECT_EQ(r.dist, ref.dist);
   // Many more rounds than buckets in one window.
   EXPECT_GT(r.metrics.counter(CounterId::kRounds), 32u);
@@ -150,21 +142,15 @@ TEST(Julienne, OverflowRebucketingOnDeepGraphs) {
 
 TEST(Julienne, PullRoundsFireOnStarAndStayExact) {
   const Ref ref = make_ref(gen::star_hub(4000, 0.93, 0.01, WeightScheme::gap(), 6));
-  Ctx with(4, ref.graph);
-  Ctx without(4, ref.graph);
-  const auto with_pull = julienne_sssp(ref.graph, ref.source, 64,
-                                       /*direction_optimize=*/true, with.ctx);
-  const auto without_pull =
-      julienne_sssp(ref.graph, ref.source, 64, /*direction_optimize=*/false,
-                    without.ctx);
-  EXPECT_EQ(with_pull.dist, ref.dist);
-  EXPECT_EQ(without_pull.dist, ref.dist);
+  Ctx c(4, ref.graph);
+  const auto r = julienne_sssp(ref.graph, ref.source, 64, c.ctx);
+  EXPECT_EQ(r.dist, ref.dist);
 }
 
 TEST(Julienne, WideDeltaCollapsesToFewRounds) {
   const Ref ref = make_ref(gen::erdos_renyi(2000, 8.0, WeightScheme::gap(), 7));
   Ctx c(2, ref.graph);
-  const auto r = julienne_sssp(ref.graph, ref.source, 1u << 20, false, c.ctx);
+  const auto r = julienne_sssp(ref.graph, ref.source, 1u << 20, c.ctx);
   EXPECT_EQ(r.dist, ref.dist);
   // Everything lands in bucket 0.
   EXPECT_LE(r.metrics.counter(CounterId::kRounds), 16u);
@@ -178,20 +164,18 @@ TEST(Stepping, SuperSparseRoundsHandleChains) {
   const Ref ref = make_ref(gen::chain_forest(1, 500, WeightScheme::gap(), 8));
   for (const auto kind : {SteppingKind::kDeltaStar, SteppingKind::kRho}) {
     Ctx c(4, ref.graph);
-    const auto r = stepping_sssp(ref.graph, ref.source, kind, 64, 1 << 14,
-                                 true, c.ctx);
+    const auto r =
+        stepping_sssp(ref.graph, ref.source, kind, 64, 1 << 14, c.ctx);
     EXPECT_EQ(r.dist, ref.dist);
   }
 }
 
 TEST(Stepping, PullRoundsOnStarStayExact) {
   const Ref ref = make_ref(gen::star_hub(6000, 0.93, 0.01, WeightScheme::gap(), 9));
-  for (const bool pull : {true, false}) {
-    Ctx c(4, ref.graph);
-    const auto r = stepping_sssp(ref.graph, ref.source, SteppingKind::kDeltaStar,
-                                 32, 1 << 14, pull, c.ctx);
-    EXPECT_EQ(r.dist, ref.dist) << "pull=" << pull;
-  }
+  Ctx c(4, ref.graph);
+  const auto r = stepping_sssp(ref.graph, ref.source, SteppingKind::kDeltaStar,
+                               32, 1 << 14, c.ctx);
+  EXPECT_EQ(r.dist, ref.dist);
 }
 
 TEST(Stepping, RegressionSettledBoundIsFrontierMinNotThreshold) {
@@ -204,7 +188,7 @@ TEST(Stepping, RegressionSettledBoundIsFrontierMinNotThreshold) {
   const Ref ref = make_ref(gen::erdos_renyi(3000, 8.0, WeightScheme::gap(), 16));
   Ctx c(1, ref.graph);
   const auto r = stepping_sssp(ref.graph, ref.source, SteppingKind::kRho,
-                               1, /*rho=*/1 << 14, /*pull=*/true, c.ctx);
+                               1, /*rho=*/1 << 14, c.ctx);
   EXPECT_EQ(r.dist, ref.dist);
   // Every vertex in the source's component must be reached.
   VertexId reached = 0;
@@ -217,8 +201,8 @@ TEST(Stepping, TinyRhoStillTerminates) {
   // exercises the deferral path heavily.
   const Ref ref = make_ref(gen::erdos_renyi(500, 6.0, WeightScheme::gap(), 10));
   Ctx c(3, ref.graph);
-  const auto r = stepping_sssp(ref.graph, ref.source, SteppingKind::kRho, 1, 1,
-                               true, c.ctx);
+  const auto r =
+      stepping_sssp(ref.graph, ref.source, SteppingKind::kRho, 1, 1, c.ctx);
   EXPECT_EQ(r.dist, ref.dist);
 }
 
@@ -226,7 +210,7 @@ TEST(Stepping, HugeDeltaStarBecomesBellmanFordLike) {
   const Ref ref = make_ref(gen::grid(30, 30, WeightScheme::gap(), 11));
   Ctx c(4, ref.graph);
   const auto r = stepping_sssp(ref.graph, ref.source, SteppingKind::kDeltaStar,
-                               kInfDist / 2, 1 << 14, false, c.ctx);
+                               kInfDist / 2, 1 << 14, c.ctx);
   EXPECT_EQ(r.dist, ref.dist);
 }
 
@@ -236,10 +220,10 @@ TEST(DeltaStepping, BucketFusionPreservesResultsAndCutsRounds) {
   const Ref ref = make_ref(gen::grid(60, 60, WeightScheme::gap(), 12));
   Ctx fused_ctx(4, ref.graph);
   Ctx plain_ctx(4, ref.graph);
-  const auto fused =
-      delta_stepping(ref.graph, ref.source, 64, true, fused_ctx.ctx);
-  const auto plain =
-      delta_stepping(ref.graph, ref.source, 64, false, plain_ctx.ctx);
+  const auto fused = delta_stepping(ref.graph, ref.source, 64, fused_ctx.ctx);
+  // Julienne runs the same Δ-buckets with one synchronous step per bucket
+  // round: the unfused round structure GAP's fusion is measured against.
+  const auto plain = julienne_sssp(ref.graph, ref.source, 64, plain_ctx.ctx);
   EXPECT_EQ(fused.dist, ref.dist);
   EXPECT_EQ(plain.dist, ref.dist);
   // Fusion's whole point: fewer synchronous steps on road-like graphs.
@@ -250,7 +234,7 @@ TEST(DeltaStepping, BucketFusionPreservesResultsAndCutsRounds) {
 TEST(DeltaStepping, BarrierTimeIsRecorded) {
   const Ref ref = make_ref(gen::grid(40, 40, WeightScheme::gap(), 13));
   Ctx c(4, ref.graph);
-  const auto r = delta_stepping(ref.graph, ref.source, 32, true, c.ctx);
+  const auto r = delta_stepping(ref.graph, ref.source, 32, c.ctx);
   EXPECT_GT(r.metrics.counter(CounterId::kBarrierNs), 0u);
   EXPECT_GT(r.metrics.counter(CounterId::kRounds), 0u);
 }
@@ -263,7 +247,8 @@ TEST(DeltaStepping, DeltaZeroIsRejectedAtTheFrontDoor) {
   options.algo = Algorithm::kDeltaStepping;
   options.threads = 2;
   options.delta = 0;
-  EXPECT_THROW(run_sssp(ref.graph, ref.source, options), InvalidOptionsError);
+  EXPECT_THROW(Solver(options).solve(ref.graph, ref.source),
+               InvalidOptionsError);
 }
 
 // --- OBIM / Galois-style -----------------------------------------------------
@@ -318,7 +303,7 @@ TEST(RadiusStepping, MatchesDijkstraAcrossK) {
     Ctx c(4, ref.graph);
     const auto radii = compute_radii(ref.graph, k, c.team);
     const auto r = stepping_sssp(ref.graph, ref.source, SteppingKind::kRadius,
-                                 1, 1, true, c.ctx, &radii);
+                                 1, 1, c.ctx, &radii);
     EXPECT_EQ(r.dist, ref.dist) << "k=" << k;
   }
 }
@@ -328,8 +313,7 @@ TEST(RadiusStepping, FrontEndDispatch) {
   SsspOptions options;
   options.algo = Algorithm::kRadiusStepping;
   options.threads = 3;
-  options.stepping.radius_k = 8;
-  EXPECT_EQ(run_sssp(ref.graph, ref.source, options).dist, ref.dist);
+  EXPECT_EQ(Solver(options).solve(ref.graph, ref.source).dist, ref.dist);
   EXPECT_EQ(parse_algorithm("radius"), Algorithm::kRadiusStepping);
 }
 
@@ -337,7 +321,7 @@ TEST(RadiusStepping, RequiresRadii) {
   const Ref ref = make_ref(gen::grid(5, 5, WeightScheme::gap(), 24));
   Ctx c(1, ref.graph);
   EXPECT_THROW(stepping_sssp(ref.graph, ref.source, SteppingKind::kRadius, 1,
-                             1, false, c.ctx, nullptr),
+                             1, c.ctx, nullptr),
                std::invalid_argument);
 }
 

@@ -4,7 +4,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "sssp/dijkstra.hpp"
-#include "sssp/sssp.hpp"
+#include "sssp/solver.hpp"
 #include "sssp/validate.hpp"
 
 namespace wasp {
@@ -18,7 +18,7 @@ TEST(SmqDijkstra, MatchesDijkstraAcrossGraphs) {
     SsspOptions options;
     options.algo = Algorithm::kSmqDijkstra;
     options.threads = threads;
-    const SsspResult r = run_sssp(g, src, options);
+    const SsspResult r = Solver(options).solve(g, src);
     EXPECT_EQ(r.dist, dijkstra(g, src).dist) << "threads=" << threads;
   }
 }
@@ -33,7 +33,7 @@ TEST(SmqDijkstra, GridAndStarStayCorrect) {
     options.algo = Algorithm::kSmqDijkstra;
     options.threads = 6;
     options.smq.steal_batch = 4;
-    const SsspResult r = run_sssp(g, src, options);
+    const SsspResult r = Solver(options).solve(g, src);
     std::string msg;
     EXPECT_TRUE(validate_sssp(g, src, r.dist, &msg)) << kind << ": " << msg;
     EXPECT_EQ(r.dist, dijkstra(g, src).dist) << kind;

@@ -9,7 +9,7 @@
 #include "graph/builder.hpp"
 #include "graph/suite.hpp"
 #include "sssp/dijkstra.hpp"
-#include "sssp/sssp.hpp"
+#include "sssp/solver.hpp"
 #include "sssp/validate.hpp"
 #include "support/numa.hpp"
 
@@ -29,7 +29,7 @@ TEST(TerminationStress, ManyTinyRunsAtHighThreadCounts) {
     options.threads = 12;
     options.delta = 1 + (run % 7) * 9;
     options.seed = static_cast<std::uint64_t>(run);
-    const SsspResult r = run_sssp(w.graph, w.source, options);
+    const SsspResult r = Solver(options).solve(w.graph, w.source);
     std::string message;
     ASSERT_TRUE(distances_equal(reference.dist, r.dist, &message))
         << "run " << run << ": " << message;
@@ -62,7 +62,7 @@ TEST(RangeChunkStress, DecomposedNeighbourhoodsAreRelaxedExactlyOnce) {
         options.wasp.partition.num_fragments = 2;
       }
       for (int run = 0; run < 40; ++run) {
-        const SsspResult r = run_sssp(w.graph, w.source, options);
+        const SsspResult r = Solver(options).solve(w.graph, w.source);
         std::string message;
         ASSERT_TRUE(distances_equal(reference.dist, r.dist, &message))
             << (partitioned ? "partitioned" : "flat") << " theta " << theta
@@ -79,7 +79,7 @@ TEST(TerminationStress, ImmediateTerminationOnEdgelessGraph) {
   SsspOptions options;
   options.algo = Algorithm::kWasp;
   options.threads = 8;
-  const SsspResult r = run_sssp(g, 7, options);
+  const SsspResult r = Solver(options).solve(g, 7);
   EXPECT_EQ(r.dist[7], 0u);
   for (VertexId v = 0; v < 64; ++v) {
     if (v != 7) {

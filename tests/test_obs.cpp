@@ -21,7 +21,6 @@
 #include "obs/trace.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/solver.hpp"
-#include "sssp/sssp.hpp"
 #include "sssp/validate.hpp"
 #include "support/errors.hpp"
 #include "verify/checked_atomic.hpp"
@@ -76,7 +75,7 @@ TEST(RunObserver, WaspFiresTerminationOncePerWorkerAndStealPerAttempt) {
   options.threads = 4;
   options.delta = 8;
   options.observer = &observer;
-  const SsspResult r = run_sssp(g, src, options);
+  const SsspResult r = Solver(options).solve(g, src);
 
   // Each worker's termination scan confirms quiescence exactly once.
   EXPECT_EQ(observer.terminations.load(), 4u);
@@ -108,7 +107,7 @@ TEST(RunObserver, RoundBaselinesFireOnRoundOncePerRound) {
     options.threads = 3;
     options.delta = 8;
     options.observer = &observer;
-    const SsspResult r = run_sssp(g, src, options);
+    const SsspResult r = Solver(options).solve(g, src);
 
     // Participant 0 fires on_round once per round, the steppers'
     // super-sparse rounds included (the shared round end in
@@ -137,7 +136,7 @@ TEST(RunObserver, AsyncQueueAlgorithmsTerminateOncePerWorker) {
     options.threads = 3;
     options.delta = 8;
     options.observer = &observer;
-    run_sssp(g, src, options);
+    Solver(options).solve(g, src);
     EXPECT_EQ(observer.terminations.load(), 3u) << to_string(algo);
   }
 }
@@ -263,7 +262,7 @@ TEST(MetricsRegistry, PerThreadCountersSumToTotals) {
   options.threads = 4;
   options.delta = 8;
   options.seed = 0x5EED;
-  const SsspResult r = run_sssp(g, src, options);
+  const SsspResult r = Solver(options).solve(g, src);
 
   ASSERT_EQ(r.metrics.threads, 4);
   ASSERT_EQ(r.metrics.per_thread.size(), 4u);
@@ -286,7 +285,7 @@ TEST(MetricsRegistry, UpdatesAreASubsetOfRelaxations) {
     options.threads = 3;
     options.delta = 8;
     options.seed = 0x5EED;
-    const SsspResult r = run_sssp(g, src, options);
+    const SsspResult r = Solver(options).solve(g, src);
 
     // A successful relaxation is a subset of attempts; the source settles.
     const std::uint64_t relaxations =
@@ -435,7 +434,7 @@ TEST(MetricsRegistryVerify, FullWaspRunUnderModelReportsNoRaces) {
   // ScopedSchedule, when a Scheduler is installed; none is here, so the
   // workers run unbound through the checked atomics' passthrough, and the
   // run must not trip the session installed around it.
-  const SsspResult r = run_sssp(g, src, options);
+  const SsspResult r = Solver(options).solve(g, src);
   EXPECT_FALSE(r.dist.empty());
   EXPECT_TRUE(session.ok()) << session.report_text();
 }
@@ -466,7 +465,6 @@ TEST(SsspOptionsValidate, RejectsEveryOutOfRangeKnob) {
   expect_invalid([](SsspOptions& o) { o.wasp.chunk_capacity = 0; },
                  "chunk_capacity=0");
   expect_invalid([](SsspOptions& o) { o.stepping.rho = 0; }, "rho=0");
-  expect_invalid([](SsspOptions& o) { o.stepping.radius_k = 0; }, "radius_k=0");
   expect_invalid([](SsspOptions& o) { o.mq.c = 0; }, "mq.c=0");
   expect_invalid([](SsspOptions& o) { o.mq.stickiness = 0; }, "stickiness=0");
   expect_invalid([](SsspOptions& o) { o.mq.buffer = 0; }, "buffer=0");
@@ -481,11 +479,11 @@ TEST(SsspOptionsValidate, FrontDoorRejectsBeforeSpawningWorkers) {
   options.algo = Algorithm::kWasp;
   options.threads = 2;
   options.delta = 0;
-  EXPECT_THROW(run_sssp(g, 0, options), InvalidOptionsError);
+  EXPECT_THROW(Solver(options).solve(g, 0), InvalidOptionsError);
 
   options.delta = 1;
   options.wasp.chunk_capacity = 77;
-  EXPECT_THROW(run_sssp(g, 0, options), InvalidOptionsError);
+  EXPECT_THROW(Solver(options).solve(g, 0), InvalidOptionsError);
 
   options.wasp.chunk_capacity = 64;
   options.threads = 0;

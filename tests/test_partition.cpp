@@ -20,7 +20,6 @@
 #include "graph/partition.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/solver.hpp"
-#include "sssp/sssp.hpp"
 #include "sssp/validate.hpp"
 #include "sssp/wasp.hpp"
 #include "support/numa.hpp"
@@ -221,7 +220,7 @@ TEST(PartitionSolve, RemoteCountersAccountForCutTraffic) {
   // Multi-fragment run: remote relaxations flow, and the share is a true
   // fraction of all relaxations (counting semantics in obs/metrics.hpp).
   SsspOptions multi = partitioned_options(4, /*fragments=*/4, topo);
-  const SsspResult rm = run_sssp(f.graph, f.source, multi);
+  const SsspResult rm = Solver(multi).solve(f.graph, f.source);
   const std::uint64_t relax =
       rm.metrics.counter(obs::CounterId::kRelaxations);
   const std::uint64_t remote =
@@ -234,7 +233,7 @@ TEST(PartitionSolve, RemoteCountersAccountForCutTraffic) {
 
   // Single fragment: no boundary, so no remote traffic at all.
   SsspOptions single = partitioned_options(4, /*fragments=*/1, topo);
-  const SsspResult rs = run_sssp(f.graph, f.source, single);
+  const SsspResult rs = Solver(single).solve(f.graph, f.source);
   EXPECT_EQ(rs.metrics.counter(obs::CounterId::kRemoteRelaxations), 0u);
   EXPECT_EQ(rs.metrics.counter(obs::CounterId::kRemoteBatches), 0u);
 }

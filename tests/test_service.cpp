@@ -14,15 +14,16 @@
 #include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "graph/algorithms.hpp"
+#include "graph/delta.hpp"
 #include "graph/generators.hpp"
 #include "service/service.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/solver.hpp"
-#include "sssp/sssp.hpp"
 #include "support/cancel.hpp"
 #include "support/errors.hpp"
 
@@ -34,6 +35,7 @@ using service::QueryRequest;
 using service::QueryResult;
 using service::QueryService;
 using service::ServiceConfig;
+using CId = obs::CounterId;
 
 Graph make_test_graph() {
   return gen::erdos_renyi(20000, 8.0, WeightScheme::gap(), 29);
@@ -120,7 +122,7 @@ TEST_P(ServiceCancel, PreExpiredDeadlineThrowsBeforeRunning) {
   // Reusable afterwards.
   solver.options().cancel = nullptr;
   const SsspResult r = solver.solve(g, source);
-  EXPECT_EQ(r.dist, run_sssp(g, source, options_for(GetParam())).dist);
+  EXPECT_EQ(r.dist, Solver(options_for(GetParam())).solve(g, source).dist);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -172,16 +174,14 @@ TEST(ServiceQuery, ServesQueriesBitIdenticalToFreshSolves) {
   ASSERT_EQ(r1.outcome, Outcome::kServed);
   ASSERT_EQ(r2.outcome, Outcome::kServed);
   EXPECT_TRUE(r1.ok());
-  EXPECT_EQ(r1.dist, run_sssp(g, s1, opts).dist);
-  EXPECT_EQ(r2.dist, run_sssp(g, s2, opts).dist);
+  EXPECT_EQ(r1.dist, Solver(opts).solve(g, s1).dist);
+  EXPECT_EQ(r2.dist, Solver(opts).solve(g, s2).dist);
   EXPECT_EQ(r1.attempts, 1);
 
-  const service::ServiceStats stats = svc.stats();
-  EXPECT_EQ(stats.totals.submitted, 2u);
-  EXPECT_EQ(stats.totals.served, 2u);
-  EXPECT_EQ(stats.tenants.at("default").served, 2u);
   const obs::MetricsSnapshot snap = svc.metrics();
-  EXPECT_EQ(snap.counter(obs::CounterId::kQueriesServed), 2u);
+  EXPECT_EQ(snap.counter(CId::kQueriesSubmitted), 2u);
+  EXPECT_EQ(snap.counter(CId::kQueriesServed), 2u);
+  EXPECT_EQ(svc.metrics("default").counter(CId::kQueriesServed), 2u);
 }
 
 TEST(ServiceQuery, CoalescesQueuedSameSourceSubmits) {
@@ -203,8 +203,9 @@ TEST(ServiceQuery, CoalescesQueuedSameSourceSubmits) {
   auto f1 = svc.submit(g, {.source = b});
   // Same (graph, source): coalesces onto f1.
   auto f2 = svc.submit(g, {.source = b});
-  EXPECT_EQ(svc.stats().totals.coalesced, 1u);
-  EXPECT_EQ(svc.stats().totals.submitted, 2u);  // riders are not re-counted
+  EXPECT_EQ(svc.metrics().counter(CId::kQueriesCoalesced), 1u);
+  // Riders are not re-counted.
+  EXPECT_EQ(svc.metrics().counter(CId::kQueriesSubmitted), 2u);
   blocker.release();
 
   EXPECT_EQ(running.get().outcome, Outcome::kServed);
@@ -244,10 +245,10 @@ TEST(ServiceQuery, OverloadShedsLowPriorityAndRejectsNonOutranking) {
   EXPECT_EQ(running.get().outcome, Outcome::kServed);
   EXPECT_EQ(q1.get().outcome, Outcome::kServed);
   EXPECT_EQ(q3.get().outcome, Outcome::kServed);
-  const service::ServiceStats stats = svc.stats();
-  EXPECT_EQ(stats.totals.rejected, 1u);
-  EXPECT_EQ(stats.totals.shed, 1u);
-  EXPECT_EQ(stats.tenants.at("gold").served, 1u);
+  const obs::MetricsSnapshot snap = svc.metrics();
+  EXPECT_EQ(snap.counter(CId::kQueriesRejected), 1u);
+  EXPECT_EQ(snap.counter(CId::kQueriesShed), 1u);
+  EXPECT_EQ(svc.metrics("gold").counter(CId::kQueriesServed), 1u);
 }
 
 TEST(ServiceQuery, QueueExpiryDegradesToStaleWhenAllowed) {
@@ -359,13 +360,13 @@ TEST(ServiceQuery, ShedDowngradedToStaleCountsOnceAsServedStale) {
   EXPECT_EQ(evictor.get().outcome, Outcome::kServed);
 
   // One outcome, one counter: the shed-then-downgraded query is
-  // served_stale everywhere — tenant table and metrics must agree.
-  const service::ServiceStats stats = svc.stats();
-  EXPECT_EQ(stats.totals.shed, 0u);
-  EXPECT_EQ(stats.totals.served_stale, 1u);
+  // served_stale everywhere — tenant table and service counters must agree.
+  const obs::MetricsSnapshot tenant = svc.metrics("default");
+  EXPECT_EQ(tenant.counter(CId::kQueriesShed), 0u);
+  EXPECT_EQ(tenant.counter(CId::kQueriesServedStale), 1u);
   const obs::MetricsSnapshot snap = svc.metrics();
-  EXPECT_EQ(snap.counter(obs::CounterId::kQueriesShed), 0u);
-  EXPECT_EQ(snap.counter(obs::CounterId::kQueriesServedStale), 1u);
+  EXPECT_EQ(snap.counter(CId::kQueriesShed), 0u);
+  EXPECT_EQ(snap.counter(CId::kQueriesServedStale), 1u);
 }
 
 TEST(ServiceQuery, GraphRebuiltInTheSameStorageIsNotServedTheOldAnswer) {
@@ -414,7 +415,7 @@ TEST(ServiceQuery, WatchdogCancelsOverdueRunThenQuarantinesAndRebuilds) {
   const Graph g = make_small_graph();
   const VertexId source = pick_source_in_largest_component(g, 11);
   const SsspOptions opts = options_for(Algorithm::kBellmanFord);
-  const SsspResult fresh = run_sssp(g, source, opts);
+  const SsspResult fresh = Solver(opts).solve(g, source);
 
   BlockingObserver blocker;
   ServiceConfig config;
@@ -439,9 +440,12 @@ TEST(ServiceQuery, WatchdogCancelsOverdueRunThenQuarantinesAndRebuilds) {
       << "solve never reached its first round; the deadline expired while "
          "the query was still queued";
   // Wait for the watchdog to notice the blown deadline.
-  for (int i = 0; i < 5000 && svc.stats().watchdog_cancels == 0; ++i)
+  const auto watchdog_cancels = [&] {
+    return svc.metrics().counter(CId::kWatchdogCancels);
+  };
+  for (int i = 0; i < 5000 && watchdog_cancels() == 0; ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  ASSERT_GE(svc.stats().watchdog_cancels, 1u);
+  ASSERT_GE(watchdog_cancels(), 1u);
   blocker.release();
 
   EXPECT_EQ(overdue.get().outcome, Outcome::kDeadlineExpired);
@@ -450,7 +454,7 @@ TEST(ServiceQuery, WatchdogCancelsOverdueRunThenQuarantinesAndRebuilds) {
   const QueryResult next = svc.solve(g, {.source = source});
   EXPECT_EQ(next.outcome, Outcome::kServed);
   EXPECT_EQ(next.dist, fresh.dist);
-  EXPECT_EQ(svc.stats().solver_rebuilds, 1u);
+  EXPECT_EQ(svc.metrics().counter(CId::kSolverRebuilds), 1u);
 }
 
 TEST(ServiceQuery, RetryBackoffIsDeterministicUnderSeedReplay) {
@@ -529,7 +533,7 @@ TEST(ServiceQuery, PlainGraphRejectsAPositiveMinGraphVersion) {
   // throws instead of queueing the query and answering it at version 0.
   const QueryRequest ahead{.source = source, .min_graph_version = 5};
   EXPECT_THROW((void)svc.submit(g, ahead), InvalidOptionsError);
-  EXPECT_EQ(svc.stats().totals.submitted, 0u);
+  EXPECT_EQ(svc.metrics().counter(CId::kQueriesSubmitted), 0u);
 
   const QueryResult r = svc.solve(g, {.source = source});
   EXPECT_EQ(r.outcome, Outcome::kServed);
@@ -567,6 +571,122 @@ TEST(ServiceQuery, ShutdownResolvesQueuedAsCancelledAndRejectsSubmits) {
 
   EXPECT_THROW((void)svc.submit(g, {.source = source}), std::logic_error);
   svc.shutdown();  // idempotent
+}
+
+TEST(ServiceAccounting, TenantCountersSumToServiceCounters) {
+  // Two tenants drive one deterministic stream through every accounted
+  // path: served, served from the cache, coalesced, rejected, served stale,
+  // shed, failed and cancelled at shutdown. The per-tenant registries must
+  // partition the service's kQueries* counters exactly.
+  const Graph g = make_small_graph();
+  VersionedGraph vg(make_small_graph());
+  const VertexId hub = pick_source_in_largest_component(g, 11);
+  const auto s = [&](VertexId k) { return (hub + k) % g.num_vertices(); };
+  const std::string a = "interactive";
+  const std::string b = "batch";
+
+  BlockingObserver blocker;
+  std::atomic<bool> fail{false};
+  ServiceConfig config;
+  config.solver = options_for(Algorithm::kBellmanFord);
+  config.solver.observer = &blocker;
+  config.num_solvers = 1;
+  config.queue_capacity = 3;
+  config.max_retries = 0;
+  config.inject_failure = [&fail](int) {
+    if (fail.load()) throw std::runtime_error("injected failure");
+  };
+  QueryService svc(config);
+  int attempts = 0;
+  const auto submit = [&](auto& graph, const QueryRequest& req) {
+    ++attempts;
+    return svc.submit(graph, req);
+  };
+
+  EXPECT_EQ(submit(g, {.source = s(1), .tenant = a}).get().outcome,
+            Outcome::kServed);
+  EXPECT_EQ(submit(vg, {.source = hub, .tenant = b}).get().outcome,
+            Outcome::kServed);
+  // Exactly current in the cache: served at submit, without a solve.
+  EXPECT_EQ(submit(vg, {.source = hub, .tenant = a}).get().attempts, 0);
+  fail.store(true);
+  EXPECT_EQ(submit(g, {.source = s(2), .tenant = b}).get().outcome,
+            Outcome::kFailed);
+  fail.store(false);
+
+  blocker.arm();
+  auto running = submit(g, {.source = hub, .tenant = a});
+  blocker.wait_until_blocked();
+  auto q1 = submit(g, {.source = s(3), .tenant = a});
+  auto q2 = submit(g, {.source = s(4), .tenant = b});
+  auto rider = submit(g, {.source = s(4), .tenant = a});  // coalesces
+  auto stale =
+      submit(g, {.source = s(1), .tenant = b, .allow_stale = true});
+  // Full, and priority 0 outranks nothing.
+  EXPECT_THROW((void)submit(g, {.source = s(5), .tenant = b}),
+               ServiceOverloadedError);
+  // Each evicts the youngest priority-0 entry: first the stale-allowed one
+  // (answered from the cache), then q2 (shed, rider included).
+  auto hi1 = submit(g, {.source = s(6), .priority = 1, .tenant = a});
+  auto hi2 = submit(g, {.source = s(7), .priority = 2, .tenant = a});
+  EXPECT_EQ(stale.get().outcome, Outcome::kServedStale);
+  EXPECT_EQ(q2.get().outcome, Outcome::kShed);
+  EXPECT_EQ(rider.get().outcome, Outcome::kShed);
+
+  // Shut down while the worker is held: the three queued queries are
+  // cancelled before the held run resumes.
+  std::thread stopper([&] { svc.shutdown(); });
+  EXPECT_EQ(q1.get().outcome, Outcome::kCancelled);
+  EXPECT_EQ(hi1.get().outcome, Outcome::kCancelled);
+  EXPECT_EQ(hi2.get().outcome, Outcome::kCancelled);
+  blocker.release();
+  stopper.join();
+  // The held run either finished or saw its cancelled token.
+  const Outcome held = running.get().outcome;
+  EXPECT_TRUE(held == Outcome::kServed || held == Outcome::kCancelled);
+
+  const obs::MetricsSnapshot total = svc.metrics();
+  const obs::MetricsSnapshot per_tenant[] = {svc.metrics(a), svc.metrics(b)};
+  for (auto id = static_cast<std::size_t>(CId::kQueriesSubmitted);
+       id <= static_cast<std::size_t>(CId::kQueriesFailed); ++id) {
+    const auto c = static_cast<CId>(id);
+    EXPECT_EQ(total.counter(c),
+              per_tenant[0].counter(c) + per_tenant[1].counter(c))
+        << obs::counter_name(c);
+  }
+  EXPECT_EQ(svc.metrics("nobody").counter(CId::kQueriesSubmitted), 0u);
+
+  // Every submit call was accepted, merged into a queued entry, or refused.
+  EXPECT_EQ(total.counter(CId::kQueriesSubmitted) +
+                total.counter(CId::kQueriesCoalesced) +
+                total.counter(CId::kQueriesRejected),
+            static_cast<std::uint64_t>(attempts));
+  // Every accepted query left with exactly one outcome.
+  EXPECT_EQ(total.counter(CId::kQueriesSubmitted),
+            total.counter(CId::kQueriesServed) +
+                total.counter(CId::kQueriesServedStale) +
+                total.counter(CId::kQueriesCancelled) +
+                total.counter(CId::kQueriesDeadlineExpired) +
+                total.counter(CId::kQueriesShed) +
+                total.counter(CId::kQueriesFailed));
+  EXPECT_LE(total.counter(CId::kQueriesServedCached),
+            total.counter(CId::kQueriesServed));
+
+  // The deterministic part of the stream, tenant by tenant.
+  const obs::MetricsSnapshot& ta = per_tenant[0];
+  const obs::MetricsSnapshot& tb = per_tenant[1];
+  EXPECT_EQ(ta.counter(CId::kQueriesSubmitted), 6u);
+  EXPECT_EQ(ta.counter(CId::kQueriesServedCached), 1u);
+  EXPECT_EQ(ta.counter(CId::kQueriesCoalesced), 1u);
+  EXPECT_EQ(ta.counter(CId::kQueriesServed) +
+                ta.counter(CId::kQueriesCancelled),
+            6u);
+  EXPECT_EQ(tb.counter(CId::kQueriesSubmitted), 4u);
+  EXPECT_EQ(tb.counter(CId::kQueriesServed), 1u);
+  EXPECT_EQ(tb.counter(CId::kQueriesFailed), 1u);
+  EXPECT_EQ(tb.counter(CId::kQueriesRejected), 1u);
+  EXPECT_EQ(tb.counter(CId::kQueriesServedStale), 1u);
+  EXPECT_EQ(tb.counter(CId::kQueriesShed), 1u);
 }
 
 TEST(ServiceQuery, ValidatesConfig) {

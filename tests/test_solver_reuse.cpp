@@ -20,7 +20,6 @@
 #include "sssp/dijkstra.hpp"
 #include "sssp/incremental.hpp"
 #include "sssp/solver.hpp"
-#include "sssp/sssp.hpp"
 #include "sssp/validate.hpp"
 #include "support/cancel.hpp"
 #include "support/errors.hpp"
@@ -51,8 +50,8 @@ TEST_P(SolverReuse, RepeatAndCrossSourceQueriesAreBitIdentical) {
 
   const SsspOptions options = options_for(GetParam());
   // Fresh per-call solves: each pays the full distance initialization.
-  const SsspResult fresh1 = run_sssp(g, s1, options);
-  const SsspResult fresh2 = run_sssp(g, s2, options);
+  const SsspResult fresh1 = Solver(options).solve(g, s1);
+  const SsspResult fresh2 = Solver(options).solve(g, s2);
 
   Solver solver(options);
   const SsspResult r1 = solver.solve(g, s1);
@@ -169,32 +168,6 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(to_string(param_info.param));
     });
 
-TEST(SolverReusePrefetch, LookaheadIsValidatedAndZeroDisables) {
-  const Graph g = make_test_graph();
-  const VertexId s = pick_source_in_largest_component(g, 11);
-  const std::vector<Distance> reference = dijkstra(g, s).dist;
-
-  SsspOptions options = options_for(Algorithm::kMqDijkstra);
-  options.prefetch_lookahead = 257;
-  EXPECT_THROW(Solver bad(std::move(options)), InvalidOptionsError);
-
-  // Lookahead is purely a performance knob: off and on give identical
-  // distances, and the prefetch_issued counter reports which ran.
-  SsspOptions off = options_for(Algorithm::kMqDijkstra);
-  off.prefetch_lookahead = 0;
-  Solver solver_off(off);
-  const SsspResult r_off = solver_off.solve(g, s);
-  EXPECT_EQ(r_off.dist, reference);
-  EXPECT_EQ(r_off.metrics.counter(obs::CounterId::kPrefetchIssued), 0u);
-
-  SsspOptions on = options_for(Algorithm::kMqDijkstra);
-  on.prefetch_lookahead = 2;
-  Solver solver_on(on);
-  const SsspResult r_on = solver_on.solve(g, s);
-  EXPECT_EQ(r_on.dist, reference);
-  EXPECT_GT(r_on.metrics.counter(obs::CounterId::kPrefetchIssued), 0u);
-}
-
 // --- partitioned Wasp: fragments and shards are built once per graph ------
 
 SsspOptions partitioned_options(int fragments) {
@@ -221,9 +194,9 @@ TEST(PartitionReuse, RepeatAndCrossSourceQueriesAreBitIdentical) {
   ASSERT_NE(s1, s2);
 
   const SsspOptions options = partitioned_options(2);
-  // Without a Solver every call builds its own fragments.
-  const SsspResult fresh1 = run_sssp(g, s1, options);
-  const SsspResult fresh2 = run_sssp(g, s2, options);
+  // Every one-shot Solver builds its own fragments.
+  const SsspResult fresh1 = Solver(options).solve(g, s1);
+  const SsspResult fresh2 = Solver(options).solve(g, s2);
   EXPECT_EQ(builds(fresh1), 1u);
   EXPECT_EQ(builds(fresh2), 1u);
   EXPECT_EQ(fresh1.dist, dijkstra(g, s1).dist);

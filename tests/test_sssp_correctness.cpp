@@ -15,7 +15,7 @@
 #include "graph/delta.hpp"
 #include "graph/generators.hpp"
 #include "sssp/dijkstra.hpp"
-#include "sssp/sssp.hpp"
+#include "sssp/solver.hpp"
 #include "sssp/stepping.hpp"
 #include "sssp/validate.hpp"
 #include "support/random.hpp"
@@ -28,7 +28,7 @@ TEST(SsspEdgeCases, SingleVertexGraph) {
   SsspOptions options;
   options.algo = Algorithm::kWasp;
   options.threads = 2;
-  const SsspResult r = run_sssp(g, 0, options);
+  const SsspResult r = Solver(options).solve(g, 0);
   ASSERT_EQ(r.dist.size(), 1u);
   EXPECT_EQ(r.dist[0], 0u);
 }
@@ -45,7 +45,7 @@ TEST(SsspEdgeCases, DisconnectedVerticesStayInfinite) {
     options.algo = algo;
     options.threads = 2;
     options.delta = 1;
-    const SsspResult r = run_sssp(g, 0, options);
+    const SsspResult r = Solver(options).solve(g, 0);
     EXPECT_EQ(r.dist[0], 0u) << to_string(algo);
     EXPECT_EQ(r.dist[1], 2u) << to_string(algo);
     EXPECT_EQ(r.dist[2], 4u) << to_string(algo);
@@ -66,7 +66,7 @@ TEST(SsspEdgeCases, ZeroWeightEdgesSupported) {
     options.algo = algo;
     options.threads = 2;
     options.delta = 3;
-    const SsspResult r = run_sssp(g, 0, options);
+    const SsspResult r = Solver(options).solve(g, 0);
     std::string message;
     EXPECT_TRUE(distances_equal(reference.dist, r.dist, &message))
         << to_string(algo) << ": " << message;
@@ -78,7 +78,7 @@ TEST(SsspEdgeCases, SourceWithNoOutEdges) {
   SsspOptions options;
   options.algo = Algorithm::kWasp;
   options.threads = 2;
-  const SsspResult r = run_sssp(g, 0, options);
+  const SsspResult r = Solver(options).solve(g, 0);
   EXPECT_EQ(r.dist[0], 0u);
   EXPECT_EQ(r.dist[1], kInfDist);
   EXPECT_EQ(r.dist[2], kInfDist);
@@ -91,7 +91,7 @@ TEST(SsspEdgeCases, ParallelEdgesKeepMinimum) {
   SsspOptions options;
   options.algo = Algorithm::kWasp;
   options.threads = 2;
-  const SsspResult r = run_sssp(g, 0, options);
+  const SsspResult r = Solver(options).solve(g, 0);
   EXPECT_EQ(r.dist[1], 3u);
 }
 
@@ -110,7 +110,7 @@ TEST(SsspMetrics, RelaxationCountsArePlausible) {
   options.threads = 1;
   options.delta = 1;
   options.wasp.bidirectional_relaxation = false;  // adds pull relaxations
-  const SsspResult wasp_run = run_sssp(g, source, options);
+  const SsspResult wasp_run = Solver(options).solve(g, source);
   // A parallel run cannot beat Dijkstra's relaxation count (the theoretical
   // minimum modulo leaf pruning, which only removes relaxations Dijkstra
   // performs; allow small slack for that).
@@ -229,7 +229,7 @@ TEST(DeadArcs, EveryAlgorithmIsExactOverClosedAndReopenedArcs) {
             << name << ": " << message;
       };
       for (const DeadArcRun& run : runs)
-        expect_exact(run.name, run_sssp(g, source, run.options).dist);
+        expect_exact(run.name, Solver(run.options).solve(g, source).dist);
     }
   }
 }

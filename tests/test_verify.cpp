@@ -45,7 +45,7 @@
 #include "sssp/curr_board.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/incremental.hpp"
-#include "sssp/sssp.hpp"
+#include "sssp/solver.hpp"
 #include "sssp/validate.hpp"
 #include "sssp/wasp.hpp"
 #include "support/numa.hpp"
@@ -1767,7 +1767,7 @@ E2eOutcome e2e_one_seed(Algorithm algo, std::uint64_t seed,
   Session session(session_options(threads, seed));
   {
     Scheduler scheduler(scheduler_options(threads, seed));
-    const SsspResult result = run_sssp(c.graph, c.source, options);
+    const SsspResult result = Solver(options).solve(c.graph, c.source);
     out.schedule_hash = scheduler.schedule_hash();
     out.schedule_points = scheduler.schedule_points();
     out.switches = scheduler.switches();
@@ -2304,7 +2304,7 @@ TEST(WaspParkProtocol, NarrowSchedulesNeverStrandAParkedWorker) {
       Session session(session_options(threads, seed));
       {
         Scheduler scheduler(scheduler_options(threads, seed));
-        const SsspResult result = run_sssp(g, 0, options);
+        const SsspResult result = Solver(options).solve(g, 0);
         parks[fragments - 1] +=
             result.metrics.counter(obs::CounterId::kWorkerParks);
         EXPECT_TRUE(session.ok())

@@ -20,7 +20,6 @@
 #include "sssp/curr_board.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/solver.hpp"
-#include "sssp/sssp.hpp"
 #include "sssp/validate.hpp"
 #include "sssp/wasp.hpp"
 #include "support/cancel.hpp"
@@ -64,7 +63,7 @@ const Fixture& rmat_fixture() {
 
 void expect_correct(const Fixture& f, const SsspOptions& options,
                     const std::string& label) {
-  const SsspResult r = run_sssp(f.graph, f.source, options);
+  const SsspResult r = Solver(options).solve(f.graph, f.source);
   std::string message;
   ASSERT_TRUE(distances_equal(f.reference, r.dist, &message))
       << label << ": " << message;
@@ -218,7 +217,7 @@ TEST(WaspChunkCapacityErrors, RejectsUnsupportedCapacity) {
   options.threads = 1;
   options.wasp.chunk_capacity = 77;
   const Fixture& f = grid_fixture();
-  EXPECT_THROW(run_sssp(f.graph, f.source, options), std::invalid_argument);
+  EXPECT_THROW(Solver(options).solve(f.graph, f.source), std::invalid_argument);
 }
 
 // --- synthetic NUMA topologies ---------------------------------------------
@@ -312,7 +311,7 @@ TEST(WaspStats, StealsHappenWithManyThreads) {
   std::uint64_t steals = 0;
   std::uint64_t attempts = 0;
   for (int attempt = 0; attempt < 15 && steals == 0; ++attempt) {
-    const SsspResult r = run_sssp(f.graph, f.source, options);
+    const SsspResult r = Solver(options).solve(f.graph, f.source);
     steals = r.metrics.counter(CounterId::kSteals);
     attempts = r.metrics.counter(CounterId::kStealAttempts);
     EXPECT_GT(r.metrics.counter(CounterId::kRelaxations), 0u);
@@ -336,8 +335,11 @@ TEST(WaspStats, SingleThreadNeverSteals) {
   options.threads = 1;
   options.delta = 16;
   const Fixture& f = grid_fixture();
-  const SsspResult r = run_sssp(f.graph, f.source, options);
+  const SsspResult r = Solver(options).solve(f.graph, f.source);
   EXPECT_EQ(r.metrics.counter(CounterId::kSteals), 0u);
+  // The software-prefetch pipeline always runs: chunk drains warm the
+  // vertex kPrefetchLookahead pops ahead.
+  EXPECT_GT(r.metrics.counter(CounterId::kPrefetchIssued), 0u);
   std::string message;
   EXPECT_TRUE(distances_equal(f.reference, r.dist, &message)) << message;
 }
@@ -351,7 +353,7 @@ TEST(WaspLeafPruning, LeavesGetFinalDistances) {
   options.threads = 4;
   options.delta = 4;
   options.wasp.leaf_pruning = true;
-  const SsspResult r = run_sssp(f.graph, f.source, options);
+  const SsspResult r = Solver(options).solve(f.graph, f.source);
   const auto leaf = compute_leaf_bitmap(f.graph);
   for (VertexId v = 0; v < f.graph.num_vertices(); ++v) {
     if (leaf[v]) {
@@ -370,7 +372,7 @@ TEST(WaspStats, OccupancyCountersPopulated) {
   options.algo = Algorithm::kWasp;
   options.threads = 6;
   options.delta = 1024;
-  const SsspResult r = run_sssp(f.graph, f.source, options);
+  const SsspResult r = Solver(options).solve(f.graph, f.source);
   EXPECT_GT(r.metrics.counter(CounterId::kStealNs) +
                 r.metrics.counter(CounterId::kIdleNs),
             0u);
@@ -634,7 +636,7 @@ TEST(WaspValidate, PassesFixedPointValidation) {
   options.algo = Algorithm::kWasp;
   options.threads = 4;
   options.delta = 2;
-  const SsspResult r = run_sssp(f.graph, f.source, options);
+  const SsspResult r = Solver(options).solve(f.graph, f.source);
   std::string message;
   EXPECT_TRUE(validate_sssp(f.graph, f.source, r.dist, &message)) << message;
 }
