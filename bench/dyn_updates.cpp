@@ -8,7 +8,8 @@
 // plus graph(), which compacts when the graph is dirty) is timed apart
 // from the repair, with the compactions it ran. Beside the times, each row
 // counts the repair's work: cone and seed vertices, the engine's updates
-// and the answer entries the publish wrote per repair. It splits the
+// and processed vertices, and the answer entries the publish wrote per
+// repair. It splits the
 // repair's mean wall time into the cone walk, the engine and the publish,
 // and counts the repairs that stayed inline and those that escalated to
 // the team.
@@ -62,6 +63,9 @@ struct Row {
   /// repair's work as a count, not a time. Exact on one worker; a team
   /// repair's count varies with how its workers interleave.
   double mean_repair_updates = 0.0;
+  /// Engine vertices processed (kVerticesProcessed) per incremental repair,
+  /// both runs of an escalated one: the work count a replay would inflate.
+  double mean_repair_processed = 0.0;
   /// Answer entries the publish wrote per incremental repair
   /// (RepairStats::published_entries): the previous and current change sets
   /// on a recycled buffer, n plus the change set on a copy, n on a decode.
@@ -114,7 +118,8 @@ void write_json(const std::string& path, int threads, int batches, int ops,
         "\"update_ms\": %.6f, \"compactions_per_batch\": %.3f, "
         "\"repair_ms\": %.6f, \"full_ms\": %.6f, "
         "\"speedup\": %.3f, \"mean_cone\": %.1f, \"mean_seeds\": %.1f, "
-        "\"mean_repair_updates\": %.1f, \"mean_published_entries\": %.1f, "
+        "\"mean_repair_updates\": %.1f, \"mean_repair_processed\": %.1f, "
+        "\"mean_published_entries\": %.1f, "
         "\"walk_ms\": %.6f, \"engine_ms\": %.6f, \"publish_ms\": %.6f, "
         "\"mean_repair_ms\": %.6f, "
         "\"incremental_repairs\": %d, "
@@ -123,7 +128,8 @@ void write_json(const std::string& path, int threads, int batches, int ops,
         r.graph.c_str(), r.algo.c_str(), r.batches, r.ops_per_batch,
         r.closures, r.update_ms, r.compactions_per_batch, r.repair_ms,
         r.full_ms, r.speedup, r.mean_cone, r.mean_seeds,
-        r.mean_repair_updates, r.mean_published_entries, r.walk_ms,
+        r.mean_repair_updates, r.mean_repair_processed,
+        r.mean_published_entries, r.walk_ms,
         r.engine_ms, r.publish_ms, r.mean_repair_ms,
         r.incremental_repairs, r.inline_repairs, r.escalated_repairs,
         r.full_solves,
@@ -145,7 +151,7 @@ std::uint64_t processed(IncrementalSolver& inc) {
 /// IncrementalSolvers, `reps` times each, alternating: one on a
 /// one-thread Solver, where the whole repair runs on the calling thread,
 /// and one on a `threads`-worker Solver, which starts inline and escalates
-/// to its team past kInlineRepairWork processed vertices. Both run the
+/// to its team at kInlineRepairWork processed vertices. Both run the
 /// real re-priced cone walk. Between reps the jams are cleared again
 /// (untimed), and each timed repair follows a 2 ms idle gap, as a traffic
 /// tick reaches a sleeping team. The times are the engine's (walk and
@@ -307,7 +313,7 @@ int main(int argc, char** argv) {
     const int reps =
         static_cast<int>(std::max<std::int64_t>(1, args.get_int("reps")));
     std::printf("Cone sweep: kInlineRepairWork = %llu (a repair that "
-                "processes more escalates to the team)\n\n",
+                "reaches it with work left escalates to the team)\n\n",
                 static_cast<unsigned long long>(kInlineRepairWork));
     bool all_exact = true;
     for (const auto cls : bench::selected_classes(args))
@@ -329,6 +335,7 @@ int main(int argc, char** argv) {
   bench::print_cell("cone", 9);
   bench::print_cell("seeds", 9);
   bench::print_cell("updates", 9);
+  bench::print_cell("processed", 10);
   bench::print_cell("written", 9);
   bench::print_cell("walk", 10);
   bench::print_cell("engine", 10);
@@ -376,6 +383,7 @@ int main(int argc, char** argv) {
     std::uint64_t cone_total = 0;
     std::uint64_t seed_total = 0;
     std::uint64_t update_total = 0;
+    std::uint64_t processed_total = 0;
     std::uint64_t published_total = 0;
     double walk_total = 0.0;
     double engine_total = 0.0;
@@ -438,6 +446,7 @@ int main(int argc, char** argv) {
         seed_total += rs.seed_vertices;
         update_total += inc.solver().metrics().snapshot().counter(
             obs::CounterId::kUpdates);
+        processed_total += processed(inc);
         published_total += rs.published_entries;
       }
 
@@ -461,6 +470,8 @@ int main(int argc, char** argv) {
         static_cast<double>(seed_total) / static_cast<double>(inc_count);
     row.mean_repair_updates =
         static_cast<double>(update_total) / static_cast<double>(inc_count);
+    row.mean_repair_processed =
+        static_cast<double>(processed_total) / static_cast<double>(inc_count);
     row.mean_published_entries =
         static_cast<double>(published_total) / static_cast<double>(inc_count);
     row.walk_ms = walk_total / inc_count * 1e3;
@@ -486,6 +497,8 @@ int main(int argc, char** argv) {
     bench::print_cell(cell, 9);
     std::snprintf(cell, sizeof(cell), "%.0f", row.mean_repair_updates);
     bench::print_cell(cell, 9);
+    std::snprintf(cell, sizeof(cell), "%.0f", row.mean_repair_processed);
+    bench::print_cell(cell, 10);
     std::snprintf(cell, sizeof(cell), "%.0f", row.mean_published_entries);
     bench::print_cell(cell, 9);
     for (const double ms : {row.walk_ms, row.engine_ms, row.publish_ms}) {

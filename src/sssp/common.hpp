@@ -32,7 +32,7 @@ class ThreadTeam;
 /// The relax loop reads this array at random, so its size is the engine's
 /// working set: at 4 bytes per vertex the 409,600-vertex road grid of
 /// perfbench's road_solve (1.6 MB) fits a 2 MB L2 (docs/PERFORMANCE.md).
-/// A reset is one O(V) fill(); every cold solve decodes the whole array
+/// A reset is one O(V) fill(); every cold solve copies the whole array out
 /// anyway, so a cheaper reset would save no asymptotic work.
 ///
 /// fill() runs between parallel phases only (by the dispatching thread,

@@ -428,13 +428,11 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   shard.inc(CId::kRepairSeedVertices, seeds_.size());
 
   // 4. Repair from the seeds with the normal engine. No acquire and no
-  // fill: untouched vertices keep their warm entries. The repair starts on the
-  // calling thread alone. Past kInlineRepairWork processed vertices that
-  // run stops, and the Solver's team resumes from the seeds plus what it
-  // lowered, which keeps both invariants (wasp_sssp_seeded).
-  const std::size_t walk_seeds = seeds_.size();
+  // fill: untouched vertices keep their warm entries. The run starts on the
+  // calling thread; at kInlineRepairWork processed vertices it pauses, and
+  // the team resumes from its frontier into the same log (wasp_sssp_seeded).
   const int team_size = solver_.team().size();
-  auto run_engine = [&](ThreadTeam& team, LoweredLog& log,
+  auto run_engine = [&](ThreadTeam& team, std::span<const VertexId> from,
                         std::uint64_t budget) {
     RunContext ctx{team, registry,
                    solver_.trace() != nullptr ? solver_.trace() : opts.trace,
@@ -442,37 +440,33 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
     ctx.dist = &dist;
     ctx.cancel = cancel;
     const SsspResult result =
-        wasp_sssp_seeded(g, seeds_, opts.delta, opts.wasp, ctx, log, budget);
+        wasp_sssp_seeded(g, from, opts.delta, opts.wasp, ctx, lowered_, budget);
     if (cancel != nullptr && cancel->cancel_requested())
       throw_cancelled(*cancel);
     return result.metrics.seconds;
   };
   const double walk_seconds = walk_timer.seconds();
-  double engine_seconds =
-      run_engine(inline_team_, lowered_,
-                 team_size > 1 ? kInlineRepairWork : kNoWorkBudget);
-  const bool escalated = lowered_.stopped();
-  team_lowered_.reset(0);
-  if (escalated) {
-    for (const VertexId v : lowered_.list(0)) seed(v);
-    engine_seconds += run_engine(solver_.team(), team_lowered_, kNoWorkBudget);
+  lowered_.reset(team_size);
+  double engine_seconds = run_engine(
+      inline_team_, seeds_, team_size > 1 ? kInlineRepairWork : kNoWorkBudget);
+  if (lowered_.stopped()) {
+    engine_seconds +=
+        run_engine(solver_.team(), lowered_.frontier(), kNoWorkBudget);
   }
-  const std::array<const LoweredLog*, 2> logs{&lowered_, &team_lowered_};
 
   // 5. Publish into a free buffer; every earlier answer stays as its
-  // holders see it. Outside the cone and the logs the array still holds the
+  // holders see it. Outside the cone and the log the array still holds the
   // previous answer, and a buffer one publish behind differs from that
   // only at the previous change set, so a patch re-reads exactly the
   // entries that may differ.
   const Timer publish_timer;
-  const std::size_t lowered = lowered_.size() + team_lowered_.size();
-  const std::size_t current = cone_.size() + lowered;
+  const std::size_t current = cone_.size() + lowered_.size();
   const std::size_t limit = n / kPatchShare;
   std::unique_ptr<AnswerBuffer> next = pool_->take(generation_ - 1);
   const bool recycled = next != nullptr && !changed_all_ &&
                         next->generation + 1 == generation_ &&
                         changed_.size() + current <= limit;
-  const bool wide = !recycled && current > limit;
+  const bool wide = current > limit;
   if (next == nullptr) next = std::make_unique<AnswerBuffer>();
   std::vector<Distance>& out = next->dist;
   std::uint64_t written = 0;
@@ -480,34 +474,27 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
     for (const VertexId v : entries) out[v] = dist.load(v);
     written += entries.size();
   };
+  if (recycled) {
+    reread(changed_);
+  } else if (!wide) {
+    out.assign(answer_.begin(), answer_.end());
+    written = n;
+  }
+  // This repair's change set, re-read now and kept for the next one. A set
+  // past the limit is not kept: the next repair could not patch with it.
+  changed_.clear();
   if (wide) {
     dist.snapshot_into(out);
     written = n;
   } else {
-    if (recycled) {
-      reread(changed_);
-    } else {
-      out.assign(answer_.begin(), answer_.end());
-      written = n;
-    }
-    reread(cone_);
-    for (const LoweredLog* log : logs)
-      for (int t = 0; t < log->workers(); ++t) reread(log->list(t));
-  }
-  // This repair's change set, for the next one. A set past the limit is
-  // not kept: the next repair could not patch with it anyway.
-  changed_.clear();
-  const bool changed_all = current > limit;
-  if (!changed_all) {
     changed_.insert(changed_.end(), cone_.begin(), cone_.end());
-    for (const LoweredLog* log : logs) {
-      for (int t = 0; t < log->workers(); ++t) {
-        const std::span<const VertexId> list = log->list(t);
-        changed_.insert(changed_.end(), list.begin(), list.end());
-      }
+    for (int t = 0; t < team_size; ++t) {
+      const std::span<const VertexId> list = lowered_.list(t);
+      changed_.insert(changed_.end(), list.begin(), list.end());
     }
+    reread(changed_);
   }
-  publish(std::move(next), changed_all);
+  publish(std::move(next), /*changed_all=*/wide);
   guard.published = true;
   if (recycled) shard.inc(CId::kRepairRecycled);
 
@@ -516,13 +503,13 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   last_.batches = batches;
   last_.effects = effects.size();
   last_.cone_vertices = cone_.size();
-  last_.seed_vertices = walk_seeds;
-  last_.lowered = lowered;
+  last_.seed_vertices = seeds_.size();
+  last_.lowered = lowered_.size();
   last_.patched = !wide;
   last_.recycled = recycled;
   last_.published_entries = written;
   last_.cone_reset = reset;
-  last_.workers = escalated ? team_size : 1;
+  last_.workers = lowered_.stopped() ? team_size : 1;
   last_.seconds = engine_seconds;
   last_.walk_seconds = walk_seconds;
   last_.publish_seconds = publish_timer.seconds();

@@ -54,23 +54,24 @@
 //     nothing —
 //     in work proportional to the improvements left, not the cone. The
 //     width follows the work done, not a guess from the cone: every repair
-//     starts on the calling thread alone, and one that processes more than
-//     kInlineRepairWork vertices stops and escalates to the Solver's team,
-//     seeded from the seeds plus the inline run's log. That keeps both
-//     invariants: every value is still the length of some path, and an arc
-//     (u, v) that can still improve v either has a lowered, hence logged,
-//     u, or had d[u] + w < d'[v] <= d[v] before the run, so u was a seed.
-//  5. Publish. The engine logs every vertex it lowers (LoweredLog), so the
-//     repair's change set, the entries where the new answer may differ
-//     from the previous one, is its cone plus its logs (the inline run's
-//     and, after an escalation, the team run's). The new answer goes
+//     starts on the calling thread alone, and one that reaches
+//     kInlineRepairWork processed vertices pauses and escalates to the
+//     Solver's team, which resumes from the paused frontier: every entry
+//     the inline run still had queued. Both invariants still hold there:
+//     every value is the length of some path, and an arc that can still
+//     improve its head starts at a queued vertex (wasp_sssp_seeded), so no
+//     vertex the inline run processed is processed again for it.
+//  5. Publish. The engine logs every vertex it lowers (LoweredLog; the
+//     team run of an escalated repair appends to the inline run's log), so
+//     the repair's change set, the entries where the new answer may differ
+//     from the previous one, is its cone plus its log. The new answer goes
 //     into a recycled buffer (below). A buffer exactly one publish behind
 //     differs from the previous answer only at the previous change set, so
 //     re-reading that set and this one from the array makes it the new
 //     answer: O(previous + current change set), not O(V). Any other
 //     buffer first takes a copy of the previous answer and then this
 //     repair's change set. A wide repair, whose change set passes a fixed
-//     share of n, decodes the whole array into the buffer instead. A full
+//     share of n, copies the whole array into the buffer instead. A full
 //     solve publishes its own result and leaves the change set unknown.
 //
 // Answers are immutable and shared (sssp/answer.hpp): each solve() that
@@ -113,10 +114,10 @@
 namespace wasp {
 
 /// Vertices a repair's engine may process on the calling thread alone.
-/// Every repair starts there. One that processes more stops and resumes on
-/// the Solver's team, seeded from its seeds plus every vertex it lowered
-/// (ski rental: the run works alone until it has spent about what a team
-/// launch costs). A team run pays a condvar wake, idle peers' steal and
+/// Every repair starts there. One that reaches this many with work left
+/// pauses, and the Solver's team resumes from the paused frontier (ski
+/// rental: the run works alone until it has spent about what a team launch
+/// costs). A team run pays a condvar wake, idle peers' steal and
 /// termination scans, and a join. A chain, with no parallelism to share,
 /// stays inline; a wide lowering pays at most this much extra.
 /// `dyn_updates --cone-sweep --graphs USA --scale 1 --threads 4 --reps 9`
@@ -137,23 +138,24 @@ namespace wasp {
 inline constexpr std::uint64_t kInlineRepairWork = 2048;
 
 /// A repair publishes by re-reading entries from the array while the
-/// entries it re-reads stay within n / kPatchShare; past that it decodes
-/// the whole array into the buffer. A recycled buffer one publish behind
-/// re-reads the previous and the current change set; any other buffer
-/// copies the previous answer and re-reads the current set. Re-reading is
-/// one scattered decode per entry; a decode is one pass over the atomic
-/// array. Medians of 41 on a 4-vCPU Xeon VM, taken when each entry was an
-/// 8-byte tagged word (now 4 bytes) (random entries, into a reused
-/// buffer, with and without an evicting 32 MB sweep before each run): at
-/// n = 102,400 a decode took 88 us warm and 148 us cold, and re-reading
-/// n/8 entries 26 / 59 us, n/4 49 / 95 us and n/2 113 / 151 us; at
-/// n = 131,072 a decode took 109 / 141 us, and n/8 42 / 84 us, n/4
-/// 87 / 143 us and n/2 181 / 236 us. A copy of the previous answer took
-/// 11-45 us. The two cross between n/4 and n/2, so a quarter keeps every
-/// patch at or below a decode (the copy path at n/4 reads 64-144 us). In
-/// perfbench's live_traffic, road ticks (change sets of about 1,700 of
-/// 102,400 vertices) patch, and chain-forest ticks (cones of about 74,000
-/// of 131,072) decode.
+/// entries it re-reads stay within n / kPatchShare; past that it copies
+/// the whole array into the buffer (AtomicDistances::snapshot_into). A
+/// recycled buffer one publish behind re-reads the previous and the
+/// current change set; any other buffer copies the previous answer and
+/// re-reads the current set. Re-reading is one scattered load per entry;
+/// the whole-array copy is one pass over the atomic array. Medians of 41
+/// on a 4-vCPU Xeon VM, taken when each entry was an 8-byte tagged word
+/// that the whole-array pass had to decode (now a plain 4-byte distance)
+/// (random entries, into a reused buffer, with and without an evicting
+/// 32 MB sweep before each run): at n = 102,400 a decode took 88 us warm
+/// and 148 us cold, and re-reading n/8 entries 26 / 59 us, n/4 49 / 95 us
+/// and n/2 113 / 151 us; at n = 131,072 a decode took 109 / 141 us, and
+/// n/8 42 / 84 us, n/4 87 / 143 us and n/2 181 / 236 us. A copy of the
+/// previous answer took 11-45 us. The two cross between n/4 and n/2, so a
+/// quarter keeps every patch at or below a whole-array pass (the copy path
+/// at n/4 reads 64-144 us). In perfbench's live_traffic, road ticks
+/// (change sets of about 1,700 of 102,400 vertices) patch, and
+/// chain-forest ticks (cones of about 74,000 of 131,072) copy the array.
 inline constexpr std::size_t kPatchShare = 4;
 
 /// What the last solve() did, for observability and tests. The same numbers
@@ -168,21 +170,21 @@ struct RepairStats {
   /// kUpdates count.
   std::uint64_t lowered = 0;
   /// The answer was published by patching entries into a buffer; false
-  /// when a wide repair decoded the whole array instead.
+  /// when a wide repair copied the whole array instead.
   bool patched = false;
   /// The patched buffer was recycled exactly one publish behind, so only
   /// the previous and this repair's change sets were rewritten.
   bool recycled = false;
   /// Entries the publish wrote into the new answer: the previous plus the
   /// current change set when recycled; n plus the current change set for a
-  /// copy-then-patch; n for a decode. 0 on a full solve.
+  /// copy-then-patch; n for a whole-array copy. 0 on a full solve.
   std::uint64_t published_entries = 0;
   /// A zero-weight tie let a head be priced from a stale tail, so the cone
   /// was stored at infinity instead of at its re-priced bounds.
   bool cone_reset = false;
   /// Participants the last engine run ended on: 1 for a repair that ran
   /// inline on the calling thread, the team size for an escalated repair
-  /// (its inline run passed kInlineRepairWork and the team finished it) or
+  /// (its inline run paused at kInlineRepairWork, the team finished it) or
   /// a full solve, 0 when nothing ran (no new version).
   int workers = 0;
   /// Parallel-phase time of the engine: a repair's inline run plus, when
@@ -287,7 +289,7 @@ class IncrementalSolver {
   /// Publishes so far: answer_ holds generation_.
   std::uint64_t generation_ = 0;
   /// The entries where answer_ may differ from generation_ - 1 (cone plus
-  /// logs, repeats included), unless changed_all_.
+  /// log, repeats included), unless changed_all_.
   std::vector<VertexId> changed_;
   bool changed_all_ = true;
   /// Released buffers; each answer's deleter holds it weakly.
@@ -303,8 +305,9 @@ class IncrementalSolver {
   };
 
   // Scratch reused across repairs (sized to the graph on first use).
-  LoweredLog lowered_;       ///< the inline run's log
-  LoweredLog team_lowered_;  ///< an escalated repair's team run's log
+  /// The repair's log: the inline run's list 0 and paused frontier, then
+  /// an escalated repair's team run's lists.
+  LoweredLog lowered_;
   std::vector<ConeHead> heads_;
   std::vector<VertexId> priced_from_;  ///< tails outside the cone when read
   std::vector<std::uint8_t> in_cone_;

@@ -15,14 +15,14 @@
 //  * termination extends the §4.3 double-scan with a quiescence barrier
 //    (terminate()).
 // A cold solve and a repair differ only in their seeds: {source} at
-// distance 0, or the caller's frontier at its pre-loaded bounds. A
-// one-worker repair may also carry a budget of processed vertices, past
-// which it leaves the way a cancelled run does (WaspWorker::stop_requested).
+// distance 0, or the caller's frontier at its pre-loaded bounds. A one-worker
+// repair may also pause at a budget of processed vertices (WaspWorker::pause).
 #include "sssp/wasp.hpp"
 
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cassert>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -124,9 +124,7 @@ struct WaspShared {
   RunContext& ctx;  ///< metrics shards, trace recorder, observer
   const GraphPartition* part;  ///< null for a one-fragment run
   LoweredLog* log;  ///< a seeded run's record of what it lowered; null cold
-  /// Processed vertices after which a one-worker run stops
-  /// (wasp_sssp_seeded); kNoWorkBudget otherwise.
-  std::uint64_t budget = kNoWorkBudget;
+  std::uint64_t budget = kNoWorkBudget;  ///< a lone seeded worker's pause point
   std::vector<FragmentView> views;  ///< fragment -> view
   int num_workers;
   std::vector<int> frag_of;               ///< worker -> fragment
@@ -292,14 +290,14 @@ class WaspWorker {
       // network's teardown), and leave through the normal idle path.
       // Publishing kInfPriority lets peers still inside terminate() reach
       // the all-idle verdict even before their own poll fires. A budget
-      // stop leaves the same way and tells the caller through the log.
+      // stop leaves the same way, once it has handed its queue to the log.
       if (stop_requested()) {
-        if (progress_ > budget_) log_->mark_stopped();
+        if (progress_ >= budget_) pause();
         publish_curr(kInfPriority);
         return;
       }
       drain_current_bucket();
-      // A stop inside the drain can leave entries in the buffer or deque:
+      // A stop inside the drain leaves entries in the buffer or deque:
       // leave above, before a termination scan could read them as done.
       if (stop_requested()) continue;
       if constexpr (Relay) {
@@ -383,10 +381,24 @@ class WaspWorker {
     return prune_leaves_ && out_degree(v) <= leaf_degree_;
   }
 
-  /// Cancellation, or a budgeted run past its budget of processed
+  /// Cancellation, or a budgeted run that has processed its budget of
   /// vertices. Both leave through the same exits.
   [[nodiscard]] bool stop_requested() const {
-    return progress_ > budget_ || s_.ctx.stop_requested();
+    return progress_ >= budget_ || s_.ctx.stop_requested();
+  }
+
+  /// A budget stop, between two vertices: hands each entry still queued in
+  /// the buffer, deque and buckets that no later lowering superseded to the
+  /// log's frontier (wasp_sssp_seeded). The chunks stay with the arena.
+  void pause() {
+    const auto hand_over = [&](const ChunkT* c) {
+      for (std::uint32_t i = 0; i < c->size(); ++i)
+        if (!is_stale(c->peek(i), c->priority())) log_->pause(c->peek(i));
+    };
+    hand_over(buffer_);
+    while (const ChunkT* c = deque_->pop_bottom()) hand_over(c);
+    for (const ChunkT* c : buckets_.head)
+      for (; c != nullptr; c = c->next) hand_over(c);
   }
 
   /// This worker's relax_to just lowered v: a seeded run records it
@@ -441,10 +453,9 @@ class WaspWorker {
     VertexId u;
     std::uint64_t prio;
     std::uint32_t begin, end;
-    while (pop_current(u, prio, begin, end)) {
-      // Cancellation point (one relaxed load per pop): leftover entries in
-      // the buffer/deque are simply dropped — run() exits next iteration.
-      if (stop_requested()) return;
+    // Cancellation point, tested before the pop so that a stop falls
+    // between two vertices: what is left stays queued for pause().
+    while (!stop_requested() && pop_current(u, prio, begin, end)) {
       if (is_stale(u, prio)) {
         my_.inc(CId::kStaleSkips);
         continue;
@@ -703,6 +714,7 @@ class WaspWorker {
     obs::trace_end(s_.ctx.trace, tid_, EK::kStealSweep,
                    static_cast<std::uint64_t>(count));
     if (count == 0) return false;
+    assert(budget_ == kNoWorkBudget);  // a budgeted run has no victim
 
     std::uint64_t best = kInfPriority;
     for (int i = 0; i < count; ++i)
@@ -1134,9 +1146,9 @@ void launch(WaspShared<ChunkT>& shared, std::span<const VertexId> seeds,
 
 /// The one engine entry behind wasp_sssp and wasp_sssp_seeded. A cold run
 /// (no `log`) plants `seeds` (the source) at distance 0 in fresh distances
-/// and decodes them into result.dist. A warm run plants them at the bounds
-/// the caller pre-loaded into ctx.dist, always as one fragment, records
-/// what it lowers in `log`, stops past `budget` processed vertices when it
+/// and copies them into result.dist. A warm run plants them at the bounds
+/// the caller pre-loaded into ctx.dist, always as one fragment, appends
+/// what it lowers to `log`, stops at `budget` processed vertices when it
 /// has one worker, and leaves result.dist empty.
 template <typename ChunkT>
 SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds,
@@ -1169,7 +1181,6 @@ SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds,
   const GraphPartition* part = frags != nullptr ? &frags->partition : nullptr;
   const int f_count = part != nullptr ? part->num_fragments() : 1;
 
-  if (!cold) log->reset(p);
   WaspShared<ChunkT> shared(g, delta, config, ctx, part, log, f_count, p,
                             *topo, cpu_of);
   if (!cold && p == 1) shared.budget = budget;
@@ -1301,10 +1312,11 @@ SsspResult wasp_sssp_seeded(const Graph& g, std::span<const VertexId> seeds,
                             Weight delta, const WaspConfig& config,
                             RunContext& ctx, LoweredLog& log,
                             std::uint64_t budget) {
-  if (ctx.dist == nullptr || ctx.dist->size() != g.num_vertices())
+  if (ctx.dist == nullptr || ctx.dist->size() != g.num_vertices() ||
+      log.workers() < ctx.team.size())
     throw InvalidOptionsError(
         "wasp_sssp_seeded: ctx.dist must be pre-loaded with warm bounds "
-        "sized to the graph");
+        "sized to the graph, and the log reset to the team size");
   return run_wasp(g, seeds, delta, config, ctx, &log, budget);
 }
 

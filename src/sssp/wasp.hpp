@@ -57,21 +57,26 @@ namespace wasp {
 /// What a seeded run lowered: one list per worker, holding every vertex
 /// whose distance that worker improved, in the order it improved them and
 /// with repeats (so the lists' total is the run's kUpdates count). A
-/// repair patches its previous answer from these lists instead of decoding
-/// the whole array (sssp/incremental.hpp).
+/// repair patches its previous answer from these lists instead of copying
+/// the whole array (sssp/incremental.hpp). Beside them, the frontier a
+/// budget stop left unprocessed (wasp_sssp_seeded), which a later run on
+/// the same log resumes from.
 ///
 /// Plain per-worker data, cache-padded: a worker appends only to its own
-/// list, and the lists are read only after the run returned, ordered by the
-/// team join. The WASP_VERIFY hooks make that discipline checkable, as in
-/// obs::MetricsShard. The run clears the lists and keeps their capacity, so
-/// a log reused across repairs stops allocating once it has grown.
+/// list, the one worker of a budgeted run alone to the frontier, and both
+/// are read only after the run returned, ordered by the team join. The
+/// WASP_VERIFY hooks make that discipline checkable, as in
+/// obs::MetricsShard. Runs append and never clear; reset() clears and
+/// keeps the capacity, so a log reused across repairs stops allocating
+/// once it has grown.
 class LoweredLog {
  public:
-  /// Empties every list and sizes the log to `workers` lists. Call between
-  /// runs only.
+  /// Empties every list and the frontier, and sizes the log to `workers`
+  /// lists: at least the team size of every run that will write it. Call
+  /// between runs only.
   void reset(int workers) {
-    WASP_VERIFY_WR(&stopped_);
-    stopped_ = false;
+    WASP_VERIFY_WR(&frontier_);
+    frontier_.clear();
     lists_.resize(static_cast<std::size_t>(workers));
     for (auto& l : lists_) {
       WASP_VERIFY_WR(&l.value);
@@ -102,22 +107,27 @@ class LoweredLog {
     return total;
   }
 
-  /// The run stopped at its work budget (wasp_sssp_seeded) instead of
-  /// converging. Read only after the run returned.
-  [[nodiscard]] bool stopped() const {
-    WASP_VERIFY_RD(&stopped_);
-    return stopped_;
+  /// A budget stop left v queued. Only the stopped run's one worker calls
+  /// it.
+  void pause(VertexId v) {
+    WASP_VERIFY_WR(&frontier_);
+    frontier_.push_back(v);
   }
 
-  /// The run's only worker passed its budget. Only that worker calls it.
-  void mark_stopped() {
-    WASP_VERIFY_WR(&stopped_);
-    stopped_ = true;
+  /// The vertices a budget stop left queued, repeats included: the seeds a
+  /// resume starts from. Read only after the run returned.
+  [[nodiscard]] std::span<const VertexId> frontier() const {
+    WASP_VERIFY_RD(&frontier_);
+    return frontier_;
   }
+
+  /// A run stopped at its work budget with work left (wasp_sssp_seeded).
+  /// Read only after the run returned.
+  [[nodiscard]] bool stopped() const { return !frontier().empty(); }
 
  private:
   std::vector<CachePadded<std::vector<VertexId>>> lists_;
-  bool stopped_ = false;
+  std::vector<VertexId> frontier_;
 };
 
 /// No work budget: a seeded run goes on until it converges.
@@ -157,19 +167,27 @@ SsspResult wasp_sssp(const Graph& g, VertexId source, Weight delta,
 /// returns the current bounds unchanged. The run is always one fragment
 /// over ctx.dist. Same knob contract as wasp_sssp.
 ///
-/// The run clears `log` to one list per worker and records every vertex it
-/// lowers there. It decodes nothing: result.dist stays empty and the answer
-/// is ctx.dist itself, which differs from the pre-loaded bounds exactly at
-/// the logged vertices.
+/// The run records every vertex it lowers in `log`, which the caller
+/// reset() to at least the team size; a run appends and clears nothing. It
+/// copies nothing out: result.dist stays empty and the answer is ctx.dist
+/// itself, which differs from the pre-loaded bounds exactly at the logged
+/// vertices.
 ///
-/// A run on a one-participant team stops once it has processed more than
-/// `budget` vertices (ignored on a larger team). It leaves the way a
-/// cancelled run does: its worker fires no on_termination, and the array
-/// holds upper bounds short of the answer. log.stopped() then reads true.
-/// Both invariants hold for a resume from the seeds plus the log: every
-/// value is still the length of some path, and an arc that can still
-/// improve its head either starts at a logged vertex or could improve it
-/// before the run, when its tail was a seed.
+/// A run on a one-participant team stops before it processes vertex
+/// `budget` + 1 (ignored on a larger team). The stop falls between two
+/// vertices: the worker hands every entry still queued in its buffer,
+/// deque and buckets that no later lowering superseded to log.frontier()
+/// and leaves the way a cancelled run does, firing no on_termination. With
+/// work left, log.stopped() reads true and the array holds upper bounds
+/// short of the answer; a run from log.frontier() into the same log
+/// converges to the answer. With none left the array is the answer.
+/// Invariant: every processed vertex relaxed all its arcs at the distance
+/// it was processed with, and any later lowering re-enqueued it, so the
+/// queued entries form a complete frontier: an arc that can still improve
+/// its head starts at a queued vertex. A range chunk hands over its vertex
+/// once, and the resume relaxes that vertex's whole adjacency, a safe
+/// superset of the range. The budget fits the one-worker run only because
+/// it never steals: no work sits in a stolen chunk.
 SsspResult wasp_sssp_seeded(const Graph& g, std::span<const VertexId> seeds,
                             Weight delta, const WaspConfig& config,
                             RunContext& ctx, LoweredLog& log,

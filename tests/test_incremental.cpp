@@ -212,7 +212,8 @@ TEST(IncrementalAnswer, RepairsPublishExactImmutableAnswers) {
         if (!rs.full_solve) {
           ++(rs.patched ? patched : decoded);
           // The width follows the work done: a repair escalates to the
-          // team exactly when its inline run processed past the budget.
+          // team exactly when its inline run paused at the budget with work
+          // left, so it processed more than the budget in all.
           EXPECT_EQ(rs.workers, run_processed(inc) > kInlineRepairWork
                                     ? inc.solver().team().size()
                                     : 1)
@@ -297,12 +298,13 @@ struct TerminationCounter final : obs::RunObserver {
   std::atomic<int> terminations{0};
 };
 
-TEST(IncrementalAnswer, EscalatedRepairResumesFromTheLog) {
+TEST(IncrementalAnswer, EscalatedRepairResumesFromThePausedFrontier) {
   // Dropping the second arc of a 3,000-vertex chain lowers the whole tail.
-  // The inline run stops past kInlineRepairWork processed vertices, with
+  // The inline run pauses at kInlineRepairWork processed vertices, with
   // the rest of the chain still at its old distances, and the team must
-  // resume from what the inline run lowered: the seed alone improves
-  // nothing further.
+  // resume from the frontier it left: the seed alone improves nothing
+  // further. Resuming, not replaying, processes each lowered vertex once:
+  // no more vertices than the lowerings plus the seeds.
   VersionedGraph vg(make_shape("long_chain"));
   IncrementalSolver inc(test_options());
   (void)inc.solve(vg, 0);
@@ -319,9 +321,10 @@ TEST(IncrementalAnswer, EscalatedRepairResumesFromTheLog) {
   EXPECT_GT(run_processed(inc), kInlineRepairWork);
   EXPECT_EQ(rs.workers, 2);
   EXPECT_GT(rs.lowered, kInlineRepairWork);
+  EXPECT_LE(run_processed(inc), rs.lowered + rs.seed_vertices);
   EXPECT_LT(inc.answer()[vg.num_vertices() - 1], before);
   expect_published_answer(inc, vg.graph(), 0, "long chain drop");
-  // The stopped inline worker leaves as a cancelled one does, without a
+  // The paused inline worker leaves as a cancelled one does, without a
   // termination: only the team's workers report one.
   EXPECT_EQ(counter.terminations.load(), 2);
 

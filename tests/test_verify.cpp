@@ -19,7 +19,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
-#include <initializer_list>
 #include <map>
 #include <memory>
 #include <set>
@@ -1914,10 +1913,11 @@ TEST(SchedulerHarness, AsyncBaselinesEndToEndSchedulesMatchDijkstra) {
 // the IncrementalSolver repairs them on the calling thread alone; the
 // engine's multi-worker seeded run (seed levels published before launch,
 // concurrent log appends) is driven directly on a 2-4-worker team by the
-// case after it, and an escalated repair (a budget-stopped one-worker run,
-// then the team from the seeds plus its log) by the one after that. The log's own discipline (each worker appends to its
-// list, the caller reads after the join) is pinned by the LoweredLog tests
-// below them.
+// case after it, and an escalated repair (a one-worker run paused at its
+// budget, then the team resuming from its frontier into the same log) by
+// the one after that. The log's own discipline (each worker appends to its
+// list, the paused worker to the frontier, the caller reads after the
+// join) is pinned by the LoweredLog tests below them.
 
 /// A batch of one or two weight changes on distinct logical edges of `vg`:
 /// each a jam (x4) or a drop (halved, at least 1).
@@ -2058,15 +2058,13 @@ WaspConfig harness_wasp_config(std::uint64_t seed) {
   return config;
 }
 
-/// Every vertex whose value moved from `preloaded` is in one of the logs.
+/// Every vertex whose value moved from `preloaded` is in the log.
 void expect_logged(const std::vector<Distance>& preloaded,
-                   const std::vector<Distance>& answer,
-                   std::initializer_list<const LoweredLog*> logs,
+                   const std::vector<Distance>& answer, const LoweredLog& log,
                    std::uint64_t seed) {
   std::vector<std::uint8_t> in_log(answer.size(), 0);
-  for (const LoweredLog* log : logs)
-    for (int t = 0; t < log->workers(); ++t)
-      for (const VertexId v : log->list(t)) in_log[v] = 1;
+  for (int t = 0; t < log.workers(); ++t)
+    for (const VertexId v : log.list(t)) in_log[v] = 1;
   for (VertexId v = 0; v < answer.size(); ++v) {
     if (answer[v] != preloaded[v]) {
       EXPECT_TRUE(in_log[v]) << replay_hint(seed) << ": vertex " << v
@@ -2093,6 +2091,7 @@ TEST(SchedulerHarness, SeededTeamRunsMatchDijkstra) {
     ThreadTeam team(threads);
     obs::MetricsRegistry registry(threads);
     LoweredLog log;
+    log.reset(threads);
     RunContext ctx{team, registry};
     ctx.dist = &dist;
     SsspResult result;
@@ -2112,7 +2111,7 @@ TEST(SchedulerHarness, SeededTeamRunsMatchDijkstra) {
     EXPECT_EQ(log.size(),
               result.metrics.counter(obs::CounterId::kUpdates))
         << replay_hint(seed);
-    expect_logged(w.preloaded, answer, {&log}, seed);
+    expect_logged(w.preloaded, answer, log, seed);
     if (log.size() > 0) ++logged;
     if (::testing::Test::HasFailure()) return;
   }
@@ -2124,10 +2123,12 @@ TEST(SchedulerHarness, SeededTeamRunsMatchDijkstra) {
 TEST(SchedulerHarness, EscalatedRepairSchedulesMatchDijkstra) {
   // An escalated repair in two halves, as IncrementalSolver runs one: a
   // one-worker run with a small budget under a one-participant schedule,
-  // then, if it stopped, a 2-4-worker run under a team-sized schedule,
-  // seeded from the seeds plus the stopped run's log. The stopped worker
-  // fires no on_termination and the team's fire one each; the answer must
-  // match Dijkstra and the two logs must hold every vertex that moved.
+  // then, if it paused with work left, a 2-4-worker run under a team-sized
+  // schedule that resumes from the paused frontier into the same log. The
+  // paused worker fires no on_termination and the team's fire one each; the
+  // answer must match Dijkstra and the log must hold every vertex that
+  // moved. At budget 0 the run pauses before its first vertex, so its
+  // frontier is exactly the finite seeds.
   const SeedRange seeds = harness_seeds(kE2eSeeds / 4);
   std::uint64_t escalated = 0;
   for (std::uint64_t seed = seeds.first; seed < seeds.last; ++seed) {
@@ -2145,58 +2146,65 @@ TEST(SchedulerHarness, EscalatedRepairSchedulesMatchDijkstra) {
     LifecycleHooks hooks;
 
     ThreadTeam solo(1);
-    LoweredLog inline_log;
+    LoweredLog log;
+    log.reset(threads);
     RunContext inline_ctx{solo, registry, nullptr, &hooks};
     inline_ctx.dist = &dist;
     SsspResult inline_result;
     {
       Session session(session_options(1, seed));
       Scheduler scheduler(scheduler_options(1, seed));
-      inline_result = wasp_sssp_seeded(g, w.seeds, 8, config, inline_ctx,
-                                       inline_log, budget);
+      inline_result =
+          wasp_sssp_seeded(g, w.seeds, 8, config, inline_ctx, log, budget);
       EXPECT_TRUE(session.ok()) << replay_hint(seed) << ":\n"
                                 << session.report_text();
     }
     const std::uint64_t processed = inline_result.metrics.counter(
         obs::CounterId::kVerticesProcessed);
-    EXPECT_EQ(inline_log.stopped(), processed > budget) << replay_hint(seed);
-    EXPECT_LE(processed, budget + 1) << replay_hint(seed);
+    EXPECT_LE(processed, budget) << replay_hint(seed);
+    // A run short of its budget converged: it left no frontier.
+    if (processed < budget) {
+      EXPECT_FALSE(log.stopped()) << replay_hint(seed);
+    }
+    if (budget == 0) {
+      std::vector<VertexId> finite;
+      for (const VertexId u : w.seeds) {
+        if (w.preloaded[u] != kInfDist) finite.push_back(u);
+      }
+      std::vector<VertexId> frontier(log.frontier().begin(),
+                                     log.frontier().end());
+      std::sort(finite.begin(), finite.end());
+      std::sort(frontier.begin(), frontier.end());
+      EXPECT_EQ(frontier, finite) << replay_hint(seed);
+    }
 
-    LoweredLog team_log;
-    team_log.reset(0);
-    if (inline_log.stopped()) {
+    if (log.stopped()) {
       ++escalated;
       EXPECT_EQ(hooks.terminations.load(), 0u) << replay_hint(seed);
-      std::vector<VertexId> resume = w.seeds;
-      std::vector<std::uint8_t> seeded(n, 0);
-      for (const VertexId u : resume) seeded[u] = 1;
-      for (const VertexId v : inline_log.list(0)) {
-        if (!seeded[v]) resume.push_back(v);
-        seeded[v] = 1;
-      }
       ThreadTeam team(threads);
       RunContext team_ctx{team, registry, nullptr, &hooks};
       team_ctx.dist = &dist;
       Session session(session_options(threads, seed));
       Scheduler scheduler(scheduler_options(threads, seed));
       // A budget on a team is ignored: the run converges.
-      (void)wasp_sssp_seeded(g, resume, 8, config, team_ctx, team_log, 0);
+      (void)wasp_sssp_seeded(g, log.frontier(), 8, config, team_ctx, log, 0);
       EXPECT_TRUE(session.ok()) << replay_hint(seed) << ":\n"
                                 << session.report_text();
-      EXPECT_FALSE(team_log.stopped()) << replay_hint(seed);
       EXPECT_EQ(hooks.terminations.load(),
                 static_cast<std::uint64_t>(threads))
           << replay_hint(seed);
-    } else if (processed > 0) {
-      EXPECT_EQ(hooks.terminations.load(), 1u) << replay_hint(seed);
+    } else {
+      // A converged run terminates; one paused with nothing left does not.
+      EXPECT_EQ(hooks.terminations.load(),
+                processed > 0 && processed < budget ? 1u : 0u)
+          << replay_hint(seed);
     }
     const std::vector<Distance> answer = dist.snapshot();
     std::string message;
     EXPECT_TRUE(distances_equal(w.reference, answer, &message))
         << replay_hint(seed) << " (threads=" << threads << ", budget="
-        << budget << ", escalated=" << inline_log.stopped() << "): "
-        << message;
-    expect_logged(w.preloaded, answer, {&inline_log, &team_log}, seed);
+        << budget << ", escalated=" << log.stopped() << "): " << message;
+    expect_logged(w.preloaded, answer, log, seed);
     if (::testing::Test::HasFailure()) return;
   }
   if (seeds.last - seeds.first == kE2eSeeds / 4) {
@@ -2229,21 +2237,39 @@ TEST(LoweredLogHarness, ReadsAfterABarrierAreRaceFree) {
 
 #if defined(WASP_VERIFY_ENABLED) && WASP_VERIFY_ENABLED
 TEST(LoweredLogHarness, ReadBeforeTheJoinIsReportedAsRace) {
-  // The caller reading a worker's list while that worker may still append:
-  // the plain-access hooks must flag it.
-  LoweredLog log;
-  log.reset(2);
-  Session session(session_options(2, 5));
-  run_bound(session, 2, [&](int tid) {
-    if (tid == 0) {
-      (void)log.list(1).size();
-    } else {
-      log.append(1, 42);
-    }
-  });
-  EXPECT_FALSE(session.ok())
-      << "a read of a worker's log not ordered after its appends must be "
-         "flagged";
+  // The caller reading a worker's list, or the frontier a paused worker
+  // hands over, while that worker may still write it: the plain-access
+  // hooks must flag both.
+  {
+    LoweredLog log;
+    log.reset(2);
+    Session session(session_options(2, 5));
+    run_bound(session, 2, [&](int tid) {
+      if (tid == 0) {
+        (void)log.list(1).size();
+      } else {
+        log.append(1, 42);
+      }
+    });
+    EXPECT_FALSE(session.ok())
+        << "a read of a worker's log not ordered after its appends must be "
+           "flagged";
+  }
+  {
+    LoweredLog log;
+    log.reset(1);
+    Session session(session_options(2, 5));
+    run_bound(session, 2, [&](int tid) {
+      if (tid == 0) {
+        (void)log.stopped();
+      } else {
+        log.pause(42);
+      }
+    });
+    EXPECT_FALSE(session.ok())
+        << "a read of the frontier not ordered after the pause must be "
+           "flagged";
+  }
 }
 #endif  // WASP_VERIFY_ENABLED
 

@@ -20,8 +20,10 @@ dyn_updates checks:
     ops_per_batch positive, closures non-negative, a non-empty results
     list;
   * per row: positive update/repair/full latencies, non-negative closures,
-    mean_repair_updates (engine updates per repair, the work count) and
-    mean_published_entries (answer entries each repair's publish wrote),
+    mean_repair_updates (engine updates per repair, the work count),
+    mean_repair_processed (engine vertices processed per repair, both
+    runs of an escalated one) and mean_published_entries (answer entries
+    each repair's publish wrote),
     the layer split: walk_ms, engine_ms and publish_ms (means over the
     incremental repairs) are non-negative and sum to no more than
     mean_repair_ms, the mean wall time of the same repairs (they are
@@ -97,7 +99,7 @@ DYN_ROW_KEYS = {
     "graph", "algo", "batches", "ops_per_batch", "closures",
     "update_ms", "compactions_per_batch", "repair_ms", "full_ms", "speedup",
     "mean_cone", "mean_seeds", "mean_repair_updates",
-    "mean_published_entries", "walk_ms", "engine_ms", "publish_ms",
+    "mean_repair_processed", "mean_published_entries", "walk_ms", "engine_ms", "publish_ms",
     "mean_repair_ms", "incremental_repairs", "inline_repairs",
     "escalated_repairs", "full_solves", "exact",
 }
@@ -205,6 +207,8 @@ def check_dyn_report(report, min_gain, graph_filter, schema_only):
             fail(f"{name}: closures must be >= 0")
         if row["mean_repair_updates"] < 0:
             fail(f"{name}: mean_repair_updates must be >= 0")
+        if row["mean_repair_processed"] < 0:
+            fail(f"{name}: mean_repair_processed must be >= 0")
         if row["mean_published_entries"] < 0:
             fail(f"{name}: mean_published_entries must be >= 0")
         layers = (row["walk_ms"], row["engine_ms"], row["publish_ms"])
@@ -248,7 +252,8 @@ def check_dyn_report(report, min_gain, graph_filter, schema_only):
         print(f"bench_check: ok {name}: repair {row['repair_ms']:.3f}ms vs "
               f"full {row['full_ms']:.3f}ms ({row['speedup']:.2f}x), "
               f"mean cone {row['mean_cone']:.0f}, "
-              f"{row['mean_repair_updates']:.0f} updates and "
+              f"{row['mean_repair_updates']:.0f} updates, "
+              f"{row['mean_repair_processed']:.0f} processed and "
               f"{row['mean_published_entries']:.0f} published entries per "
               f"repair, walk/engine/publish {row['walk_ms']:.3f}/"
               f"{row['engine_ms']:.3f}/{row['publish_ms']:.3f} ms, "
