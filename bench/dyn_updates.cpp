@@ -46,6 +46,8 @@ using namespace wasp;
 
 namespace {
 
+using CId = obs::CounterId;
+
 struct Row {
   std::string graph;
   std::string algo;
@@ -67,8 +69,9 @@ struct Row {
   /// both runs of an escalated one: the work count a replay would inflate.
   double mean_repair_processed = 0.0;
   /// Answer entries the publish wrote per incremental repair
-  /// (RepairStats::published_entries): the previous and current change sets
-  /// on a recycled buffer, n plus the change set on a copy, n on a decode.
+  /// (kRepairPublishedEntries): the previous and current change sets on a
+  /// recycled buffer, n plus the change set on a copy, n on a whole-array
+  /// copy.
   double mean_published_entries = 0.0;
   /// A repair's layers, means over the incremental repairs (means add up,
   /// medians do not): the cone walk, the engine's parallel phases and the
@@ -139,13 +142,6 @@ void write_json(const std::string& path, int threads, int batches, int ops,
   out << "  ]\n}\n";
 }
 
-/// Engine vertices the solver's last run processed (an escalated repair's
-/// two runs together: the registry is reset once per repair).
-std::uint64_t processed(IncrementalSolver& inc) {
-  return inc.solver().metrics().snapshot().counter(
-      obs::CounterId::kVerticesProcessed);
-}
-
 /// --cone-sweep on one class. Jams (x4) a growing number (x1.5 a step) of
 /// shortest-path-tree arcs of the base graph and repairs them through two
 /// IncrementalSolvers, `reps` times each, alternating: one on a
@@ -209,13 +205,12 @@ bool cone_sweep(suite::GraphClass cls, double scale, std::uint64_t seed,
     }
 
     // One side of the sweep: a Solver width, its own copy of the graph, and
-    // its last repair's stats and engine vertices.
+    // its last repair's report.
     struct Width {
       VersionedGraph vg;
       IncrementalSolver inc;
       std::vector<double> times;
-      RepairStats last;
-      std::uint64_t processed = 0;
+      obs::MetricsSnapshot last;
     };
     const auto options_for = [&](int t) {
       SsspOptions options;
@@ -225,9 +220,9 @@ bool cone_sweep(suite::GraphClass cls, double scale, std::uint64_t seed,
       return options;
     };
     Width one{VersionedGraph{Graph(base)}, IncrementalSolver(options_for(1)),
-              {}, {}, 0};
+              {}, {}};
     Width team{VersionedGraph{Graph(base)},
-               IncrementalSolver(options_for(threads)), {}, {}, 0};
+               IncrementalSolver(options_for(threads)), {}, {}};
     std::vector<Distance> exact;
     bool exact_ok = true;
     const auto timed_repair = [&](Width& width) {
@@ -236,9 +231,8 @@ bool cone_sweep(suite::GraphClass cls, double scale, std::uint64_t seed,
       if (exact.empty()) exact = dijkstra(width.vg.graph(), source).dist;
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
       if (width.inc.solve(width.vg, source) != exact) exact_ok = false;
-      width.last = width.inc.last_repair();
+      width.last = width.inc.last_metrics();
       width.times.push_back(width.last.seconds);
-      width.processed = processed(width.inc);
       (void)width.vg.apply(clear);
       if (width.inc.solve(width.vg, source) != warm) exact_ok = false;
     };
@@ -254,14 +248,17 @@ bool cone_sweep(suite::GraphClass cls, double scale, std::uint64_t seed,
     std::snprintf(cell, sizeof(cell), "%llu",
                   static_cast<unsigned long long>(jams));
     bench::print_cell(cell, 7);
+    const std::uint64_t cone = one.last.counter(CId::kRepairConeVertices);
     std::snprintf(cell, sizeof(cell), "%llu",
-                  static_cast<unsigned long long>(one.last.cone_vertices));
+                  static_cast<unsigned long long>(cone));
     bench::print_cell(cell, 9);
     std::snprintf(cell, sizeof(cell), "%llu",
-                  static_cast<unsigned long long>(one.last.seed_vertices));
+                  static_cast<unsigned long long>(
+                      one.last.counter(CId::kRepairSeedVertices)));
     bench::print_cell(cell, 8);
     std::snprintf(cell, sizeof(cell), "%llu",
-                  static_cast<unsigned long long>(one.processed));
+                  static_cast<unsigned long long>(
+                      one.last.counter(CId::kVerticesProcessed)));
     bench::print_cell(cell, 10);
     std::snprintf(cell, sizeof(cell), "%.4fms", one_ms);
     bench::print_cell(cell, 11);
@@ -270,11 +267,12 @@ bool cone_sweep(suite::GraphClass cls, double scale, std::uint64_t seed,
     std::snprintf(cell, sizeof(cell), "%.2f",
                   one_ms > 0 ? team_ms / one_ms : 0.0);
     bench::print_cell(cell, 8);
-    bench::print_cell(team.last.workers > 1 ? "yes" : "no", 10);
+    bench::print_cell(
+        team.last.counter(CId::kRepairEscalations) > 0 ? "yes" : "no", 10);
     bench::print_cell(exact_ok ? "exact" : "MISMATCH", 7);
     std::printf("\n");
     std::fflush(stdout);
-    if (one.last.cone_vertices > n / 2) break;
+    if (cone > n / 2) break;
   }
   std::printf("\n");
   return all_exact;
@@ -432,22 +430,23 @@ int main(int argc, char** argv) {
       Timer rt;
       const Answer& repaired = inc.solve(vg, source);
       repair_times.push_back(rt.seconds());
-      const RepairStats& rs = inc.last_repair();
-      if (rs.full_solve) {
+      const obs::MetricsSnapshot& m = inc.last_metrics();
+      if (m.counter(CId::kRepairFullSolves) > 0) {
         row.full_solves += 1;
       } else {
         row.incremental_repairs += 1;
-        ++(rs.workers == 1 ? row.inline_repairs : row.escalated_repairs);
-        walk_total += rs.walk_seconds;
-        engine_total += rs.seconds;
-        publish_total += rs.publish_seconds;
+        ++(m.counter(CId::kRepairEscalations) == 0 ? row.inline_repairs
+                                                   : row.escalated_repairs);
+        walk_total += 1e-9 * static_cast<double>(m.counter(CId::kRepairWalkNs));
+        engine_total += m.seconds;
+        publish_total +=
+            1e-9 * static_cast<double>(m.counter(CId::kRepairPublishNs));
         repair_total += repair_times.back();
-        cone_total += rs.cone_vertices;
-        seed_total += rs.seed_vertices;
-        update_total += inc.solver().metrics().snapshot().counter(
-            obs::CounterId::kUpdates);
-        processed_total += processed(inc);
-        published_total += rs.published_entries;
+        cone_total += m.counter(CId::kRepairConeVertices);
+        seed_total += m.counter(CId::kRepairSeedVertices);
+        update_total += m.counter(CId::kUpdates);
+        processed_total += m.counter(CId::kVerticesProcessed);
+        published_total += m.counter(CId::kRepairPublishedEntries);
       }
 
       Timer ft;

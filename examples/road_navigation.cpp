@@ -16,12 +16,15 @@
 
 #include "graph/delta.hpp"
 #include "graph/generators.hpp"
+#include "obs/metrics.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/incremental.hpp"
 #include "support/cli.hpp"
 #include "support/random.hpp"
 
 namespace {
+
+using CId = wasp::obs::CounterId;
 
 /// One existing road segment, sampled uniformly-ish from the current graph.
 struct Segment {
@@ -71,7 +74,7 @@ int main(int argc, char** argv) {
   wasp::IncrementalSolver nav(options);
   (void)nav.solve(roads, depot);
   std::printf("one-to-all from depot %u: %.1f ms with %d threads (full solve)\n",
-              depot, nav.last_repair().seconds * 1e3, options.threads);
+              depot, nav.last_metrics().seconds * 1e3, options.threads);
 
   const auto ticks = static_cast<int>(args.get_int("ticks"));
   const auto spikes = static_cast<int>(args.get_int("spikes"));
@@ -114,17 +117,19 @@ int main(int argc, char** argv) {
 
     const std::uint64_t version = roads.apply(delta);
     const wasp::Answer& repaired = nav.solve(roads, depot);
-    const wasp::RepairStats& rs = nav.last_repair();
+    const wasp::obs::MetricsSnapshot& m = nav.last_metrics();
 
     const wasp::SsspResult reference = wasp::dijkstra(roads.graph(), depot);
     const bool ok = reference.dist == repaired;
     all_ok = all_ok && ok;
     std::printf("%-5d %-4llu %-5zu %-9s %-8llu %-8llu %-11.2f %-11.2f %s\n",
                 tick, static_cast<unsigned long long>(version), delta.size(),
-                rs.full_solve ? "full" : "repair",
-                static_cast<unsigned long long>(rs.cone_vertices),
-                static_cast<unsigned long long>(rs.seed_vertices),
-                rs.seconds * 1e3, reference.metrics.seconds * 1e3,
+                m.counter(CId::kRepairFullSolves) > 0 ? "full" : "repair",
+                static_cast<unsigned long long>(
+                    m.counter(CId::kRepairConeVertices)),
+                static_cast<unsigned long long>(
+                    m.counter(CId::kRepairSeedVertices)),
+                m.seconds * 1e3, reference.metrics.seconds * 1e3,
                 ok ? "exact" : "MISMATCH (bug!)");
   }
 

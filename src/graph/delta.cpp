@@ -155,15 +155,14 @@ std::size_t VersionedGraph::close_in_place(VertexId u, VertexId v) {
   return touched;
 }
 
-std::size_t VersionedGraph::apply_arc(EdgeUpdate::Op op, VertexId u,
-                                      VertexId v, Weight w, bool& wrote_flat) {
+void VersionedGraph::apply_arc(EdgeUpdate::Op op, VertexId u, VertexId v,
+                               Weight w, bool& wrote_flat) {
   const bool overlaid = overlay_index_[u] != kNoEntry;
   switch (op) {
     case EdgeUpdate::Op::kSetWeight: {
       // In place: weight-only changes never dirty the overlay. Every
       // parallel (u, v) arc collapses to the one new weight, so the sorted-
       // by-(dst, w) layout GraphBuilder produced stays sorted.
-      std::size_t touched = 0;
       WEdge* edges;
       std::size_t count;
       if (overlaid) {
@@ -178,16 +177,15 @@ std::size_t VersionedGraph::apply_arc(EdgeUpdate::Op op, VertexId u,
         if (edges[i].dst == v && edges[i].w != w) {
           effects_.push_back({u, v, edges[i].w, w, true, true});
           edges[i].w = w;
-          ++touched;
+          wrote_flat = wrote_flat || !overlaid;
         }
       }
-      wrote_flat = wrote_flat || (touched > 0 && !overlaid);
-      return touched;
+      return;
     }
     case EdgeUpdate::Op::kInsert: {
       if (!overlaid && reopen_in_place(u, v, w)) {
         wrote_flat = true;
-        return 1;
+        return;
       }
       std::vector<WEdge>& list = overlay_for(u);
       const WEdge rec{v, w};
@@ -197,30 +195,26 @@ std::size_t VersionedGraph::apply_arc(EdgeUpdate::Op op, VertexId u,
                   rec);
       effects_.push_back({u, v, 0, w, false, true});
       ++live_edges_;
-      return 1;
+      return;
     }
     case EdgeUpdate::Op::kErase: {
       if (!overlaid) {
-        const std::size_t touched = close_in_place(u, v);
-        wrote_flat = wrote_flat || touched > 0;
-        return touched;
+        if (close_in_place(u, v) > 0) wrote_flat = true;
+        return;
       }
       std::vector<WEdge>& list = overlay_[overlay_index_[u]].arcs;
-      std::size_t touched = 0;
       for (auto it = list.begin(); it != list.end();) {
         if (it->dst == v) {
           effects_.push_back({u, v, it->w, 0, true, false});
           it = list.erase(it);
-          ++touched;
           --live_edges_;
         } else {
           ++it;
         }
       }
-      return touched;
+      return;
     }
   }
-  return 0;
 }
 
 std::uint64_t VersionedGraph::apply(const GraphDelta& delta) {
@@ -230,13 +224,12 @@ std::uint64_t VersionedGraph::apply(const GraphDelta& delta) {
   // A write to the flat CSR (a weight patch, a close, a reopen) must change
   // its content stamp with it; overlay-only writes leave that to compact().
   bool wrote_flat = false;
-  std::size_t touched = 0;
   try {
     for (const EdgeUpdate& op : delta.ops()) {
       const ArcPair arcs = expand(op, is_undirected());
-      touched += apply_arc(op.op, arcs.a_src, arcs.a_dst, op.w, wrote_flat);
+      apply_arc(op.op, arcs.a_src, arcs.a_dst, op.w, wrote_flat);
       if (arcs.mirrored)
-        touched += apply_arc(op.op, arcs.b_src, arcs.b_dst, op.w, wrote_flat);
+        apply_arc(op.op, arcs.b_src, arcs.b_dst, op.w, wrote_flat);
     }
   } catch (...) {
     // Validation already passed, so only a resource failure (bad_alloc from
@@ -253,7 +246,6 @@ std::uint64_t VersionedGraph::apply(const GraphDelta& delta) {
     throw;
   }
   if (wrote_flat) flat_.stamp_.renew();
-  effects_applied_ += touched;
   ++version_;
   batch_ends_.emplace_back(version_, effects_.size());
   trim_journal();

@@ -257,10 +257,6 @@ class VersionedGraph {
   [[nodiscard]] std::uint64_t compacted_arcs() const {
     return compacted_arcs_;
   }
-  /// Directed arc effects applied over this graph's lifetime.
-  [[nodiscard]] std::uint64_t arc_effects_applied() const {
-    return effects_applied_;
-  }
 
  private:
   static constexpr std::uint32_t kNoEntry = 0xFFFFFFFFu;
@@ -290,10 +286,9 @@ class VersionedGraph {
   /// u's dead-arc count, registering the row on first use.
   std::uint32_t& dead_count(VertexId u);
   /// Applies one directed-arc update, journaling its effects into
-  /// `effects_`. Returns the number of arcs touched; sets `wrote_flat` when
-  /// it wrote the flat CSR.
-  std::size_t apply_arc(EdgeUpdate::Op op, VertexId u, VertexId v, Weight w,
-                        bool& wrote_flat);
+  /// `effects_`. Sets `wrote_flat` when it wrote the flat CSR.
+  void apply_arc(EdgeUpdate::Op op, VertexId u, VertexId v, Weight w,
+                 bool& wrote_flat);
   /// The insert and erase halves of apply_arc on a row that has no overlay.
   bool reopen_in_place(VertexId u, VertexId v, Weight w);
   std::size_t close_in_place(VertexId u, VertexId v);
@@ -324,7 +319,6 @@ class VersionedGraph {
 
   std::uint64_t compactions_ = 0;
   std::uint64_t compacted_arcs_ = 0;
-  std::uint64_t effects_applied_ = 0;
   UniqueId uid_;
 };
 

@@ -40,6 +40,13 @@ const char* counter_name(CounterId id) {
     case CounterId::kRepairRecycled: return "repair_recycled";
     case CounterId::kRepairConeVertices: return "repair_cone_vertices";
     case CounterId::kRepairSeedVertices: return "repair_seed_vertices";
+    case CounterId::kRepairFullSolves: return "repair_full_solves";
+    case CounterId::kRepairEscalations: return "repair_escalations";
+    case CounterId::kRepairConeResets: return "repair_cone_resets";
+    case CounterId::kRepairArrayCopies: return "repair_array_copies";
+    case CounterId::kRepairPublishedEntries: return "repair_published_entries";
+    case CounterId::kRepairWalkNs: return "repair_walk_ns";
+    case CounterId::kRepairPublishNs: return "repair_publish_ns";
     case CounterId::kGraphCompactions: return "graph_compactions";
     case CounterId::kGraphCompactedArcs: return "graph_compacted_arcs";
     case CounterId::kRemoteRelaxations: return "remote_relaxations";
@@ -55,7 +62,6 @@ const char* counter_name(CounterId id) {
 
 const char* gauge_name(GaugeId id) {
   switch (id) {
-    case GaugeId::kMaxFrontier: return "max_frontier";
     case GaugeId::kTeamJobs: return "team_jobs";
     case GaugeId::kTeamJobNs: return "team_job_ns";
   }

@@ -56,11 +56,21 @@ enum class CounterId : std::uint8_t {
   kQueryRetries,           ///< solve attempts beyond each query's first
   kSolverRebuilds,         ///< quarantined Solvers rebuilt off the hot path
   kWatchdogCancels,        ///< overdue runs cancelled by the service watchdog
-  // --- incremental repair (graph/delta.hpp + sssp/incremental.hpp) ---------
+  // --- incremental repair (sssp/incremental.hpp): the report of one
+  // --- IncrementalSolver::solve(), which QueryService::update() folds into
+  // --- the service's registry (is_repair_counter) --------------------------
   kRepairBatches,      ///< delta batches repaired incrementally (not full)
   kRepairRecycled,     ///< repairs patched into a buffer one publish behind
   kRepairConeVertices, ///< vertices re-priced in the increase cone
   kRepairSeedVertices, ///< warm seeds handed to wasp_sssp_seeded
+  kRepairFullSolves,   ///< solves that fell back to a from-scratch solve
+  kRepairEscalations,  ///< repairs the team finished past kInlineRepairWork
+  kRepairConeResets,   ///< cones a zero-weight tie stored at infinity
+  kRepairArrayCopies,  ///< publishes that copied the whole array (wide)
+  kRepairPublishedEntries,  ///< answer entries the publishes wrote
+  kRepairWalkNs,       ///< classification, cone walk and seeding time
+  kRepairPublishNs,    ///< engine return to published answer
+  // --- versioned graph (graph/delta.hpp) -----------------------------------
   kGraphCompactions,   ///< VersionedGraph overlay compactions observed
   kGraphCompactedArcs, ///< arcs those compactions moved or wrote
   // --- partitioned execution (graph/partition.hpp + remote_queue.hpp).
@@ -78,14 +88,18 @@ enum class CounterId : std::uint8_t {
   kWorkerWakes,        ///< parked peers claimed and notified (push, exit,
                        ///< remote publish or quiescence vote)
 };
-inline constexpr std::size_t kNumCounters = 42;
+inline constexpr std::size_t kNumCounters = 49;
+
+/// The repair block, kRepairBatches through kRepairPublishNs.
+constexpr bool is_repair_counter(CounterId id) {
+  return id >= CounterId::kRepairBatches && id <= CounterId::kRepairPublishNs;
+}
 
 enum class GaugeId : std::uint8_t {
-  kMaxFrontier,  ///< largest synchronous-round frontier seen
-  kTeamJobs,     ///< ThreadTeam jobs launched over the team's lifetime
-  kTeamJobNs,    ///< cumulative wall time inside ThreadTeam::run
+  kTeamJobs,   ///< ThreadTeam jobs launched over the team's lifetime
+  kTeamJobNs,  ///< cumulative wall time inside ThreadTeam::run
 };
-inline constexpr std::size_t kNumGauges = 3;
+inline constexpr std::size_t kNumGauges = 2;
 
 enum class HistId : std::uint8_t {
   kStealSweepNs,      ///< latency of one Wasp victim sweep

@@ -1,12 +1,13 @@
 // RunObserver: run-lifecycle hooks for callers that want live progress
-// rather than post-hoc snapshots — the bench watchdog uses it to tell a
-// slow-but-progressing run from a livelocked one, and the scheduler harness
-// (tests/test_verify.cpp) uses it to assert lifecycle invariants on its
-// fault seeds.
+// rather than post-hoc snapshots. A Solver takes one through
+// SsspOptions::observer. The scheduler harness (tests/test_verify.cpp) uses
+// it to assert lifecycle invariants on its fault seeds, and tests use it to
+// hold or cancel a run at a known point. (The bench watchdog is each
+// trial's CancelToken deadline, not an observer.)
 //
 // Unlike the TraceRecorder this interface is NOT gated by WASP_OBS: it is
-// product behavior (the watchdog depends on it). The algorithms only pay a
-// pointer test per hook site when no observer is installed.
+// product behavior, part of the Solver's public options. The algorithms
+// only pay a pointer test per hook site when no observer is installed.
 //
 // Callbacks fire concurrently from any worker thread; implementations must
 // be thread-safe and should be cheap (they run inside the measured region).

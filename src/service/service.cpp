@@ -1,6 +1,7 @@
 #include "service/service.hpp"
 
 #include <algorithm>
+#include <array>
 #include <sstream>
 #include <utility>
 
@@ -62,8 +63,6 @@ void ServiceConfig::validate() const {
     throw InvalidOptionsError("ServiceConfig: max_retries must be >= 0");
   if (watchdog_interval.count() <= 0)
     throw InvalidOptionsError("ServiceConfig: watchdog_interval must be > 0");
-  if (retry_backoff.count() < 0)
-    throw InvalidOptionsError("ServiceConfig: retry_backoff must be >= 0");
   solver.validate();
 }
 
@@ -178,22 +177,20 @@ std::shared_future<QueryResult> QueryService::enqueue_locked(
   // the rider's stale-answer permission, so no rider loses an answer it
   // would have gotten alone. (min_graph_version needs no merge: versions
   // only grow, so a check passed at submit holds for the shared answer.)
-  if (config_.coalesce) {
-    for (const Entry& e : queue_) {
-      if (e->key == key) {
-        count_locked(req.tenant, CId::kQueriesCoalesced);
-        e->deadline = std::max(e->deadline, deadline);
-        e->req.priority = std::max(e->req.priority, req.priority);
-        e->req.allow_stale = e->req.allow_stale || req.allow_stale;
-        e->req.min_graph_version =
-            std::max(e->req.min_graph_version, req.min_graph_version);
-        if (e->deadline == Clock::time_point::max()) {
-          e->token->reset();  // safe: not running yet; drops the armed deadline
-        } else {
-          e->token->set_deadline(e->deadline);
-        }
-        return e->future;
+  for (const Entry& e : queue_) {
+    if (e->key == key) {
+      count_locked(req.tenant, CId::kQueriesCoalesced);
+      e->deadline = std::max(e->deadline, deadline);
+      e->req.priority = std::max(e->req.priority, req.priority);
+      e->req.allow_stale = e->req.allow_stale || req.allow_stale;
+      e->req.min_graph_version =
+          std::max(e->req.min_graph_version, req.min_graph_version);
+      if (e->deadline == Clock::time_point::max()) {
+        e->token->reset();  // safe: not running yet; drops the armed deadline
+      } else {
+        e->token->set_deadline(e->deadline);
       }
+      return e->future;
     }
   }
 
@@ -312,13 +309,13 @@ std::uint64_t QueryService::update(VersionedGraph& vg,
   // read it freely while submits and stats proceed under mu_. The cache
   // takes the repairer's answer buffer itself: the repairer writes a buffer
   // only after its last holder dropped it, so readers still holding one are
-  // safe.
+  // safe. Each solve's report adds into `reported`.
   struct Repaired {
     VertexId source;
     Answer dist;
-    RepairStats stats;
   };
   std::vector<Repaired> repaired;
+  std::array<std::uint64_t, obs::kNumCounters> reported{};
   repaired.reserve(repair_sources.size());
   try {
     for (const VertexId source : repair_sources) {
@@ -328,8 +325,10 @@ std::uint64_t QueryService::update(VersionedGraph& vg,
         repairer_ = std::make_unique<IncrementalSolver>(std::move(opt));
       }
       (void)repairer_->solve(vg, source);
-      repaired.push_back(
-          {source, repairer_->answer(), repairer_->last_repair()});
+      repaired.push_back({source, repairer_->answer()});
+      const obs::MetricsSnapshot& m = repairer_->last_metrics();
+      for (std::size_t c = 0; c < obs::kNumCounters; ++c)
+        reported[c] += m.totals[c];
     }
   } catch (...) {
     // A failed repair leaves the remaining entries at their old version
@@ -344,20 +343,18 @@ std::uint64_t QueryService::update(VersionedGraph& vg,
   // Phase 3 (under mu_): publish the repaired answers and release the gate.
   // Only now, with every repair done, do the entries carry the new version
   // and become fresh hits (fresh_find_locked); a failed phase 2 published
-  // nothing and left them at their old version.
+  // nothing and left them at their old version. The service takes the
+  // repair block of the reports; phase 1 already counted the compactions.
   {
     MutexLock lock(mu_);
-    obs::MetricsShard& adm = registry_.shard(0);
     for (Repaired& r : repaired) {
       auto it = stale_.find(CacheKey{vg.uid(), r.source});
       if (it != stale_.end())  // still cached (no eviction races the gate)
         it->second = CachedAnswer{std::move(r.dist), version};
-      if (!r.stats.full_solve) {
-        adm.inc(CId::kRepairBatches, r.stats.batches);
-        if (r.stats.recycled) adm.inc(CId::kRepairRecycled);
-        adm.inc(CId::kRepairConeVertices, r.stats.cone_vertices);
-        adm.inc(CId::kRepairSeedVertices, r.stats.seed_vertices);
-      }
+    }
+    for (std::size_t c = 0; c < obs::kNumCounters; ++c) {
+      const auto id = static_cast<CId>(c);
+      if (obs::is_repair_counter(id)) registry_.shard(0).inc(id, reported[c]);
     }
     update_active_ = false;
   }
@@ -435,7 +432,7 @@ void QueryService::account_locked(const std::string& tenant, Outcome outcome) {
 void QueryService::cache_store_locked(const CacheKey& key, Answer dist,
                                       std::uint64_t version) {
   auto it = stale_.find(key);
-  if (it == stale_.end() && stale_.size() >= config_.stale_cache_entries) {
+  if (it == stale_.end() && stale_.size() >= kCacheEntries) {
     stale_.erase(stale_order_.front());
     stale_order_.pop_front();
   }
@@ -505,13 +502,11 @@ QueryResult QueryService::execute(Pending& q, int wid,
         break;
       }
       my.inc(CId::kQueryRetries);
-      const auto base =
-          static_cast<std::uint64_t>(config_.retry_backoff.count());
-      std::uint64_t backoff = base << attempt;
-      if (base > 0) backoff += rng.next_below(base);  // jitter in [0, base)
+      // base << attempt plus jitter in [0, base).
+      const auto base = static_cast<std::uint64_t>(kRetryBackoff.count());
+      const std::uint64_t backoff = (base << attempt) + rng.next_below(base);
       r.backoff_ns.push_back(backoff);
-      if (backoff > 0)
-        std::this_thread::sleep_for(std::chrono::nanoseconds(backoff));
+      std::this_thread::sleep_for(std::chrono::nanoseconds(backoff));
     }
   }
   r.solve_ms = ms_between(start, Clock::now());
@@ -582,7 +577,7 @@ void QueryService::worker_main(int wid) {
       MutexLock lock(mu_);
       running_[static_cast<std::size_t>(wid)] = nullptr;
       // The cache shares the served answer's buffer with the client.
-      if (r.outcome == Outcome::kServed && config_.stale_cache_entries > 0)
+      if (r.outcome == Outcome::kServed)
         cache_store_locked(e->key, r.dist, e->run_version);
       account_locked(e->req.tenant, r.outcome);
       // An update() may be waiting for the running set to drain.

@@ -153,6 +153,15 @@ struct QueryResult {
   }
 };
 
+/// Base backoff before retry k of a query: base << k plus jitter in
+/// [0, base), drawn from a per-worker PRNG seeded from ServiceConfig::seed
+/// (deterministic replay).
+inline constexpr std::chrono::nanoseconds kRetryBackoff =
+    std::chrono::microseconds(200);
+/// Same-source answer cache entries (FIFO eviction). The cache serves both
+/// the stale degradation and fresh hits.
+inline constexpr std::size_t kCacheEntries = 16;
+
 /// Service-wide configuration. `solver` is the per-Solver option block
 /// (algorithm, threads-per-solver, observer, ...).
 struct ServiceConfig {
@@ -166,15 +175,8 @@ struct ServiceConfig {
   /// in-run deadline polls usually fire first).
   std::chrono::nanoseconds watchdog_interval{std::chrono::milliseconds(1)};
   int max_retries = 2;  ///< extra solve attempts per query on transient errors
-  /// Base backoff before retry k: base << k plus jitter in [0, base),
-  /// drawn from a per-worker PRNG seeded from `seed` (deterministic replay).
-  /// Must be >= 0.
-  std::chrono::nanoseconds retry_backoff{std::chrono::microseconds(200)};
+  /// Seeds each worker's backoff jitter PRNG (kRetryBackoff).
   std::uint64_t seed = 0x5EEDULL;
-  bool coalesce = true;  ///< merge same-(graph, source) queued submits
-  /// Same-source answer cache entries (FIFO eviction; 0 disables both the
-  /// stale degradation and fresh cache hits).
-  std::size_t stale_cache_entries = 16;
   /// Test hook: invoked before solve attempt `attempt` (0-based) on the
   /// worker thread; a throw is treated as that attempt's transient failure.
   /// Production leaves this empty — it exists to pin the retry/backoff
@@ -182,8 +184,8 @@ struct ServiceConfig {
   std::function<void(int attempt)> inject_failure;
 
   /// Rejects nonsensical knobs (num_solvers < 1, queue_capacity < 1,
-  /// max_retries < 0, watchdog_interval <= 0, retry_backoff < 0) with
-  /// InvalidOptionsError and validates the nested solver options.
+  /// max_retries < 0, watchdog_interval <= 0) with InvalidOptionsError and
+  /// validates the nested solver options.
   void validate() const;
 };
 
@@ -308,8 +310,7 @@ class QueryService {
   void account_locked(const std::string& tenant, Outcome outcome)
       WASP_REQUIRES(mu_);
   /// Caches `dist` (shared, not copied) as key's answer at `version`,
-  /// evicting the oldest entry past stale_cache_entries, which must be
-  /// positive. mu_ held.
+  /// evicting the oldest entry past kCacheEntries. mu_ held.
   void cache_store_locked(const CacheKey& key, Answer dist,
                           std::uint64_t version) WASP_REQUIRES(mu_);
   /// A stale-cache hit for `q` satisfying its min_graph_version, or nullptr.

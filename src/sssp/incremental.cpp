@@ -147,8 +147,7 @@ const Answer& IncrementalSolver::solve(VersionedGraph& vg, VertexId source) {
   bool repaired = false;
   if (warm && bound_version_ == vg.version()) {
     // Nothing changed since our last answer: it is still the answer.
-    last_ = RepairStats{};
-    last_.full_solve = false;
+    last_metrics_ = obs::MetricsSnapshot{};
     repaired = true;
   } else if (warm) {
     const VersionedGraph::JournalView jv = vg.journal_since(bound_version_);
@@ -174,10 +173,11 @@ void IncrementalSolver::full_solve(const Graph& g, VertexId source) {
   auto buffer = std::make_unique<AnswerBuffer>();
   buffer->dist = std::move(result.dist);
   publish(std::move(buffer), /*changed_all=*/true);
-  last_ = RepairStats{};
-  last_.full_solve = true;
-  last_.workers = solver_.team().size();
-  last_.seconds = result.metrics.seconds;
+  // The Solver's own report, plus the one counter that says which path ran.
+  last_metrics_ = std::move(result.metrics);
+  const auto full = static_cast<std::size_t>(CId::kRepairFullSolves);
+  last_metrics_.totals[full] = 1;
+  last_metrics_.per_thread[0][full] = 1;
 
   // Bind the warm state only when the solve actually went through the
   // pooled atomic array (the sequential Dijkstra reference and a Wasp run
@@ -422,10 +422,10 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
     for (const VertexId c : cone_) dist.store(c, kInfDist);
   }
 
-  const std::uint64_t batches = vg.version() - bound_version_;
-  shard.inc(CId::kRepairBatches, batches);
+  shard.inc(CId::kRepairBatches, vg.version() - bound_version_);
   shard.inc(CId::kRepairConeVertices, cone_.size());
   shard.inc(CId::kRepairSeedVertices, seeds_.size());
+  if (reset) shard.inc(CId::kRepairConeResets);
 
   // 4. Repair from the seeds with the normal engine. No acquire and no
   // fill: untouched vertices keep their warm entries. The run starts on the
@@ -434,9 +434,7 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   const int team_size = solver_.team().size();
   auto run_engine = [&](ThreadTeam& team, std::span<const VertexId> from,
                         std::uint64_t budget) {
-    RunContext ctx{team, registry,
-                   solver_.trace() != nullptr ? solver_.trace() : opts.trace,
-                   opts.observer};
+    RunContext ctx{team, registry, opts.trace, opts.observer};
     ctx.dist = &dist;
     ctx.cancel = cancel;
     const SsspResult result =
@@ -445,11 +443,12 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
       throw_cancelled(*cancel);
     return result.metrics.seconds;
   };
-  const double walk_seconds = walk_timer.seconds();
+  shard.inc(CId::kRepairWalkNs, walk_timer.nanoseconds());
   lowered_.reset(team_size);
   double engine_seconds = run_engine(
       inline_team_, seeds_, team_size > 1 ? kInlineRepairWork : kNoWorkBudget);
   if (lowered_.stopped()) {
+    shard.inc(CId::kRepairEscalations);
     engine_seconds +=
         run_engine(solver_.team(), lowered_.frontier(), kNoWorkBudget);
   }
@@ -497,22 +496,11 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   publish(std::move(next), /*changed_all=*/wide);
   guard.published = true;
   if (recycled) shard.inc(CId::kRepairRecycled);
-
-  last_ = RepairStats{};
-  last_.full_solve = false;
-  last_.batches = batches;
-  last_.effects = effects.size();
-  last_.cone_vertices = cone_.size();
-  last_.seed_vertices = seeds_.size();
-  last_.lowered = lowered_.size();
-  last_.patched = !wide;
-  last_.recycled = recycled;
-  last_.published_entries = written;
-  last_.cone_reset = reset;
-  last_.workers = lowered_.stopped() ? team_size : 1;
-  last_.seconds = engine_seconds;
-  last_.walk_seconds = walk_seconds;
-  last_.publish_seconds = publish_timer.seconds();
+  if (wide) shard.inc(CId::kRepairArrayCopies);
+  shard.inc(CId::kRepairPublishedEntries, written);
+  shard.inc(CId::kRepairPublishNs, publish_timer.nanoseconds());
+  registry.set_elapsed_seconds(engine_seconds);
+  last_metrics_ = registry.snapshot();
 }
 
 }  // namespace wasp

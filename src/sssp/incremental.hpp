@@ -48,7 +48,8 @@
 //     that a later head's walk then admitted: the tail's warm value may be
 //     stale. Heads in order of warm distance leave that possible only
 //     through zero-weight ties. Then the whole cone is stored at infinity,
-//     and the boundary and the decrease sources alone seed it.
+//     and the boundary and the decrease sources alone seed it
+//     (kRepairConeResets).
 //  4. Repair. wasp_sssp_seeded runs the normal work-stealing engine over
 //     the warm array — no acquire and no fill, so untouched vertices cost
 //     nothing —
@@ -56,11 +57,12 @@
 //     width follows the work done, not a guess from the cone: every repair
 //     starts on the calling thread alone, and one that reaches
 //     kInlineRepairWork processed vertices pauses and escalates to the
-//     Solver's team, which resumes from the paused frontier: every entry
-//     the inline run still had queued. Both invariants still hold there:
-//     every value is the length of some path, and an arc that can still
-//     improve its head starts at a queued vertex (wasp_sssp_seeded), so no
-//     vertex the inline run processed is processed again for it.
+//     Solver's team (kRepairEscalations), which resumes from the paused
+//     frontier: every entry the inline run still had queued. Both
+//     invariants still hold there: every value is the length of some path,
+//     and an arc that can still improve its head starts at a queued vertex
+//     (wasp_sssp_seeded), so no vertex the inline run processed is
+//     processed again for it.
 //  5. Publish. The engine logs every vertex it lowers (LoweredLog; the
 //     team run of an escalated repair appends to the inline run's log), so
 //     the repair's change set, the entries where the new answer may differ
@@ -68,11 +70,13 @@
 //     into a recycled buffer (below). A buffer exactly one publish behind
 //     differs from the previous answer only at the previous change set, so
 //     re-reading that set and this one from the array makes it the new
-//     answer: O(previous + current change set), not O(V). Any other
-//     buffer first takes a copy of the previous answer and then this
-//     repair's change set. A wide repair, whose change set passes a fixed
-//     share of n, copies the whole array into the buffer instead. A full
-//     solve publishes its own result and leaves the change set unknown.
+//     answer: O(previous + current change set), not O(V)
+//     (kRepairRecycled). Any other buffer first takes a copy of the
+//     previous answer and then this repair's change set. A wide repair,
+//     whose change set passes a fixed share of n, copies the whole array
+//     into the buffer instead (kRepairArrayCopies). kRepairPublishedEntries
+//     counts the entries written either way. A full solve publishes its
+//     own result and leaves the change set unknown.
 //
 // Answers are immutable and shared (sssp/answer.hpp): each solve() that
 // changes the answer publishes a new one, and answer() hands out a
@@ -89,7 +93,8 @@
 // Anything that breaks the warm contract (first query, source change,
 // journal trimmed past our version, the underlying solver used for another
 // query in between, a graph swap) falls back to a full solve through the
-// owned wasp::Solver; last_repair().full_solve records which path ran. A
+// owned wasp::Solver; last_metrics() counts which path ran
+// (kRepairFullSolves) and everything else the solve did. A
 // foreign query is caught by the pool's reset generation
 // (DistancePool::generation), which every acquire moves.
 //
@@ -105,6 +110,7 @@
 
 #include "graph/delta.hpp"
 #include "graph/graph.hpp"
+#include "obs/metrics.hpp"
 #include "sssp/answer.hpp"
 #include "sssp/common.hpp"
 #include "sssp/solver.hpp"
@@ -158,47 +164,6 @@ inline constexpr std::uint64_t kInlineRepairWork = 2048;
 /// chain-forest ticks (cones of about 74,000 of 131,072) copy the array.
 inline constexpr std::size_t kPatchShare = 4;
 
-/// What the last solve() did, for observability and tests. The same numbers
-/// feed the kRepair* counters in the solver's MetricsRegistry.
-struct RepairStats {
-  bool full_solve = true;          ///< fell back to a from-scratch solve
-  std::uint64_t batches = 0;       ///< versions caught up by the repair
-  std::uint64_t effects = 0;       ///< journaled arc effects replayed
-  std::uint64_t cone_vertices = 0; ///< vertices the cone walk re-priced
-  std::uint64_t seed_vertices = 0; ///< warm seeds handed to the engine
-  /// Entries the engine logged (LoweredLog), repeats included: the run's
-  /// kUpdates count.
-  std::uint64_t lowered = 0;
-  /// The answer was published by patching entries into a buffer; false
-  /// when a wide repair copied the whole array instead.
-  bool patched = false;
-  /// The patched buffer was recycled exactly one publish behind, so only
-  /// the previous and this repair's change sets were rewritten.
-  bool recycled = false;
-  /// Entries the publish wrote into the new answer: the previous plus the
-  /// current change set when recycled; n plus the current change set for a
-  /// copy-then-patch; n for a whole-array copy. 0 on a full solve.
-  std::uint64_t published_entries = 0;
-  /// A zero-weight tie let a head be priced from a stale tail, so the cone
-  /// was stored at infinity instead of at its re-priced bounds.
-  bool cone_reset = false;
-  /// Participants the last engine run ended on: 1 for a repair that ran
-  /// inline on the calling thread, the team size for an escalated repair
-  /// (its inline run paused at kInlineRepairWork, the team finished it) or
-  /// a full solve, 0 when nothing ran (no new version).
-  int workers = 0;
-  /// Parallel-phase time of the engine: a repair's inline run plus, when
-  /// it escalated, its team run.
-  double seconds = 0.0;
-  /// A repair's wall time splits into walk_seconds (classification, cone
-  /// walk and seeding, up to the engine call), the engine's `seconds`, and
-  /// publish_seconds (from the engine's return to the published answer).
-  /// The three sum to the repair's wall time less the engine's setup and
-  /// join around its parallel phase; both are 0 on a full solve.
-  double walk_seconds = 0.0;
-  double publish_seconds = 0.0;
-};
-
 class IncrementalSolver {
  public:
   /// Validates options and spawns the owned Solver's team. The incremental
@@ -228,7 +193,20 @@ class IncrementalSolver {
   /// buffer, and one with no new version returns this same buffer.
   [[nodiscard]] Answer answer() const { return answer_; }
 
-  [[nodiscard]] const RepairStats& last_repair() const { return last_; }
+  /// The report of the last solve(), as Solver::last_metrics() is of a
+  /// cold one. A repair's snapshot covers the walk, both engine runs and
+  /// the publish: the kRepair* counters say what it did (kRepairFullSolves
+  /// stays 0, kRepairEscalations is 1 when the team finished it, kUpdates
+  /// counts the entries its engine logged), and `seconds` is the engine's
+  /// parallel phases, inline run plus team run. Its wall time splits into
+  /// kRepairWalkNs (classification, cone walk and seeding), `seconds` and
+  /// kRepairPublishNs (engine return to published answer); the three sum
+  /// to at most the wall time of solve(), less the engine's setup and
+  /// join. A full solve's snapshot is the owned Solver's with
+  /// kRepairFullSolves = 1. A solve with no new version leaves it all zero.
+  [[nodiscard]] const obs::MetricsSnapshot& last_metrics() const {
+    return last_metrics_;
+  }
 
   /// The owned Solver (team, metrics, options). Using it directly for other
   /// queries is allowed — the next solve() detects the cold pool via the
@@ -321,7 +299,7 @@ class IncrementalSolver {
   Graph transpose_;  ///< structural in-arc cache for directed graphs
   bool transpose_valid_ = false;
 
-  RepairStats last_;
+  obs::MetricsSnapshot last_metrics_;
 };
 
 }  // namespace wasp

@@ -145,9 +145,7 @@ SsspResult Solver::solve(const Graph& g, VertexId source) {
     // exchange on busy_ (the reuse guard above).
     ~BusyGuard() { flag.store(0, std::memory_order_release); }
   } guard{busy_};
-  RunContext ctx{team_, metrics_,
-                 trace_ ? trace_.get() : options_.trace,
-                 observer_ != nullptr ? observer_ : options_.observer};
+  RunContext ctx{team_, metrics_, options_.trace, options_.observer};
   ctx.pool = &pool_;
   ctx.partitions = &partitions_;
   SsspResult result = dispatch(g, source, options_, ctx);
@@ -166,14 +164,6 @@ SsspResult Solver::solve(const Graph& g, VertexId source, Algorithm algo) {
     options_.algo = saved;
     throw;
   }
-}
-
-obs::TraceRecorder& Solver::enable_trace(std::size_t events_per_thread) {
-  if (!trace_) {
-    trace_ = std::make_unique<obs::TraceRecorder>(options_.threads,
-                                                  events_per_thread);
-  }
-  return *trace_;
 }
 
 }  // namespace wasp

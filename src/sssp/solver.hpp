@@ -10,8 +10,9 @@
 //   opt.algo = wasp::Algorithm::kWasp;
 //   opt.threads = 8;
 //   opt.delta = 16;
+//   wasp::obs::TraceRecorder trace(opt.threads);
+//   opt.trace = &trace;                    // optional: event rings per thread
 //   wasp::Solver solver(opt);              // validates, spawns, detects
-//   solver.enable_trace();                 // optional: event rings per thread
 //   for (auto [g, src] : queries)
 //     wasp::SsspResult r = solver.solve(*g, src);
 //   solver.last_metrics().write_json(std::cout);
@@ -20,20 +21,14 @@
 // MetricsRegistry, the pooled distance array, the fragments and shards of
 // Wasp runs with more than one fragment (built on the first such solve of a
 // graph and kept until a solve needs a different graph stamp, fragment count
-// or topology), and an
-// optional TraceRecorder, and carries the observer pointer through every
-// solve. Per-algorithm knobs are nested (opt.stepping.rho, opt.mq.c, ...);
-// options other than `threads` may be adjusted between solves via
-// options().
+// or topology). Each solve reports to options().observer and
+// options().trace, the one door for each hook. Per-algorithm knobs are
+// nested (opt.stepping.rho, opt.mq.c, ...); options other than `threads`
+// may be adjusted between solves via options().
 #pragma once
-
-#include <cstddef>
-#include <memory>
 
 #include "graph/graph.hpp"
 #include "obs/metrics.hpp"
-#include "obs/observer.hpp"
-#include "obs/trace.hpp"
 #include "sssp/common.hpp"
 #include "support/thread_team.hpp"
 
@@ -84,30 +79,17 @@ class Solver {
     return last_metrics_;
   }
 
-  /// Installs a run observer for subsequent solves (null to remove).
-  /// Takes precedence over options().observer.
-  void set_observer(obs::RunObserver* observer) { observer_ = observer; }
-
-  /// Creates (or returns) the owned per-thread trace recorder; subsequent
-  /// solves record into it. With WASP_OBS=OFF this is the no-op stub.
-  obs::TraceRecorder& enable_trace(
-      std::size_t events_per_thread = std::size_t{1} << 14);
-  /// The owned recorder, or null when enable_trace was never called.
-  [[nodiscard]] obs::TraceRecorder* trace() { return trace_.get(); }
-
  private:
   SsspOptions options_;
   obs::MetricsRegistry metrics_;
   DistancePool pool_;
   PartitionCache partitions_;
-  std::unique_ptr<obs::TraceRecorder> trace_;
-  obs::RunObserver* observer_ = nullptr;
   obs::MetricsSnapshot last_metrics_;
   /// Re-entrancy guard: 1 while a solve is in flight (see solve() docs).
   verify::atomic<std::uint32_t> busy_{0};
   // Declared last so it is destroyed first: the destructor joins the
-  // workers, so no worker can still be touching the registry, pool,
-  // partitions, or recorder above when they are freed.
+  // workers, so no worker can still be touching the registry, pool or
+  // partitions above when they are freed.
   ThreadTeam team_;
 };
 

@@ -414,14 +414,14 @@ void check(const Case& c) {
   if (c.cancel) {
     CancelToken token;
     CancelOnFirstCallback canceller(token);
-    inc.solver().set_observer(&canceller);
+    inc.options().observer = &canceller;
     inc.options().cancel = &token;
     try {
       expect_exact(inc.solve(vg, source), "solve the cancel missed");
     } catch (const SolveCancelledError& e) {
       EXPECT_EQ(e.reason(), CancelReason::kUser);
     }
-    inc.solver().set_observer(nullptr);
+    inc.options().observer = nullptr;
     inc.options().cancel = nullptr;
   }
   expect_exact(inc.solve(vg, source), "first solve");
@@ -434,7 +434,8 @@ void check(const Case& c) {
     if (delta.empty()) continue;
     (void)vg.apply(delta);
     const Answer& got = inc.solve(vg, source);
-    if (!inc.last_repair().full_solve) ++repairs;
+    if (inc.last_metrics().counter(obs::CounterId::kRepairFullSolves) == 0)
+      ++repairs;
     expect_exact(got, "after batch " + std::to_string(b));
   }
   // The warm path must be the one under test, not a full solve per batch.

@@ -44,6 +44,8 @@
 namespace wasp {
 namespace {
 
+using CId = obs::CounterId;
+
 SsspOptions test_options() {
   SsspOptions options;
   options.algo = Algorithm::kWasp;
@@ -154,20 +156,34 @@ GraphDelta random_batch(const VersionedGraph& vg, Mode mode, Xoshiro256& rng,
 // --- published answers: patched from the engine's log, never rewritten
 // --- while held -------------------------------------------------------------
 
-/// kUpdates of the repairer's last run (the registry is reset per repair).
-std::uint64_t run_updates(IncrementalSolver& inc) {
-  return inc.solver().metrics().snapshot().counter(obs::CounterId::kUpdates);
+/// kUpdates of the repairer's last solve: the entries its engine logged.
+std::uint64_t run_updates(const IncrementalSolver& inc) {
+  return inc.last_metrics().counter(CId::kUpdates);
 }
 
-/// Vertices the repairer's last run processed (both runs of an escalated
+/// Vertices the repairer's last solve processed (both runs of an escalated
 /// repair).
-std::uint64_t run_processed(IncrementalSolver& inc) {
-  return inc.solver().metrics().snapshot().counter(
-      obs::CounterId::kVerticesProcessed);
+std::uint64_t run_processed(const IncrementalSolver& inc) {
+  return inc.last_metrics().counter(CId::kVerticesProcessed);
 }
 
-/// The checks every published repair must pass: the answer is exact, it is
-/// what the warm array holds, and the log holds every lowering of the run.
+/// The repair published by patching entries into a buffer: it ran (a
+/// repair catches up at least one batch) and did not copy the whole array.
+bool patched(const obs::MetricsSnapshot& m) {
+  return m.counter(CId::kRepairBatches) > 0 &&
+         m.counter(CId::kRepairArrayCopies) == 0;
+}
+
+/// A repair's cone walk, engine parallel phases and publish, in seconds:
+/// disjoint slices of its wall time.
+double layers_seconds(const obs::MetricsSnapshot& m) {
+  return 1e-9 * static_cast<double>(m.counter(CId::kRepairWalkNs) +
+                                    m.counter(CId::kRepairPublishNs)) +
+         m.seconds;
+}
+
+/// The checks every published repair must pass: the answer is exact and it
+/// is what the warm array holds.
 void expect_published_answer(IncrementalSolver& inc, const Graph& g,
                              VertexId source, const std::string& what) {
   const Answer answer = inc.answer();
@@ -176,14 +192,10 @@ void expect_published_answer(IncrementalSolver& inc, const Graph& g,
   const AtomicDistances* warm = inc.solver().distances().current();
   ASSERT_NE(warm, nullptr) << what;
   EXPECT_EQ(warm->snapshot(), answer) << what;
-  const RepairStats& rs = inc.last_repair();
-  if (!rs.full_solve) {
-    EXPECT_EQ(rs.lowered, run_updates(inc)) << what;
-  }
 }
 
 TEST(IncrementalAnswer, RepairsPublishExactImmutableAnswers) {
-  int patched = 0;
+  int patched_runs = 0;
   int decoded = 0;
   int inline_runs = 0;
   int escalated = 0;
@@ -208,17 +220,18 @@ TEST(IncrementalAnswer, RepairsPublishExactImmutableAnswers) {
         const std::string what = name + " batch " + std::to_string(b);
         EXPECT_EQ(returned.data(), inc.answer().data()) << what;
         expect_published_answer(inc, vg.graph(), source, what);
-        const RepairStats& rs = inc.last_repair();
-        if (!rs.full_solve) {
-          ++(rs.patched ? patched : decoded);
+        const obs::MetricsSnapshot& rs = inc.last_metrics();
+        if (rs.counter(CId::kRepairFullSolves) == 0) {
+          ++(patched(rs) ? patched_runs : decoded);
           // The width follows the work done: a repair escalates to the
           // team exactly when its inline run paused at the budget with work
           // left, so it processed more than the budget in all.
-          EXPECT_EQ(rs.workers, run_processed(inc) > kInlineRepairWork
-                                    ? inc.solver().team().size()
-                                    : 1)
+          const std::uint64_t escalations =
+              rs.counter(CId::kRepairEscalations);
+          EXPECT_EQ(escalations,
+                    run_processed(inc) > kInlineRepairWork ? 1u : 0u)
               << what;
-          ++(rs.workers == 1 ? inline_runs : escalated);
+          ++(escalations == 0 ? inline_runs : escalated);
         }
 
         // No new version: the same buffer again, not a copy.
@@ -235,7 +248,7 @@ TEST(IncrementalAnswer, RepairsPublishExactImmutableAnswers) {
   }
   // Both publishing paths ran, and repairs both stayed inline and
   // escalated to the team.
-  EXPECT_GT(patched, 0);
+  EXPECT_GT(patched_runs, 0);
   EXPECT_GT(decoded, 0);
   EXPECT_GT(inline_runs, 0);
   EXPECT_GT(escalated, 0);
@@ -261,12 +274,12 @@ TEST(IncrementalAnswer, ManySeedsRepairOnTheTeamWithTheLog) {
   }
   (void)vg.apply(drops);
   (void)inc.solve(vg, source);
-  const RepairStats& rs = inc.last_repair();
-  ASSERT_FALSE(rs.full_solve);
-  EXPECT_EQ(rs.cone_vertices, 0u);
-  EXPECT_GE(rs.seed_vertices, kInlineRepairWork);
-  EXPECT_EQ(rs.workers, 2);
-  EXPECT_GT(rs.lowered, 0u);
+  const obs::MetricsSnapshot& rs = inc.last_metrics();
+  ASSERT_EQ(rs.counter(CId::kRepairFullSolves), 0u);
+  EXPECT_EQ(rs.counter(CId::kRepairConeVertices), 0u);
+  EXPECT_GE(rs.counter(CId::kRepairSeedVertices), kInlineRepairWork);
+  EXPECT_EQ(rs.counter(CId::kRepairEscalations), 1u);
+  EXPECT_GT(rs.counter(CId::kUpdates), 0u);
   expect_published_answer(inc, vg.graph(), source, "grid drops");
 }
 
@@ -281,11 +294,11 @@ TEST(IncrementalAnswer, LargeConeFewSeedsRepairsInline) {
   jam.set_weight(2, 3, 500);
   (void)vg.apply(jam);
   (void)inc.solve(vg, 0);
-  const RepairStats& rs = inc.last_repair();
-  ASSERT_FALSE(rs.full_solve);
-  EXPECT_GT(rs.cone_vertices, kInlineRepairWork);
+  const obs::MetricsSnapshot& rs = inc.last_metrics();
+  ASSERT_EQ(rs.counter(CId::kRepairFullSolves), 0u);
+  EXPECT_GT(rs.counter(CId::kRepairConeVertices), kInlineRepairWork);
   EXPECT_LE(run_processed(inc), kInlineRepairWork);
-  EXPECT_EQ(rs.workers, 1);
+  EXPECT_EQ(rs.counter(CId::kRepairEscalations), 0u);
   expect_published_answer(inc, vg.graph(), 0, "long chain jam");
 }
 
@@ -314,14 +327,20 @@ TEST(IncrementalAnswer, EscalatedRepairResumesFromThePausedFrontier) {
   GraphDelta drop;
   drop.set_weight(1, 2, 1);
   (void)vg.apply(drop);
+  const Timer wall;
   (void)inc.solve(vg, 0);
-  const RepairStats& rs = inc.last_repair();
-  ASSERT_FALSE(rs.full_solve);
-  EXPECT_EQ(rs.cone_vertices, 0u);
+  const double wall_seconds = wall.seconds();
+  const obs::MetricsSnapshot& rs = inc.last_metrics();
+  ASSERT_EQ(rs.counter(CId::kRepairFullSolves), 0u);
+  EXPECT_EQ(rs.counter(CId::kRepairConeVertices), 0u);
   EXPECT_GT(run_processed(inc), kInlineRepairWork);
-  EXPECT_EQ(rs.workers, 2);
-  EXPECT_GT(rs.lowered, kInlineRepairWork);
-  EXPECT_LE(run_processed(inc), rs.lowered + rs.seed_vertices);
+  EXPECT_EQ(rs.counter(CId::kRepairEscalations), 1u);
+  // Both engine runs sit in the report's seconds, beside the walk and the
+  // publish, inside the solve's wall time.
+  EXPECT_LE(layers_seconds(rs), wall_seconds);
+  EXPECT_GT(rs.counter(CId::kUpdates), kInlineRepairWork);
+  EXPECT_LE(run_processed(inc), rs.counter(CId::kUpdates) +
+                                    rs.counter(CId::kRepairSeedVertices));
   EXPECT_LT(inc.answer()[vg.num_vertices() - 1], before);
   expect_published_answer(inc, vg.graph(), 0, "long chain drop");
   // The paused inline worker leaves as a cancelled one does, without a
@@ -334,7 +353,7 @@ TEST(IncrementalAnswer, EscalatedRepairResumesFromThePausedFrontier) {
   tail_drop.set_weight(2990, 2991, 1);
   (void)vg.apply(tail_drop);
   (void)inc.solve(vg, 0);
-  EXPECT_EQ(inc.last_repair().workers, 1);
+  EXPECT_EQ(inc.last_metrics().counter(CId::kRepairEscalations), 0u);
   EXPECT_EQ(counter.terminations.load(), 1);
   expect_published_answer(inc, vg.graph(), 0, "long chain tail drop");
   inc.options().observer = nullptr;
@@ -348,9 +367,9 @@ TEST(IncrementalAnswer, EscalatedRepairResumesFromThePausedFrontier) {
   (void)solo.solve(solo_vg, 0);
   (void)solo_vg.apply(drop);
   (void)solo.solve(solo_vg, 0);
-  ASSERT_FALSE(solo.last_repair().full_solve);
+  ASSERT_EQ(solo.last_metrics().counter(CId::kRepairFullSolves), 0u);
   EXPECT_GT(run_processed(solo), kInlineRepairWork);
-  EXPECT_EQ(solo.last_repair().workers, 1);
+  EXPECT_EQ(solo.last_metrics().counter(CId::kRepairEscalations), 0u);
   expect_published_answer(solo, solo_vg.graph(), 0, "one-thread drop");
 }
 
@@ -378,16 +397,16 @@ SsspOptions one_bucket_options() {
 }
 
 /// Solves comb() from 0, applies `batch`, repairs, and checks the published
-/// answer; returns the repair's stats.
-RepairStats repair_comb(const GraphDelta& batch) {
+/// answer; returns the repair's report.
+obs::MetricsSnapshot repair_comb(const GraphDelta& batch) {
   VersionedGraph vg(comb());
   IncrementalSolver inc(one_bucket_options());
   const auto first = inc.solve(vg, 0);
   (void)vg.apply(batch);
   (void)inc.solve(vg, 0);
-  EXPECT_FALSE(inc.last_repair().full_solve);
+  EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 0u);
   expect_published_answer(inc, vg.graph(), 0, "comb");
-  return inc.last_repair();
+  return inc.last_metrics();
 }
 
 TEST(IncrementalAnswer, ClosurePatchesAConeLeftUnreachable) {
@@ -395,19 +414,19 @@ TEST(IncrementalAnswer, ClosurePatchesAConeLeftUnreachable) {
   // no seed reaches, so only the cone patch can publish their infinities.
   GraphDelta cut;
   cut.erase(190, 191);
-  const RepairStats rs = repair_comb(cut);
-  EXPECT_EQ(rs.cone_vertices, 10u);
-  EXPECT_EQ(rs.lowered, 0u);
-  EXPECT_TRUE(rs.patched);
+  const obs::MetricsSnapshot rs = repair_comb(cut);
+  EXPECT_EQ(rs.counter(CId::kRepairConeVertices), 10u);
+  EXPECT_EQ(rs.counter(CId::kUpdates), 0u);
+  EXPECT_TRUE(patched(rs));
 }
 
 TEST(IncrementalAnswer, DecreasePatchesLoweredVerticesOutsideAnyCone) {
   GraphDelta drop;
   drop.set_weight(196, 197, 1);
-  const RepairStats rs = repair_comb(drop);
-  EXPECT_EQ(rs.cone_vertices, 0u);
-  EXPECT_GE(rs.lowered, 3u);  // 197, 198, 199
-  EXPECT_TRUE(rs.patched);
+  const obs::MetricsSnapshot rs = repair_comb(drop);
+  EXPECT_EQ(rs.counter(CId::kRepairConeVertices), 0u);
+  EXPECT_GE(rs.counter(CId::kUpdates), 3u);  // 197, 198, 199
+  EXPECT_TRUE(patched(rs));
 }
 
 TEST(IncrementalAnswer, DecreasePatchesAPrunedLeaf) {
@@ -415,9 +434,9 @@ TEST(IncrementalAnswer, DecreasePatchesAPrunedLeaf) {
   // so only a log entry written before the leaf test reaches the answer.
   GraphDelta drop;
   drop.set_weight(193, 194, 1);
-  const RepairStats rs = repair_comb(drop);
-  EXPECT_EQ(rs.cone_vertices, 0u);
-  EXPECT_TRUE(rs.patched);
+  const obs::MetricsSnapshot rs = repair_comb(drop);
+  EXPECT_EQ(rs.counter(CId::kRepairConeVertices), 0u);
+  EXPECT_TRUE(patched(rs));
 }
 
 TEST(IncrementalAnswer, DecreasePatchesASeedLoweredByItsPull) {
@@ -426,38 +445,40 @@ TEST(IncrementalAnswer, DecreasePatchesASeedLoweredByItsPull) {
   // cheaper arc; 190's later push finds nothing left to improve.
   GraphDelta drop;
   drop.set_weight(190, 191, 1);
-  const RepairStats rs = repair_comb(drop);
-  EXPECT_EQ(rs.seed_vertices, 2u);
-  EXPECT_TRUE(rs.patched);
+  const obs::MetricsSnapshot rs = repair_comb(drop);
+  EXPECT_EQ(rs.counter(CId::kRepairSeedVertices), 2u);
+  EXPECT_TRUE(patched(rs));
 }
 
 TEST(IncrementalAnswer, WideConeDecodesTheWholeArray) {
   GraphDelta cut;
   cut.erase(10, 11);  // a cone of 190 > 50
-  const RepairStats rs = repair_comb(cut);
-  EXPECT_EQ(rs.cone_vertices, 190u);
-  EXPECT_EQ(rs.lowered, 0u);
-  EXPECT_FALSE(rs.patched);
-  EXPECT_EQ(rs.published_entries, 201u);
+  const obs::MetricsSnapshot rs = repair_comb(cut);
+  EXPECT_EQ(rs.counter(CId::kRepairConeVertices), 190u);
+  EXPECT_EQ(rs.counter(CId::kUpdates), 0u);
+  EXPECT_FALSE(patched(rs));
+  EXPECT_EQ(rs.counter(CId::kRepairPublishedEntries), 201u);
 }
 
 TEST(IncrementalAnswer, WideLogDecodesAfterLogging) {
   GraphDelta drop;
   drop.set_weight(10, 11, 1);  // no cone, but 190 vertices lowered
-  const RepairStats rs = repair_comb(drop);
-  EXPECT_EQ(rs.cone_vertices, 0u);
-  EXPECT_GT(rs.lowered, 50u);
-  EXPECT_FALSE(rs.patched);
+  const obs::MetricsSnapshot rs = repair_comb(drop);
+  EXPECT_EQ(rs.counter(CId::kRepairConeVertices), 0u);
+  EXPECT_GT(rs.counter(CId::kUpdates), 50u);
+  EXPECT_FALSE(patched(rs));
 }
 
 // --- recycled buffers: a released answer is rewritten, a held one never ---
 
 /// What a repair that patched the buffer one publish behind writes: the
 /// previous repair's change set and its own.
-std::uint64_t two_change_sets(const RepairStats& previous,
-                              const RepairStats& current) {
-  return previous.cone_vertices + previous.lowered + current.cone_vertices +
-         current.lowered;
+std::uint64_t two_change_sets(const obs::MetricsSnapshot& previous,
+                              const obs::MetricsSnapshot& current) {
+  return previous.counter(CId::kRepairConeVertices) +
+         previous.counter(CId::kUpdates) +
+         current.counter(CId::kRepairConeVertices) +
+         current.counter(CId::kUpdates);
 }
 
 TEST(IncrementalAnswer, HeldAnswersStayExactWhileReleasedOnesAreRecycled) {
@@ -484,7 +505,7 @@ TEST(IncrementalAnswer, HeldAnswersStayExactWhileReleasedOnesAreRecycled) {
   constexpr int kHold[] = {0, 2, 3, 1, 6, 0, 2, 2};
   std::vector<Held> held;
   held.push_back({inc.answer(), dijkstra(vg.graph(), source).dist, 0, 1});
-  RepairStats previous = inc.last_repair();
+  obs::MetricsSnapshot previous = inc.last_metrics();
   int publishes = 0;
   int recycled = 0;
   int copied = 0;
@@ -502,16 +523,20 @@ TEST(IncrementalAnswer, HeldAnswersStayExactWhileReleasedOnesAreRecycled) {
     ++publishes;
     const std::string what = "batch " + std::to_string(b);
     expect_published_answer(inc, vg.graph(), source, what);
-    const RepairStats rs = inc.last_repair();
-    ASSERT_FALSE(rs.full_solve) << what;
-    if (rs.patched && previous.patched && !behind_held &&
+    const obs::MetricsSnapshot rs = inc.last_metrics();
+    ASSERT_EQ(rs.counter(CId::kRepairFullSolves), 0u) << what;
+    if (patched(rs) && patched(previous) && !behind_held &&
         two_change_sets(previous, rs) <= n / kPatchShare) {
-      EXPECT_TRUE(rs.recycled) << what;
-      EXPECT_EQ(rs.published_entries, two_change_sets(previous, rs)) << what;
+      EXPECT_EQ(rs.counter(CId::kRepairRecycled), 1u) << what;
+      EXPECT_EQ(rs.counter(CId::kRepairPublishedEntries),
+                two_change_sets(previous, rs))
+          << what;
       ++recycled;
-    } else if (rs.patched) {
-      EXPECT_FALSE(rs.recycled) << what;
-      EXPECT_EQ(rs.published_entries, n + rs.cone_vertices + rs.lowered)
+    } else if (patched(rs)) {
+      EXPECT_EQ(rs.counter(CId::kRepairRecycled), 0u) << what;
+      EXPECT_EQ(rs.counter(CId::kRepairPublishedEntries),
+                n + rs.counter(CId::kRepairConeVertices) +
+                    rs.counter(CId::kUpdates))
           << what;
       ++copied;
     }
@@ -547,7 +572,7 @@ TEST(IncrementalAnswer, AnswersOutliveTheirSolver) {
     drop.set_weight(196, 197, 1);
     (void)vg.apply(drop);
     kept.push_back(inc.solve(vg, 0));
-    ASSERT_FALSE(inc.last_repair().full_solve);
+    ASSERT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 0u);
   }
   EXPECT_EQ(dijkstra(vg.graph(), 0).dist, kept.back());
   EXPECT_NE(kept.front(), kept.back());
@@ -573,7 +598,7 @@ TEST(IncrementalAnswer, RecycledRepairWritesTheTwoChangeSetsAtAnyN) {
     second.set_weight(path - 2, path - 1, 1);
     GraphDelta nothing;
     nothing.insert(0, 2, 100);  // seeds 0 and 2, lowers nothing
-    RepairStats previous;
+    obs::MetricsSnapshot previous;
     int k = 0;
     for (const GraphDelta* batch : {&first, &second, &nothing}) {
       const std::string what =
@@ -581,22 +606,26 @@ TEST(IncrementalAnswer, RecycledRepairWritesTheTwoChangeSetsAtAnyN) {
       (void)vg.apply(*batch);
       (void)inc.solve(vg, 0);
       expect_published_answer(inc, vg.graph(), 0, what);
-      const RepairStats rs = inc.last_repair();
-      ASSERT_TRUE(rs.patched) << what;
-      EXPECT_EQ(rs.recycled, k > 0) << what;
+      const obs::MetricsSnapshot rs = inc.last_metrics();
+      ASSERT_TRUE(patched(rs)) << what;
+      EXPECT_EQ(rs.counter(CId::kRepairRecycled), k > 0 ? 1u : 0u) << what;
       if (k == 0) {
-        EXPECT_EQ(rs.published_entries,
-                  path + 1 + rs.cone_vertices + rs.lowered)
+        EXPECT_EQ(rs.counter(CId::kRepairPublishedEntries),
+                  path + 1 + rs.counter(CId::kRepairConeVertices) +
+                      rs.counter(CId::kUpdates))
             << what;
       } else {
-        EXPECT_EQ(rs.published_entries, two_change_sets(previous, rs))
+        EXPECT_EQ(rs.counter(CId::kRepairPublishedEntries),
+                  two_change_sets(previous, rs))
             << what;
-        written[i].push_back(rs.published_entries);
+        written[i].push_back(rs.counter(CId::kRepairPublishedEntries));
       }
       previous = rs;
       ++k;
     }
-    EXPECT_EQ(previous.cone_vertices + previous.lowered, 0u);
+    EXPECT_EQ(previous.counter(CId::kRepairConeVertices) +
+                  previous.counter(CId::kUpdates),
+              0u);
   }
   EXPECT_EQ(written[0], written[1]);
   EXPECT_GT(written[0].front(), 0u);
@@ -612,8 +641,9 @@ void repair_after(IncrementalSolver& inc, VersionedGraph& vg, VertexId source,
   (void)inc.solve(vg, source);
   for (const GraphDelta& batch : batches) (void)vg.apply(batch);
   (void)inc.solve(vg, source);
-  ASSERT_FALSE(inc.last_repair().full_solve) << what;
-  EXPECT_EQ(inc.last_repair().batches, batches.size()) << what;
+  ASSERT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 0u) << what;
+  EXPECT_EQ(inc.last_metrics().counter(CId::kRepairBatches), batches.size())
+      << what;
   expect_published_answer(inc, vg.graph(), source, what);
 }
 
@@ -625,12 +655,12 @@ TEST(IncrementalReprice, TreeJamRepricesTheSubtreeWithoutUpdates) {
   GraphDelta jam;
   jam.set_weight(190, 191, 30);
   repair_after(inc, vg, 0, {jam}, "comb jam");
-  const RepairStats& rs = inc.last_repair();
-  EXPECT_EQ(rs.cone_vertices, 10u);
-  EXPECT_FALSE(rs.cone_reset);
+  const obs::MetricsSnapshot& rs = inc.last_metrics();
+  EXPECT_EQ(rs.counter(CId::kRepairConeVertices), 10u);
+  EXPECT_EQ(rs.counter(CId::kRepairConeResets), 0u);
   EXPECT_EQ(run_updates(inc), 0u);
-  EXPECT_EQ(rs.lowered, 0u);
-  EXPECT_TRUE(rs.patched);
+  EXPECT_EQ(rs.counter(CId::kUpdates), 0u);
+  EXPECT_TRUE(patched(rs));
 
   // Two raises of one arc caught up at once: only the first is admissible
   // under the warm distances, but the head must be priced at the second.
@@ -641,7 +671,7 @@ TEST(IncrementalReprice, TreeJamRepricesTheSubtreeWithoutUpdates) {
   GraphDelta raise_again;
   raise_again.set_weight(190, 191, 40);
   repair_after(inc2, vg2, 0, {raise, raise_again}, "comb raised twice");
-  EXPECT_EQ(inc2.last_repair().cone_vertices, 10u);
+  EXPECT_EQ(inc2.last_metrics().counter(CId::kRepairConeVertices), 10u);
   EXPECT_EQ(run_updates(inc2), 0u);
 }
 
@@ -681,9 +711,10 @@ TEST(IncrementalReprice, NestedJamsPriceInnerHeadsFromOuterCones) {
     VersionedGraph vg(comb());
     IncrementalSolver inc(one_bucket_options());
     repair_after(inc, vg, 0, batches, name);
-    const RepairStats& rs = inc.last_repair();
-    EXPECT_EQ(rs.cone_vertices, 20u) << name;  // 181..199 and the pendant
-    EXPECT_FALSE(rs.cone_reset) << name;
+    const obs::MetricsSnapshot& rs = inc.last_metrics();
+    // 181..199 and the pendant.
+    EXPECT_EQ(rs.counter(CId::kRepairConeVertices), 20u) << name;
+    EXPECT_EQ(rs.counter(CId::kRepairConeResets), 0u) << name;
     EXPECT_EQ(run_updates(inc), 0u) << name;
   }
 
@@ -714,7 +745,7 @@ TEST(IncrementalReprice, NestedJamsPriceInnerHeadsFromOuterCones) {
     VersionedGraph vg{Graph(grid)};
     IncrementalSolver inc(test_options());
     repair_after(inc, vg, 0, batches, name);
-    EXPECT_FALSE(inc.last_repair().cone_reset) << name;
+    EXPECT_EQ(inc.last_metrics().counter(CId::kRepairConeResets), 0u) << name;
   }
 }
 
@@ -735,7 +766,7 @@ TEST(IncrementalReprice, ZeroWeightTieResetsTheConeToInfinity) {
     jams.set_weight(0, 2, 50);
     jams.set_weight(2, 1, 1);
     repair_after(inc, vg, 0, {jams}, name);
-    EXPECT_TRUE(inc.last_repair().cone_reset) << name;
+    EXPECT_EQ(inc.last_metrics().counter(CId::kRepairConeResets), 1u) << name;
     EXPECT_EQ(inc.answer()[1], 51u) << name;
   }
 }
@@ -766,9 +797,9 @@ TEST(IncrementalReprice, DetourThroughALighterConeIsSeeded) {
     jams.set_weight(0, 1, 100);
     jams.set_weight(0, 3, 3);
     repair_after(inc, vg, 0, {jams}, name);
-    const RepairStats& rs = inc.last_repair();
-    EXPECT_EQ(rs.cone_vertices, 5u) << name;
-    EXPECT_FALSE(rs.cone_reset) << name;
+    const obs::MetricsSnapshot& rs = inc.last_metrics();
+    EXPECT_EQ(rs.counter(CId::kRepairConeVertices), 5u) << name;
+    EXPECT_EQ(rs.counter(CId::kRepairConeResets), 0u) << name;
     EXPECT_EQ(inc.answer()[1], 9u) << name;
   }
 }
@@ -831,8 +862,9 @@ TEST(IncrementalReprice, WalkOrderDoesNotChangeTheCone) {
             vg.graph(), std::span<const Distance>(warm.data(), warm.size()),
             jv.effects, 0);
         (void)inc.solve(vg, 0);
-        ASSERT_FALSE(inc.last_repair().full_solve) << what;
-        EXPECT_EQ(inc.last_repair().cone_vertices, expected) << what;
+        const obs::MetricsSnapshot& rs = inc.last_metrics();
+        ASSERT_EQ(rs.counter(CId::kRepairFullSolves), 0u) << what;
+        EXPECT_EQ(rs.counter(CId::kRepairConeVertices), expected) << what;
         EXPECT_EQ(dijkstra(vg.graph(), 0).dist, inc.answer()) << what;
       }
     }
@@ -846,8 +878,8 @@ TEST(IncrementalReprice, RepairLayersFitInItsWallTime) {
   const VertexId source = pick_source(vg);
   IncrementalSolver inc(test_options());
   (void)inc.solve(vg, source);
-  EXPECT_EQ(inc.last_repair().walk_seconds, 0.0);
-  EXPECT_EQ(inc.last_repair().publish_seconds, 0.0);
+  EXPECT_EQ(inc.last_metrics().counter(CId::kRepairWalkNs), 0u);
+  EXPECT_EQ(inc.last_metrics().counter(CId::kRepairPublishNs), 0u);
   Xoshiro256 rng(0x1A7E5ULL);
   for (int b = 0; b < 8; ++b) {
     const GraphDelta delta = random_batch(vg, Mode::kMixed, rng, 6);
@@ -856,14 +888,12 @@ TEST(IncrementalReprice, RepairLayersFitInItsWallTime) {
     const Timer wall;
     (void)inc.solve(vg, source);
     const double wall_seconds = wall.seconds();
-    const RepairStats& rs = inc.last_repair();
-    ASSERT_FALSE(rs.full_solve);
-    EXPECT_GT(rs.walk_seconds, 0.0);
-    EXPECT_GT(rs.publish_seconds, 0.0);
+    const obs::MetricsSnapshot& rs = inc.last_metrics();
+    ASSERT_EQ(rs.counter(CId::kRepairFullSolves), 0u);
+    EXPECT_GT(rs.counter(CId::kRepairWalkNs), 0u);
+    EXPECT_GT(rs.counter(CId::kRepairPublishNs), 0u);
     EXPECT_GE(rs.seconds, 0.0);
-    EXPECT_LE(rs.walk_seconds + rs.seconds + rs.publish_seconds,
-              wall_seconds)
-        << "batch " << b;
+    EXPECT_LE(layers_seconds(rs), wall_seconds) << "batch " << b;
   }
 }
 
@@ -1331,7 +1361,7 @@ TEST(IncrementalDelta, DirectedCloseReopenRepairsMatchAColdSolve) {
     }
     (void)vg.apply(delta);
     const Answer& repaired = inc.solve(vg, source);
-    if (!inc.last_repair().full_solve) ++repairs;
+    if (inc.last_metrics().counter(CId::kRepairFullSolves) == 0) ++repairs;
     ASSERT_EQ(cold.solve(rebuilt_csr(vg), source).dist, repaired)
         << "batch " << b;
   }
@@ -1361,11 +1391,11 @@ TEST(IncrementalWarm, UnchangedVersionIsServedWithoutResolving) {
   VersionedGraph vg(make_shape("er"));
   IncrementalSolver inc(test_options());
   const Answer first = inc.solve(vg, 3);
-  EXPECT_TRUE(inc.last_repair().full_solve);
+  EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 1u);
 
   const Answer& again = inc.solve(vg, 3);
-  EXPECT_FALSE(inc.last_repair().full_solve);
-  EXPECT_EQ(inc.last_repair().batches, 0u);
+  EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 0u);
+  EXPECT_EQ(inc.last_metrics().counter(CId::kRepairBatches), 0u);
   EXPECT_EQ(first, again);
 }
 
@@ -1374,7 +1404,7 @@ TEST(IncrementalWarm, SourceChangeFallsBackToFullSolve) {
   IncrementalSolver inc(test_options());
   (void)inc.solve(vg, 3);
   const Answer& other = inc.solve(vg, 7);
-  EXPECT_TRUE(inc.last_repair().full_solve);
+  EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 1u);
   EXPECT_EQ(dijkstra(vg.graph(), 7).dist, other);
 }
 
@@ -1389,7 +1419,7 @@ TEST(IncrementalWarm, JournalTrimForcesFullSolve) {
   d.set_weight(0, 1, 77);
   (void)vg.apply(d);
   const Answer& dist = inc.solve(vg, source);
-  EXPECT_TRUE(inc.last_repair().full_solve);
+  EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 1u);
   EXPECT_EQ(dijkstra(vg.graph(), source).dist, dist);
 }
 
@@ -1404,9 +1434,9 @@ void expect_jam_seeds_only_source(Graph graph, VertexId src, VertexId dst,
   jam.set_weight(src, dst, 50);
   (void)vg.apply(jam);
   const Answer& dist = inc.solve(vg, src);
-  EXPECT_FALSE(inc.last_repair().full_solve);
-  EXPECT_EQ(inc.last_repair().cone_vertices, cone);
-  EXPECT_EQ(inc.last_repair().seed_vertices, 1u);
+  EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 0u);
+  EXPECT_EQ(inc.last_metrics().counter(CId::kRepairConeVertices), cone);
+  EXPECT_EQ(inc.last_metrics().counter(CId::kRepairSeedVertices), 1u);
   EXPECT_EQ(dijkstra(vg.graph(), src).dist, dist);
 }
 
@@ -1451,7 +1481,7 @@ TEST(IncrementalWarm, ForeignSolverUseColdsTheWarmState) {
   (void)vg.apply(batch);
 
   const Answer& dist = inc.solve(vg, source);
-  EXPECT_TRUE(inc.last_repair().full_solve);
+  EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 1u);
   EXPECT_EQ(dijkstra(vg.graph(), source).dist, dist);
 }
 
@@ -1471,7 +1501,8 @@ TEST(IncrementalWarm, CancelledRepairThrowsAndLeavesSolverReusable) {
 
   inc.options().cancel = nullptr;
   const Answer& dist = inc.solve(vg, source);
-  EXPECT_TRUE(inc.last_repair().full_solve);  // warm state was discarded
+  // The warm state was discarded.
+  EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 1u);
   EXPECT_EQ(dijkstra(vg.graph(), source).dist, dist);
 }
 
@@ -1494,7 +1525,7 @@ TEST(IncrementalWarm, EngineFailureAfterTheWalkDiscardsTheWarmState) {
 
   inc.options().observer = nullptr;
   const Answer& dist = inc.solve(vg, 0);
-  EXPECT_TRUE(inc.last_repair().full_solve);
+  EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 1u);
   EXPECT_EQ(dijkstra(vg.graph(), 0).dist, dist);
 }
 
@@ -1528,7 +1559,8 @@ TEST(IncrementalWarm, GraphRebuiltAtSameAddressFallsBackToFullSolve) {
   vg = std::move(other);
 
   const Answer& dist = inc.solve(vg, source);
-  EXPECT_TRUE(inc.last_repair().full_solve);  // uid mismatch forces cold
+  // The uid mismatch forces a cold solve.
+  EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 1u);
   EXPECT_EQ(dijkstra(vg.graph(), source).dist, dist);
 }
 
@@ -1539,7 +1571,6 @@ service::ServiceConfig service_config() {
   cfg.solver = test_options();
   cfg.num_solvers = 2;
   cfg.queue_capacity = 32;
-  cfg.stale_cache_entries = 8;
   return cfg;
 }
 
@@ -1630,14 +1661,21 @@ TEST(IncrementalService, UpdateRepairsCachedAnswersInsteadOfDroppingThem) {
   Xoshiro256 rng(51);
   // First update: the service repairer full-solves the cached entry to bind
   // its warm state; second update repairs the bound entry incrementally.
+  // The service's counters fold each solve's report.
   (void)svc.update(vg, random_batch(vg, Mode::kMixed, rng, 8));
+  EXPECT_EQ(svc.metrics().counter(CId::kRepairFullSolves), 1u);
+  EXPECT_EQ(svc.metrics().counter(CId::kRepairBatches), 0u);
   (void)svc.update(vg, random_batch(vg, Mode::kMixed, rng, 8));
-  EXPECT_GE(svc.metrics().counter(obs::CounterId::kRepairBatches), 1u);
+  EXPECT_GE(svc.metrics().counter(CId::kRepairBatches), 1u);
+  EXPECT_EQ(svc.metrics().counter(CId::kRepairFullSolves), 1u);
 
-  // A structural batch through the service compacts inside the gate.
+  // A structural batch through the service compacts inside the gate. The
+  // update gate counts the compactions once; the repair's own count of
+  // them is not folded again.
   (void)svc.update(vg, random_batch(vg, Mode::kStructural, rng, 6));
-  EXPECT_GE(svc.metrics().counter(obs::CounterId::kGraphCompactions), 1u);
-  EXPECT_GE(svc.metrics().counter(obs::CounterId::kGraphCompactedArcs), 1u);
+  EXPECT_GE(svc.metrics().counter(CId::kGraphCompactions), 1u);
+  EXPECT_EQ(svc.metrics().counter(CId::kGraphCompactions), vg.compactions());
+  EXPECT_GE(svc.metrics().counter(CId::kGraphCompactedArcs), 1u);
 
   const service::QueryResult fresh = svc.solve(vg, {.source = 5});
   ASSERT_EQ(fresh.outcome, service::Outcome::kServed);

@@ -226,8 +226,9 @@ TEST(TraceRecorder, SolverRecordsWaspLifecycleEvents) {
   options.algo = Algorithm::kWasp;
   options.threads = 4;
   options.delta = 8;
+  obs::TraceRecorder trace(options.threads);
+  options.trace = &trace;
   Solver solver(options);
-  obs::TraceRecorder& trace = solver.enable_trace();
   solver.solve(g, src);
 
   std::ostringstream os;
@@ -324,13 +325,13 @@ TEST(MetricsRegistry, SnapshotExportsJsonAndCsv) {
   obs::MetricsRegistry registry(2);
   registry.shard(0).inc(CounterId::kRelaxations, 10);
   registry.shard(1).inc(CounterId::kRelaxations, 5);
-  registry.shard(0).set_gauge(GaugeId::kMaxFrontier, 99);
+  registry.shard(0).set_gauge(GaugeId::kTeamJobs, 99);
   registry.shard(1).observe(HistId::kRoundFrontier, 7);
   registry.set_elapsed_seconds(0.5);
   const obs::MetricsSnapshot snap = registry.snapshot();
 
   EXPECT_EQ(snap.counter(CounterId::kRelaxations), 15u);
-  EXPECT_EQ(snap.gauge(GaugeId::kMaxFrontier), 99u);
+  EXPECT_EQ(snap.gauge(GaugeId::kTeamJobs), 99u);
   EXPECT_EQ(snap.hist_count(HistId::kRoundFrontier, obs::hist_bucket(7)), 1u);
 
   std::ostringstream json;

@@ -143,7 +143,7 @@ TEST(ServiceSolverBusy, ConcurrentSolveThrowsTyped) {
   const VertexId source = pick_source_in_largest_component(g, 7);
   Solver solver(options_for(Algorithm::kBellmanFord));
   BlockingObserver blocker;
-  solver.set_observer(&blocker);
+  solver.options().observer = &blocker;
   blocker.arm();
 
   std::thread runner([&] { (void)solver.solve(g, source); });
@@ -153,7 +153,7 @@ TEST(ServiceSolverBusy, ConcurrentSolveThrowsTyped) {
   runner.join();
 
   // The guard released: the solver accepts the next solve.
-  solver.set_observer(nullptr);
+  solver.options().observer = nullptr;
   EXPECT_NO_THROW((void)solver.solve(g, source));
 }
 
@@ -219,6 +219,9 @@ TEST(ServiceQuery, CoalescesQueuedSameSourceSubmits) {
 TEST(ServiceQuery, OverloadShedsLowPriorityAndRejectsNonOutranking) {
   const Graph g = make_small_graph();
   const VertexId source = pick_source_in_largest_component(g, 11);
+  // Distinct sources, so each submit occupies its own slot (same-source
+  // submits would coalesce).
+  const auto s = [&](VertexId k) { return (source + k) % g.num_vertices(); };
 
   BlockingObserver blocker;
   ServiceConfig config;
@@ -226,19 +229,17 @@ TEST(ServiceQuery, OverloadShedsLowPriorityAndRejectsNonOutranking) {
   config.solver.observer = &blocker;
   config.num_solvers = 1;
   config.queue_capacity = 2;
-  config.coalesce = false;  // each submit must occupy its own slot here
   QueryService svc(config);
 
   blocker.arm();
   auto running = svc.submit(g, {.source = source});
   blocker.wait_until_blocked();
-  auto q1 = svc.submit(g, {.source = source});
-  auto q2 = svc.submit(g, {.source = source});  // queue now at capacity
+  auto q1 = svc.submit(g, {.source = s(1)});
+  auto q2 = svc.submit(g, {.source = s(2)});  // queue now at capacity
   // Same priority outranks nothing: typed rejection.
-  EXPECT_THROW((void)svc.submit(g, {.source = source}),
-               ServiceOverloadedError);
+  EXPECT_THROW((void)svc.submit(g, {.source = s(3)}), ServiceOverloadedError);
   // Higher priority evicts the youngest lowest-priority entry (q2).
-  auto q3 = svc.submit(g, {.source = source, .priority = 1, .tenant = "gold"});
+  auto q3 = svc.submit(g, {.source = s(4), .priority = 1, .tenant = "gold"});
   EXPECT_EQ(q2.get().outcome, Outcome::kShed);
   blocker.release();
 
@@ -260,7 +261,6 @@ TEST(ServiceQuery, QueueExpiryDegradesToStaleWhenAllowed) {
   config.solver = options_for(Algorithm::kBellmanFord);
   config.solver.observer = &blocker;
   config.num_solvers = 1;
-  config.coalesce = false;
   QueryService svc(config);
 
   // Prime the stale cache with a served answer for `a`.
@@ -271,11 +271,14 @@ TEST(ServiceQuery, QueueExpiryDegradesToStaleWhenAllowed) {
   auto running = svc.submit(g, {.source = a});
   blocker.wait_until_blocked();
 
+  // `expired` asks for another source, which has no cached answer (and
+  // does not coalesce onto `degraded`).
+  const VertexId b = (a + 1) % g.num_vertices();
   auto degraded = svc.submit(g, {.source = a,
                                  .budget = std::chrono::milliseconds(2),
                                  .allow_stale = true});
   auto expired =
-      svc.submit(g, {.source = a, .budget = std::chrono::milliseconds(2)});
+      svc.submit(g, {.source = b, .budget = std::chrono::milliseconds(2)});
 
   // The watchdog expires both in the queue (the only solver is held).
   const QueryResult rd = degraded.get();
@@ -297,7 +300,6 @@ TEST(ServiceQuery, FreshStaleAndServedAnswersShareOneBuffer) {
   config.solver = options_for(Algorithm::kBellmanFord);
   config.solver.observer = &blocker;
   config.num_solvers = 1;
-  config.coalesce = false;
   QueryService svc(config);
 
   // A served run: the cache entry takes the answer the client got.
@@ -338,7 +340,6 @@ TEST(ServiceQuery, ShedDowngradedToStaleCountsOnceAsServedStale) {
   config.solver.observer = &blocker;
   config.num_solvers = 1;
   config.queue_capacity = 1;
-  config.coalesce = false;
   QueryService svc(config);
 
   // Prime the stale cache, then hold the only solver mid-run.
@@ -348,9 +349,11 @@ TEST(ServiceQuery, ShedDowngradedToStaleCountsOnceAsServedStale) {
   auto running = svc.submit(g, {.source = source});
   blocker.wait_until_blocked();
 
-  // The victim fills the queue; the evictor sheds it.
+  // The victim fills the queue; the evictor, for another source so that it
+  // does not coalesce onto the victim, sheds it.
+  const VertexId other = (source + 1) % g.num_vertices();
   auto victim = svc.submit(g, {.source = source, .allow_stale = true});
-  auto evictor = svc.submit(g, {.source = source, .priority = 1});
+  auto evictor = svc.submit(g, {.source = other, .priority = 1});
 
   const QueryResult rv = victim.get();
   EXPECT_EQ(rv.outcome, Outcome::kServedStale);
@@ -381,7 +384,6 @@ TEST(ServiceQuery, GraphRebuiltInTheSameStorageIsNotServedTheOldAnswer) {
   config.solver.observer = &blocker;
   config.num_solvers = 1;
   config.queue_capacity = 1;
-  config.coalesce = false;
   QueryService svc(config);
 
   // Prime the stale cache for the first graph, then construct a different
@@ -393,13 +395,17 @@ TEST(ServiceQuery, GraphRebuiltInTheSameStorageIsNotServedTheOldAnswer) {
   ASSERT_EQ(&*storage, address);
   const std::vector<Distance> reference = dijkstra(*storage, source).dist;
   ASSERT_NE(reference, primed.dist);
+  const VertexId other = (source + 1) % storage->num_vertices();
+  const std::vector<Distance> other_reference =
+      dijkstra(*storage, other).dist;
 
   blocker.arm();
   auto running = svc.submit(*storage, {.source = source});
   blocker.wait_until_blocked();
-  // The victim fills the queue; the evictor sheds it.
+  // The victim fills the queue; the evictor, for another source so that it
+  // does not coalesce onto the victim, sheds it.
   auto victim = svc.submit(*storage, {.source = source, .allow_stale = true});
-  auto evictor = svc.submit(*storage, {.source = source, .priority = 1});
+  auto evictor = svc.submit(*storage, {.source = other, .priority = 1});
 
   // The cache holds an answer for the old graph only; the new graph has
   // none, so the shed query cannot degrade to it.
@@ -408,7 +414,7 @@ TEST(ServiceQuery, GraphRebuiltInTheSameStorageIsNotServedTheOldAnswer) {
   EXPECT_TRUE(rv.dist.empty());
   blocker.release();
   EXPECT_EQ(running.get().dist, reference);
-  EXPECT_EQ(evictor.get().dist, reference);
+  EXPECT_EQ(evictor.get().dist, other_reference);
 }
 
 TEST(ServiceQuery, WatchdogCancelsOverdueRunThenQuarantinesAndRebuilds) {
@@ -481,8 +487,7 @@ TEST(ServiceQuery, RetryBackoffIsDeterministicUnderSeedReplay) {
   ASSERT_EQ(first.backoff_ns.size(), 2u);
   // Exponential base with seeded jitter: attempt k sleeps in
   // [base << k, (base << k) + base).
-  const std::uint64_t base = static_cast<std::uint64_t>(
-      ServiceConfig{}.retry_backoff.count());
+  const auto base = static_cast<std::uint64_t>(service::kRetryBackoff.count());
   EXPECT_GE(first.backoff_ns[0], base);
   EXPECT_LT(first.backoff_ns[0], base * 2);
   EXPECT_GE(first.backoff_ns[1], base * 2);
@@ -549,13 +554,12 @@ TEST(ServiceQuery, ShutdownResolvesQueuedAsCancelledAndRejectsSubmits) {
   config.solver = options_for(Algorithm::kBellmanFord);
   config.solver.observer = &blocker;
   config.num_solvers = 1;
-  config.coalesce = false;
   QueryService svc(config);
 
   blocker.arm();
   auto running = svc.submit(g, {.source = source});
   blocker.wait_until_blocked();
-  auto queued = svc.submit(g, {.source = source});
+  auto queued = svc.submit(g, {.source = (source + 1) % g.num_vertices()});
 
   std::thread closer([&] { svc.shutdown(); });
   // Queued entries resolve immediately (shutdown drains the queue before
@@ -696,10 +700,6 @@ TEST(ServiceQuery, ValidatesConfig) {
   ServiceConfig bad2;
   bad2.queue_capacity = 0;
   EXPECT_THROW(QueryService{bad2}, InvalidOptionsError);
-  // A negative backoff would wrap to a near-2^64 ns sleep before a retry.
-  ServiceConfig bad3;
-  bad3.retry_backoff = std::chrono::nanoseconds(-1);
-  EXPECT_THROW(QueryService{bad3}, InvalidOptionsError);
 }
 
 }  // namespace

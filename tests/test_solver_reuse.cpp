@@ -126,10 +126,10 @@ TEST_P(SolverReuseAfterReset, DirtyPoolIsRefilledBeforeEverySolve) {
   // A cancelled run leaves a partial relaxation behind.
   CancelToken token;
   CancelOnFirstCallback canceller(token);
-  solver.set_observer(&canceller);
+  solver.options().observer = &canceller;
   solver.options().cancel = &token;
   EXPECT_THROW((void)solver.solve(vg.graph(), s), SolveCancelledError);
-  solver.set_observer(nullptr);
+  solver.options().observer = nullptr;
   solver.options().cancel = nullptr;
   SsspResult r = solver.solve(vg.graph(), s);
   EXPECT_EQ(r.dist, dijkstra(vg.graph(), s).dist);
@@ -146,7 +146,7 @@ TEST_P(SolverReuseAfterReset, DirtyPoolIsRefilledBeforeEverySolve) {
   const WEdge first = vg.flat().out_neighbors(s)[0];
   (void)vg.apply(GraphDelta().set_weight(s, first.dst, first.w + 50));
   EXPECT_EQ(inc.solve(vg, s), dijkstra(vg.graph(), s).dist);
-  EXPECT_FALSE(inc.last_repair().full_solve);
+  EXPECT_EQ(inc.last_metrics().counter(obs::CounterId::kRepairFullSolves), 0u);
   r = solver.solve(other, t);
   EXPECT_EQ(r.dist, dijkstra(other, t).dist);
 
@@ -154,7 +154,7 @@ TEST_P(SolverReuseAfterReset, DirtyPoolIsRefilledBeforeEverySolve) {
   // repaired on top of the other graph's distances.
   (void)vg.apply(GraphDelta().set_weight(s, first.dst, first.w));
   EXPECT_EQ(inc.solve(vg, s), dijkstra(vg.graph(), s).dist);
-  EXPECT_TRUE(inc.last_repair().full_solve);
+  EXPECT_EQ(inc.last_metrics().counter(obs::CounterId::kRepairFullSolves), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -256,7 +256,7 @@ TEST(PartitionReuse, OneFragmentRunIsTheFlatRun) {
   const WEdge first = vg.flat().out_neighbors(0)[0];
   (void)vg.apply(GraphDelta().set_weight(0, first.dst, first.w + 50));
   EXPECT_EQ(inc.solve(vg, 0), dijkstra(vg.graph(), 0).dist);
-  EXPECT_FALSE(inc.last_repair().full_solve);
+  EXPECT_EQ(inc.last_metrics().counter(obs::CounterId::kRepairFullSolves), 0u);
 }
 
 TEST(PartitionReuse, EachVersionedBatchForcesExactlyOneRebuild) {
@@ -338,7 +338,7 @@ TEST(PartitionReuse, IncrementalSolverNeverBindsToTheUnusedFlatArray) {
   const WEdge first = vg.flat().out_neighbors(s)[0];
   (void)vg.apply(GraphDelta().set_weight(s, first.dst, first.w + 50));
   EXPECT_EQ(inc.solve(vg, s), dijkstra(vg.graph(), s).dist);
-  EXPECT_TRUE(inc.last_repair().full_solve);
+  EXPECT_EQ(inc.last_metrics().counter(obs::CounterId::kRepairFullSolves), 1u);
 }
 
 TEST(PartitionReuse, WarmSolveAfterCancelledSolveIsExact) {
@@ -355,13 +355,13 @@ TEST(PartitionReuse, WarmSolveAfterCancelledSolveIsExact) {
 
   CancelToken token;
   CancelOnFirstCallback canceller(token);
-  solver.set_observer(&canceller);
+  solver.options().observer = &canceller;
   solver.options().cancel = &token;
   EXPECT_THROW((void)solver.solve(g, s), SolveCancelledError);
 
   // The shards hold the cancelled run's partial relaxation; the next solve
   // reuses them (no rebuild) and must still be exact.
-  solver.set_observer(nullptr);
+  solver.options().observer = nullptr;
   solver.options().cancel = nullptr;
   const SsspResult r = solver.solve(g, s);
   EXPECT_EQ(builds(r), 0u);

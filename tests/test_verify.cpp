@@ -1976,15 +1976,18 @@ TEST(SchedulerHarness, SeededRepairSchedulesMatchDijkstra) {
       EXPECT_TRUE(session.ok()) << replay_hint(seed) << ":\n"
                                 << session.report_text();
     }
-    const RepairStats& rs = inc.last_repair();
-    EXPECT_FALSE(rs.full_solve) << replay_hint(seed);
-    EXPECT_EQ(rs.workers, 1) << replay_hint(seed);
-    if (rs.patched) ++patched;
+    using CId = obs::CounterId;
+    const obs::MetricsSnapshot& rs = inc.last_metrics();
+    EXPECT_EQ(rs.counter(CId::kRepairFullSolves), 0u) << replay_hint(seed);
+    EXPECT_EQ(rs.counter(CId::kRepairEscalations), 0u) << replay_hint(seed);
+    const bool patched_now = rs.counter(CId::kRepairArrayCopies) == 0;
+    if (patched_now) ++patched;
     std::string message;
     EXPECT_TRUE(distances_equal(reference.dist, inc.answer(), &message))
         << replay_hint(seed) << " (threads=" << threads
-        << ", cone=" << rs.cone_vertices << ", lowered=" << rs.lowered
-        << ", patched=" << rs.patched << "): " << message;
+        << ", cone=" << rs.counter(CId::kRepairConeVertices)
+        << ", lowered=" << rs.counter(CId::kUpdates)
+        << ", patched=" << patched_now << "): " << message;
     if (::testing::Test::HasFailure()) return;
   }
   if (seeds.last - seeds.first == kE2eSeeds / 4) {

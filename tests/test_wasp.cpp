@@ -498,7 +498,7 @@ TEST(WaspPark, NarrowRunIsExactAndParksIdleHelpers) {
   Solver solver(narrow_options());
   HoldUntilHelpersPark hold(solver.team().size(),
                             HoldUntilHelpersPark::Clock::now());
-  solver.set_observer(&hold);
+  solver.options().observer = &hold;
   const SsspResult r = solver.solve(f.graph, f.source);
   std::string message;
   EXPECT_TRUE(distances_equal(f.reference, r.dist, &message)) << message;
@@ -553,7 +553,7 @@ TEST(WaspPark, DeadlineCancelWithParkedHelpersResolvesAsDeadline) {
   HoldUntilHelpersPark hold(solver.team().size(),
                             deadline + std::chrono::milliseconds(5), &token);
   solver.options().cancel = &token;
-  solver.set_observer(&hold);
+  solver.options().observer = &hold;
   try {
     (void)solver.solve(f.graph, f.source);
     FAIL() << "expected SolveCancelledError";
@@ -566,7 +566,7 @@ TEST(WaspPark, DeadlineCancelWithParkedHelpersResolvesAsDeadline) {
   // The cancelling worker woke the parked helpers on its way out; they
   // left through their own cancel polls, so the team is free again.
   solver.options().cancel = nullptr;
-  solver.set_observer(nullptr);
+  solver.options().observer = nullptr;
   const SsspResult r = solver.solve(f.graph, f.source);
   std::string message;
   EXPECT_TRUE(distances_equal(f.reference, r.dist, &message)) << message;
