@@ -263,7 +263,7 @@ std::uint64_t QueryService::update(VersionedGraph& vg,
   // Phase 1 (under mu_): take the exclusive gate, drain the running set,
   // apply + compact. Workers cannot pick up while update_active_ is set, so
   // nothing reads the CSR while apply() patches it or compact() replaces it.
-  std::vector<VertexId> repair_sources;
+  std::vector<std::pair<VertexId, CachedAnswer>> cached;
   std::uint64_t version = 0;
   {
     MutexLock lock(mu_);
@@ -297,35 +297,35 @@ std::uint64_t QueryService::update(VersionedGraph& vg,
     registry_.shard(0).inc(CId::kGraphCompactedArcs,
                            vg.compacted_arcs() - compacted_arcs_before);
 
-    for (const auto& [k, cached] : stale_) {
-      (void)cached;
-      if (k.graph == vg.uid()) repair_sources.push_back(k.source);
-    }
+    for (const auto& [k, entry] : stale_)
+      if (k.graph == vg.uid()) cached.emplace_back(k.source, entry);
   }
 
-  // Phase 2 (gate held, mu_ released): repair the cached answers to the new
-  // version instead of dropping them. vg is quiescent now — workers are
-  // gated and concurrent updaters queue on the gate — so the repairer may
-  // read it freely while submits and stats proceed under mu_. The cache
-  // takes the repairer's answer buffer itself: the repairer writes a buffer
-  // only after its last holder dropped it, so readers still holding one are
-  // safe. Each solve's report adds into `reported`.
+  // Phase 2 (gate held, mu_ released): repair each cached answer from its
+  // own entry to the new version instead of dropping it. vg is quiescent
+  // now — workers are gated and concurrent updaters queue on the gate — so
+  // the repairer may read it freely while submits and stats proceed under
+  // mu_. The cache key (uid, source) is what makes an entry exact for
+  // (vg, source) at its version. The cache takes the repairer's answer
+  // buffer itself: the repairer writes a buffer only after its last holder
+  // dropped it, so readers still holding one are safe. Each solve's report
+  // adds into `reported`.
   struct Repaired {
     VertexId source;
     Answer dist;
   };
   std::vector<Repaired> repaired;
   std::array<std::uint64_t, obs::kNumCounters> reported{};
-  repaired.reserve(repair_sources.size());
+  repaired.reserve(cached.size());
   try {
-    for (const VertexId source : repair_sources) {
+    for (const auto& [source, entry] : cached) {
       if (repairer_ == nullptr) {
         SsspOptions opt = config_.solver;
         opt.cancel = nullptr;
         repairer_ = std::make_unique<IncrementalSolver>(std::move(opt));
       }
-      (void)repairer_->solve(vg, source);
-      repaired.push_back({source, repairer_->answer()});
+      repaired.push_back(
+          {source, repairer_->solve(vg, source, entry.dist, entry.version)});
       const obs::MetricsSnapshot& m = repairer_->last_metrics();
       for (std::size_t c = 0; c < obs::kNumCounters; ++c)
         reported[c] += m.totals[c];

@@ -43,8 +43,9 @@
 // Accounting flows through one obs::MetricsRegistry (the kQueries* /
 // kSolverRebuilds / kWatchdogCancels counters), read through metrics(), and
 // a per-tenant registry of the same kQueries* counters, read through
-// metrics(tenant). bench/qps_service drives the whole contract under a
-// seeded open-loop arrival stream. Semantics are documented in
+// metrics(tenant). bench/qps_service drives queries under a seeded
+// open-loop arrival stream; update() is driven by perfbench's live_traffic
+// and tests/test_incremental.cpp. Semantics are documented in
 // docs/ROBUSTNESS.md.
 #pragma once
 
@@ -228,8 +229,8 @@ class QueryService {
   /// pause, running queries drain, the batch is applied and any structural
   /// overlay compacted, and then — instead of dropping them — every cached
   /// answer for this graph is repaired to the new version through a
-  /// service-owned IncrementalSolver (off the query hot path; the common
-  /// hot (graph, source) pair repairs incrementally, the rest re-solve).
+  /// service-owned IncrementalSolver (off the query hot path), each from
+  /// its own entry: only an entry older than vg.journal_floor() re-solves.
   /// The repaired answers are republished at the new version only after
   /// every repair succeeded; from then on a query for one of those sources
   /// is served from the cache without a solve. Queued queries survive an

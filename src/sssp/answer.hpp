@@ -2,8 +2,10 @@
 // repairer that published it to every client that reads it.
 //
 // An Answer is an immutable buffer behind a shared_ptr. Copying one shares
-// the buffer and never copies the distances, so IncrementalSolver::answer(),
-// the QueryService cache and QueryResult::dist can all hold the same array.
+// the buffer and never copies the distances, so the answer
+// IncrementalSolver::solve() returns, the QueryService cache and
+// QueryResult::dist can all hold the same array, and the next solve() can
+// repair from it.
 // Nothing writes a buffer while any Answer holds it. When the last holder
 // drops it, the buffer's deleter decides what happens next: a plain
 // buffer is freed, and an IncrementalSolver's buffer goes back to that

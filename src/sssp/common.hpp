@@ -155,10 +155,10 @@ class DistancePool {
   }
 
   /// Acquires so far. The held array belongs to whoever made the latest
-  /// acquire: a caller that keeps state in it between solves
-  /// (IncrementalSolver) binds this value, and a different one means
-  /// someone acquired since. 64 bits and kept across reallocations, so a
-  /// value never repeats.
+  /// acquire: a caller that keeps an answer in it between solves
+  /// (IncrementalSolver) records this value, and a different one means
+  /// someone acquired since, so the caller loads its answer again. 64 bits
+  /// and kept across reallocations, so a value never repeats.
   [[nodiscard]] std::uint64_t generation() const { return generation_; }
 
   /// The held array, null before the first acquire (test/debug access).

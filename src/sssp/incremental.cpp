@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -20,10 +19,6 @@ namespace wasp {
 namespace {
 
 using CId = obs::CounterId;
-
-/// The tag of a buffer whose contents match no generation: never one
-/// behind any answer a repair patches.
-constexpr std::uint64_t kUntagged = std::numeric_limits<std::uint64_t>::max();
 
 [[noreturn]] void throw_cancelled(const CancelToken& token) {
   std::ostringstream os;
@@ -97,7 +92,7 @@ void IncrementalSolver::publish(std::unique_ptr<AnswerBuffer> buffer,
   // Untagged until published: if the control block cannot be allocated,
   // the deleter returns the buffer to the pool, where it must match no
   // generation.
-  buffer->generation = kUntagged;
+  buffer->generation = kNoGeneration;
   AnswerBuffer* raw = buffer.release();
   std::shared_ptr<const std::vector<Distance>> shared(
       &raw->dist, BufferPool::Return{pool_, raw});
@@ -106,65 +101,50 @@ void IncrementalSolver::publish(std::unique_ptr<AnswerBuffer> buffer,
   answer_ = Answer(std::move(shared));
 }
 
-bool IncrementalSolver::warm_for(const VersionedGraph& vg, VertexId source) {
-  if (bound_graph_ != &vg || bound_source_ != source) return false;
-  // Same address is not same graph: a different VersionedGraph rebuilt at a
-  // recycled heap address can line up on version and size. The
-  // process-unique uid (never reused) is the identity check.
-  if (bound_uid_ != vg.uid()) return false;
-  // The warm contract needs the pool's array to still be *our* array: same
-  // size, and no acquire since our last answer (any other query through the
-  // solver acquires, which fills the array and moves the generation).
-  DistancePool& pool = solver_.distances();
-  AtomicDistances* d = pool.current();
-  return d != nullptr && d->size() == vg.num_vertices() &&
-         pool.generation() == bound_generation_ &&
-         answer_.size() == vg.num_vertices();
-}
-
-const Graph& IncrementalSolver::transpose_of(const Graph& g) {
-  if (!transpose_valid_) {
+const Graph& IncrementalSolver::transpose_of(const VersionedGraph& vg,
+                                             const Graph& g) {
+  // graph() just compacted `vg` if it was dirty, so the compaction count
+  // says whether the in-arc structure changed since the build.
+  if (transpose_uid_ != vg.uid() ||
+      transpose_compactions_ != vg.compactions()) {
     transpose_ = GraphBuilder().transpose_of(g).build();
-    transpose_valid_ = true;
+    transpose_uid_ = vg.uid();
+    transpose_compactions_ = vg.compactions();
   }
   return transpose_;
 }
 
-const Answer& IncrementalSolver::solve(VersionedGraph& vg, VertexId source) {
-  // uid, not address: the transpose cache below must also survive (only)
-  // the graph object it was built from.
-  const bool same_binding = bound_graph_ == &vg && bound_uid_ == vg.uid() &&
-                            bound_source_ == source;
-  const bool warm = warm_for(vg, source);
-
-  // graph() folds any staged structural overlay back into the flat CSR the
-  // engine consumes; the compaction count tells us the in-arc structure
-  // changed (weight-only batches never compact).
-  const Graph& g = vg.graph();
-  if (!same_binding || vg.compactions() != seen_compactions_)
-    transpose_valid_ = false;
-
-  bool repaired = false;
-  if (warm && bound_version_ == vg.version()) {
-    // Nothing changed since our last answer: it is still the answer.
-    last_metrics_ = obs::MetricsSnapshot{};
-    repaired = true;
-  } else if (warm) {
-    const VersionedGraph::JournalView jv = vg.journal_since(bound_version_);
-    if (jv.ok) {
-      repair(vg, g, source, jv.effects);
-      repaired = true;
-    }
-    // !jv.ok: the journal was trimmed past our version — full solve below.
+Answer IncrementalSolver::solve(VersionedGraph& vg, VertexId source,
+                                const Answer& from,
+                                std::uint64_t from_version) {
+  if (from_version > vg.version()) {
+    std::ostringstream os;
+    os << "IncrementalSolver::solve: from_version " << from_version
+       << " is above the graph's version " << vg.version();
+    throw InvalidOptionsError(os.str());
   }
-  if (!repaired) full_solve(g, source);
-
-  bound_graph_ = &vg;
-  bound_uid_ = vg.uid();
-  bound_source_ = source;
-  bound_version_ = vg.version();
-  seen_compactions_ = vg.compactions();
-  seen_compacted_arcs_ = vg.compacted_arcs();
+  if (!from.empty() && from.size() != vg.num_vertices()) {
+    std::ostringstream os;
+    os << "IncrementalSolver::solve: the answer has " << from.size()
+       << " entries for a graph of " << vg.num_vertices() << " vertices";
+    throw InvalidOptionsError(os.str());
+  }
+  // graph() folds any staged structural overlay back into the flat CSR the
+  // engine consumes.
+  const Graph& g = vg.graph();
+  if (from.empty()) {
+    full_solve(g, source);
+  } else if (from_version == vg.version()) {
+    // Nothing changed since `from`: it is still the answer.
+    last_metrics_ = obs::MetricsSnapshot{};
+    return from;
+  } else if (const VersionedGraph::JournalView jv =
+                 vg.journal_since(from_version);
+             jv.ok) {
+    repair(vg, g, source, from, from_version, jv.effects);
+  } else {
+    full_solve(g, source);  // the journal was trimmed past from_version
+  }
   return answer_;
 }
 
@@ -178,58 +158,55 @@ void IncrementalSolver::full_solve(const Graph& g, VertexId source) {
   const auto full = static_cast<std::size_t>(CId::kRepairFullSolves);
   last_metrics_.totals[full] = 1;
   last_metrics_.per_thread[0][full] = 1;
-
-  // Bind the warm state only when the solve actually went through the
-  // pooled atomic array (the sequential Dijkstra reference and a Wasp run
-  // with more than one fragment keep their own storage — the pool's content
-  // would be a stale lie).
-  AtomicDistances* d = solver_.distances().current();
-  if (solver_.options().uses_distance_pool(solver_.team().size()) &&
-      d != nullptr && d->size() == g.num_vertices()) {
-    bound_generation_ = solver_.distances().generation();
-  } else {
-    bound_graph_ = nullptr;  // unbindable: every solve stays a full solve
-  }
+  // The sequential Dijkstra reference and a Wasp run with more than one
+  // fragment keep their own storage: the pool's array holds no answer.
+  warm_generation_ = solver_.options().uses_distance_pool(solver_.team().size())
+                         ? solver_.distances().generation()
+                         : kNoGeneration;
 }
 
-void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
-                               VertexId source,
+void IncrementalSolver::repair(const VersionedGraph& vg, const Graph& g,
+                               VertexId source, const Answer& from,
+                               std::uint64_t from_version,
                                std::span<const ArcEffect> effects) {
   const Timer walk_timer;
   SsspOptions& opts = solver_.options();
   opts.validate();
   CancelToken* cancel = opts.cancel;
-  AtomicDistances& dist = *solver_.distances().current();
-  // The previous answer: the warm distances the cone walk reads.
-  const std::span<const Distance> warm(answer_.data(), answer_.size());
+  const VertexId n = g.num_vertices();
+  // The array is warm when it still holds `from`: the last answer published,
+  // with no acquire since. Otherwise `from` is loaded into it.
+  DistancePool& pool = solver_.distances();
+  const bool warm =
+      from.data() == answer_.data() && pool.generation() == warm_generation_;
 
   // The walk stores bounds into the atomic array, so any exit before the
   // new answer is published (cancel, engine failure, an allocation failure
-  // mid-walk) must unbind the warm state, or the next solve would repair
-  // on top of garbage. That solve then solves in full, and its acquire
-  // refills the array.
+  // mid-walk) must mark the array as holding no answer, or the next repair
+  // would run on top of garbage. That repair loads its answer instead.
   struct DiscardUnlessPublished {
     IncrementalSolver& self;
     bool published = false;
     ~DiscardUnlessPublished() {
-      if (!published) self.bound_graph_ = nullptr;
+      if (!published) self.warm_generation_ = kNoGeneration;
     }
   } guard{*this};
   if (cancel != nullptr && cancel->poll()) throw_cancelled(*cancel);
 
+  AtomicDistances& dist = warm ? *pool.current() : pool.acquire(n);
+  if (!warm) {
+    for (VertexId v = 0; v < n; ++v) dist.store(v, from[v]);
+  }
+
   obs::MetricsRegistry& registry = solver_.metrics();
   registry.reset();
   obs::MetricsShard& shard = registry.shard(0);
-  shard.inc(CId::kGraphCompactions, vg.compactions() - seen_compactions_);
-  shard.inc(CId::kGraphCompactedArcs,
-            vg.compacted_arcs() - seen_compacted_arcs_);
 
   // Reset the scratch flags in O(previous cone + seeds), not O(n): every set
   // flag is listed in cone_ or seeds_, because each flag is set only after
   // its push succeeded — also in a repair that threw mid-walk. bound_ is
   // read only where in_cone_ is set, so it is never reset. Only a change of
   // n (a different graph) re-allocates.
-  const VertexId n = g.num_vertices();
   if (in_cone_.size() != n || seeded_.size() != n) {
     in_cone_.assign(n, 0);
     seeded_.assign(n, 0);
@@ -244,8 +221,9 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   heads_.clear();
   priced_from_.clear();
 
-  // The walk's hot loop reads these through plain pointers.
-  const Distance* const warm_d = warm.data();
+  // The walk's hot loop reads these through plain pointers; warm_d is the
+  // answer repaired.
+  const Distance* const warm_d = from.data();
   std::uint8_t* const in_cone = in_cone_.data();
   std::uint8_t* const seeded = seeded_.data();
   Distance* const bound = bound_.data();
@@ -398,7 +376,7 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   } else {
     // Directed: O(sum of cone in- and out-degrees) via the transposed
     // in-arc view and the cone's own rows.
-    const Graph& rin = transpose_of(g);
+    const Graph& rin = transpose_of(vg, g);
     for (const VertexId c : cone_) {
       if ((++walked & 0xFFFu) == 0 && cancel != nullptr && cancel->poll())
         throw_cancelled(*cancel);
@@ -422,23 +400,23 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
     for (const VertexId c : cone_) dist.store(c, kInfDist);
   }
 
-  shard.inc(CId::kRepairBatches, vg.version() - bound_version_);
+  shard.inc(CId::kRepairBatches, vg.version() - from_version);
   shard.inc(CId::kRepairConeVertices, cone_.size());
   shard.inc(CId::kRepairSeedVertices, seeds_.size());
   if (reset) shard.inc(CId::kRepairConeResets);
 
-  // 4. Repair from the seeds with the normal engine. No acquire and no
+  // 4. Repair from the seeds with the normal engine. No further acquire or
   // fill: untouched vertices keep their warm entries. The run starts on the
   // calling thread; at kInlineRepairWork processed vertices it pauses, and
   // the team resumes from its frontier into the same log (wasp_sssp_seeded).
   const int team_size = solver_.team().size();
-  auto run_engine = [&](ThreadTeam& team, std::span<const VertexId> from,
+  auto run_engine = [&](ThreadTeam& team, std::span<const VertexId> starts,
                         std::uint64_t budget) {
     RunContext ctx{team, registry, opts.trace, opts.observer};
     ctx.dist = &dist;
     ctx.cancel = cancel;
-    const SsspResult result =
-        wasp_sssp_seeded(g, from, opts.delta, opts.wasp, ctx, lowered_, budget);
+    const SsspResult result = wasp_sssp_seeded(g, starts, opts.delta,
+                                               opts.wasp, ctx, lowered_, budget);
     if (cancel != nullptr && cancel->cancel_requested())
       throw_cancelled(*cancel);
     return result.metrics.seconds;
@@ -454,15 +432,17 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   }
 
   // 5. Publish into a free buffer; every earlier answer stays as its
-  // holders see it. Outside the cone and the log the array still holds the
-  // previous answer, and a buffer one publish behind differs from that
-  // only at the previous change set, so a patch re-reads exactly the
-  // entries that may differ.
+  // holders see it. Outside the cone and the log the array still holds
+  // `from`. On a warm array `from` is the last answer published, and a
+  // buffer one publish behind differs from that only at the previous change
+  // set, so a patch re-reads exactly the entries that may differ. A loaded
+  // answer has no such buffer, and the next repair cannot patch against it
+  // either.
   const Timer publish_timer;
   const std::size_t current = cone_.size() + lowered_.size();
   const std::size_t limit = n / kPatchShare;
   std::unique_ptr<AnswerBuffer> next = pool_->take(generation_ - 1);
-  const bool recycled = next != nullptr && !changed_all_ &&
+  const bool recycled = warm && next != nullptr && !changed_all_ &&
                         next->generation + 1 == generation_ &&
                         changed_.size() + current <= limit;
   const bool wide = current > limit;
@@ -476,7 +456,7 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
   if (recycled) {
     reread(changed_);
   } else if (!wide) {
-    out.assign(answer_.begin(), answer_.end());
+    out.assign(from.begin(), from.end());
     written = n;
   }
   // This repair's change set, re-read now and kept for the next one. A set
@@ -493,7 +473,8 @@ void IncrementalSolver::repair(VersionedGraph& vg, const Graph& g,
     }
     reread(changed_);
   }
-  publish(std::move(next), /*changed_all=*/wide);
+  publish(std::move(next), /*changed_all=*/wide || !warm);
+  warm_generation_ = pool.generation();
   guard.published = true;
   if (recycled) shard.inc(CId::kRepairRecycled);
   if (wide) shard.inc(CId::kRepairArrayCopies);

@@ -1,10 +1,18 @@
 // Incremental SSSP repair over versioned graphs (the Ramalingam–Reps-style
 // counterpart to graph/delta.hpp).
 //
-// An IncrementalSolver binds to one (VersionedGraph, source) pair and keeps
-// the pooled tentative-distance array of its last answer *warm*.
-// When the graph moves forward by a batch, solve() replays the journal
-// instead of recomputing:
+// An IncrementalSolver turns the caller's exact answer for a
+// (VersionedGraph, source) pair at some version into the exact answer at
+// the graph's current version. It keeps no binding to a graph or a source:
+// the caller's (answer, version) pair is the repair's input, and the caller
+// (QueryService's uid-keyed cache) decides which answer belongs to which
+// graph. Instead of recomputing, solve() replays the journal since that
+// version over the answer, loaded into the owned Solver's pooled distance
+// array. The array keeps the last answer this solver published until
+// anything else acquires it, so repairing that answer again (one hot
+// source) runs on the array as it is. Any other answer is first stored into
+// the array, in O(n) (part of kRepairWalkNs). The answer repaired from
+// gives the warm distances of the steps below:
 //
 //  1. Classification. Every journaled ArcEffect is either a decrease
 //     (insert / weight drop — some path may have gotten cheaper; the arc's
@@ -51,9 +59,8 @@
 //     and the boundary and the decrease sources alone seed it
 //     (kRepairConeResets).
 //  4. Repair. wasp_sssp_seeded runs the normal work-stealing engine over
-//     the warm array — no acquire and no fill, so untouched vertices cost
-//     nothing —
-//     in work proportional to the improvements left, not the cone. The
+//     the array — no further acquire or fill, so untouched vertices cost
+//     nothing — in work proportional to the improvements left, not the cone. The
 //     width follows the work done, not a guess from the cone: every repair
 //     starts on the calling thread alone, and one that reaches
 //     kInlineRepairWork processed vertices pauses and escalates to the
@@ -66,21 +73,21 @@
 //  5. Publish. The engine logs every vertex it lowers (LoweredLog; the
 //     team run of an escalated repair appends to the inline run's log), so
 //     the repair's change set, the entries where the new answer may differ
-//     from the previous one, is its cone plus its log. The new answer goes
-//     into a recycled buffer (below). A buffer exactly one publish behind
-//     differs from the previous answer only at the previous change set, so
-//     re-reading that set and this one from the array makes it the new
-//     answer: O(previous + current change set), not O(V)
-//     (kRepairRecycled). Any other buffer first takes a copy of the
-//     previous answer and then this repair's change set. A wide repair,
+//     from the one repaired, is its cone plus its log. The new answer goes
+//     into a recycled buffer (below). When the answer repaired is the last
+//     one published, a buffer exactly one publish behind differs from it
+//     only at the previous change set, so re-reading that set and this one
+//     from the array makes it the new answer: O(previous + current change
+//     set), not O(V) (kRepairRecycled). Any other buffer first takes a copy
+//     of the answer repaired and then this repair's change set. A wide repair,
 //     whose change set passes a fixed share of n, copies the whole array
 //     into the buffer instead (kRepairArrayCopies). kRepairPublishedEntries
 //     counts the entries written either way. A full solve publishes its
 //     own result and leaves the change set unknown.
 //
 // Answers are immutable and shared (sssp/answer.hpp): each solve() that
-// changes the answer publishes a new one, and answer() hands out a
-// reference to its buffer, never a copy. A holder of an earlier answer
+// changes the answer publishes a new one and returns a reference to its
+// buffer, never a copy. A holder of an earlier answer
 // keeps reading its own version unchanged, so a cache (QueryService) and
 // its clients hold the repairer's buffer itself. When the last holder
 // drops a buffer, it returns to this solver's free list (at most two
@@ -90,13 +97,13 @@
 // each repair copy the previous answer whole. A buffer released after its
 // solver is gone is simply freed.
 //
-// Anything that breaks the warm contract (first query, source change,
-// journal trimmed past our version, the underlying solver used for another
-// query in between, a graph swap) falls back to a full solve through the
-// owned wasp::Solver; last_metrics() counts which path ran
-// (kRepairFullSolves) and everything else the solve did. A
-// foreign query is caught by the pool's reset generation
-// (DistancePool::generation), which every acquire moves.
+// Two situations fall back to a full solve through the owned wasp::Solver:
+// no answer (an empty one) and an answer older than vg.journal_floor().
+// last_metrics() counts which path ran (kRepairFullSolves) and everything
+// else the solve did. Anything that only spoils the array (another query
+// through solver(), a cancelled or failed repair, a full solve that ran
+// off the pool) costs the next repair a load, caught by the pool's reset
+// generation (DistancePool::generation), which every acquire moves.
 //
 // Correctness anchor (tests/test_incremental.cpp): distances after every
 // batch are bit-identical to a from-scratch solve.
@@ -147,7 +154,7 @@ inline constexpr std::uint64_t kInlineRepairWork = 2048;
 /// entries it re-reads stay within n / kPatchShare; past that it copies
 /// the whole array into the buffer (AtomicDistances::snapshot_into). A
 /// recycled buffer one publish behind re-reads the previous and the
-/// current change set; any other buffer copies the previous answer and
+/// current change set; any other buffer copies the answer repaired and
 /// re-reads the current set. Re-reading is one scattered load per entry;
 /// the whole-array copy is one pass over the atomic array. Medians of 41
 /// on a 4-vCPU Xeon VM, taken when each entry was an 8-byte tagged word
@@ -175,23 +182,23 @@ class IncrementalSolver {
   IncrementalSolver(const IncrementalSolver&) = delete;
   IncrementalSolver& operator=(const IncrementalSolver&) = delete;
 
-  /// Exact distances for (vg.graph(), source) at vg's current version.
-  /// Compacts vg when dirty (the engine consumes the flat CSR), then either
-  /// repairs the warm state through the journal or re-solves from scratch.
-  /// The returned reference is the solver's own answer, valid until the
-  /// next solve() call; a copy of it (or answer()) keeps the buffer for as
-  /// long as it is held.
+  /// Exact distances for (vg.graph(), source) at vg's current version,
+  /// repaired from `from`: the caller guarantees it is the exact answer for
+  /// (vg, source) at version `from_version`, as wasp_sssp_seeded's caller
+  /// guarantees admissible bounds. Compacts vg when dirty (the engine
+  /// consumes the flat CSR). An empty `from`, or one older than
+  /// vg.journal_floor(), is re-solved from scratch; one at vg.version() is
+  /// returned as it is. The answer is never written while held: a solve()
+  /// that changes it publishes another buffer.
+  ///
+  /// Throws InvalidOptionsError when `from_version` is above vg.version()
+  /// or a non-empty `from` is not sized to vg.num_vertices().
   ///
   /// Cancellation: options().cancel is polled inside the cone walk and by
-  /// the engine; a fired token discards the warm state (the next solve is
-  /// a full one) and throws SolveCancelledError, leaving the solver
-  /// reusable.
-  const Answer& solve(VersionedGraph& vg, VertexId source);
-
-  /// The last solve()'s answer (empty before the first). Never written
-  /// while held: a later solve() that changes the answer publishes another
-  /// buffer, and one with no new version returns this same buffer.
-  [[nodiscard]] Answer answer() const { return answer_; }
+  /// the engine; a fired token throws SolveCancelledError and leaves the
+  /// solver reusable (the next repair loads its answer into the array).
+  Answer solve(VersionedGraph& vg, VertexId source, const Answer& from,
+               std::uint64_t from_version);
 
   /// The report of the last solve(), as Solver::last_metrics() is of a
   /// cold one. A repair's snapshot covers the walk, both engine runs and
@@ -204,22 +211,21 @@ class IncrementalSolver {
   /// to at most the wall time of solve(), less the engine's setup and
   /// join. A full solve's snapshot is the owned Solver's with
   /// kRepairFullSolves = 1. A solve with no new version leaves it all zero.
+  /// The graph's compactions are not in it: vg.compactions() counts them.
   [[nodiscard]] const obs::MetricsSnapshot& last_metrics() const {
     return last_metrics_;
   }
 
   /// The owned Solver (team, metrics, options). Using it directly for other
-  /// queries is allowed — the next solve() detects the cold pool via the
-  /// reset generation and falls back to a full solve.
+  /// queries is allowed: it takes the pooled array, and the next repair
+  /// loads its answer back (the reset generation shows the array moved).
   [[nodiscard]] Solver& solver() { return solver_; }
   [[nodiscard]] SsspOptions& options() { return solver_.options(); }
 
  private:
-  /// True when the warm array still holds our last answer for (vg, source).
-  [[nodiscard]] bool warm_for(const VersionedGraph& vg, VertexId source);
-
   void full_solve(const Graph& g, VertexId source);
-  void repair(VersionedGraph& vg, const Graph& g, VertexId source,
+  void repair(const VersionedGraph& vg, const Graph& g, VertexId source,
+              const Answer& from, std::uint64_t from_version,
               std::span<const ArcEffect> effects);
 
   /// An answer's storage, tagged with the publish generation it holds.
@@ -235,35 +241,29 @@ class IncrementalSolver {
   void publish(std::unique_ptr<AnswerBuffer> buffer, bool changed_all);
 
   /// In-neighbour view for a directed graph's boundary pass: a cached
-  /// structural transpose, rebuilt only when a compaction signals
-  /// structural change. Between compactions the flat CSR keeps its slots:
+  /// structural transpose, rebuilt for another graph (uid) or after a
+  /// compaction, which signals structural change. Between compactions the flat CSR keeps its slots:
   /// a weight patch rewrites one, a closure leaves a dead arc in it, and a
   /// reopening revives a dead (u, v) slot of the same row. So the cached
   /// transpose stays a superset of the live in-arcs, and an in-neighbour
   /// over a dead arc only adds a harmless seed. Undirected graphs need
   /// none: the cone walk collects their seeds.
-  const Graph& transpose_of(const Graph& g);
+  const Graph& transpose_of(const VersionedGraph& vg, const Graph& g);
 
   Solver solver_;
   /// The calling thread alone: where every repair starts (no worker
   /// threads, so run() is a plain call).
   ThreadTeam inline_team_{1};
 
-  // Warm-state binding: which (graph, source, version) the pool's distance
-  // array answers, plus the pool generation that proves nobody acquired it
-  // since.
-  // The uid — not the address — is the graph's identity: allocator reuse
-  // can reconstruct a different VersionedGraph at the same address.
-  const VersionedGraph* bound_graph_ = nullptr;
-  std::uint64_t bound_uid_ = 0;
-  VertexId bound_source_ = kInvalidVertex;
-  std::uint64_t bound_version_ = 0;
-  std::uint64_t bound_generation_ = 0;
-  std::uint64_t seen_compactions_ = 0;
-  std::uint64_t seen_compacted_arcs_ = 0;
+  /// A generation no counter reaches: the tag of a buffer, or of the
+  /// array, that holds no answer.
+  static constexpr std::uint64_t kNoGeneration = ~std::uint64_t{0};
 
-  /// The last exact answer (mirrors the array while the state is warm).
+  /// The last answer published.
   Answer answer_;
+  /// The pool generation at which the array holds answer_, or
+  /// kNoGeneration.
+  std::uint64_t warm_generation_ = kNoGeneration;
   /// Publishes so far: answer_ holds generation_.
   std::uint64_t generation_ = 0;
   /// The entries where answer_ may differ from generation_ - 1 (cone plus
@@ -297,7 +297,8 @@ class IncrementalSolver {
   std::vector<std::uint8_t> seeded_;
 
   Graph transpose_;  ///< structural in-arc cache for directed graphs
-  bool transpose_valid_ = false;
+  std::uint64_t transpose_uid_ = 0;  ///< 0: none (uids start at 1)
+  std::uint64_t transpose_compactions_ = 0;
 
   obs::MetricsSnapshot last_metrics_;
 };

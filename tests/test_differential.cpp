@@ -4,7 +4,9 @@
 // one value on every axis of axes(): generator, algorithm, threads, Δ, ρ,
 // the Wasp knobs, delta stream and cancel point. Streams
 // replay through IncrementalSolver and are checked after every batch; a
-// cancelled first solve is followed by a re-solve on the same Solver.
+// cancelled first solve is followed by a re-solve on the same Solver. Every
+// batch repairs two sources on one solver, each from the answer the test
+// holds for it: one on the array the solver left warm, one loaded into it.
 //
 // Seeds below kPinnedCases are pinned: seed i takes value i mod |A| on each
 // axis A, so every value of every axis runs. Later seeds draw at random.
@@ -17,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <concepts>
 #include <cstdint>
 #include <deque>
@@ -404,11 +407,11 @@ void check(const Case& c) {
   SsspOptions options = c.options;
   options.wasp.topology = make_topology(c.topology);
   IncrementalSolver inc(options);
-  const auto expect_exact = [&](std::span<const Distance> got,
+  const auto expect_exact = [&](VertexId s, std::span<const Distance> got,
                                 const std::string& when) {
     std::string why;
-    if (distances_equal(dijkstra(vg.graph(), source).dist, got, &why)) return;
-    ADD_FAILURE() << when << ": " << why;
+    if (distances_equal(dijkstra(vg.graph(), s).dist, got, &why)) return;
+    ADD_FAILURE() << when << " (source " << s << "): " << why;
   };
 
   if (c.cancel) {
@@ -417,31 +420,47 @@ void check(const Case& c) {
     inc.options().observer = &canceller;
     inc.options().cancel = &token;
     try {
-      expect_exact(inc.solve(vg, source), "solve the cancel missed");
+      expect_exact(source, inc.solve(vg, source, {}, 0),
+                   "solve the cancel missed");
     } catch (const SolveCancelledError& e) {
       EXPECT_EQ(e.reason(), CancelReason::kUser);
     }
     inc.options().observer = nullptr;
     inc.options().cancel = nullptr;
   }
-  expect_exact(inc.solve(vg, source), "first solve");
+  // Each source's answer and the version it is exact at. The second
+  // source's first answer comes from Dijkstra, not from this solver.
+  struct Held {
+    VertexId source;
+    Answer answer;
+    std::uint64_t version;
+  };
+  const VertexId second =
+      pick_source_in_largest_component(vg.graph(), ~c.seed);
+  std::array<Held, 2> held{
+      Held{source, inc.solve(vg, source, {}, 0), vg.version()},
+      Held{second, Answer(dijkstra(vg.graph(), second).dist), vg.version()}};
+  expect_exact(source, held[0].answer, "first solve");
 
   Xoshiro256 rng(hash_mix(c.seed));
   std::deque<ClosedArc> closed;
-  int repairs = 0;
   for (int b = 0; c.stream != Stream::kNone && b < kBatches; ++b) {
     const GraphDelta delta = next_batch(vg, c.stream, rng, closed);
     if (delta.empty()) continue;
     (void)vg.apply(delta);
-    const Answer& got = inc.solve(vg, source);
-    if (inc.last_metrics().counter(obs::CounterId::kRepairFullSolves) == 0)
-      ++repairs;
-    expect_exact(got, "after batch " + std::to_string(b));
-  }
-  // The warm path must be the one under test, not a full solve per batch.
-  if (c.stream != Stream::kNone &&
-      options.uses_distance_pool(options.threads)) {
-    EXPECT_GT(repairs, 0) << "no batch was repaired incrementally";
+    // held[0] is the answer the solver published last, so it repairs on
+    // the warm array (unless the solve before ran off the pool) and held[1]
+    // is loaded; the swap keeps that order for the next batch.
+    for (Held& h : held) {
+      h.answer = inc.solve(vg, h.source, h.answer, h.version);
+      h.version = vg.version();
+      const std::string when = "after batch " + std::to_string(b);
+      EXPECT_EQ(
+          inc.last_metrics().counter(obs::CounterId::kRepairFullSolves), 0u)
+          << when << " (source " << h.source << ") was not repaired";
+      expect_exact(h.source, h.answer, when);
+    }
+    std::swap(held[0], held[1]);
   }
 }
 

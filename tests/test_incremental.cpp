@@ -6,8 +6,10 @@
 // recycled once released), the re-priced
 // repair cone (its work, nested heads, the zero-weight fallback and the
 // cone's own seeds), the VersionedGraph contract
-// (atomic validation, journal semantics, compaction on demand), every
-// warm-state fallback path, and the QueryService update gate: concurrent
+// (atomic validation, journal semantics, compaction on demand), the answer
+// a repair is handed (warm, loaded, or one of the two full-solve
+// fallbacks), and the QueryService update gate: K cached sources each
+// repaired from their own entry, concurrent
 // update-vs-query streams where every served answer must match the
 // reference distances of exactly the graph version it reports, and the
 // fresh cache path (an entry is served without a solve only at exactly the
@@ -27,6 +29,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -153,17 +156,51 @@ GraphDelta random_batch(const VersionedGraph& vg, Mode mode, Xoshiro256& rng,
   return delta;
 }
 
+/// An IncrementalSolver plus the answer it last returned for each (graph,
+/// source) and the version that answer is exact at, kept as the
+/// QueryService cache keeps them: solve() repairs a pair from its own
+/// entry. The answer the solver published last runs on the warm array; any
+/// other is loaded into it.
+class Repairer {
+ public:
+  explicit Repairer(SsspOptions options) : inc_(std::move(options)) {}
+
+  const Answer& solve(VersionedGraph& vg, VertexId source) {
+    Held& held = held_[{vg.uid(), source}];
+    held.answer = inc_.solve(vg, source, held.answer, held.version);
+    held.version = vg.version();
+    last_ = &held;
+    return held.answer;
+  }
+  /// The last solve()'s answer.
+  [[nodiscard]] Answer answer() const { return last_->answer; }
+  [[nodiscard]] const obs::MetricsSnapshot& last_metrics() const {
+    return inc_.last_metrics();
+  }
+  [[nodiscard]] Solver& solver() { return inc_.solver(); }
+  [[nodiscard]] SsspOptions& options() { return inc_.options(); }
+
+ private:
+  struct Held {
+    Answer answer;
+    std::uint64_t version = 0;
+  };
+  IncrementalSolver inc_;
+  std::map<std::pair<std::uint64_t, VertexId>, Held> held_;
+  const Held* last_ = nullptr;
+};
+
 // --- published answers: patched from the engine's log, never rewritten
 // --- while held -------------------------------------------------------------
 
 /// kUpdates of the repairer's last solve: the entries its engine logged.
-std::uint64_t run_updates(const IncrementalSolver& inc) {
+std::uint64_t run_updates(const Repairer& inc) {
   return inc.last_metrics().counter(CId::kUpdates);
 }
 
 /// Vertices the repairer's last solve processed (both runs of an escalated
 /// repair).
-std::uint64_t run_processed(const IncrementalSolver& inc) {
+std::uint64_t run_processed(const Repairer& inc) {
   return inc.last_metrics().counter(CId::kVerticesProcessed);
 }
 
@@ -184,7 +221,7 @@ double layers_seconds(const obs::MetricsSnapshot& m) {
 
 /// The checks every published repair must pass: the answer is exact and it
 /// is what the warm array holds.
-void expect_published_answer(IncrementalSolver& inc, const Graph& g,
+void expect_published_answer(Repairer& inc, const Graph& g,
                              VertexId source, const std::string& what) {
   const Answer answer = inc.answer();
   ASSERT_FALSE(answer.empty()) << what;
@@ -204,7 +241,7 @@ TEST(IncrementalAnswer, RepairsPublishExactImmutableAnswers) {
       const std::string name = std::string(shape) + "/" + to_name(mode);
       VersionedGraph vg(make_shape(shape));
       const VertexId source = pick_source(vg);
-      IncrementalSolver inc(test_options());
+      Repairer inc(test_options());
       (void)inc.solve(vg, source);
 
       // Every answer published so far, with its version's reference.
@@ -261,7 +298,7 @@ TEST(IncrementalAnswer, ManySeedsRepairOnTheTeamWithTheLog) {
   // two workers, appending to the log concurrently.
   VersionedGraph vg(gen::grid(48, 48, WeightScheme::uniform(2, 100), 31));
   const VertexId source = pick_source(vg);
-  IncrementalSolver inc(test_options());
+  Repairer inc(test_options());
   (void)inc.solve(vg, source);
   GraphDelta drops;
   for (VertexId u = 0; u < vg.num_vertices(); u += 2) {
@@ -288,7 +325,7 @@ TEST(IncrementalAnswer, LargeConeFewSeedsRepairsInline) {
   // a cone far past kInlineRepairWork, yet no bound can improve: the
   // engine processes only the seeds, so the repair never wakes the team.
   VersionedGraph vg(make_shape("long_chain"));
-  IncrementalSolver inc(test_options());
+  Repairer inc(test_options());
   (void)inc.solve(vg, 0);
   GraphDelta jam;
   jam.set_weight(2, 3, 500);
@@ -319,7 +356,7 @@ TEST(IncrementalAnswer, EscalatedRepairResumesFromThePausedFrontier) {
   // further. Resuming, not replaying, processes each lowered vertex once:
   // no more vertices than the lowerings plus the seeds.
   VersionedGraph vg(make_shape("long_chain"));
-  IncrementalSolver inc(test_options());
+  Repairer inc(test_options());
   (void)inc.solve(vg, 0);
   const Distance before = inc.answer()[vg.num_vertices() - 1];
   TerminationCounter counter;
@@ -363,7 +400,7 @@ TEST(IncrementalAnswer, EscalatedRepairResumesFromThePausedFrontier) {
   VersionedGraph solo_vg(make_shape("long_chain"));
   SsspOptions solo_options = test_options();
   solo_options.threads = 1;
-  IncrementalSolver solo(solo_options);
+  Repairer solo(solo_options);
   (void)solo.solve(solo_vg, 0);
   (void)solo_vg.apply(drop);
   (void)solo.solve(solo_vg, 0);
@@ -400,7 +437,7 @@ SsspOptions one_bucket_options() {
 /// answer; returns the repair's report.
 obs::MetricsSnapshot repair_comb(const GraphDelta& batch) {
   VersionedGraph vg(comb());
-  IncrementalSolver inc(one_bucket_options());
+  Repairer inc(one_bucket_options());
   const auto first = inc.solve(vg, 0);
   (void)vg.apply(batch);
   (void)inc.solve(vg, 0);
@@ -491,7 +528,7 @@ TEST(IncrementalAnswer, HeldAnswersStayExactWhileReleasedOnesAreRecycled) {
   VersionedGraph vg(gen::grid(64, 64, WeightScheme::uniform(1, 100), 37));
   const VertexId source = pick_source(vg);
   const std::uint64_t n = vg.num_vertices();
-  IncrementalSolver inc(test_options());
+  Repairer inc(test_options());
   (void)inc.solve(vg, source);
 
   struct Held {
@@ -566,7 +603,7 @@ TEST(IncrementalAnswer, AnswersOutliveTheirSolver) {
   VersionedGraph vg(comb());
   std::vector<Answer> kept;
   {
-    IncrementalSolver inc(one_bucket_options());
+    Repairer inc(one_bucket_options());
     kept.push_back(inc.solve(vg, 0));
     GraphDelta drop;
     drop.set_weight(196, 197, 1);
@@ -590,7 +627,7 @@ TEST(IncrementalAnswer, RecycledRepairWritesTheTwoChangeSetsAtAnyN) {
   for (int i = 0; i < 2; ++i) {
     const VertexId path = i == 0 ? 200 : 2000;
     VersionedGraph vg(comb(path));
-    IncrementalSolver inc(one_bucket_options());
+    Repairer inc(one_bucket_options());
     (void)inc.solve(vg, 0);
     GraphDelta first;
     first.set_weight(path - 4, path - 3, 2);
@@ -635,7 +672,7 @@ TEST(IncrementalAnswer, RecycledRepairWritesTheTwoChangeSetsAtAnyN) {
 
 /// Solves `vg` from `source` with `inc`, applies `batches` in turn, and
 /// repairs once; checks the answer against Dijkstra.
-void repair_after(IncrementalSolver& inc, VersionedGraph& vg, VertexId source,
+void repair_after(Repairer& inc, VersionedGraph& vg, VertexId source,
                   const std::vector<GraphDelta>& batches,
                   const std::string& what) {
   (void)inc.solve(vg, source);
@@ -651,7 +688,7 @@ TEST(IncrementalReprice, TreeJamRepricesTheSubtreeWithoutUpdates) {
   // Jamming 190-191 raises 191..199 and the pendant by exactly the jam, and
   // no other path reaches them: the re-priced cone is already the answer.
   VersionedGraph vg(comb());
-  IncrementalSolver inc(one_bucket_options());
+  Repairer inc(one_bucket_options());
   GraphDelta jam;
   jam.set_weight(190, 191, 30);
   repair_after(inc, vg, 0, {jam}, "comb jam");
@@ -665,7 +702,7 @@ TEST(IncrementalReprice, TreeJamRepricesTheSubtreeWithoutUpdates) {
   // Two raises of one arc caught up at once: only the first is admissible
   // under the warm distances, but the head must be priced at the second.
   VersionedGraph vg2(comb());
-  IncrementalSolver inc2(one_bucket_options());
+  Repairer inc2(one_bucket_options());
   GraphDelta raise;
   raise.set_weight(190, 191, 10);
   GraphDelta raise_again;
@@ -709,7 +746,7 @@ TEST(IncrementalReprice, NestedJamsPriceInnerHeadsFromOuterCones) {
        {std::pair{"one batch", std::vector<GraphDelta>{both}},
         std::pair{"catch-up", std::vector<GraphDelta>{inner, outer}}}) {
     VersionedGraph vg(comb());
-    IncrementalSolver inc(one_bucket_options());
+    Repairer inc(one_bucket_options());
     repair_after(inc, vg, 0, batches, name);
     const obs::MetricsSnapshot& rs = inc.last_metrics();
     // 181..199 and the pendant.
@@ -743,7 +780,7 @@ TEST(IncrementalReprice, NestedJamsPriceInnerHeadsFromOuterCones) {
         std::pair{"grid catch-up",
                   std::vector<GraphDelta>{grid_inner, grid_outer}}}) {
     VersionedGraph vg{Graph(grid)};
-    IncrementalSolver inc(test_options());
+    Repairer inc(test_options());
     repair_after(inc, vg, 0, batches, name);
     EXPECT_EQ(inc.last_metrics().counter(CId::kRepairConeResets), 0u) << name;
   }
@@ -761,7 +798,7 @@ TEST(IncrementalReprice, ZeroWeightTieResetsTheConeToInfinity) {
                                      {0, 3, 100}})
                           .undirected(undirected)
                           .build());
-    IncrementalSolver inc(test_options());
+    Repairer inc(test_options());
     GraphDelta jams;
     jams.set_weight(0, 2, 50);
     jams.set_weight(2, 1, 1);
@@ -792,7 +829,7 @@ TEST(IncrementalReprice, DetourThroughALighterConeIsSeeded) {
                           .edges(6, std::move(edges))
                           .undirected(undirected)
                           .build());
-    IncrementalSolver inc(test_options());
+    Repairer inc(test_options());
     GraphDelta jams;
     jams.set_weight(0, 1, 100);
     jams.set_weight(0, 3, 3);
@@ -845,7 +882,7 @@ TEST(IncrementalReprice, WalkOrderDoesNotChangeTheCone) {
         std::pair{"zero-weight tie", tie}}) {
     for (const Mode mode : {Mode::kMixed, Mode::kStructural}) {
       VersionedGraph vg{Graph(graph)};
-      IncrementalSolver inc(test_options());
+      Repairer inc(test_options());
       (void)inc.solve(vg, 0);
       Xoshiro256 rng(0xC0E5ULL + static_cast<std::uint64_t>(mode));
       for (int b = 0; b < 6; ++b) {
@@ -876,7 +913,7 @@ TEST(IncrementalReprice, RepairLayersFitInItsWallTime) {
   // disjoint slices of one repair, on the team and inline alike.
   VersionedGraph vg(make_shape("long_chain"));
   const VertexId source = pick_source(vg);
-  IncrementalSolver inc(test_options());
+  Repairer inc(test_options());
   (void)inc.solve(vg, source);
   EXPECT_EQ(inc.last_metrics().counter(CId::kRepairWalkNs), 0u);
   EXPECT_EQ(inc.last_metrics().counter(CId::kRepairPublishNs), 0u);
@@ -1332,7 +1369,7 @@ TEST(IncrementalDelta, DirectedCloseReopenRepairsMatchAColdSolve) {
   // transpose is built once and must stay a superset of the live in-arcs.
   VersionedGraph vg(make_shape("rmat_dir"));
   const VertexId source = pick_source(vg);
-  IncrementalSolver inc(test_options());
+  Repairer inc(test_options());
   (void)inc.solve(vg, source);
   Solver cold(test_options());
 
@@ -1385,27 +1422,54 @@ TEST(IncrementalDelta, JournalTrimRaisesTheFloor) {
   EXPECT_FALSE(vg.journal_since(vg.version() + 1).ok);
 }
 
-// --- warm-state fallback paths --------------------------------------------
+// --- warm state: the answer a repair is handed ----------------------------
+
+/// A non-empty mixed batch of up to `ops` random re-weights.
+GraphDelta mixed_batch(const VersionedGraph& vg, std::uint64_t seed, int ops) {
+  Xoshiro256 rng(seed);
+  GraphDelta batch;
+  while (batch.empty()) batch = random_batch(vg, Mode::kMixed, rng, ops);
+  return batch;
+}
 
 TEST(IncrementalWarm, UnchangedVersionIsServedWithoutResolving) {
   VersionedGraph vg(make_shape("er"));
   IncrementalSolver inc(test_options());
-  const Answer first = inc.solve(vg, 3);
+  const Answer first = inc.solve(vg, 3, {}, 0);
   EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 1u);
 
-  const Answer& again = inc.solve(vg, 3);
+  // An answer at the graph's version is the answer: the same buffer back.
+  const Answer again = inc.solve(vg, 3, first, vg.version());
   EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 0u);
   EXPECT_EQ(inc.last_metrics().counter(CId::kRepairBatches), 0u);
-  EXPECT_EQ(first, again);
+  EXPECT_EQ(again.data(), first.data());
 }
 
-TEST(IncrementalWarm, SourceChangeFallsBackToFullSolve) {
+TEST(IncrementalWarm, SourceChangeRepairsFromTheGivenAnswer) {
+  // One solver, three sources, each repaired from its own answer. The
+  // answer the array holds repairs in place; the others are loaded into
+  // the array first (one acquire each), whoever computed them.
   VersionedGraph vg(make_shape("er"));
   IncrementalSolver inc(test_options());
-  (void)inc.solve(vg, 3);
-  const Answer& other = inc.solve(vg, 7);
-  EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 1u);
-  EXPECT_EQ(dijkstra(vg.graph(), 7).dist, other);
+  DistancePool& pool = inc.solver().distances();
+  const std::uint64_t answered = vg.version();
+  const Answer from3 = inc.solve(vg, 3, {}, 0);
+  const Answer from7 = inc.solve(vg, 7, {}, 0);
+  const Answer from11(dijkstra(vg.graph(), 11).dist);
+  (void)vg.apply(mixed_batch(vg, 3, 6));
+
+  for (const auto& [source, from, loads] :
+       {std::tuple{VertexId{7}, from7, 0u}, std::tuple{VertexId{3}, from3, 1u},
+        std::tuple{VertexId{11}, from11, 1u}}) {
+    const std::uint64_t generation = pool.generation();
+    const Answer to = inc.solve(vg, source, from, answered);
+    const obs::MetricsSnapshot& rs = inc.last_metrics();
+    EXPECT_EQ(rs.counter(CId::kRepairFullSolves), 0u) << source;
+    EXPECT_EQ(rs.counter(CId::kRepairBatches), 1u) << source;
+    EXPECT_EQ(pool.generation(), generation + loads) << source;
+    EXPECT_EQ(dijkstra(vg.graph(), source).dist, to) << source;
+    EXPECT_EQ(pool.current()->snapshot(), to) << source;
+  }
 }
 
 TEST(IncrementalWarm, JournalTrimForcesFullSolve) {
@@ -1413,14 +1477,36 @@ TEST(IncrementalWarm, JournalTrimForcesFullSolve) {
   vg.set_journal_limit(0);  // every batch is immediately unreachable
   IncrementalSolver inc(test_options());
   const VertexId source = pick_source(vg);
-  (void)inc.solve(vg, source);
+  const Answer answer = inc.solve(vg, source, {}, 0);
+  const std::uint64_t answered = vg.version();
 
   GraphDelta d;
   d.set_weight(0, 1, 77);
   (void)vg.apply(d);
-  const Answer& dist = inc.solve(vg, source);
+  ASSERT_LT(answered, vg.journal_floor());
+  const Answer dist = inc.solve(vg, source, answer, answered);
   EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 1u);
   EXPECT_EQ(dijkstra(vg.graph(), source).dist, dist);
+}
+
+TEST(IncrementalWarm, BadAnswerInputsThrowInvalidOptions) {
+  // A version the graph has not reached, or an answer sized for another
+  // graph, is rejected before anything runs: the array stays warm.
+  VersionedGraph vg(make_shape("er"));
+  IncrementalSolver inc(test_options());
+  const Answer answer = inc.solve(vg, 3, {}, 0);
+  const std::uint64_t answered = vg.version();
+  EXPECT_THROW((void)inc.solve(vg, 3, answer, answered + 1),
+               InvalidOptionsError);
+  const Answer short_answer(std::vector<Distance>(vg.num_vertices() - 1, 0));
+  EXPECT_THROW((void)inc.solve(vg, 3, short_answer, answered),
+               InvalidOptionsError);
+
+  (void)vg.apply(mixed_batch(vg, 5, 4));
+  const std::uint64_t generation = inc.solver().distances().generation();
+  EXPECT_EQ(inc.solve(vg, 3, answer, answered), dijkstra(vg.graph(), 3).dist);
+  EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 0u);
+  EXPECT_EQ(inc.solver().distances().generation(), generation);
 }
 
 /// Jams `src`'s arc to `dst` and checks the repair from `src`: exact, and
@@ -1428,7 +1514,7 @@ TEST(IncrementalWarm, JournalTrimForcesFullSolve) {
 void expect_jam_seeds_only_source(Graph graph, VertexId src, VertexId dst,
                                   std::uint64_t cone) {
   VersionedGraph vg(std::move(graph));
-  IncrementalSolver inc(test_options());
+  Repairer inc(test_options());
   (void)inc.solve(vg, src);
   GraphDelta jam;
   jam.set_weight(src, dst, 50);
@@ -1467,21 +1553,20 @@ TEST(IncrementalWarm, ForeignSolverUseColdsTheWarmState) {
   VersionedGraph vg(make_shape("er"));
   IncrementalSolver inc(test_options());
   const VertexId source = pick_source(vg);
-  (void)inc.solve(vg, source);
+  const Answer answer = inc.solve(vg, source, {}, 0);
+  const std::uint64_t answered = vg.version();
 
-  // Using the owned Solver directly moves the pool generation: the warm
-  // contract is broken and the next solve must detect it instead of
+  // Using the owned Solver directly takes the pooled array and moves its
+  // generation: the next repair must load its answer back instead of
   // repairing on top of someone else's distances.
   Graph other = make_shape("grid");
   (void)inc.solver().solve(other, 0);
+  (void)vg.apply(mixed_batch(vg, 5, 4));
 
-  Xoshiro256 rng(5);
-  GraphDelta batch;
-  while (batch.empty()) batch = random_batch(vg, Mode::kMixed, rng, 4);
-  (void)vg.apply(batch);
-
-  const Answer& dist = inc.solve(vg, source);
-  EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 1u);
+  const std::uint64_t generation = inc.solver().distances().generation();
+  const Answer dist = inc.solve(vg, source, answer, answered);
+  EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 0u);
+  EXPECT_EQ(inc.solver().distances().generation(), generation + 1);
   EXPECT_EQ(dijkstra(vg.graph(), source).dist, dist);
 }
 
@@ -1489,26 +1574,29 @@ TEST(IncrementalWarm, CancelledRepairThrowsAndLeavesSolverReusable) {
   VersionedGraph vg(make_shape("er"));
   IncrementalSolver inc(test_options());
   const VertexId source = pick_source(vg);
-  (void)inc.solve(vg, source);
-
-  Xoshiro256 rng(9);
-  (void)vg.apply(random_batch(vg, Mode::kMixed, rng, 8));
+  const Answer answer = inc.solve(vg, source, {}, 0);
+  const std::uint64_t answered = vg.version();
+  (void)vg.apply(mixed_batch(vg, 9, 8));
 
   CancelToken token;
   token.request_cancel(CancelReason::kUser);
   inc.options().cancel = &token;
-  EXPECT_THROW((void)inc.solve(vg, source), SolveCancelledError);
+  EXPECT_THROW((void)inc.solve(vg, source, answer, answered),
+               SolveCancelledError);
 
+  // The array holds no answer any more: the retry loads it again.
   inc.options().cancel = nullptr;
-  const Answer& dist = inc.solve(vg, source);
-  // The warm state was discarded.
-  EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 1u);
+  const std::uint64_t generation = inc.solver().distances().generation();
+  const Answer dist = inc.solve(vg, source, answer, answered);
+  EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 0u);
+  EXPECT_EQ(inc.solver().distances().generation(), generation + 1);
   EXPECT_EQ(dijkstra(vg.graph(), source).dist, dist);
 }
 
 TEST(IncrementalWarm, EngineFailureAfterTheWalkDiscardsTheWarmState) {
   // The walk has stored re-priced bounds in the array by the time the
-  // engine runs; an engine that throws must leave the next solve cold.
+  // engine runs; after an engine that throws, the next repair must load
+  // its answer instead of running on those bounds.
   struct ThrowingObserver : obs::RunObserver {
     void on_termination(int /*tid*/) override {
       throw std::runtime_error("observer failed");
@@ -1516,16 +1604,19 @@ TEST(IncrementalWarm, EngineFailureAfterTheWalkDiscardsTheWarmState) {
   } throwing;
   VersionedGraph vg(comb());
   IncrementalSolver inc(one_bucket_options());
-  (void)inc.solve(vg, 0);
+  const Answer answer = inc.solve(vg, 0, {}, 0);
+  const std::uint64_t answered = vg.version();
   GraphDelta jam;
   jam.set_weight(190, 191, 30);
   (void)vg.apply(jam);
   inc.options().observer = &throwing;
-  EXPECT_THROW((void)inc.solve(vg, 0), std::runtime_error);
+  EXPECT_THROW((void)inc.solve(vg, 0, answer, answered), std::runtime_error);
 
   inc.options().observer = nullptr;
-  const Answer& dist = inc.solve(vg, 0);
-  EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 1u);
+  const std::uint64_t generation = inc.solver().distances().generation();
+  const Answer dist = inc.solve(vg, 0, answer, answered);
+  EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 0u);
+  EXPECT_EQ(inc.solver().distances().generation(), generation + 1);
   EXPECT_EQ(dijkstra(vg.graph(), 0).dist, dist);
 }
 
@@ -1538,30 +1629,6 @@ TEST(IncrementalWarm, UidIsProcessUniqueAndMoveAware) {
   EXPECT_EQ(c.uid(), a_uid);  // identity travels with the content
   EXPECT_NE(a.uid(), a_uid);  // the moved-from husk is re-stamped
   EXPECT_NE(a.uid(), c.uid());
-}
-
-TEST(IncrementalWarm, GraphRebuiltAtSameAddressFallsBackToFullSolve) {
-  VersionedGraph vg(make_shape("er"));
-  IncrementalSolver inc(test_options());
-  const VertexId source = pick_source(vg);
-  (void)inc.solve(vg, source);
-
-  // Allocator-reuse ABA: a *different* graph takes over the bound object's
-  // address (move-assignment re-stamps vg in place) with the same vertex
-  // count, an untouched pool generation, and a version no older than the
-  // bound one — everything an address + version heuristic would mistake for
-  // warm state. Only the uid tells them apart.
-  VersionedGraph other(
-      gen::erdos_renyi(1600, 6.0, WeightScheme::uniform(1, 100), 99));
-  Xoshiro256 rng(5);
-  (void)other.apply(random_batch(other, Mode::kMixed, rng, 6));
-  ASSERT_GE(other.version(), vg.version());
-  vg = std::move(other);
-
-  const Answer& dist = inc.solve(vg, source);
-  // The uid mismatch forces a cold solve.
-  EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 1u);
-  EXPECT_EQ(dijkstra(vg.graph(), source).dist, dist);
 }
 
 // --- QueryService update gate: concurrent update-vs-query ------------------
@@ -1659,19 +1726,18 @@ TEST(IncrementalService, UpdateRepairsCachedAnswersInsteadOfDroppingThem) {
   ASSERT_EQ(svc.solve(vg, {.source = 5}).outcome, service::Outcome::kServed);
 
   Xoshiro256 rng(51);
-  // First update: the service repairer full-solves the cached entry to bind
-  // its warm state; second update repairs the bound entry incrementally.
-  // The service's counters fold each solve's report.
+  // Every update repairs the cached entry from its own answer, the first
+  // one too: the served answer is loaded into the repairer's array. The
+  // service's counters fold each solve's report.
   (void)svc.update(vg, random_batch(vg, Mode::kMixed, rng, 8));
-  EXPECT_EQ(svc.metrics().counter(CId::kRepairFullSolves), 1u);
-  EXPECT_EQ(svc.metrics().counter(CId::kRepairBatches), 0u);
+  EXPECT_EQ(svc.metrics().counter(CId::kRepairFullSolves), 0u);
+  EXPECT_EQ(svc.metrics().counter(CId::kRepairBatches), 1u);
   (void)svc.update(vg, random_batch(vg, Mode::kMixed, rng, 8));
-  EXPECT_GE(svc.metrics().counter(CId::kRepairBatches), 1u);
-  EXPECT_EQ(svc.metrics().counter(CId::kRepairFullSolves), 1u);
+  EXPECT_EQ(svc.metrics().counter(CId::kRepairBatches), 2u);
+  EXPECT_EQ(svc.metrics().counter(CId::kRepairFullSolves), 0u);
 
-  // A structural batch through the service compacts inside the gate. The
-  // update gate counts the compactions once; the repair's own count of
-  // them is not folded again.
+  // A structural batch through the service compacts inside the gate, which
+  // counts the compactions once.
   (void)svc.update(vg, random_batch(vg, Mode::kStructural, rng, 6));
   EXPECT_GE(svc.metrics().counter(CId::kGraphCompactions), 1u);
   EXPECT_EQ(svc.metrics().counter(CId::kGraphCompactions), vg.compactions());
@@ -1681,6 +1747,38 @@ TEST(IncrementalService, UpdateRepairsCachedAnswersInsteadOfDroppingThem) {
   ASSERT_EQ(fresh.outcome, service::Outcome::kServed);
   EXPECT_EQ(fresh.graph_version, vg.version());
   EXPECT_EQ(dijkstra(vg.graph(), 5).dist, fresh.dist);
+}
+
+TEST(IncrementalService, UpdateRepairsEveryCachedSource) {
+  VersionedGraph vg(
+      gen::erdos_renyi(1000, 5.0, WeightScheme::uniform(1, 64), 83));
+  service::QueryService svc(service_config());
+  const std::vector<VertexId> sources = {2, 17, 301, 640};
+  for (const VertexId s : sources)
+    ASSERT_EQ(svc.solve(vg, {.source = s}).outcome, service::Outcome::kServed);
+
+  // One batch repairs each of the K cached answers from its own entry.
+  (void)svc.update(vg, mixed_batch(vg, 87, 8));
+  EXPECT_EQ(svc.metrics().counter(CId::kRepairFullSolves), 0u);
+  EXPECT_EQ(svc.metrics().counter(CId::kRepairBatches), sources.size());
+  for (const VertexId s : sources) {
+    const service::QueryResult r = svc.solve(vg, {.source = s});
+    ASSERT_EQ(r.outcome, service::Outcome::kServed) << s;
+    EXPECT_EQ(r.attempts, 0) << s;
+    EXPECT_EQ(r.graph_version, vg.version()) << s;
+    EXPECT_EQ(dijkstra(vg.graph(), s).dist, r.dist) << s;
+  }
+
+  // Past the journal, the entries are older than its floor: each re-solves.
+  vg.set_journal_limit(0);
+  (void)svc.update(vg, mixed_batch(vg, 89, 8));
+  EXPECT_EQ(svc.metrics().counter(CId::kRepairFullSolves), sources.size());
+  EXPECT_EQ(svc.metrics().counter(CId::kRepairBatches), sources.size());
+  for (const VertexId s : sources) {
+    const service::QueryResult r = svc.solve(vg, {.source = s});
+    EXPECT_EQ(r.attempts, 0) << s;
+    EXPECT_EQ(dijkstra(vg.graph(), s).dist, r.dist) << s;
+  }
 }
 
 TEST(IncrementalService, ReadersDropAnswersWhileUpdatesRecycle) {

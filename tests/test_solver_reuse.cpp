@@ -142,19 +142,24 @@ TEST_P(SolverReuseAfterReset, DirtyPoolIsRefilledBeforeEverySolve) {
   EXPECT_EQ(solver.distances().current(), array);
 
   // A repair leaves its answer in the array, warm for the next repair.
-  (void)inc.solve(vg, s);
+  Answer answer = inc.solve(vg, s, {}, 0);
+  std::uint64_t answered = vg.version();
   const WEdge first = vg.flat().out_neighbors(s)[0];
   (void)vg.apply(GraphDelta().set_weight(s, first.dst, first.w + 50));
-  EXPECT_EQ(inc.solve(vg, s), dijkstra(vg.graph(), s).dist);
+  answer = inc.solve(vg, s, answer, answered);
+  answered = vg.version();
+  EXPECT_EQ(answer, dijkstra(vg.graph(), s).dist);
   EXPECT_EQ(inc.last_metrics().counter(obs::CounterId::kRepairFullSolves), 0u);
   r = solver.solve(other, t);
   EXPECT_EQ(r.dist, dijkstra(other, t).dist);
 
-  // That solve moved the pool's generation, so the next update is not
-  // repaired on top of the other graph's distances.
+  // That solve moved the pool's generation, so the next update loads the
+  // answer instead of repairing on top of the other graph's distances.
   (void)vg.apply(GraphDelta().set_weight(s, first.dst, first.w));
-  EXPECT_EQ(inc.solve(vg, s), dijkstra(vg.graph(), s).dist);
-  EXPECT_EQ(inc.last_metrics().counter(obs::CounterId::kRepairFullSolves), 1u);
+  const std::uint64_t generation = solver.distances().generation();
+  EXPECT_EQ(inc.solve(vg, s, answer, answered), dijkstra(vg.graph(), s).dist);
+  EXPECT_EQ(inc.last_metrics().counter(obs::CounterId::kRepairFullSolves), 0u);
+  EXPECT_EQ(solver.distances().generation(), generation + 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -249,14 +254,19 @@ TEST(PartitionReuse, OneFragmentRunIsTheFlatRun) {
     }
   }
 
-  // It also binds an IncrementalSolver, so an update repairs in place.
+  // It also leaves its answer in the pooled array, so an IncrementalSolver
+  // repairs it in place, with no load.
   VersionedGraph vg(gen::grid(30, 30, WeightScheme::uniform(1, 100), 5));
   IncrementalSolver inc(partitioned_options(1));
-  EXPECT_EQ(inc.solve(vg, 0), dijkstra(vg.graph(), 0).dist);
+  const Answer answer = inc.solve(vg, 0, {}, 0);
+  EXPECT_EQ(answer, dijkstra(vg.graph(), 0).dist);
+  const std::uint64_t answered = vg.version();
+  const std::uint64_t generation = inc.solver().distances().generation();
   const WEdge first = vg.flat().out_neighbors(0)[0];
   (void)vg.apply(GraphDelta().set_weight(0, first.dst, first.w + 50));
-  EXPECT_EQ(inc.solve(vg, 0), dijkstra(vg.graph(), 0).dist);
+  EXPECT_EQ(inc.solve(vg, 0, answer, answered), dijkstra(vg.graph(), 0).dist);
   EXPECT_EQ(inc.last_metrics().counter(obs::CounterId::kRepairFullSolves), 0u);
+  EXPECT_EQ(inc.solver().distances().generation(), generation);
 }
 
 TEST(PartitionReuse, EachVersionedBatchForcesExactlyOneRebuild) {
@@ -328,17 +338,23 @@ TEST(PartitionReuse, IncrementalSolverNeverBindsToTheUnusedFlatArray) {
   // A partitioned full solve keeps its distances in fragment shards, so
   // the pooled flat array holds no answer the repair could start from —
   // here it holds another source's distances from an earlier flat solve.
+  // The repair loads the answer it is given into the array instead, and
+  // runs one fragment over it.
   VersionedGraph vg(gen::grid(30, 30, WeightScheme::uniform(1, 100), 5));
   IncrementalSolver inc(partitioned_options(2));
   const VertexId s = 0;
   (void)inc.solver().solve(vg.graph(), vg.num_vertices() - 1,
                            Algorithm::kBellmanFord);
-  EXPECT_EQ(inc.solve(vg, s), dijkstra(vg.graph(), s).dist);
+  const Answer answer = inc.solve(vg, s, {}, 0);
+  EXPECT_EQ(answer, dijkstra(vg.graph(), s).dist);
+  const std::uint64_t answered = vg.version();
+  const std::uint64_t generation = inc.solver().distances().generation();
 
   const WEdge first = vg.flat().out_neighbors(s)[0];
   (void)vg.apply(GraphDelta().set_weight(s, first.dst, first.w + 50));
-  EXPECT_EQ(inc.solve(vg, s), dijkstra(vg.graph(), s).dist);
-  EXPECT_EQ(inc.last_metrics().counter(obs::CounterId::kRepairFullSolves), 1u);
+  EXPECT_EQ(inc.solve(vg, s, answer, answered), dijkstra(vg.graph(), s).dist);
+  EXPECT_EQ(inc.last_metrics().counter(obs::CounterId::kRepairFullSolves), 0u);
+  EXPECT_EQ(inc.solver().distances().generation(), generation + 1);
 }
 
 TEST(PartitionReuse, WarmSolveAfterCancelledSolveIsExact) {

@@ -1909,7 +1909,10 @@ TEST(SchedulerHarness, AsyncBaselinesEndToEndSchedulesMatchDijkstra) {
 // array.
 // Each seed solves an e2e case cold, applies a one- or two-arc batch of
 // jams and drops, and repairs under the scheduler; the published answer
-// must match Dijkstra. The e2e cases are far below kInlineRepairWork, so
+// must match Dijkstra. A second source then repairs, in a session of its
+// own, from a Dijkstra-built answer, which the repair first loads into the
+// array with relaxed stores that the engine's launch must publish, as it
+// publishes the walk's. The e2e cases are far below kInlineRepairWork, so
 // the IncrementalSolver repairs them on the calling thread alone; the
 // engine's multi-worker seeded run (seed levels published before launch,
 // concurrent log appends) is driven directly on a 2-4-worker team by the
@@ -1958,36 +1961,58 @@ TEST(SchedulerHarness, SeededRepairSchedulesMatchDijkstra) {
                                               : StealPolicy::kTwoChoice;
     VersionedGraph vg{Graph(c.graph)};
     IncrementalSolver inc(options);
-    (void)inc.solve(vg, c.source);  // cold, outside the model
+    const std::uint64_t answered = vg.version();
+    // Cold, outside the model.
+    const Answer answer = inc.solve(vg, c.source, {}, 0);
+    const VertexId other = c.source == 0 ? vg.num_vertices() - 1 : 0;
+    const Answer other_answer(dijkstra(vg.graph(), other).dist);
     Xoshiro256 rng(hash_mix(seed ^ 0x5EEDULL));
     GraphDelta batch;
     while (batch.empty()) batch = small_random_batch(vg, rng);
     (void)vg.apply(batch);
     const SsspResult reference = dijkstra(vg.graph(), c.source);
+    const SsspResult other_reference = dijkstra(vg.graph(), other);
 
     // The repair processes about the cone plus its seeds, far below
     // kInlineRepairWork on these cases, so it stays inline: a scheduler
     // round of one participant (the escalation is the next harness's).
     ASSERT_LT(2 * std::uint64_t{vg.num_vertices()}, kInlineRepairWork);
-    Session session(session_options(1, seed));
-    {
+    // One session per repair. The walk's and the load's stores are the
+    // caller's, made unbound before the engine's launch, so each session's
+    // model starts from the array as they left it.
+    const auto scheduled = [&](const auto& repair) {
+      Session session(session_options(1, seed));
       Scheduler scheduler(scheduler_options(1, seed));
-      (void)inc.solve(vg, c.source);
+      repair();
       EXPECT_TRUE(session.ok()) << replay_hint(seed) << ":\n"
                                 << session.report_text();
-    }
+    };
     using CId = obs::CounterId;
-    const obs::MetricsSnapshot& rs = inc.last_metrics();
+    Answer repaired;
+    obs::MetricsSnapshot rs;
+    scheduled([&] {
+      repaired = inc.solve(vg, c.source, answer, answered);
+      rs = inc.last_metrics();
+    });
+    Answer other_repaired;
+    scheduled([&] {
+      other_repaired = inc.solve(vg, other, other_answer, answered);
+    });
     EXPECT_EQ(rs.counter(CId::kRepairFullSolves), 0u) << replay_hint(seed);
     EXPECT_EQ(rs.counter(CId::kRepairEscalations), 0u) << replay_hint(seed);
+    EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 0u)
+        << replay_hint(seed);
     const bool patched_now = rs.counter(CId::kRepairArrayCopies) == 0;
     if (patched_now) ++patched;
     std::string message;
-    EXPECT_TRUE(distances_equal(reference.dist, inc.answer(), &message))
+    EXPECT_TRUE(distances_equal(reference.dist, repaired, &message))
         << replay_hint(seed) << " (threads=" << threads
         << ", cone=" << rs.counter(CId::kRepairConeVertices)
         << ", lowered=" << rs.counter(CId::kUpdates)
         << ", patched=" << patched_now << "): " << message;
+    EXPECT_TRUE(
+        distances_equal(other_reference.dist, other_repaired, &message))
+        << replay_hint(seed) << " (loaded source " << other << "): " << message;
     if (::testing::Test::HasFailure()) return;
   }
   if (seeds.last - seeds.first == kE2eSeeds / 4) {
