@@ -1,9 +1,9 @@
 // Dynamic-update repair throughput: a VersionedGraph absorbing seeded
 // traffic batches (weight jams and clearings, plus --closures K road
-// closures and reopenings per batch) while an IncrementalSolver keeps one
-// (graph, source) answer fresh — repairing only the affected cone —
-// against a second pooled Solver re-solving from scratch after every
-// batch. Every batch's repaired distances are checked bit-identical to the
+// closures and reopenings per batch) while one Solver's versioned solve()
+// keeps one (graph, source) answer fresh — repairing only the affected
+// cone — against a second pooled Solver re-solving from scratch after
+// every batch. Every batch's repaired distances are checked bit-identical to the
 // from-scratch answer before timing is trusted. The update itself (apply
 // plus graph(), which compacts when the graph is dirty) is timed apart
 // from the repair, with the compactions it ran. Beside the times, each row
@@ -144,10 +144,10 @@ void write_json(const std::string& path, int threads, int batches, int ops,
 
 /// --cone-sweep on one class. Jams (x4) a growing number (x1.5 a step) of
 /// shortest-path-tree arcs of the base graph and repairs them through two
-/// IncrementalSolvers, `reps` times each, alternating: one on a
-/// one-thread Solver, where the whole repair runs on the calling thread,
-/// and one on a `threads`-worker Solver, which starts inline and escalates
-/// to its team at kInlineRepairWork processed vertices. Both run the
+/// Solvers, `reps` times each, alternating: a one-thread Solver, where the
+/// whole repair runs on the calling thread, and a `threads`-worker Solver,
+/// whose repair starts inline and escalates to its team at
+/// kInlineRepairWork processed vertices. Both run the
 /// real re-priced cone walk. Between reps the jams are cleared again
 /// (untimed), and each timed repair follows a 2 ms idle gap, as a traffic
 /// tick reaches a sleeping team. The times are the engine's (walk and
@@ -208,7 +208,7 @@ bool cone_sweep(suite::GraphClass cls, double scale, std::uint64_t seed,
     // its last repair's report.
     struct Width {
       VersionedGraph vg;
-      IncrementalSolver inc;
+      Solver solver;
       std::vector<double> times;
       obs::MetricsSnapshot last;
       Answer answer;  ///< exact at vg version `answered`
@@ -221,16 +221,16 @@ bool cone_sweep(suite::GraphClass cls, double scale, std::uint64_t seed,
       options.delta = delta;
       return options;
     };
-    Width one{VersionedGraph{Graph(base)}, IncrementalSolver(options_for(1)),
-              {}, {}, {}, 0};
-    Width team{VersionedGraph{Graph(base)},
-               IncrementalSolver(options_for(threads)), {}, {}, {}, 0};
+    Width one{VersionedGraph{Graph(base)}, Solver(options_for(1)), {}, {}, {},
+              0};
+    Width team{VersionedGraph{Graph(base)}, Solver(options_for(threads)), {},
+               {}, {}, 0};
     std::vector<Distance> exact;
     bool exact_ok = true;
     // Repairs the width's answer to its graph's current version.
     const auto advance = [&](Width& width) -> const Answer& {
-      width.answer = width.inc.solve(width.vg, source, width.answer,
-                                     width.answered);
+      width.answer = width.solver.solve(width.vg, source, width.answer,
+                                        width.answered);
       width.answered = width.vg.version();
       return width.answer;
     };
@@ -240,7 +240,7 @@ bool cone_sweep(suite::GraphClass cls, double scale, std::uint64_t seed,
       if (exact.empty()) exact = dijkstra(width.vg.graph(), source).dist;
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
       if (advance(width) != exact) exact_ok = false;
-      width.last = width.inc.last_metrics();
+      width.last = width.solver.last_metrics();
       width.times.push_back(width.last.seconds);
       (void)width.vg.apply(clear);
       if (advance(width) != warm) exact_ok = false;
@@ -364,12 +364,12 @@ int main(int argc, char** argv) {
     options.threads = threads;
     options.delta = bench::default_delta(Algorithm::kWasp, cls);
 
-    IncrementalSolver inc(options);
+    Solver inc(options);
     Solver& scratch = bench::make_solver(threads);
     scratch.options().algo = Algorithm::kWasp;
     scratch.options().delta = options.delta;
 
-    // Warm both sides before timing: the incremental solver answers once
+    // Warm both sides before timing: the repairing Solver answers once
     // (the answer each batch repairs from), the scratch solver allocates its
     // pooled array.
     Answer answer = inc.solve(vg, source, {}, 0);

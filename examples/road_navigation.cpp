@@ -5,8 +5,8 @@
 // Generates a grid road network wrapped in a VersionedGraph, computes
 // one-to-all travel times from a depot, then replays traffic ticks: each
 // tick applies a GraphDelta batch (congestion spikes, clearing roads, and
-// periodic closures/reopenings), and the IncrementalSolver repairs the
-// previous tick's answer, touching only the affected cone instead of
+// periodic closures/reopenings), and the Solver's versioned solve()
+// repairs the previous tick's answer, touching only the affected cone instead of
 // re-solving the whole network. Every tick is
 // cross-checked against sequential Dijkstra on the current graph.
 //
@@ -19,7 +19,7 @@
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
 #include "sssp/dijkstra.hpp"
-#include "sssp/incremental.hpp"
+#include "sssp/solver.hpp"
 #include "support/cli.hpp"
 #include "support/random.hpp"
 
@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
   options.threads = static_cast<int>(args.get_int("threads"));
   options.delta = static_cast<wasp::Weight>(args.get_int("delta"));
 
-  wasp::IncrementalSolver nav(options);
+  wasp::Solver nav(options);
   // The answer and the version it is exact at: each tick repairs from them.
   wasp::Answer answer = nav.solve(roads, depot, {}, 0);
   std::uint64_t answered = roads.version();

@@ -151,7 +151,7 @@ class VersionedGraph {
   /// Process-unique identity of this graph object (a UniqueId: assigned at
   /// construction, transferred by move with a fresh one for the moved-from
   /// husk, never reused). Consumers that key state by graph (the
-  /// QueryService answer cache, IncrementalSolver's transpose) use this —
+  /// QueryService answer cache, a Solver's repair transpose) use this —
   /// not the address — so a different VersionedGraph reconstructed at a
   /// recycled heap address can never pass for the one they answered. It
   /// names the object, not its content: flat().stamp() changes with every

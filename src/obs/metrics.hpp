@@ -57,7 +57,7 @@ enum class CounterId : std::uint8_t {
   kSolverRebuilds,         ///< quarantined Solvers rebuilt off the hot path
   kWatchdogCancels,        ///< overdue runs cancelled by the service watchdog
   // --- incremental repair (sssp/incremental.hpp): the report of one
-  // --- IncrementalSolver::solve(), which QueryService::update() folds into
+  // --- versioned Solver::solve(), which QueryService::update() folds into
   // --- the service's registry (is_repair_counter) --------------------------
   kRepairBatches,      ///< delta batches repaired incrementally (not full)
   kRepairRecycled,     ///< repairs patched into a buffer one publish behind

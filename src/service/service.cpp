@@ -319,11 +319,7 @@ std::uint64_t QueryService::update(VersionedGraph& vg,
   repaired.reserve(cached.size());
   try {
     for (const auto& [source, entry] : cached) {
-      if (repairer_ == nullptr) {
-        SsspOptions opt = config_.solver;
-        opt.cancel = nullptr;
-        repairer_ = std::make_unique<IncrementalSolver>(std::move(opt));
-      }
+      if (repairer_ == nullptr) repairer_ = build_solver();
       repaired.push_back(
           {source, repairer_->solve(vg, source, entry.dist, entry.version)});
       const obs::MetricsSnapshot& m = repairer_->last_metrics();

@@ -69,7 +69,6 @@
 #include "obs/metrics.hpp"
 #include "sssp/answer.hpp"
 #include "sssp/common.hpp"
-#include "sssp/incremental.hpp"
 #include "sssp/solver.hpp"
 #include "support/cancel.hpp"
 #include "support/random.hpp"
@@ -132,8 +131,8 @@ struct QueryResult {
   /// Filled for kServed / kServedStale. A shared, immutable buffer (no
   /// copy): a cached answer is the cache's own buffer, and a served run's
   /// answer becomes the cache's. For an answer update() repaired, dropping
-  /// the result lets the repairer rewrite the buffer into a later version
-  /// (sssp/incremental.hpp).
+  /// the result lets the repair Solver rewrite the buffer into a later
+  /// version (sssp/incremental.hpp).
   Answer dist;
   std::string error;           ///< what() of the terminal failure (kFailed)
   double queue_ms = 0.0;       ///< submit -> worker pickup (or terminal)
@@ -228,9 +227,9 @@ class QueryService {
   /// Applies `batch` to `vg` through the exclusive update gate: new pickups
   /// pause, running queries drain, the batch is applied and any structural
   /// overlay compacted, and then — instead of dropping them — every cached
-  /// answer for this graph is repaired to the new version through a
-  /// service-owned IncrementalSolver (off the query hot path), each from
-  /// its own entry: only an entry older than vg.journal_floor() re-solves.
+  /// answer for this graph is repaired to the new version through the
+  /// versioned solve() of a service-owned Solver (off the query hot path),
+  /// each from its own entry: only an entry older than vg.journal_floor() re-solves.
   /// The repaired answers are republished at the new version only after
   /// every repair succeeded; from then on a query for one of those sources
   /// is served from the cache without a solve. Queued queries survive an
@@ -357,10 +356,10 @@ class QueryService {
   std::map<CacheKey, CachedAnswer> stale_ WASP_GUARDED_BY(mu_);
   std::deque<CacheKey> stale_order_ WASP_GUARDED_BY(mu_);
 
-  /// Service-owned repair solver for update()'s cache refresh, built
-  /// lazily. Not mu_-guarded: touched only by the update() holder of the
-  /// update_active_ gate, which is itself exclusive.
-  std::unique_ptr<IncrementalSolver> repairer_;
+  /// Service-owned Solver whose versioned solve() refreshes update()'s
+  /// cache, built on the first repair. Not mu_-guarded: touched only by the
+  /// update() holder of the update_active_ gate, which is itself exclusive.
+  std::unique_ptr<Solver> repairer_;
 
   std::vector<std::thread> workers_;
   std::thread watchdog_;

@@ -1,15 +1,15 @@
 // wasp::Answer — one exact distance array, shared by reference from the
-// repairer that published it to every client that reads it.
+// Solver that published it to every client that reads it.
 //
 // An Answer is an immutable buffer behind a shared_ptr. Copying one shares
-// the buffer and never copies the distances, so the answer
-// IncrementalSolver::solve() returns, the QueryService cache and
-// QueryResult::dist can all hold the same array, and the next solve() can
-// repair from it.
+// the buffer and never copies the distances, so the answer the versioned
+// Solver::solve() returns, the QueryService cache and QueryResult::dist
+// can all hold the same array, and the next solve() can repair from it.
 // Nothing writes a buffer while any Answer holds it. When the last holder
 // drops it, the buffer's deleter decides what happens next: a plain
-// buffer is freed, and an IncrementalSolver's buffer goes back to that
-// solver, which may rewrite it into a later answer (sssp/incremental.hpp).
+// buffer is freed, and a buffer a Solver's repair published goes back to
+// that Solver, which may rewrite it into a later answer
+// (sssp/incremental.hpp).
 //
 // The read-only std::vector API (size, operator[], begin/end, data), a
 // span view and operator== against a std::vector<Distance> let readers

@@ -142,31 +142,23 @@ class DistancePool {
  public:
   /// Returns an array of `n` entries, all kInfDist: the held one refilled,
   /// or a new one on first use or a size change. Either is one O(n)
-  /// initialization (the epoch_sweeps counter), and each starts a new
-  /// generation.
+  /// initialization (the epoch_sweeps counter).
   AtomicDistances& acquire(std::size_t n) {
     if (dist_ == nullptr || dist_->size() != n) {
       dist_ = std::make_unique<AtomicDistances>(n);
     } else {
       dist_->fill();
     }
-    ++generation_;
     return *dist_;
   }
 
-  /// Acquires so far. The held array belongs to whoever made the latest
-  /// acquire: a caller that keeps an answer in it between solves
-  /// (IncrementalSolver) records this value, and a different one means
-  /// someone acquired since, so the caller loads its answer again. 64 bits
-  /// and kept across reallocations, so a value never repeats.
-  [[nodiscard]] std::uint64_t generation() const { return generation_; }
-
-  /// The held array, null before the first acquire (test/debug access).
+  /// The held array, null before the first acquire.
   [[nodiscard]] AtomicDistances* current() { return dist_.get(); }
+  /// Same, read-only (test/debug access).
+  [[nodiscard]] const AtomicDistances* current() const { return dist_.get(); }
 
  private:
   std::unique_ptr<AtomicDistances> dist_;
-  std::uint64_t generation_ = 0;
 };
 
 /// Per-graph state of partitioned Wasp — the fragments and one distance

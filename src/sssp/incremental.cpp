@@ -4,7 +4,6 @@
 #include <array>
 #include <cstddef>
 #include <memory>
-#include <sstream>
 #include <utility>
 
 #include "graph/algorithms.hpp"
@@ -20,13 +19,6 @@ namespace {
 
 using CId = obs::CounterId;
 
-[[noreturn]] void throw_cancelled(const CancelToken& token) {
-  std::ostringstream os;
-  os << "IncrementalSolver::solve: solve cancelled ("
-     << to_string(token.reason()) << ")";
-  throw SolveCancelledError(os.str(), token.reason());
-}
-
 }  // namespace
 
 /// Buffers whose last Answer was dropped, waiting for a repair to rewrite
@@ -35,10 +27,10 @@ using CId = obs::CounterId;
 /// thread's last reads before the repair's writes. Two buffers are enough
 /// for a reader that drops each answer within two publishes: the one a
 /// repair rewrites and the one that reader still holds.
-class IncrementalSolver::BufferPool {
+class Solver::Repair::BufferPool {
  public:
   /// An answer's deleter: returns its buffer to the pool, or frees it when
-  /// the solver, and with it the pool, is gone.
+  /// the Solver, and with it the pool, is gone.
   struct Return {
     std::weak_ptr<BufferPool> pool;
     AnswerBuffer* buffer;
@@ -84,11 +76,10 @@ class IncrementalSolver::BufferPool {
   std::array<std::unique_ptr<AnswerBuffer>, 2> free_ WASP_GUARDED_BY(mu_);
 };
 
-IncrementalSolver::IncrementalSolver(SsspOptions options)
-    : solver_(std::move(options)), pool_(std::make_shared<BufferPool>()) {}
+Solver::Repair::Repair() : pool_(std::make_shared<BufferPool>()) {}
 
-void IncrementalSolver::publish(std::unique_ptr<AnswerBuffer> buffer,
-                                bool changed_all) {
+void Solver::Repair::publish(std::unique_ptr<AnswerBuffer> buffer,
+                             bool changed_all) {
   // Untagged until published: if the control block cannot be allocated,
   // the deleter returns the buffer to the pool, where it must match no
   // generation.
@@ -101,8 +92,8 @@ void IncrementalSolver::publish(std::unique_ptr<AnswerBuffer> buffer,
   answer_ = Answer(std::move(shared));
 }
 
-const Graph& IncrementalSolver::transpose_of(const VersionedGraph& vg,
-                                             const Graph& g) {
+const Graph& Solver::Repair::transpose_of(const VersionedGraph& vg,
+                                          const Graph& g) {
   // graph() just compacted `vg` if it was dirty, so the compaction count
   // says whether the in-arc structure changed since the build.
   if (transpose_uid_ != vg.uid() ||
@@ -114,93 +105,54 @@ const Graph& IncrementalSolver::transpose_of(const VersionedGraph& vg,
   return transpose_;
 }
 
-Answer IncrementalSolver::solve(VersionedGraph& vg, VertexId source,
-                                const Answer& from,
-                                std::uint64_t from_version) {
-  if (from_version > vg.version()) {
-    std::ostringstream os;
-    os << "IncrementalSolver::solve: from_version " << from_version
-       << " is above the graph's version " << vg.version();
-    throw InvalidOptionsError(os.str());
-  }
-  if (!from.empty() && from.size() != vg.num_vertices()) {
-    std::ostringstream os;
-    os << "IncrementalSolver::solve: the answer has " << from.size()
-       << " entries for a graph of " << vg.num_vertices() << " vertices";
-    throw InvalidOptionsError(os.str());
-  }
-  // graph() folds any staged structural overlay back into the flat CSR the
-  // engine consumes.
-  const Graph& g = vg.graph();
-  if (from.empty()) {
-    full_solve(g, source);
-  } else if (from_version == vg.version()) {
-    // Nothing changed since `from`: it is still the answer.
-    last_metrics_ = obs::MetricsSnapshot{};
-    return from;
-  } else if (const VersionedGraph::JournalView jv =
-                 vg.journal_since(from_version);
-             jv.ok) {
-    repair(vg, g, source, from, from_version, jv.effects);
-  } else {
-    full_solve(g, source);  // the journal was trimmed past from_version
-  }
-  return answer_;
-}
-
-void IncrementalSolver::full_solve(const Graph& g, VertexId source) {
-  SsspResult result = solver_.solve(g, source);
+Answer Solver::Repair::full_solve(Solver& solver, const Graph& g,
+                                  VertexId source) {
+  SsspResult result = solver.dispatch(g, source);
   auto buffer = std::make_unique<AnswerBuffer>();
   buffer->dist = std::move(result.dist);
   publish(std::move(buffer), /*changed_all=*/true);
-  // The Solver's own report, plus the one counter that says which path ran.
-  last_metrics_ = std::move(result.metrics);
+  // The cold door's report, plus the one counter that says which path ran.
+  obs::MetricsSnapshot& report = solver.last_metrics_;
+  report = std::move(result.metrics);
   const auto full = static_cast<std::size_t>(CId::kRepairFullSolves);
-  last_metrics_.totals[full] = 1;
-  last_metrics_.per_thread[0][full] = 1;
+  report.totals[full] = 1;
+  report.per_thread[0][full] = 1;
   // The sequential Dijkstra reference and a Wasp run with more than one
   // fragment keep their own storage: the pool's array holds no answer.
-  warm_generation_ = solver_.options().uses_distance_pool(solver_.team().size())
-                         ? solver_.distances().generation()
-                         : kNoGeneration;
+  array_holds_answer = solver.options_.uses_distance_pool(solver.team_.size());
+  return answer_;
 }
 
-void IncrementalSolver::repair(const VersionedGraph& vg, const Graph& g,
-                               VertexId source, const Answer& from,
-                               std::uint64_t from_version,
-                               std::span<const ArcEffect> effects) {
+Answer Solver::Repair::repair(Solver& solver, const VersionedGraph& vg,
+                              const Graph& g, VertexId source,
+                              const Answer& from, std::uint64_t from_version,
+                              std::span<const ArcEffect> effects) {
   const Timer walk_timer;
-  SsspOptions& opts = solver_.options();
+  const SsspOptions& opts = solver.options_;
   opts.validate();
   CancelToken* cancel = opts.cancel;
   const VertexId n = g.num_vertices();
   // The array is warm when it still holds `from`: the last answer published,
-  // with no acquire since. Otherwise `from` is loaded into it.
-  DistancePool& pool = solver_.distances();
-  const bool warm =
-      from.data() == answer_.data() && pool.generation() == warm_generation_;
-
-  // The walk stores bounds into the atomic array, so any exit before the
-  // new answer is published (cancel, engine failure, an allocation failure
-  // mid-walk) must mark the array as holding no answer, or the next repair
-  // would run on top of garbage. That repair loads its answer instead.
-  struct DiscardUnlessPublished {
-    IncrementalSolver& self;
-    bool published = false;
-    ~DiscardUnlessPublished() {
-      if (!published) self.warm_generation_ = kNoGeneration;
-    }
-  } guard{*this};
+  // with no acquire since. Otherwise `from` is loaded into it. The walk
+  // stores bounds into the array, so from here until the new answer is
+  // published (cancel, engine failure, an allocation failure mid-walk) the
+  // array holds no answer, and the next repair loads its answer instead of
+  // running on top of garbage.
+  const bool warm = array_holds_answer && from.data() == answer_.data();
+  array_holds_answer = false;
   if (cancel != nullptr && cancel->poll()) throw_cancelled(*cancel);
 
-  AtomicDistances& dist = warm ? *pool.current() : pool.acquire(n);
+  AtomicDistances& dist =
+      warm ? *solver.pool_.current() : solver.pool_.acquire(n);
   if (!warm) {
     for (VertexId v = 0; v < n; ++v) dist.store(v, from[v]);
   }
 
-  obs::MetricsRegistry& registry = solver_.metrics();
+  obs::MetricsRegistry& registry = solver.metrics_;
   registry.reset();
   obs::MetricsShard& shard = registry.shard(0);
+  // Loading `from` was this repair's one O(n) initialization of the array.
+  if (!warm) shard.inc(CId::kEpochSweeps);
 
   // Reset the scratch flags in O(previous cone + seeds), not O(n): every set
   // flag is listed in cone_ or seeds_, because each flag is set only after
@@ -409,7 +361,7 @@ void IncrementalSolver::repair(const VersionedGraph& vg, const Graph& g,
   // fill: untouched vertices keep their warm entries. The run starts on the
   // calling thread; at kInlineRepairWork processed vertices it pauses, and
   // the team resumes from its frontier into the same log (wasp_sssp_seeded).
-  const int team_size = solver_.team().size();
+  const int team_size = solver.team_.size();
   auto run_engine = [&](ThreadTeam& team, std::span<const VertexId> starts,
                         std::uint64_t budget) {
     RunContext ctx{team, registry, opts.trace, opts.observer};
@@ -428,7 +380,7 @@ void IncrementalSolver::repair(const VersionedGraph& vg, const Graph& g,
   if (lowered_.stopped()) {
     shard.inc(CId::kRepairEscalations);
     engine_seconds +=
-        run_engine(solver_.team(), lowered_.frontier(), kNoWorkBudget);
+        run_engine(solver.team_, lowered_.frontier(), kNoWorkBudget);
   }
 
   // 5. Publish into a free buffer; every earlier answer stays as its
@@ -474,14 +426,14 @@ void IncrementalSolver::repair(const VersionedGraph& vg, const Graph& g,
     reread(changed_);
   }
   publish(std::move(next), /*changed_all=*/wide || !warm);
-  warm_generation_ = pool.generation();
-  guard.published = true;
+  array_holds_answer = true;
   if (recycled) shard.inc(CId::kRepairRecycled);
   if (wide) shard.inc(CId::kRepairArrayCopies);
   shard.inc(CId::kRepairPublishedEntries, written);
   shard.inc(CId::kRepairPublishNs, publish_timer.nanoseconds());
   registry.set_elapsed_seconds(engine_seconds);
-  last_metrics_ = registry.snapshot();
+  solver.last_metrics_ = registry.snapshot();
+  return answer_;
 }
 
 }  // namespace wasp

@@ -1,18 +1,19 @@
 // Incremental SSSP repair over versioned graphs (the Ramalingam–Reps-style
-// counterpart to graph/delta.hpp).
+// counterpart to graph/delta.hpp): the state behind Solver's versioned
+// solve() (sssp/solver.hpp).
 //
-// An IncrementalSolver turns the caller's exact answer for a
-// (VersionedGraph, source) pair at some version into the exact answer at
-// the graph's current version. It keeps no binding to a graph or a source:
-// the caller's (answer, version) pair is the repair's input, and the caller
+// That solve() turns the caller's exact answer for a (VersionedGraph,
+// source) pair at some version into the exact answer at the graph's current
+// version. The Solver keeps no binding to a graph or a source: the caller's
+// (answer, version) pair is the repair's input, and the caller
 // (QueryService's uid-keyed cache) decides which answer belongs to which
-// graph. Instead of recomputing, solve() replays the journal since that
-// version over the answer, loaded into the owned Solver's pooled distance
-// array. The array keeps the last answer this solver published until
-// anything else acquires it, so repairing that answer again (one hot
-// source) runs on the array as it is. Any other answer is first stored into
-// the array, in O(n) (part of kRepairWalkNs). The answer repaired from
-// gives the warm distances of the steps below:
+// graph. Instead of recomputing, the repair replays the journal since that
+// version over the answer, loaded into the Solver's pooled distance array.
+// The array keeps the last answer the Solver published until anything else
+// acquires it, so repairing that answer again (one hot source) runs on the
+// array as it is. Any other answer is first stored into the array, in O(n)
+// (part of kRepairWalkNs, and the repair's one epoch sweep). The answer
+// repaired from gives the warm distances of the steps below:
 //
 //  1. Classification. Every journaled ArcEffect is either a decrease
 //     (insert / weight drop — some path may have gotten cheaper; the arc's
@@ -87,23 +88,23 @@
 //
 // Answers are immutable and shared (sssp/answer.hpp): each solve() that
 // changes the answer publishes a new one and returns a reference to its
-// buffer, never a copy. A holder of an earlier answer
-// keeps reading its own version unchanged, so a cache (QueryService) and
-// its clients hold the repairer's buffer itself. When the last holder
-// drops a buffer, it returns to this solver's free list (at most two
-// buffers, each tagged with the publish generation of its contents), and a
-// later repair rewrites it. A reader that drops each answer within two
-// publishes thus keeps the patch path; one that keeps every answer makes
-// each repair copy the previous answer whole. A buffer released after its
-// solver is gone is simply freed.
+// buffer, never a copy. A holder of an earlier answer keeps reading its own
+// version unchanged, so a cache (QueryService) and its clients hold the
+// repair's buffer itself. When the last holder drops a buffer, it returns
+// to this Solver's free list (at most two buffers, each tagged with the
+// publish generation of its contents), and a later repair rewrites it. A
+// reader that drops each answer within two publishes thus keeps the patch
+// path; one that keeps every answer makes each repair copy the previous
+// answer whole. A buffer released after its Solver is gone is simply freed.
 //
-// Two situations fall back to a full solve through the owned wasp::Solver:
-// no answer (an empty one) and an answer older than vg.journal_floor().
-// last_metrics() counts which path ran (kRepairFullSolves) and everything
-// else the solve did. Anything that only spoils the array (another query
-// through solver(), a cancelled or failed repair, a full solve that ran
-// off the pool) costs the next repair a load, caught by the pool's reset
-// generation (DistancePool::generation), which every acquire moves.
+// Two situations fall back to a full solve with options().algo, under the
+// same busy guard: no answer (an empty one) and an answer older than
+// vg.journal_floor(). last_metrics() counts which path ran
+// (kRepairFullSolves) and everything else the solve did. Anything that only
+// spoils the array (a cold solve on the pool, a cancelled or failed repair,
+// a full solve that ran off the pool) costs the next repair a load: the
+// Solver sees every acquire of its pool, and one private flag says whether
+// the array still holds the last answer published.
 //
 // Correctness anchor (tests/test_incremental.cpp): distances after every
 // batch are bit-identical to a from-scratch solve.
@@ -171,63 +172,30 @@ inline constexpr std::uint64_t kInlineRepairWork = 2048;
 /// chain-forest ticks (cones of about 74,000 of 131,072) copy the array.
 inline constexpr std::size_t kPatchShare = 4;
 
-class IncrementalSolver {
+/// A Solver's repair state, built on its first versioned solve(). Private
+/// to Solver, which calls it under the busy guard it already holds.
+class Solver::Repair {
  public:
-  /// Validates options and spawns the owned Solver's team. The incremental
-  /// path always repairs with the Wasp engine (options.delta and
-  /// options.wasp apply); options.algo governs only the full-solve
-  /// fallback.
-  explicit IncrementalSolver(SsspOptions options);
+  Repair();
 
-  IncrementalSolver(const IncrementalSolver&) = delete;
-  IncrementalSolver& operator=(const IncrementalSolver&) = delete;
+  /// Solves (g, source) from scratch through solver.dispatch() and
+  /// publishes the result; the report is the cold door's with
+  /// kRepairFullSolves = 1.
+  Answer full_solve(Solver& solver, const Graph& g, VertexId source);
+  /// Repairs `from`, exact at `from_version`, over the journal's `effects`
+  /// since then (steps 1-5 above) and publishes the result.
+  Answer repair(Solver& solver, const VersionedGraph& vg, const Graph& g,
+                VertexId source, const Answer& from,
+                std::uint64_t from_version,
+                std::span<const ArcEffect> effects);
 
-  /// Exact distances for (vg.graph(), source) at vg's current version,
-  /// repaired from `from`: the caller guarantees it is the exact answer for
-  /// (vg, source) at version `from_version`, as wasp_sssp_seeded's caller
-  /// guarantees admissible bounds. Compacts vg when dirty (the engine
-  /// consumes the flat CSR). An empty `from`, or one older than
-  /// vg.journal_floor(), is re-solved from scratch; one at vg.version() is
-  /// returned as it is. The answer is never written while held: a solve()
-  /// that changes it publishes another buffer.
-  ///
-  /// Throws InvalidOptionsError when `from_version` is above vg.version()
-  /// or a non-empty `from` is not sized to vg.num_vertices().
-  ///
-  /// Cancellation: options().cancel is polled inside the cone walk and by
-  /// the engine; a fired token throws SolveCancelledError and leaves the
-  /// solver reusable (the next repair loads its answer into the array).
-  Answer solve(VersionedGraph& vg, VertexId source, const Answer& from,
-               std::uint64_t from_version);
-
-  /// The report of the last solve(), as Solver::last_metrics() is of a
-  /// cold one. A repair's snapshot covers the walk, both engine runs and
-  /// the publish: the kRepair* counters say what it did (kRepairFullSolves
-  /// stays 0, kRepairEscalations is 1 when the team finished it, kUpdates
-  /// counts the entries its engine logged), and `seconds` is the engine's
-  /// parallel phases, inline run plus team run. Its wall time splits into
-  /// kRepairWalkNs (classification, cone walk and seeding), `seconds` and
-  /// kRepairPublishNs (engine return to published answer); the three sum
-  /// to at most the wall time of solve(), less the engine's setup and
-  /// join. A full solve's snapshot is the owned Solver's with
-  /// kRepairFullSolves = 1. A solve with no new version leaves it all zero.
-  /// The graph's compactions are not in it: vg.compactions() counts them.
-  [[nodiscard]] const obs::MetricsSnapshot& last_metrics() const {
-    return last_metrics_;
-  }
-
-  /// The owned Solver (team, metrics, options). Using it directly for other
-  /// queries is allowed: it takes the pooled array, and the next repair
-  /// loads its answer back (the reset generation shows the array moved).
-  [[nodiscard]] Solver& solver() { return solver_; }
-  [[nodiscard]] SsspOptions& options() { return solver_.options(); }
+  /// The pooled array holds the last answer published. Set when a publish
+  /// leaves its answer in the array; cleared by every acquire
+  /// (Solver::dispatch) and by a repair before its first store, so any
+  /// throw leaves it cleared.
+  bool array_holds_answer = false;
 
  private:
-  void full_solve(const Graph& g, VertexId source);
-  void repair(const VersionedGraph& vg, const Graph& g, VertexId source,
-              const Answer& from, std::uint64_t from_version,
-              std::span<const ArcEffect> effects);
-
   /// An answer's storage, tagged with the publish generation it holds.
   struct AnswerBuffer {
     std::vector<Distance> dist;
@@ -250,20 +218,16 @@ class IncrementalSolver {
   /// none: the cone walk collects their seeds.
   const Graph& transpose_of(const VersionedGraph& vg, const Graph& g);
 
-  Solver solver_;
   /// The calling thread alone: where every repair starts (no worker
   /// threads, so run() is a plain call).
   ThreadTeam inline_team_{1};
 
-  /// A generation no counter reaches: the tag of a buffer, or of the
-  /// array, that holds no answer.
+  /// A generation no counter reaches: the tag of a buffer that holds no
+  /// answer.
   static constexpr std::uint64_t kNoGeneration = ~std::uint64_t{0};
 
   /// The last answer published.
   Answer answer_;
-  /// The pool generation at which the array holds answer_, or
-  /// kNoGeneration.
-  std::uint64_t warm_generation_ = kNoGeneration;
   /// Publishes so far: answer_ holds generation_.
   std::uint64_t generation_ = 0;
   /// The entries where answer_ may differ from generation_ - 1 (cone plus
@@ -299,8 +263,6 @@ class IncrementalSolver {
   Graph transpose_;  ///< structural in-arc cache for directed graphs
   std::uint64_t transpose_uid_ = 0;  ///< 0: none (uids start at 1)
   std::uint64_t transpose_compactions_ = 0;
-
-  obs::MetricsSnapshot last_metrics_;
 };
 
 }  // namespace wasp

@@ -6,6 +6,7 @@
 #include "sssp/bellman_ford.hpp"
 #include "sssp/delta_stepping.hpp"
 #include "sssp/dijkstra.hpp"
+#include "sssp/incremental.hpp"
 #include "sssp/julienne.hpp"
 #include "sssp/mq_dijkstra.hpp"
 #include "sssp/obim.hpp"
@@ -28,33 +29,53 @@ SsspOptions validated(SsspOptions options) {
 
 /// Rejects inputs no algorithm can run on, with typed errors, before any
 /// worker thread is involved. O(1): Graph::from_csr already validated the
-/// CSR arrays at construction.
-void check_inputs(const Graph& g, VertexId source) {
-  if (g.num_vertices() == 0)
+/// CSR arrays at construction, and a VersionedGraph keeps its vertex count.
+void check_inputs(VertexId num_vertices, VertexId source) {
+  if (num_vertices == 0)
     throw InvalidGraphError("Solver::solve: graph has no vertices");
-  if (source >= g.num_vertices()) {
+  if (source >= num_vertices) {
     std::ostringstream os;
     os << "Solver::solve: source " << source << " out of range [0, "
-       << g.num_vertices() << ")";
+       << num_vertices << ")";
     throw InvalidSourceError(os.str());
   }
 }
 
-/// Throws the typed cancellation outcome for a token that has fired.
-[[noreturn]] void throw_cancelled(const CancelToken& token) {
+/// A Solver's re-entrancy guard, held by every solve() of either kind:
+/// takes the busy flag or throws SolverBusyError, and releases it when the
+/// solve returns or throws.
+struct BusyGuard {
+  explicit BusyGuard(verify::atomic<std::uint32_t>& busy) : flag(busy) {
+    // acquire pairs with the release below so the winner of a later
+    // exchange sees everything the previous solve wrote.
+    if (flag.exchange(1, std::memory_order_acquire) != 0) {
+      throw SolverBusyError(
+          "Solver::solve: a solve is already in flight on this Solver; "
+          "concurrent solves need one Solver each (see solver.hpp)");
+    }
+  }
+  // Release: publishes this solve's state to the next solve's acquire
+  // exchange above.
+  ~BusyGuard() { flag.store(0, std::memory_order_release); }
+  verify::atomic<std::uint32_t>& flag;
+};
+
+}  // namespace
+
+void Solver::throw_cancelled(const CancelToken& token) {
   const CancelReason reason = token.reason();
   std::ostringstream os;
   os << "Solver::solve: solve cancelled (" << to_string(reason) << ")";
   throw SolveCancelledError(os.str(), reason);
 }
 
-/// Validates inputs and options, acquires ctx.dist from ctx.pool, then runs
-/// options.algo under `ctx` (ctx.metrics needs >= ctx.team.size() shards;
-/// it is reset here).
-SsspResult dispatch(const Graph& g, VertexId source,
-                    const SsspOptions& options, RunContext& ctx) {
+SsspResult Solver::dispatch(const Graph& g, VertexId source) {
+  const SsspOptions& options = options_;
   options.validate();
-  check_inputs(g, source);
+  check_inputs(g.num_vertices(), source);
+  RunContext ctx{team_, metrics_, options.trace, options.observer};
+  ctx.pool = &pool_;
+  ctx.partitions = &partitions_;
   ctx.metrics.reset();
   ctx.cancel = options.cancel;
   // Pre-fired token (or an already-expired deadline): reject before any
@@ -70,6 +91,8 @@ SsspResult dispatch(const Graph& g, VertexId source,
   // shards (and counts their fills itself), so it is not charged a
   // pooled-array acquire either.
   if (options.uses_distance_pool(ctx.team.size())) {
+    // The array stops holding the last repaired answer from here on.
+    if (repair_ != nullptr) repair_->array_holds_answer = false;
     ctx.dist = &ctx.pool->acquire(g.num_vertices());
     ctx.metrics.shard(0).inc(obs::CounterId::kEpochSweeps);
   }
@@ -119,8 +142,6 @@ SsspResult dispatch(const Graph& g, VertexId source,
   return result;
 }
 
-}  // namespace
-
 Solver::Solver(SsspOptions options)
     : options_(validated(std::move(options))),
       metrics_(options_.threads),
@@ -131,24 +152,11 @@ Solver::Solver(SsspOptions options)
   }
 }
 
+Solver::~Solver() = default;
+
 SsspResult Solver::solve(const Graph& g, VertexId source) {
-  // Re-entrancy guard. acquire pairs with the release in BusyGuard so the
-  // winner of a later exchange sees everything the previous solve wrote.
-  if (busy_.exchange(1, std::memory_order_acquire) != 0) {
-    throw SolverBusyError(
-        "Solver::solve: a solve is already in flight on this Solver; "
-        "concurrent solves need one Solver each (see solver.hpp)");
-  }
-  struct BusyGuard {
-    verify::atomic<std::uint32_t>& flag;
-    // Release: publishes this solve's state to the next solve's acquire
-    // exchange on busy_ (the reuse guard above).
-    ~BusyGuard() { flag.store(0, std::memory_order_release); }
-  } guard{busy_};
-  RunContext ctx{team_, metrics_, options_.trace, options_.observer};
-  ctx.pool = &pool_;
-  ctx.partitions = &partitions_;
-  SsspResult result = dispatch(g, source, options_, ctx);
+  const BusyGuard guard(busy_);
+  SsspResult result = dispatch(g, source);
   last_metrics_ = result.metrics;
   return result;
 }
@@ -164,6 +172,38 @@ SsspResult Solver::solve(const Graph& g, VertexId source, Algorithm algo) {
     options_.algo = saved;
     throw;
   }
+}
+
+Answer Solver::solve(VersionedGraph& vg, VertexId source, const Answer& from,
+                     std::uint64_t from_version) {
+  const BusyGuard guard(busy_);
+  check_inputs(vg.num_vertices(), source);
+  if (from_version > vg.version()) {
+    std::ostringstream os;
+    os << "Solver::solve: from_version " << from_version
+       << " is above the graph's version " << vg.version();
+    throw InvalidOptionsError(os.str());
+  }
+  if (!from.empty() && from.size() != vg.num_vertices()) {
+    std::ostringstream os;
+    os << "Solver::solve: the answer has " << from.size()
+       << " entries for a graph of " << vg.num_vertices() << " vertices";
+    throw InvalidOptionsError(os.str());
+  }
+  if (repair_ == nullptr) repair_ = std::make_unique<Repair>();
+  // graph() folds any staged structural overlay back into the flat CSR the
+  // engine consumes.
+  const Graph& g = vg.graph();
+  if (from.empty()) return repair_->full_solve(*this, g, source);
+  if (from_version == vg.version()) {
+    // Nothing changed since `from`: it is still the answer.
+    last_metrics_ = obs::MetricsSnapshot{};
+    return from;
+  }
+  const VersionedGraph::JournalView jv = vg.journal_since(from_version);
+  if (!jv.ok)  // the journal was trimmed past from_version
+    return repair_->full_solve(*this, g, source);
+  return repair_->repair(*this, vg, g, source, from, from_version, jv.effects);
 }
 
 }  // namespace wasp

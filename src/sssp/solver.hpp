@@ -1,10 +1,11 @@
 // wasp::Solver — the one front door to every SSSP implementation: Wasp, the
 // six paper baselines, two related-work extension baselines (radius-stepping
 // and the Stealing MultiQueue) and two references, all returning the same
-// SsspResult. A one-shot solve is `wasp::Solver(opt).solve(g, source)`.
-// Constructing a Solver spawns its thread team, detects the NUMA topology
-// and allocates a metrics registry, so a caller answering many queries pays
-// all of that once by holding one:
+// SsspResult, and to incremental repair over versioned graphs. A one-shot
+// solve is `wasp::Solver(opt).solve(g, source)`. Constructing a Solver
+// spawns its thread team, detects the NUMA topology and allocates a metrics
+// registry, so a caller answering many queries pays all of that once by
+// holding one:
 //
 //   wasp::SsspOptions opt;
 //   opt.algo = wasp::Algorithm::kWasp;
@@ -17,18 +18,30 @@
 //     wasp::SsspResult r = solver.solve(*g, src);
 //   solver.last_metrics().write_json(std::cout);
 //
+//   // A versioned graph: repair the answer at `v` to vg.version().
+//   wasp::Answer a = solver.solve(vg, src, {}, 0);  // no answer: full solve
+//   std::uint64_t v = vg.version();
+//   vg.apply(batch);
+//   a = solver.solve(vg, src, a, v);                // repaired, not re-solved
+//
 // The Solver owns the ThreadTeam, the (shared) NumaTopology, the
 // MetricsRegistry, the pooled distance array, the fragments and shards of
 // Wasp runs with more than one fragment (built on the first such solve of a
 // graph and kept until a solve needs a different graph stamp, fragment count
-// or topology). Each solve reports to options().observer and
+// or topology) and, from its first versioned solve on, the repair state
+// (sssp/incremental.hpp). Each solve reports to options().observer and
 // options().trace, the one door for each hook. Per-algorithm knobs are
 // nested (opt.stepping.rho, opt.mq.c, ...); options other than `threads`
 // may be adjusted between solves via options().
 #pragma once
 
+#include <cstdint>
+#include <memory>
+
+#include "graph/delta.hpp"
 #include "graph/graph.hpp"
 #include "obs/metrics.hpp"
+#include "sssp/answer.hpp"
 #include "sssp/common.hpp"
 #include "support/thread_team.hpp"
 
@@ -41,6 +54,7 @@ class Solver {
   /// solve() calls never re-detect). Throws InvalidOptionsError on bad
   /// knobs.
   explicit Solver(SsspOptions options);
+  ~Solver();
 
   Solver(const Solver&) = delete;
   Solver& operator=(const Solver&) = delete;
@@ -62,6 +76,34 @@ class Solver {
   /// sweeps algorithms over one team this way).
   SsspResult solve(const Graph& g, VertexId source, Algorithm algo);
 
+  /// Exact distances for (vg.graph(), source) at vg's current version,
+  /// repaired from `from`: the caller guarantees it is the exact answer for
+  /// (vg, source) at version `from_version`, as wasp_sssp_seeded's caller
+  /// guarantees admissible bounds. Compacts vg when dirty (the engine
+  /// consumes the flat CSR). An empty `from`, or one older than
+  /// vg.journal_floor(), is re-solved from scratch with options().algo; one
+  /// at vg.version() is returned as it is. A repair always runs the Wasp
+  /// engine (options().delta and options().wasp apply). The answer is never
+  /// written while held: a solve that changes it publishes another buffer.
+  ///
+  /// Throws InvalidSourceError / InvalidGraphError as the cold door does,
+  /// and InvalidOptionsError when `from_version` is above vg.version() or a
+  /// non-empty `from` is not sized to vg.num_vertices(). One solve at a
+  /// time, as above: overlapping this and any other solve() throws
+  /// SolverBusyError. Cancellation: options().cancel is polled inside the
+  /// cone walk and by the engine; a fired token throws SolveCancelledError
+  /// and leaves the Solver reusable (the next repair loads its answer into
+  /// the array).
+  ///
+  /// last_metrics() is the report. A repair's covers the walk, both engine
+  /// runs and the publish: the kRepair* counters say what it did, and
+  /// kEpochSweeps is 1 when `from` was loaded into the array, 0 when the
+  /// array already held it (docs/DYNAMIC.md splits its wall time). A full
+  /// solve's is the cold door's with kRepairFullSolves = 1; a solve with no
+  /// new version leaves it all zero.
+  Answer solve(VersionedGraph& vg, VertexId source, const Answer& from,
+               std::uint64_t from_version);
+
   /// Mutable between solves; `threads` is fixed at construction (the team
   /// size wins). validate() runs again at the next solve().
   [[nodiscard]] SsspOptions& options() { return options_; }
@@ -72,24 +114,37 @@ class Solver {
   /// The owned distance pool solve() draws from (see
   /// SsspOptions::uses_distance_pool); a repeat query on the same graph
   /// reuses its allocation and pays one O(V) infinity fill (counted in
-  /// epoch_sweeps).
-  [[nodiscard]] DistancePool& distances() { return pool_; }
-  /// Snapshot taken by the most recent solve() (empty before the first).
+  /// epoch_sweeps). Read-only: only the Solver acquires it, so it always
+  /// knows whether the array still holds its last repaired answer.
+  [[nodiscard]] const DistancePool& distances() const { return pool_; }
+  /// Snapshot taken by the most recent solve() of either kind (empty before
+  /// the first).
   [[nodiscard]] const obs::MetricsSnapshot& last_metrics() const {
     return last_metrics_;
   }
 
  private:
+  /// The repair state of the versioned solve() (sssp/incremental.hpp).
+  class Repair;
+
+  /// Validates inputs and options, acquires the pooled array when the
+  /// algorithm uses it, then runs options().algo. The caller holds busy_.
+  SsspResult dispatch(const Graph& g, VertexId source);
+  /// Throws the typed cancellation outcome for a token that has fired.
+  [[noreturn]] static void throw_cancelled(const CancelToken& token);
+
   SsspOptions options_;
   obs::MetricsRegistry metrics_;
   DistancePool pool_;
   PartitionCache partitions_;
   obs::MetricsSnapshot last_metrics_;
-  /// Re-entrancy guard: 1 while a solve is in flight (see solve() docs).
+  /// Built by the first versioned solve(); null until then.
+  std::unique_ptr<Repair> repair_;
+  /// Re-entrancy guard: 1 while a solve of either kind is in flight.
   verify::atomic<std::uint32_t> busy_{0};
   // Declared last so it is destroyed first: the destructor joins the
-  // workers, so no worker can still be touching the registry, pool or
-  // partitions above when they are freed.
+  // workers, so no worker can still be touching the registry, pool,
+  // partitions or repair state above when they are freed.
   ThreadTeam team_;
 };
 

@@ -3,7 +3,8 @@
 // dijkstra()'s answer. A case is a pure function of a 64-bit seed that picks
 // one value on every axis of axes(): generator, algorithm, threads, Δ, ρ,
 // the Wasp knobs, delta stream and cancel point. Streams
-// replay through IncrementalSolver and are checked after every batch; a
+// replay through the Solver's versioned solve() and are checked after every
+// batch; a
 // cancelled first solve is followed by a re-solve on the same Solver. Every
 // batch repairs two sources on one solver, each from the answer the test
 // holds for it: one on the array the solver left warm, one loaded into it.
@@ -39,7 +40,7 @@
 #include "graph/generators.hpp"
 #include "graph/suite.hpp"
 #include "sssp/dijkstra.hpp"
-#include "sssp/incremental.hpp"
+#include "sssp/solver.hpp"
 #include "sssp/validate.hpp"
 #include "support/cancel.hpp"
 #include "support/errors.hpp"
@@ -406,7 +407,7 @@ void check(const Case& c) {
       pick_source_in_largest_component(vg.graph(), c.seed);
   SsspOptions options = c.options;
   options.wasp.topology = make_topology(c.topology);
-  IncrementalSolver inc(options);
+  Solver inc(options);
   const auto expect_exact = [&](VertexId s, std::span<const Distance> got,
                                 const std::string& when) {
     std::string why;
@@ -444,22 +445,30 @@ void check(const Case& c) {
 
   Xoshiro256 rng(hash_mix(c.seed));
   std::deque<ClosedArc> closed;
+  bool repaired = false;  // a batch has been repaired
   for (int b = 0; c.stream != Stream::kNone && b < kBatches; ++b) {
     const GraphDelta delta = next_batch(vg, c.stream, rng, closed);
     if (delta.empty()) continue;
     (void)vg.apply(delta);
     // held[0] is the answer the solver published last, so it repairs on
-    // the warm array (unless the solve before ran off the pool) and held[1]
-    // is loaded; the swap keeps that order for the next batch.
-    for (Held& h : held) {
+    // the warm array (unless the full solve before ran off the pool) and
+    // held[1] is loaded, one epoch sweep; the swap keeps that order for the
+    // next batch.
+    for (std::size_t i = 0; i < held.size(); ++i) {
+      Held& h = held[i];
       h.answer = inc.solve(vg, h.source, h.answer, h.version);
       h.version = vg.version();
       const std::string when = "after batch " + std::to_string(b);
-      EXPECT_EQ(
-          inc.last_metrics().counter(obs::CounterId::kRepairFullSolves), 0u)
+      const obs::MetricsSnapshot& m = inc.last_metrics();
+      EXPECT_EQ(m.counter(obs::CounterId::kRepairFullSolves), 0u)
           << when << " (source " << h.source << ") was not repaired";
+      const bool warm =
+          i == 0 && (repaired || options.uses_distance_pool(options.threads));
+      EXPECT_EQ(m.counter(obs::CounterId::kEpochSweeps), warm ? 0u : 1u)
+          << when << " (source " << h.source << ")";
       expect_exact(h.source, h.answer, when);
     }
+    repaired = true;
     std::swap(held[0], held[1]);
   }
 }

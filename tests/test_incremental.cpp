@@ -156,18 +156,18 @@ GraphDelta random_batch(const VersionedGraph& vg, Mode mode, Xoshiro256& rng,
   return delta;
 }
 
-/// An IncrementalSolver plus the answer it last returned for each (graph,
-/// source) and the version that answer is exact at, kept as the
-/// QueryService cache keeps them: solve() repairs a pair from its own
-/// entry. The answer the solver published last runs on the warm array; any
-/// other is loaded into it.
+/// A Solver plus the answer it last returned for each (graph, source) and
+/// the version that answer is exact at, kept as the QueryService cache
+/// keeps them: solve() repairs a pair from its own entry through the
+/// Solver's versioned solve(). The answer the solver published last runs on
+/// the warm array; any other is loaded into it.
 class Repairer {
  public:
-  explicit Repairer(SsspOptions options) : inc_(std::move(options)) {}
+  explicit Repairer(SsspOptions options) : solver_(std::move(options)) {}
 
   const Answer& solve(VersionedGraph& vg, VertexId source) {
     Held& held = held_[{vg.uid(), source}];
-    held.answer = inc_.solve(vg, source, held.answer, held.version);
+    held.answer = solver_.solve(vg, source, held.answer, held.version);
     held.version = vg.version();
     last_ = &held;
     return held.answer;
@@ -175,17 +175,17 @@ class Repairer {
   /// The last solve()'s answer.
   [[nodiscard]] Answer answer() const { return last_->answer; }
   [[nodiscard]] const obs::MetricsSnapshot& last_metrics() const {
-    return inc_.last_metrics();
+    return solver_.last_metrics();
   }
-  [[nodiscard]] Solver& solver() { return inc_.solver(); }
-  [[nodiscard]] SsspOptions& options() { return inc_.options(); }
+  [[nodiscard]] Solver& solver() { return solver_; }
+  [[nodiscard]] SsspOptions& options() { return solver_.options(); }
 
  private:
   struct Held {
     Answer answer;
     std::uint64_t version = 0;
   };
-  IncrementalSolver inc_;
+  Solver solver_;
   std::map<std::pair<std::uint64_t, VertexId>, Held> held_;
   const Held* last_ = nullptr;
 };
@@ -1434,7 +1434,7 @@ GraphDelta mixed_batch(const VersionedGraph& vg, std::uint64_t seed, int ops) {
 
 TEST(IncrementalWarm, UnchangedVersionIsServedWithoutResolving) {
   VersionedGraph vg(make_shape("er"));
-  IncrementalSolver inc(test_options());
+  Solver inc(test_options());
   const Answer first = inc.solve(vg, 3, {}, 0);
   EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 1u);
 
@@ -1448,10 +1448,9 @@ TEST(IncrementalWarm, UnchangedVersionIsServedWithoutResolving) {
 TEST(IncrementalWarm, SourceChangeRepairsFromTheGivenAnswer) {
   // One solver, three sources, each repaired from its own answer. The
   // answer the array holds repairs in place; the others are loaded into
-  // the array first (one acquire each), whoever computed them.
+  // the array first (one epoch sweep each), whoever computed them.
   VersionedGraph vg(make_shape("er"));
-  IncrementalSolver inc(test_options());
-  DistancePool& pool = inc.solver().distances();
+  Solver inc(test_options());
   const std::uint64_t answered = vg.version();
   const Answer from3 = inc.solve(vg, 3, {}, 0);
   const Answer from7 = inc.solve(vg, 7, {}, 0);
@@ -1461,21 +1460,20 @@ TEST(IncrementalWarm, SourceChangeRepairsFromTheGivenAnswer) {
   for (const auto& [source, from, loads] :
        {std::tuple{VertexId{7}, from7, 0u}, std::tuple{VertexId{3}, from3, 1u},
         std::tuple{VertexId{11}, from11, 1u}}) {
-    const std::uint64_t generation = pool.generation();
     const Answer to = inc.solve(vg, source, from, answered);
     const obs::MetricsSnapshot& rs = inc.last_metrics();
     EXPECT_EQ(rs.counter(CId::kRepairFullSolves), 0u) << source;
     EXPECT_EQ(rs.counter(CId::kRepairBatches), 1u) << source;
-    EXPECT_EQ(pool.generation(), generation + loads) << source;
+    EXPECT_EQ(rs.counter(CId::kEpochSweeps), loads) << source;
     EXPECT_EQ(dijkstra(vg.graph(), source).dist, to) << source;
-    EXPECT_EQ(pool.current()->snapshot(), to) << source;
+    EXPECT_EQ(inc.distances().current()->snapshot(), to) << source;
   }
 }
 
 TEST(IncrementalWarm, JournalTrimForcesFullSolve) {
   VersionedGraph vg(make_shape("grid"));
   vg.set_journal_limit(0);  // every batch is immediately unreachable
-  IncrementalSolver inc(test_options());
+  Solver inc(test_options());
   const VertexId source = pick_source(vg);
   const Answer answer = inc.solve(vg, source, {}, 0);
   const std::uint64_t answered = vg.version();
@@ -1491,9 +1489,10 @@ TEST(IncrementalWarm, JournalTrimForcesFullSolve) {
 
 TEST(IncrementalWarm, BadAnswerInputsThrowInvalidOptions) {
   // A version the graph has not reached, or an answer sized for another
-  // graph, is rejected before anything runs: the array stays warm.
+  // graph, is rejected before anything runs: the array stays warm. So is a
+  // source out of range, as the cold door rejects it, on every path.
   VersionedGraph vg(make_shape("er"));
-  IncrementalSolver inc(test_options());
+  Solver inc(test_options());
   const Answer answer = inc.solve(vg, 3, {}, 0);
   const std::uint64_t answered = vg.version();
   EXPECT_THROW((void)inc.solve(vg, 3, answer, answered + 1),
@@ -1501,12 +1500,17 @@ TEST(IncrementalWarm, BadAnswerInputsThrowInvalidOptions) {
   const Answer short_answer(std::vector<Distance>(vg.num_vertices() - 1, 0));
   EXPECT_THROW((void)inc.solve(vg, 3, short_answer, answered),
                InvalidOptionsError);
+  EXPECT_THROW((void)inc.solve(vg, vg.num_vertices(), answer, answered),
+               InvalidSourceError);
 
   (void)vg.apply(mixed_batch(vg, 5, 4));
-  const std::uint64_t generation = inc.solver().distances().generation();
+  EXPECT_THROW((void)inc.solve(vg, vg.num_vertices(), answer, answered),
+               InvalidSourceError);
+  EXPECT_THROW((void)inc.solve(vg, vg.num_vertices(), {}, 0),
+               InvalidSourceError);
   EXPECT_EQ(inc.solve(vg, 3, answer, answered), dijkstra(vg.graph(), 3).dist);
   EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 0u);
-  EXPECT_EQ(inc.solver().distances().generation(), generation);
+  EXPECT_EQ(inc.last_metrics().counter(CId::kEpochSweeps), 0u);
 }
 
 /// Jams `src`'s arc to `dst` and checks the repair from `src`: exact, and
@@ -1551,28 +1555,27 @@ TEST(IncrementalWarm, JamOnTheSourceOutArcSeedsOnlyTheSource) {
 
 TEST(IncrementalWarm, ForeignSolverUseColdsTheWarmState) {
   VersionedGraph vg(make_shape("er"));
-  IncrementalSolver inc(test_options());
+  Solver inc(test_options());
   const VertexId source = pick_source(vg);
   const Answer answer = inc.solve(vg, source, {}, 0);
   const std::uint64_t answered = vg.version();
 
-  // Using the owned Solver directly takes the pooled array and moves its
-  // generation: the next repair must load its answer back instead of
+  // A cold solve on the same Solver takes the pooled array: the next
+  // repair must load its answer back (one epoch sweep) instead of
   // repairing on top of someone else's distances.
   Graph other = make_shape("grid");
-  (void)inc.solver().solve(other, 0);
+  (void)inc.solve(other, 0);
   (void)vg.apply(mixed_batch(vg, 5, 4));
 
-  const std::uint64_t generation = inc.solver().distances().generation();
   const Answer dist = inc.solve(vg, source, answer, answered);
   EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 0u);
-  EXPECT_EQ(inc.solver().distances().generation(), generation + 1);
+  EXPECT_EQ(inc.last_metrics().counter(CId::kEpochSweeps), 1u);
   EXPECT_EQ(dijkstra(vg.graph(), source).dist, dist);
 }
 
 TEST(IncrementalWarm, CancelledRepairThrowsAndLeavesSolverReusable) {
   VersionedGraph vg(make_shape("er"));
-  IncrementalSolver inc(test_options());
+  Solver inc(test_options());
   const VertexId source = pick_source(vg);
   const Answer answer = inc.solve(vg, source, {}, 0);
   const std::uint64_t answered = vg.version();
@@ -1586,10 +1589,9 @@ TEST(IncrementalWarm, CancelledRepairThrowsAndLeavesSolverReusable) {
 
   // The array holds no answer any more: the retry loads it again.
   inc.options().cancel = nullptr;
-  const std::uint64_t generation = inc.solver().distances().generation();
   const Answer dist = inc.solve(vg, source, answer, answered);
   EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 0u);
-  EXPECT_EQ(inc.solver().distances().generation(), generation + 1);
+  EXPECT_EQ(inc.last_metrics().counter(CId::kEpochSweeps), 1u);
   EXPECT_EQ(dijkstra(vg.graph(), source).dist, dist);
 }
 
@@ -1603,7 +1605,7 @@ TEST(IncrementalWarm, EngineFailureAfterTheWalkDiscardsTheWarmState) {
     }
   } throwing;
   VersionedGraph vg(comb());
-  IncrementalSolver inc(one_bucket_options());
+  Solver inc(one_bucket_options());
   const Answer answer = inc.solve(vg, 0, {}, 0);
   const std::uint64_t answered = vg.version();
   GraphDelta jam;
@@ -1613,10 +1615,9 @@ TEST(IncrementalWarm, EngineFailureAfterTheWalkDiscardsTheWarmState) {
   EXPECT_THROW((void)inc.solve(vg, 0, answer, answered), std::runtime_error);
 
   inc.options().observer = nullptr;
-  const std::uint64_t generation = inc.solver().distances().generation();
   const Answer dist = inc.solve(vg, 0, answer, answered);
   EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 0u);
-  EXPECT_EQ(inc.solver().distances().generation(), generation + 1);
+  EXPECT_EQ(inc.last_metrics().counter(CId::kEpochSweeps), 1u);
   EXPECT_EQ(dijkstra(vg.graph(), 0).dist, dist);
 }
 

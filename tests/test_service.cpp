@@ -16,9 +16,11 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "graph/algorithms.hpp"
+#include "graph/builder.hpp"
 #include "graph/delta.hpp"
 #include "graph/generators.hpp"
 #include "service/service.hpp"
@@ -43,6 +45,13 @@ Graph make_test_graph() {
 
 Graph make_small_graph() {
   return gen::erdos_renyi(3000, 6.0, WeightScheme::gap(), 31);
+}
+
+/// The undirected path 0-1-...-(n-1), every arc of weight 10.
+Graph make_weighted_path(VertexId n) {
+  std::vector<Edge> path;
+  for (VertexId u = 0; u + 1 < n; ++u) path.push_back(Edge{u, u + 1, 10});
+  return GraphBuilder().edges(n, std::move(path)).undirected(true).build();
 }
 
 SsspOptions options_for(Algorithm algo) {
@@ -149,12 +158,40 @@ TEST(ServiceSolverBusy, ConcurrentSolveThrowsTyped) {
   std::thread runner([&] { (void)solver.solve(g, source); });
   blocker.wait_until_blocked();  // a solve is now provably in flight
   EXPECT_THROW((void)solver.solve(g, source), SolverBusyError);
+  // The versioned door takes the same guard.
+  VersionedGraph vg(make_weighted_path(30000));
+  EXPECT_THROW((void)solver.solve(vg, 0, {}, 0), SolverBusyError);
   blocker.release();
   runner.join();
 
-  // The guard released: the solver accepts the next solve.
+  // The guard released: the solver accepts the next solve, of either kind.
+  const std::vector<Distance> exact = dijkstra(g, source).dist;
+  EXPECT_EQ(solver.solve(g, source).dist, exact);
+  solver.options().algo = Algorithm::kWasp;
+  const Answer answer = solver.solve(vg, 0, {}, 0);
+  EXPECT_EQ(answer, dijkstra(vg.graph(), 0).dist);
+
+  // A repair in flight holds it too. Lowering the path's first arc lowers
+  // every vertex past it: the repair processes far past kInlineRepairWork,
+  // so it escalates and its team run reaches the observer.
+  const std::uint64_t answered = vg.version();
+  (void)vg.apply(GraphDelta().set_weight(0, 1, 1));
+  Answer repaired;
+  blocker.arm();
+  std::thread repairer(
+      [&] { repaired = solver.solve(vg, 0, answer, answered); });
+  const bool blocked = blocker.wait_until_blocked_for(std::chrono::seconds(60));
+  if (blocked) {
+    EXPECT_THROW((void)solver.solve(g, source), SolverBusyError);
+  }
+  blocker.release();
+  repairer.join();
+  ASSERT_TRUE(blocked) << "the repair never reached the observer";
+  EXPECT_EQ(solver.last_metrics().counter(CId::kRepairEscalations), 1u);
+  EXPECT_EQ(repaired, dijkstra(vg.graph(), 0).dist);
+
   solver.options().observer = nullptr;
-  EXPECT_NO_THROW((void)solver.solve(g, source));
+  EXPECT_EQ(solver.solve(g, source).dist, exact);
 }
 
 // --- QueryService ----------------------------------------------------------

@@ -18,7 +18,6 @@
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
 #include "sssp/dijkstra.hpp"
-#include "sssp/incremental.hpp"
 #include "sssp/solver.hpp"
 #include "sssp/validate.hpp"
 #include "support/cancel.hpp"
@@ -120,8 +119,7 @@ TEST_P(SolverReuseAfterReset, DirtyPoolIsRefilledBeforeEverySolve) {
   ASSERT_EQ(other.num_vertices(), vg.num_vertices());
   const VertexId s = pick_source_in_largest_component(vg.graph(), 11);
   const VertexId t = pick_source_in_largest_component(other, 11);
-  IncrementalSolver inc(options_for(GetParam()));
-  Solver& solver = inc.solver();
+  Solver solver(options_for(GetParam()));
 
   // A cancelled run leaves a partial relaxation behind.
   CancelToken token;
@@ -141,25 +139,30 @@ TEST_P(SolverReuseAfterReset, DirtyPoolIsRefilledBeforeEverySolve) {
   EXPECT_EQ(r.dist, dijkstra(other, t).dist);
   EXPECT_EQ(solver.distances().current(), array);
 
-  // A repair leaves its answer in the array, warm for the next repair.
-  Answer answer = inc.solve(vg, s, {}, 0);
+  // A full solve leaves its answer in the array, so the repair runs on it
+  // with no load, and leaves its own answer there for the next repair.
+  Answer answer = solver.solve(vg, s, {}, 0);
   std::uint64_t answered = vg.version();
   const WEdge first = vg.flat().out_neighbors(s)[0];
   (void)vg.apply(GraphDelta().set_weight(s, first.dst, first.w + 50));
-  answer = inc.solve(vg, s, answer, answered);
+  answer = solver.solve(vg, s, answer, answered);
   answered = vg.version();
   EXPECT_EQ(answer, dijkstra(vg.graph(), s).dist);
-  EXPECT_EQ(inc.last_metrics().counter(obs::CounterId::kRepairFullSolves), 0u);
+  EXPECT_EQ(solver.last_metrics().counter(obs::CounterId::kRepairFullSolves),
+            0u);
+  EXPECT_EQ(solver.last_metrics().counter(obs::CounterId::kEpochSweeps), 0u);
   r = solver.solve(other, t);
   EXPECT_EQ(r.dist, dijkstra(other, t).dist);
 
-  // That solve moved the pool's generation, so the next update loads the
-  // answer instead of repairing on top of the other graph's distances.
+  // That solve took the pooled array, so the next update loads the answer
+  // (one epoch sweep) instead of repairing on top of the other graph's
+  // distances.
   (void)vg.apply(GraphDelta().set_weight(s, first.dst, first.w));
-  const std::uint64_t generation = solver.distances().generation();
-  EXPECT_EQ(inc.solve(vg, s, answer, answered), dijkstra(vg.graph(), s).dist);
-  EXPECT_EQ(inc.last_metrics().counter(obs::CounterId::kRepairFullSolves), 0u);
-  EXPECT_EQ(solver.distances().generation(), generation + 1);
+  EXPECT_EQ(solver.solve(vg, s, answer, answered),
+            dijkstra(vg.graph(), s).dist);
+  EXPECT_EQ(solver.last_metrics().counter(obs::CounterId::kRepairFullSolves),
+            0u);
+  EXPECT_EQ(solver.last_metrics().counter(obs::CounterId::kEpochSweeps), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -254,19 +257,18 @@ TEST(PartitionReuse, OneFragmentRunIsTheFlatRun) {
     }
   }
 
-  // It also leaves its answer in the pooled array, so an IncrementalSolver
-  // repairs it in place, with no load.
+  // It also leaves its answer in the pooled array, so the Solver's repair
+  // runs on it in place, with no load (no epoch sweep).
   VersionedGraph vg(gen::grid(30, 30, WeightScheme::uniform(1, 100), 5));
-  IncrementalSolver inc(partitioned_options(1));
+  Solver inc(partitioned_options(1));
   const Answer answer = inc.solve(vg, 0, {}, 0);
   EXPECT_EQ(answer, dijkstra(vg.graph(), 0).dist);
   const std::uint64_t answered = vg.version();
-  const std::uint64_t generation = inc.solver().distances().generation();
   const WEdge first = vg.flat().out_neighbors(0)[0];
   (void)vg.apply(GraphDelta().set_weight(0, first.dst, first.w + 50));
   EXPECT_EQ(inc.solve(vg, 0, answer, answered), dijkstra(vg.graph(), 0).dist);
   EXPECT_EQ(inc.last_metrics().counter(obs::CounterId::kRepairFullSolves), 0u);
-  EXPECT_EQ(inc.solver().distances().generation(), generation);
+  EXPECT_EQ(inc.last_metrics().counter(obs::CounterId::kEpochSweeps), 0u);
 }
 
 TEST(PartitionReuse, EachVersionedBatchForcesExactlyOneRebuild) {
@@ -334,27 +336,25 @@ TEST(PartitionReuse, FragmentCountOrTopologyChangeForcesRebuild) {
   EXPECT_EQ(r.dist, dijkstra(other, t).dist);
 }
 
-TEST(PartitionReuse, IncrementalSolverNeverBindsToTheUnusedFlatArray) {
+TEST(PartitionReuse, RepairNeverBindsToTheUnusedFlatArray) {
   // A partitioned full solve keeps its distances in fragment shards, so
   // the pooled flat array holds no answer the repair could start from —
   // here it holds another source's distances from an earlier flat solve.
   // The repair loads the answer it is given into the array instead, and
   // runs one fragment over it.
   VersionedGraph vg(gen::grid(30, 30, WeightScheme::uniform(1, 100), 5));
-  IncrementalSolver inc(partitioned_options(2));
+  Solver inc(partitioned_options(2));
   const VertexId s = 0;
-  (void)inc.solver().solve(vg.graph(), vg.num_vertices() - 1,
-                           Algorithm::kBellmanFord);
+  (void)inc.solve(vg.graph(), vg.num_vertices() - 1, Algorithm::kBellmanFord);
   const Answer answer = inc.solve(vg, s, {}, 0);
   EXPECT_EQ(answer, dijkstra(vg.graph(), s).dist);
   const std::uint64_t answered = vg.version();
-  const std::uint64_t generation = inc.solver().distances().generation();
 
   const WEdge first = vg.flat().out_neighbors(s)[0];
   (void)vg.apply(GraphDelta().set_weight(s, first.dst, first.w + 50));
   EXPECT_EQ(inc.solve(vg, s, answer, answered), dijkstra(vg.graph(), s).dist);
   EXPECT_EQ(inc.last_metrics().counter(obs::CounterId::kRepairFullSolves), 0u);
-  EXPECT_EQ(inc.solver().distances().generation(), generation + 1);
+  EXPECT_EQ(inc.last_metrics().counter(obs::CounterId::kEpochSweeps), 1u);
 }
 
 TEST(PartitionReuse, WarmSolveAfterCancelledSolveIsExact) {

@@ -1913,7 +1913,7 @@ TEST(SchedulerHarness, AsyncBaselinesEndToEndSchedulesMatchDijkstra) {
 // own, from a Dijkstra-built answer, which the repair first loads into the
 // array with relaxed stores that the engine's launch must publish, as it
 // publishes the walk's. The e2e cases are far below kInlineRepairWork, so
-// the IncrementalSolver repairs them on the calling thread alone; the
+// the Solver repairs them on the calling thread alone; the
 // engine's multi-worker seeded run (seed levels published before launch,
 // concurrent log appends) is driven directly on a 2-4-worker team by the
 // case after it, and an escalated repair (a one-worker run paused at its
@@ -1960,7 +1960,7 @@ TEST(SchedulerHarness, SeededRepairSchedulesMatchDijkstra) {
     options.wasp.steal_policy = seed % 2 == 0 ? StealPolicy::kPriorityNuma
                                               : StealPolicy::kTwoChoice;
     VersionedGraph vg{Graph(c.graph)};
-    IncrementalSolver inc(options);
+    Solver inc(options);
     const std::uint64_t answered = vg.version();
     // Cold, outside the model.
     const Answer answer = inc.solve(vg, c.source, {}, 0);
@@ -2149,7 +2149,7 @@ TEST(SchedulerHarness, SeededTeamRunsMatchDijkstra) {
 }
 
 TEST(SchedulerHarness, EscalatedRepairSchedulesMatchDijkstra) {
-  // An escalated repair in two halves, as IncrementalSolver runs one: a
+  // An escalated repair in two halves, as a Solver's repair runs one: a
   // one-worker run with a small budget under a one-participant schedule,
   // then, if it paused with work left, a 2-4-worker run under a team-sized
   // schedule that resumes from the paused frontier into the same log. The
