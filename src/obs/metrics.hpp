@@ -43,7 +43,7 @@ enum class CounterId : std::uint8_t {
   kPrefetchIssued,     ///< software prefetches issued in relaxation loops
   // --- QueryService accounting (cumulative over the service lifetime; a
   // --- per-run solver registry never touches these) -----------------------
-  kQueriesSubmitted,       ///< submit() calls accepted into the queue
+  kQueriesSubmitted,       ///< submit() calls accepted (queued or cache-served)
   kQueriesServed,          ///< queries completed with fresh distances
   kQueriesServedStale,     ///< queries degraded to a cached same-source result
   kQueriesServedCached,    ///< kQueriesServed answers taken from the cache

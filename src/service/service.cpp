@@ -139,19 +139,15 @@ std::shared_future<QueryResult> QueryService::submit_impl(
       throw InvalidOptionsError(os.str());
     }
     // Fresh path: an exactly current answer (republished by update() or
-    // stored by a run at this version) is the answer; no solve, no queue.
-    // Plain Graphs have no version, so they never take it; a request
-    // already past its absolute deadline queues and expires as before.
-    const CachedAnswer* hit = vg != nullptr && req.deadline > Clock::now()
-                                  ? fresh_find_locked(*vg, req.source)
-                                  : nullptr;
-    if (hit == nullptr) {
-      const CacheKey key{vg != nullptr ? vg->uid() : g.stamp(), req.source};
-      return enqueue_locked(g, vg, key, std::move(req));
-    }
+    // stored by a run at this version) is the answer; no solve, no queue. A
+    // request already past its absolute deadline queues and expires instead.
+    const CacheKey key{vg != nullptr ? vg->uid() : g.stamp(), req.source};
+    const CachedAnswer* hit =
+        req.deadline > Clock::now() ? fresh_find_locked(key, version) : nullptr;
+    if (hit == nullptr) return enqueue_locked(g, vg, key, std::move(req));
     r.dist = hit->dist;  // shared: the entry's buffer, not a copy
     r.query_id = next_id_++;
-    r.graph_version = vg->version();
+    r.graph_version = version;
     count_locked(req.tenant, CId::kQueriesSubmitted);
     account_cached_locked(req.tenant);
   }
@@ -263,7 +259,7 @@ std::uint64_t QueryService::update(VersionedGraph& vg,
   // Phase 1 (under mu_): take the exclusive gate, drain the running set,
   // apply + compact. Workers cannot pick up while update_active_ is set, so
   // nothing reads the CSR while apply() patches it or compact() replaces it.
-  std::vector<std::pair<VertexId, CachedAnswer>> cached;
+  std::vector<CachedAnswer> cached;
   std::uint64_t version = 0;
   {
     MutexLock lock(mu_);
@@ -297,8 +293,8 @@ std::uint64_t QueryService::update(VersionedGraph& vg,
     registry_.shard(0).inc(CId::kGraphCompactedArcs,
                            vg.compacted_arcs() - compacted_arcs_before);
 
-    for (const auto& [k, entry] : stale_)
-      if (k.graph == vg.uid()) cached.emplace_back(k.source, entry);
+    for (const CachedAnswer& entry : cache_)
+      if (entry.key.graph == vg.uid()) cached.push_back(entry);
   }
 
   // Phase 2 (gate held, mu_ released): repair each cached answer from its
@@ -308,20 +304,16 @@ std::uint64_t QueryService::update(VersionedGraph& vg,
   // mu_. The cache key (uid, source) is what makes an entry exact for
   // (vg, source) at its version. The cache takes the repairer's answer
   // buffer itself: the repairer writes a buffer only after its last holder
-  // dropped it, so readers still holding one are safe. Each solve's report
-  // adds into `reported`.
-  struct Repaired {
-    VertexId source;
-    Answer dist;
-  };
-  std::vector<Repaired> repaired;
+  // dropped it, so readers still holding one are safe. Each entry of
+  // `cached` becomes its repaired answer; each solve's report adds into
+  // `reported`.
   std::array<std::uint64_t, obs::kNumCounters> reported{};
-  repaired.reserve(cached.size());
   try {
-    for (const auto& [source, entry] : cached) {
+    for (CachedAnswer& entry : cached) {
       if (repairer_ == nullptr) repairer_ = build_solver();
-      repaired.push_back(
-          {source, repairer_->solve(vg, source, entry.dist, entry.version)});
+      entry.dist =
+          repairer_->solve(vg, entry.key.source, entry.dist, entry.version);
+      entry.version = version;
       const obs::MetricsSnapshot& m = repairer_->last_metrics();
       for (std::size_t c = 0; c < obs::kNumCounters; ++c)
         reported[c] += m.totals[c];
@@ -339,15 +331,15 @@ std::uint64_t QueryService::update(VersionedGraph& vg,
   // Phase 3 (under mu_): publish the repaired answers and release the gate.
   // Only now, with every repair done, do the entries carry the new version
   // and become fresh hits (fresh_find_locked); a failed phase 2 published
-  // nothing and left them at their old version. The service takes the
+  // nothing and left them at their old version. A repair is not a use: each
+  // entry keeps its place in the eviction order. The service takes the
   // repair block of the reports; phase 1 already counted the compactions.
   {
     MutexLock lock(mu_);
-    for (Repaired& r : repaired) {
-      auto it = stale_.find(CacheKey{vg.uid(), r.source});
-      if (it != stale_.end())  // still cached (no eviction races the gate)
-        it->second = CachedAnswer{std::move(r.dist), version};
-    }
+    // Still cached: only runs store, and the gate keeps every worker idle.
+    for (CachedAnswer& repaired : cached)
+      for (CachedAnswer& entry : cache_)
+        if (entry.key == repaired.key) entry = std::move(repaired);
     for (std::size_t c = 0; c < obs::kNumCounters; ++c) {
       const auto id = static_cast<CId>(c);
       if (obs::is_repair_counter(id)) registry_.shard(0).inc(id, reported[c]);
@@ -375,22 +367,25 @@ bool QueryService::any_running_locked() const {
   return false;
 }
 
-const QueryService::CachedAnswer* QueryService::cache_find_locked(
-    const Pending& q) const {
-  auto hit = stale_.find(q.key);
-  if (hit == stale_.end()) return nullptr;
+const QueryService::CachedAnswer* QueryService::cache_hit_locked(
+    const CacheKey& key, std::uint64_t lo, std::uint64_t hi) {
+  const auto hit = std::ranges::find(cache_, key, &CachedAnswer::key);
+  if (hit == cache_.end() || hit->version < lo || hit->version > hi)
+    return nullptr;
+  std::rotate(hit, std::next(hit), cache_.end());
+  return &cache_.back();
+}
+
+const QueryService::CachedAnswer* QueryService::stale_find_locked(
+    const Pending& q) {
   // A cached answer older than the query's floor is not an answer at all.
-  if (hit->second.version < q.req.min_graph_version) return nullptr;
-  return &hit->second;
+  return cache_hit_locked(q.key, q.req.min_graph_version, UINT64_MAX);
 }
 
 const QueryService::CachedAnswer* QueryService::fresh_find_locked(
-    const VersionedGraph& vg, VertexId source) const {
-  auto hit = stale_.find(CacheKey{vg.uid(), source});
+    const CacheKey& key, std::uint64_t version) {
   // Exactly this version: an entry one batch behind is a stale answer.
-  if (hit != stale_.end() && vg.version() == hit->second.version)
-    return &hit->second;
-  return nullptr;
+  return cache_hit_locked(key, version, version);
 }
 
 void QueryService::account_cached_locked(const std::string& tenant) {
@@ -404,7 +399,7 @@ void QueryService::finish_unrun_locked(const Entry& e, Outcome outcome) {
   r.queue_ms = ms_between(e->submitted, Clock::now());
   r.outcome = outcome;
   if (e->req.allow_stale) {
-    if (const CachedAnswer* hit = cache_find_locked(*e)) {
+    if (const CachedAnswer* hit = stale_find_locked(*e)) {
       r.outcome = Outcome::kServedStale;
       r.dist = hit->dist;
       r.graph_version = hit->version;
@@ -427,13 +422,9 @@ void QueryService::account_locked(const std::string& tenant, Outcome outcome) {
 
 void QueryService::cache_store_locked(const CacheKey& key, Answer dist,
                                       std::uint64_t version) {
-  auto it = stale_.find(key);
-  if (it == stale_.end() && stale_.size() >= kCacheEntries) {
-    stale_.erase(stale_order_.front());
-    stale_order_.pop_front();
-  }
-  if (it == stale_.end()) stale_order_.push_back(key);
-  stale_[key] = CachedAnswer{std::move(dist), version};
+  std::erase_if(cache_, [&](const CachedAnswer& e) { return e.key == key; });
+  if (cache_.size() >= kCacheEntries) cache_.erase(cache_.begin());  // LRU
+  cache_.push_back(CachedAnswer{key, std::move(dist), version});
 }
 
 QueryResult QueryService::execute(Pending& q, int wid,
@@ -473,7 +464,7 @@ QueryResult QueryService::execute(Pending& q, int wid,
       if (r.outcome == Outcome::kDeadlineExpired) quarantine = true;
       if (r.outcome == Outcome::kDeadlineExpired && q.req.allow_stale) {
         MutexLock lock(mu_);
-        if (const CachedAnswer* hit = cache_find_locked(q)) {
+        if (const CachedAnswer* hit = stale_find_locked(q)) {
           r.outcome = Outcome::kServedStale;
           r.dist = hit->dist;
           r.graph_version = hit->version;
@@ -529,20 +520,19 @@ void QueryService::worker_main(int wid) {
         work_cv_.wait(lock);
       if (queue_.empty()) return;  // stopping_ and drained
       e = pop_next_locked();
-      if (e->versioned != nullptr) {
-        e->run_version = e->versioned->version();
-        // Queued behind an update() that republished this source's answer
-        // at the version we would run against: serve it, skip the solve.
-        const CachedAnswer* hit =
-            e->token->poll() ? nullptr
-                             : fresh_find_locked(*e->versioned, e->req.source);
-        if (hit != nullptr) {
-          fresh = true;
-          cached = hit->dist;
-          account_cached_locked(e->req.tenant);
-        }
+      if (e->versioned != nullptr) e->run_version = e->versioned->version();
+      // Queued behind a run or an update() that stored this source's answer
+      // at the version we would run against: serve it, skip the solve.
+      const CachedAnswer* hit = e->token->poll()
+                                    ? nullptr
+                                    : fresh_find_locked(e->key, e->run_version);
+      fresh = hit != nullptr;
+      if (fresh) {
+        cached = hit->dist;
+        account_cached_locked(e->req.tenant);
+      } else {
+        running_[static_cast<std::size_t>(wid)] = e;
       }
-      if (!fresh) running_[static_cast<std::size_t>(wid)] = e;
     }
     if (fresh) {
       QueryResult r;

@@ -22,11 +22,11 @@
 //  * Graceful degradation — a shed or queue-expired query marked
 //    allow_stale is answered from a small same-source cache of previously
 //    served distances (Outcome::kServedStale) instead of failing dry.
-//    The same cache answers a VersionedGraph query outright when its entry
-//    is exactly current (same graph uid, same version): the query resolves
-//    kServed at submit, or at pickup if it queued behind an update(),
-//    without a solve (QueryResult::attempts == 0). Plain-Graph entries
-//    carry no version and serve only the stale degradation.
+//    The same cache answers a query outright when its entry is exactly
+//    current (same key, same version; see CacheKey): the query resolves
+//    kServed at submit, or at pickup if it queued behind a run or an
+//    update() that stored the answer, without a solve
+//    (QueryResult::attempts == 0). Both graph kinds take this fresh path.
 //  * Fault containment — a Solver whose run was deadline-cancelled or
 //    threw a transient error is quarantined and rebuilt off the hot path;
 //    transient failures retry with seeded, jittered exponential backoff,
@@ -50,7 +50,6 @@
 #pragma once
 
 #include <chrono>
-#include <compare>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -158,8 +157,8 @@ struct QueryResult {
 /// (deterministic replay).
 inline constexpr std::chrono::nanoseconds kRetryBackoff =
     std::chrono::microseconds(200);
-/// Same-source answer cache entries (FIFO eviction). The cache serves both
-/// the stale degradation and fresh hits.
+/// Same-source answer cache entries (least-recently-used eviction). The
+/// cache serves both the stale degradation and fresh hits.
 inline constexpr std::size_t kCacheEntries = 16;
 
 /// Service-wide configuration. `solver` is the per-Solver option block
@@ -262,17 +261,24 @@ class QueryService {
   /// entries and Graph::stamp() for plain ones — never an address, so a
   /// graph rebuilt at a recycled address never inherits another graph's
   /// answers. Uids and stamps come from one counter and never collide.
+  ///
+  /// Why a plain entry is exact for as long as its key exists: a Graph
+  /// changes only through a VersionedGraph, which renews the stamp after
+  /// each patch, and a copy draws a fresh one. So (stamp, source) names
+  /// exactly one answer, and plain entries, at version 0, take the same
+  /// fresh path as versioned ones at (uid, version).
   struct CacheKey {
     std::uint64_t graph = 0;
     VertexId source = 0;
-    auto operator<=>(const CacheKey&) const = default;
+    bool operator==(const CacheKey&) const = default;
   };
 
-  /// One cache value: the distances plus the graph version they were
-  /// computed at (0 for plain Graphs), so min_graph_version can filter and
-  /// fresh_find_locked can tell an exactly current entry. Every hit shares
-  /// `dist` with its QueryResult.
+  /// One cache entry: the distances for `key` plus the graph version they
+  /// were computed at (0 for plain Graphs), so min_graph_version can filter
+  /// and fresh_find_locked can tell an exactly current entry. Every hit
+  /// shares `dist` with its QueryResult.
   struct CachedAnswer {
+    CacheKey key;
     Answer dist;
     std::uint64_t version = 0;
   };
@@ -309,19 +315,23 @@ class QueryService {
   /// Counts a terminal outcome for `tenant`. mu_ held.
   void account_locked(const std::string& tenant, Outcome outcome)
       WASP_REQUIRES(mu_);
-  /// Caches `dist` (shared, not copied) as key's answer at `version`,
-  /// evicting the oldest entry past kCacheEntries. mu_ held.
+  /// Caches `dist` (shared, not copied) as key's answer at `version`, most
+  /// recently used, evicting the least recently used past kCacheEntries.
   void cache_store_locked(const CacheKey& key, Answer dist,
                           std::uint64_t version) WASP_REQUIRES(mu_);
+  /// The entry for `key` if its version lies in [lo, hi], or nullptr. A hit
+  /// is a use: it moves the entry to the back of cache_. mu_ held.
+  const CachedAnswer* cache_hit_locked(const CacheKey& key, std::uint64_t lo,
+                                       std::uint64_t hi) WASP_REQUIRES(mu_);
   /// A stale-cache hit for `q` satisfying its min_graph_version, or nullptr.
-  [[nodiscard]] const CachedAnswer* cache_find_locked(const Pending& q) const
+  [[nodiscard]] const CachedAnswer* stale_find_locked(const Pending& q)
       WASP_REQUIRES(mu_);
-  /// The cached answer for (vg, source) if it is exactly current — same
-  /// uid, same version as vg now — or nullptr. Such an entry is the exact
-  /// answer at vg.version(): entries are stamped with the version they were
-  /// solved or repaired at, and update() publishes only successful repairs.
-  [[nodiscard]] const CachedAnswer* fresh_find_locked(
-      const VersionedGraph& vg, VertexId source) const WASP_REQUIRES(mu_);
+  /// The entry for `key` if it was computed at `version`, the graph's
+  /// version now (0 for a plain Graph), or nullptr. Entries carry the
+  /// version they were solved or repaired at, so such a hit is exact.
+  [[nodiscard]] const CachedAnswer* fresh_find_locked(const CacheKey& key,
+                                                      std::uint64_t version)
+      WASP_REQUIRES(mu_);
   /// Accounts a fresh cache hit for `tenant`: served, and served_cached.
   void account_cached_locked(const std::string& tenant) WASP_REQUIRES(mu_);
   [[nodiscard]] bool any_running_locked() const WASP_REQUIRES(mu_);
@@ -351,10 +361,10 @@ class QueryService {
   std::map<std::string, obs::MetricsRegistry, std::less<>> tenants_
       WASP_GUARDED_BY(mu_);
 
-  /// Same-source answer cache, FIFO-evicted: stale degradation for any
-  /// graph, fresh hits for exactly current versioned entries.
-  std::map<CacheKey, CachedAnswer> stale_ WASP_GUARDED_BY(mu_);
-  std::deque<CacheKey> stale_order_ WASP_GUARDED_BY(mu_);
+  /// Same-source answer cache, at most kCacheEntries, in order of last use
+  /// (front = least recent, evicted first). Serves fresh hits and the
+  /// stale degradation for both graph kinds.
+  std::vector<CachedAnswer> cache_ WASP_GUARDED_BY(mu_);
 
   /// Service-owned Solver whose versioned solve() refreshes update()'s
   /// cache, built on the first repair. Not mu_-guarded: touched only by the

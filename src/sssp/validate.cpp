@@ -1,8 +1,7 @@
 #include "sssp/validate.hpp"
 
+#include <cstdint>
 #include <sstream>
-
-#include "graph/algorithms.hpp"
 
 namespace wasp {
 
@@ -53,22 +52,30 @@ bool validate_sssp(const Graph& g, VertexId source,
     }
   }
 
-  // Every finite distance must be witnessed by an in-edge (checked via the
-  // transpose so directed graphs are handled).
-  const Graph gt = transpose(g);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (v == source || dist[v] == kInfDist) continue;
-    bool witnessed = false;
-    for (const WEdge& e : gt.out_neighbors(v)) {
-      if (dist[e.dst] != kInfDist && saturating_add(dist[e.dst], e.w) == dist[v]) {
-        witnessed = true;
-        break;
+  // Every finite distance must be the length of a real path: one traversal
+  // from the source over tight arcs (dist[u] + w == dist[v]) must reach it.
+  // A reached vertex's distance is then a path length, so never below the
+  // true distance, and no relaxable arc keeps every reachable vertex at or
+  // below it. Unlike a tight in-arc per vertex, this also rejects a cycle of
+  // zero-weight arcs that witnesses itself.
+  std::vector<std::uint8_t> reached(g.num_vertices(), 0);
+  std::vector<VertexId> stack{source};
+  reached[source] = 1;
+  while (!stack.empty()) {
+    const VertexId u = stack.back();
+    stack.pop_back();
+    for (const WEdge& e : g.out_neighbors(u)) {
+      if (reached[e.dst] == 0 && saturating_add(dist[u], e.w) == dist[e.dst]) {
+        reached[e.dst] = 1;
+        stack.push_back(e.dst);
       }
     }
-    if (!witnessed) {
+  }
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    if (dist[v] != kInfDist && reached[v] == 0) {
       std::ostringstream os;
       os << "vertex " << v << " has distance " << dist[v]
-         << " but no in-edge achieves it";
+         << " but no in-edge on a tight path from the source achieves it";
       return fail(os.str());
     }
   }

@@ -1,7 +1,7 @@
 // Result validation: compares a parallel run's distances against the
-// sequential Dijkstra reference and against the local SSSP optimality
-// conditions (no relaxable edge remains; every finite distance is witnessed
-// by an in-edge).
+// sequential Dijkstra reference, or checks them against a certificate that
+// needs no reference run (no relaxable edge remains; every finite distance
+// is reached from the source over tight arcs).
 #pragma once
 
 #include <span>
@@ -24,11 +24,14 @@ inline bool distances_equal(const std::vector<Distance>& expected,
   return distances_equal(expected, std::span<const Distance>(got), message);
 }
 
-/// Checks the SSSP fixed-point conditions directly on the graph:
+/// Checks a complete certificate of exactness directly on the graph:
 ///  * dist[source] == 0,
 ///  * no edge (u, v) with dist[u] + w < dist[v] (no relaxable edge),
-///  * every reached v != source has an in-edge achieving its distance.
-/// O(|E|); does not need a reference run. Fills `message` on failure.
+///  * every v with a finite distance is reached from the source over tight
+///    edges (dist[u] + w == dist[v]), so its distance is a real path length.
+/// Together these prove `dist` exact for non-negative weights, zero weights
+/// included. O(|V| + |E|), one forward traversal and no transpose; does not
+/// need a reference run. Fills `message` on failure.
 bool validate_sssp(const Graph& g, VertexId source,
                    const std::vector<Distance>& dist, std::string* message);
 

@@ -64,6 +64,15 @@ SsspOptions options_for(Algorithm algo) {
 
 constexpr std::uint64_t kTestSeed = 0x5EEDULL;
 
+/// Patches a weight of one of u's arcs directly, outside
+/// QueryService::update(), so a service's cached answers for `vg` fall one
+/// version behind (update() would repair them to the new version). Only
+/// call with no query on `vg` in flight.
+void step_version(VersionedGraph& vg, VertexId u) {
+  const WEdge arc = vg.graph().out_neighbors(u)[0];
+  (void)vg.apply(GraphDelta().set_weight(u, arc.dst, arc.w + 1));
+}
+
 /// Blocks the first run callback after arm() until release(); callbacks
 /// while unarmed (or after release) pass straight through. Lets a test hold
 /// a solve in flight deterministically.
@@ -304,16 +313,21 @@ TEST(ServiceQuery, QueueExpiryDegradesToStaleWhenAllowed) {
   const QueryResult primed = svc.solve(g, {.source = a});
   ASSERT_EQ(primed.outcome, Outcome::kServed);
 
+  // Hold the only solver on a third source: a repeat of `a` would be served
+  // from the cache at submit, without a run to hold.
   blocker.arm();
-  auto running = svc.submit(g, {.source = a});
+  auto running = svc.submit(g, {.source = (a + 2) % g.num_vertices()});
   blocker.wait_until_blocked();
 
-  // `expired` asks for another source, which has no cached answer (and
-  // does not coalesce onto `degraded`).
+  // `degraded` repeats `a`, whose cached answer is exactly current, but it
+  // is past its absolute deadline at submit, so it skips the fresh path and
+  // queues. `expired` asks for another source, which has no cached answer
+  // (and does not coalesce onto `degraded`).
   const VertexId b = (a + 1) % g.num_vertices();
-  auto degraded = svc.submit(g, {.source = a,
-                                 .budget = std::chrono::milliseconds(2),
-                                 .allow_stale = true});
+  auto degraded = svc.submit(
+      g, {.source = a,
+          .deadline = service::Clock::now() - std::chrono::milliseconds(1),
+          .allow_stale = true});
   auto expired =
       svc.submit(g, {.source = b, .budget = std::chrono::milliseconds(2)});
 
@@ -367,9 +381,106 @@ TEST(ServiceQuery, FreshStaleAndServedAnswersShareOneBuffer) {
   EXPECT_EQ(running.get().outcome, Outcome::kServed);
 }
 
-TEST(ServiceQuery, ShedDowngradedToStaleCountsOnceAsServedStale) {
+TEST(ServiceQuery, PlainGraphRepeatIsServedFromTheCacheAtSubmit) {
   const Graph g = make_small_graph();
   const VertexId source = pick_source_in_largest_component(g, 11);
+  ServiceConfig config;
+  config.solver = options_for(Algorithm::kWasp);
+  config.num_solvers = 1;
+  QueryService svc(config);
+
+  const QueryResult stored = svc.solve(g, {.source = source});
+  ASSERT_EQ(stored.outcome, Outcome::kServed);
+  ASSERT_EQ(stored.attempts, 1);
+  const std::uint64_t cached = svc.metrics().counter(CId::kQueriesServedCached);
+
+  // Same stamp, same source: the entry is the exact answer, no solve.
+  const QueryResult repeat = svc.solve(g, {.source = source});
+  EXPECT_EQ(repeat.outcome, Outcome::kServed);
+  EXPECT_EQ(repeat.attempts, 0);
+  EXPECT_EQ(repeat.graph_version, 0u);
+  EXPECT_EQ(repeat.dist.data(), stored.dist.data());
+  EXPECT_EQ(repeat.dist, dijkstra(g, source).dist);
+  EXPECT_EQ(svc.metrics().counter(CId::kQueriesServedCached), cached + 1);
+}
+
+TEST(ServiceQuery, PlainGraphCopyMissesTheCache) {
+  const Graph g = make_small_graph();
+  const VertexId source = pick_source_in_largest_component(g, 11);
+  ServiceConfig config;
+  config.solver = options_for(Algorithm::kWasp);
+  config.num_solvers = 1;
+  QueryService svc(config);
+
+  const QueryResult stored = svc.solve(g, {.source = source});
+  ASSERT_EQ(stored.outcome, Outcome::kServed);
+  // A copy draws a new stamp, so it never reads the original's entries.
+  const Graph copy = g;
+  ASSERT_NE(copy.stamp(), g.stamp());
+  const QueryResult r = svc.solve(copy, {.source = source});
+  EXPECT_EQ(r.outcome, Outcome::kServed);
+  EXPECT_GE(r.attempts, 1);
+  EXPECT_EQ(r.dist, stored.dist);
+}
+
+TEST(ServiceQuery, PlainQueryQueuedBehindSameSourceRunIsServedAtPickup) {
+  const Graph g = make_small_graph();
+  const VertexId source = pick_source_in_largest_component(g, 11);
+
+  BlockingObserver blocker;
+  ServiceConfig config;
+  config.solver = options_for(Algorithm::kBellmanFord);
+  config.solver.observer = &blocker;
+  config.num_solvers = 1;
+  QueryService svc(config);
+
+  blocker.arm();
+  auto running = svc.submit(g, {.source = source});
+  blocker.wait_until_blocked();
+  // Nothing is cached yet, and a running query takes no riders: it queues.
+  auto queued = svc.submit(g, {.source = source});
+  blocker.release();
+
+  const QueryResult ran = running.get();
+  ASSERT_EQ(ran.outcome, Outcome::kServed);
+  EXPECT_EQ(ran.attempts, 1);
+  // Picked up after the run stored its answer: served from it, no solve.
+  const QueryResult rq = queued.get();
+  EXPECT_EQ(rq.outcome, Outcome::kServed);
+  EXPECT_EQ(rq.attempts, 0);
+  EXPECT_EQ(rq.dist.data(), ran.dist.data());
+  EXPECT_EQ(svc.metrics().counter(CId::kQueriesServedCached), 1u);
+}
+
+TEST(ServiceQuery, CacheEvictsTheLeastRecentlyUsedEntry) {
+  const Graph g = make_small_graph();
+  const VertexId first = pick_source_in_largest_component(g, 11);
+  const auto s = [&](std::size_t k) {
+    return static_cast<VertexId>((first + k) % g.num_vertices());
+  };
+  ServiceConfig config;
+  config.solver = options_for(Algorithm::kWasp);
+  config.num_solvers = 1;
+  QueryService svc(config);
+  const auto attempts = [&](VertexId source) {
+    const QueryResult r = svc.solve(g, {.source = source});
+    EXPECT_EQ(r.outcome, Outcome::kServed);
+    return r.attempts;
+  };
+
+  for (std::size_t k = 0; k < service::kCacheEntries; ++k)
+    ASSERT_EQ(attempts(s(k)), 1) << k;
+  // A hit makes the oldest entry the most recently used ...
+  ASSERT_EQ(attempts(s(0)), 0);
+  // ... so storing one more evicts the second-oldest instead.
+  ASSERT_EQ(attempts(s(service::kCacheEntries)), 1);
+  EXPECT_EQ(attempts(s(0)), 0);
+  EXPECT_GE(attempts(s(1)), 1);
+}
+
+TEST(ServiceQuery, ShedDowngradedToStaleCountsOnceAsServedStale) {
+  VersionedGraph vg(make_small_graph());
+  const VertexId source = pick_source_in_largest_component(vg.graph(), 11);
 
   BlockingObserver blocker;
   ServiceConfig config;
@@ -379,18 +490,20 @@ TEST(ServiceQuery, ShedDowngradedToStaleCountsOnceAsServedStale) {
   config.queue_capacity = 1;
   QueryService svc(config);
 
-  // Prime the stale cache, then hold the only solver mid-run.
-  const QueryResult primed = svc.solve(g, {.source = source});
+  // Prime the stale cache and leave its entry one version behind, so a
+  // repeat is no fresh hit; then hold the only solver mid-run.
+  const QueryResult primed = svc.solve(vg, {.source = source});
   ASSERT_EQ(primed.outcome, Outcome::kServed);
+  step_version(vg, source);
   blocker.arm();
-  auto running = svc.submit(g, {.source = source});
+  auto running = svc.submit(vg, {.source = source});
   blocker.wait_until_blocked();
 
   // The victim fills the queue; the evictor, for another source so that it
   // does not coalesce onto the victim, sheds it.
-  const VertexId other = (source + 1) % g.num_vertices();
-  auto victim = svc.submit(g, {.source = source, .allow_stale = true});
-  auto evictor = svc.submit(g, {.source = other, .priority = 1});
+  const VertexId other = (source + 1) % vg.graph().num_vertices();
+  auto victim = svc.submit(vg, {.source = source, .allow_stale = true});
+  auto evictor = svc.submit(vg, {.source = other, .priority = 1});
 
   const QueryResult rv = victim.get();
   EXPECT_EQ(rv.outcome, Outcome::kServedStale);
@@ -474,7 +587,10 @@ TEST(ServiceQuery, WatchdogCancelsOverdueRunThenQuarantinesAndRebuilds) {
   // latency is small against its budget even under sanitizer slowdown; a
   // budget that expires while still queued would be resolved by the watchdog
   // without ever starting the run (and the observer would never block).
-  ASSERT_EQ(svc.solve(g, {.source = source}).outcome, Outcome::kServed);
+  // Another source: a cached answer for `source` would serve the overdue
+  // query at submit, without a run.
+  const VertexId warm = (source + 1) % g.num_vertices();
+  ASSERT_EQ(svc.solve(g, {.source = warm}).outcome, Outcome::kServed);
 
   blocker.arm();
   auto overdue = svc.submit(
@@ -650,6 +766,8 @@ TEST(ServiceAccounting, TenantCountersSumToServiceCounters) {
             Outcome::kServed);
   // Exactly current in the cache: served at submit, without a solve.
   EXPECT_EQ(submit(vg, {.source = hub, .tenant = a}).get().attempts, 0);
+  // Now one version behind: a stale answer, no longer a fresh hit.
+  step_version(vg, hub);
   fail.store(true);
   EXPECT_EQ(submit(g, {.source = s(2), .tenant = b}).get().outcome,
             Outcome::kFailed);
@@ -661,8 +779,7 @@ TEST(ServiceAccounting, TenantCountersSumToServiceCounters) {
   auto q1 = submit(g, {.source = s(3), .tenant = a});
   auto q2 = submit(g, {.source = s(4), .tenant = b});
   auto rider = submit(g, {.source = s(4), .tenant = a});  // coalesces
-  auto stale =
-      submit(g, {.source = s(1), .tenant = b, .allow_stale = true});
+  auto stale = submit(vg, {.source = hub, .tenant = b, .allow_stale = true});
   // Full, and priority 0 outranks nothing.
   EXPECT_THROW((void)submit(g, {.source = s(5), .tenant = b}),
                ServiceOverloadedError);

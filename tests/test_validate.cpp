@@ -82,6 +82,19 @@ TEST(ValidateSssp, RejectsTooSmallDistance) {
   EXPECT_FALSE(validate_sssp(g, 0, dist, &msg));
 }
 
+TEST(ValidateSssp, RejectsZeroWeightCycleThatWitnessesItself) {
+  // 1 and 2 witness each other over zero-weight arcs at 5, but the only path
+  // from the source costs 10: each has a tight in-arc, and neither is
+  // reached from the source over tight arcs.
+  const Graph g =
+      GraphBuilder().edges(3, {{0, 1, 10}, {1, 2, 0}, {2, 1, 0}}).build();
+  std::string msg;
+  EXPECT_TRUE(validate_sssp(g, 0, dijkstra(g, 0).dist, &msg)) << msg;
+  EXPECT_EQ(dijkstra(g, 0).dist, (std::vector<Distance>{0, 10, 10}));
+  EXPECT_FALSE(validate_sssp(g, 0, {0, 5, 5}, &msg));
+  EXPECT_NE(msg.find("no in-edge"), std::string::npos);
+}
+
 TEST(ValidateSssp, RejectsWrongSize) {
   const Graph g = small_graph();
   std::string msg;

@@ -71,7 +71,8 @@ QPS_TOP_KEYS = {
 QPS_RATE_KEYS = {
     "offered_qps", "attempts", "submitted", "rejected", "served",
     "served_stale", "cancelled", "deadline_expired", "shed", "failed",
-    "coalesced", "served_qps", "p50_ms", "p90_ms", "p99_ms",
+    "coalesced", "served_cached", "served_qps", "p50_ms", "p90_ms",
+    "p99_ms",
 }
 QPS_CANCEL_KEYS = {
     "queries", "budget_ms", "expired", "served", "p50_overshoot_ms",
@@ -132,8 +133,12 @@ def check_qps_report(report):
         if row["offered_qps"] <= 0:
             fail(f"{name}: offered_qps must be positive")
         if any(row[k] < 0 for k in QPS_OUTCOMES + ("attempts", "submitted",
-                                                   "rejected", "coalesced")):
+                                                   "rejected", "coalesced",
+                                                   "served_cached")):
             fail(f"{name}: negative count")
+        if row["served_cached"] > row["served"]:
+            fail(f"{name}: served_cached {row['served_cached']} exceeds "
+                 f"served {row['served']}")
         resolved = sum(row[k] for k in QPS_OUTCOMES)
         if resolved != row["submitted"]:
             fail(f"{name}: outcomes sum to {resolved} but {row['submitted']} "
