@@ -145,11 +145,15 @@ int main(int argc, char** argv) {
   const std::string graph_abbr = suite::abbr(cls);
 
   // Seeded source pool inside the largest component, four times the
-  // service's answer cache, so most sweep queries still miss it and run a
-  // solve (a repeat of a cached source is served without one).
+  // answers the service's cache holds for this graph, so most sweep queries
+  // still miss it and run a solve (a repeat of a cached source is served
+  // without one).
+  const ComponentInfo components = connected_components(w.graph);
   std::vector<VertexId> pool;
-  for (std::size_t i = 0; i < 4 * service::kCacheEntries; ++i)
-    pool.push_back(pick_source_in_largest_component(w.graph, seed + 7919u * i));
+  for (std::size_t i = 0;
+       i < 4 * service::cache_capacity(w.graph.num_vertices()); ++i)
+    pool.push_back(pick_source_in_largest_component(w.graph, components,
+                                                    seed + 7919u * i));
 
   service::ServiceConfig base;
   base.solver.threads = threads;

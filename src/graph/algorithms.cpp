@@ -66,7 +66,12 @@ ComponentInfo connected_components(const Graph& g) {
 }
 
 VertexId pick_source_in_largest_component(const Graph& g, std::uint64_t seed) {
-  const ComponentInfo info = connected_components(g);
+  return pick_source_in_largest_component(g, connected_components(g), seed);
+}
+
+VertexId pick_source_in_largest_component(const Graph& g,
+                                          const ComponentInfo& info,
+                                          std::uint64_t seed) {
   const VertexId n = g.num_vertices();
   Xoshiro256 rng(seed);
   // Rejection-sample; the largest component covers most vertices on every

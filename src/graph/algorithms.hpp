@@ -30,6 +30,11 @@ ComponentInfo connected_components(const Graph& g);
 /// Picks a deterministic pseudo-random vertex inside the largest (weakly)
 /// connected component — the paper's source-selection rule.
 VertexId pick_source_in_largest_component(const Graph& g, std::uint64_t seed);
+/// The same pick from components computed once (`info` is
+/// connected_components(g)), for callers that draw many sources.
+VertexId pick_source_in_largest_component(const Graph& g,
+                                          const ComponentInfo& info,
+                                          std::uint64_t seed);
 
 /// Per-vertex "trivial shortest-path-tree leaf" bitmap (paper §4.4):
 /// leaf[v] == Graph::is_leaf(v). The engines test the degree in place at

@@ -64,6 +64,8 @@ const char* gauge_name(GaugeId id) {
   switch (id) {
     case GaugeId::kTeamJobs: return "team_jobs";
     case GaugeId::kTeamJobNs: return "team_job_ns";
+    case GaugeId::kCacheBytes: return "cache_bytes";
+    case GaugeId::kCacheEntries: return "cache_entries";
   }
   return "?";
 }

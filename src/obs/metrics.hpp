@@ -98,8 +98,11 @@ constexpr bool is_repair_counter(CounterId id) {
 enum class GaugeId : std::uint8_t {
   kTeamJobs,   ///< ThreadTeam jobs launched over the team's lifetime
   kTeamJobNs,  ///< cumulative wall time inside ThreadTeam::run
+  // --- QueryService answer cache (service/service.hpp), set by metrics()
+  kCacheBytes,    ///< bytes of the distances the cache holds
+  kCacheEntries,  ///< answers the cache holds
 };
-inline constexpr std::size_t kNumGauges = 2;
+inline constexpr std::size_t kNumGauges = 4;
 
 enum class HistId : std::uint8_t {
   kStealSweepNs,      ///< latency of one Wasp victim sweep

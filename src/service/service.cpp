@@ -26,6 +26,11 @@ CId outcome_counter(Outcome o) {
   return CId::kQueriesFailed;  // unreachable
 }
 
+/// Bytes of the distances `dist` holds.
+std::size_t answer_bytes(const Answer& dist) {
+  return dist.size() * sizeof(Distance);
+}
+
 double ms_between(CancelToken::Clock::time_point from,
                   CancelToken::Clock::time_point to) {
   return std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
@@ -293,8 +298,19 @@ std::uint64_t QueryService::update(VersionedGraph& vg,
     registry_.shard(0).inc(CId::kGraphCompactedArcs,
                            vg.compacted_arcs() - compacted_arcs_before);
 
-    for (const CachedAnswer& entry : cache_)
-      if (entry.key.graph == vg.uid()) cached.push_back(entry);
+    // Repair only vg's kUpdateRepairs most recently used entries, so a
+    // larger cache does not make an update cost more, and drop its older
+    // ones: none of them is left behind at the old version.
+    for (auto it = cache_.end(); it != cache_.begin();) {
+      --it;
+      if (it->key.graph != vg.uid()) continue;
+      if (cached.size() < kUpdateRepairs) {
+        cached.push_back(*it);
+      } else {
+        cache_bytes_ -= answer_bytes(it->dist);
+        it = cache_.erase(it);
+      }
+    }
   }
 
   // Phase 2 (gate held, mu_ released): repair each cached answer from its
@@ -337,6 +353,7 @@ std::uint64_t QueryService::update(VersionedGraph& vg,
   {
     MutexLock lock(mu_);
     // Still cached: only runs store, and the gate keeps every worker idle.
+    // cache_bytes_ holds: a repair keeps the graph's vertex count.
     for (CachedAnswer& repaired : cached)
       for (CachedAnswer& entry : cache_)
         if (entry.key == repaired.key) entry = std::move(repaired);
@@ -422,9 +439,20 @@ void QueryService::account_locked(const std::string& tenant, Outcome outcome) {
 
 void QueryService::cache_store_locked(const CacheKey& key, Answer dist,
                                       std::uint64_t version) {
-  std::erase_if(cache_, [&](const CachedAnswer& e) { return e.key == key; });
-  if (cache_.size() >= kCacheEntries) cache_.erase(cache_.begin());  // LRU
+  const auto old = std::ranges::find(cache_, key, &CachedAnswer::key);
+  if (old != cache_.end()) {
+    cache_bytes_ -= answer_bytes(old->dist);
+    cache_.erase(old);
+  }
+  cache_bytes_ += answer_bytes(dist);
   cache_.push_back(CachedAnswer{key, std::move(dist), version});
+  // LRU: drop from the front until both limits hold, never the new entry.
+  auto keep = cache_.begin();
+  for (std::size_t left = cache_.size();
+       left > 1 && (left > kCacheEntries || cache_bytes_ > kCacheBytes);
+       --left, ++keep)
+    cache_bytes_ -= answer_bytes(keep->dist);
+  cache_.erase(cache_.begin(), keep);
 }
 
 QueryResult QueryService::execute(Pending& q, int wid,
@@ -633,6 +661,9 @@ void QueryService::shutdown() {
 
 obs::MetricsSnapshot QueryService::metrics() const {
   MutexLock lock(mu_);
+  obs::MetricsShard& admission = registry_.shard(0);
+  admission.set_gauge(obs::GaugeId::kCacheBytes, cache_bytes_);
+  admission.set_gauge(obs::GaugeId::kCacheEntries, cache_.size());
   return registry_.snapshot();
 }
 

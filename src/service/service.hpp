@@ -20,8 +20,11 @@
 //    refused with ServiceOverloadedError. Same-source submits coalesce
 //    onto one queued entry and share its future.
 //  * Graceful degradation — a shed or queue-expired query marked
-//    allow_stale is answered from a small same-source cache of previously
-//    served distances (Outcome::kServedStale) instead of failing dry.
+//    allow_stale is answered from a same-source cache of previously served
+//    distances (Outcome::kServedStale) instead of failing dry. The cache is
+//    bounded by the bytes its answers hold (kCacheBytes), not by a count
+//    alone, so a small graph keeps its whole hot set and a large one stays
+//    bounded.
 //    The same cache answers a query outright when its entry is exactly
 //    current (same key, same version; see CacheKey): the query resolves
 //    kServed at submit, or at pickup if it queued behind a run or an
@@ -34,11 +37,13 @@
 //  * Live graph updates — update() applies a GraphDelta batch to a
 //    VersionedGraph through an exclusive gate (new pickups pause, running
 //    queries drain first, so no run ever observes a half-applied batch),
-//    then repairs the cached answers to the new version instead of
-//    dropping them (sssp/incremental.hpp). Those repaired answers are
-//    exactly current, so the next query for a repaired source is served
-//    from the cache instead of re-solving. QueryRequest::min_graph_version
-//    lets a client demand at-least-this-fresh answers.
+//    then repairs the graph's kUpdateRepairs most recently used cached
+//    answers to the new version instead of dropping them
+//    (sssp/incremental.hpp), and drops its older ones. Those repaired
+//    answers are exactly current, so the next query for a repaired source
+//    is served from the cache instead of re-solving.
+//    QueryRequest::min_graph_version lets a client demand
+//    at-least-this-fresh answers.
 //
 // Accounting flows through one obs::MetricsRegistry (the kQueries* /
 // kSolverRebuilds / kWatchdogCancels counters), read through metrics(), and
@@ -49,6 +54,7 @@
 // docs/ROBUSTNESS.md.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -157,9 +163,25 @@ struct QueryResult {
 /// (deterministic replay).
 inline constexpr std::chrono::nanoseconds kRetryBackoff =
     std::chrono::microseconds(200);
-/// Same-source answer cache entries (least-recently-used eviction). The
-/// cache serves both the stale degradation and fresh hits.
-inline constexpr std::size_t kCacheEntries = 16;
+/// The same-source answer cache serves both the stale degradation and fresh
+/// hits. A store evicts the least recently used entries until both limits
+/// below hold, but never the entry just stored, so an answer larger than
+/// the whole budget is still cached, alone.
+///
+/// Bytes of the cached answers: 16 answers of a 2^20-vertex graph, so a
+/// small graph keeps its whole hot set and a large one stays bounded.
+inline constexpr std::size_t kCacheBytes = std::size_t{64} << 20;
+/// Entry ceiling, which keeps each lookup's linear scan short.
+inline constexpr std::size_t kCacheEntries = 256;
+/// Cached answers of one graph that update() repairs, the most recently
+/// used first; it drops that graph's older entries instead.
+inline constexpr std::size_t kUpdateRepairs = 16;
+
+/// Answers of an n-vertex graph the cache holds at once (at least one).
+constexpr std::size_t cache_capacity(VertexId n) {
+  const std::size_t bytes = std::max<std::size_t>(1, n) * sizeof(Distance);
+  return std::clamp<std::size_t>(kCacheBytes / bytes, 1, kCacheEntries);
+}
 
 /// Service-wide configuration. `solver` is the per-Solver option block
 /// (algorithm, threads-per-solver, observer, ...).
@@ -225,10 +247,13 @@ class QueryService {
 
   /// Applies `batch` to `vg` through the exclusive update gate: new pickups
   /// pause, running queries drain, the batch is applied and any structural
-  /// overlay compacted, and then — instead of dropping them — every cached
-  /// answer for this graph is repaired to the new version through the
-  /// versioned solve() of a service-owned Solver (off the query hot path),
-  /// each from its own entry: only an entry older than vg.journal_floor() re-solves.
+  /// overlay compacted, and then — instead of dropping them — the
+  /// kUpdateRepairs most recently used cached answers for this graph are
+  /// repaired to the new version through the versioned solve() of a
+  /// service-owned Solver (off the query hot path), each from its own entry:
+  /// only an entry older than vg.journal_floor() re-solves. The graph's
+  /// older entries are dropped, so one update() runs at most kUpdateRepairs
+  /// repairs and leaves every entry of vg at the new version.
   /// The repaired answers are republished at the new version only after
   /// every repair succeeded; from then on a query for one of those sources
   /// is served from the cache without a solve. Queued queries survive an
@@ -245,7 +270,8 @@ class QueryService {
   void shutdown();
 
   /// Cumulative service counters (the kQueries* block; per_thread[0] is the
-  /// admission/watchdog shard, [1..num_solvers] the workers).
+  /// admission/watchdog shard, [1..num_solvers] the workers), plus the
+  /// answer cache's current size as the kCacheBytes / kCacheEntries gauges.
   [[nodiscard]] obs::MetricsSnapshot metrics() const;
   /// Cumulative kQueries* counters of one tenant (QueryRequest::tenant), in
   /// a one-shard snapshot; all zero for a tenant never seen. Summed over
@@ -316,7 +342,9 @@ class QueryService {
   void account_locked(const std::string& tenant, Outcome outcome)
       WASP_REQUIRES(mu_);
   /// Caches `dist` (shared, not copied) as key's answer at `version`, most
-  /// recently used, evicting the least recently used past kCacheEntries.
+  /// recently used, then evicts the least recently used entries until the
+  /// cache is within kCacheBytes and kCacheEntries. The new entry always
+  /// stays.
   void cache_store_locked(const CacheKey& key, Answer dist,
                           std::uint64_t version) WASP_REQUIRES(mu_);
   /// The entry for `key` if its version lies in [lo, hi], or nullptr. A hit
@@ -361,10 +389,13 @@ class QueryService {
   std::map<std::string, obs::MetricsRegistry, std::less<>> tenants_
       WASP_GUARDED_BY(mu_);
 
-  /// Same-source answer cache, at most kCacheEntries, in order of last use
-  /// (front = least recent, evicted first). Serves fresh hits and the
-  /// stale degradation for both graph kinds.
+  /// Same-source answer cache, at most kCacheEntries and kCacheBytes (see
+  /// kCacheBytes), in order of last use (front = least recent, evicted
+  /// first). Serves fresh hits and the stale degradation for both graph
+  /// kinds.
   std::vector<CachedAnswer> cache_ WASP_GUARDED_BY(mu_);
+  /// Bytes of the answers in cache_, kept as entries come and go.
+  std::size_t cache_bytes_ WASP_GUARDED_BY(mu_) = 0;
 
   /// Service-owned Solver whose versioned solve() refreshes update()'s
   /// cache, built on the first repair. Not mu_-guarded: touched only by the

@@ -1782,6 +1782,40 @@ TEST(IncrementalService, UpdateRepairsEveryCachedSource) {
   }
 }
 
+TEST(IncrementalService, UpdateRepairsOnlyTheMostRecentEntries) {
+  VersionedGraph vg(
+      gen::erdos_renyi(1000, 5.0, WeightScheme::uniform(1, 64), 83));
+  service::QueryService svc(service_config());
+  // One more source than update() repairs; sources[0] is used least
+  // recently.
+  std::vector<VertexId> sources;
+  for (VertexId s = 0; s <= service::kUpdateRepairs; ++s)
+    sources.push_back(s * 50 + 3);
+  for (const VertexId s : sources)
+    ASSERT_EQ(svc.solve(vg, {.source = s}).outcome, service::Outcome::kServed);
+
+  (void)svc.update(vg, mixed_batch(vg, 87, 8));
+  EXPECT_EQ(svc.metrics().counter(CId::kRepairBatches),
+            service::kUpdateRepairs);
+  // The oldest entry is dropped, not left behind at the old version.
+  EXPECT_EQ(svc.metrics().gauge(obs::GaugeId::kCacheEntries),
+            service::kUpdateRepairs);
+  EXPECT_EQ(svc.metrics().counter(CId::kRepairFullSolves), 0u);
+  for (std::size_t k = 1; k < sources.size(); ++k) {
+    const service::QueryResult r = svc.solve(vg, {.source = sources[k]});
+    ASSERT_EQ(r.outcome, service::Outcome::kServed) << sources[k];
+    EXPECT_EQ(r.attempts, 0) << sources[k];
+    EXPECT_EQ(r.graph_version, vg.version()) << sources[k];
+    EXPECT_EQ(dijkstra(vg.graph(), sources[k]).dist, r.dist) << sources[k];
+  }
+  // Dropped, so it re-solves.
+  const service::QueryResult oldest = svc.solve(vg, {.source = sources[0]});
+  ASSERT_EQ(oldest.outcome, service::Outcome::kServed);
+  EXPECT_GE(oldest.attempts, 1);
+  EXPECT_EQ(oldest.graph_version, vg.version());
+  EXPECT_EQ(dijkstra(vg.graph(), sources[0]).dist, oldest.dist);
+}
+
 TEST(IncrementalService, ReadersDropAnswersWhileUpdatesRecycle) {
   // A reader thread queries the hot source in a loop, reads each answer
   // once (a checksum) and drops it, while updates repair that answer and

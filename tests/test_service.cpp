@@ -7,12 +7,15 @@
 // seed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -47,12 +50,23 @@ Graph make_small_graph() {
   return gen::erdos_renyi(3000, 6.0, WeightScheme::gap(), 31);
 }
 
-/// The undirected path 0-1-...-(n-1), every arc of weight 10.
-Graph make_weighted_path(VertexId n) {
+/// The undirected path 0-1-...-(n-1), every arc of weight 10, in a graph
+/// of max(n, width) vertices: the rest are isolated.
+Graph make_weighted_path(VertexId n, VertexId width = 0) {
   std::vector<Edge> path;
   for (VertexId u = 0; u + 1 < n; ++u) path.push_back(Edge{u, u + 1, 10});
-  return GraphBuilder().edges(n, std::move(path)).undirected(true).build();
+  return GraphBuilder()
+      .edges(std::max(n, width), std::move(path))
+      .undirected(true)
+      .build();
 }
+
+/// Past 2^16 vertices the byte budget binds before the count ceiling.
+constexpr VertexId kWideVertices = VertexId{1} << 17;
+
+/// A 64-vertex path in kWideVertices vertices: every answer is that wide,
+/// yet a solve only walks the path.
+Graph make_wide_graph() { return make_weighted_path(64, kWideVertices); }
 
 SsspOptions options_for(Algorithm algo) {
   SsspOptions options;
@@ -452,8 +466,17 @@ TEST(ServiceQuery, PlainQueryQueuedBehindSameSourceRunIsServedAtPickup) {
   EXPECT_EQ(svc.metrics().counter(CId::kQueriesServedCached), 1u);
 }
 
+// The cache's capacity: the byte budget, within the count ceiling, and
+// never below one answer.
+static_assert(service::cache_capacity(3000) == service::kCacheEntries);
+static_assert(service::cache_capacity(VertexId{1} << 20) == 16);
+static_assert(service::cache_capacity(kWideVertices) == 128);
+static_assert(service::cache_capacity(~VertexId{0}) == 1);
+
 TEST(ServiceQuery, CacheEvictsTheLeastRecentlyUsedEntry) {
   const Graph g = make_small_graph();
+  // 3,000 vertices: the count ceiling binds, not the byte budget.
+  ASSERT_EQ(service::cache_capacity(g.num_vertices()), service::kCacheEntries);
   const VertexId first = pick_source_in_largest_component(g, 11);
   const auto s = [&](std::size_t k) {
     return static_cast<VertexId>((first + k) % g.num_vertices());
@@ -474,8 +497,171 @@ TEST(ServiceQuery, CacheEvictsTheLeastRecentlyUsedEntry) {
   ASSERT_EQ(attempts(s(0)), 0);
   // ... so storing one more evicts the second-oldest instead.
   ASSERT_EQ(attempts(s(service::kCacheEntries)), 1);
+  EXPECT_EQ(svc.metrics().gauge(obs::GaugeId::kCacheEntries),
+            service::kCacheEntries);
   EXPECT_EQ(attempts(s(0)), 0);
   EXPECT_GE(attempts(s(1)), 1);
+}
+
+TEST(ServiceQuery, ByteBudgetEvictsBeforeTheCountCeiling) {
+  const Graph g = make_wide_graph();
+  const std::size_t capacity = service::cache_capacity(g.num_vertices());
+  ASSERT_LT(capacity, service::kCacheEntries);
+  ServiceConfig config;
+  config.solver = options_for(Algorithm::kDijkstra);
+  config.num_solvers = 1;
+  QueryService svc(config);
+  const auto attempts = [&](std::size_t source) {
+    const QueryResult r =
+        svc.solve(g, {.source = static_cast<VertexId>(source)});
+    EXPECT_EQ(r.outcome, Outcome::kServed);
+    return r.attempts;
+  };
+
+  for (std::size_t k = 0; k < capacity; ++k) ASSERT_EQ(attempts(k), 1) << k;
+  EXPECT_EQ(svc.metrics().gauge(obs::GaugeId::kCacheBytes),
+            service::kCacheBytes);
+  // The budget is full: a hit makes source 0 the most recently used, so one
+  // more answer evicts source 1, the least recently used.
+  ASSERT_EQ(attempts(0), 0);
+  ASSERT_EQ(attempts(capacity), 1);
+  const obs::MetricsSnapshot m = svc.metrics();
+  EXPECT_EQ(m.gauge(obs::GaugeId::kCacheEntries), capacity);
+  EXPECT_LE(m.gauge(obs::GaugeId::kCacheBytes), service::kCacheBytes);
+  EXPECT_EQ(attempts(0), 0);
+  EXPECT_EQ(attempts(capacity), 0);
+  EXPECT_GE(attempts(1), 1);
+}
+
+TEST(ServiceQuery, CacheGaugesCountEveryCachedAnswerByte) {
+  VersionedGraph vg(make_wide_graph());
+  const std::uint64_t n = vg.graph().num_vertices();
+  const std::size_t capacity =
+      service::cache_capacity(vg.graph().num_vertices());
+  ServiceConfig config;
+  config.solver = options_for(Algorithm::kDijkstra);
+  config.num_solvers = 1;
+  QueryService svc(config);
+  // One 4 B distance per vertex per cached answer, nothing else.
+  static_assert(sizeof(Distance) == 4);
+  const auto expect_entries = [&](std::uint64_t entries) {
+    const obs::MetricsSnapshot m = svc.metrics();
+    EXPECT_EQ(m.gauge(obs::GaugeId::kCacheEntries), entries);
+    EXPECT_EQ(m.gauge(obs::GaugeId::kCacheBytes), entries * 4 * n);
+  };
+
+  expect_entries(0);
+  for (VertexId s = 0; s < 3; ++s)
+    ASSERT_EQ(svc.solve(vg, {.source = s}).outcome, Outcome::kServed);
+  expect_entries(3);
+  // A repeat is a hit, not a second entry.
+  ASSERT_EQ(svc.solve(vg, {.source = 0}).attempts, 0);
+  expect_entries(3);
+
+  // Past the budget: each further answer evicts one.
+  for (VertexId s = 3; s < capacity + 5; ++s)
+    ASSERT_EQ(svc.solve(vg, {.source = s}).outcome, Outcome::kServed);
+  expect_entries(capacity);
+
+  // update() keeps vg's kUpdateRepairs most recently used entries, each
+  // repaired to the new version, and drops the rest.
+  const VertexId u = 20;
+  (void)svc.update(vg, GraphDelta().set_weight(u, u + 1, 99));
+  expect_entries(service::kUpdateRepairs);
+  EXPECT_EQ(svc.metrics().counter(CId::kRepairBatches) +
+                svc.metrics().counter(CId::kRepairFullSolves),
+            service::kUpdateRepairs);
+}
+
+TEST(ServiceCache, ConcurrentEvictionAndUpdatesServeExactAnswers) {
+  // Two clients submit many distinct sources on a plain graph, so the cache
+  // evicts by bytes, and interleave queries on a VersionedGraph that a third
+  // thread updates. Every answer must be the reference at its version.
+  const Graph g = make_wide_graph();
+  VersionedGraph vg(make_wide_graph());
+  ServiceConfig config;
+  config.solver = options_for(Algorithm::kDijkstra);
+  config.num_solvers = 2;
+  config.queue_capacity = 16;
+  QueryService svc(config);
+
+  const auto checksum = [](std::span<const Distance> dist) {
+    std::uint64_t h = 0xCBF29CE484222325ULL;
+    for (const Distance d : dist) h = (h ^ d) * 0x100000001B3ULL;
+    return h;
+  };
+  struct Observed {
+    bool versioned;
+    VertexId source;
+    std::uint64_t version;
+    std::uint64_t sum;
+  };
+  constexpr int kPerClient = 100;  // plain sources per client: 200 > 128
+  constexpr int kUpdates = 6;
+  // The graph at each version, kept by the only thread that updates it.
+  std::map<std::uint64_t, Graph> versions;
+  versions.emplace(vg.version(), vg.graph());
+  std::atomic<int> completed{0};
+  std::vector<std::vector<Observed>> observed(2);
+  std::vector<std::thread> clients;
+  for (int t = 0; t < 2; ++t) {
+    clients.emplace_back([&, t] {
+      for (int k = 0; k < kPerClient; ++k) {
+        const auto plain = static_cast<VertexId>(2 * k + t);
+        const auto path = static_cast<VertexId>((2 * k + t) % 64);
+        const QueryResult a = svc.solve(g, {.source = plain});
+        const QueryResult b = svc.solve(vg, {.source = path});
+        // EXPECT, not ASSERT: the updater waits on `completed`.
+        EXPECT_EQ(a.outcome, Outcome::kServed);
+        EXPECT_EQ(b.outcome, Outcome::kServed);
+        auto& mine = observed[static_cast<std::size_t>(t)];
+        mine.push_back({false, plain, a.graph_version, checksum(a.dist)});
+        mine.push_back({true, path, b.graph_version, checksum(b.dist)});
+        completed.fetch_add(1);
+      }
+    });
+  }
+
+  std::thread updater([&] {
+    Xoshiro256 rng(kTestSeed);
+    for (int k = 1; k <= kUpdates; ++k) {
+      // Spread the updates over the clients' run.
+      while (completed.load() < k * 2 * kPerClient / (kUpdates + 1))
+        std::this_thread::yield();
+      const auto u = static_cast<VertexId>(rng.next_below(63));
+      const auto w = static_cast<Weight>(1 + rng.next_below(100));
+      const std::uint64_t v =
+          svc.update(vg, GraphDelta().set_weight(u, u + 1, w));
+      versions.emplace(v, vg.graph());
+    }
+  });
+  for (std::thread& c : clients) c.join();
+  updater.join();
+
+  for (const auto& per_client : observed) {
+    for (const Observed& o : per_client) {
+      const auto it = versions.find(o.version);
+      if (o.versioned) {
+        ASSERT_NE(it, versions.end()) << "answer at unknown version";
+        EXPECT_EQ(checksum(dijkstra(it->second, o.source).dist), o.sum)
+            << "source " << o.source << " version " << o.version;
+      } else {
+        EXPECT_EQ(o.version, 0u);
+        EXPECT_EQ(checksum(dijkstra(g, o.source).dist), o.sum)
+            << "plain source " << o.source;
+      }
+    }
+  }
+  const obs::MetricsSnapshot m = svc.metrics();
+  EXPECT_LE(m.gauge(obs::GaugeId::kCacheBytes), service::kCacheBytes);
+  EXPECT_EQ(m.gauge(obs::GaugeId::kCacheBytes),
+            m.gauge(obs::GaugeId::kCacheEntries) * sizeof(Distance) *
+                g.num_vertices());
+  // Every plain answer ran and was stored: 200 answers, more than the
+  // budget holds, which the byte gauge above stays within.
+  EXPECT_GE(m.counter(CId::kQueriesServed) -
+                m.counter(CId::kQueriesServedCached),
+            2u * kPerClient);
 }
 
 TEST(ServiceQuery, ShedDowngradedToStaleCountsOnceAsServedStale) {
