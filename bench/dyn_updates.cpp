@@ -2,14 +2,14 @@
 // traffic batches (weight jams and clearings, plus --closures K road
 // closures and reopenings per batch) while one Solver's versioned solve()
 // keeps one (graph, source) answer fresh — repairing only the affected
-// cone — against a second pooled Solver re-solving from scratch after
+// cone — against a second Solver re-solving from scratch after
 // every batch. Every batch's repaired distances are checked bit-identical to the
 // from-scratch answer before timing is trusted. The update itself (apply
 // plus graph(), which compacts when the graph is dirty) is timed apart
 // from the repair, with the compactions it ran. Beside the times, each row
 // counts the repair's work: cone and seed vertices, the engine's updates
-// and processed vertices, and the answer entries the publish wrote per
-// repair. It splits the
+// and processed vertices, and the entries written into each repair's
+// working buffer (its patch or its copy). It splits the
 // repair's mean wall time into the cone walk, the engine and the publish,
 // and counts the repairs that stayed inline and those that escalated to
 // the team.
@@ -68,15 +68,15 @@ struct Row {
   /// Engine vertices processed (kVerticesProcessed) per incremental repair,
   /// both runs of an escalated one: the work count a replay would inflate.
   double mean_repair_processed = 0.0;
-  /// Answer entries the publish wrote per incremental repair
-  /// (kRepairPublishedEntries): the previous and current change sets on a
-  /// recycled buffer, n plus the change set on a copy, n on a whole-array
-  /// copy.
+  /// Entries written into the working buffer per incremental repair
+  /// (kRepairPublishedEntries): the previous change set when it patched
+  /// the buffer one publish back, n when it copied the answer repaired.
   double mean_published_entries = 0.0;
   /// A repair's layers, means over the incremental repairs (means add up,
-  /// medians do not): the cone walk, the engine's parallel phases and the
-  /// publish. They sum to at most mean_repair_ms, the mean wall time of
-  /// the same repairs; the rest is the engine's setup and join.
+  /// medians do not): the working buffer's patch or copy with the cone
+  /// walk, the engine's parallel phases and the publish. They sum to at
+  /// most mean_repair_ms, the mean wall time of the same repairs; the rest
+  /// is the engine's setup and join.
   double walk_ms = 0.0;
   double engine_ms = 0.0;
   double publish_ms = 0.0;
@@ -370,8 +370,7 @@ int main(int argc, char** argv) {
     scratch.options().delta = options.delta;
 
     // Warm both sides before timing: the repairing Solver answers once
-    // (the answer each batch repairs from), the scratch solver allocates its
-    // pooled array.
+    // (the answer each batch repairs from), the scratch solver runs once.
     Answer answer = inc.solve(vg, source, {}, 0);
     std::uint64_t answered = vg.version();
     (void)scratch.solve(vg.graph(), source);

@@ -35,7 +35,7 @@ inline constexpr double kDefaultWatchdogSeconds = 240.0;
 /// Runs `trials` repetitions through `solver` and keeps the best (the GAP
 /// methodology). Routing trials through one Solver means published numbers
 /// include the amortized front-end a repeat-query service actually runs:
-/// pooled distances, one NUMA detection, one thread team.
+/// one NUMA detection, one thread team, one metrics registry.
 /// `options` is installed into the solver for the measurement (the solver's
 /// construction-time topology is kept when `options` carries none).
 ///

@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
   std::vector<double> centrality(g.num_vertices(), 0.0);
   wasp::Xoshiro256 rng(9);
   // The Brandes inner loop is exactly the repeat-query shape Solver is for:
-  // one team + pooled distances across all sampled sources.
+  // one team and one topology across all sampled sources.
   wasp::Solver solver(options);
   wasp::Timer timer;
   double sssp_seconds = 0.0;

@@ -4,8 +4,8 @@
 //
 // Demonstrates the two core public entry points: GraphBuilder for
 // construction and wasp::Solver for queries (the Solver owns the thread
-// team and the pooled distance array, so repeat queries skip the team
-// spawn and the allocation).
+// team and the NUMA topology, so repeat queries skip the team spawn and
+// the detection).
 #include <cstdio>
 
 #include "graph/builder.hpp"

@@ -48,8 +48,8 @@ int main(int argc, char** argv) {
   const auto budget = static_cast<wasp::Distance>(args.get_int("budget"));
   const auto num_seeds = static_cast<int>(args.get_int("seeds"));
 
-  // One Solver for all seeds: repeat queries reuse the team and the pooled
-  // distance array (a refill instead of a new allocation per query).
+  // One Solver for all seeds: repeat queries reuse the team, the topology
+  // and the metrics registry instead of spawning and detecting per query.
   wasp::Solver solver(options);
 
   std::printf("\n%-10s %-8s %-12s %-14s %-10s\n", "seed", "degree",

@@ -66,6 +66,7 @@ const char* gauge_name(GaugeId id) {
     case GaugeId::kTeamJobNs: return "team_job_ns";
     case GaugeId::kCacheBytes: return "cache_bytes";
     case GaugeId::kCacheEntries: return "cache_entries";
+    case GaugeId::kSolverStateBytes: return "solver_state_bytes";
   }
   return "?";
 }

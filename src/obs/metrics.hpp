@@ -60,15 +60,16 @@ enum class CounterId : std::uint8_t {
   // --- versioned Solver::solve(), which QueryService::update() folds into
   // --- the service's registry (is_repair_counter) --------------------------
   kRepairBatches,      ///< delta batches repaired incrementally (not full)
-  kRepairRecycled,     ///< repairs patched into a buffer one publish behind
+  kRepairRecycled,     ///< repairs that patched the buffer one publish back
   kRepairConeVertices, ///< vertices re-priced in the increase cone
   kRepairSeedVertices, ///< warm seeds handed to wasp_sssp_seeded
   kRepairFullSolves,   ///< solves that fell back to a from-scratch solve
   kRepairEscalations,  ///< repairs the team finished past kInlineRepairWork
   kRepairConeResets,   ///< cones a zero-weight tie stored at infinity
-  kRepairArrayCopies,  ///< publishes that copied the whole array (wide)
-  kRepairPublishedEntries,  ///< answer entries the publishes wrote
-  kRepairWalkNs,       ///< classification, cone walk and seeding time
+  kRepairArrayCopies,  ///< repairs that started with a whole copy of `from`
+  kRepairPublishedEntries,  ///< entries patched or copied into the working
+                            ///< buffer (a copy writes all n)
+  kRepairWalkNs,       ///< working buffer, classification, walk, seeding
   kRepairPublishNs,    ///< engine return to published answer
   // --- versioned graph (graph/delta.hpp) -----------------------------------
   kGraphCompactions,   ///< VersionedGraph overlay compactions observed
@@ -101,8 +102,10 @@ enum class GaugeId : std::uint8_t {
   // --- QueryService answer cache (service/service.hpp), set by metrics()
   kCacheBytes,    ///< bytes of the distances the cache holds
   kCacheEntries,  ///< answers the cache holds
+  // --- Solver state between solves (Solver::last_metrics)
+  kSolverStateBytes,  ///< free answer buffers plus repair scratch
 };
-inline constexpr std::size_t kNumGauges = 4;
+inline constexpr std::size_t kNumGauges = 5;
 
 enum class HistId : std::uint8_t {
   kStealSweepNs,      ///< latency of one Wasp victim sweep

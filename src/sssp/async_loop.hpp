@@ -119,7 +119,7 @@ struct AsyncWorker {
   }
 };
 
-/// Runs worker(me) on every team thread, then snapshots the distances. A
+/// Runs worker(me) on every team thread; the answer is ctx.dist's buffer. A
 /// worker returns when it finds the run quiescent or sees a stop request;
 /// on a stop, queued work is abandoned with the run-local structures.
 template <class Worker>
@@ -132,7 +132,6 @@ SsspResult run_async(RunContext& ctx, Worker&& worker) {
   });
   SsspResult result;
   finalize_result(ctx, timer.seconds(), result);
-  result.dist = ctx.distances().snapshot();
   return result;
 }
 
@@ -146,7 +145,7 @@ SsspResult queue_sssp(const Graph& g, VertexId source, Queue& queue,
                       RunContext& ctx) {
   using CId = obs::CounterId;
   constexpr bool kBuffered = requires(Queue& q) { q.flush(0); };
-  AtomicDistances& dist = ctx.distances();
+  AtomicDistances& dist = *ctx.dist;
   dist.store(source, 0);
   QuiescenceDetector detector(ctx.team.size());
   queue.push(0, 0, source);

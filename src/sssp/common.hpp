@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,26 +27,22 @@ namespace wasp {
 
 class ThreadTeam;
 
-/// Tentative-distance array with atomic CAS updates: one 32-bit word per
-/// vertex holding its distance, kInfDist while unreached.
+/// Tentative-distance array with atomic CAS updates: a view, through
+/// atomic_ref, over a plain buffer of one 32-bit word per vertex (kInfDist
+/// while unreached). Once the team joins, the buffer is the run's answer,
+/// with no copy out.
 ///
 /// The relax loop reads this array at random, so its size is the engine's
 /// working set: at 4 bytes per vertex the 409,600-vertex road grid of
 /// perfbench's road_solve (1.6 MB) fits a 2 MB L2 (docs/PERFORMANCE.md).
-/// A reset is one O(V) fill(); every cold solve copies the whole array out
-/// anyway, so a cheaper reset would save no asymptotic work.
-///
-/// fill() runs between parallel phases only (by the dispatching thread,
-/// ordered against workers by ThreadTeam fork/join).
+/// The buffer's owner initializes it between parallel phases (a fill, or a
+/// repair's copy or patch); the next team launch publishes that.
 class AtomicDistances {
  public:
-  /// Every entry is constructed at kInfDist, never zero-then-filled: a
-  /// fragment leader builds its shard inside the placement phase, and a
-  /// peer that read an entry's initial value as 0 would hold a ghost
-  /// distance that beats every candidate and silently defeats relax_to().
-  /// The verify model's stale reads may return that initial value.
-  explicit AtomicDistances(std::size_t n)
-      : n_(n), dist_(std::make_unique<Entry[]>(n)) {}
+  AtomicDistances() = default;
+  /// Views `buffer`, which must outlive every access through the view.
+  explicit AtomicDistances(std::span<Distance> buffer)
+      : dist_(buffer.data()), n_(buffer.size()) {}
 
   [[nodiscard]] std::size_t size() const { return n_; }
 
@@ -53,12 +50,12 @@ class AtomicDistances {
   /// re-validates (stale-skip check or CAS), and cross-thread visibility of
   /// the *final* values rides the scheduler's own edges (barriers, steals).
   [[nodiscard]] Distance load(VertexId v) const {
-    return dist_[v].load(std::memory_order_relaxed);
+    return entry(v).load(std::memory_order_relaxed);
   }
 
   /// Relaxed: pre-run seeding; the team launch publishes it.
-  void store(VertexId v, Distance d) {
-    dist_[v].store(d, std::memory_order_relaxed);
+  void store(VertexId v, Distance d) const {
+    entry(v).store(d, std::memory_order_relaxed);
   }
 
   /// The relax() primitive of Algorithm 1 (lines 1-8): lowers dist[v] to
@@ -69,17 +66,18 @@ class AtomicDistances {
   /// Candidates must come from saturating_add (see types.hpp): kInfDist can
   /// never win the strict-decrease test, so wrapped sums cannot corrupt the
   /// array.
-  bool relax_to(VertexId v, Distance candidate) {
-    Distance old = dist_[v].load(std::memory_order_relaxed);
+  bool relax_to(VertexId v, Distance candidate) const {
+    const verify::atomic_ref<Distance> cell = entry(v);
+    Distance old = cell.load(std::memory_order_relaxed);
     while (candidate < old) {
       // Release on success: an acq_rel frontier-flag exchange that reads
       // our flag write also sees this improved distance (the round
       // baselines' dedup pairing, PendingFlags in rounds.hpp). Relaxed on
       // failure: the loop re-reads `old` and the monotone-min argument
       // needs no ordering.
-      if (dist_[v].compare_exchange_weak(old, candidate,
-                                         std::memory_order_release,
-                                         std::memory_order_relaxed)) {
+      if (cell.compare_exchange_weak(old, candidate,
+                                     std::memory_order_release,
+                                     std::memory_order_relaxed)) {
         return true;
       }
       // `old` reloaded by the failed CAS; loop re-checks the improvement.
@@ -87,88 +85,34 @@ class AtomicDistances {
     return false;
   }
 
-  /// Copies distances out (result snapshot; call after the parallel phase).
-  [[nodiscard]] std::vector<Distance> snapshot() const {
-    std::vector<Distance> out;
-    snapshot_into(out);
-    return out;
-  }
-
-  /// Copies every entry into `out`, resized to size(); a buffer that
-  /// already has the size is overwritten in place, with no allocation.
-  /// Relaxed: called after the team joins, which orders all writes.
-  void snapshot_into(std::vector<Distance>& out) const {
-    out.resize(n_);
-    for (std::size_t i = 0; i < n_; ++i)
-      out[i] = dist_[i].load(std::memory_order_relaxed);
-  }
-
-  /// O(V) reset of every entry to kInfDist. Call between parallel phases
-  /// only. Relaxed: nothing runs concurrently, and the next team launch
-  /// publishes the fill.
-  void fill() {
-    for (std::size_t i = 0; i < n_; ++i)
-      dist_[i].store(kInfDist, std::memory_order_relaxed);
-  }
-
   /// Address of v's entry, for software prefetch ahead of load()/
   /// relax_to() (prefetch.hpp).
   [[nodiscard]] const void* prefetch_addr(VertexId v) const {
-    return &dist_[v];
+    return dist_ + v;
   }
 
  private:
-  /// One vertex's distance, constructed at kInfDist (see the constructor).
-  struct Entry : verify::atomic<Distance> {
-    Entry() noexcept : verify::atomic<Distance>(kInfDist) {}
-  };
-#if !(defined(WASP_VERIFY_ENABLED) && WASP_VERIFY_ENABLED)
+  [[nodiscard]] verify::atomic_ref<Distance> entry(VertexId v) const {
+    return verify::atomic_ref<Distance>(dist_[v]);
+  }
   // The array is the relax loop's working set: one lock-free 32-bit word
-  // per vertex, and a wider entry (a tag, a padded atomic) fails here.
-  static_assert(sizeof(Entry) == sizeof(Distance));
-  // lint:allow(raw-atomic): a compile-time property, no atomic object.
-  static_assert(std::atomic<Distance>::is_always_lock_free);
-#endif
+  // per vertex that a plain vector's alignment already suits.
+  static_assert(verify::atomic_ref<Distance>::is_always_lock_free);
+  static_assert(verify::atomic_ref<Distance>::required_alignment ==
+                alignof(Distance));
 
-  std::size_t n_;
-  std::unique_ptr<Entry[]> dist_;
-};
-
-/// Reusable tentative-distance storage for repeat queries. Not thread-safe:
-/// acquire() runs between parallel phases (the front-end calls it before
-/// handing workers the array). Solver owns one so repeated solve() calls
-/// reuse one allocation.
-class DistancePool {
- public:
-  /// Returns an array of `n` entries, all kInfDist: the held one refilled,
-  /// or a new one on first use or a size change. Either is one O(n)
-  /// initialization (the epoch_sweeps counter).
-  AtomicDistances& acquire(std::size_t n) {
-    if (dist_ == nullptr || dist_->size() != n) {
-      dist_ = std::make_unique<AtomicDistances>(n);
-    } else {
-      dist_->fill();
-    }
-    return *dist_;
-  }
-
-  /// The held array, null before the first acquire.
-  [[nodiscard]] AtomicDistances* current() { return dist_.get(); }
-  /// Same, read-only (test/debug access).
-  [[nodiscard]] const AtomicDistances* current() const { return dist_.get(); }
-
- private:
-  std::unique_ptr<AtomicDistances> dist_;
+  Distance* dist_ = nullptr;
+  std::size_t n_ = 0;
 };
 
 /// Per-graph state of partitioned Wasp — the fragments and one distance
 /// shard per fragment — kept across solves so only the first partitioned
 /// solve of a graph pays the O(n + m) build. Solver owns one and hands it to
-/// the engine through RunContext, as it does its DistancePool; the engine
-/// reuses the entry when every key field matches and otherwise replaces it.
-/// Not thread-safe: like DistancePool, it is touched between parallel phases
-/// only (the shards are built by fragment leaders inside a team run, which
-/// the team join orders before the entry is stored).
+/// the engine through RunContext; the engine reuses the entry when every
+/// key field matches and otherwise replaces it. Not thread-safe: it is
+/// touched between parallel phases only (the shards are built by fragment
+/// leaders inside a team run, which the team join orders before the entry
+/// is stored).
 struct PartitionCache {
   /// What a partition and its placement depend on.
   struct Key {
@@ -185,7 +129,7 @@ struct PartitionCache {
     Key key;
     GraphPartition partition;
     /// shards[f] holds fragment f's distances over its local indices.
-    std::vector<std::unique_ptr<AtomicDistances>> shards;
+    std::vector<std::vector<Distance>> shards;
   };
 
   /// The cached entry when its key equals `key`, else null.
@@ -265,7 +209,7 @@ struct WaspConfig {
   /// into: 1 unless partition.enabled, else partition.num_fragments (0 = one
   /// per NUMA node of `topology`, detected when empty) clamped to
   /// [1, team_size] so every fragment has a worker. A run that resolves to
-  /// one fragment is a flat run on the pooled distance array.
+  /// one fragment is a flat run on the Solver's distance buffer.
   [[nodiscard]] int fragments(int team_size) const;
 };
 
@@ -319,15 +263,6 @@ struct SsspOptions {
   obs::RunObserver* observer = nullptr;
   obs::TraceRecorder* trace = nullptr;
 
-  /// True when a solve with these options on `team_size` workers runs on
-  /// the pooled flat distance array (RunContext::dist). The sequential
-  /// Dijkstra reference keeps a plain vector and a Wasp run with more than
-  /// one fragment keeps fragment shards; neither touches the pool.
-  [[nodiscard]] bool uses_distance_pool(int team_size) const {
-    return algo != Algorithm::kDijkstra &&
-           !(algo == Algorithm::kWasp && wasp.fragments(team_size) > 1);
-  }
-
   /// Rejects out-of-range knobs with InvalidOptionsError (delta == 0,
   /// threads < 1, mq.c < 1, wasp.chunk_capacity outside the shipped
   /// {16,32,64,128,256} instantiations, negative smq.steal_batch, ...).
@@ -337,7 +272,9 @@ struct SsspOptions {
 };
 
 /// Distances plus the run's metrics (wall time in metrics.seconds, work
-/// counts via metrics.counter(CounterId::...)).
+/// counts via metrics.counter(CounterId::...)). Solver moves the buffer a
+/// flat run relaxed into `dist`; called directly, only Dijkstra and a Wasp
+/// run with more than one fragment fill it.
 struct SsspResult {
   std::vector<Distance> dist;
   obs::MetricsSnapshot metrics;
@@ -351,13 +288,9 @@ struct RunContext {
   obs::MetricsRegistry& metrics;  ///< must have >= team.size() shards
   obs::TraceRecorder* trace = nullptr;
   obs::RunObserver* observer = nullptr;
-  /// Pool the front-end acquires ctx.dist from (Solver's owned pool, so
-  /// repeat solves reuse one allocation).
-  DistancePool* pool = nullptr;
-  /// This run's tentative-distance array, acquired (all-kInfDist) by
-  /// Solver::solve; the parallel algorithms use it instead of allocating.
-  /// A Wasp run with more than one fragment keeps its distances in fragment
-  /// shards and leaves it null.
+  /// This run's tentative-distance array: a view over the buffer
+  /// Solver::solve filled with kInfDist, or over a repair's bounds. A Wasp
+  /// run with more than one fragment uses fragment shards instead.
   AtomicDistances* dist = nullptr;
   /// Where partitioned Wasp keeps its fragments and shards between solves
   /// (null = build them per call; Solver points this at its owned cache).
@@ -376,10 +309,6 @@ struct RunContext {
   [[nodiscard]] bool poll_cancel() const {
     return cancel != nullptr && cancel->poll();
   }
-
-  /// The run's distance array: what Solver::solve acquired, or a repair's
-  /// pre-loaded bounds.
-  [[nodiscard]] AtomicDistances& distances() const { return *dist; }
 };
 
 /// Shared run epilogue: records the team gauges and the elapsed time into

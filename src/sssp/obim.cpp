@@ -136,7 +136,7 @@ struct LocalBags {
 
 SsspResult obim_sssp(const Graph& g, VertexId source, Weight delta,
                      std::uint32_t chunk_size, RunContext& ctx) {
-  AtomicDistances& dist = ctx.distances();
+  AtomicDistances& dist = *ctx.dist;
   dist.store(source, 0);
 
   GlobalBags global;

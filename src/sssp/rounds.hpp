@@ -72,7 +72,7 @@ class RoundDriver {
   /// (a pull reads out-edges as in-edges).
   RoundDriver(const Graph& graph, VertexId source, RunContext& run,
               bool direction_optimize = false)
-      : g(graph), ctx(run), dist(run.distances()), frontier{source},
+      : g(graph), ctx(run), dist(*run.dist), frontier{source},
         bag(run.team.size()), barrier(run.team.size()),
         pull_test_(direction_optimize && graph.is_undirected()),
         degrees_(static_cast<std::size_t>(run.team.size())) {
@@ -80,8 +80,8 @@ class RoundDriver {
   }
 
   /// Runs worker(tid, shard) on every team thread under the verify
-  /// scheduler guard, then records the rounds and barrier time
-  /// and snapshots the distances.
+  /// scheduler guard, then records the rounds and barrier time. The answer
+  /// is ctx.dist's buffer.
   template <class Worker>
   SsspResult run(Worker&& worker) {
     Timer timer;
@@ -95,7 +95,6 @@ class RoundDriver {
                              barrier.total_wait_ns());
     SsspResult result;
     finalize_result(ctx, seconds, result);
-    result.dist = dist.snapshot();
     return result;
   }
 

@@ -74,7 +74,6 @@ SsspResult Solver::dispatch(const Graph& g, VertexId source) {
   options.validate();
   check_inputs(g.num_vertices(), source);
   RunContext ctx{team_, metrics_, options.trace, options.observer};
-  ctx.pool = &pool_;
   ctx.partitions = &partitions_;
   ctx.metrics.reset();
   ctx.cancel = options.cancel;
@@ -82,18 +81,23 @@ SsspResult Solver::dispatch(const Graph& g, VertexId source) {
   // worker or distance array is touched.
   if (ctx.cancel != nullptr && ctx.cancel->poll()) throw_cancelled(*ctx.cancel);
   if (options.algo == Algorithm::kDijkstra) {
-    // The sequential reference keeps its own plain distance vector; don't
-    // charge it a pooled-array acquisition. It is also not cancellable
-    // mid-run: no worker polls, so the token was only checked above.
+    // The sequential reference keeps its own plain distance vector. It is
+    // not cancellable mid-run: no worker polls, so the token was only
+    // checked above.
     return dijkstra(g, source);
   }
-  // A Wasp run with more than one fragment keeps its distances in fragment
-  // shards (and counts their fills itself), so it is not charged a
-  // pooled-array acquire either.
-  if (options.uses_distance_pool(ctx.team.size())) {
-    // The array stops holding the last repaired answer from here on.
-    if (repair_ != nullptr) repair_->array_holds_answer = false;
-    ctx.dist = &ctx.pool->acquire(g.num_vertices());
+  // A flat run relaxes in a buffer filled here, a free one when the pool
+  // has any, and returns it. A Wasp run with more than one fragment keeps
+  // its distances in fragment shards (and counts their fills itself).
+  std::unique_ptr<AnswerBuffer> buffer;
+  AtomicDistances dist;
+  if (options.algo != Algorithm::kWasp ||
+      options.wasp.fragments(ctx.team.size()) == 1) {
+    buffer = buffers_->take(BufferPool::kNoGeneration);
+    if (buffer == nullptr) buffer = std::make_unique<AnswerBuffer>();
+    buffer->dist.assign(g.num_vertices(), kInfDist);
+    dist = AtomicDistances(buffer->dist);
+    ctx.dist = &dist;
     ctx.metrics.shard(0).inc(obs::CounterId::kEpochSweeps);
   }
   SsspResult result = [&]() -> SsspResult {
@@ -134,17 +138,27 @@ SsspResult Solver::dispatch(const Graph& g, VertexId source) {
   return dijkstra(g, source);  // unreachable
   }();
   // The team has joined by now, so every worker's polls happened-before
-  // this check. A fired token leaves a partial relaxation in the distance
-  // array (or the cached fragment shards); the next solve fills them before
-  // use, so the Solver stays reusable without a discard here.
+  // this check. A fired token leaves a partial relaxation in the buffer,
+  // freed here, or in the cached fragment shards, which the next solve
+  // fills before use, so the Solver stays reusable.
   if (ctx.cancel != nullptr && ctx.cancel->cancel_requested())
     throw_cancelled(*ctx.cancel);
+  // The join orders every relaxation before the caller's plain reads.
+  if (buffer != nullptr) result.dist = std::move(buffer->dist);
   return result;
+}
+
+void Solver::record_state_bytes(obs::MetricsSnapshot& report) const {
+  const std::uint64_t bytes =
+      buffers_->bytes() + (repair_ != nullptr ? repair_->scratch_bytes() : 0);
+  report.gauges[static_cast<std::size_t>(obs::GaugeId::kSolverStateBytes)] =
+      bytes;
 }
 
 Solver::Solver(SsspOptions options)
     : options_(validated(std::move(options))),
       metrics_(options_.threads),
+      buffers_(std::make_shared<BufferPool>()),
       team_(options_.threads) {
   if (!options_.wasp.topology) {
     options_.wasp.topology =
@@ -157,6 +171,7 @@ Solver::~Solver() = default;
 SsspResult Solver::solve(const Graph& g, VertexId source) {
   const BusyGuard guard(busy_);
   SsspResult result = dispatch(g, source);
+  record_state_bytes(result.metrics);
   last_metrics_ = result.metrics;
   return result;
 }
@@ -190,20 +205,25 @@ Answer Solver::solve(VersionedGraph& vg, VertexId source, const Answer& from,
        << " entries for a graph of " << vg.num_vertices() << " vertices";
     throw InvalidOptionsError(os.str());
   }
-  if (repair_ == nullptr) repair_ = std::make_unique<Repair>();
+  if (repair_ == nullptr) repair_ = std::make_unique<Repair>(buffers_);
   // graph() folds any staged structural overlay back into the flat CSR the
   // engine consumes.
   const Graph& g = vg.graph();
-  if (from.empty()) return repair_->full_solve(*this, g, source);
-  if (from_version == vg.version()) {
-    // Nothing changed since `from`: it is still the answer.
-    last_metrics_ = obs::MetricsSnapshot{};
-    return from;
-  }
-  const VersionedGraph::JournalView jv = vg.journal_since(from_version);
-  if (!jv.ok)  // the journal was trimmed past from_version
-    return repair_->full_solve(*this, g, source);
-  return repair_->repair(*this, vg, g, source, from, from_version, jv.effects);
+  Answer answer = [&] {
+    if (from.empty()) return repair_->full_solve(*this, g, source);
+    if (from_version == vg.version()) {
+      // Nothing changed since `from`: it is still the answer.
+      last_metrics_ = obs::MetricsSnapshot{};
+      return from;
+    }
+    const VersionedGraph::JournalView jv = vg.journal_since(from_version);
+    if (!jv.ok)  // the journal was trimmed past from_version
+      return repair_->full_solve(*this, g, source);
+    return repair_->repair(*this, vg, g, source, from, from_version,
+                           jv.effects);
+  }();
+  record_state_bytes(last_metrics_);
+  return answer;
 }
 
 }  // namespace wasp

@@ -25,18 +25,21 @@
 //   a = solver.solve(vg, src, a, v);                // repaired, not re-solved
 //
 // The Solver owns the ThreadTeam, the (shared) NumaTopology, the
-// MetricsRegistry, the pooled distance array, the fragments and shards of
-// Wasp runs with more than one fragment (built on the first such solve of a
-// graph and kept until a solve needs a different graph stamp, fragment count
-// or topology) and, from its first versioned solve on, the repair state
-// (sssp/incremental.hpp). Each solve reports to options().observer and
-// options().trace, the one door for each hook. Per-algorithm knobs are
+// MetricsRegistry, a free list of the distance buffers its answers' last
+// holders dropped, the fragments and shards of Wasp runs with more than
+// one fragment (built on the first such solve of a graph and kept until a
+// solve needs a different graph stamp, fragment count or topology) and,
+// from its first versioned solve on, the repair state
+// (sssp/incremental.hpp). A run relaxes in the buffer it returns. Each
+// solve reports to options().observer and options().trace, the one door
+// for each hook. Per-algorithm knobs are
 // nested (opt.stepping.rho, opt.mq.c, ...); options other than `threads`
 // may be adjusted between solves via options().
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "graph/delta.hpp"
 #include "graph/graph.hpp"
@@ -61,10 +64,12 @@ class Solver {
 
   /// Runs options().algo from `source` on the owned team. Re-validates
   /// options (they are mutable between solves) and resets the registry, so
-  /// each result's metrics cover exactly one run.
+  /// each result's metrics cover exactly one run. A flat run fills a
+  /// buffer (one epoch_sweeps), relaxes in it, and returns it as
+  /// result.dist with no copy.
   ///
-  /// A Solver runs ONE solve at a time: the team, distance pool, and
-  /// registry are per-run state with no internal synchronization.
+  /// A Solver runs ONE solve at a time: the team, buffers, and registry are
+  /// per-run state with no internal synchronization.
   /// Overlapping calls from a second thread throw SolverBusyError instead
   /// of racing silently — hold one Solver per in-flight query (the
   /// service::QueryService fleet does exactly this). A solve cancelled via
@@ -91,16 +96,17 @@ class Solver {
   /// non-empty `from` is not sized to vg.num_vertices(). One solve at a
   /// time, as above: overlapping this and any other solve() throws
   /// SolverBusyError. Cancellation: options().cancel is polled inside the
-  /// cone walk and by the engine; a fired token throws SolveCancelledError
-  /// and leaves the Solver reusable (the next repair loads its answer into
-  /// the array).
+  /// cone walk and by the engine; a fired token throws SolveCancelledError,
+  /// frees the repair's working buffer unpublished and leaves the Solver
+  /// reusable.
   ///
   /// last_metrics() is the report. A repair's covers the walk, both engine
   /// runs and the publish: the kRepair* counters say what it did, and
-  /// kEpochSweeps is 1 when `from` was loaded into the array, 0 when the
-  /// array already held it (docs/DYNAMIC.md splits its wall time). A full
-  /// solve's is the cold door's with kRepairFullSolves = 1; a solve with no
-  /// new version leaves it all zero.
+  /// kEpochSweeps and kRepairArrayCopies are 1 when `from` was copied
+  /// whole, 0 when a buffer one publish back was patched forward instead
+  /// (docs/DYNAMIC.md splits its wall time). A full solve's is the cold
+  /// door's with kRepairFullSolves = 1; a solve with no new version leaves
+  /// it all zero. Every report carries the kSolverStateBytes gauge.
   Answer solve(VersionedGraph& vg, VertexId source, const Answer& from,
                std::uint64_t from_version);
 
@@ -111,12 +117,6 @@ class Solver {
 
   [[nodiscard]] ThreadTeam& team() { return team_; }
   [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
-  /// The owned distance pool solve() draws from (see
-  /// SsspOptions::uses_distance_pool); a repeat query on the same graph
-  /// reuses its allocation and pays one O(V) infinity fill (counted in
-  /// epoch_sweeps). Read-only: only the Solver acquires it, so it always
-  /// knows whether the array still holds its last repaired answer.
-  [[nodiscard]] const DistancePool& distances() const { return pool_; }
   /// Snapshot taken by the most recent solve() of either kind (empty before
   /// the first).
   [[nodiscard]] const obs::MetricsSnapshot& last_metrics() const {
@@ -126,16 +126,27 @@ class Solver {
  private:
   /// The repair state of the versioned solve() (sssp/incremental.hpp).
   class Repair;
+  /// A distance buffer, tagged with the publish generation it holds, and
+  /// the free list of them (sssp/incremental.hpp).
+  struct AnswerBuffer {
+    std::vector<Distance> dist;
+    std::uint64_t generation = 0;
+  };
+  class BufferPool;
 
-  /// Validates inputs and options, acquires the pooled array when the
-  /// algorithm uses it, then runs options().algo. The caller holds busy_.
+  /// Validates inputs and options, fills a buffer for a flat run, then runs
+  /// options().algo. The caller holds busy_.
   SsspResult dispatch(const Graph& g, VertexId source);
+  /// Sets `report`'s kSolverStateBytes gauge to what the Solver holds now.
+  void record_state_bytes(obs::MetricsSnapshot& report) const;
   /// Throws the typed cancellation outcome for a token that has fired.
   [[noreturn]] static void throw_cancelled(const CancelToken& token);
 
   SsspOptions options_;
   obs::MetricsRegistry metrics_;
-  DistancePool pool_;
+  /// The one pool: published answers return here when their last holder
+  /// drops them, and flat runs take buffers from here first.
+  std::shared_ptr<BufferPool> buffers_;
   PartitionCache partitions_;
   obs::MetricsSnapshot last_metrics_;
   /// Built by the first versioned solve(); null until then.
@@ -143,7 +154,7 @@ class Solver {
   /// Re-entrancy guard: 1 while a solve of either kind is in flight.
   verify::atomic<std::uint32_t> busy_{0};
   // Declared last so it is destroyed first: the destructor joins the
-  // workers, so no worker can still be touching the registry, pool,
+  // workers, so no worker can still be touching the registry, buffers,
   // partitions or repair state above when they are freed.
   ThreadTeam team_;
 };

@@ -2,7 +2,7 @@
 //
 // A run splits the graph into F fragments (libgrape-lite's model: a single
 // machine is F = 1) and every worker relaxes against a FragmentView of its
-// own fragment. A one-fragment run views the whole Graph and the pooled
+// own fragment. A one-fragment run views the whole Graph and the run's
 // AtomicDistances: no partition, relay or vote. A run with F > 1 views the
 // cached PartitionCache fragments and shards (graph/partition.hpp, Solver's
 // PartitionCache), and the Relay instantiation adds what crossing fragments
@@ -74,7 +74,7 @@ struct FragmentView {
   VertexId end = 0;
   const EdgeIndex* offsets = nullptr;
   const WEdge* edges = nullptr;
-  AtomicDistances* dist = nullptr;
+  AtomicDistances dist;
 };
 
 /// Thread-local bucket list: level -> linked stack of chunks, the head chunk
@@ -227,7 +227,7 @@ struct WaspShared {
 /// Per-thread worker implementing Algorithms 1 and 2 over one fragment.
 /// `Relay` adds the remote send/drain and the vote barrier of a run with
 /// more than one fragment; without it every vertex is local and the worker
-/// indexes the Graph and the pooled array directly.
+/// indexes the Graph and the run's distance buffer directly.
 template <typename ChunkT, bool Relay>
 class WaspWorker {
  public:
@@ -235,7 +235,7 @@ class WaspWorker {
       : s_(shared), tid_(tid),
         frag_(shared.frag_of[static_cast<std::size_t>(tid)]),
         view_(shared.views[static_cast<std::size_t>(frag_)]),
-        dist_(*view_.dist), pool_(shared.arena),
+        dist_(view_.dist), pool_(shared.arena),
         my_(shared.ctx.metrics.shard(tid)),
         rng_(hash_mix(0xA5B5ULL + static_cast<std::uint64_t>(tid))),
         deque_(shared.deques[static_cast<std::size_t>(tid)].get()),
@@ -1117,7 +1117,7 @@ class WaspWorker {
   const int tid_;
   const int frag_;
   const FragmentView& view_;
-  AtomicDistances& dist_;  ///< this fragment's distances (local indices)
+  const AtomicDistances& dist_;  ///< this fragment's distances (local indices)
   BasicChunkPool<ChunkT> pool_;
   obs::MetricsShard& my_;
   Xoshiro256 rng_;
@@ -1168,7 +1168,7 @@ SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds,
   // entry first, so at most one CSR copy is alive, and build afresh.
   const int want = cold ? config.fragments(p) : 1;
   const PartitionCache::Key key{g.stamp(), want, p, topo};
-  const PartitionCache::Entry* frags = nullptr;
+  PartitionCache::Entry* frags = nullptr;
   std::unique_ptr<PartitionCache::Entry> built;
   if (want > 1 && ctx.partitions != nullptr) frags = ctx.partitions->find(key);
   if (want > 1 && frags == nullptr) {
@@ -1185,25 +1185,24 @@ SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds,
                             *topo, cpu_of);
   if (!cold && p == 1) shared.budget = budget;
   if (part == nullptr) {
-    // The whole Graph over the run's array: the pool entry Solver::solve
-    // acquired, or a repair's pre-loaded bounds.
+    // The whole Graph over the run's array: the buffer Solver::solve
+    // filled, or a repair's pre-loaded bounds.
     shared.views[0] =
         FragmentView{0, g.num_vertices(), g.offsets_data(), g.edge_data(),
-                     &ctx.distances()};
+                     *ctx.dist};
   } else {
     if (built != nullptr) {
-      // Placement phase: each fragment's leader constructs its distance
-      // shard — constructing the entries at kInfDist is the first touch,
-      // so the shard's pages land on the leader's node. The team join
-      // publishes the shard pointers to every worker of the solve phase.
+      // Placement phase: each fragment's leader allocates its distance
+      // shard and fills it with kInfDist — the first touch, so the shard's
+      // pages land on the leader's node. The team join publishes the
+      // shards to every worker of the solve phase.
       built->shards.resize(static_cast<std::size_t>(f_count));
       ctx.team.run([&](int tid) {
         verify::ScopedSchedule schedule_guard(tid);
         if (shared.local_idx[static_cast<std::size_t>(tid)] == 0) {
           const int f = shared.frag_of[static_cast<std::size_t>(tid)];
-          built->shards[static_cast<std::size_t>(f)] =
-              std::make_unique<AtomicDistances>(
-                  part->fragment(f).num_vertices());
+          built->shards[static_cast<std::size_t>(f)].assign(
+              part->fragment(f).num_vertices(), kInfDist);
         }
       });
       ctx.metrics.shard(0).inc(CId::kPartitionBuilds);
@@ -1215,14 +1214,15 @@ SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds,
       // Warm: refill the cached shards, one O(n) fill of the set (the same
       // membership placed them, so their pages already sit on their
       // leaders' nodes).
-      for (const auto& shard : frags->shards) shard->fill();
+      for (std::vector<Distance>& shard : frags->shards)
+        std::ranges::fill(shard, kInfDist);
       ctx.metrics.shard(0).inc(CId::kEpochSweeps);
     }
     for (int f = 0; f < f_count; ++f) {
       const GraphPartition::Fragment& frag = part->fragment(f);
       shared.views[static_cast<std::size_t>(f)] = FragmentView{
           frag.begin, frag.end, frag.offsets.data(), frag.edge_data(),
-          frags->shards[static_cast<std::size_t>(f)].get()};
+          AtomicDistances(frags->shards[static_cast<std::size_t>(f)])};
     }
   }
 
@@ -1234,7 +1234,7 @@ SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds,
   std::vector<std::uint64_t> min_level(static_cast<std::size_t>(p),
                                        kInfPriority);
   for (std::size_t i = 0; i < seeds.size(); ++i) {
-    const Distance d = cold ? 0 : shared.views[0].dist->load(seeds[i]);
+    const Distance d = cold ? 0 : shared.views[0].dist.load(seeds[i]);
     if (d == kInfDist) continue;
     auto& slot =
         min_level[static_cast<std::size_t>(shared.seed_worker(i, seeds[i]))];
@@ -1260,16 +1260,13 @@ SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds,
     launch<ChunkT, true>(shared, seeds, cold);
   }
   finalize_result(ctx, timer.seconds(), result);
-  if (!cold) return result;  // the caller patches from the log
-  if (part == nullptr) {
-    result.dist = shared.views[0].dist->snapshot();
-  } else {
-    result.dist.resize(g.num_vertices());
-    for (const FragmentView& view : shared.views) {
-      for (VertexId v = 0; v < view.end - view.begin; ++v)
-        result.dist[view.begin + v] = view.dist->load(v);
-    }
-  }
+  // A flat run's answer is ctx.dist itself. The join orders every shard
+  // write before these plain reads.
+  if (part == nullptr) return result;
+  result.dist.resize(g.num_vertices());
+  for (int f = 0; f < f_count; ++f)
+    std::ranges::copy(frags->shards[static_cast<std::size_t>(f)],
+                      result.dist.begin() + part->fragment(f).begin);
   return result;
 }
 

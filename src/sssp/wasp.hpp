@@ -36,7 +36,7 @@
 // One engine serves every run (wasp.cpp). The graph is split into F
 // fragments, and each worker relaxes against a non-owning view of its own
 // fragment: vertex range, CSR rows and distances. F = 1 is the flat run over
-// the whole Graph and the pooled distance array, with no partition, relay
+// the whole Graph and the run's distance buffer, with no partition, relay
 // or vote. F > 1 is the partitioned mode of docs/NUMA.md. A cold solve and
 // a seeded repair differ only in their seeds.
 #pragma once
@@ -125,6 +125,13 @@ class LoweredLog {
   /// Read only after the run returned.
   [[nodiscard]] bool stopped() const { return !frontier().empty(); }
 
+  /// Bytes the lists and the frontier hold allocated. Between runs only.
+  [[nodiscard]] std::size_t bytes() const {
+    std::size_t entries = frontier_.capacity();
+    for (const auto& l : lists_) entries += l.value.capacity();
+    return entries * sizeof(VertexId);
+  }
+
  private:
   std::vector<CachePadded<std::vector<VertexId>>> lists_;
   std::vector<VertexId> frontier_;
@@ -138,15 +145,16 @@ inline constexpr std::uint64_t kNoWorkBudget = ~std::uint64_t{0};
 /// chunk_capacity in {16,32,64,128,256}).
 ///
 /// The run uses config.fragments(team size) fragments. One fragment runs on
-/// ctx.distances(). More than one runs the partitioned mode (docs/NUMA.md):
-/// per-fragment distance shards and deques, boundary relaxations through
-/// batched remote queues (concurrent/remote_queue.hpp), bidirectional
-/// relaxation off (it would read remote shards), and a quiescence barrier
-/// on top of the termination scan. With ctx.partitions set (Solver does),
-/// the fragments and shards are built on the first solve of a graph and
-/// reused while its stamp, the fragment count, the team size and the
-/// topology stay the same. Every mode converges to the same exact-distance
-/// fixed point.
+/// ctx.dist, which then holds the answer (result.dist stays empty). More
+/// than one runs the partitioned mode (docs/NUMA.md): per-fragment distance
+/// shards and deques, boundary relaxations through batched remote queues
+/// (concurrent/remote_queue.hpp), bidirectional relaxation off (it would
+/// read remote shards), a quiescence barrier on top of the termination
+/// scan, and a copy of the shards into result.dist at the end. With
+/// ctx.partitions set (Solver does), the fragments and shards are built on
+/// the first solve of a graph and reused while its stamp, the fragment
+/// count, the team size and the topology stay the same. Every mode
+/// converges to the same exact-distance fixed point.
 SsspResult wasp_sssp(const Graph& g, VertexId source, Weight delta,
                      const WaspConfig& config, RunContext& ctx);
 

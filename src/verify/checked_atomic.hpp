@@ -44,7 +44,9 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <source_location>
 #include <type_traits>
 #include <utility>
@@ -288,19 +290,28 @@ class atomic {
   /// Lazily (re)initializes the model for the current session generation,
   /// seeding the history with the underlying value as an initial store
   /// visible to every thread. Caller holds the session lock.
+  /// A shadow (atomic_ref) restarts the same way when its cell no longer
+  /// holds the newest store: the cell was written outside the model.
   Model& model(Session* s) const {
     Model* m = model_.load(std::memory_order_relaxed);
     if (m == nullptr) {
       m = new Model();
       model_.store(m, std::memory_order_release);
     }
-    if (m->gen != s->generation()) {
+    if (m->gen != s->generation() ||
+        (mirror_ != nullptr && !(mirror().load(std::memory_order_relaxed) ==
+                                 m->hist.back().value))) {
+      if (mirror_ != nullptr)
+        impl_.store(mirror().load(std::memory_order_relaxed),
+                    std::memory_order_relaxed);
       m->gen = s->generation();
       m->hist.clear();
       m->hist.push_back(Store{impl_.load(std::memory_order_relaxed),
                               VectorClock{}, false, 0, 0});
       m->base = 0;
       m->last_read.fill(0);
+      m->has_rel_head = false;
+      m->rel_head_tid = -1;
     }
     return *m;
   }
@@ -426,6 +437,7 @@ class atomic {
       ++m.base;
     }
     impl_.store(v, std::memory_order_seq_cst);  // write-through
+    if (mirror_ != nullptr) mirror().store(v, std::memory_order_seq_cst);
   }
 
   template <typename F>
@@ -455,8 +467,74 @@ class atomic {
     return {old, true};
   }
 
+  template <typename>
+  friend class atomic_ref;
+  /// The plain cell a shadow writes through to (atomic_ref); null for an
+  /// ordinary atomic.
+  [[nodiscard]] std::atomic_ref<T> mirror() const {
+    return std::atomic_ref<T>(*mirror_);
+  }
+
   mutable std::atomic<T> impl_;
   mutable std::atomic<Model*> model_{nullptr};
+  T* mirror_ = nullptr;
+};
+
+/// std::atomic_ref for the model, with the operations AtomicDistances uses.
+/// A bound thread's access runs on a shadow atomic<T> that the session keeps
+/// per cell address (Session::shadow) and that writes every store through
+/// to the cell. A cell written outside the model (a plain fill or copy that
+/// the team's fork and join order) no longer holds the shadow's newest
+/// store, so its history restarts from the live value. An unbound access is
+/// a std::atomic_ref access. A cell keeps one T for a session.
+template <typename T>
+class atomic_ref {
+ public:
+  static constexpr bool is_always_lock_free =
+      std::atomic_ref<T>::is_always_lock_free;
+  static constexpr std::size_t required_alignment =
+      std::atomic_ref<T>::required_alignment;
+
+  explicit atomic_ref(T& cell) noexcept : cell_(&cell) {}
+
+  T load(std::memory_order order) const {
+    return on_cell([&](auto& a) { return a.load(order); });
+  }
+  void store(T v, std::memory_order order) const {
+    on_cell([&](auto& a) { a.store(v, order); });
+  }
+  bool compare_exchange_weak(T& expected, T desired,
+                             std::memory_order success,
+                             std::memory_order failure) const {
+    return on_cell([&](auto& a) {
+      return a.compare_exchange_weak(expected, desired, success, failure);
+    });
+  }
+
+ private:
+  /// Runs `op` on the cell's shadow for a bound thread, else on the cell.
+  template <typename Op>
+  decltype(auto) on_cell(Op&& op) const {
+    int tid;
+    Session* s = Session::bound(tid);
+    if (s == nullptr) {
+      std::atomic_ref<T> live(*cell_);
+      return op(live);
+    }
+    std::unique_lock<std::mutex> lock(s->mu());
+    std::shared_ptr<void>& slot = s->shadow(cell_);
+    if (slot == nullptr) {
+      auto made = std::make_shared<atomic<T>>(
+          std::atomic_ref<T>(*cell_).load(std::memory_order_relaxed));
+      made->mirror_ = cell_;
+      slot = std::move(made);
+    }
+    auto* const shadow = static_cast<atomic<T>*>(slot.get());
+    lock.unlock();
+    return op(*shadow);  // takes the session lock itself
+  }
+
+  T* cell_;
 };
 
 /// Instrumented replacement for std::atomic_thread_fence.
@@ -559,6 +637,10 @@ class atomic {
  private:
   std::atomic<T> impl_;
 };
+
+/// Zero-cost passthrough: std::atomic_ref<T> itself.
+template <typename T>
+using atomic_ref = std::atomic_ref<T>;
 
 inline void thread_fence(std::memory_order order) {
   raw_thread_fence(order);

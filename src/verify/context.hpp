@@ -48,6 +48,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <source_location>
 #include <string>
@@ -225,6 +226,10 @@ class Session {
   void on_plain_write_value(int tid, const void* addr, Site site,
                             std::uint64_t old_bits, std::uint64_t new_bits);
 
+  /// The shadow verify::atomic of the plain cell at `addr`
+  /// (verify::atomic_ref), null until first use. Caller holds mu_.
+  std::shared_ptr<void>& shadow(const void* addr) { return shadows_[addr]; }
+
   // --- diagnostics -------------------------------------------------------
   /// Records a model violation (takes mu_ unless already held — use the
   /// _locked variant from instrumented code).
@@ -297,6 +302,7 @@ class Session {
   std::unordered_map<std::uint64_t, bool> sc_used_;
   std::uint64_t sc_defer_sub_ = 0;  ///< tie-break for same-base deferrals
   std::unordered_map<const void*, PlainVar> plain_;
+  std::unordered_map<const void*, std::shared_ptr<void>> shadows_;
   std::vector<std::string> diagnostics_;
   std::size_t dropped_diagnostics_ = 0;
 };

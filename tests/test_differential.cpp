@@ -445,15 +445,14 @@ void check(const Case& c) {
 
   Xoshiro256 rng(hash_mix(c.seed));
   std::deque<ClosedArc> closed;
-  bool repaired = false;  // a batch has been repaired
   for (int b = 0; c.stream != Stream::kNone && b < kBatches; ++b) {
     const GraphDelta delta = next_batch(vg, c.stream, rng, closed);
     if (delta.empty()) continue;
     (void)vg.apply(delta);
-    // held[0] is the answer the solver published last, so it repairs on
-    // the warm array (unless the full solve before ran off the pool) and
-    // held[1] is loaded, one epoch sweep; the swap keeps that order for the
-    // next batch.
+    // held[0] is the answer the solver published last, but the buffer one
+    // publish behind it is held[1]'s, which the loop still holds, so each
+    // repair copies its answer into a working buffer once: one epoch sweep
+    // each. The swap keeps that order for the next batch.
     for (std::size_t i = 0; i < held.size(); ++i) {
       Held& h = held[i];
       h.answer = inc.solve(vg, h.source, h.answer, h.version);
@@ -462,13 +461,12 @@ void check(const Case& c) {
       const obs::MetricsSnapshot& m = inc.last_metrics();
       EXPECT_EQ(m.counter(obs::CounterId::kRepairFullSolves), 0u)
           << when << " (source " << h.source << ") was not repaired";
-      const bool warm =
-          i == 0 && (repaired || options.uses_distance_pool(options.threads));
-      EXPECT_EQ(m.counter(obs::CounterId::kEpochSweeps), warm ? 0u : 1u)
+      EXPECT_EQ(m.counter(obs::CounterId::kEpochSweeps), 1u)
+          << when << " (source " << h.source << ")";
+      EXPECT_EQ(m.counter(obs::CounterId::kRepairArrayCopies), 1u)
           << when << " (source " << h.source << ")";
       expect_exact(h.source, h.answer, when);
     }
-    repaired = true;
     std::swap(held[0], held[1]);
   }
 }

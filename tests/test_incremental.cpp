@@ -2,8 +2,9 @@
 // sssp/incremental.hpp). The correctness anchor, bit-identical distances vs
 // a from-scratch solve after every batch of every stream kind, is the
 // delta-stream axis of test_differential.cpp. This file pins the published
-// answers (patched from the engine's log, never rewritten while held,
-// recycled once released), the re-priced
+// answers (repaired in a working buffer that is patched from the previous
+// change set or copied, never rewritten while held, recycled once
+// released), the re-priced
 // repair cone (its work, nested heads, the zero-weight fallback and the
 // cone's own seeds), the VersionedGraph contract
 // (atomic validation, journal semantics, compaction on demand), the answer
@@ -159,8 +160,8 @@ GraphDelta random_batch(const VersionedGraph& vg, Mode mode, Xoshiro256& rng,
 /// A Solver plus the answer it last returned for each (graph, source) and
 /// the version that answer is exact at, kept as the QueryService cache
 /// keeps them: solve() repairs a pair from its own entry through the
-/// Solver's versioned solve(). The answer the solver published last runs on
-/// the warm array; any other is loaded into it.
+/// Solver's versioned solve(). Each solve drops the pair's previous
+/// answer, so the next repair of it can patch that buffer forward.
 class Repairer {
  public:
   explicit Repairer(SsspOptions options) : solver_(std::move(options)) {}
@@ -204,10 +205,10 @@ std::uint64_t run_processed(const Repairer& inc) {
   return inc.last_metrics().counter(CId::kVerticesProcessed);
 }
 
-/// The repair published by patching entries into a buffer: it ran (a
-/// repair catches up at least one batch) and did not copy the whole array.
+/// The repair started from the buffer one publish back, patched forward
+/// over the previous change set, instead of a whole copy of `from`.
 bool patched(const obs::MetricsSnapshot& m) {
-  return m.counter(CId::kRepairBatches) > 0 &&
+  return m.counter(CId::kRepairRecycled) == 1 &&
          m.counter(CId::kRepairArrayCopies) == 0;
 }
 
@@ -219,21 +220,27 @@ double layers_seconds(const obs::MetricsSnapshot& m) {
          m.seconds;
 }
 
-/// The checks every published repair must pass: the answer is exact and it
-/// is what the warm array holds.
+/// The checks every published repair must pass: the answer is exact, and a
+/// repair's working buffer started as exactly one of a patch of the buffer
+/// one publish back or a whole copy of the answer repaired (the copy is its
+/// one epoch sweep and writes all n entries).
 void expect_published_answer(Repairer& inc, const Graph& g,
                              VertexId source, const std::string& what) {
   const Answer answer = inc.answer();
   ASSERT_FALSE(answer.empty()) << what;
   EXPECT_EQ(dijkstra(g, source).dist, answer) << what;
-  const AtomicDistances* warm = inc.solver().distances().current();
-  ASSERT_NE(warm, nullptr) << what;
-  EXPECT_EQ(warm->snapshot(), answer) << what;
+  const obs::MetricsSnapshot& m = inc.last_metrics();
+  if (m.counter(CId::kRepairBatches) == 0) return;  // a full solve
+  const std::uint64_t copies = m.counter(CId::kRepairArrayCopies);
+  EXPECT_EQ(copies + m.counter(CId::kRepairRecycled), 1u) << what;
+  EXPECT_EQ(m.counter(CId::kEpochSweeps), copies) << what;
+  if (copies == 1) {
+    EXPECT_EQ(m.counter(CId::kRepairPublishedEntries), answer.size()) << what;
+  }
 }
 
 TEST(IncrementalAnswer, RepairsPublishExactImmutableAnswers) {
-  int patched_runs = 0;
-  int decoded = 0;
+  int repairs = 0;
   int inline_runs = 0;
   int escalated = 0;
   for (const char* shape : {"grid", "chain", "rmat_dir", "long_chain"}) {
@@ -259,7 +266,12 @@ TEST(IncrementalAnswer, RepairsPublishExactImmutableAnswers) {
         expect_published_answer(inc, vg.graph(), source, what);
         const obs::MetricsSnapshot& rs = inc.last_metrics();
         if (rs.counter(CId::kRepairFullSolves) == 0) {
-          ++(patched(rs) ? patched_runs : decoded);
+          // Every earlier answer is held below, so no buffer is free and
+          // each repair copies its answer into a new one: a patch would
+          // rewrite a held answer.
+          EXPECT_FALSE(patched(rs)) << what;
+          EXPECT_EQ(rs.counter(CId::kRepairArrayCopies), 1u) << what;
+          ++repairs;
           // The width follows the work done: a repair escalates to the
           // team exactly when its inline run paused at the budget with work
           // left, so it processed more than the budget in all.
@@ -283,10 +295,8 @@ TEST(IncrementalAnswer, RepairsPublishExactImmutableAnswers) {
       }
     }
   }
-  // Both publishing paths ran, and repairs both stayed inline and
-  // escalated to the team.
-  EXPECT_GT(patched_runs, 0);
-  EXPECT_GT(decoded, 0);
+  // Repairs ran, and both stayed inline and escalated to the team.
+  EXPECT_GT(repairs, 0);
   EXPECT_GT(inline_runs, 0);
   EXPECT_GT(escalated, 0);
 }
@@ -411,8 +421,9 @@ TEST(IncrementalAnswer, EscalatedRepairResumesFromThePausedFrontier) {
 }
 
 /// Undirected path 0-1-...-199 (weight 3) with a pendant leaf 200 on vertex
-/// 195, for repairs from source 0. A quarter of its 201 vertices is 50, so
-/// a change near the far end is patched and one near the source is not.
+/// 195, for repairs from source 0. A sixteenth of its 201 vertices is 12,
+/// so a change near the far end is kept for the next repair's patch and
+/// one near the source is not.
 /// A longer `path` keeps the pendant five vertices from the end.
 Graph comb(VertexId path = 200) {
   std::vector<Edge> edges;
@@ -433,47 +444,67 @@ SsspOptions one_bucket_options() {
   return options;
 }
 
-/// Solves comb() from 0, applies `batch`, repairs, and checks the published
-/// answer; returns the repair's report.
-obs::MetricsSnapshot repair_comb(const GraphDelta& batch) {
+/// What repair_comb() saw: the report of the batch's repair, and whether
+/// the repair after it patched the buffer one publish back.
+struct CombRepair {
+  obs::MetricsSnapshot report;
+  bool next_patched = false;
+};
+
+/// Solves comb() from 0, applies `batch` and repairs, then repairs once
+/// more over an arc insert that lowers nothing, and checks both answers.
+/// The batch's repair copies the full solve's answer, which has no buffer
+/// one publish behind it. The next repair patches the full solve's buffer
+/// forward over the batch's change set, when that set was kept (cone plus
+/// log, within n / kPatchShare): an entry the batch changed but did not
+/// list would read stale there.
+CombRepair repair_comb(const GraphDelta& batch) {
   VersionedGraph vg(comb());
   Repairer inc(one_bucket_options());
-  const auto first = inc.solve(vg, 0);
+  (void)inc.solve(vg, 0);
   (void)vg.apply(batch);
   (void)inc.solve(vg, 0);
   EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 0u);
   expect_published_answer(inc, vg.graph(), 0, "comb");
-  return inc.last_metrics();
+  CombRepair out{inc.last_metrics()};
+  GraphDelta nothing;
+  nothing.insert(0, 2, 100);  // seeds 0 and 2, lowers nothing
+  (void)vg.apply(nothing);
+  (void)inc.solve(vg, 0);
+  expect_published_answer(inc, vg.graph(), 0, "comb, next repair");
+  out.next_patched = patched(inc.last_metrics());
+  return out;
 }
 
 TEST(IncrementalAnswer, ClosurePatchesAConeLeftUnreachable) {
   // Cutting 190-191 strands 191..199 and the pendant: a cone of ten that
-  // no seed reaches, so only the cone patch can publish their infinities.
+  // no seed reaches, so only the cone's entries in the change set carry
+  // their infinities into the next repair's patch.
   GraphDelta cut;
   cut.erase(190, 191);
-  const obs::MetricsSnapshot rs = repair_comb(cut);
-  EXPECT_EQ(rs.counter(CId::kRepairConeVertices), 10u);
-  EXPECT_EQ(rs.counter(CId::kUpdates), 0u);
-  EXPECT_TRUE(patched(rs));
+  const CombRepair r = repair_comb(cut);
+  EXPECT_EQ(r.report.counter(CId::kRepairConeVertices), 10u);
+  EXPECT_EQ(r.report.counter(CId::kUpdates), 0u);
+  EXPECT_TRUE(r.next_patched);
 }
 
 TEST(IncrementalAnswer, DecreasePatchesLoweredVerticesOutsideAnyCone) {
   GraphDelta drop;
   drop.set_weight(196, 197, 1);
-  const obs::MetricsSnapshot rs = repair_comb(drop);
-  EXPECT_EQ(rs.counter(CId::kRepairConeVertices), 0u);
-  EXPECT_GE(rs.counter(CId::kUpdates), 3u);  // 197, 198, 199
-  EXPECT_TRUE(patched(rs));
+  const CombRepair r = repair_comb(drop);
+  EXPECT_EQ(r.report.counter(CId::kRepairConeVertices), 0u);
+  EXPECT_GE(r.report.counter(CId::kUpdates), 3u);  // 197, 198, 199
+  EXPECT_TRUE(r.next_patched);
 }
 
 TEST(IncrementalAnswer, DecreasePatchesAPrunedLeaf) {
   // The pendant 200 is a leaf: 195's push lowers it and never schedules it,
-  // so only a log entry written before the leaf test reaches the answer.
+  // so only a log entry written before the leaf test reaches the patch.
   GraphDelta drop;
   drop.set_weight(193, 194, 1);
-  const obs::MetricsSnapshot rs = repair_comb(drop);
-  EXPECT_EQ(rs.counter(CId::kRepairConeVertices), 0u);
-  EXPECT_TRUE(patched(rs));
+  const CombRepair r = repair_comb(drop);
+  EXPECT_EQ(r.report.counter(CId::kRepairConeVertices), 0u);
+  EXPECT_TRUE(r.next_patched);
 }
 
 TEST(IncrementalAnswer, DecreasePatchesASeedLoweredByItsPull) {
@@ -482,49 +513,46 @@ TEST(IncrementalAnswer, DecreasePatchesASeedLoweredByItsPull) {
   // cheaper arc; 190's later push finds nothing left to improve.
   GraphDelta drop;
   drop.set_weight(190, 191, 1);
-  const obs::MetricsSnapshot rs = repair_comb(drop);
-  EXPECT_EQ(rs.counter(CId::kRepairSeedVertices), 2u);
-  EXPECT_TRUE(patched(rs));
+  const CombRepair r = repair_comb(drop);
+  EXPECT_EQ(r.report.counter(CId::kRepairSeedVertices), 2u);
+  EXPECT_TRUE(r.next_patched);
 }
 
 TEST(IncrementalAnswer, WideConeDecodesTheWholeArray) {
   GraphDelta cut;
-  cut.erase(10, 11);  // a cone of 190 > 50
-  const obs::MetricsSnapshot rs = repair_comb(cut);
-  EXPECT_EQ(rs.counter(CId::kRepairConeVertices), 190u);
-  EXPECT_EQ(rs.counter(CId::kUpdates), 0u);
-  EXPECT_FALSE(patched(rs));
-  EXPECT_EQ(rs.counter(CId::kRepairPublishedEntries), 201u);
+  cut.erase(10, 11);  // a cone of 190 > 12
+  const CombRepair r = repair_comb(cut);
+  EXPECT_EQ(r.report.counter(CId::kRepairConeVertices), 190u);
+  EXPECT_EQ(r.report.counter(CId::kUpdates), 0u);
+  EXPECT_EQ(r.report.counter(CId::kRepairPublishedEntries), 201u);
+  // A change set past the limit is not kept: the next repair copies.
+  EXPECT_FALSE(r.next_patched);
 }
 
 TEST(IncrementalAnswer, WideLogDecodesAfterLogging) {
   GraphDelta drop;
   drop.set_weight(10, 11, 1);  // no cone, but 190 vertices lowered
-  const obs::MetricsSnapshot rs = repair_comb(drop);
-  EXPECT_EQ(rs.counter(CId::kRepairConeVertices), 0u);
-  EXPECT_GT(rs.counter(CId::kUpdates), 50u);
-  EXPECT_FALSE(patched(rs));
+  const CombRepair r = repair_comb(drop);
+  EXPECT_EQ(r.report.counter(CId::kRepairConeVertices), 0u);
+  EXPECT_GT(r.report.counter(CId::kUpdates), 50u);
+  EXPECT_FALSE(r.next_patched);
 }
 
 // --- recycled buffers: a released answer is rewritten, a held one never ---
 
-/// What a repair that patched the buffer one publish behind writes: the
-/// previous repair's change set and its own.
-std::uint64_t two_change_sets(const obs::MetricsSnapshot& previous,
-                              const obs::MetricsSnapshot& current) {
-  return previous.counter(CId::kRepairConeVertices) +
-         previous.counter(CId::kUpdates) +
-         current.counter(CId::kRepairConeVertices) +
-         current.counter(CId::kUpdates);
+/// A repair's change set: its cone plus its log, the entries where its
+/// answer may differ from the one it repaired.
+std::uint64_t change_set(const obs::MetricsSnapshot& m) {
+  return m.counter(CId::kRepairConeVertices) + m.counter(CId::kUpdates);
 }
 
 TEST(IncrementalAnswer, HeldAnswersStayExactWhileReleasedOnesAreRecycled) {
   // A reader keeps each published answer for 0 to 6 further publishes
   // (cycling) and then drops it. Every answer it still holds must read as
-  // its own version's reference. A patched repair whose buffer one publish
-  // behind was released rewrites only the two change sets (while they fit
-  // the patch limit); one whose buffer is still held copies the previous
-  // answer whole.
+  // its own version's reference. A repair whose buffer one publish behind
+  // was released patches it forward over the previous change set alone
+  // (when that set fit the patch limit); one whose buffer is still held
+  // copies the answer it repairs whole.
   VersionedGraph vg(gen::grid(64, 64, WeightScheme::uniform(1, 100), 37));
   const VertexId source = pick_source(vg);
   const std::uint64_t n = vg.num_vertices();
@@ -562,19 +590,17 @@ TEST(IncrementalAnswer, HeldAnswersStayExactWhileReleasedOnesAreRecycled) {
     expect_published_answer(inc, vg.graph(), source, what);
     const obs::MetricsSnapshot rs = inc.last_metrics();
     ASSERT_EQ(rs.counter(CId::kRepairFullSolves), 0u) << what;
-    if (patched(rs) && patched(previous) && !behind_held &&
-        two_change_sets(previous, rs) <= n / kPatchShare) {
-      EXPECT_EQ(rs.counter(CId::kRepairRecycled), 1u) << what;
-      EXPECT_EQ(rs.counter(CId::kRepairPublishedEntries),
-                two_change_sets(previous, rs))
+    // The previous repair kept its change set for this one's patch.
+    const bool kept = previous.counter(CId::kRepairBatches) > 0 &&
+                      change_set(previous) <= n / kPatchShare;
+    if (kept && !behind_held) {
+      EXPECT_TRUE(patched(rs)) << what;
+      EXPECT_EQ(rs.counter(CId::kRepairPublishedEntries), change_set(previous))
           << what;
       ++recycled;
-    } else if (patched(rs)) {
-      EXPECT_EQ(rs.counter(CId::kRepairRecycled), 0u) << what;
-      EXPECT_EQ(rs.counter(CId::kRepairPublishedEntries),
-                n + rs.counter(CId::kRepairConeVertices) +
-                    rs.counter(CId::kUpdates))
-          << what;
+    } else {
+      EXPECT_EQ(rs.counter(CId::kRepairArrayCopies), 1u) << what;
+      EXPECT_EQ(rs.counter(CId::kRepairPublishedEntries), n) << what;
       ++copied;
     }
     previous = rs;
@@ -616,13 +642,13 @@ TEST(IncrementalAnswer, AnswersOutliveTheirSolver) {
   kept.clear();
 }
 
-TEST(IncrementalAnswer, RecycledRepairWritesTheTwoChangeSetsAtAnyN) {
+TEST(IncrementalAnswer, RecycledRepairWritesThePreviousChangeSetAtAnyN) {
   // Drops near the far end of a comb lower the same few vertices at any
   // length. The first repair after the full solve copies the answer (n
-  // plus its change set); each later one patches the buffer one publish
-  // behind with only the two change sets, so the same repairs write the
-  // same entries at n = 201 and 2,001, and a repair that changes nothing
-  // writes just the previous change set.
+  // entries); each later one patches the buffer one publish behind with
+  // only the previous repair's change set, so the same repairs write the
+  // same entries at n = 201 and 2,001, and a repair after one that changed
+  // nothing writes nothing.
   std::vector<std::uint64_t> written[2];
   for (int i = 0; i < 2; ++i) {
     const VertexId path = i == 0 ? 200 : 2000;
@@ -635,37 +661,187 @@ TEST(IncrementalAnswer, RecycledRepairWritesTheTwoChangeSetsAtAnyN) {
     second.set_weight(path - 2, path - 1, 1);
     GraphDelta nothing;
     nothing.insert(0, 2, 100);  // seeds 0 and 2, lowers nothing
+    GraphDelta after_nothing;
+    after_nothing.insert(1, 3, 100);
     obs::MetricsSnapshot previous;
     int k = 0;
-    for (const GraphDelta* batch : {&first, &second, &nothing}) {
+    for (const GraphDelta* batch :
+         {&first, &second, &nothing, &after_nothing}) {
       const std::string what =
           "n " + std::to_string(path + 1) + " repair " + std::to_string(k);
       (void)vg.apply(*batch);
       (void)inc.solve(vg, 0);
       expect_published_answer(inc, vg.graph(), 0, what);
       const obs::MetricsSnapshot rs = inc.last_metrics();
-      ASSERT_TRUE(patched(rs)) << what;
-      EXPECT_EQ(rs.counter(CId::kRepairRecycled), k > 0 ? 1u : 0u) << what;
+      EXPECT_EQ(patched(rs), k > 0) << what;
       if (k == 0) {
-        EXPECT_EQ(rs.counter(CId::kRepairPublishedEntries),
-                  path + 1 + rs.counter(CId::kRepairConeVertices) +
-                      rs.counter(CId::kUpdates))
-            << what;
+        EXPECT_EQ(rs.counter(CId::kRepairPublishedEntries), path + 1) << what;
       } else {
         EXPECT_EQ(rs.counter(CId::kRepairPublishedEntries),
-                  two_change_sets(previous, rs))
+                  change_set(previous))
             << what;
         written[i].push_back(rs.counter(CId::kRepairPublishedEntries));
       }
       previous = rs;
       ++k;
     }
-    EXPECT_EQ(previous.counter(CId::kRepairConeVertices) +
-                  previous.counter(CId::kUpdates),
-              0u);
+    EXPECT_EQ(written[i].back(), 0u);
   }
   EXPECT_EQ(written[0], written[1]);
   EXPECT_GT(written[0].front(), 0u);
+}
+
+// --- the working buffer: patched or copied, then published as it stands ---
+
+/// Solves comb(path) from 0 on `inc`, then repairs a drop near its far end,
+/// a narrow change set. Returns the repair's answer: the full solve's
+/// buffer is free by then, so the next repair of it can patch that buffer.
+Answer comb_after_narrow_repair(Solver& inc, VersionedGraph& vg) {
+  Answer answer = inc.solve(vg, 0, {}, 0);
+  const std::uint64_t answered = vg.version();
+  const VertexId far = vg.num_vertices() - 5;
+  (void)vg.apply(GraphDelta().set_weight(far, far + 1, 1));
+  answer = inc.solve(vg, 0, answer, answered);
+  EXPECT_EQ(inc.last_metrics().counter(CId::kRepairArrayCopies), 1u);
+  return answer;
+}
+
+TEST(IncrementalAnswer, RepairPublishesTheBufferOnePublishBack) {
+  // The repair of the last answer published, whose buffer one publish back
+  // every holder dropped, patches that buffer forward and publishes it: no
+  // O(n) pass, no copy, and the new answer is the dropped one's storage.
+  VersionedGraph vg(comb());
+  Solver inc(one_bucket_options());
+  Answer full = inc.solve(vg, 0, {}, 0);
+  const Distance* const dropped = full.data();
+  const std::uint64_t full_version = vg.version();
+  (void)vg.apply(GraphDelta().set_weight(196, 197, 1));
+  Answer answer = inc.solve(vg, 0, full, full_version);
+  const std::uint64_t answered = vg.version();
+  full = Answer();  // every holder of the buffer one publish back let go
+
+  (void)vg.apply(GraphDelta().set_weight(190, 191, 30));
+  answer = inc.solve(vg, 0, answer, answered);
+  const obs::MetricsSnapshot& m = inc.last_metrics();
+  EXPECT_EQ(m.counter(CId::kRepairFullSolves), 0u);
+  EXPECT_EQ(m.counter(CId::kEpochSweeps), 0u);
+  EXPECT_EQ(m.counter(CId::kRepairArrayCopies), 0u);
+  EXPECT_EQ(m.counter(CId::kRepairRecycled), 1u);
+  EXPECT_EQ(answer.data(), dropped);
+  EXPECT_EQ(answer, dijkstra(vg.graph(), 0).dist);
+}
+
+TEST(IncrementalAnswer, RepairWithNoFreeBufferCopiesItsAnswerOnce) {
+  // Every earlier answer is still held, so no buffer is free: the repair
+  // copies `from` into a new buffer once (one epoch sweep, n entries
+  // written) and is still exact.
+  VersionedGraph vg(comb());
+  Solver inc(one_bucket_options());
+  const Answer full = inc.solve(vg, 0, {}, 0);
+  (void)vg.apply(GraphDelta().set_weight(196, 197, 1));
+  const Answer first = inc.solve(vg, 0, full, vg.version() - 1);
+  (void)vg.apply(GraphDelta().set_weight(190, 191, 30));
+  const Answer second = inc.solve(vg, 0, first, vg.version() - 1);
+  const obs::MetricsSnapshot& m = inc.last_metrics();
+  EXPECT_EQ(m.counter(CId::kEpochSweeps), 1u);
+  EXPECT_EQ(m.counter(CId::kRepairArrayCopies), 1u);
+  EXPECT_EQ(m.counter(CId::kRepairRecycled), 0u);
+  EXPECT_EQ(m.counter(CId::kRepairPublishedEntries), vg.num_vertices());
+  EXPECT_EQ(second, dijkstra(vg.graph(), 0).dist);
+  for (const Answer* held : {&full, &first})
+    EXPECT_NE(second.data(), held->data());
+}
+
+TEST(IncrementalAnswer, RepairCancelledMidWalkIsNeitherPublishedNorPatched) {
+  // A jam near the head of a long path re-prices its whole tail: a cone
+  // of 2^18 vertices whose walk polls the token every 4,096 of them. A
+  // deadline that passes inside the walk cancels the repair after it has
+  // patched the free buffer one publish back and written bounds into it.
+  // That buffer must be freed, not returned: the next repair finds no
+  // buffer one publish back, copies its answer, and is exact.
+  constexpr VertexId kPath = VertexId{1} << 18;
+  VersionedGraph vg(comb(kPath));
+  Solver inc(one_bucket_options());
+  const Answer answer = comb_after_narrow_repair(inc, vg);
+  const std::uint64_t answered = vg.version();
+  (void)vg.apply(GraphDelta().set_weight(2, 3, 500));
+
+  CancelToken token;
+  inc.options().cancel = &token;
+  int cancelled = 0;
+  for (auto budget = std::chrono::microseconds(50);; budget *= 2) {
+    token.reset();
+    token.set_budget(budget);
+    try {
+      const Answer repaired = inc.solve(vg, 0, answer, answered);
+      const obs::MetricsSnapshot& m = inc.last_metrics();
+      EXPECT_EQ(m.counter(CId::kRepairFullSolves), 0u);
+      EXPECT_EQ(m.counter(CId::kRepairConeVertices), kPath - 2);
+      EXPECT_EQ(m.counter(CId::kRepairRecycled), 0u);
+      EXPECT_EQ(m.counter(CId::kRepairArrayCopies), 1u);
+      EXPECT_EQ(repaired, dijkstra(vg.graph(), 0).dist);
+      break;
+    } catch (const SolveCancelledError& e) {
+      EXPECT_EQ(e.reason(), CancelReason::kDeadline);
+      ++cancelled;
+    }
+  }
+  EXPECT_GT(cancelled, 0);
+}
+
+TEST(IncrementalAnswer, ThreeHundredRepairsWrapTheConeStampAndStayExact) {
+  // The cone is marked with a one-byte stamp, new for every repair and
+  // cleared in full only when it wraps after 255 repairs. A stale mark
+  // left from a stamp's previous use would read as a cone vertex. Every
+  // repair of a long run must stay bit-identical to Dijkstra, on both
+  // the patch and the copy path.
+  VersionedGraph vg(gen::grid(16, 16, WeightScheme::uniform(1, 100), 41));
+  const VertexId source = pick_source(vg);
+  Repairer inc(test_options());
+  (void)inc.solve(vg, source);
+  Answer kept;  // every seventh answer is held one extra publish
+  Xoshiro256 rng(0x57A3ULL);
+  int repairs = 0;
+  int patches = 0;
+  while (repairs < 300) {
+    const GraphDelta delta = random_batch(vg, Mode::kMixed, rng, 3);
+    if (delta.empty()) continue;
+    (void)vg.apply(delta);
+    (void)inc.solve(vg, source);
+    const std::string what = "repair " + std::to_string(repairs);
+    ASSERT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 0u) << what;
+    ASSERT_EQ(dijkstra(vg.graph(), source).dist, inc.answer()) << what;
+    if (patched(inc.last_metrics())) ++patches;
+    kept = ++repairs % 7 == 0 ? inc.answer() : Answer();
+  }
+  EXPECT_GT(patches, 0);
+  EXPECT_LT(patches, repairs);
+}
+
+TEST(IncrementalAnswer, SolverStateIsTwoBytesPerVertexAfterItsFirstRepair) {
+  // The solver_state_bytes gauge: free answer buffers plus repair scratch.
+  // A cold solve hands its buffer out as its result, so a Solver keeps no
+  // distance array between cold solves. Its first versioned solve, here a
+  // narrow repair of a given answer, adds the cone stamps and the seed
+  // flags, one byte per vertex each, plus lists sized by the cone: no
+  // four-byte bound per vertex.
+  VersionedGraph vg(comb(2000));
+  const std::uint64_t n = vg.num_vertices();
+  Solver inc(one_bucket_options());
+  const auto state_bytes = [&] {
+    return inc.last_metrics().gauge(obs::GaugeId::kSolverStateBytes);
+  };
+  EXPECT_EQ(inc.solve(vg.graph(), 0).dist, dijkstra(vg.graph(), 0).dist);
+  EXPECT_EQ(state_bytes(), 0u);
+
+  const Answer from(dijkstra(vg.graph(), 0).dist);
+  const std::uint64_t answered = vg.version();
+  (void)vg.apply(GraphDelta().set_weight(1990, 1991, 30));
+  const Answer repaired = inc.solve(vg, 0, from, answered);
+  ASSERT_EQ(inc.last_metrics().counter(CId::kRepairBatches), 1u);
+  EXPECT_EQ(repaired, dijkstra(vg.graph(), 0).dist);
+  EXPECT_GE(state_bytes(), 2 * n);
+  EXPECT_LT(state_bytes(), 3 * n);
 }
 
 // --- re-priced cones: each cone vertex keeps its old tree path's price ---
@@ -697,7 +873,15 @@ TEST(IncrementalReprice, TreeJamRepricesTheSubtreeWithoutUpdates) {
   EXPECT_EQ(rs.counter(CId::kRepairConeResets), 0u);
   EXPECT_EQ(run_updates(inc), 0u);
   EXPECT_EQ(rs.counter(CId::kUpdates), 0u);
-  EXPECT_TRUE(patched(rs));
+  // The cone alone is the change set, so the next repair patches the full
+  // solve's buffer forward with the ten re-priced entries.
+  GraphDelta nothing;
+  nothing.insert(0, 2, 100);  // seeds 0 and 2, lowers nothing
+  (void)vg.apply(nothing);
+  (void)inc.solve(vg, 0);
+  expect_published_answer(inc, vg.graph(), 0, "comb jam, next repair");
+  EXPECT_TRUE(patched(inc.last_metrics()));
+  EXPECT_EQ(inc.last_metrics().counter(CId::kRepairPublishedEntries), 10u);
 
   // Two raises of one arc caught up at once: only the first is admissible
   // under the warm distances, but the head must be priced at the second.
@@ -1446,9 +1630,11 @@ TEST(IncrementalWarm, UnchangedVersionIsServedWithoutResolving) {
 }
 
 TEST(IncrementalWarm, SourceChangeRepairsFromTheGivenAnswer) {
-  // One solver, three sources, each repaired from its own answer. The
-  // answer the array holds repairs in place; the others are loaded into
-  // the array first (one epoch sweep each), whoever computed them.
+  // One solver, three sources, each repaired from its own answer, whoever
+  // computed it. from7 is the last answer published, but the buffer one
+  // publish behind it is from3's, which this test still holds, so every
+  // repair copies its answer into a working buffer once (one epoch sweep
+  // each) and publishes that buffer, never `from`'s.
   VersionedGraph vg(make_shape("er"));
   Solver inc(test_options());
   const std::uint64_t answered = vg.version();
@@ -1457,16 +1643,17 @@ TEST(IncrementalWarm, SourceChangeRepairsFromTheGivenAnswer) {
   const Answer from11(dijkstra(vg.graph(), 11).dist);
   (void)vg.apply(mixed_batch(vg, 3, 6));
 
-  for (const auto& [source, from, loads] :
-       {std::tuple{VertexId{7}, from7, 0u}, std::tuple{VertexId{3}, from3, 1u},
-        std::tuple{VertexId{11}, from11, 1u}}) {
+  for (const auto& [source, from] :
+       {std::pair{VertexId{7}, from7}, std::pair{VertexId{3}, from3},
+        std::pair{VertexId{11}, from11}}) {
     const Answer to = inc.solve(vg, source, from, answered);
     const obs::MetricsSnapshot& rs = inc.last_metrics();
     EXPECT_EQ(rs.counter(CId::kRepairFullSolves), 0u) << source;
     EXPECT_EQ(rs.counter(CId::kRepairBatches), 1u) << source;
-    EXPECT_EQ(rs.counter(CId::kEpochSweeps), loads) << source;
+    EXPECT_EQ(rs.counter(CId::kEpochSweeps), 1u) << source;
+    EXPECT_EQ(rs.counter(CId::kRepairArrayCopies), 1u) << source;
     EXPECT_EQ(dijkstra(vg.graph(), source).dist, to) << source;
-    EXPECT_EQ(inc.distances().current()->snapshot(), to) << source;
+    EXPECT_NE(to.data(), from.data()) << source;
   }
 }
 
@@ -1489,11 +1676,14 @@ TEST(IncrementalWarm, JournalTrimForcesFullSolve) {
 
 TEST(IncrementalWarm, BadAnswerInputsThrowInvalidOptions) {
   // A version the graph has not reached, or an answer sized for another
-  // graph, is rejected before anything runs: the array stays warm. So is a
-  // source out of range, as the cold door rejects it, on every path.
+  // graph, is rejected before anything runs: the next repair still
+  // patches the buffer one publish back. So is a source out of range, as
+  // the cold door rejects it, on every path.
   VersionedGraph vg(make_shape("er"));
   Solver inc(test_options());
-  const Answer answer = inc.solve(vg, 3, {}, 0);
+  Answer answer = inc.solve(vg, 3, {}, 0);
+  (void)vg.apply(mixed_batch(vg, 4, 4));
+  answer = inc.solve(vg, 3, answer, vg.version() - 1);  // frees the first
   const std::uint64_t answered = vg.version();
   EXPECT_THROW((void)inc.solve(vg, 3, answer, answered + 1),
                InvalidOptionsError);
@@ -1511,6 +1701,7 @@ TEST(IncrementalWarm, BadAnswerInputsThrowInvalidOptions) {
   EXPECT_EQ(inc.solve(vg, 3, answer, answered), dijkstra(vg.graph(), 3).dist);
   EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 0u);
   EXPECT_EQ(inc.last_metrics().counter(CId::kEpochSweeps), 0u);
+  EXPECT_EQ(inc.last_metrics().counter(CId::kRepairRecycled), 1u);
 }
 
 /// Jams `src`'s arc to `dst` and checks the repair from `src`: exact, and
@@ -1554,51 +1745,54 @@ TEST(IncrementalWarm, JamOnTheSourceOutArcSeedsOnlyTheSource) {
 }
 
 TEST(IncrementalWarm, ForeignSolverUseColdsTheWarmState) {
-  VersionedGraph vg(make_shape("er"));
-  Solver inc(test_options());
-  const VertexId source = pick_source(vg);
-  const Answer answer = inc.solve(vg, source, {}, 0);
+  VersionedGraph vg(comb());
+  Solver inc(one_bucket_options());
+  const Answer answer = comb_after_narrow_repair(inc, vg);
   const std::uint64_t answered = vg.version();
 
-  // A cold solve on the same Solver takes the pooled array: the next
-  // repair must load its answer back (one epoch sweep) instead of
-  // repairing on top of someone else's distances.
+  // A cold solve on the same Solver takes the free buffer one publish back
+  // and hands it out as its result: the next repair has nothing to patch
+  // and copies its answer (one epoch sweep) instead of patching someone
+  // else's distances.
   Graph other = make_shape("grid");
   (void)inc.solve(other, 0);
-  (void)vg.apply(mixed_batch(vg, 5, 4));
+  (void)vg.apply(GraphDelta().set_weight(190, 191, 30));
 
-  const Answer dist = inc.solve(vg, source, answer, answered);
+  const Answer dist = inc.solve(vg, 0, answer, answered);
   EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 0u);
   EXPECT_EQ(inc.last_metrics().counter(CId::kEpochSweeps), 1u);
-  EXPECT_EQ(dijkstra(vg.graph(), source).dist, dist);
+  EXPECT_EQ(inc.last_metrics().counter(CId::kRepairRecycled), 0u);
+  EXPECT_EQ(dijkstra(vg.graph(), 0).dist, dist);
 }
 
 TEST(IncrementalWarm, CancelledRepairThrowsAndLeavesSolverReusable) {
-  VersionedGraph vg(make_shape("er"));
-  Solver inc(test_options());
-  const VertexId source = pick_source(vg);
-  const Answer answer = inc.solve(vg, source, {}, 0);
+  VersionedGraph vg(comb());
+  Solver inc(one_bucket_options());
+  const Answer answer = comb_after_narrow_repair(inc, vg);
   const std::uint64_t answered = vg.version();
-  (void)vg.apply(mixed_batch(vg, 9, 8));
+  (void)vg.apply(GraphDelta().set_weight(190, 191, 30));
 
   CancelToken token;
   token.request_cancel(CancelReason::kUser);
   inc.options().cancel = &token;
-  EXPECT_THROW((void)inc.solve(vg, source, answer, answered),
+  EXPECT_THROW((void)inc.solve(vg, 0, answer, answered),
                SolveCancelledError);
 
-  // The array holds no answer any more: the retry loads it again.
+  // A pre-fired token throws before the repair takes a buffer: the retry
+  // still patches the one a publish back.
   inc.options().cancel = nullptr;
-  const Answer dist = inc.solve(vg, source, answer, answered);
+  const Answer dist = inc.solve(vg, 0, answer, answered);
   EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 0u);
-  EXPECT_EQ(inc.last_metrics().counter(CId::kEpochSweeps), 1u);
-  EXPECT_EQ(dijkstra(vg.graph(), source).dist, dist);
+  EXPECT_EQ(inc.last_metrics().counter(CId::kEpochSweeps), 0u);
+  EXPECT_EQ(inc.last_metrics().counter(CId::kRepairRecycled), 1u);
+  EXPECT_EQ(dijkstra(vg.graph(), 0).dist, dist);
 }
 
 TEST(IncrementalWarm, EngineFailureAfterTheWalkDiscardsTheWarmState) {
-  // The walk has stored re-priced bounds in the array by the time the
-  // engine runs; after an engine that throws, the next repair must load
-  // its answer instead of running on those bounds.
+  // The walk has stored re-priced bounds in the working buffer by the time
+  // the engine runs; after an engine that throws, that buffer is freed
+  // unpublished, and the next repair copies its answer instead of
+  // patching those bounds.
   struct ThrowingObserver : obs::RunObserver {
     void on_termination(int /*tid*/) override {
       throw std::runtime_error("observer failed");
@@ -1606,7 +1800,7 @@ TEST(IncrementalWarm, EngineFailureAfterTheWalkDiscardsTheWarmState) {
   } throwing;
   VersionedGraph vg(comb());
   Solver inc(one_bucket_options());
-  const Answer answer = inc.solve(vg, 0, {}, 0);
+  const Answer answer = comb_after_narrow_repair(inc, vg);
   const std::uint64_t answered = vg.version();
   GraphDelta jam;
   jam.set_weight(190, 191, 30);
@@ -1618,6 +1812,7 @@ TEST(IncrementalWarm, EngineFailureAfterTheWalkDiscardsTheWarmState) {
   const Answer dist = inc.solve(vg, 0, answer, answered);
   EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 0u);
   EXPECT_EQ(inc.last_metrics().counter(CId::kEpochSweeps), 1u);
+  EXPECT_EQ(inc.last_metrics().counter(CId::kRepairRecycled), 0u);
   EXPECT_EQ(dijkstra(vg.graph(), 0).dist, dist);
 }
 

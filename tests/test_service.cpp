@@ -12,8 +12,10 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <mutex>
+#include <new>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -31,6 +33,70 @@
 #include "sssp/solver.hpp"
 #include "support/cancel.hpp"
 #include "support/errors.hpp"
+
+namespace {
+
+/// Test-only allocation seam: while g_watched_bytes is non-zero, every
+/// ::operator new of exactly that many bytes is recorded, so a test can see
+/// which buffers of an answer's size a query allocated.
+std::atomic<std::size_t> g_watched_bytes{0};
+constexpr std::size_t kMaxWatched = 8;
+std::atomic<std::size_t> g_watched_count{0};
+std::atomic<void*> g_watched[kMaxWatched];
+
+void* watched_malloc(std::size_t size) noexcept {
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p != nullptr && size == g_watched_bytes.load(std::memory_order_relaxed)) {
+    const std::size_t i =
+        g_watched_count.fetch_add(1, std::memory_order_relaxed);
+    if (i < kMaxWatched) g_watched[i].store(p, std::memory_order_relaxed);
+  }
+  return p;
+}
+
+void* watched_malloc_or_throw(std::size_t size) {
+  void* p = watched_malloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+}  // namespace
+
+// Every unaligned form is replaced, so each allocation and its release meet
+// in malloc and free: a sanitizer's own operator new would not match this
+// file's delete. Out of line, so the compiler does not pair the malloc and
+// free across an inlined new/delete (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  return watched_malloc_or_throw(size);
+}
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return watched_malloc_or_throw(size);
+}
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     const std::nothrow_t& /*tag*/) noexcept {
+  return watched_malloc(size);
+}
+[[gnu::noinline]] void* operator new[](std::size_t size,
+                                       const std::nothrow_t& /*tag*/) noexcept {
+  return watched_malloc(size);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t /*size*/) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p,
+                                         std::size_t /*size*/) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t& /*tag*/) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](
+    void* p, const std::nothrow_t& /*tag*/) noexcept {
+  std::free(p);
+}
 
 namespace wasp {
 namespace {
@@ -393,6 +459,36 @@ TEST(ServiceQuery, FreshStaleAndServedAnswersShareOneBuffer) {
   EXPECT_EQ(rs.dist.data(), served.dist.data());
   blocker.release();
   EXPECT_EQ(running.get().outcome, Outcome::kServed);
+}
+
+TEST(ServiceQuery, ServedColdAnswerIsTheBufferItsRunWrote) {
+  // A cold run relaxes in one n-entry buffer, and that buffer is the answer
+  // all the way out: QueryResult::dist and the cache entry are it, with no
+  // copy. The query allocates exactly one buffer of n distances (the seam
+  // above records them), and the served answer lives there.
+  const Graph g = gen::erdos_renyi(2999, 6.0, WeightScheme::gap(), 33);
+  const VertexId source = pick_source_in_largest_component(g, 11);
+  const std::vector<Distance> reference = dijkstra(g, source).dist;
+  ServiceConfig config;
+  config.solver = options_for(Algorithm::kWasp);
+  config.num_solvers = 1;
+  QueryService svc(config);
+
+  g_watched_count.store(0, std::memory_order_relaxed);
+  g_watched_bytes.store(g.num_vertices() * sizeof(Distance),
+                        std::memory_order_relaxed);
+  const QueryResult served = svc.solve(g, {.source = source});
+  g_watched_bytes.store(0, std::memory_order_relaxed);
+  ASSERT_EQ(served.outcome, Outcome::kServed);
+  ASSERT_EQ(served.attempts, 1);
+  EXPECT_EQ(served.dist, reference);
+  ASSERT_EQ(g_watched_count.load(std::memory_order_relaxed), 1u);
+  EXPECT_EQ(served.dist.data(), g_watched[0].load(std::memory_order_relaxed));
+
+  // The cache stored that buffer: a repeat is served from it at submit.
+  const QueryResult repeat = svc.solve(g, {.source = source});
+  EXPECT_EQ(repeat.attempts, 0);
+  EXPECT_EQ(repeat.dist.data(), served.dist.data());
 }
 
 TEST(ServiceQuery, PlainGraphRepeatIsServedFromTheCacheAtSubmit) {

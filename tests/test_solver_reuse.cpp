@@ -1,11 +1,11 @@
-// Solver-reuse correctness: the query-throughput fast path (pooled
-// distances, cached partitions, prefetched relaxation) must be invisible in
-// results. A reused Solver answering the same query twice, or a different
-// query, must produce distances bit-identical to a fresh per-call solve —
-// for every algorithm, and after a cancelled run, a different graph or an
-// incremental repair left the pooled array dirty. The partition-cache
-// suites are named PartitionReuse so the TSan preset's Partition filter
-// runs them.
+// Solver-reuse correctness: the query-throughput fast path (recycled
+// distance buffers, cached partitions, prefetched relaxation) must be
+// invisible in results. A reused Solver answering the same query twice, or
+// a different query, must produce distances bit-identical to a fresh
+// per-call solve — for every algorithm, and after a cancelled run, a
+// different graph or an incremental repair left a free buffer dirty. The
+// partition-cache suites are named PartitionReuse so the TSan preset's
+// Partition filter runs them.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -61,9 +61,8 @@ TEST_P(SolverReuse, RepeatAndCrossSourceQueriesAreBitIdentical) {
   EXPECT_EQ(r2.dist, fresh1.dist);
   EXPECT_EQ(r3.dist, fresh2.dist);
 
-  // Every pooled solve pays one O(V) fill: the first allocates the array
-  // at kInfDist, repeat queries refill it. Sequential Dijkstra bypasses the
-  // pool entirely.
+  // Every flat solve pays one O(V) fill of the buffer it runs in and
+  // returns. Sequential Dijkstra keeps its own vector and fills none.
   const auto sweeps = [](const SsspResult& r) {
     return r.metrics.counter(obs::CounterId::kEpochSweeps);
   };
@@ -111,9 +110,10 @@ Graph make_large_graph(std::uint64_t seed) {
 class SolverReuseAfterReset : public testing::TestWithParam<Algorithm> {};
 
 TEST_P(SolverReuseAfterReset, DirtyPoolIsRefilledBeforeEverySolve) {
-  // A pooled solve's only reset is the fill at acquire, so whatever the
-  // previous user left in the array must not leak into the next answer.
-  // Each step below leaves it dirty in a different way.
+  // A flat solve's only reset is the fill of the buffer it takes, so
+  // whatever the buffer's previous user left in it must not leak into the
+  // next answer. Each step below hands the next solve a dirty buffer or
+  // none in a different way.
   VersionedGraph vg(make_large_graph(17));
   const Graph other = make_large_graph(18);
   ASSERT_EQ(other.num_vertices(), vg.num_vertices());
@@ -133,30 +133,37 @@ TEST_P(SolverReuseAfterReset, DirtyPoolIsRefilledBeforeEverySolve) {
   EXPECT_EQ(r.dist, dijkstra(vg.graph(), s).dist);
   EXPECT_EQ(r.metrics.counter(obs::CounterId::kEpochSweeps), 1u);
 
-  // Another graph of the same size reuses the allocation.
-  const AtomicDistances* array = solver.distances().current();
+  // Another graph of the same size: a cold solve hands its buffer out as
+  // the result, so the Solver keeps none between cold solves.
   r = solver.solve(other, t);
   EXPECT_EQ(r.dist, dijkstra(other, t).dist);
-  EXPECT_EQ(solver.distances().current(), array);
+  EXPECT_EQ(solver.last_metrics().gauge(obs::GaugeId::kSolverStateBytes), 0u);
 
-  // A full solve leaves its answer in the array, so the repair runs on it
-  // with no load, and leaves its own answer there for the next repair.
+  // A full solve, then two repairs of the last answer published. The first
+  // has no buffer one publish behind and copies its answer (one epoch
+  // sweep). The second patches the full solve's buffer, which the loop
+  // dropped, with no epoch sweep.
   Answer answer = solver.solve(vg, s, {}, 0);
   std::uint64_t answered = vg.version();
   const WEdge first = vg.flat().out_neighbors(s)[0];
-  (void)vg.apply(GraphDelta().set_weight(s, first.dst, first.w + 50));
-  answer = solver.solve(vg, s, answer, answered);
-  answered = vg.version();
-  EXPECT_EQ(answer, dijkstra(vg.graph(), s).dist);
-  EXPECT_EQ(solver.last_metrics().counter(obs::CounterId::kRepairFullSolves),
-            0u);
-  EXPECT_EQ(solver.last_metrics().counter(obs::CounterId::kEpochSweeps), 0u);
+  for (const std::uint64_t sweeps : {1u, 0u}) {
+    const Weight w = vg.flat().out_neighbors(s)[0].w;
+    (void)vg.apply(GraphDelta().set_weight(s, first.dst, w + 50));
+    answer = solver.solve(vg, s, answer, answered);
+    answered = vg.version();
+    EXPECT_EQ(answer, dijkstra(vg.graph(), s).dist);
+    EXPECT_EQ(
+        solver.last_metrics().counter(obs::CounterId::kRepairFullSolves), 0u);
+    EXPECT_EQ(solver.last_metrics().counter(obs::CounterId::kEpochSweeps),
+              sweeps);
+  }
   r = solver.solve(other, t);
   EXPECT_EQ(r.dist, dijkstra(other, t).dist);
 
-  // That solve took the pooled array, so the next update loads the answer
-  // (one epoch sweep) instead of repairing on top of the other graph's
-  // distances.
+  // That solve took the free buffer one publish back, the first repair's
+  // answer, refilled it and returned it as its result, so the next repair
+  // copies its answer (one epoch sweep) instead of patching the other
+  // graph's distances.
   (void)vg.apply(GraphDelta().set_weight(s, first.dst, first.w));
   EXPECT_EQ(solver.solve(vg, s, answer, answered),
             dijkstra(vg.graph(), s).dist);
@@ -219,22 +226,23 @@ TEST(PartitionReuse, RepeatAndCrossSourceQueriesAreBitIdentical) {
   EXPECT_EQ(r3.dist, fresh2.dist);
 
   // One build, on the cold solve only, and one fill of the shard set per
-  // solve: the build constructs them at kInfDist, reuse refills them. The
-  // flat pooled array is never acquired for a partitioned run.
+  // solve: the build fills them with kInfDist, reuse refills them. A
+  // partitioned run takes no flat buffer, and the Solver holds none.
   EXPECT_EQ(builds(r1), 1u);
   EXPECT_EQ(builds(r2), 0u);
   EXPECT_EQ(builds(r3), 0u);
   EXPECT_EQ(sweeps(r1), 1u);
   EXPECT_EQ(sweeps(r2), 1u);
   EXPECT_EQ(sweeps(r3), 1u);
-  EXPECT_EQ(solver.distances().current(), nullptr);
+  EXPECT_EQ(r3.metrics.gauge(obs::GaugeId::kSolverStateBytes), 0u);
 }
 
 TEST(PartitionReuse, OneFragmentRunIsTheFlatRun) {
   // A partitioned run that resolves to one fragment (one fragment asked
-  // for, or one thread) builds nothing and runs on the pooled flat array;
-  // at one thread it does exactly the flat run's work.
+  // for, or one thread) builds nothing and runs in a flat buffer; at one
+  // thread it does exactly the flat run's work.
   const Graph g = make_test_graph();
+  VersionedGraph vg(make_test_graph());
   const VertexId s = pick_source_in_largest_component(g, 11);
   const std::vector<Distance> reference = dijkstra(g, s).dist;
   for (const int threads : {4, 1}) {
@@ -244,10 +252,19 @@ TEST(PartitionReuse, OneFragmentRunIsTheFlatRun) {
     const SsspResult r = solver.solve(g, s);
     EXPECT_EQ(r.dist, reference);
     EXPECT_EQ(builds(r), 0u);
-    EXPECT_EQ(sweeps(r), 1u);  // the pooled array's first fill
-    ASSERT_NE(solver.distances().current(), nullptr);
-    EXPECT_EQ(solver.distances().current()->size(), g.num_vertices());
-    EXPECT_EQ(sweeps(solver.solve(g, s)), 1u);  // then a refill
+    EXPECT_EQ(sweeps(r), 1u);  // the buffer's fill
+    // Two published answers free the first one's buffer; the flat run
+    // takes it, refills it and returns it as its result.
+    const Distance* freed = nullptr;
+    {
+      const Answer a = solver.solve(vg, s, {}, 0);
+      freed = a.data();
+    }
+    (void)solver.solve(vg, s, {}, 0);
+    const SsspResult again = solver.solve(g, s);
+    EXPECT_EQ(again.dist, reference);
+    EXPECT_EQ(again.dist.data(), freed);
+    EXPECT_EQ(sweeps(again), 1u);
 
     if (threads == 1) {
       options.wasp.partition.enabled = false;
@@ -257,18 +274,26 @@ TEST(PartitionReuse, OneFragmentRunIsTheFlatRun) {
     }
   }
 
-  // It also leaves its answer in the pooled array, so the Solver's repair
-  // runs on it in place, with no load (no epoch sweep).
-  VersionedGraph vg(gen::grid(30, 30, WeightScheme::uniform(1, 100), 5));
+  // A one-fragment full solve publishes the buffer it ran in. The first
+  // repair copies that answer; the second patches the full solve's buffer,
+  // which the loop dropped, with no copy (no epoch sweep).
+  VersionedGraph grid(gen::grid(30, 30, WeightScheme::uniform(1, 100), 5));
   Solver inc(partitioned_options(1));
-  const Answer answer = inc.solve(vg, 0, {}, 0);
-  EXPECT_EQ(answer, dijkstra(vg.graph(), 0).dist);
-  const std::uint64_t answered = vg.version();
-  const WEdge first = vg.flat().out_neighbors(0)[0];
-  (void)vg.apply(GraphDelta().set_weight(0, first.dst, first.w + 50));
-  EXPECT_EQ(inc.solve(vg, 0, answer, answered), dijkstra(vg.graph(), 0).dist);
-  EXPECT_EQ(inc.last_metrics().counter(obs::CounterId::kRepairFullSolves), 0u);
-  EXPECT_EQ(inc.last_metrics().counter(obs::CounterId::kEpochSweeps), 0u);
+  Answer answer = inc.solve(grid, 0, {}, 0);
+  EXPECT_EQ(answer, dijkstra(grid.graph(), 0).dist);
+  std::uint64_t answered = grid.version();
+  const WEdge first = grid.flat().out_neighbors(0)[0];
+  for (const std::uint64_t sweeps : {1u, 0u}) {
+    const Weight w = grid.flat().out_neighbors(0)[0].w;
+    (void)grid.apply(GraphDelta().set_weight(0, first.dst, w + 50));
+    answer = inc.solve(grid, 0, answer, answered);
+    answered = grid.version();
+    EXPECT_EQ(answer, dijkstra(grid.graph(), 0).dist);
+    EXPECT_EQ(inc.last_metrics().counter(obs::CounterId::kRepairFullSolves),
+              0u);
+    EXPECT_EQ(inc.last_metrics().counter(obs::CounterId::kEpochSweeps),
+              sweeps);
+  }
 }
 
 TEST(PartitionReuse, EachVersionedBatchForcesExactlyOneRebuild) {
@@ -337,11 +362,10 @@ TEST(PartitionReuse, FragmentCountOrTopologyChangeForcesRebuild) {
 }
 
 TEST(PartitionReuse, RepairNeverBindsToTheUnusedFlatArray) {
-  // A partitioned full solve keeps its distances in fragment shards, so
-  // the pooled flat array holds no answer the repair could start from —
-  // here it holds another source's distances from an earlier flat solve.
-  // The repair loads the answer it is given into the array instead, and
-  // runs one fragment over it.
+  // A partitioned full solve keeps its distances in fragment shards and
+  // publishes their copy-out, and an earlier flat solve handed its buffer
+  // out as its result. The repair copies the answer it is given into a
+  // working buffer and runs one fragment over it.
   VersionedGraph vg(gen::grid(30, 30, WeightScheme::uniform(1, 100), 5));
   Solver inc(partitioned_options(2));
   const VertexId s = 0;

@@ -331,7 +331,8 @@ TEST(VerifyModel, RelaxToPublishesWithRelease) {
   // primitive's order (mutant DIST-7e9ec7).
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
     verify::atomic<int> data{0};
-    AtomicDistances dist(1);
+    std::vector<Distance> buffer(1, kInfDist);
+    const AtomicDistances dist(buffer);
     int seen = -1;
     Session session(session_options(2, seed));
     run_bound(session, 2, [&](int tid) {
@@ -1817,10 +1818,9 @@ TEST(SchedulerHarness, PartitionedWaspEndToEndSchedulesMatchDijkstra) {
 TEST(SchedulerHarness, PlacementPhaseShardsNeverReadZero) {
   // Partitioned Wasp builds each fragment's distance shard on the
   // fragment's leader inside a team run (run_wasp's placement phase), and
-  // the leader's peers read it in the next run. Nothing in the model orders
-  // a peer after the leader's stores, so a peer's load may return any store
-  // its clock does not rule out, an entry's initial value included: an
-  // entry that began at 0 and was filled afterwards would read as a ghost
+  // the leader's peers read it through atomic_ref in the next run. A peer's
+  // load may return any store its clock does not rule out, so a shard whose
+  // entries the model saw at 0 before the fill would read as a ghost
   // distance 0. Every entry must read kInfDist from every worker.
   constexpr VertexId kShardSize = 96;
   const SeedRange seeds = harness_seeds(kE2eSeeds / 4);
@@ -1828,7 +1828,7 @@ TEST(SchedulerHarness, PlacementPhaseShardsNeverReadZero) {
     const int threads = 2 + static_cast<int>(seed % 3);
     const int fragments = threads > 2 ? 2 : 1;
     ThreadTeam team(threads);
-    std::vector<std::unique_ptr<AtomicDistances>> shards(
+    std::vector<std::vector<Distance>> shards(
         static_cast<std::size_t>(fragments));
     std::vector<std::uint64_t> not_inf(static_cast<std::size_t>(threads), 0);
     Session session(session_options(threads, seed));
@@ -1839,15 +1839,16 @@ TEST(SchedulerHarness, PlacementPhaseShardsNeverReadZero) {
       team.run([&](int tid) {
         verify::ScopedSchedule schedule_guard(tid);
         if (tid % 2 == 0 && tid / 2 < fragments) {
-          shards[static_cast<std::size_t>(tid / 2)] =
-              std::make_unique<AtomicDistances>(kShardSize);
+          shards[static_cast<std::size_t>(tid / 2)].assign(kShardSize,
+                                                           kInfDist);
         }
       });
       team.run([&](int tid) {
         verify::ScopedSchedule schedule_guard(tid);
-        for (const auto& shard : shards) {
+        for (std::vector<Distance>& shard : shards) {
+          const AtomicDistances view(shard);
           for (VertexId v = 0; v < kShardSize; ++v)
-            if (shard->load(v) != kInfDist)
+            if (view.load(v) != kInfDist)
               ++not_inf[static_cast<std::size_t>(tid)];
         }
       });
@@ -1961,25 +1962,22 @@ TEST(SchedulerHarness, SeededRepairSchedulesMatchDijkstra) {
                                               : StealPolicy::kTwoChoice;
     VersionedGraph vg{Graph(c.graph)};
     Solver inc(options);
-    const std::uint64_t answered = vg.version();
+    const std::uint64_t cold_version = vg.version();
     // Cold, outside the model.
-    const Answer answer = inc.solve(vg, c.source, {}, 0);
+    Answer answer = inc.solve(vg, c.source, {}, 0);
+    std::uint64_t answered = vg.version();
     const VertexId other = c.source == 0 ? vg.num_vertices() - 1 : 0;
     const Answer other_answer(dijkstra(vg.graph(), other).dist);
     Xoshiro256 rng(hash_mix(seed ^ 0x5EEDULL));
-    GraphDelta batch;
-    while (batch.empty()) batch = small_random_batch(vg, rng);
-    (void)vg.apply(batch);
-    const SsspResult reference = dijkstra(vg.graph(), c.source);
-    const SsspResult other_reference = dijkstra(vg.graph(), other);
 
     // The repair processes about the cone plus its seeds, far below
     // kInlineRepairWork on these cases, so it stays inline: a scheduler
     // round of one participant (the escalation is the next harness's).
     ASSERT_LT(2 * std::uint64_t{vg.num_vertices()}, kInlineRepairWork);
-    // One session per repair. The walk's and the load's stores are the
-    // caller's, made unbound before the engine's launch, so each session's
-    // model starts from the array as they left it.
+    // One session per repair. The working buffer's patch or copy and the
+    // walk's stores are the caller's plain writes, made before the engine's
+    // launch, so each session's model starts from the buffer as they left
+    // it.
     const auto scheduled = [&](const auto& repair) {
       Session session(session_options(1, seed));
       Scheduler scheduler(scheduler_options(1, seed));
@@ -1988,28 +1986,43 @@ TEST(SchedulerHarness, SeededRepairSchedulesMatchDijkstra) {
                                 << session.report_text();
     };
     using CId = obs::CounterId;
-    Answer repaired;
-    obs::MetricsSnapshot rs;
-    scheduled([&] {
-      repaired = inc.solve(vg, c.source, answer, answered);
-      rs = inc.last_metrics();
-    });
+    // Two batches, each repaired under the model. The first copies the cold
+    // answer, which has no buffer one publish behind it. The cold answer is
+    // dropped outside the session, so the second patches its buffer forward
+    // over the first's change set, unless that set was too wide to keep.
+    for (int round = 0; round < 2; ++round) {
+      GraphDelta batch;
+      while (batch.empty()) batch = small_random_batch(vg, rng);
+      (void)vg.apply(batch);
+      const SsspResult reference = dijkstra(vg.graph(), c.source);
+      Answer repaired;
+      obs::MetricsSnapshot rs;
+      scheduled([&] {
+        repaired = inc.solve(vg, c.source, answer, answered);
+        rs = inc.last_metrics();
+      });
+      answer = repaired;
+      answered = vg.version();
+      EXPECT_EQ(rs.counter(CId::kRepairFullSolves), 0u) << replay_hint(seed);
+      EXPECT_EQ(rs.counter(CId::kRepairEscalations), 0u) << replay_hint(seed);
+      const bool patched_now = rs.counter(CId::kRepairRecycled) == 1;
+      if (patched_now) ++patched;
+      std::string message;
+      EXPECT_TRUE(distances_equal(reference.dist, repaired, &message))
+          << replay_hint(seed) << " (threads=" << threads << ", round="
+          << round << ", cone=" << rs.counter(CId::kRepairConeVertices)
+          << ", lowered=" << rs.counter(CId::kUpdates)
+          << ", patched=" << patched_now << "): " << message;
+    }
+
+    const SsspResult other_reference = dijkstra(vg.graph(), other);
     Answer other_repaired;
     scheduled([&] {
-      other_repaired = inc.solve(vg, other, other_answer, answered);
+      other_repaired = inc.solve(vg, other, other_answer, cold_version);
     });
-    EXPECT_EQ(rs.counter(CId::kRepairFullSolves), 0u) << replay_hint(seed);
-    EXPECT_EQ(rs.counter(CId::kRepairEscalations), 0u) << replay_hint(seed);
     EXPECT_EQ(inc.last_metrics().counter(CId::kRepairFullSolves), 0u)
         << replay_hint(seed);
-    const bool patched_now = rs.counter(CId::kRepairArrayCopies) == 0;
-    if (patched_now) ++patched;
     std::string message;
-    EXPECT_TRUE(distances_equal(reference.dist, repaired, &message))
-        << replay_hint(seed) << " (threads=" << threads
-        << ", cone=" << rs.counter(CId::kRepairConeVertices)
-        << ", lowered=" << rs.counter(CId::kUpdates)
-        << ", patched=" << patched_now << "): " << message;
     EXPECT_TRUE(
         distances_equal(other_reference.dist, other_repaired, &message))
         << replay_hint(seed) << " (loaded source " << other << "): " << message;
@@ -2111,9 +2124,8 @@ TEST(SchedulerHarness, SeededTeamRunsMatchDijkstra) {
     const auto& cases = e2e_cases();
     const E2eCase& c = cases[static_cast<std::size_t>(seed % cases.size())];
     WarmCase w = make_warm_case(c, seed);
-    const VertexId n = c.graph.num_vertices();
-    AtomicDistances dist(n);
-    for (VertexId v = 0; v < n; ++v) dist.store(v, w.preloaded[v]);
+    std::vector<Distance> answer = w.preloaded;
+    AtomicDistances dist(answer);
 
     const WaspConfig config = harness_wasp_config(seed);
     ThreadTeam team(threads);
@@ -2130,7 +2142,6 @@ TEST(SchedulerHarness, SeededTeamRunsMatchDijkstra) {
       EXPECT_TRUE(session.ok()) << replay_hint(seed) << ":\n"
                                 << session.report_text();
     }
-    const std::vector<Distance> answer = dist.snapshot();
     std::string message;
     EXPECT_TRUE(distances_equal(w.reference, answer, &message))
         << replay_hint(seed) << " (threads=" << threads
@@ -2166,9 +2177,8 @@ TEST(SchedulerHarness, EscalatedRepairSchedulesMatchDijkstra) {
     const E2eCase& c = cases[static_cast<std::size_t>(seed % cases.size())];
     WarmCase w = make_warm_case(c, seed);
     const Graph& g = w.vg.graph();
-    const VertexId n = g.num_vertices();
-    AtomicDistances dist(n);
-    for (VertexId v = 0; v < n; ++v) dist.store(v, w.preloaded[v]);
+    std::vector<Distance> answer = w.preloaded;
+    AtomicDistances dist(answer);
     const WaspConfig config = harness_wasp_config(seed);
     obs::MetricsRegistry registry(threads);
     LifecycleHooks hooks;
@@ -2227,7 +2237,6 @@ TEST(SchedulerHarness, EscalatedRepairSchedulesMatchDijkstra) {
                 processed > 0 && processed < budget ? 1u : 0u)
           << replay_hint(seed);
     }
-    const std::vector<Distance> answer = dist.snapshot();
     std::string message;
     EXPECT_TRUE(distances_equal(w.reference, answer, &message))
         << replay_hint(seed) << " (threads=" << threads << ", budget="

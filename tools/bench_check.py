@@ -22,8 +22,8 @@ dyn_updates checks:
   * per row: positive update/repair/full latencies, non-negative closures,
     mean_repair_updates (engine updates per repair, the work count),
     mean_repair_processed (engine vertices processed per repair, both
-    runs of an escalated one) and mean_published_entries (answer entries
-    each repair's publish wrote),
+    runs of an escalated one) and mean_published_entries (entries each
+    repair patched or copied into its working buffer),
     the layer split: walk_ms, engine_ms and publish_ms (means over the
     incremental repairs) are non-negative and sum to no more than
     mean_repair_ms, the mean wall time of the same repairs (they are
