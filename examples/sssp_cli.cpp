@@ -1,7 +1,7 @@
 // General-purpose SSSP command-line tool — the analogue of the GAP suite's
 // `sssp` binary the paper builds on. Loads a graph (binary/GAP .wsg/edge
 // list/Matrix Market) or generates a named workload class, runs any of the
-// eleven implementations, validates the result, and reports timing + work
+// nine implementations, validates the result, and reports timing + work
 // stats.
 //
 //   ./sssp_cli --class USA --algo wasp --threads 8 --delta 16 --trials 3

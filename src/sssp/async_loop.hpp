@@ -1,16 +1,15 @@
 // The shared skeleton of the asynchronous priority-queue baselines:
-// MultiQueue Dijkstra, Stealing-MultiQueue Dijkstra and Galois/OBIM. Their
-// workers run without rounds: pop a vertex, relax its edges, push what
-// improved, and leave once no vertex is queued or being processed anywhere.
+// MultiQueue Dijkstra and Galois/OBIM. Their workers run without rounds:
+// pop a vertex, relax its edges, push what improved, and leave once no
+// vertex is queued or being processed anywhere.
 //
 //  * QuiescenceDetector proves that last condition without a shared write
 //    per vertex (docs/CONCURRENCY.md, "Quiescence detector").
 //  * run_async() runs a worker on every team thread under the verify
 //    scheduler guard; AsyncWorker holds the per-vertex polls and
 //    the idle step every worker shares.
-//  * queue_sssp() is the whole loop of Dijkstra over a relaxed priority
-//    queue. MQ and SMQ are its two instantiations; OBIM keeps its own bag
-//    rule and uses only the detector and run_async().
+//  * queue_sssp() is the whole loop of Dijkstra over the MultiQueue; OBIM
+//    keeps its own bag rule and uses only the detector and run_async().
 #pragma once
 
 #include <atomic>
@@ -18,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "concurrent/multiqueue.hpp"
 #include "graph/graph.hpp"
 #include "sssp/common.hpp"
 #include "support/padded.hpp"
@@ -135,21 +135,18 @@ SsspResult run_async(RunContext& ctx, Worker&& worker) {
   return result;
 }
 
-/// Parallel Dijkstra over a relaxed priority queue of (Distance, VertexId):
-/// pop, skip stale entries, relax with prefetch, push improvements. A queue
-/// with insertion buffers (MultiQueue) has flush(tid), called after every
-/// pop so its pushes reach the shared queues before the pop counts as done,
-/// and queue_op_ns(tid), reported as kQueueOpNs.
-template <class Queue>
-SsspResult queue_sssp(const Graph& g, VertexId source, Queue& queue,
-                      RunContext& ctx) {
+/// Parallel Dijkstra over the MultiQueue: pop, skip stale entries, relax
+/// with prefetch, push improvements. Every pop ends in flush(tid), so its
+/// pushes reach the shared queues before the pop counts as done; each
+/// worker's queue_op_ns(tid) is reported as kQueueOpNs.
+inline SsspResult queue_sssp(const Graph& g, VertexId source,
+                             MultiQueue& queue, RunContext& ctx) {
   using CId = obs::CounterId;
-  constexpr bool kBuffered = requires(Queue& q) { q.flush(0); };
   AtomicDistances& dist = *ctx.dist;
   dist.store(source, 0);
   QuiescenceDetector detector(ctx.team.size());
   queue.push(0, 0, source);
-  if constexpr (kBuffered) queue.flush(0);
+  queue.flush(0);
   constexpr std::uint32_t lookahead = kPrefetchLookahead;
 
   return run_async(ctx, [&](AsyncWorker& me) {
@@ -184,11 +181,10 @@ SsspResult queue_sssp(const Graph& g, VertexId source, Queue& queue,
         if (deg > lookahead)
           me.shard.inc(CId::kPrefetchIssued, deg - lookahead);
       }
-      if constexpr (kBuffered) queue.flush(tid);
+      queue.flush(tid);
       detector.done(tid);
     }
-    if constexpr (kBuffered)
-      me.shard.inc(CId::kQueueOpNs, queue.queue_op_ns(tid));
+    me.shard.inc(CId::kQueueOpNs, queue.queue_op_ns(tid));
   });
 }
 

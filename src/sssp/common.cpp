@@ -25,9 +25,7 @@ constexpr AlgorithmEntry kAlgorithms[] = {
     {Algorithm::kJulienne, "gbbs", "julienne"},
     {Algorithm::kDeltaStar, "dstar", "delta-star"},
     {Algorithm::kRhoStepping, "rho", "rho-stepping"},
-    {Algorithm::kRadiusStepping, "radius", "radius-stepping"},
     {Algorithm::kMqDijkstra, "mq", "multiqueue"},
-    {Algorithm::kSmqDijkstra, "smq", "stealing-multiqueue"},
     {Algorithm::kObim, "galois", "obim"},
     {Algorithm::kWasp, "wasp", nullptr},
 };
@@ -87,7 +85,6 @@ void SsspOptions::validate() const {
   if (mq.c < 1) fail("mq.c must be >= 1");
   if (mq.stickiness < 1) fail("mq.stickiness must be >= 1");
   if (mq.buffer < 1) fail("mq.buffer must be >= 1");
-  if (smq.steal_batch < 0) fail("smq.steal_batch must be >= 0");
   if (obim.chunk_size == 0) fail("obim.chunk_size must be >= 1");
 }
 

@@ -140,19 +140,19 @@ struct PartitionCache {
   std::unique_ptr<Entry> entry;
 };
 
-/// Which algorithm the front-end dispatches to.
+/// Which algorithm the front-end dispatches to. The values are fixed:
+/// parametrized test IDs print an Algorithm as its bytes, so removing one
+/// leaves a gap rather than renumbering the rest.
 enum class Algorithm {
-  kDijkstra,       ///< sequential reference (binary/d-ary heap)
-  kBellmanFord,    ///< round-synchronous frontier Bellman-Ford
-  kDeltaStepping,  ///< GAP-style synchronous delta-stepping (+bucket fusion)
-  kJulienne,       ///< GBBS-style centralized bucketing delta-stepping
-  kDeltaStar,      ///< Dong et al. Δ*-stepping (threshold = min + Δ)
-  kRhoStepping,    ///< Dong et al. ρ-stepping (threshold = ρ-th smallest)
-  kRadiusStepping, ///< Blelloch et al. radius-stepping (extension baseline)
-  kMqDijkstra,     ///< parallel Dijkstra over the MultiQueue
-  kSmqDijkstra,    ///< parallel Dijkstra over the Stealing MultiQueue (ext.)
-  kObim,           ///< Galois-style asynchronous delta-stepping (OBIM)
-  kWasp,           ///< the paper's contribution
+  kDijkstra = 0,       ///< sequential reference (binary/d-ary heap)
+  kBellmanFord = 1,    ///< round-synchronous frontier Bellman-Ford
+  kDeltaStepping = 2,  ///< GAP-style synchronous Δ-stepping (+bucket fusion)
+  kJulienne = 3,       ///< GBBS-style centralized bucketing delta-stepping
+  kDeltaStar = 4,      ///< Dong et al. Δ*-stepping (threshold = min + Δ)
+  kRhoStepping = 5,    ///< Dong et al. ρ-stepping (threshold = ρ-th smallest)
+  kMqDijkstra = 7,     ///< parallel Dijkstra over the MultiQueue
+  kObim = 9,           ///< Galois-style asynchronous delta-stepping (OBIM)
+  kWasp = 10,          ///< the paper's contribution
 };
 
 /// The Algorithm <-> name mapping lives in one table (common.cpp): the CLI,
@@ -225,11 +225,6 @@ struct MqOptions {
   int buffer = 16;     ///< per-thread insertion buffer
 };
 
-/// Stealing-MultiQueue knob.
-struct SmqOptions {
-  int steal_batch = 8;
-};
-
 /// Galois/OBIM knob.
 struct ObimOptions {
   std::uint32_t chunk_size = 128;
@@ -246,7 +241,6 @@ struct SsspOptions {
   WaspConfig wasp;
   SteppingOptions stepping;
   MqOptions mq;
-  SmqOptions smq;
   ObimOptions obim;
 
   std::uint64_t seed = 0x5EEDULL;
@@ -265,7 +259,7 @@ struct SsspOptions {
 
   /// Rejects out-of-range knobs with InvalidOptionsError (delta == 0,
   /// threads < 1, mq.c < 1, wasp.chunk_capacity outside the shipped
-  /// {16,32,64,128,256} instantiations, negative smq.steal_batch, ...).
+  /// {16,32,64,128,256} instantiations, obim.chunk_size == 0, ...).
   /// Called at the Solver front door; the algorithms assume validated
   /// knobs.
   void validate() const;

@@ -1,7 +1,5 @@
 #include "sssp/mq_dijkstra.hpp"
 
-#include "concurrent/multiqueue.hpp"
-#include "concurrent/stealing_multiqueue.hpp"
 #include "sssp/async_loop.hpp"
 
 namespace wasp {
@@ -15,16 +13,6 @@ SsspResult mq_dijkstra(const Graph& g, VertexId source, int c, int stickiness,
   config.buffer_size = buffer_size;
   config.seed = seed;
   MultiQueue queue(config);
-  return queue_sssp(g, source, queue, ctx);
-}
-
-SsspResult smq_dijkstra(const Graph& g, VertexId source, int steal_batch,
-                        std::uint64_t seed, RunContext& ctx) {
-  StealingMultiQueue::Config config;
-  config.threads = ctx.team.size();
-  config.steal_batch = steal_batch;
-  config.seed = seed;
-  StealingMultiQueue queue(config);
   return queue_sssp(g, source, queue, ctx);
 }
 

@@ -1,5 +1,5 @@
 // The round skeleton of the barrier baselines: GAP Δ-stepping, Julienne,
-// Δ*-/ρ-/radius-stepping and Bellman-Ford. Dong et al. (PAPERS.md) show
+// Δ*-/ρ-stepping and Bellman-Ford. Dong et al. (PAPERS.md) show
 // that these differ mainly in their extract rule; RoundDriver is the rest.
 // Every baseline's worker has the same shape:
 //

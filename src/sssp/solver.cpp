@@ -19,9 +19,6 @@ namespace wasp {
 
 namespace {
 
-/// k of radius-stepping's r_k(v) preprocessing (compute_radii).
-constexpr std::uint32_t kRadiusK = 16;
-
 SsspOptions validated(SsspOptions options) {
   options.validate();
   return options;
@@ -116,20 +113,9 @@ SsspResult Solver::dispatch(const Graph& g, VertexId source) {
     case Algorithm::kRhoStepping:
       return stepping_sssp(g, source, SteppingKind::kRho, options.delta,
                            options.stepping.rho, ctx);
-    case Algorithm::kRadiusStepping: {
-      // Preprocessing (the r_k radii) is part of radius-stepping's contract;
-      // its cost is excluded from metrics.seconds like the baselines' graph
-      // loading, but callers wanting end-to-end cost can time this call.
-      const std::vector<Distance> radii = compute_radii(g, kRadiusK, ctx.team);
-      return stepping_sssp(g, source, SteppingKind::kRadius, options.delta,
-                           options.stepping.rho, ctx, &radii);
-    }
     case Algorithm::kMqDijkstra:
       return mq_dijkstra(g, source, options.mq.c, options.mq.stickiness,
                          options.mq.buffer, options.seed, ctx);
-    case Algorithm::kSmqDijkstra:
-      return smq_dijkstra(g, source, options.smq.steal_batch, options.seed,
-                          ctx);
     case Algorithm::kWasp:
       return wasp_sssp(g, source, options.delta, options.wasp, ctx);
     case Algorithm::kObim:

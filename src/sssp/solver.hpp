@@ -1,6 +1,5 @@
 // wasp::Solver — the one front door to every SSSP implementation: Wasp, the
-// six paper baselines, two related-work extension baselines (radius-stepping
-// and the Stealing MultiQueue) and two references, all returning the same
+// six paper baselines and two references, all returning the same
 // SsspResult, and to incremental repair over versioned graphs. A one-shot
 // solve is `wasp::Solver(opt).solve(g, source)`. Constructing a Solver
 // spawns its thread team, detects the NUMA topology and allocates a metrics

@@ -25,21 +25,11 @@ namespace wasp {
 enum class SteppingKind {
   kDeltaStar,  ///< threshold = frontier min + delta
   kRho,        ///< threshold = estimated rho-th smallest frontier distance
-  kRadius,     ///< threshold = min over frontier of dist(v) + r_k(v)
-               ///< (radius-stepping, Blelloch et al. SPAA'16 — related work)
 };
 
-/// Runs Δ*-stepping (delta = window width, >= 1), ρ-stepping (rho = batch
-/// size, >= 1) or radius-stepping (radii = per-vertex k-radius from
-/// compute_radii; required for kRadius, ignored otherwise).
+/// Runs Δ*-stepping (delta = window width, >= 1) or ρ-stepping (rho = batch
+/// size, >= 1).
 SsspResult stepping_sssp(const Graph& g, VertexId source, SteppingKind kind,
-                         Weight delta, std::uint64_t rho, RunContext& ctx,
-                         const std::vector<Distance>* radii = nullptr);
-
-/// Radius-stepping preprocessing: r_k(v) = distance from v to its k-th
-/// nearest out-neighbour, computed by a truncated local Dijkstra per vertex
-/// (parallelized over vertices).
-std::vector<Distance> compute_radii(const Graph& g, std::uint32_t k,
-                                    ThreadTeam& team);
+                         Weight delta, std::uint64_t rho, RunContext& ctx);
 
 }  // namespace wasp

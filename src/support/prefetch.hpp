@@ -4,7 +4,7 @@
 // stepping-algorithms literature) attributes most wall-clock to cache misses
 // on dist[] — the access pattern is data-dependent (edge targets), so the
 // hardware prefetcher cannot help. The drain loops in Wasp, delta-stepping,
-// and the MultiQueue/SMQ solvers know their next k targets well before
+// and the MultiQueue solver know their next k targets well before
 // relaxing them, and issue prefetches kPrefetchLookahead entries ahead
 // (results are identical with or without the hints).
 #pragma once

@@ -1,7 +1,7 @@
 // Sense-reversing centralized barrier with an instrumentation hook.
 //
 // The round barrier of the synchronous baselines (GAP-style delta-stepping,
-// Julienne, delta*/rho/radius-stepping, Bellman-Ford), all of which run
+// Julienne, delta*/rho-stepping, Bellman-Ford), all of which run
 // through RoundDriver (sssp/rounds.hpp): three waits per round end, plus any
 // an algorithm's own rule adds. The barrier accumulates per-thread wait
 // time so the Figure-1 experiment can report the barrier share of execution.

@@ -86,7 +86,7 @@ inline void raw_thread_fence(std::memory_order order) noexcept {
 /// points (inject() below; Scheduler::fault in scheduler.hpp). Each is an
 /// outcome the hardware allows but rarely produces.
 enum class Fault : std::uint8_t {
-  kStealFail,       ///< a deque or SMQ steal attempt loses its race
+  kStealFail,       ///< a Chase-Lev deque steal attempt loses its race
   kChunkAllocFail,  ///< the chunk pool treats its freelist as exhausted
   kSpuriousWakeup,  ///< Wasp's termination scan distrusts a passing verdict,
                     ///< or a parking worker returns before any wake

@@ -219,7 +219,7 @@ struct DequeSpec {
   }
 };
 
-/// Relaxed priority queues (MultiQueue, StealingMultiQueue): a *bag* spec.
+/// Relaxed priority queue (the MultiQueue): a *bag* spec.
 /// Pops must return an element that was pushed and not yet popped (kills
 /// duplication and invention); pop-empty is always legal, because relaxed
 /// queues may miss elements that are buffered elsewhere. Element loss is

@@ -8,7 +8,6 @@
 #include <string>
 
 #include "graph/algorithms.hpp"
-#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/suite.hpp"
 #include "obs/metrics.hpp"
@@ -83,7 +82,7 @@ TEST(RoundBaselines, OneThreadWorkCountsArePinned) {
   // pin each algorithm's own rule (bins and fusion, the bucket window, the
   // threshold rule, the dedup flags) independently of how their rounds are
   // driven: a change to the round machinery must leave all of them
-  // unchanged. The asynchronous baselines (MQ, SMQ, OBIM) run no rounds but
+  // unchanged. The asynchronous baselines (MQ, OBIM) run no rounds but
   // are just as deterministic at one thread (the queues' RNGs are seeded
   // from options.seed), so their rows pin the worker loop the same way.
   struct Row {
@@ -97,9 +96,7 @@ TEST(RoundBaselines, OneThreadWorkCountsArePinned) {
       {Algorithm::kJulienne, {465, 44953, 13597}, {26, 867932, 11357}},
       {Algorithm::kDeltaStar, {295, 40623, 13590}, {20, 895886, 11396}},
       {Algorithm::kRhoStepping, {136, 469112, 72004}, {11, 723728, 12278}},
-      {Algorithm::kRadiusStepping, {194, 42333, 14479}, {12, 900120, 11357}},
       {Algorithm::kMqDijkstra, {0, 51594, 18039}, {0, 261538, 20071}},
-      {Algorithm::kSmqDijkstra, {0, 40400, 13410}, {0, 209250, 14890}},
       {Algorithm::kObim, {0, 44444, 13732}, {0, 1296316, 50877}},
   };
   const suite::Workload road =
@@ -280,52 +277,6 @@ TEST(Obim, DeepPriorityLevelsOnChains) {
   Ctx c(3, ref.graph);
   const auto r = obim_sssp(ref.graph, ref.source, 1, 128, c.ctx);
   EXPECT_EQ(c.answer, ref.dist);
-}
-
-// --- radius-stepping (extension baseline) ------------------------------------
-
-TEST(RadiusStepping, RadiiAreKNearestDistances) {
-  // Path 0-1-2-3 with weights 2,3,4: r_2(0) = dist to 2nd nearest = 5.
-  const Graph g =
-      GraphBuilder()
-          .edges(4, {{0, 1, 2}, {1, 2, 3}, {2, 3, 4}})
-          .undirected()
-          .build();
-  ThreadTeam team(2);
-  const auto r1 = compute_radii(g, 1, team);
-  EXPECT_EQ(r1[0], 2u);   // nearest neighbour of 0 is 1 at distance 2
-  EXPECT_EQ(r1[1], 2u);   // nearest of 1 is 0
-  const auto r2 = compute_radii(g, 2, team);
-  EXPECT_EQ(r2[0], 5u);   // 2nd nearest of 0 is 2 at distance 5
-  EXPECT_EQ(r2[3], 7u);   // 2nd nearest of 3 is 1 at 4+3=7
-}
-
-TEST(RadiusStepping, MatchesDijkstraAcrossK) {
-  const Ref ref = make_ref(gen::erdos_renyi(2000, 8.0, WeightScheme::gap(), 22));
-  for (const std::uint32_t k : {1u, 4u, 64u}) {
-    Ctx c(4, ref.graph);
-    const auto radii = compute_radii(ref.graph, k, c.team);
-    const auto r = stepping_sssp(ref.graph, ref.source, SteppingKind::kRadius,
-                                 1, 1, c.ctx, &radii);
-    EXPECT_EQ(c.answer, ref.dist) << "k=" << k;
-  }
-}
-
-TEST(RadiusStepping, FrontEndDispatch) {
-  const Ref ref = make_ref(gen::grid(30, 30, WeightScheme::gap(), 23));
-  SsspOptions options;
-  options.algo = Algorithm::kRadiusStepping;
-  options.threads = 3;
-  EXPECT_EQ(Solver(options).solve(ref.graph, ref.source).dist, ref.dist);
-  EXPECT_EQ(parse_algorithm("radius"), Algorithm::kRadiusStepping);
-}
-
-TEST(RadiusStepping, RequiresRadii) {
-  const Ref ref = make_ref(gen::grid(5, 5, WeightScheme::gap(), 24));
-  Ctx c(1, ref.graph);
-  EXPECT_THROW(stepping_sssp(ref.graph, ref.source, SteppingKind::kRadius, 1,
-                             1, c.ctx, nullptr),
-               std::invalid_argument);
 }
 
 // --- MultiQueue Dijkstra ------------------------------------------------------

@@ -99,8 +99,7 @@ TEST(RunObserver, RoundBaselinesFireOnRoundOncePerRound) {
 
   for (const Algorithm algo :
        {Algorithm::kDeltaStepping, Algorithm::kJulienne, Algorithm::kDeltaStar,
-        Algorithm::kRhoStepping, Algorithm::kRadiusStepping,
-        Algorithm::kBellmanFord}) {
+        Algorithm::kRhoStepping, Algorithm::kBellmanFord}) {
     CountingObserver observer;
     SsspOptions options;
     options.algo = algo;
@@ -128,8 +127,7 @@ TEST(RunObserver, RoundBaselinesFireOnRoundOncePerRound) {
 TEST(RunObserver, AsyncQueueAlgorithmsTerminateOncePerWorker) {
   const Graph g = tiny_grid();
   const VertexId src = pick_source_in_largest_component(g, 7);
-  for (const Algorithm algo :
-       {Algorithm::kMqDijkstra, Algorithm::kSmqDijkstra, Algorithm::kObim}) {
+  for (const Algorithm algo : {Algorithm::kMqDijkstra, Algorithm::kObim}) {
     CountingObserver observer;
     SsspOptions options;
     options.algo = algo;
@@ -469,8 +467,6 @@ TEST(SsspOptionsValidate, RejectsEveryOutOfRangeKnob) {
   expect_invalid([](SsspOptions& o) { o.mq.c = 0; }, "mq.c=0");
   expect_invalid([](SsspOptions& o) { o.mq.stickiness = 0; }, "stickiness=0");
   expect_invalid([](SsspOptions& o) { o.mq.buffer = 0; }, "buffer=0");
-  expect_invalid([](SsspOptions& o) { o.smq.steal_batch = -1; },
-                 "steal_batch=-1");
   expect_invalid([](SsspOptions& o) { o.obim.chunk_size = 0; }, "chunk_size=0");
 }
 
@@ -495,11 +491,10 @@ TEST(SsspOptionsValidate, FrontDoorRejectsBeforeSpawningWorkers) {
 
 TEST(AlgorithmTable, RoundTripsEveryCanonicalName) {
   const Algorithm all[] = {
-      Algorithm::kDijkstra,    Algorithm::kBellmanFord,
+      Algorithm::kDijkstra,      Algorithm::kBellmanFord,
       Algorithm::kDeltaStepping, Algorithm::kJulienne,
-      Algorithm::kDeltaStar,   Algorithm::kRhoStepping,
-      Algorithm::kRadiusStepping, Algorithm::kMqDijkstra,
-      Algorithm::kSmqDijkstra, Algorithm::kObim,
+      Algorithm::kDeltaStar,     Algorithm::kRhoStepping,
+      Algorithm::kMqDijkstra,    Algorithm::kObim,
       Algorithm::kWasp,
   };
   for (const Algorithm a : all) {
@@ -516,30 +511,33 @@ TEST(AlgorithmTable, AcceptsDocumentedAliases) {
   EXPECT_EQ(parse_algorithm("julienne"), Algorithm::kJulienne);
   EXPECT_EQ(parse_algorithm("delta-star"), Algorithm::kDeltaStar);
   EXPECT_EQ(parse_algorithm("rho-stepping"), Algorithm::kRhoStepping);
-  EXPECT_EQ(parse_algorithm("radius-stepping"), Algorithm::kRadiusStepping);
   EXPECT_EQ(parse_algorithm("multiqueue"), Algorithm::kMqDijkstra);
-  EXPECT_EQ(parse_algorithm("stealing-multiqueue"), Algorithm::kSmqDijkstra);
   EXPECT_EQ(parse_algorithm("obim"), Algorithm::kObim);
 }
 
 TEST(AlgorithmTable, RejectsUnknownNamesListingTheTable) {
-  try {
-    parse_algorithm("quantum-annealing");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("quantum-annealing"), std::string::npos);
-    EXPECT_NE(what.find("wasp"), std::string::npos);
+  // Baselines the library does not ship (radius-stepping, the Stealing
+  // MultiQueue) are unknown like any other name.
+  for (const std::string name : {"quantum-annealing", "smq", "radius",
+                                 "stealing-multiqueue", "radius-stepping"}) {
+    try {
+      parse_algorithm(name);
+      FAIL() << "expected std::invalid_argument for " << name;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(name), std::string::npos);
+      EXPECT_NE(what.find(algorithm_list()), std::string::npos) << what;
+    }
   }
 }
 
-TEST(AlgorithmTable, ListEnumeratesElevenCanonicalNames) {
+TEST(AlgorithmTable, ListEnumeratesNineCanonicalNames) {
   const std::string list = algorithm_list();
   EXPECT_NE(list.find("dijkstra"), std::string::npos);
   EXPECT_NE(list.find("wasp"), std::string::npos);
   std::size_t bars = 0;
   for (const char c : list) bars += c == '|' ? 1 : 0;
-  EXPECT_EQ(bars, 10u);  // 11 names, 10 separators
+  EXPECT_EQ(bars, 8u);  // 9 names, 8 separators
 }
 
 }  // namespace

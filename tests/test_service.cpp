@@ -227,8 +227,7 @@ INSTANTIATE_TEST_SUITE_P(
     ServiceAlgos, ServiceCancel,
     testing::Values(Algorithm::kBellmanFord, Algorithm::kDeltaStepping,
                     Algorithm::kJulienne, Algorithm::kDeltaStar,
-                    Algorithm::kRhoStepping, Algorithm::kRadiusStepping,
-                    Algorithm::kMqDijkstra, Algorithm::kSmqDijkstra,
+                    Algorithm::kRhoStepping, Algorithm::kMqDijkstra,
                     Algorithm::kObim, Algorithm::kWasp),
     [](const testing::TestParamInfo<Algorithm>& param) {
       return to_string(param.param);

@@ -77,8 +77,7 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Values(Algorithm::kDijkstra, Algorithm::kBellmanFord,
                     Algorithm::kDeltaStepping, Algorithm::kJulienne,
                     Algorithm::kDeltaStar, Algorithm::kRhoStepping,
-                    Algorithm::kRadiusStepping, Algorithm::kMqDijkstra,
-                    Algorithm::kSmqDijkstra, Algorithm::kObim,
+                    Algorithm::kMqDijkstra, Algorithm::kObim,
                     Algorithm::kWasp),
     [](const testing::TestParamInfo<Algorithm>& param_info) {
       std::string name = to_string(param_info.param);
@@ -176,8 +175,7 @@ INSTANTIATE_TEST_SUITE_P(
     Pooled, SolverReuseAfterReset,
     testing::Values(Algorithm::kBellmanFord, Algorithm::kDeltaStepping,
                     Algorithm::kJulienne, Algorithm::kDeltaStar,
-                    Algorithm::kRhoStepping, Algorithm::kRadiusStepping,
-                    Algorithm::kMqDijkstra, Algorithm::kSmqDijkstra,
+                    Algorithm::kRhoStepping, Algorithm::kMqDijkstra,
                     Algorithm::kObim, Algorithm::kWasp),
     [](const testing::TestParamInfo<Algorithm>& param_info) {
       return std::string(to_string(param_info.param));

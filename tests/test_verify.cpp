@@ -33,7 +33,6 @@
 #include "concurrent/frontier_bag.hpp"
 #include "concurrent/multiqueue.hpp"
 #include "concurrent/spinlock.hpp"
-#include "concurrent/stealing_multiqueue.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/builder.hpp"
 #include "graph/delta.hpp"
@@ -1477,7 +1476,7 @@ void bag_harness_one_seed(std::uint64_t seed, Queue& queue, int threads,
   }
 }
 
-void mq_harness_one_seed(std::uint64_t seed) {
+void mq_harness_one_seed(std::uint64_t seed, HarnessRun* replay = nullptr) {
   MultiQueue::Config cfg;
   cfg.threads = 3;
   cfg.c = 2;
@@ -1485,7 +1484,7 @@ void mq_harness_one_seed(std::uint64_t seed) {
   cfg.stickiness = 2;
   cfg.seed = seed + 1;
   MultiQueue mq(cfg);
-  bag_harness_one_seed(seed, mq, cfg.threads, 10);
+  bag_harness_one_seed(seed, mq, cfg.threads, 10, replay);
 }
 
 TEST(MultiQueueHarness, SeededHistoriesLinearizeAndConserve) {
@@ -1508,23 +1507,6 @@ TEST(MultiQueueHarness, PinnedSeedsDrainEveryElementAtQuiescence) {
   }
 }
 #endif  // WASP_VERIFY_ENABLED
-
-void smq_harness_one_seed(std::uint64_t seed, HarnessRun* replay = nullptr) {
-  StealingMultiQueue::Config cfg;
-  cfg.threads = 3;
-  cfg.steal_batch = 2;
-  cfg.seed = seed + 1;
-  StealingMultiQueue smq(cfg);
-  bag_harness_one_seed(seed, smq, cfg.threads, 10, replay);
-}
-
-TEST(StealingMultiQueueHarness, SeededHistoriesLinearizeAndConserve) {
-  const SeedRange seeds = harness_seeds();
-  for (std::uint64_t seed = seeds.first; seed < seeds.last; ++seed) {
-    smq_harness_one_seed(seed);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-}
 
 TEST(ChunkPoolHarness, SeededHistoriesKeepOwnershipExclusive) {
   const SeedRange seeds = harness_seeds();
@@ -1739,11 +1721,10 @@ E2eOutcome e2e_one_seed(Algorithm algo, std::uint64_t seed,
   options.wasp.chunk_capacity = 16;  // small chunks: more deque traffic
   options.wasp.steal_policy = seed % 2 == 0 ? StealPolicy::kPriorityNuma
                                             : StealPolicy::kTwoChoice;
-  // Small buffers, batches and chunks: more shared-queue and global-bag
+  // Small buffers and chunks: more shared-queue and global-bag
   // traffic in the asynchronous baselines.
   options.mq.buffer = 2;
   options.mq.stickiness = 2;
-  options.smq.steal_batch = 2;
   options.obim.chunk_size = 2;
   if (partitioned) {
     // Partitioned engine under the serialized scheduler: a multi-node
@@ -1889,12 +1870,11 @@ TEST(SchedulerHarness, RoundBaselinesEndToEndSchedulesMatchDijkstra) {
 }
 
 TEST(SchedulerHarness, AsyncBaselinesEndToEndSchedulesMatchDijkstra) {
-  // MQ and SMQ run the shared loop of sssp/async_loop.hpp and OBIM its own
-  // bag rule; all three leave through the quiescence detector, under the
-  // scheduler, with every answer checked against Dijkstra.
+  // MQ runs the loop of sssp/async_loop.hpp and OBIM its own bag rule;
+  // both leave through the quiescence detector, under the scheduler, with
+  // every answer checked against Dijkstra.
   const SeedRange seeds = harness_seeds(kE2eSeeds / 8);
-  for (const Algorithm algo :
-       {Algorithm::kMqDijkstra, Algorithm::kSmqDijkstra, Algorithm::kObim}) {
+  for (const Algorithm algo : {Algorithm::kMqDijkstra, Algorithm::kObim}) {
     for (std::uint64_t seed = seeds.first; seed < seeds.last; ++seed) {
       e2e_one_seed(algo, seed);
       if (::testing::Test::HasFailure()) return;
@@ -2444,7 +2424,7 @@ TEST(SchedulerHarness, PinnedFaultSeedsReplayBitForBit) {
   // seed reproduces its whole recorded history, timestamps included.
   HarnessRun runs[2];
   for (HarnessRun& run : runs) {
-    smq_harness_one_seed(8, &run);
+    mq_harness_one_seed(8, &run);
     ASSERT_FALSE(::testing::Test::HasFatalFailure());
   }
   EXPECT_EQ(runs[0].schedule_hash, runs[1].schedule_hash)

@@ -88,16 +88,15 @@ def discover_scope():
     return files
 
 
-# Default mutation targets: the two stealing structures, the spinlock (the
-# only load-bearing synchronization the StealingMultiQueue has left —
-# docs/CONCURRENCY.md), the curr-board publication protocol, the Wasp
+# Default mutation targets: the Chase-Lev deque, the spinlock (the
+# MultiQueue's synchronization — docs/CONCURRENCY.md), the remote queues,
+# the curr-board publication protocol, the quiescence detector, the Wasp
 # scheduler loop itself (steal epochs, termination scan), which the seeded
 # end-to-end harness in test_verify exercises, and the relax CAS every
 # algorithm lowers distances through.
 MUTATE_SCOPE = [
     "src/sssp/common.hpp",
     "src/concurrent/chase_lev_deque.hpp",
-    "src/concurrent/stealing_multiqueue.hpp",
     "src/concurrent/spinlock.hpp",
     "src/concurrent/remote_queue.hpp",
     "src/sssp/curr_board.hpp",
@@ -107,7 +106,6 @@ MUTATE_SCOPE = [
 
 ABBREV = {
     "chase_lev_deque.hpp": "CLD",
-    "stealing_multiqueue.hpp": "SMQ",
     "spinlock.hpp": "SL",
     "remote_queue.hpp": "RQ",
     "curr_board.hpp": "CURR",
