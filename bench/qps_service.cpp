@@ -25,6 +25,7 @@
 #include "harness.hpp"
 #include "service/service.hpp"
 #include "support/errors.hpp"
+#include "support/random.hpp"
 #include "support/stats.hpp"
 #include "support/timer.hpp"
 
@@ -58,6 +59,9 @@ struct CancelSummary {
   double budget_ms = 0.0;
   int expired = 0;
   int served = 0;
+  /// Runs the service watchdog cancelled (kWatchdogCancels); each resolves
+  /// expired, so at most `expired`. The rest stopped at their own polls.
+  std::uint64_t watchdog_cancels = 0;
   double p50_overshoot_ms = 0.0;
   double p99_overshoot_ms = 0.0;
 };
@@ -109,12 +113,13 @@ void write_json(const std::string& path, const std::string& graph, int threads,
   std::snprintf(buf, sizeof(buf),
                 "  \"saturation_qps\": %.3f,\n"
                 "  \"cancel\": {\"queries\": %d, \"budget_ms\": %.6f, "
-                "\"expired\": %d, \"served\": %d, \"p50_overshoot_ms\": %.6f, "
-                "\"p99_overshoot_ms\": %.6f, \"watchdog_interval_ms\": "
-                "%.3f}\n",
+                "\"expired\": %d, \"served\": %d, \"watchdog_cancels\": %llu, "
+                "\"p50_overshoot_ms\": %.6f, \"p99_overshoot_ms\": %.6f, "
+                "\"watchdog_interval_ms\": %.3f}\n",
                 saturation_qps, cancel.queries, cancel.budget_ms,
-                cancel.expired, cancel.served, cancel.p50_overshoot_ms,
-                cancel.p99_overshoot_ms, watchdog_ms);
+                cancel.expired, cancel.served,
+                static_cast<unsigned long long>(cancel.watchdog_cancels),
+                cancel.p50_overshoot_ms, cancel.p99_overshoot_ms, watchdog_ms);
   out << buf << "}\n";
 }
 
@@ -161,7 +166,6 @@ int main(int argc, char** argv) {
   base.solver.delta = bench::default_delta(Algorithm::kWasp, cls);
   base.num_solvers = solvers;
   base.queue_capacity = queue_cap;
-  base.seed = seed;
 
   // Baseline: median uncontended solve time, measured through a throwaway
   // single-solver service so the path under test is the one being timed.
@@ -297,7 +301,6 @@ int main(int argc, char** argv) {
   {
     service::ServiceConfig cc = base;
     cc.num_solvers = 1;
-    cc.max_retries = 0;
     cancel.budget_ms = std::max(median_solve_s * 0.35 * 1e3, 0.05);
     cancel.queries = 24;
     service::QueryService svc(cc);
@@ -317,13 +320,17 @@ int main(int argc, char** argv) {
       }
     }
     svc.shutdown();
+    cancel.watchdog_cancels =
+        svc.metrics().counter(obs::CounterId::kWatchdogCancels);
     cancel.p50_overshoot_ms = percentile(overshoot_ms, 0.50);
     cancel.p99_overshoot_ms = percentile(overshoot_ms, 0.99);
   }
 
   std::printf("\ncancel phase: %d queries, budget %.2fms -> %d expired "
-              "(%d served), overshoot p50 %.2fms p99 %.2fms\n",
+              "(%d served, %llu cancelled by the watchdog), overshoot "
+              "p50 %.2fms p99 %.2fms\n",
               cancel.queries, cancel.budget_ms, cancel.expired, cancel.served,
+              static_cast<unsigned long long>(cancel.watchdog_cancels),
               cancel.p50_overshoot_ms, cancel.p99_overshoot_ms);
 
   const std::string out_path = args.get_string("out");

@@ -33,8 +33,6 @@ const char* counter_name(CounterId id) {
     case CounterId::kQueriesRejected: return "queries_rejected";
     case CounterId::kQueriesCoalesced: return "queries_coalesced";
     case CounterId::kQueriesFailed: return "queries_failed";
-    case CounterId::kQueryRetries: return "query_retries";
-    case CounterId::kSolverRebuilds: return "solver_rebuilds";
     case CounterId::kWatchdogCancels: return "watchdog_cancels";
     case CounterId::kRepairBatches: return "repair_batches";
     case CounterId::kRepairRecycled: return "repair_recycled";

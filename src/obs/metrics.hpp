@@ -51,10 +51,8 @@ enum class CounterId : std::uint8_t {
   kQueriesDeadlineExpired, ///< queries cancelled/expired by their deadline
   kQueriesShed,            ///< queued queries evicted by admission control
   kQueriesRejected,        ///< submit() calls refused (ServiceOverloadedError)
-  kQueriesCoalesced,       ///< submits merged into an queued same-source entry
-  kQueriesFailed,          ///< queries exhausted their retry budget
-  kQueryRetries,           ///< solve attempts beyond each query's first
-  kSolverRebuilds,         ///< quarantined Solvers rebuilt off the hot path
+  kQueriesCoalesced,       ///< submits merged into a queued same-source entry
+  kQueriesFailed,          ///< queries whose solve threw
   kWatchdogCancels,        ///< overdue runs cancelled by the service watchdog
   // --- incremental repair (sssp/incremental.hpp): the report of one
   // --- versioned Solver::solve(), which QueryService::update() folds into
@@ -89,7 +87,7 @@ enum class CounterId : std::uint8_t {
   kWorkerWakes,        ///< parked peers claimed and notified (push, exit,
                        ///< remote publish or quiescence vote)
 };
-inline constexpr std::size_t kNumCounters = 49;
+inline constexpr std::size_t kNumCounters = 47;
 
 /// The repair block, kRepairBatches through kRepairPublishNs.
 constexpr bool is_repair_counter(CounterId id) {

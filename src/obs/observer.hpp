@@ -11,6 +11,9 @@
 //
 // Callbacks fire concurrently from any worker thread; implementations must
 // be thread-safe and should be cheap (they run inside the measured region).
+// A callback may throw only on a one-thread Solver: the exception leaves
+// solve() and the Solver stays reusable. On a team, a throw abandons the
+// helpers mid-job, because ThreadTeam::run returns without joining them.
 #pragma once
 
 #include <cstdint>

@@ -64,8 +64,6 @@ void ServiceConfig::validate() const {
     throw InvalidOptionsError("ServiceConfig: num_solvers must be >= 1");
   if (queue_capacity < 1)
     throw InvalidOptionsError("ServiceConfig: queue_capacity must be >= 1");
-  if (max_retries < 0)
-    throw InvalidOptionsError("ServiceConfig: max_retries must be >= 0");
   if (watchdog_interval.count() <= 0)
     throw InvalidOptionsError("ServiceConfig: watchdog_interval must be > 0");
   solver.validate();
@@ -95,11 +93,10 @@ struct QueryService::Pending {
 };
 
 QueryService::QueryService(ServiceConfig config)
-    // validate() runs before any member depends on the knobs (the registry
-    // ctor would otherwise throw its own error for num_solvers < 1).
+    // validate() runs before any member depends on the knobs.
     : config_((config.validate(), std::move(config))),
       running_(static_cast<std::size_t>(config_.num_solvers)),
-      registry_(config_.num_solvers + 1) {
+      registry_(1) {
   workers_.reserve(static_cast<std::size_t>(config_.num_solvers));
   for (int w = 0; w < config_.num_solvers; ++w)
     workers_.emplace_back([this, w] { worker_main(w); });
@@ -455,84 +452,43 @@ void QueryService::cache_store_locked(const CacheKey& key, Answer dist,
   cache_.erase(cache_.begin(), keep);
 }
 
-QueryResult QueryService::execute(Pending& q, int wid,
-                                  std::unique_ptr<Solver>& solver,
-                                  Xoshiro256& rng, bool& quarantine) {
-  obs::MetricsShard& my = registry_.shard(wid + 1);
+QueryResult QueryService::execute(Pending& q, Solver& solver) {
   QueryResult r;
   r.query_id = q.id;
+  r.attempts = 1;
   const auto start = Clock::now();
   r.queue_ms = ms_between(q.submitted, start);
-  CancelToken& token = *q.token;
-
-  for (int attempt = 0;; ++attempt) {
-    r.attempts = attempt + 1;
-    try {
-      if (solver == nullptr) {
-        // Rebuild after quarantine — this is the only construction on the
-        // query path, and only ever after a previous attempt tore down.
-        solver = build_solver();
-        my.inc(CId::kSolverRebuilds);
+  solver.options().cancel = q.token.get();
+  try {
+    SsspResult s = solver.solve(*q.graph, q.req.source);
+    r.outcome = Outcome::kServed;
+    r.dist = Answer(std::move(s.dist));
+    r.graph_version = q.run_version;
+  } catch (const SolveCancelledError& ex) {
+    r.outcome = ex.reason() == CancelReason::kDeadline
+                    ? Outcome::kDeadlineExpired
+                    : Outcome::kCancelled;
+    if (r.outcome == Outcome::kDeadlineExpired && q.req.allow_stale) {
+      MutexLock lock(mu_);
+      if (const CachedAnswer* hit = stale_find_locked(q)) {
+        r.outcome = Outcome::kServedStale;
+        r.dist = hit->dist;
+        r.graph_version = hit->version;
       }
-      if (config_.inject_failure) config_.inject_failure(attempt);
-      solver->options().cancel = &token;
-      SsspResult s = solver->solve(*q.graph, q.req.source);
-      solver->options().cancel = nullptr;
-      r.outcome = Outcome::kServed;
-      r.dist = Answer(std::move(s.dist));
-      r.graph_version = q.run_version;
-      break;
-    } catch (const SolveCancelledError& ex) {
-      if (solver != nullptr) solver->options().cancel = nullptr;
-      r.outcome = ex.reason() == CancelReason::kDeadline
-                      ? Outcome::kDeadlineExpired
-                      : Outcome::kCancelled;
-      // A cancelled run unwound cooperatively, but its team just absorbed
-      // an abnormal exit — quarantine and rebuild off this query's path.
-      if (r.outcome == Outcome::kDeadlineExpired) quarantine = true;
-      if (r.outcome == Outcome::kDeadlineExpired && q.req.allow_stale) {
-        MutexLock lock(mu_);
-        if (const CachedAnswer* hit = stale_find_locked(q)) {
-          r.outcome = Outcome::kServedStale;
-          r.dist = hit->dist;
-          r.graph_version = hit->version;
-        }
-      }
-      break;
-    } catch (const std::logic_error& ex) {
-      // Permanent input/config error (InvalidSourceError, SolverBusyError,
-      // ...): retrying cannot help.
-      if (solver != nullptr) solver->options().cancel = nullptr;
-      r.outcome = Outcome::kFailed;
-      r.error = ex.what();
-      break;
-    } catch (const std::exception& ex) {
-      // Transient failure (an allocation failure, say): quarantine the Solver
-      // immediately — its internal state is suspect — and retry on a fresh
-      // one after a seeded, jittered backoff.
-      solver.reset();
-      if (attempt >= config_.max_retries || token.cancel_requested()) {
-        r.outcome = Outcome::kFailed;
-        r.error = ex.what();
-        break;
-      }
-      my.inc(CId::kQueryRetries);
-      // base << attempt plus jitter in [0, base).
-      const auto base = static_cast<std::uint64_t>(kRetryBackoff.count());
-      const std::uint64_t backoff = (base << attempt) + rng.next_below(base);
-      r.backoff_ns.push_back(backoff);
-      std::this_thread::sleep_for(std::chrono::nanoseconds(backoff));
     }
+  } catch (const std::exception& ex) {
+    // The Solver stays reusable after a throw (its contract), so the worker
+    // keeps it and the query fails once.
+    r.outcome = Outcome::kFailed;
+    r.error = ex.what();
   }
+  solver.options().cancel = nullptr;
   r.solve_ms = ms_between(start, Clock::now());
   return r;
 }
 
 void QueryService::worker_main(int wid) {
-  std::unique_ptr<Solver> solver = build_solver();
-  Xoshiro256 rng(hash_mix(config_.seed ^
-                          (0x9E3779B97F4A7C15ULL *
-                           static_cast<std::uint64_t>(wid + 1))));
+  const std::unique_ptr<Solver> solver = build_solver();
   for (;;) {
     Entry e;
     bool fresh = false;  // served from an exactly current entry, no solve
@@ -574,7 +530,6 @@ void QueryService::worker_main(int wid) {
     }
 
     QueryResult r;
-    bool quarantine = false;
     if (e->token->poll()) {
       // Fired while queued (deadline between watchdog ticks, or shutdown):
       // resolve without running.
@@ -584,7 +539,7 @@ void QueryService::worker_main(int wid) {
                       ? Outcome::kDeadlineExpired
                       : Outcome::kCancelled;
     } else {
-      r = execute(*e, wid, solver, rng, quarantine);
+      r = execute(*e, *solver);
     }
 
     {
@@ -598,11 +553,6 @@ void QueryService::worker_main(int wid) {
       if (update_active_ && !any_running_locked()) update_cv_.notify_all();
     }
     e->promise.set_value(std::move(r));
-
-    // Quarantine teardown happens after the promise resolved, so the
-    // rebuild cost is off this query's critical path (the *next* query on
-    // this worker pays it, counted as kSolverRebuilds in execute()).
-    if (quarantine) solver.reset();
   }
 }
 

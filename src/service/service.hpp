@@ -30,10 +30,10 @@
 //    kServed at submit, or at pickup if it queued behind a run or an
 //    update() that stored the answer, without a solve
 //    (QueryResult::attempts == 0). Both graph kinds take this fresh path.
-//  * Fault containment — a Solver whose run was deadline-cancelled or
-//    threw a transient error is quarantined and rebuilt off the hot path;
-//    transient failures retry with seeded, jittered exponential backoff,
-//    capped per query.
+//  * One Solver per worker, for the worker's life — a cancelled or failed
+//    run leaves the Solver reusable (its contract), so a failed solve
+//    resolves kFailed once, with what() as its error, and the worker serves
+//    on.
 //  * Live graph updates — update() applies a GraphDelta batch to a
 //    VersionedGraph through an exclusive gate (new pickups pause, running
 //    queries drain first, so no run ever observes a half-applied batch),
@@ -46,7 +46,7 @@
 //    at-least-this-fresh answers.
 //
 // Accounting flows through one obs::MetricsRegistry (the kQueries* /
-// kSolverRebuilds / kWatchdogCancels counters), read through metrics(), and
+// kWatchdogCancels counters), read through metrics(), and
 // a per-tenant registry of the same kQueries* counters, read through
 // metrics(tenant). bench/qps_service drives queries under a seeded
 // open-loop arrival stream; update() is driven by perfbench's live_traffic
@@ -59,7 +59,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -76,7 +75,6 @@
 #include "sssp/common.hpp"
 #include "sssp/solver.hpp"
 #include "support/cancel.hpp"
-#include "support/random.hpp"
 #include "support/thread_safety.hpp"
 
 namespace wasp::service {
@@ -92,7 +90,7 @@ enum class Outcome : std::uint8_t {
   kCancelled,        ///< explicit cancel (service shutdown / user request)
   kDeadlineExpired,  ///< budget blown — queued too long or cancelled mid-run
   kShed,             ///< evicted from the queue by a higher-priority query
-  kFailed,           ///< retry budget exhausted (or permanent input error)
+  kFailed,           ///< the solve threw; error holds its what()
 };
 
 /// Name of `o` ("served", "served_stale", "cancelled", ...).
@@ -141,13 +139,10 @@ struct QueryResult {
   Answer dist;
   std::string error;           ///< what() of the terminal failure (kFailed)
   double queue_ms = 0.0;       ///< submit -> worker pickup (or terminal)
-  double solve_ms = 0.0;       ///< worker pickup -> completion, all attempts
-  /// Solve attempts (retries = attempts - 1). 0 for a kServed answer taken
-  /// from an exactly current cache entry (and for unrun outcomes).
+  double solve_ms = 0.0;       ///< worker pickup -> completion
+  /// 1 when a solve ran, 0 otherwise (a kServed answer taken from an
+  /// exactly current cache entry, or an unrun outcome).
   int attempts = 0;
-  /// Backoff slept before each retry, in submit order — exposed so tests
-  /// can pin the seeded jitter sequence byte-for-byte.
-  std::vector<std::uint64_t> backoff_ns;
   std::uint64_t query_id = 0;
   /// Graph version the answer reflects (0 for plain-Graph submits; for
   /// kServedStale, the version the cached answer was computed at).
@@ -158,11 +153,6 @@ struct QueryResult {
   }
 };
 
-/// Base backoff before retry k of a query: base << k plus jitter in
-/// [0, base), drawn from a per-worker PRNG seeded from ServiceConfig::seed
-/// (deterministic replay).
-inline constexpr std::chrono::nanoseconds kRetryBackoff =
-    std::chrono::microseconds(200);
 /// The same-source answer cache serves both the stale degradation and fresh
 /// hits. A store evicts the least recently used entries until both limits
 /// below hold, but never the entry just stored, so an answer larger than
@@ -191,22 +181,21 @@ struct ServiceConfig {
   std::size_t queue_capacity = 64;  ///< admission high-watermark
   /// Budget applied when a query's own budget is <= 0; <= 0 = no deadline.
   std::chrono::nanoseconds default_budget{0};
-  /// Watchdog tick. Overdue runs are cancelled at most one tick after the
-  /// polling sites would have noticed themselves (belt and braces: the
-  /// in-run deadline polls usually fire first).
+  /// Watchdog tick: each tick cancels the overdue runs and expires the
+  /// overdue queued queries. Every parallel algorithm polls the deadline
+  /// itself: at round tops (sssp/rounds.hpp), every 4096 vertices and when
+  /// idle (sssp/async_loop.hpp, and Wasp's own loop), and at Wasp's steal
+  /// sweeps. Between those polls the hot loops read only the cancel flag,
+  /// which the watchdog sets. kDijkstra polls only before it starts, so a
+  /// kDijkstra run is never cancelled mid-run.
   std::chrono::nanoseconds watchdog_interval{std::chrono::milliseconds(1)};
-  int max_retries = 2;  ///< extra solve attempts per query on transient errors
-  /// Seeds each worker's backoff jitter PRNG (kRetryBackoff).
+  /// Read by nothing: the service draws no random numbers. It stays only
+  /// because existing callers set it.
   std::uint64_t seed = 0x5EEDULL;
-  /// Test hook: invoked before solve attempt `attempt` (0-based) on the
-  /// worker thread; a throw is treated as that attempt's transient failure.
-  /// Production leaves this empty — it exists to pin the retry/backoff
-  /// path deterministically in tests.
-  std::function<void(int attempt)> inject_failure;
 
   /// Rejects nonsensical knobs (num_solvers < 1, queue_capacity < 1,
-  /// max_retries < 0, watchdog_interval <= 0) with InvalidOptionsError and
-  /// validates the nested solver options.
+  /// watchdog_interval <= 0) with InvalidOptionsError and validates the
+  /// nested solver options.
   void validate() const;
 };
 
@@ -215,7 +204,7 @@ struct ServiceConfig {
 class QueryService {
  public:
   /// Validates `config`, spawns num_solvers workers (each builds its own
-  /// Solver on its own thread) and the watchdog.
+  /// Solver on its own thread and keeps it) and the watchdog.
   explicit QueryService(ServiceConfig config);
   /// Equivalent to shutdown().
   ~QueryService();
@@ -269,9 +258,10 @@ class QueryService {
   /// rejects further submits. Idempotent.
   void shutdown();
 
-  /// Cumulative service counters (the kQueries* block; per_thread[0] is the
-  /// admission/watchdog shard, [1..num_solvers] the workers), plus the
-  /// answer cache's current size as the kCacheBytes / kCacheEntries gauges.
+  /// Cumulative service counters (the kQueries* block, kWatchdogCancels
+  /// and update()'s compaction and repair counters) in a one-shard
+  /// snapshot, plus the answer cache's current size as the kCacheBytes /
+  /// kCacheEntries gauges.
   [[nodiscard]] obs::MetricsSnapshot metrics() const;
   /// Cumulative kQueries* counters of one tenant (QueryRequest::tenant), in
   /// a one-shard snapshot; all zero for a tenant never seen. Summed over
@@ -312,8 +302,8 @@ class QueryService {
   void worker_main(int wid);
   void watchdog_main();
   [[nodiscard]] std::unique_ptr<Solver> build_solver() const;
-  QueryResult execute(Pending& q, int wid, std::unique_ptr<Solver>& solver,
-                      Xoshiro256& rng, bool& quarantine);
+  /// Runs q once on `solver` and maps how the run ended to an Outcome.
+  QueryResult execute(Pending& q, Solver& solver);
   /// Exactly one of `g` / `vg` is non-null. The graph is resolved (and all
   /// vg reads happen) under mu_: update() mutates vg with mu_ held, so any
   /// unlocked access from the submit path would race it.
@@ -381,8 +371,7 @@ class QueryService {
   bool update_active_ WASP_GUARDED_BY(mu_) = false;
   std::uint64_t next_id_ WASP_GUARDED_BY(mu_) = 1;
 
-  /// Shard 0: admission/watchdog paths (all writes under mu_). Shards
-  /// 1..num_solvers: one per worker thread (single-writer, no lock).
+  /// One shard; every write happens under mu_.
   mutable obs::MetricsRegistry registry_;
   /// One single-shard registry per tenant, holding that tenant's share of
   /// the kQueries* counters (count_locked bumps both).

@@ -384,17 +384,19 @@ GraphDelta next_batch(const VersionedGraph& vg, Stream stream,
 
 // --- the oracle loop --------------------------------------------------------
 
-/// Requests cancellation from the first run callback, so the cancel lands
-/// mid-solve whenever the run is long enough to fire one.
+/// Requests cancellation for `reason` from the first run callback, so the
+/// cancel lands mid-solve whenever the run is long enough to fire one.
 class CancelOnFirstCallback final : public obs::RunObserver {
  public:
-  explicit CancelOnFirstCallback(CancelToken& token) : token_(&token) {}
+  CancelOnFirstCallback(CancelToken& token, CancelReason reason)
+      : token_(&token), reason_(reason) {}
   void on_round(std::uint64_t, std::uint64_t) override { fire(); }
   void on_progress(int, std::uint64_t) override { fire(); }
 
  private:
-  void fire() { token_->request_cancel(CancelReason::kUser); }
+  void fire() { token_->request_cancel(reason_); }
   CancelToken* token_;
+  CancelReason reason_;
 };
 
 std::string rerun_command() {
@@ -404,8 +406,9 @@ std::string rerun_command() {
          t->test_suite_name() + "." + t->name();
 }
 
-/// Runs `c` and checks every answer it produces against dijkstra().
-void check(const Case& c) {
+/// Runs `c` and checks every answer it produces against dijkstra(). A
+/// cancelled case cancels its first solve for `reason`.
+void check(const Case& c, CancelReason reason = CancelReason::kUser) {
   SCOPED_TRACE(describe(c) + "\n  re-run: " + rerun_command());
   VersionedGraph vg(make_graph(c));
   const VertexId source =
@@ -422,14 +425,14 @@ void check(const Case& c) {
 
   if (c.cancel) {
     CancelToken token;
-    CancelOnFirstCallback canceller(token);
+    CancelOnFirstCallback canceller(token, reason);
     inc.options().observer = &canceller;
     inc.options().cancel = &token;
     try {
       expect_exact(source, inc.solve(vg, source, {}, 0),
                    "solve the cancel missed");
     } catch (const SolveCancelledError& e) {
-      EXPECT_EQ(e.reason(), CancelReason::kUser);
+      EXPECT_EQ(e.reason(), reason);
     }
     inc.options().observer = nullptr;
     inc.options().cancel = nullptr;
@@ -663,7 +666,13 @@ class ServiceCancel : public testing::TestWithParam<Algorithm> {};
 TEST_P(ServiceCancel, CancelMidSolveLeavesSolverReusableAndBitIdentical) {
   Case c = fixed(8, GetParam(), 3, 32);  // er_large
   c.cancel = true;
-  check(c);
+  // Both reasons: the service's watchdog cancels for kDeadline, and its
+  // worker keeps the Solver for the next query.
+  for (const CancelReason reason :
+       {CancelReason::kUser, CancelReason::kDeadline}) {
+    SCOPED_TRACE(std::string("cancel reason ") + to_string(reason));
+    check(c, reason);
+  }
 }
 
 std::string algorithm_name(const testing::TestParamInfo<Algorithm>& p) {

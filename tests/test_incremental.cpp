@@ -2096,15 +2096,21 @@ TEST(IncrementalService, QueryQueuedBehindAnUpdateIsServedAtPickup) {
   for (int round = 0; round < 3 && !served_at_pickup; ++round) {
     VersionedGraph vg(
         gen::erdos_renyi(1000, 5.0, WeightScheme::uniform(1, 64), 73));
-    std::atomic<bool> hold{false};
-    std::atomic<bool> updating{false};
+    // Holds the first run to end after `hold` is set, in on_termination
+    // (every Wasp worker fires it once per run), until an update() is
+    // under way, and then for the margin.
+    struct Holder final : obs::RunObserver {
+      void on_termination(int /*tid*/) override {
+        if (!hold.exchange(false)) return;
+        while (!updating.load()) std::this_thread::yield();
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      }
+      std::atomic<bool> hold{false};
+      std::atomic<bool> updating{false};
+    } holder;
     service::ServiceConfig cfg = service_config();
     cfg.num_solvers = 1;
-    cfg.inject_failure = [&](int) {
-      if (!hold.exchange(false)) return;
-      while (!updating.load()) std::this_thread::yield();
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    };
+    cfg.solver.observer = &holder;
     service::QueryService svc(cfg);
     ASSERT_EQ(svc.solve(vg, {.source = 9}).outcome, service::Outcome::kServed);
     // Put the cached answer one version behind, so the submit below misses
@@ -2115,12 +2121,12 @@ TEST(IncrementalService, QueryQueuedBehindAnUpdateIsServedAtPickup) {
     const std::uint64_t before = vg.version();
     const std::vector<Distance> ref_before = dijkstra(vg.graph(), 9).dist;
 
-    hold = true;
+    holder.hold = true;
     const auto held = svc.submit(vg, {.source = 10});
     const auto queued = svc.submit(vg, {.source = 9});
     std::uint64_t v = 0;
     std::thread updater([&] {
-      updating = true;
+      holder.updating = true;
       v = svc.update(vg, batch);
     });
     const service::QueryResult r = queued.get();

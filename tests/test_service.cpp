@@ -3,8 +3,8 @@
 // the cancel axis of test_differential.cpp), deadlines are enforced by both
 // the in-run polls and the QueryService watchdog, admission control
 // sheds/rejects/coalesces as specified, the stale cache degrades
-// gracefully, and the retry/backoff path replays deterministically from its
-// seed.
+// gracefully, and a failed solve resolves kFailed once while its worker
+// keeps serving on the same Solver.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,6 +33,7 @@
 #include "sssp/solver.hpp"
 #include "support/cancel.hpp"
 #include "support/errors.hpp"
+#include "support/random.hpp"
 
 namespace {
 
@@ -198,6 +199,28 @@ class BlockingObserver final : public obs::RunObserver {
   bool armed_ = false;
   bool blocked_ = false;
   bool released_ = false;
+};
+
+/// Throws std::runtime_error from on_round while `failing` is set, so the
+/// solve it observes fails; otherwise passes the round on to `next` (when
+/// given). Install it only on a one-thread Solver (obs::RunObserver).
+class ThrowingObserver final : public obs::RunObserver {
+ public:
+  explicit ThrowingObserver(obs::RunObserver* next = nullptr) : next_(next) {}
+
+  void on_round(std::uint64_t round, std::uint64_t frontier) override {
+    if (failing.load()) {
+      ++throws;
+      throw std::runtime_error("observer failure");
+    }
+    if (next_ != nullptr) next_->on_round(round, frontier);
+  }
+
+  std::atomic<bool> failing{true};
+  std::atomic<int> throws{0};
+
+ private:
+  obs::RunObserver* next_;
 };
 
 // --- Solver-level deadlines, every parallel algorithm ----------------------
@@ -848,7 +871,7 @@ TEST(ServiceQuery, GraphRebuiltInTheSameStorageIsNotServedTheOldAnswer) {
   EXPECT_EQ(evictor.get().dist, other_reference);
 }
 
-TEST(ServiceQuery, WatchdogCancelsOverdueRunThenQuarantinesAndRebuilds) {
+TEST(ServiceQuery, WatchdogCancelsOverdueRunAndTheWorkerKeepsItsSolver) {
   const Graph g = make_small_graph();
   const VertexId source = pick_source_in_largest_component(g, 11);
   const SsspOptions opts = options_for(Algorithm::kBellmanFord);
@@ -889,74 +912,47 @@ TEST(ServiceQuery, WatchdogCancelsOverdueRunThenQuarantinesAndRebuilds) {
   blocker.release();
 
   EXPECT_EQ(overdue.get().outcome, Outcome::kDeadlineExpired);
-  // The cancelled Solver was quarantined; the next query runs on a rebuilt
-  // one and must be bit-identical to a fresh solve.
+  // The one worker keeps the Solver its run was cancelled on; the next
+  // query runs on it and must be bit-identical to a fresh solve.
   const QueryResult next = svc.solve(g, {.source = source});
   EXPECT_EQ(next.outcome, Outcome::kServed);
+  EXPECT_EQ(next.attempts, 1);
   EXPECT_EQ(next.dist, fresh.dist);
-  EXPECT_EQ(svc.metrics().counter(CId::kSolverRebuilds), 1u);
 }
 
-TEST(ServiceQuery, RetryBackoffIsDeterministicUnderSeedReplay) {
+TEST(ServiceQuery, FailedSolveResolvesOnceAndTheWorkerServesOn) {
   const Graph g = make_small_graph();
   const VertexId source = pick_source_in_largest_component(g, 11);
-  const std::uint64_t seed = kTestSeed;
+  const SsspResult fresh =
+      Solver(options_for(Algorithm::kDeltaStepping)).solve(g, source);
 
-  const auto run_once = [&](std::uint64_t s) {
-    ServiceConfig config;
-    config.solver = options_for(Algorithm::kWasp);
-    config.num_solvers = 1;
-    config.seed = s;
-    config.max_retries = 2;
-    config.inject_failure = [](int attempt) {
-      if (attempt < 2) throw std::runtime_error("injected transient fault");
-    };
-    QueryService svc(config);
-    return svc.solve(g, {.source = source});
-  };
-
-  const QueryResult first = run_once(seed);
-  ASSERT_EQ(first.outcome, Outcome::kServed) << first.error;
-  EXPECT_EQ(first.attempts, 3);
-  ASSERT_EQ(first.backoff_ns.size(), 2u);
-  // Exponential base with seeded jitter: attempt k sleeps in
-  // [base << k, (base << k) + base).
-  const auto base = static_cast<std::uint64_t>(service::kRetryBackoff.count());
-  EXPECT_GE(first.backoff_ns[0], base);
-  EXPECT_LT(first.backoff_ns[0], base * 2);
-  EXPECT_GE(first.backoff_ns[1], base * 2);
-  EXPECT_LT(first.backoff_ns[1], base * 3);
-
-  // Same seed => byte-identical backoff schedule (deterministic replay).
-  const QueryResult replay = run_once(seed);
-  ASSERT_EQ(replay.outcome, Outcome::kServed);
-  EXPECT_EQ(replay.backoff_ns, first.backoff_ns);
-}
-
-TEST(ServiceQuery, RetryExhaustionAndPermanentErrorsFailTyped) {
-  const Graph g = make_small_graph();
-  const VertexId source = pick_source_in_largest_component(g, 11);
-
+  ThrowingObserver thrower;
   ServiceConfig config;
-  config.solver = options_for(Algorithm::kWasp);
+  config.solver = options_for(Algorithm::kDeltaStepping);
+  config.solver.threads = 1;
+  config.solver.observer = &thrower;
   config.num_solvers = 1;
-  config.max_retries = 1;
-  config.inject_failure = [](int) {
-    throw std::runtime_error("always failing");
-  };
   QueryService svc(config);
   const QueryResult r = svc.solve(g, {.source = source});
   EXPECT_EQ(r.outcome, Outcome::kFailed);
-  EXPECT_EQ(r.attempts, 2);  // first + one retry, then exhausted
-  EXPECT_FALSE(r.error.empty());
+  EXPECT_EQ(r.attempts, 1);
+  EXPECT_EQ(r.error, "observer failure");
+  EXPECT_TRUE(r.dist.empty());
+  // One run, so one throw: the query resolved without a retry, and so
+  // without a backoff sleep.
+  EXPECT_EQ(thrower.throws.load(), 1);
+  EXPECT_EQ(svc.metrics().counter(CId::kQueriesFailed), 1u);
+
+  // The worker kept its Solver: the next query runs on it and is exact.
+  thrower.failing = false;
+  const QueryResult next = svc.solve(g, {.source = source});
+  ASSERT_EQ(next.outcome, Outcome::kServed) << next.error;
+  EXPECT_EQ(next.attempts, 1);
+  EXPECT_EQ(next.dist, fresh.dist);
 
   // Permanent input errors are caught upfront: an out-of-range source
   // throws at submit() instead of burning a worker on a doomed query.
-  ServiceConfig plain;
-  plain.solver = options_for(Algorithm::kWasp);
-  plain.num_solvers = 1;
-  QueryService svc2(plain);
-  EXPECT_THROW((void)svc2.solve(g, {.source = g.num_vertices() + 7}),
+  EXPECT_THROW((void)svc.solve(g, {.source = g.num_vertices() + 7}),
                InvalidSourceError);
 }
 
@@ -1024,16 +1020,14 @@ TEST(ServiceAccounting, TenantCountersSumToServiceCounters) {
   const std::string b = "batch";
 
   BlockingObserver blocker;
-  std::atomic<bool> fail{false};
+  ThrowingObserver thrower(&blocker);
+  thrower.failing = false;
   ServiceConfig config;
   config.solver = options_for(Algorithm::kBellmanFord);
-  config.solver.observer = &blocker;
+  config.solver.threads = 1;  // the throwing observer needs one thread
+  config.solver.observer = &thrower;
   config.num_solvers = 1;
   config.queue_capacity = 3;
-  config.max_retries = 0;
-  config.inject_failure = [&fail](int) {
-    if (fail.load()) throw std::runtime_error("injected failure");
-  };
   QueryService svc(config);
   int attempts = 0;
   const auto submit = [&](auto& graph, const QueryRequest& req) {
@@ -1049,10 +1043,10 @@ TEST(ServiceAccounting, TenantCountersSumToServiceCounters) {
   EXPECT_EQ(submit(vg, {.source = hub, .tenant = a}).get().attempts, 0);
   // Now one version behind: a stale answer, no longer a fresh hit.
   step_version(vg, hub);
-  fail.store(true);
+  thrower.failing = true;
   EXPECT_EQ(submit(g, {.source = s(2), .tenant = b}).get().outcome,
             Outcome::kFailed);
-  fail.store(false);
+  thrower.failing = false;
 
   blocker.arm();
   auto running = submit(g, {.source = hub, .tenant = a});
@@ -1135,6 +1129,9 @@ TEST(ServiceQuery, ValidatesConfig) {
   ServiceConfig bad2;
   bad2.queue_capacity = 0;
   EXPECT_THROW(QueryService{bad2}, InvalidOptionsError);
+  ServiceConfig bad3;
+  bad3.watchdog_interval = std::chrono::nanoseconds(0);
+  EXPECT_THROW(QueryService{bad3}, InvalidOptionsError);
 }
 
 }  // namespace

@@ -13,7 +13,8 @@ qps_service checks:
   * percentile monotonicity p50 <= p90 <= p99;
   * saturation_qps > 0, and the cancel phase resolved every query
     (expired + served == queries) with non-negative, ordered overshoot
-    percentiles.
+    percentiles and 0 <= watchdog_cancels <= expired (each run the
+    service watchdog cancels resolves deadline-expired).
 
 dyn_updates checks:
   * the top-level schema: bench == "dyn_updates", threads/batches/
@@ -75,8 +76,8 @@ QPS_RATE_KEYS = {
     "p99_ms",
 }
 QPS_CANCEL_KEYS = {
-    "queries", "budget_ms", "expired", "served", "p50_overshoot_ms",
-    "p99_overshoot_ms", "watchdog_interval_ms",
+    "queries", "budget_ms", "expired", "served", "watchdog_cancels",
+    "p50_overshoot_ms", "p99_overshoot_ms", "watchdog_interval_ms",
 }
 QPS_OUTCOMES = (
     "served", "served_stale", "cancelled", "deadline_expired", "shed",
@@ -176,8 +177,13 @@ def check_qps_report(report):
              "cancelled query never resolved")
     if not 0 <= cancel["p50_overshoot_ms"] <= cancel["p99_overshoot_ms"]:
         fail("cancel block: overshoot percentiles negative or not monotonic")
+    if not 0 <= cancel["watchdog_cancels"] <= cancel["expired"]:
+        fail(f"cancel block: watchdog_cancels {cancel['watchdog_cancels']} "
+             f"outside [0, expired {cancel['expired']}] — a run the "
+             "watchdog cancelled resolved other than deadline-expired")
     print(f"bench_check: ok cancel: {cancel['expired']}/{cancel['queries']} "
-          f"expired, overshoot p50 {cancel['p50_overshoot_ms']:.3f}ms "
+          f"expired ({cancel['watchdog_cancels']} by the watchdog), "
+          f"overshoot p50 {cancel['p50_overshoot_ms']:.3f}ms "
           f"p99 {cancel['p99_overshoot_ms']:.3f}ms "
           f"(watchdog {cancel['watchdog_interval_ms']:.1f}ms)")
 
