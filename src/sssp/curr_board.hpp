@@ -14,6 +14,7 @@
 // a deterministically killed mutant, see docs/CONCURRENCY.md).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <vector>
@@ -30,28 +31,37 @@ namespace wasp {
 /// thread by the termination scan.
 inline constexpr std::uint64_t kStealingPriority = kInfPriority - 1;
 
-/// Levels a victim must lead a thief's next local bucket by before the
-/// priority steal takes from it: a thief may drift one bucket ahead of the
-/// best published level, but no further. Algorithm 2 steals at any lead
-/// (a gap of 0). On a 4-CPU box, 4 threads on a 409,600-vertex road grid
-/// at delta 64, that meant about 3,300 steals per solve, each dragging a
-/// neighbour's wavefront onto the thief's core; a gap of 2 cut them to
-/// about 250 and the solve from 28.6 to 21.1 ms with 1.5% fewer updates.
-/// The gap is in levels, so it costs work where a level is wide: +6-8%
-/// updates on road grids at delta 1024, +9% on UR at delta 64, within
-/// noise on TW, UR, MW and KV at their default deltas (EXPERIMENTS.md §4.2).
+/// Smallest lead, in levels, a victim must have over a busy thief's next
+/// local bucket before the priority steal takes from it: a thief may drift
+/// one bucket ahead of the best published level, but no further. Algorithm
+/// 2 steals at any lead (a gap of 0). On a 4-CPU box, 4 threads on a
+/// 409,600-vertex road grid at delta 64, a gap of 0 made about 3,300
+/// steals per solve, each dragging a neighbour's wavefront onto the
+/// thief's core, and a gap of 2 about 290.
 inline constexpr std::uint64_t kStealMinGap = 2;
+
+/// A thief at level `next` needs a lead of
+/// max(kStealMinGap, next >> kStealLeadShift): the victim's distance must
+/// be within about 97% of the thief's. The lead grows with the distances
+/// being settled, the asynchronous form of Dong et al.'s frontier-relative
+/// step bound (PAPERS.md). Below level 64 it is the fixed gap. On the grid
+/// above it cut flat steals from about 290 to 33 per solve and the
+/// 4-thread solve from about 16 to 12 ms, for 1.3% more relaxations per
+/// arc (docs/PERFORMANCE.md, "A steal lead proportional to the level").
+inline constexpr unsigned kStealLeadShift = 5;
 
 /// Algorithm 2's victim test with the drift window: may a thief whose best
 /// local bucket is `next` steal from a victim publishing `victim`? A thief
 /// with no local work (`next == kInfPriority`, every termination sweep)
 /// takes from anyone, as in the paper. A thief with local work takes only
-/// from a working victim at least kStealMinGap levels better; written so
-/// that neither side can wrap.
+/// from a working victim at least max(kStealMinGap, next >> kStealLeadShift)
+/// levels better. The lead never exceeds `next` once `next >= kStealMinGap`,
+/// so neither side can wrap.
 [[nodiscard]] constexpr bool steal_window_admits(std::uint64_t victim,
                                                  std::uint64_t next) {
   if (next == kInfPriority) return true;
-  return next >= kStealMinGap && victim <= next - kStealMinGap;
+  const std::uint64_t lead = std::max(kStealMinGap, next >> kStealLeadShift);
+  return next >= lead && victim <= next - lead;
 }
 
 class CurrBoard {

@@ -683,8 +683,9 @@ class WaspWorker {
   }
 
   /// Attempts to steal chunks worth leaving local bucket `next` for (with
-  /// the priority policy: from victims at least kStealMinGap levels better,
-  /// or from anyone when `next` is kInfPriority).
+  /// the priority policy: from victims at least max(kStealMinGap,
+  /// next >> kStealLeadShift) levels better, or from anyone when `next` is
+  /// kInfPriority).
   /// On success, publishes curr = best stolen priority, processes all stolen
   /// chunks immediately (stolen chunks are never re-exposed, §4.1), and
   /// returns true.
@@ -751,13 +752,15 @@ class WaspWorker {
     return true;
   }
 
-  /// The paper's protocol (Algorithm 2) with a one-bucket drift window:
-  /// walk NUMA tiers nearest-first; within a tier, steal one chunk from
-  /// every victim steal_window_admits (curr_board.hpp); stop at the first
-  /// tier that yields anything. The paper steals from any victim at least
-  /// as good as our best local bucket; requiring a two-level lead keeps
-  /// each worker's wavefront on its own core when the victim is only a
-  /// bucket ahead. A skipped victim still counts as one attempt.
+  /// The paper's protocol (Algorithm 2) with a drift window: walk NUMA
+  /// tiers nearest-first; within a tier, steal one chunk from every victim
+  /// steal_window_admits (curr_board.hpp); stop at the first tier that
+  /// yields anything. The paper steals from any victim at least as good as
+  /// our best local bucket; requiring a lead keeps each worker's wavefront
+  /// on its own core when the victim is barely ahead. The lead scales with
+  /// `next` (a 32nd of it, at least two levels), so it stays a fixed share
+  /// of the distances being settled. A skipped victim still counts as one
+  /// attempt.
   int steal_priority_numa(std::uint64_t next, ChunkT** out) {
     const VictimTiers& tiers = *s_.tiers[static_cast<std::size_t>(frag_)];
     int count = 0;

@@ -16,10 +16,11 @@
 // advance to its next local bucket — this is the "priority drifting only
 // when high-priority work is not available" principle. One deviation from
 // the paper: a thread that still holds local work steals only from a
-// victim at least two levels better than its best local bucket, not from
-// any victim at least as good (steal_window_admits, curr_board.hpp). The
-// one-bucket drift window keeps each worker's wavefront on its own core;
-// a thread with no local work still steals from anyone.
+// victim clearly better than its best local bucket `next`, not from any
+// victim at least as good (steal_window_admits, curr_board.hpp). The victim
+// must lead by max(2, next / 32) levels, a fixed share of the distances
+// being settled. The drift window keeps each worker's wavefront on its own
+// core; a thread with no local work still steals from anyone.
 //
 // Optimizations (§4.4): neighborhood decomposition (high-degree adjacency
 // split into stealable range chunks), leaf pruning (an in-place degree test,

@@ -164,7 +164,7 @@ TEST(WaspStealWindow, IdleThiefTakesFromAnyVictim) {
 }
 
 TEST(WaspStealWindow, BusyThiefNeverTakesFromANonWorkingVictim) {
-  // victim + kStealMinGap would wrap for both sentinels.
+  // victim + lead would wrap for both sentinels.
   for (const std::uint64_t next :
        {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{2},
         std::uint64_t{1000}, kStealingPriority - 1, kStealingPriority}) {
@@ -174,15 +174,49 @@ TEST(WaspStealWindow, BusyThiefNeverTakesFromANonWorkingVictim) {
 }
 
 TEST(WaspStealWindow, BusyThiefNeedsATwoLevelLead) {
+  // Below level 64 a 32nd of the level is at most one level, so the lead
+  // is kStealMinGap at every level from 2 to 63.
   static_assert(kStealMinGap == 2);
-  for (const std::uint64_t next :
-       {std::uint64_t{2}, std::uint64_t{3}, std::uint64_t{1000},
-        kStealingPriority - 1}) {
+  for (std::uint64_t next = 2; next < 64; ++next) {
     EXPECT_FALSE(steal_window_admits(next + 1, next)) << next;
     EXPECT_FALSE(steal_window_admits(next, next)) << next;
     EXPECT_FALSE(steal_window_admits(next - 1, next)) << next;
     EXPECT_TRUE(steal_window_admits(next - 2, next)) << next;
     EXPECT_TRUE(steal_window_admits(0, next)) << next;
+  }
+}
+
+TEST(WaspStealWindow, BusyThiefNeedsALeadOfA32ndOfItsLevel) {
+  static_assert(kStealLeadShift == 5);
+  // 1000 / 32 rounds down to 31: the victim must be at or below 969.
+  EXPECT_TRUE(steal_window_admits(969, 1000));
+  EXPECT_FALSE(steal_window_admits(970, 1000));
+  EXPECT_TRUE(steal_window_admits(0, 1000));
+  // At 64 the scaled lead first equals kStealMinGap; at 96 it is 3.
+  EXPECT_TRUE(steal_window_admits(62, 64));
+  EXPECT_FALSE(steal_window_admits(63, 64));
+  EXPECT_TRUE(steal_window_admits(93, 96));
+  EXPECT_FALSE(steal_window_admits(94, 96));
+  // The highest working level, 2^64 - 3, needs a lead of 2^59 - 1.
+  constexpr std::uint64_t top = kStealingPriority - 1;
+  constexpr std::uint64_t top_lead = (std::uint64_t{1} << 59) - 1;
+  EXPECT_TRUE(steal_window_admits(top - top_lead, top));
+  EXPECT_FALSE(steal_window_admits(top - top_lead + 1, top));
+}
+
+TEST(WaspStealWindow, NoLevelWraps) {
+  // The lead is never larger than `next`, so `next - lead` cannot wrap:
+  // victim 0 is always taken and a victim one level ahead never is, at
+  // every power of two and its neighbours up to kStealingPriority - 1.
+  std::vector<std::uint64_t> levels{kStealingPriority - 1};
+  for (int b = 1; b < 64; ++b) {
+    const std::uint64_t p = std::uint64_t{1} << b;
+    for (const std::uint64_t next : {p - 1, p, p + 1})
+      if (next >= 2 && next < kStealingPriority) levels.push_back(next);
+  }
+  for (const std::uint64_t next : levels) {
+    EXPECT_TRUE(steal_window_admits(0, next)) << next;
+    EXPECT_FALSE(steal_window_admits(next - 1, next)) << next;
   }
 }
 
