@@ -44,8 +44,11 @@ class UnionFind {
 ComponentInfo connected_components(const Graph& g) {
   const VertexId n = g.num_vertices();
   UnionFind uf(n);
+  // An undirected graph stores each edge in both rows; union it once.
+  const bool undirected = g.is_undirected();
   for (VertexId u = 0; u < n; ++u)
-    for (const WEdge& e : g.out_neighbors(u)) uf.unite(u, e.dst);
+    for (const WEdge& e : g.out_neighbors(u))
+      if (!undirected || u < e.dst) uf.unite(u, e.dst);
 
   ComponentInfo info;
   info.label.assign(n, kInvalidVertex);

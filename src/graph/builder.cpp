@@ -1,8 +1,10 @@
 #include "graph/builder.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "graph/algorithms.hpp"
 #include "graph/delta.hpp"
@@ -12,6 +14,37 @@
 namespace wasp {
 
 namespace {
+
+bool edge_less(const WEdge& a, const WEdge& b) {
+  return a.dst < b.dst || (a.dst == b.dst && a.w < b.w);
+}
+
+/// Rows up to this length are insertion-sorted in place.
+constexpr std::ptrdiff_t kInsertionSortMax = 32;
+
+/// LSD radix sort, one byte per pass, skipping every byte that is the same
+/// in all keys (a row's weights and high dst bits mostly are). `scratch` is
+/// reused across calls.
+void radix_sort(std::vector<std::uint64_t>& keys,
+                std::vector<std::uint64_t>& scratch) {
+  std::uint64_t any = 0;
+  std::uint64_t all = ~std::uint64_t{0};
+  for (const std::uint64_t k : keys) {
+    any |= k;
+    all &= k;
+  }
+  const std::uint64_t varying = any ^ all;
+  scratch.resize(keys.size());
+  for (int shift = 0; shift < 64; shift += 8) {
+    if (((varying >> shift) & 0xff) == 0) continue;
+    std::size_t start[256] = {};
+    for (const std::uint64_t k : keys) ++start[(k >> shift) & 0xff];
+    std::size_t sum = 0;
+    for (std::size_t& c : start) sum += std::exchange(c, sum);
+    for (const std::uint64_t k : keys) scratch[start[(k >> shift) & 0xff]++] = k;
+    keys.swap(scratch);
+  }
+}
 
 /// Edge list → sorted CSR.
 Graph build_from_edges(VertexId num_vertices, const std::vector<Edge>& edges,
@@ -38,14 +71,35 @@ Graph build_from_edges(VertexId num_vertices, const std::vector<Edge>& edges,
     if (undirected) adjacency[cursor[e.dst]++] = WEdge{e.src, e.w};
   }
 
-  // Sort each adjacency list by destination: deterministic layout, better
-  // locality, and required by the bidirectional-relaxation tests.
+  // Sort each adjacency list by (dst, w): deterministic layout, better
+  // locality, and required by the bidirectional-relaxation tests. Equal keys
+  // are equal records, so any sort gives the same bytes. The scatter leaves
+  // most rows ordered already (every grid row, nearly every chain row), and
+  // those are only checked; a short row gets an insertion sort and a long
+  // one radix-sorts packed (dst << 32) | w keys.
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint64_t> scratch;
   for (std::size_t v = 0; v < n; ++v) {
-    std::sort(adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
-              adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]),
-              [](const WEdge& a, const WEdge& b) {
-                return a.dst < b.dst || (a.dst == b.dst && a.w < b.w);
-              });
+    WEdge* const first = adjacency.data() + offsets[v];
+    WEdge* const last = adjacency.data() + offsets[v + 1];
+    WEdge* const unsorted = std::is_sorted_until(first, last, edge_less);
+    if (unsorted == last) continue;
+    if (last - first <= kInsertionSortMax) {
+      for (WEdge* i = unsorted; i != last; ++i) {
+        const WEdge e = *i;
+        WEdge* j = i;
+        for (; j != first && edge_less(e, j[-1]); --j) *j = j[-1];
+        *j = e;
+      }
+      continue;
+    }
+    keys.clear();
+    for (const WEdge* e = first; e != last; ++e)
+      keys.push_back(std::uint64_t{e->dst} << 32 | e->w);
+    radix_sort(keys, scratch);
+    for (std::size_t i = 0; i < keys.size(); ++i)
+      first[i] = WEdge{static_cast<VertexId>(keys[i] >> 32),
+                       static_cast<Weight>(keys[i])};
   }
 
   return Graph::from_csr(std::move(offsets), std::move(adjacency), undirected);

@@ -85,14 +85,15 @@ Graph star_hub(VertexId n, double hub_fraction, double branch_fraction,
   const VertexId hub = 0;
   const VertexId hub_degree =
       std::max<VertexId>(1, static_cast<VertexId>(hub_fraction * (n - 1)));
+  const VertexId branching =
+      static_cast<VertexId>(branch_fraction * hub_degree);
+  const VertexId background = n - 1 - std::min(hub_degree, n - 1);
   std::vector<Edge> edges;
-  edges.reserve(hub_degree + static_cast<VertexId>(branch_fraction * hub_degree) * 3 + n / 16);
+  edges.reserve(std::size_t{hub_degree} + std::size_t{branching} * 3 + background);
   // Hub spokes: vertices 1..hub_degree.
   for (VertexId v = 1; v <= hub_degree; ++v) edges.push_back({hub, v, 0});
   // A small fraction of spoke endpoints branch out further (Mawi: ~1% of the
   // hub's neighbours are not leaves).
-  const VertexId branching =
-      static_cast<VertexId>(branch_fraction * hub_degree);
   for (VertexId i = 0; i < branching; ++i) {
     const VertexId u = 1 + static_cast<VertexId>(rng.next_below(hub_degree));
     for (int k = 0; k < 3; ++k) {
@@ -142,18 +143,17 @@ Graph rmat(int scale, EdgeIndex num_edges, double a, double b, double c,
       const double pc = c * noise;
       const double sum = pa + pb + pc + (1.0 - a - b - c) * noise;
       const double r = rng.next_double() * sum;
-      u <<= 1;
-      v <<= 1;
-      if (r < pa) {
-        // top-left quadrant: no bits set
-      } else if (r < pa + pb) {
-        v |= 1;
-      } else if (r < pa + pb + pc) {
-        u |= 1;
-      } else {
-        u |= 1;
-        v |= 1;
-      }
+      // The quadrant's (u, v) bits (a: 00, b: 01, c: 10, d: 11) come from
+      // three comparisons because a branch on a random draw mispredicts
+      // about every other level: u is set once r is past a + b, and v when
+      // r is past an odd number of the three bounds. Keep the two draws per
+      // level and these three bound expressions as they are: they fix every
+      // R-MAT graph bit for bit (Suite.EveryClassMatchesItsPinnedFingerprint).
+      const bool past_a = r >= pa;
+      const bool past_b = r >= pa + pb;
+      const bool past_c = r >= pa + pb + pc;
+      u = (u << 1) | static_cast<VertexId>(past_b);
+      v = (v << 1) | static_cast<VertexId>(past_a ^ past_b ^ past_c);
     }
     if (u != v) edges.push_back({u, v, 0});
   }

@@ -4,13 +4,16 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <utility>
+#include <vector>
 
 #include "graph/algorithms.hpp"
 #include "graph/builder.hpp"
 #include "graph/delta.hpp"
 #include "graph/graph.hpp"
 #include "graph/weights.hpp"
+#include "support/random.hpp"
 
 namespace wasp {
 namespace {
@@ -43,6 +46,48 @@ TEST(Graph, DirectedFromEdges) {
   ASSERT_EQ(n0.size(), 2u);
   EXPECT_EQ(n0[0], (WEdge{1, 7}));  // sorted by destination
   EXPECT_EQ(n0[1], (WEdge{2, 2}));
+}
+
+// Rows of every length the builder treats differently (already ordered,
+// short, long), with repeated destinations, repeated records, weights past
+// one byte and destinations past two.
+TEST(Graph, SortsEveryRowByDestinationThenWeight) {
+  constexpr VertexId kN = 70000;
+  const std::uint32_t row_lengths[] = {0, 1, 5, 32, 33, 200, 3000};
+  Xoshiro256 rng(42);
+  std::vector<Edge> edges;
+  std::vector<std::vector<WEdge>> want(std::size(row_lengths) + 1);
+  for (VertexId u = 0; u < std::size(row_lengths); ++u) {
+    for (std::uint32_t i = 0; i < row_lengths[u]; ++i) {
+      const auto dst = static_cast<VertexId>(
+          i % 3 == 0 ? kN - 1 - rng.next_below(4) : rng.next_below(kN));
+      const auto w = static_cast<Weight>(i % 5 == 0 ? rng.next_below(3)
+                                                    : rng.next());
+      if (dst == u) continue;
+      edges.push_back({u, dst, w});
+      want[u].push_back({dst, w});
+      if (i % 7 == 0) {
+        edges.push_back({u, dst, w});
+        want[u].push_back({dst, w});
+      }
+    }
+  }
+  const VertexId ordered = std::size(row_lengths);
+  for (VertexId v = 1; v < 100; ++v) {
+    edges.push_back({ordered, v * 600, v});
+    want[ordered].push_back({v * 600, v});
+  }
+  const Graph g = GraphBuilder().edges(kN, edges).build();
+  for (VertexId u = 0; u < want.size(); ++u) {
+    std::sort(want[u].begin(), want[u].end(),
+              [](const WEdge& a, const WEdge& b) {
+                return std::pair(a.dst, a.w) < std::pair(b.dst, b.w);
+              });
+    const auto row = g.out_neighbors(u);
+    EXPECT_TRUE(std::equal(row.begin(), row.end(), want[u].begin(),
+                           want[u].end()))
+        << "row " << u;
+  }
 }
 
 TEST(Graph, UndirectedStoresBothDirections) {

@@ -3,6 +3,10 @@
 // a valid source.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <utility>
+
 #include "graph/algorithms.hpp"
 #include "graph/suite.hpp"
 
@@ -44,6 +48,56 @@ TEST(Suite, DeterministicInSeed) {
   const auto b = suite::make(suite::GraphClass::kTwitter, 0.1, 5);
   EXPECT_EQ(a.source, b.source);
   EXPECT_EQ(a.graph.adjacency(), b.graph.adjacency());
+}
+
+// FNV-1a over the values of the offsets, each record's dst and w, and the
+// source, so the digest does not depend on the layout of the arrays.
+std::uint64_t fingerprint(const suite::Workload& w) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t x) { h = (h ^ x) * 0x100000001b3ULL; };
+  for (const EdgeIndex o : w.graph.offsets()) mix(o);
+  for (const WEdge& e : w.graph.adjacency()) {
+    mix(e.dst);
+    mix(e.w);
+  }
+  mix(w.source);
+  return h;
+}
+
+// Pins every class's graph and source at scale 0.1, seed 1. A generator or
+// builder change that claims to leave the graphs alone must keep these.
+TEST(Suite, EveryClassMatchesItsPinnedFingerprint) {
+  const std::pair<suite::GraphClass, std::uint64_t> pinned[] = {
+      {suite::GraphClass::kFriendster, 0x0c4e4d7a771f866cULL},
+      {suite::GraphClass::kKmer, 0xf24a5a226fb517bbULL},
+      {suite::GraphClass::kKron, 0x267c8de995007997ULL},
+      {suite::GraphClass::kMawi, 0x1a6effe58465b2b7ULL},
+      {suite::GraphClass::kMoliere, 0xecf01bdc56506f9cULL},
+      {suite::GraphClass::kOrkut, 0xe6f4a5cd9226276cULL},
+      {suite::GraphClass::kRoadEu, 0xf0be47585be981d2ULL},
+      {suite::GraphClass::kRoadUsa, 0xcdb49a815b9f3104ULL},
+      {suite::GraphClass::kWebSk, 0x214954ddf2576c8cULL},
+      {suite::GraphClass::kTwitter, 0x6ce220c3118b084aULL},
+      {suite::GraphClass::kUk2007, 0x2bcef2f89f8eb2b3ULL},
+      {suite::GraphClass::kUkUnion, 0xf35258d974f06784ULL},
+      {suite::GraphClass::kUrand, 0x1af9e1613390a81bULL},
+      {suite::GraphClass::kCircuit, 0x3460fedd82004ed3ULL},
+      {suite::GraphClass::kDelaunay, 0xb57d61b088505c58ULL},
+      {suite::GraphClass::kHypercube, 0xebb52ed92aaf1aadULL},
+      {suite::GraphClass::kKktPower, 0x77388ad56d406817ULL},
+      {suite::GraphClass::kNlpKkt, 0xcaeca7ca016a364eULL},
+      {suite::GraphClass::kRandReg, 0x33509f290dc6d35dULL},
+      {suite::GraphClass::kSpielman, 0xbe8f7a8288205b40ULL},
+      {suite::GraphClass::kStokes, 0x4d66e1bc433698beULL},
+      {suite::GraphClass::kWebbase, 0xe8073b6a7bef1d66ULL},
+  };
+  EXPECT_EQ(std::size(pinned),
+            suite::main_suite().size() + suite::appendix_suite().size());
+  for (const auto& [cls, digest] : pinned) {
+    const auto w = suite::make(cls, 0.1, 1);
+    EXPECT_EQ(fingerprint(w), digest)
+        << suite::abbr(cls) << " 0x" << std::hex << fingerprint(w);
+  }
 }
 
 TEST(Suite, RoadClassHasLowDegreeAndBigDiameter) {
