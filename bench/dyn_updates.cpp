@@ -10,9 +10,10 @@
 // counts the repair's work: cone and seed vertices, the engine's updates
 // and processed vertices, and the entries written into each repair's
 // working buffer (its patch or its copy). It splits the
-// repair's mean wall time into the cone walk, the engine and the publish,
-// and counts the repairs that stayed inline and those that escalated to
-// the team.
+// repair's mean wall time into the cone walk, the build of the graph's
+// in-arc index (directed graphs, once per compaction), the engine and the
+// publish, and counts the repairs that stayed inline and those that
+// escalated to the team.
 //
 // Besides the table, writes a machine-readable JSON report (default
 // BENCH_dyn.json; tools/bench_check.py validates it, and the ctest smoke
@@ -74,10 +75,12 @@ struct Row {
   double mean_published_entries = 0.0;
   /// A repair's layers, means over the incremental repairs (means add up,
   /// medians do not): the working buffer's patch or copy with the cone
-  /// walk, the engine's parallel phases and the publish. They sum to at
-  /// most mean_repair_ms, the mean wall time of the same repairs; the rest
-  /// is the engine's setup and join.
+  /// walk, the in-arc index build (VersionedGraph::in_arcs; 0 on an
+  /// undirected graph), the engine's parallel phases and the publish. They
+  /// sum to at most mean_repair_ms, the mean wall time of the same repairs;
+  /// the rest is the engine's setup and join.
   double walk_ms = 0.0;
+  double build_ms = 0.0;
   double engine_ms = 0.0;
   double publish_ms = 0.0;
   double mean_repair_ms = 0.0;
@@ -123,7 +126,8 @@ void write_json(const std::string& path, int threads, int batches, int ops,
         "\"speedup\": %.3f, \"mean_cone\": %.1f, \"mean_seeds\": %.1f, "
         "\"mean_repair_updates\": %.1f, \"mean_repair_processed\": %.1f, "
         "\"mean_published_entries\": %.1f, "
-        "\"walk_ms\": %.6f, \"engine_ms\": %.6f, \"publish_ms\": %.6f, "
+        "\"walk_ms\": %.6f, \"build_ms\": %.6f, \"engine_ms\": %.6f, "
+        "\"publish_ms\": %.6f, "
         "\"mean_repair_ms\": %.6f, "
         "\"incremental_repairs\": %d, "
         "\"inline_repairs\": %d, \"escalated_repairs\": %d, "
@@ -132,7 +136,7 @@ void write_json(const std::string& path, int threads, int batches, int ops,
         r.closures, r.update_ms, r.compactions_per_batch, r.repair_ms,
         r.full_ms, r.speedup, r.mean_cone, r.mean_seeds,
         r.mean_repair_updates, r.mean_repair_processed,
-        r.mean_published_entries, r.walk_ms,
+        r.mean_published_entries, r.walk_ms, r.build_ms,
         r.engine_ms, r.publish_ms, r.mean_repair_ms,
         r.incremental_repairs, r.inline_repairs, r.escalated_repairs,
         r.full_solves,
@@ -345,6 +349,7 @@ int main(int argc, char** argv) {
   bench::print_cell("processed", 10);
   bench::print_cell("written", 9);
   bench::print_cell("walk", 10);
+  bench::print_cell("build", 10);
   bench::print_cell("engine", 10);
   bench::print_cell("publish", 10);
   bench::print_cell("inline", 8);
@@ -394,6 +399,7 @@ int main(int argc, char** argv) {
     std::uint64_t processed_total = 0;
     std::uint64_t published_total = 0;
     double walk_total = 0.0;
+    double build_total = 0.0;
     double engine_total = 0.0;
     double publish_total = 0.0;
     double repair_total = 0.0;
@@ -449,6 +455,8 @@ int main(int argc, char** argv) {
         ++(m.counter(CId::kRepairEscalations) == 0 ? row.inline_repairs
                                                    : row.escalated_repairs);
         walk_total += 1e-9 * static_cast<double>(m.counter(CId::kRepairWalkNs));
+        build_total +=
+            1e-9 * static_cast<double>(m.counter(CId::kRepairInArcBuildNs));
         engine_total += m.seconds;
         publish_total +=
             1e-9 * static_cast<double>(m.counter(CId::kRepairPublishNs));
@@ -485,6 +493,7 @@ int main(int argc, char** argv) {
     row.mean_published_entries =
         static_cast<double>(published_total) / static_cast<double>(inc_count);
     row.walk_ms = walk_total / inc_count * 1e3;
+    row.build_ms = build_total / inc_count * 1e3;
     row.engine_ms = engine_total / inc_count * 1e3;
     row.publish_ms = publish_total / inc_count * 1e3;
     row.mean_repair_ms = repair_total / inc_count * 1e3;
@@ -511,7 +520,8 @@ int main(int argc, char** argv) {
     bench::print_cell(cell, 10);
     std::snprintf(cell, sizeof(cell), "%.0f", row.mean_published_entries);
     bench::print_cell(cell, 9);
-    for (const double ms : {row.walk_ms, row.engine_ms, row.publish_ms}) {
+    for (const double ms :
+         {row.walk_ms, row.build_ms, row.engine_ms, row.publish_ms}) {
       std::snprintf(cell, sizeof(cell), "%.4fms", ms);
       bench::print_cell(cell, 10);
     }

@@ -79,7 +79,8 @@ Solver& make_solver(int threads) {
 std::vector<Weight> delta_candidates(const Graph& g) {
   const Weight max_w = std::max<Weight>(g.max_weight(), 1);
   // Up to ~64x the max weight: beyond that every bucket-based algorithm has
-  // effectively collapsed to Bellman-Ford on our workload sizes.
+  // effectively collapsed to one bucket (a Bellman-Ford sweep) on our
+  // workload sizes.
   const std::uint64_t cap = static_cast<std::uint64_t>(max_w) * 64;
   std::vector<Weight> candidates;
   for (std::uint64_t d = 1; d <= cap; d *= 4)
@@ -138,7 +139,6 @@ Weight default_delta(Algorithm algo, suite::GraphClass cls) {
       return low_degree ? 1024 : 1;
     case Algorithm::kMqDijkstra:
     case Algorithm::kDijkstra:
-    case Algorithm::kBellmanFord:
       return 1;  // delta-free algorithms
     case Algorithm::kObim:
       return low_degree ? 4096 : 16;

@@ -96,21 +96,6 @@ std::vector<std::uint8_t> compute_leaf_bitmap(const Graph& g) {
   return leaf;
 }
 
-Graph transpose(const Graph& g) {
-  const VertexId n = g.num_vertices();
-  std::vector<EdgeIndex> offsets(static_cast<std::size_t>(n) + 1, 0);
-  for (VertexId u = 0; u < n; ++u)
-    for (const WEdge& e : g.out_neighbors(u)) ++offsets[e.dst + 1];
-  for (VertexId v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
-  AdjacencyVector adjacency(g.num_edges());
-  std::vector<EdgeIndex> cursor(offsets.begin(), offsets.end() - 1);
-  for (VertexId u = 0; u < n; ++u)
-    for (const WEdge& e : g.out_neighbors(u))
-      adjacency[cursor[e.dst]++] = WEdge{u, e.w};
-  return Graph::from_csr(std::move(offsets), std::move(adjacency),
-                         g.is_undirected());
-}
-
 std::vector<Distance> bfs_hops(const Graph& g, VertexId source) {
   std::vector<Distance> hops(g.num_vertices(), kInfDist);
   std::deque<VertexId> queue;

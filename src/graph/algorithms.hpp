@@ -4,7 +4,6 @@
 //  * connected components + largest-component source selection (the paper
 //    starts every trial from a random vertex inside the largest component),
 //  * the leaf bitmap for Wasp's leaf-pruning optimization (§4.4),
-//  * transpose (in-neighbour view for directed graphs),
 //  * BFS hop distances and degree statistics (tests, dataset tables).
 #pragma once
 
@@ -40,10 +39,6 @@ VertexId pick_source_in_largest_component(const Graph& g,
 /// leaf[v] == Graph::is_leaf(v). The engines test the degree in place at
 /// their relax sites; this materialized form serves tests and suite checks.
 std::vector<std::uint8_t> compute_leaf_bitmap(const Graph& g);
-
-/// Transposed graph (in-edges become out-edges). For undirected graphs this
-/// returns a copy.
-Graph transpose(const Graph& g);
 
 /// Hop distances from `source` (kInfDist for unreachable vertices).
 std::vector<Distance> bfs_hops(const Graph& g, VertexId source);

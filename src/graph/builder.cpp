@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "graph/algorithms.hpp"
 #include "graph/delta.hpp"
 #include "graph/io.hpp"
 #include "support/errors.hpp"
@@ -103,6 +102,24 @@ Graph build_from_edges(VertexId num_vertices, const std::vector<Edge>& edges,
   }
 
   return Graph::from_csr(std::move(offsets), std::move(adjacency), undirected);
+}
+
+/// In-edges become out-edges: a counting scatter in source order, so each
+/// row lists its in-neighbours by ascending id. An undirected graph's
+/// transpose is a copy.
+Graph transposed(const Graph& g) {
+  const VertexId n = g.num_vertices();
+  std::vector<EdgeIndex> offsets(static_cast<std::size_t>(n) + 1, 0);
+  for (VertexId u = 0; u < n; ++u)
+    for (const WEdge& e : g.out_neighbors(u)) ++offsets[e.dst + 1];
+  for (VertexId v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+  AdjacencyVector adjacency(g.num_edges());
+  std::vector<EdgeIndex> cursor(offsets.begin(), offsets.end() - 1);
+  for (VertexId u = 0; u < n; ++u)
+    for (const WEdge& e : g.out_neighbors(u))
+      adjacency[cursor[e.dst]++] = WEdge{u, e.w};
+  return Graph::from_csr(std::move(offsets), std::move(adjacency),
+                         g.is_undirected());
 }
 
 }  // namespace
@@ -255,7 +272,7 @@ Graph GraphBuilder::build() {
       result = io::read_gap_wsg(*stream_);
       break;
     case Source::kTranspose:
-      result = transpose(*borrowed_);
+      result = transposed(*borrowed_);
       break;
   }
   reset();

@@ -59,8 +59,9 @@ class GraphBuilder {
   GraphBuilder& gap_wsg_file(std::string path);
   GraphBuilder& gap_wsg_stream(std::istream& in);
 
-  /// Transpose of an existing graph (in-edges become out-edges). `g` must
-  /// stay alive until build().
+  /// Transpose of an existing graph (in-edges become out-edges; a copy when
+  /// undirected), the one way to make one: the GAP .wsg writer and
+  /// VersionedGraph::in_arcs() come here. `g` must stay alive until build().
   GraphBuilder& transpose_of(const Graph& g);
 
   // --- options -------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "graph/builder.hpp"
 #include "support/errors.hpp"
 
 namespace wasp {
@@ -348,8 +349,24 @@ void VersionedGraph::compact() {
   dead_rows_.clear();
   dead_arcs_ = 0;
   flat_.stamp_.renew();
+  in_arcs_ = Graph();
   ++compactions_;
   compacted_arcs_ += moved + written;
+}
+
+const Graph& VersionedGraph::in_arcs() {
+  const Graph& g = graph();
+  if (g.is_undirected()) return g;
+  if (in_arcs_.offsets().empty()) {
+    in_arcs_ = GraphBuilder().transpose_of(g).build();
+    ++in_arc_builds_;
+  }
+  return in_arcs_;
+}
+
+std::uint64_t VersionedGraph::in_arc_bytes() const {
+  return in_arcs_.offsets().capacity() * sizeof(EdgeIndex) +
+         in_arcs_.adjacency().capacity() * sizeof(WEdge);
 }
 
 VersionedGraph::JournalView VersionedGraph::journal_since(

@@ -31,11 +31,22 @@
 // them, and an engine reads a dead arc as no arc: every relaxation goes
 // through saturating_add, so d + kDeadWeight never improves a distance.
 //
-// Thread-safety: apply()/compact()/graph() are writer-side calls — they must
-// be exclusive with readers (no query may be traversing the CSR). The
-// service layer (service::QueryService::update) provides that gate; direct
-// users must fence updates against queries themselves. Const accessors are
-// safe under concurrent reads.
+// In-arc index: a directed graph's in_arcs() is the structural transpose of
+// the flat CSR, built on first request and dropped by compact(), so every
+// consumer that needs in-neighbours (the repair's boundary seeding,
+// sssp/incremental.hpp) shares one copy per graph. Between compactions the
+// flat CSR keeps its slots: a weight patch rewrites one, a closure leaves a
+// dead arc in it, and a reopening revives a dead (u, v) slot of the same
+// row. A genuinely new arc waits in the overlay, which dirties the graph,
+// and in_arcs() compacts first, like graph(). So the index stays a superset
+// of the live in-arcs, and an in-neighbour over a dead arc is only a
+// harmless extra. compact() is the one place the structure changes.
+//
+// Thread-safety: apply()/compact()/graph()/in_arcs() are writer-side calls —
+// they must be exclusive with readers (no query may be traversing the CSR).
+// The service layer (service::QueryService::update) provides that gate;
+// direct users must fence updates against queries themselves. Const
+// accessors are safe under concurrent reads.
 #pragma once
 
 #include <cassert>
@@ -151,7 +162,7 @@ class VersionedGraph {
   /// Process-unique identity of this graph object (a UniqueId: assigned at
   /// construction, transferred by move with a fresh one for the moved-from
   /// husk, never reused). Consumers that key state by graph (the
-  /// QueryService answer cache, a Solver's repair transpose) use this —
+  /// QueryService answer cache) use this —
   /// not the address — so a different VersionedGraph reconstructed at a
   /// recycled heap address can never pass for the one they answered. It
   /// names the object, not its content: flat().stamp() changes with every
@@ -193,6 +204,15 @@ class VersionedGraph {
     return !overlay_.empty() || dead_arcs_ * kDeadShare > flat_.num_edges();
   }
 
+  /// In-neighbours as out-neighbours: in_arcs().out_neighbors(v) lists every
+  /// u with a live arc (u, v), and possibly some whose arc is dead (see the
+  /// file comment). An undirected graph's out-arcs are its in-arcs, so it
+  /// returns graph() and builds nothing; a directed graph's index is built
+  /// on the first call after construction or a compaction. Writer-side like
+  /// graph() (compacts first when dirty). The build writes only the index,
+  /// so readers may call flat(), version() and uid() while it runs.
+  [[nodiscard]] const Graph& in_arcs();
+
   /// Folds the overlay back into the flat CSR in place and drops every dead
   /// arc: the untouched segments between rewritten vertices (overlaid or
   /// holding dead arcs) slide by memmove and each rewritten list is written
@@ -202,7 +222,7 @@ class VersionedGraph {
   /// Exception guarantee: a bad_alloc (or an overlaid arc out of range)
   /// leaves the logical view and the flat CSR untouched. No-op when there
   /// is no overlay and no dead arc; does not change version(), and renews
-  /// flat().stamp() when it rewrites the CSR.
+  /// flat().stamp() and drops the in-arc index when it rewrites the CSR.
   void compact();
 
   // --- two-level read view (overlay-aware; valid even while dirty) --------
@@ -258,6 +278,11 @@ class VersionedGraph {
   [[nodiscard]] std::uint64_t compacted_arcs() const {
     return compacted_arcs_;
   }
+  /// In-arc index builds over this graph's lifetime: at most one per
+  /// compaction, 0 for an undirected graph.
+  [[nodiscard]] std::uint64_t in_arc_builds() const { return in_arc_builds_; }
+  /// Bytes the in-arc index holds now (0 before a build and after compact()).
+  [[nodiscard]] std::uint64_t in_arc_bytes() const;
 
  private:
   static constexpr std::uint32_t kNoEntry = 0xFFFFFFFFu;
@@ -320,6 +345,9 @@ class VersionedGraph {
 
   std::uint64_t compactions_ = 0;
   std::uint64_t compacted_arcs_ = 0;
+  /// A directed graph's transpose of flat_; no offsets until built.
+  Graph in_arcs_;
+  std::uint64_t in_arc_builds_ = 0;
   UniqueId uid_;
 };
 

@@ -8,7 +8,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "graph/algorithms.hpp"
 #include "graph/builder.hpp"
 #include "support/errors.hpp"
 
@@ -292,7 +291,7 @@ void write_gap_wsg(const Graph& g, std::ostream& out) {
                                            sizeof(WEdge)));
   };
   write_csr(g);
-  if (directed) write_csr(transpose(g));
+  if (directed) write_csr(GraphBuilder().transpose_of(g).build());
   if (!out) parse_error("wsg write failed");
 }
 

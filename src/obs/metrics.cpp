@@ -43,7 +43,9 @@ const char* counter_name(CounterId id) {
     case CounterId::kRepairConeResets: return "repair_cone_resets";
     case CounterId::kRepairArrayCopies: return "repair_array_copies";
     case CounterId::kRepairPublishedEntries: return "repair_published_entries";
+    case CounterId::kRepairInArcBuilds: return "repair_in_arc_builds";
     case CounterId::kRepairWalkNs: return "repair_walk_ns";
+    case CounterId::kRepairInArcBuildNs: return "repair_in_arc_build_ns";
     case CounterId::kRepairPublishNs: return "repair_publish_ns";
     case CounterId::kGraphCompactions: return "graph_compactions";
     case CounterId::kGraphCompactedArcs: return "graph_compacted_arcs";

@@ -67,7 +67,9 @@ enum class CounterId : std::uint8_t {
   kRepairArrayCopies,  ///< repairs that started with a whole copy of `from`
   kRepairPublishedEntries,  ///< entries patched or copied into the working
                             ///< buffer (a copy writes all n)
+  kRepairInArcBuilds,  ///< in-arc index builds (VersionedGraph::in_arcs)
   kRepairWalkNs,       ///< working buffer, classification, walk, seeding
+  kRepairInArcBuildNs, ///< time in those builds, apart from the walk
   kRepairPublishNs,    ///< engine return to published answer
   // --- versioned graph (graph/delta.hpp) -----------------------------------
   kGraphCompactions,   ///< VersionedGraph overlay compactions observed
@@ -87,7 +89,7 @@ enum class CounterId : std::uint8_t {
   kWorkerWakes,        ///< parked peers claimed and notified (push, exit,
                        ///< remote publish or quiescence vote)
 };
-inline constexpr std::size_t kNumCounters = 47;
+inline constexpr std::size_t kNumCounters = 49;
 
 /// The repair block, kRepairBatches through kRepairPublishNs.
 constexpr bool is_repair_counter(CounterId id) {

@@ -314,12 +314,13 @@ std::uint64_t QueryService::update(VersionedGraph& vg,
   // own entry to the new version instead of dropping it. vg is quiescent
   // now — workers are gated and concurrent updaters queue on the gate — so
   // the repairer may read it freely while submits and stats proceed under
-  // mu_. The cache key (uid, source) is what makes an entry exact for
-  // (vg, source) at its version. The cache takes the repairer's answer
-  // buffer itself: the repairer writes a buffer only after its last holder
-  // dropped it, so readers still holding one are safe. Each entry of
-  // `cached` becomes its repaired answer; each solve's report adds into
-  // `reported`.
+  // mu_. Its one write, a directed graph's in-arc index (in_arcs()), is
+  // state no submit reads. The cache key (uid, source) is what makes an
+  // entry exact for (vg, source) at its version. The cache takes the
+  // repairer's answer buffer itself: the repairer writes a buffer only
+  // after its last holder dropped it, so readers still holding one are
+  // safe. Each entry of `cached` becomes its repaired answer; each solve's
+  // report adds into `reported`.
   std::array<std::uint64_t, obs::kNumCounters> reported{};
   try {
     for (CachedAnswer& entry : cached) {

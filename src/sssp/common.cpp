@@ -20,7 +20,6 @@ struct AlgorithmEntry {
 
 constexpr AlgorithmEntry kAlgorithms[] = {
     {Algorithm::kDijkstra, "dijkstra", nullptr},
-    {Algorithm::kBellmanFord, "bf", "bellman-ford"},
     {Algorithm::kDeltaStepping, "gap", "delta"},
     {Algorithm::kJulienne, "gbbs", "julienne"},
     {Algorithm::kDeltaStar, "dstar", "delta-star"},

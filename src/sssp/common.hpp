@@ -145,7 +145,6 @@ struct PartitionCache {
 /// leaves a gap rather than renumbering the rest.
 enum class Algorithm {
   kDijkstra = 0,       ///< sequential reference (binary/d-ary heap)
-  kBellmanFord = 1,    ///< round-synchronous frontier Bellman-Ford
   kDeltaStepping = 2,  ///< GAP-style synchronous Δ-stepping (+bucket fusion)
   kJulienne = 3,       ///< GBBS-style centralized bucketing delta-stepping
   kDeltaStar = 4,      ///< Dong et al. Δ*-stepping (threshold = min + Δ)
@@ -159,11 +158,11 @@ enum class Algorithm {
 /// the bench labels, and the error messages all read from it.
 /// Canonical name of `a` ("wasp", "gap", "gbbs", ...).
 const char* to_string(Algorithm a);
-/// Parses a canonical name or its documented alias ("bf"/"bellman-ford",
-/// "gap"/"delta", ...); throws std::invalid_argument listing the accepted
+/// Parses a canonical name or its documented alias ("gap"/"delta",
+/// "gbbs"/"julienne", ...); throws std::invalid_argument listing the accepted
 /// names otherwise.
 Algorithm parse_algorithm(std::string_view name);
-/// "dijkstra|bf|gap|..." — every canonical name, for CLI help text.
+/// "dijkstra|gap|gbbs|..." — every canonical name, for CLI help text.
 std::string algorithm_list();
 
 /// Victim-selection policy of Wasp's work-stealing (the §4.2 ablation).

@@ -5,8 +5,6 @@
 #include <memory>
 #include <utility>
 
-#include "graph/algorithms.hpp"
-#include "graph/builder.hpp"
 #include "sssp/wasp.hpp"
 #include "support/errors.hpp"
 #include "support/thread_safety.hpp"
@@ -40,10 +38,6 @@ std::uint64_t Solver::Repair::scratch_bytes() const {
   for (const std::vector<VertexId>* list :
        {&changed_, &priced_from_, &cone_, &stack_, &seeds_})
     bytes += list->capacity() * sizeof(VertexId);
-  if (transpose_.num_vertices() > 0)
-    bytes += (std::uint64_t{transpose_.num_vertices()} + 1) *
-                 sizeof(EdgeIndex) +
-             transpose_.num_edges() * sizeof(WEdge);
   return bytes;
 }
 
@@ -69,19 +63,6 @@ std::unique_ptr<Solver::AnswerBuffer> Solver::Repair::working_copy(
   return work;
 }
 
-const Graph& Solver::Repair::transpose_of(const VersionedGraph& vg,
-                                          const Graph& g) {
-  // graph() just compacted `vg` if it was dirty, so the compaction count
-  // says whether the in-arc structure changed since the build.
-  if (transpose_uid_ != vg.uid() ||
-      transpose_compactions_ != vg.compactions()) {
-    transpose_ = GraphBuilder().transpose_of(g).build();
-    transpose_uid_ = vg.uid();
-    transpose_compactions_ = vg.compactions();
-  }
-  return transpose_;
-}
-
 Answer Solver::Repair::full_solve(Solver& solver, const Graph& g,
                                   VertexId source) {
   SsspResult result = solver.dispatch(g, source);
@@ -97,11 +78,12 @@ Answer Solver::Repair::full_solve(Solver& solver, const Graph& g,
   return answer_;
 }
 
-Answer Solver::Repair::repair(Solver& solver, const VersionedGraph& vg,
+Answer Solver::Repair::repair(Solver& solver, VersionedGraph& vg,
                               const Graph& g, VertexId source,
                               const Answer& from, std::uint64_t from_version,
                               std::span<const ArcEffect> effects) {
   const Timer walk_timer;
+  std::uint64_t build_ns = 0;  // an in-arc index build, timed apart
   const SsspOptions& opts = solver.options_;
   opts.validate();
   CancelToken* cancel = opts.cancel;
@@ -277,10 +259,17 @@ Answer Solver::Repair::repair(Solver& solver, const VersionedGraph& vg,
       }
     }
     seeds_.resize(kept);
-  } else {
-    // Directed: O(sum of cone in- and out-degrees) via the transposed
-    // in-arc view and the cone's own rows.
-    const Graph& rin = transpose_of(vg, g);
+  } else if (!cone_.empty()) {
+    // Directed: O(sum of cone in- and out-degrees) via the graph's in-arc
+    // index and the cone's own rows. A build of the index is its own layer.
+    const std::uint64_t builds = vg.in_arc_builds();
+    const Timer build_timer;
+    const Graph& rin = vg.in_arcs();
+    if (vg.in_arc_builds() != builds) {
+      build_ns = build_timer.nanoseconds();
+      shard.inc(CId::kRepairInArcBuilds);
+      shard.inc(CId::kRepairInArcBuildNs, build_ns);
+    }
     for (const VertexId c : cone_) {
       if ((++walked & 0xFFFu) == 0 && cancel != nullptr && cancel->poll())
         throw_cancelled(*cancel);
@@ -325,7 +314,7 @@ Answer Solver::Repair::repair(Solver& solver, const VersionedGraph& vg,
       throw_cancelled(*cancel);
     return result.metrics.seconds;
   };
-  shard.inc(CId::kRepairWalkNs, walk_timer.nanoseconds());
+  shard.inc(CId::kRepairWalkNs, walk_timer.nanoseconds() - build_ns);
   lowered_.reset(team_size);
   double engine_seconds = run_engine(
       inline_team_, seeds_, team_size > 1 ? kInlineRepairWork : kNoWorkBudget);

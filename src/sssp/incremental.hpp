@@ -43,8 +43,10 @@
 //     every cone vertex whose bound improves an out-neighbour. An
 //     undirected graph's out-arcs are its in-arcs, so the cone walk
 //     collects the boundary and compares both directions of each arc it
-//     scans; a directed graph takes a second pass over a cached transpose
-//     and the cone's out-arcs.
+//     scans; a directed graph takes a second pass over the graph's in-arc
+//     index (VersionedGraph::in_arcs, built by the first repair after a
+//     compaction and shared by every Solver) and the cone's out-arcs. An
+//     index build is timed apart from the walk (kRepairInArcBuildNs).
 //
 //     The engine (wasp_sssp_seeded) converges to the exact distances from
 //     any state that keeps two invariants, and the repair hands it one:
@@ -220,7 +222,7 @@ class Solver::Repair {
   Answer full_solve(Solver& solver, const Graph& g, VertexId source);
   /// Repairs `from`, exact at `from_version`, over the journal's `effects`
   /// since then (steps 0-5 above) and publishes the result.
-  Answer repair(Solver& solver, const VersionedGraph& vg, const Graph& g,
+  Answer repair(Solver& solver, VersionedGraph& vg, const Graph& g,
                 VertexId source, const Answer& from,
                 std::uint64_t from_version,
                 std::span<const ArcEffect> effects);
@@ -235,16 +237,6 @@ class Solver::Repair {
   /// Step 0: a buffer equal to `from`, patched or copied (counted).
   std::unique_ptr<AnswerBuffer> working_copy(const Answer& from,
                                              obs::MetricsShard& shard);
-
-  /// In-neighbour view for a directed graph's boundary pass: a cached
-  /// structural transpose, rebuilt for another graph (uid) or after a
-  /// compaction, which signals structural change. Between compactions the flat CSR keeps its slots:
-  /// a weight patch rewrites one, a closure leaves a dead arc in it, and a
-  /// reopening revives a dead (u, v) slot of the same row. So the cached
-  /// transpose stays a superset of the live in-arcs, and an in-neighbour
-  /// over a dead arc only adds a harmless seed. Undirected graphs need
-  /// none: the cone walk collects their seeds.
-  const Graph& transpose_of(const VersionedGraph& vg, const Graph& g);
 
   /// The calling thread alone: where every repair starts (no worker
   /// threads, so run() is a plain call).
@@ -283,10 +275,6 @@ class Solver::Repair {
   std::vector<VertexId> stack_;  ///< admitted cone vertices not yet scanned
   std::vector<VertexId> seeds_;
   std::vector<std::uint8_t> seeded_;
-
-  Graph transpose_;  ///< structural in-arc cache for directed graphs
-  std::uint64_t transpose_uid_ = 0;  ///< 0: none (uids start at 1)
-  std::uint64_t transpose_compactions_ = 0;
 };
 
 }  // namespace wasp

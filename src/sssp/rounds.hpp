@@ -1,5 +1,5 @@
-// The round skeleton of the barrier baselines: GAP Δ-stepping, Julienne,
-// Δ*-/ρ-stepping and Bellman-Ford. Dong et al. (PAPERS.md) show
+// The round skeleton of the barrier baselines: GAP Δ-stepping, Julienne and
+// Δ*-/ρ-stepping. Dong et al. (PAPERS.md) show
 // that these differ mainly in their extract rule; RoundDriver is the rest.
 // Every baseline's worker has the same shape:
 //
@@ -36,8 +36,8 @@
 namespace wasp {
 
 /// Per-vertex "already in the next frontier" flags: a vertex improved many
-/// times in one round is gathered once. Bellman-Ford's rule, which the
-/// threshold steppers share.
+/// times in one round is gathered once: the threshold steppers' dedup
+/// rule.
 class PendingFlags {
  public:
   explicit PendingFlags(std::size_t n) : flags_(n) {

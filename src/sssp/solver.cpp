@@ -3,7 +3,6 @@
 #include <sstream>
 #include <utility>
 
-#include "sssp/bellman_ford.hpp"
 #include "sssp/delta_stepping.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/incremental.hpp"
@@ -101,8 +100,6 @@ SsspResult Solver::dispatch(const Graph& g, VertexId source) {
   switch (options.algo) {
     case Algorithm::kDijkstra:
       return dijkstra(g, source);
-    case Algorithm::kBellmanFord:
-      return bellman_ford(g, source, ctx);
     case Algorithm::kDeltaStepping:
       return delta_stepping(g, source, options.delta, ctx);
     case Algorithm::kJulienne:

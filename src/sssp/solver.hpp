@@ -1,5 +1,5 @@
 // wasp::Solver — the one front door to every SSSP implementation: Wasp, the
-// six paper baselines and two references, all returning the same
+// six paper baselines and the Dijkstra reference, all returning the same
 // SsspResult, and to incremental repair over versioned graphs. A one-shot
 // solve is `wasp::Solver(opt).solve(g, source)`. Constructing a Solver
 // spawns its thread team, detects the NUMA topology and allocates a metrics

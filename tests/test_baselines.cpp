@@ -11,7 +11,6 @@
 #include "graph/generators.hpp"
 #include "graph/suite.hpp"
 #include "obs/metrics.hpp"
-#include "sssp/bellman_ford.hpp"
 #include "sssp/delta_stepping.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/julienne.hpp"
@@ -91,7 +90,6 @@ TEST(RoundBaselines, OneThreadWorkCountsArePinned) {
     WorkCounts power_law;
   };
   const Row rows[] = {
-      {Algorithm::kBellmanFord, {161, 140863, 47686}, {11, 451526, 23379}},
       {Algorithm::kDeltaStepping, {152, 44251, 13597}, {12, 646041, 21328}},
       {Algorithm::kJulienne, {465, 44953, 13597}, {26, 867932, 11357}},
       {Algorithm::kDeltaStar, {295, 40623, 13590}, {20, 895886, 11396}},
@@ -301,18 +299,6 @@ TEST(MqDijkstra, QueueOpTimeIsRecorded) {
   Ctx c(2, ref.graph);
   const auto r = mq_dijkstra(ref.graph, ref.source, 2, 8, 16, 1, c.ctx);
   EXPECT_GT(r.metrics.counter(CounterId::kQueueOpNs), 0u);
-}
-
-// --- Bellman-Ford --------------------------------------------------------------
-
-TEST(BellmanFord, NegativeFreeCyclesConverge) {
-  // Dense cyclic graph: many re-insertions per round.
-  const Ref ref = make_ref(gen::rmat(9, 8192, 0.5, 0.2, 0.2,
-                                     WeightScheme::uniform(1, 8), 20, true));
-  Ctx c(4, ref.graph);
-  const auto r = bellman_ford(ref.graph, ref.source, c.ctx);
-  EXPECT_EQ(c.answer, ref.dist);
-  EXPECT_GT(r.metrics.counter(CounterId::kRounds), 1u);
 }
 
 }  // namespace

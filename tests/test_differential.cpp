@@ -59,9 +59,9 @@ constexpr std::uint64_t kCases = 1536;
 #else
 constexpr std::uint64_t kCases = 512;
 #endif
-/// More than the values of any shared axis, and 8 pinned Wasp cases (seed
-/// 8 mod 9 among the 9 algorithms): their Wasp-only axes step with
-/// seed / 9 = 0..7, so each of at most 8 values lands on one of them.
+/// More than the values of any shared axis, and 9 pinned Wasp cases (seed
+/// 7 mod 8 among the 8 algorithms): their Wasp-only axes step with
+/// seed / 8 = 0..8, so each of at most 8 values lands on one of them.
 constexpr std::uint64_t kPinnedCases = 77;
 constexpr int kBatches = 4;
 constexpr int kBatchOps = 8;
@@ -183,11 +183,10 @@ std::string generator_name(int generator) {
 // --- axes -------------------------------------------------------------------
 
 constexpr Algorithm kAlgorithms[] = {
-    Algorithm::kDijkstra,      Algorithm::kBellmanFord,
-    Algorithm::kDeltaStepping, Algorithm::kJulienne,
-    Algorithm::kDeltaStar,     Algorithm::kRhoStepping,
-    Algorithm::kMqDijkstra,    Algorithm::kObim,
-    Algorithm::kWasp};
+    Algorithm::kDijkstra,    Algorithm::kDeltaStepping,
+    Algorithm::kJulienne,    Algorithm::kDeltaStar,
+    Algorithm::kRhoStepping, Algorithm::kMqDijkstra,
+    Algorithm::kObim,        Algorithm::kWasp};
 constexpr bool kBools[] = {false, true};
 constexpr int kThreads[] = {1, 2, 3, 4, 8};
 constexpr Weight kDeltas[] = {1, 2, 16, 64, 255, 1024};
@@ -315,7 +314,7 @@ Case decode(std::uint64_t seed) {
                                                   : rng.next_below(size)));
   }
   // Half the random draws run Wasp, so its ten knobs see as many draws as
-  // the other eight algorithms together.
+  // the other seven algorithms together.
   if (seed >= kPinnedCases && rng.next() % 2 == 0)
     c.options.algo = Algorithm::kWasp;
   return c;

@@ -270,7 +270,7 @@ TEST(Transpose, ReversesDirectedEdges) {
   const Graph g = GraphBuilder()
       .edges(3, {{0, 1, 7}, {0, 2, 2}, {2, 1, 4}})
       .build();
-  const Graph gt = transpose(g);
+  const Graph gt = GraphBuilder().transpose_of(g).build();
   EXPECT_EQ(gt.num_edges(), 3u);
   EXPECT_EQ(gt.out_degree(1), 2u);  // in-edges of 1
   EXPECT_EQ(gt.out_degree(0), 0u);
@@ -282,7 +282,7 @@ TEST(Transpose, ReversesDirectedEdges) {
 
 TEST(Transpose, UndirectedIsInvariant) {
   const Graph g = triangle_plus_tail();
-  const Graph gt = transpose(g);
+  const Graph gt = GraphBuilder().transpose_of(g).build();
   ASSERT_EQ(gt.num_edges(), g.num_edges());
   for (VertexId v = 0; v < g.num_vertices(); ++v)
     EXPECT_EQ(gt.out_degree(v), g.out_degree(v));

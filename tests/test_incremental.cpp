@@ -59,8 +59,8 @@ SsspOptions test_options() {
 }
 
 /// Undirected grid, chains and Erdős–Rényi plus a directed R-MAT (which
-/// exercises the cached-transpose boundary walk), small enough for a
-/// per-batch Dijkstra cross-check under TSan.
+/// exercises the boundary pass over the graph's in-arc index), small enough
+/// for a per-batch Dijkstra cross-check under TSan.
 Graph make_shape(const std::string& name) {
   const WeightScheme ws = WeightScheme::uniform(1, 100);
   if (name == "grid") return gen::grid(28, 28, ws, 11);
@@ -108,6 +108,22 @@ bool sample_arc(const VersionedGraph& vg, Xoshiro256& rng, ArcSample* out) {
     return true;
   }
   return false;
+}
+
+/// Adds to `delta` a jam (+50) of an arc on a shortest path from `source`,
+/// so the next repair of `source` walks a cone.
+void jam_tree_arc(VersionedGraph& vg, VertexId source, Xoshiro256& rng,
+                  GraphDelta& delta) {
+  const std::vector<Distance> d = dijkstra(vg.graph(), source).dist;
+  for (int tries = 0; tries < 4096; ++tries) {
+    ArcSample s;
+    if (!sample_arc(vg, rng, &s) || s.e.dst == source || d[s.u] == kInfDist ||
+        saturating_add(d[s.u], s.e.w) != d[s.e.dst])
+      continue;
+    delta.set_weight(s.u, s.e.dst, s.e.w + 50);
+    return;
+  }
+  ADD_FAILURE() << "no shortest-path arc sampled";
 }
 
 /// Logical-edge key: undirected graphs store both arcs, so normalize to one
@@ -216,6 +232,7 @@ bool patched(const obs::MetricsSnapshot& m) {
 /// disjoint slices of its wall time.
 double layers_seconds(const obs::MetricsSnapshot& m) {
   return 1e-9 * static_cast<double>(m.counter(CId::kRepairWalkNs) +
+                                    m.counter(CId::kRepairInArcBuildNs) +
                                     m.counter(CId::kRepairPublishNs)) +
          m.seconds;
 }
@@ -1549,8 +1566,9 @@ TEST(IncrementalDelta, DeadShareCapCompacts) {
 }
 
 TEST(IncrementalDelta, DirectedCloseReopenRepairsMatchAColdSolve) {
-  // Directed, so each repair takes the cached-transpose boundary pass; the
-  // transpose is built once and must stay a superset of the live in-arcs.
+  // Directed, so each repair with a cone takes the boundary pass over the
+  // graph's in-arc index; closures and reopenings never compact, so the
+  // index is built once and must stay a superset of the live in-arcs.
   VersionedGraph vg(make_shape("rmat_dir"));
   const VertexId source = pick_source(vg);
   Repairer inc(test_options());
@@ -1560,6 +1578,7 @@ TEST(IncrementalDelta, DirectedCloseReopenRepairsMatchAColdSolve) {
   Xoshiro256 rng(0xDEADA2CULL);
   std::deque<ArcSample> closed;
   int repairs = 0;
+  std::uint64_t builds = 0;
   const int batches = 12;
   for (int b = 0; b < batches; ++b) {
     GraphDelta delta;
@@ -1583,12 +1602,82 @@ TEST(IncrementalDelta, DirectedCloseReopenRepairsMatchAColdSolve) {
     (void)vg.apply(delta);
     const Answer& repaired = inc.solve(vg, source);
     if (inc.last_metrics().counter(CId::kRepairFullSolves) == 0) ++repairs;
+    builds += inc.last_metrics().counter(CId::kRepairInArcBuilds);
     ASSERT_EQ(cold.solve(rebuilt_csr(vg), source).dist, repaired)
         << "batch " << b;
   }
   EXPECT_EQ(repairs, batches);
   EXPECT_EQ(vg.compactions(), 0u);
   EXPECT_GT(vg.dead_arcs(), 0u);
+  EXPECT_EQ(builds, 1u);
+  EXPECT_EQ(vg.in_arc_builds(), 1u);
+}
+
+TEST(IncrementalDelta, TwoSolversShareOneInArcIndexPerCompaction) {
+  // The in-arc index belongs to the graph: the first repair that walks a
+  // cone builds it, a second Solver's repairs read the same one, and only a
+  // compaction makes the next repair build it again. Each batch jams an arc
+  // on a shortest path, so every repair walks a cone.
+  VersionedGraph vg(make_shape("rmat_dir"));
+  const VertexId source = pick_source(vg);
+  Repairer first(test_options());
+  Repairer second(test_options());
+  (void)first.solve(vg, source);
+  (void)second.solve(vg, source);
+  EXPECT_EQ(vg.in_arc_builds(), 0u);  // cold solves build nothing
+  EXPECT_EQ(vg.in_arc_bytes(), 0u);
+
+  Xoshiro256 rng(0x1DE7ULL);
+  // Repairs both Solvers; returns the index builds their reports count.
+  const auto repair_both = [&](int batch) {
+    std::uint64_t builds = 0;
+    for (Repairer* inc : {&first, &second}) {
+      const Answer& repaired = inc->solve(vg, source);
+      const obs::MetricsSnapshot& m = inc->last_metrics();
+      EXPECT_EQ(m.counter(CId::kRepairFullSolves), 0u) << "batch " << batch;
+      EXPECT_GT(m.counter(CId::kRepairConeVertices), 0u) << "batch " << batch;
+      EXPECT_EQ(repaired, dijkstra(vg.graph(), source).dist)
+          << "batch " << batch;
+      builds += m.counter(CId::kRepairInArcBuilds);
+      if (m.counter(CId::kRepairInArcBuilds) == 0) {
+        EXPECT_EQ(m.counter(CId::kRepairInArcBuildNs), 0u);
+      }
+    }
+    return builds;
+  };
+
+  std::uint64_t builds = 0;
+  for (int b = 0; b < 4; ++b) {
+    GraphDelta delta;
+    jam_tree_arc(vg, source, rng, delta);
+    (void)vg.apply(delta);
+    builds += repair_both(b);
+  }
+  EXPECT_EQ(builds, 1u);
+  EXPECT_EQ(vg.in_arc_builds(), 1u);
+  EXPECT_EQ(vg.compactions(), 0u);
+  // The index is the graph's, not a Solver's: 8 B per arc plus offsets.
+  EXPECT_GE(vg.in_arc_bytes(), vg.flat().num_edges() * sizeof(WEdge));
+
+  // A genuinely new arc waits in the overlay, so the next graph() compacts
+  // and drops the index; the next repair rebuilds it exactly once.
+  VertexId u = 0;
+  while (vg.out_neighbors(u).empty()) ++u;
+  VertexId fresh = 0;
+  const auto has_arc = [&](VertexId to) {
+    for (const WEdge& e : vg.out_neighbors(u))
+      if (e.dst == to) return true;
+    return false;
+  };
+  while (fresh == u || has_arc(fresh)) ++fresh;
+  GraphDelta structural;
+  structural.insert(u, fresh, 7);
+  jam_tree_arc(vg, source, rng, structural);
+  (void)vg.apply(structural);
+  EXPECT_TRUE(vg.dirty());
+  EXPECT_EQ(repair_both(4), 1u);
+  EXPECT_EQ(vg.compactions(), 1u);
+  EXPECT_EQ(vg.in_arc_builds(), 2u);
 }
 
 TEST(IncrementalDelta, JournalTrimRaisesTheFloor) {
@@ -1895,6 +1984,48 @@ TEST(IncrementalService, ConcurrentUpdatesAndQueriesStayVersionConsistent) {
     }
   }
   EXPECT_EQ(served, 24);
+}
+
+TEST(IncrementalService, DirectedUpdateBuildsTheInArcIndexWhileQueriesRun) {
+  // update() repairs with the service lock released while submits read
+  // flat(), version() and uid(); on a directed graph the first repair that
+  // walks a cone builds the graph's in-arc index meanwhile, a write no
+  // submit reads (the tsan preset runs this). One build serves every
+  // update, and the service folds its count.
+  VersionedGraph vg(gen::rmat(10, 8192, 0.57, 0.19, 0.19,
+                              WeightScheme::uniform(1, 100), 29,
+                              /*undirected=*/false));
+  const VertexId source = pick_source(vg);
+  const VertexId other = vg.out_neighbors(source)[0].dst;
+  service::QueryService svc(service_config());
+  ASSERT_EQ(svc.solve(vg, {.source = source}).outcome,
+            service::Outcome::kServed);
+
+  std::atomic<bool> done{false};
+  int served = 0;
+  std::thread client([&] {
+    while (!done.load()) {
+      if (svc.solve(vg, {.source = other}).outcome ==
+          service::Outcome::kServed)
+        ++served;
+    }
+  });
+  Xoshiro256 rng(0xD12ECULL);
+  for (int k = 0; k < 4; ++k) {
+    GraphDelta jam;
+    jam_tree_arc(vg, source, rng, jam);
+    (void)svc.update(vg, jam);
+  }
+  done.store(true);
+  client.join();
+  EXPECT_GT(served, 0);
+  EXPECT_EQ(vg.in_arc_builds(), 1u);
+  EXPECT_EQ(svc.metrics().counter(CId::kRepairInArcBuilds), 1u);
+  EXPECT_EQ(svc.metrics().counter(CId::kRepairFullSolves), 0u);
+  const service::QueryResult fresh = svc.solve(vg, {.source = source});
+  ASSERT_EQ(fresh.outcome, service::Outcome::kServed);
+  EXPECT_EQ(fresh.graph_version, vg.version());
+  EXPECT_EQ(dijkstra(vg.graph(), source).dist, fresh.dist);
 }
 
 TEST(IncrementalService, MinGraphVersionGatesSubmitsAndStampsResults) {

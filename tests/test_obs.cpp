@@ -99,7 +99,7 @@ TEST(RunObserver, RoundBaselinesFireOnRoundOncePerRound) {
 
   for (const Algorithm algo :
        {Algorithm::kDeltaStepping, Algorithm::kJulienne, Algorithm::kDeltaStar,
-        Algorithm::kRhoStepping, Algorithm::kBellmanFord}) {
+        Algorithm::kRhoStepping}) {
     CountingObserver observer;
     SsspOptions options;
     options.algo = algo;
@@ -491,11 +491,10 @@ TEST(SsspOptionsValidate, FrontDoorRejectsBeforeSpawningWorkers) {
 
 TEST(AlgorithmTable, RoundTripsEveryCanonicalName) {
   const Algorithm all[] = {
-      Algorithm::kDijkstra,      Algorithm::kBellmanFord,
-      Algorithm::kDeltaStepping, Algorithm::kJulienne,
-      Algorithm::kDeltaStar,     Algorithm::kRhoStepping,
-      Algorithm::kMqDijkstra,    Algorithm::kObim,
-      Algorithm::kWasp,
+      Algorithm::kDijkstra,   Algorithm::kDeltaStepping,
+      Algorithm::kJulienne,   Algorithm::kDeltaStar,
+      Algorithm::kRhoStepping, Algorithm::kMqDijkstra,
+      Algorithm::kObim,       Algorithm::kWasp,
   };
   for (const Algorithm a : all) {
     const std::string name = to_string(a);
@@ -506,7 +505,6 @@ TEST(AlgorithmTable, RoundTripsEveryCanonicalName) {
 }
 
 TEST(AlgorithmTable, AcceptsDocumentedAliases) {
-  EXPECT_EQ(parse_algorithm("bellman-ford"), Algorithm::kBellmanFord);
   EXPECT_EQ(parse_algorithm("delta"), Algorithm::kDeltaStepping);
   EXPECT_EQ(parse_algorithm("julienne"), Algorithm::kJulienne);
   EXPECT_EQ(parse_algorithm("delta-star"), Algorithm::kDeltaStar);
@@ -516,10 +514,11 @@ TEST(AlgorithmTable, AcceptsDocumentedAliases) {
 }
 
 TEST(AlgorithmTable, RejectsUnknownNamesListingTheTable) {
-  // Baselines the library does not ship (radius-stepping, the Stealing
-  // MultiQueue) are unknown like any other name.
-  for (const std::string name : {"quantum-annealing", "smq", "radius",
-                                 "stealing-multiqueue", "radius-stepping"}) {
+  // Algorithms the library does not ship (radius-stepping, the Stealing
+  // MultiQueue, Bellman-Ford) are unknown like any other name.
+  for (const std::string name :
+       {"quantum-annealing", "smq", "radius", "stealing-multiqueue",
+        "radius-stepping", "bf", "bellman-ford"}) {
     try {
       parse_algorithm(name);
       FAIL() << "expected std::invalid_argument for " << name;
@@ -531,13 +530,13 @@ TEST(AlgorithmTable, RejectsUnknownNamesListingTheTable) {
   }
 }
 
-TEST(AlgorithmTable, ListEnumeratesNineCanonicalNames) {
+TEST(AlgorithmTable, ListEnumeratesEightCanonicalNames) {
   const std::string list = algorithm_list();
   EXPECT_NE(list.find("dijkstra"), std::string::npos);
   EXPECT_NE(list.find("wasp"), std::string::npos);
   std::size_t bars = 0;
   for (const char c : list) bars += c == '|' ? 1 : 0;
-  EXPECT_EQ(bars, 8u);  // 9 names, 8 separators
+  EXPECT_EQ(bars, 7u);  // 8 names, 7 separators
 }
 
 }  // namespace

@@ -248,10 +248,10 @@ TEST_P(ServiceCancel, PreExpiredDeadlineThrowsBeforeRunning) {
 
 INSTANTIATE_TEST_SUITE_P(
     ServiceAlgos, ServiceCancel,
-    testing::Values(Algorithm::kBellmanFord, Algorithm::kDeltaStepping,
-                    Algorithm::kJulienne, Algorithm::kDeltaStar,
-                    Algorithm::kRhoStepping, Algorithm::kMqDijkstra,
-                    Algorithm::kObim, Algorithm::kWasp),
+    testing::Values(Algorithm::kDeltaStepping, Algorithm::kJulienne,
+                    Algorithm::kDeltaStar, Algorithm::kRhoStepping,
+                    Algorithm::kMqDijkstra, Algorithm::kObim,
+                    Algorithm::kWasp),
     [](const testing::TestParamInfo<Algorithm>& param) {
       return to_string(param.param);
     });
@@ -261,7 +261,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ServiceSolverBusy, ConcurrentSolveThrowsTyped) {
   const Graph g = make_test_graph();
   const VertexId source = pick_source_in_largest_component(g, 7);
-  Solver solver(options_for(Algorithm::kBellmanFord));
+  Solver solver(options_for(Algorithm::kDeltaStepping));
   BlockingObserver blocker;
   solver.options().observer = &blocker;
   blocker.arm();
@@ -340,7 +340,7 @@ TEST(ServiceQuery, CoalescesQueuedSameSourceSubmits) {
 
   BlockingObserver blocker;
   ServiceConfig config;
-  config.solver = options_for(Algorithm::kBellmanFord);
+  config.solver = options_for(Algorithm::kDeltaStepping);
   config.solver.observer = &blocker;
   config.num_solvers = 1;
   QueryService svc(config);
@@ -373,7 +373,7 @@ TEST(ServiceQuery, OverloadShedsLowPriorityAndRejectsNonOutranking) {
 
   BlockingObserver blocker;
   ServiceConfig config;
-  config.solver = options_for(Algorithm::kBellmanFord);
+  config.solver = options_for(Algorithm::kDeltaStepping);
   config.solver.observer = &blocker;
   config.num_solvers = 1;
   config.queue_capacity = 2;
@@ -406,7 +406,7 @@ TEST(ServiceQuery, QueueExpiryDegradesToStaleWhenAllowed) {
 
   BlockingObserver blocker;
   ServiceConfig config;
-  config.solver = options_for(Algorithm::kBellmanFord);
+  config.solver = options_for(Algorithm::kDeltaStepping);
   config.solver.observer = &blocker;
   config.num_solvers = 1;
   QueryService svc(config);
@@ -450,7 +450,7 @@ TEST(ServiceQuery, FreshStaleAndServedAnswersShareOneBuffer) {
 
   BlockingObserver blocker;
   ServiceConfig config;
-  config.solver = options_for(Algorithm::kBellmanFord);
+  config.solver = options_for(Algorithm::kDeltaStepping);
   config.solver.observer = &blocker;
   config.num_solvers = 1;
   QueryService svc(config);
@@ -561,7 +561,7 @@ TEST(ServiceQuery, PlainQueryQueuedBehindSameSourceRunIsServedAtPickup) {
 
   BlockingObserver blocker;
   ServiceConfig config;
-  config.solver = options_for(Algorithm::kBellmanFord);
+  config.solver = options_for(Algorithm::kDeltaStepping);
   config.solver.observer = &blocker;
   config.num_solvers = 1;
   QueryService svc(config);
@@ -788,7 +788,7 @@ TEST(ServiceQuery, ShedDowngradedToStaleCountsOnceAsServedStale) {
 
   BlockingObserver blocker;
   ServiceConfig config;
-  config.solver = options_for(Algorithm::kBellmanFord);
+  config.solver = options_for(Algorithm::kDeltaStepping);
   config.solver.observer = &blocker;
   config.num_solvers = 1;
   config.queue_capacity = 1;
@@ -834,7 +834,7 @@ TEST(ServiceQuery, GraphRebuiltInTheSameStorageIsNotServedTheOldAnswer) {
 
   BlockingObserver blocker;
   ServiceConfig config;
-  config.solver = options_for(Algorithm::kBellmanFord);
+  config.solver = options_for(Algorithm::kDeltaStepping);
   config.solver.observer = &blocker;
   config.num_solvers = 1;
   config.queue_capacity = 1;
@@ -874,14 +874,16 @@ TEST(ServiceQuery, GraphRebuiltInTheSameStorageIsNotServedTheOldAnswer) {
 TEST(ServiceQuery, WatchdogCancelsOverdueRunAndTheWorkerKeepsItsSolver) {
   const Graph g = make_small_graph();
   const VertexId source = pick_source_in_largest_component(g, 11);
-  const SsspOptions opts = options_for(Algorithm::kBellmanFord);
+  const SsspOptions opts = options_for(Algorithm::kDeltaStepping);
   const SsspResult fresh = Solver(opts).solve(g, source);
 
   BlockingObserver blocker;
   ServiceConfig config;
-  // Bellman-Ford: only participant 0 polls the deadline (round top), and it
-  // is the thread the observer blocks — so the in-run self-cancel cannot
-  // fire and the watchdog is provably the one that cancels.
+  // GAP delta-stepping: only participant 0 polls the deadline (the round
+  // top, RoundDriver::count_round), and it is the thread the observer
+  // blocks; the other workers read only the cancel flag. So the in-run
+  // self-cancel cannot fire and the watchdog is provably the one that
+  // cancels.
   config.solver = opts;
   config.solver.observer = &blocker;
   config.num_solvers = 1;
@@ -981,7 +983,7 @@ TEST(ServiceQuery, ShutdownResolvesQueuedAsCancelledAndRejectsSubmits) {
 
   BlockingObserver blocker;
   ServiceConfig config;
-  config.solver = options_for(Algorithm::kBellmanFord);
+  config.solver = options_for(Algorithm::kDeltaStepping);
   config.solver.observer = &blocker;
   config.num_solvers = 1;
   QueryService svc(config);
@@ -1023,7 +1025,7 @@ TEST(ServiceAccounting, TenantCountersSumToServiceCounters) {
   ThrowingObserver thrower(&blocker);
   thrower.failing = false;
   ServiceConfig config;
-  config.solver = options_for(Algorithm::kBellmanFord);
+  config.solver = options_for(Algorithm::kDeltaStepping);
   config.solver.threads = 1;  // the throwing observer needs one thread
   config.solver.observer = &thrower;
   config.num_solvers = 1;

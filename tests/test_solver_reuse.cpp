@@ -74,11 +74,10 @@ TEST_P(SolverReuse, RepeatAndCrossSourceQueriesAreBitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllAlgorithms, SolverReuse,
-    testing::Values(Algorithm::kDijkstra, Algorithm::kBellmanFord,
-                    Algorithm::kDeltaStepping, Algorithm::kJulienne,
-                    Algorithm::kDeltaStar, Algorithm::kRhoStepping,
-                    Algorithm::kMqDijkstra, Algorithm::kObim,
-                    Algorithm::kWasp),
+    testing::Values(Algorithm::kDijkstra, Algorithm::kDeltaStepping,
+                    Algorithm::kJulienne, Algorithm::kDeltaStar,
+                    Algorithm::kRhoStepping, Algorithm::kMqDijkstra,
+                    Algorithm::kObim, Algorithm::kWasp),
     [](const testing::TestParamInfo<Algorithm>& param_info) {
       std::string name = to_string(param_info.param);
       for (char& c : name)
@@ -173,10 +172,10 @@ TEST_P(SolverReuseAfterReset, DirtyPoolIsRefilledBeforeEverySolve) {
 
 INSTANTIATE_TEST_SUITE_P(
     Pooled, SolverReuseAfterReset,
-    testing::Values(Algorithm::kBellmanFord, Algorithm::kDeltaStepping,
-                    Algorithm::kJulienne, Algorithm::kDeltaStar,
-                    Algorithm::kRhoStepping, Algorithm::kMqDijkstra,
-                    Algorithm::kObim, Algorithm::kWasp),
+    testing::Values(Algorithm::kDeltaStepping, Algorithm::kJulienne,
+                    Algorithm::kDeltaStar, Algorithm::kRhoStepping,
+                    Algorithm::kMqDijkstra, Algorithm::kObim,
+                    Algorithm::kWasp),
     [](const testing::TestParamInfo<Algorithm>& param_info) {
       return std::string(to_string(param_info.param));
     });
@@ -367,7 +366,8 @@ TEST(PartitionReuse, RepairNeverBindsToTheUnusedFlatArray) {
   VersionedGraph vg(gen::grid(30, 30, WeightScheme::uniform(1, 100), 5));
   Solver inc(partitioned_options(2));
   const VertexId s = 0;
-  (void)inc.solve(vg.graph(), vg.num_vertices() - 1, Algorithm::kBellmanFord);
+  (void)inc.solve(vg.graph(), vg.num_vertices() - 1,
+                  Algorithm::kDeltaStepping);
   const Answer answer = inc.solve(vg, s, {}, 0);
   EXPECT_EQ(answer, dijkstra(vg.graph(), s).dist);
   const std::uint64_t answered = vg.version();

@@ -156,9 +156,9 @@ std::vector<DeadArcRun> dead_arc_runs() {
   runs.back().options.wasp.partition.enabled = true;
   runs.back().options.wasp.partition.num_fragments = 2;
   for (const Algorithm algo :
-       {Algorithm::kDijkstra, Algorithm::kBellmanFord,
-        Algorithm::kDeltaStepping, Algorithm::kJulienne, Algorithm::kDeltaStar,
-        Algorithm::kRhoStepping, Algorithm::kMqDijkstra, Algorithm::kObim})
+       {Algorithm::kDijkstra, Algorithm::kDeltaStepping, Algorithm::kJulienne,
+        Algorithm::kDeltaStar, Algorithm::kRhoStepping, Algorithm::kMqDijkstra,
+        Algorithm::kObim})
     add(to_string(algo), algo, 4);
   return runs;
 }

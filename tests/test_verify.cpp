@@ -1860,8 +1860,7 @@ TEST(SchedulerHarness, RoundBaselinesEndToEndSchedulesMatchDijkstra) {
   // Dijkstra.
   const SeedRange seeds = harness_seeds(kE2eSeeds / 8);
   for (const Algorithm algo :
-       {Algorithm::kJulienne, Algorithm::kDeltaStar, Algorithm::kRhoStepping,
-        Algorithm::kBellmanFord}) {
+       {Algorithm::kJulienne, Algorithm::kDeltaStar, Algorithm::kRhoStepping}) {
     for (std::uint64_t seed = seeds.first; seed < seeds.last; ++seed) {
       e2e_one_seed(algo, seed);
       if (::testing::Test::HasFailure()) return;
