@@ -1,11 +1,12 @@
 // NUMA-partitioned execution vs flat Wasp (docs/NUMA.md):
 // the same graphs solved by the flat work-stealing engine and by the
 // partitioned engine under a ladder of synthetic topologies (single node,
-// two nodes, two sockets x two nodes). Reports wall time plus the remote
-// traffic the partition actually generated — remote relaxations, batches,
-// and the remote share of all relaxations — and checks every partitioned
-// distance vector bit-identical to the flat answer before timing is
-// trusted.
+// two nodes, two sockets x two nodes). Reports wall time, the engine's
+// updates (the work count that compares a rung with flat on any host), and
+// the remote traffic the partition actually generated — remote
+// relaxations, batches, and the remote share of all relaxations — and
+// checks every partitioned distance vector bit-identical to the flat answer
+// before timing is trusted.
 //
 // On a one-node CI host the synthetic topologies still exercise the whole
 // remote-queue path (fragments are per synthetic node, not per physical
@@ -36,6 +37,7 @@ struct Row {
   double seconds = 0.0;
   double edges_per_sec = 0.0;
   std::uint64_t relaxations = 0;
+  std::uint64_t updates = 0;  ///< strict distance improvements
   std::uint64_t remote_relaxations = 0;
   std::uint64_t remote_batches = 0;
   double remote_share = 0.0;  ///< remote_relaxations / relaxations
@@ -85,10 +87,12 @@ void write_json(const std::string& path, int threads, double scale,
         buf, sizeof(buf),
         "    {\"graph\": \"%s\", \"topology\": \"%s\", \"fragments\": %d, "
         "\"seconds\": %.6f, \"edges_per_sec\": %.1f, \"relaxations\": %llu, "
-        "\"remote_relaxations\": %llu, \"remote_batches\": %llu, "
+        "\"updates\": %llu, \"remote_relaxations\": %llu, "
+        "\"remote_batches\": %llu, "
         "\"remote_share\": %.6f, \"exact\": %s}%s\n",
         r.graph.c_str(), r.topology.c_str(), r.fragments, r.seconds,
         r.edges_per_sec, static_cast<unsigned long long>(r.relaxations),
+        static_cast<unsigned long long>(r.updates),
         static_cast<unsigned long long>(r.remote_relaxations),
         static_cast<unsigned long long>(r.remote_batches), r.remote_share,
         r.exact ? "true" : "false", i + 1 < rows.size() ? "," : "");
@@ -117,6 +121,7 @@ int main(int argc, char** argv) {
   bench::print_cell("graph", 7);
   bench::print_cell("topo", 7);
   bench::print_cell("time", 12);
+  bench::print_cell("updates", 12);
   bench::print_cell("remote", 12);
   bench::print_cell("batches", 10);
   bench::print_cell("share", 8);
@@ -166,6 +171,7 @@ int main(int argc, char** argv) {
               ? static_cast<double>(w.graph.num_edges()) / row.seconds
               : 0.0;
       row.relaxations = m.metrics.counter(obs::CounterId::kRelaxations);
+      row.updates = m.metrics.counter(obs::CounterId::kUpdates);
       row.remote_relaxations =
           m.metrics.counter(obs::CounterId::kRemoteRelaxations);
       row.remote_batches = m.metrics.counter(obs::CounterId::kRemoteBatches);
@@ -181,6 +187,9 @@ int main(int argc, char** argv) {
       bench::print_cell(row.graph, 7);
       bench::print_cell(row.topology, 7);
       bench::print_cell(bench::format_time_ms(row.seconds), 12);
+      std::snprintf(cell, sizeof(cell), "%llu",
+                    static_cast<unsigned long long>(row.updates));
+      bench::print_cell(cell, 12);
       std::snprintf(cell, sizeof(cell), "%llu",
                     static_cast<unsigned long long>(row.remote_relaxations));
       bench::print_cell(cell, 12);

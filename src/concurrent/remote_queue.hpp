@@ -1,12 +1,12 @@
 // Batched remote relaxation queues for the partitioned Wasp engine.
 //
 // In partitioned execution (graph/partition.hpp, sssp/wasp.cpp,
-// docs/NUMA.md) a worker never CASes another fragment's distance shard.
+// docs/NUMA.md) a worker never CASes another fragment's distances.
 // When a relaxation's target vertex lives in a different fragment, the
 // {vertex, dist} record is buffered in a per-destination batch and, once the
 // batch fills (or at a bucket boundary), published onto the destination
 // fragment's inbound channel. Destination workers drain the channel at round
-// boundaries and apply the records to their own shard. Cross-node traffic is
+// boundaries and apply the records to their own range. Cross-node traffic is
 // thus a handful of cache lines per *batch* instead of a CAS ping-pong per
 // *edge* — the libgrape-lite out_q_remote idea grafted onto Wasp's
 // asynchronous protocol.
@@ -177,11 +177,11 @@ class RemoteRelayNetwork {
   }
 
   /// Subtracts `records` applied records. Call only after the records have
-  /// been relaxed into the destination shard. seq_cst: keeps the counter's
+  /// been relaxed into the destination's range. seq_cst: keeps the counter's
   /// modification order totally ordered with the verdict's load (below) so
   /// a zero read is current; the RMW chain accumulates every drainer's
-  /// release clock, so a scanner reading zero also inherits those shard
-  /// writes and each drainer's preceding busy board publication.
+  /// release clock, so a scanner reading zero also inherits those
+  /// distance writes and each drainer's preceding busy board publication.
   void on_drained(std::uint32_t records) {
     in_flight_.fetch_sub(records, std::memory_order_seq_cst);
   }

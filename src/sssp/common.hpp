@@ -46,6 +46,12 @@ class AtomicDistances {
 
   [[nodiscard]] std::size_t size() const { return n_; }
 
+  /// The entries [begin, end) of this view, indexed from 0: a partitioned
+  /// Wasp run's fragment distances.
+  [[nodiscard]] AtomicDistances slice(VertexId begin, VertexId end) const {
+    return AtomicDistances(std::span<Distance>(dist_ + begin, end - begin));
+  }
+
   /// Relaxed: distance reads are admissibly stale — every algorithm
   /// re-validates (stale-skip check or CAS), and cross-thread visibility of
   /// the *final* values rides the scheduler's own edges (barriers, steals).
@@ -105,14 +111,13 @@ class AtomicDistances {
   std::size_t n_ = 0;
 };
 
-/// Per-graph state of partitioned Wasp — the fragments and one distance
-/// shard per fragment — kept across solves so only the first partitioned
-/// solve of a graph pays the O(n + m) build. Solver owns one and hands it to
-/// the engine through RunContext; the engine reuses the entry when every
-/// key field matches and otherwise replaces it. Not thread-safe: it is
-/// touched between parallel phases only (the shards are built by fragment
-/// leaders inside a team run, which the team join orders before the entry
-/// is stored).
+/// Per-graph state of partitioned Wasp — the fragments — kept across solves
+/// so only the first partitioned solve of a graph pays the O(n + m) build.
+/// Solver owns one and hands it to the engine through RunContext; the
+/// engine reuses the entry when every key field matches and otherwise
+/// replaces it. The fragments' distances are the run's one buffer
+/// (RunContext::dist), not part of the entry. Not thread-safe: it is
+/// touched between parallel phases only.
 struct PartitionCache {
   /// What a partition and its placement depend on.
   struct Key {
@@ -128,8 +133,6 @@ struct PartitionCache {
   struct Entry {
     Key key;
     GraphPartition partition;
-    /// shards[f] holds fragment f's distances over its local indices.
-    std::vector<std::vector<Distance>> shards;
   };
 
   /// The cached entry when its key equals `key`, else null.
@@ -266,8 +269,7 @@ struct SsspOptions {
 
 /// Distances plus the run's metrics (wall time in metrics.seconds, work
 /// counts via metrics.counter(CounterId::...)). Solver moves the buffer a
-/// flat run relaxed into `dist`; called directly, only Dijkstra and a Wasp
-/// run with more than one fragment fill it.
+/// run relaxed into `dist`; called directly, only Dijkstra fills it.
 struct SsspResult {
   std::vector<Distance> dist;
   obs::MetricsSnapshot metrics;
@@ -283,10 +285,10 @@ struct RunContext {
   obs::RunObserver* observer = nullptr;
   /// This run's tentative-distance array: a view over the buffer
   /// Solver::solve filled with kInfDist, or over a repair's bounds. A Wasp
-  /// run with more than one fragment uses fragment shards instead.
+  /// run with more than one fragment views one sub-range per fragment.
   AtomicDistances* dist = nullptr;
-  /// Where partitioned Wasp keeps its fragments and shards between solves
-  /// (null = build them per call; Solver points this at its owned cache).
+  /// Where partitioned Wasp keeps its fragments between solves (null =
+  /// build them per call; Solver points this at its owned cache).
   PartitionCache* partitions = nullptr;
   /// options.cancel, copied here by Solver::solve (null = not cancellable).
   CancelToken* cancel = nullptr;

@@ -82,20 +82,16 @@ SsspResult Solver::dispatch(const Graph& g, VertexId source) {
     // checked above.
     return dijkstra(g, source);
   }
-  // A flat run relaxes in a buffer filled here, a free one when the pool
-  // has any, and returns it. A Wasp run with more than one fragment keeps
-  // its distances in fragment shards (and counts their fills itself).
-  std::unique_ptr<AnswerBuffer> buffer;
-  AtomicDistances dist;
-  if (options.algo != Algorithm::kWasp ||
-      options.wasp.fragments(ctx.team.size()) == 1) {
-    buffer = buffers_->take(BufferPool::kNoGeneration);
-    if (buffer == nullptr) buffer = std::make_unique<AnswerBuffer>();
-    buffer->dist.assign(g.num_vertices(), kInfDist);
-    dist = AtomicDistances(buffer->dist);
-    ctx.dist = &dist;
-    ctx.metrics.shard(0).inc(obs::CounterId::kEpochSweeps);
-  }
+  // Every run relaxes in a buffer filled here, a free one when the pool has
+  // any, and returns it. A partitioned Wasp run's fragments view sub-ranges
+  // of it.
+  std::unique_ptr<AnswerBuffer> buffer =
+      buffers_->take(BufferPool::kNoGeneration);
+  if (buffer == nullptr) buffer = std::make_unique<AnswerBuffer>();
+  buffer->dist.assign(g.num_vertices(), kInfDist);
+  AtomicDistances dist(buffer->dist);
+  ctx.dist = &dist;
+  ctx.metrics.shard(0).inc(obs::CounterId::kEpochSweeps);
   SsspResult result = [&]() -> SsspResult {
   switch (options.algo) {
     case Algorithm::kDijkstra:
@@ -122,12 +118,11 @@ SsspResult Solver::dispatch(const Graph& g, VertexId source) {
   }();
   // The team has joined by now, so every worker's polls happened-before
   // this check. A fired token leaves a partial relaxation in the buffer,
-  // freed here, or in the cached fragment shards, which the next solve
-  // fills before use, so the Solver stays reusable.
+  // freed here, so the Solver stays reusable.
   if (ctx.cancel != nullptr && ctx.cancel->cancel_requested())
     throw_cancelled(*ctx.cancel);
   // The join orders every relaxation before the caller's plain reads.
-  if (buffer != nullptr) result.dist = std::move(buffer->dist);
+  result.dist = std::move(buffer->dist);
   return result;
 }
 

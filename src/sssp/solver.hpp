@@ -25,8 +25,8 @@
 //
 // The Solver owns the ThreadTeam, the (shared) NumaTopology, the
 // MetricsRegistry, a free list of the distance buffers its answers' last
-// holders dropped, the fragments and shards of Wasp runs with more than
-// one fragment (built on the first such solve of a graph and kept until a
+// holders dropped, the fragments of Wasp runs with more than one
+// fragment (built on the first such solve of a graph and kept until a
 // solve needs a different graph stamp, fragment count or topology) and,
 // from its first versioned solve on, the repair state
 // (sssp/incremental.hpp). A run relaxes in the buffer it returns. Each
@@ -63,9 +63,10 @@ class Solver {
 
   /// Runs options().algo from `source` on the owned team. Re-validates
   /// options (they are mutable between solves) and resets the registry, so
-  /// each result's metrics cover exactly one run. A flat run fills a
-  /// buffer (one epoch_sweeps), relaxes in it, and returns it as
-  /// result.dist with no copy.
+  /// each result's metrics cover exactly one run. Every run but Dijkstra's
+  /// fills a buffer (one epoch_sweeps), relaxes in it, and returns it as
+  /// result.dist with no copy; a partitioned Wasp run's fragments relax in
+  /// its sub-ranges.
   ///
   /// A Solver runs ONE solve at a time: the team, buffers, and registry are
   /// per-run state with no internal synchronization.
@@ -133,8 +134,8 @@ class Solver {
   };
   class BufferPool;
 
-  /// Validates inputs and options, fills a buffer for a flat run, then runs
-  /// options().algo. The caller holds busy_.
+  /// Validates inputs and options, fills a buffer for every algorithm but
+  /// Dijkstra, then runs options().algo in it. The caller holds busy_.
   SsspResult dispatch(const Graph& g, VertexId source);
   /// Sets `report`'s kSolverStateBytes gauge to what the Solver holds now.
   void record_state_bytes(obs::MetricsSnapshot& report) const;
@@ -144,7 +145,7 @@ class Solver {
   SsspOptions options_;
   obs::MetricsRegistry metrics_;
   /// The one pool: published answers return here when their last holder
-  /// drops them, and flat runs take buffers from here first.
+  /// drops them, and cold runs take buffers from here first.
   std::shared_ptr<BufferPool> buffers_;
   PartitionCache partitions_;
   obs::MetricsSnapshot last_metrics_;

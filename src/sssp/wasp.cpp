@@ -4,9 +4,10 @@
 // machine is F = 1) and every worker relaxes against a FragmentView of its
 // own fragment. A one-fragment run views the whole Graph and the run's
 // AtomicDistances: no partition, relay or vote. A run with F > 1 views the
-// cached PartitionCache fragments and shards (graph/partition.hpp, Solver's
-// PartitionCache), and the Relay instantiation adds what crossing fragments
-// needs:
+// cached fragments' CSR rows (graph/partition.hpp, Solver's PartitionCache)
+// and each fragment's sub-range of the same AtomicDistances, so it relaxes
+// in the buffer a flat run would, bidirectional relaxation included. The
+// Relay instantiation adds what crossing fragments needs:
 //  * a relaxation whose target another fragment owns becomes a {vertex,
 //    dist} record in a batched remote queue (concurrent/remote_queue.hpp),
 //    published when full and at bucket boundaries and drained by the
@@ -251,9 +252,9 @@ class WaspWorker {
   /// publishes its minimum level, which run_wasp pre-published on the
   /// board so the termination scan cannot fire before the seeds land. A
   /// cold seed gets distance 0 here, on the worker: the verify model only
-  /// records stores from bound threads, and a fragment shard was written
-  /// last by its leader. A warm seed keeps its pre-loaded bound and is
-  /// skipped when that is infinite (nothing can relax from it).
+  /// records stores from bound threads. A warm seed keeps its pre-loaded
+  /// bound and is skipped when that is infinite (nothing can relax from
+  /// it).
   void seed(std::span<const VertexId> seeds, bool cold) {
     std::uint64_t min_level = kInfPriority;
     for (std::size_t i = 0; i < seeds.size(); ++i) {
@@ -543,13 +544,14 @@ class WaspWorker {
     // pull a potentially better distance for u before pushing. Only when the
     // whole list is relaxed here: a pull lowers dist[u] without rescheduling
     // u, so the slices already pushed at the old level would read as stale
-    // and never be relaxed (possible when theta < 8). Not across fragments:
-    // a pull would read neighbour distances in remote shards.
-    if (!Relay && s_.config.bidirectional_relaxation &&
-        s_.graph.is_undirected() && degree <= 8 && begin == 0 &&
-        end == degree) {
+    // and never be relaxed (possible when theta < 8). Only from neighbours
+    // this fragment owns: a worker reads only its own range, and a boundary
+    // neighbour's improvement arrives through the remote queue.
+    if (s_.config.bidirectional_relaxation && s_.graph.is_undirected() &&
+        degree <= 8 && begin == 0 && end == degree) {
       Distance best = du;
       for (std::uint32_t j = 0; j < degree; ++j) {
+        if (!owns(edges[j].dst)) continue;
         my_.inc(CId::kRelaxations);
         const Distance through = saturating_add(load(edges[j].dst), edges[j].w);
         if (through < best) best = through;
@@ -586,7 +588,7 @@ class WaspWorker {
       const Distance nd = saturating_add(du, e.w);
       if (!owns(e.dst)) {
         // Boundary edge: defer to the owner through its remote queue. The
-        // receiver's relax CAS is the arbiter (its shard may already hold
+        // receiver's relax CAS is the arbiter (its range may already hold
         // something better).
         send_remote(e.dst, nd);
         continue;
@@ -626,9 +628,9 @@ class WaspWorker {
     wake_parked(s_.members[static_cast<std::size_t>(dst)], 1);
   }
 
-  /// Grabs this fragment's inbound channel and applies the records to the
-  /// local shard, scheduling improvements into the local buckets. Returns
-  /// the number of vertices scheduled. Caller contract (termination
+  /// Grabs this fragment's inbound channel and applies the records to its
+  /// range, scheduling improvements into the local buckets. Returns the
+  /// number of vertices scheduled. Caller contract (termination
   /// soundness): this worker's board slot must not read kInfPriority while
   /// the call can schedule work — work_loop() calls it under a real level,
   /// terminate() under kStealingPriority. No note_lowered here: only a run
@@ -1148,11 +1150,12 @@ void launch(WaspShared<ChunkT>& shared, std::span<const VertexId> seeds,
 }
 
 /// The one engine entry behind wasp_sssp and wasp_sssp_seeded. A cold run
-/// (no `log`) plants `seeds` (the source) at distance 0 in fresh distances
-/// and copies them into result.dist. A warm run plants them at the bounds
+/// (no `log`) plants `seeds` (the source) at distance 0 in ctx.dist, which
+/// the caller filled with kInfDist. A warm run plants them at the bounds
 /// the caller pre-loaded into ctx.dist, always as one fragment, appends
-/// what it lowers to `log`, stops at `budget` processed vertices when it
-/// has one worker, and leaves result.dist empty.
+/// what it lowers to `log` and stops at `budget` processed vertices when it
+/// has one worker. Either way the answer is ctx.dist and result.dist stays
+/// empty.
 template <typename ChunkT>
 SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds,
                     Weight delta, const WaspConfig& config, RunContext& ctx,
@@ -1166,9 +1169,9 @@ SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds,
     cpu_of[static_cast<std::size_t>(t)] = ctx.team.cpu_of(t) % topo->num_cpus();
 
   // A one-fragment run never builds or looks up a partition. Otherwise
-  // reuse the cached fragments and shards when they were built for this
-  // graph content, fragment count, team and topology; else drop the stale
-  // entry first, so at most one CSR copy is alive, and build afresh.
+  // reuse the cached fragments when they were built for this graph content,
+  // fragment count, team and topology; else drop the stale entry first, so
+  // at most one CSR copy is alive, and build afresh.
   const int want = cold ? config.fragments(p) : 1;
   const PartitionCache::Key key{g.stamp(), want, p, topo};
   PartitionCache::Entry* frags = nullptr;
@@ -1177,9 +1180,13 @@ SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds,
   if (want > 1 && frags == nullptr) {
     if (ctx.partitions != nullptr) ctx.partitions->entry.reset();
     built = std::make_unique<PartitionCache::Entry>(PartitionCache::Entry{
-        key, GraphPartition::build(g, *topo, want, p > 1 ? &ctx.team : nullptr),
-        {}});
+        key,
+        GraphPartition::build(g, *topo, want, p > 1 ? &ctx.team : nullptr)});
     frags = built.get();
+    ctx.metrics.shard(0).inc(CId::kPartitionBuilds);
+    // Cached only once complete: a build that throws leaves the cache
+    // empty, never half-built.
+    if (ctx.partitions != nullptr) ctx.partitions->entry = std::move(built);
   }
   const GraphPartition* part = frags != nullptr ? &frags->partition : nullptr;
   const int f_count = part != nullptr ? part->num_fragments() : 1;
@@ -1187,45 +1194,19 @@ SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds,
   WaspShared<ChunkT> shared(g, delta, config, ctx, part, log, f_count, p,
                             *topo, cpu_of);
   if (!cold && p == 1) shared.budget = budget;
+  // Every fragment views its range of the run's one array: the buffer
+  // Solver::solve filled, or a repair's pre-loaded bounds. One fragment
+  // views the whole Graph.
   if (part == nullptr) {
-    // The whole Graph over the run's array: the buffer Solver::solve
-    // filled, or a repair's pre-loaded bounds.
     shared.views[0] =
         FragmentView{0, g.num_vertices(), g.offsets_data(), g.edge_data(),
                      *ctx.dist};
   } else {
-    if (built != nullptr) {
-      // Placement phase: each fragment's leader allocates its distance
-      // shard and fills it with kInfDist — the first touch, so the shard's
-      // pages land on the leader's node. The team join publishes the
-      // shards to every worker of the solve phase.
-      built->shards.resize(static_cast<std::size_t>(f_count));
-      ctx.team.run([&](int tid) {
-        verify::ScopedSchedule schedule_guard(tid);
-        if (shared.local_idx[static_cast<std::size_t>(tid)] == 0) {
-          const int f = shared.frag_of[static_cast<std::size_t>(tid)];
-          built->shards[static_cast<std::size_t>(f)].assign(
-              part->fragment(f).num_vertices(), kInfDist);
-        }
-      });
-      ctx.metrics.shard(0).inc(CId::kPartitionBuilds);
-      ctx.metrics.shard(0).inc(CId::kEpochSweeps);
-      // Cached only now that it is complete: a build that threw above left
-      // the cache empty, never half-built.
-      if (ctx.partitions != nullptr) ctx.partitions->entry = std::move(built);
-    } else {
-      // Warm: refill the cached shards, one O(n) fill of the set (the same
-      // membership placed them, so their pages already sit on their
-      // leaders' nodes).
-      for (std::vector<Distance>& shard : frags->shards)
-        std::ranges::fill(shard, kInfDist);
-      ctx.metrics.shard(0).inc(CId::kEpochSweeps);
-    }
     for (int f = 0; f < f_count; ++f) {
       const GraphPartition::Fragment& frag = part->fragment(f);
       shared.views[static_cast<std::size_t>(f)] = FragmentView{
           frag.begin, frag.end, frag.offsets.data(), frag.edge_data(),
-          AtomicDistances(frags->shards[static_cast<std::size_t>(f)])};
+          ctx.dist->slice(frag.begin, frag.end)};
     }
   }
 
@@ -1263,13 +1244,6 @@ SsspResult run_wasp(const Graph& g, std::span<const VertexId> seeds,
     launch<ChunkT, true>(shared, seeds, cold);
   }
   finalize_result(ctx, timer.seconds(), result);
-  // A flat run's answer is ctx.dist itself. The join orders every shard
-  // write before these plain reads.
-  if (part == nullptr) return result;
-  result.dist.resize(g.num_vertices());
-  for (int f = 0; f < f_count; ++f)
-    std::ranges::copy(frags->shards[static_cast<std::size_t>(f)],
-                      result.dist.begin() + part->fragment(f).begin);
   return result;
 }
 

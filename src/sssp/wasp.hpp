@@ -36,10 +36,10 @@
 //
 // One engine serves every run (wasp.cpp). The graph is split into F
 // fragments, and each worker relaxes against a non-owning view of its own
-// fragment: vertex range, CSR rows and distances. F = 1 is the flat run over
-// the whole Graph and the run's distance buffer, with no partition, relay
-// or vote. F > 1 is the partitioned mode of docs/NUMA.md. A cold solve and
-// a seeded repair differ only in their seeds.
+// fragment: vertex range, CSR rows and that range of the run's one distance
+// buffer. F = 1 is the flat run over the whole Graph, with no partition,
+// relay or vote. F > 1 is the partitioned mode of docs/NUMA.md. A cold solve
+// and a seeded repair differ only in their seeds.
 #pragma once
 
 #include <cstddef>
@@ -145,17 +145,17 @@ inline constexpr std::uint64_t kNoWorkBudget = ~std::uint64_t{0};
 /// configuration. Knobs must satisfy SsspOptions::validate() (delta >= 1,
 /// chunk_capacity in {16,32,64,128,256}).
 ///
-/// The run uses config.fragments(team size) fragments. One fragment runs on
-/// ctx.dist, which then holds the answer (result.dist stays empty). More
-/// than one runs the partitioned mode (docs/NUMA.md): per-fragment distance
-/// shards and deques, boundary relaxations through batched remote queues
-/// (concurrent/remote_queue.hpp), bidirectional relaxation off (it would
-/// read remote shards), a quiescence barrier on top of the termination
-/// scan, and a copy of the shards into result.dist at the end. With
-/// ctx.partitions set (Solver does), the fragments and shards are built on
-/// the first solve of a graph and reused while its stamp, the fragment
-/// count, the team size and the topology stay the same. Every mode
-/// converges to the same exact-distance fixed point.
+/// ctx.dist must be non-null, sized to g.num_vertices() and filled with
+/// kInfDist; it then holds the answer (result.dist stays empty). The run
+/// uses config.fragments(team size) fragments. More than one runs the
+/// partitioned mode (docs/NUMA.md): each fragment relaxes in its own range
+/// of ctx.dist with its own deques, boundary relaxations go through batched
+/// remote queues (concurrent/remote_queue.hpp), bidirectional relaxation
+/// pulls only from neighbours in the fragment, and a quiescence barrier
+/// sits on top of the termination scan. With ctx.partitions set (Solver
+/// does), the fragments are built on the first solve of a graph and reused
+/// while its stamp, the fragment count, the team size and the topology stay
+/// the same. Every mode converges to the same exact-distance fixed point.
 SsspResult wasp_sssp(const Graph& g, VertexId source, Weight delta,
                      const WaspConfig& config, RunContext& ctx);
 

@@ -180,7 +180,7 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(to_string(param_info.param));
     });
 
-// --- partitioned Wasp: fragments and shards are built once per graph ------
+// --- partitioned Wasp: fragments are built once per graph ------------------
 
 SsspOptions partitioned_options(int fragments) {
   SsspOptions options = options_for(Algorithm::kWasp);
@@ -216,15 +216,15 @@ TEST(PartitionReuse, RepeatAndCrossSourceQueriesAreBitIdentical) {
 
   Solver solver(options);
   const SsspResult r1 = solver.solve(g, s1);
-  const SsspResult r2 = solver.solve(g, s1);  // repeat: shards refilled
-  const SsspResult r3 = solver.solve(g, s2);  // other source, same shards
+  const SsspResult r2 = solver.solve(g, s1);  // repeat: same fragments
+  const SsspResult r3 = solver.solve(g, s2);  // other source, same fragments
   EXPECT_EQ(r1.dist, fresh1.dist);
   EXPECT_EQ(r2.dist, fresh1.dist);
   EXPECT_EQ(r3.dist, fresh2.dist);
 
-  // One build, on the cold solve only, and one fill of the shard set per
-  // solve: the build fills them with kInfDist, reuse refills them. A
-  // partitioned run takes no flat buffer, and the Solver holds none.
+  // One build, on the cold solve only, and one fill per solve: the buffer
+  // the fragments relax in. A partitioned run returns that buffer as its
+  // result, as a flat run does, so the Solver holds none.
   EXPECT_EQ(builds(r1), 1u);
   EXPECT_EQ(builds(r2), 0u);
   EXPECT_EQ(builds(r3), 0u);
@@ -293,6 +293,39 @@ TEST(PartitionReuse, OneFragmentRunIsTheFlatRun) {
   }
 }
 
+TEST(PartitionReuse, PartitionedRunRelaxesInThePooledBuffer) {
+  // A partitioned run relaxes like a flat one: its fragments view sub-ranges
+  // of the one buffer the Solver filled, and it returns that buffer as its
+  // result with no copy-out. So a buffer a dropped partitioned answer freed
+  // is the next partitioned solve's result.
+  VersionedGraph vg(make_test_graph());
+  const VertexId s = pick_source_in_largest_component(vg.graph(), 11);
+  const std::vector<Distance> reference = dijkstra(vg.graph(), s).dist;
+  Solver solver(partitioned_options(2));
+  const SsspResult cold = solver.solve(vg.graph(), s);
+  EXPECT_EQ(cold.dist, reference);
+  EXPECT_EQ(builds(cold), 1u);
+  EXPECT_EQ(sweeps(cold), 1u);  // the buffer's fill
+
+  // Two published partitioned answers free the first one's buffer.
+  const Distance* freed = nullptr;
+  {
+    const Answer a = solver.solve(vg, s, {}, 0);
+    EXPECT_EQ(a, reference);
+    EXPECT_EQ(
+        solver.last_metrics().counter(obs::CounterId::kPartitionBuilds), 0u);
+    EXPECT_EQ(solver.last_metrics().counter(obs::CounterId::kEpochSweeps),
+              1u);
+    freed = a.data();
+  }
+  (void)solver.solve(vg, s, {}, 0);
+  const SsspResult again = solver.solve(vg.graph(), s);
+  EXPECT_EQ(again.dist, reference);
+  EXPECT_EQ(again.dist.data(), freed);
+  EXPECT_EQ(builds(again), 0u);
+  EXPECT_EQ(sweeps(again), 1u);
+}
+
 TEST(PartitionReuse, EachVersionedBatchForcesExactlyOneRebuild) {
   VersionedGraph vg(gen::grid(40, 40, WeightScheme::uniform(1, 100), 5));
   const VertexId s = 0;
@@ -359,10 +392,10 @@ TEST(PartitionReuse, FragmentCountOrTopologyChangeForcesRebuild) {
 }
 
 TEST(PartitionReuse, RepairNeverBindsToTheUnusedFlatArray) {
-  // A partitioned full solve keeps its distances in fragment shards and
-  // publishes their copy-out, and an earlier flat solve handed its buffer
-  // out as its result. The repair copies the answer it is given into a
-  // working buffer and runs one fragment over it.
+  // A partitioned full solve publishes the buffer its fragments relaxed
+  // in, and an earlier flat solve handed its buffer out as its result. The
+  // repair copies the answer it is given into a working buffer and runs one
+  // fragment over it.
   VersionedGraph vg(gen::grid(30, 30, WeightScheme::uniform(1, 100), 5));
   Solver inc(partitioned_options(2));
   const VertexId s = 0;
@@ -397,8 +430,8 @@ TEST(PartitionReuse, WarmSolveAfterCancelledSolveIsExact) {
   solver.options().cancel = &token;
   EXPECT_THROW((void)solver.solve(g, s), SolveCancelledError);
 
-  // The shards hold the cancelled run's partial relaxation; the next solve
-  // reuses them (no rebuild) and must still be exact.
+  // The cancelled run's buffer held a partial relaxation and was freed; the
+  // next solve reuses the fragments (no rebuild) and must still be exact.
   solver.options().observer = nullptr;
   solver.options().cancel = nullptr;
   const SsspResult r = solver.solve(g, s);

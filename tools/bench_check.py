@@ -41,9 +41,10 @@ dyn_updates checks:
 numa_fragments checks:
   * the top-level schema: bench == "numa_fragments", threads positive, a
     non-empty results list;
-  * per row: positive seconds/relaxations, remote_share in [0, 1], and the
-    correctness anchor exact == true (partitioned distances bit-identical
-    to the flat engine — checked at any scale);
+  * per row: positive seconds/relaxations/updates, no more updates than
+    relaxations (every update is one relaxation's win), remote_share in
+    [0, 1], and the correctness anchor exact == true (partitioned distances
+    bit-identical to the flat engine — checked at any scale);
   * remote-traffic accounting: flat and single-fragment rows carry exactly
     zero remote relaxations/batches; multi-fragment rows never count more
     remote relaxations than relaxations, nor more batches than records;
@@ -90,8 +91,8 @@ NUMA_TOP_KEYS = {
 }
 NUMA_ROW_KEYS = {
     "graph", "topology", "fragments", "seconds", "edges_per_sec",
-    "relaxations", "remote_relaxations", "remote_batches", "remote_share",
-    "exact",
+    "relaxations", "updates", "remote_relaxations", "remote_batches",
+    "remote_share", "exact",
 }
 
 DYN_TOP_KEYS = {
@@ -300,8 +301,10 @@ def check_numa_report(report, graph_filter, schema_only):
         if graph_filter and row["graph"] not in graph_filter:
             continue
         checked += 1
-        if row["seconds"] <= 0 or row["relaxations"] < 1:
-            fail(f"{name}: seconds and relaxations must be positive")
+        if row["seconds"] <= 0 or row["relaxations"] < 1 or row["updates"] < 1:
+            fail(f"{name}: seconds, relaxations and updates must be positive")
+        if row["updates"] > row["relaxations"]:
+            fail(f"{name}: updates exceed relaxations")
         # The correctness anchor holds at any scale: partitioned distances
         # must be bit-identical to the flat engine's.
         if row["exact"] is not True:
